@@ -46,9 +46,9 @@ let fix_large =
      Core.Instance.make_static ~types ~load ~fns ())
 
 (* Dense d=3 instance big enough (11*7*5 = 385 states >= the 256-item
-   parallel cutoff) for the domain pool to actually fan out; the trio of
-   pool benches below times the same solve sequentially, on the
-   persistent pool, and on the legacy spawn-per-layer path. *)
+   parallel cutoff) for the domain pool to actually fan out; the pool
+   pair below times the same solve sequentially and on the persistent
+   pool. *)
 let fix_pool_dense =
   lazy
     (let types =
@@ -130,19 +130,12 @@ let benches =
       (fun () -> Core.Offline_dp.solve_approx ~eps:0.25 (Lazy.force fix_large));
     bench "thm22: exact DP with time-varying sizes (T=30)"
       (fun () -> Core.Offline_dp.solve_optimal (Lazy.force fix_maintenance));
-    (* Pool trio: same dense d=3, T=96 solve three ways.  The pooled and
-       spawn-per-layer runs both use 4 domains, so their delta is pure
-       spawn/join churn; all three return bit-identical results. *)
+    (* Pool pair: the same dense d=3, T=96 solve sequentially and on the
+       persistent pool; both return bit-identical results. *)
     bench "pool: exact DP sequential (d=3, T=96, m=(10,6,4))"
       (fun () -> Core.Offline_dp.solve_optimal (Lazy.force fix_pool_dense));
     bench "pool: exact DP on 4-domain pool (d=3, T=96)"
       (fun () -> Core.Offline_dp.solve_optimal ~domains:4 (Lazy.force fix_pool_dense));
-    bench "pool: exact DP spawn-per-layer x4 (d=3, T=96)"
-      (fun () ->
-        Core.Parallel.spawn_per_call := true;
-        Fun.protect
-          ~finally:(fun () -> Core.Parallel.spawn_per_call := false)
-          (fun () -> Core.Offline_dp.solve_optimal ~domains:4 (Lazy.force fix_pool_dense)));
     bench "chasing: hypercube adversary (d=12)"
       (fun () -> Core.Adversary.chasing_lower_bound ~d:12);
     bench "lower-bound: resonant bursts, A full run (d=2)"
@@ -414,9 +407,9 @@ let benches =
              done);
     (* Durability store: one daemon round's worth of log appends
        (encode + write, fsync disabled to isolate the CPU path) — the
-       O(delta) cost that replaced the per-checkpoint full-table
-       rewrite — and a cold recovery over base + tail, which must stay
-       O(base + tail) regardless of how many chunks have cemented. *)
+       daemon's O(delta) per-round durability cost — and a cold recovery
+       over base + tail, which must stay O(base + tail) regardless of
+       how many chunks have cemented. *)
     bench "store: append round (64 records, no fsync)"
       (let path = Filename.temp_file "rs-bench" ".log" in
        at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
@@ -435,44 +428,6 @@ let benches =
          List.iter (Core.Store_log.append w) records;
          (match Core.Store_log.flush w with Ok () -> () | Error m -> failwith m);
          match Core.Store_log.reset w with Ok () -> () | Error m -> failwith m);
-    bench "store: full-table checkpoint (8 sessions, 96 slots)"
-      (let dir = Filename.temp_file "rs-bench" ".ck" in
-       Sys.remove dir;
-       Sys.mkdir dir 0o755;
-       at_exit (fun () ->
-           try
-             Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-             Sys.rmdir dir
-           with Sys_error _ -> ());
-       let d =
-         match
-           Core.Daemon.create
-             { Core.Daemon.default_config with
-               unix_path = Some (Filename.concat dir "b.sock");
-               checkpoint = Some (Filename.concat dir "sessions.snap") }
-         with
-         | Ok d -> d
-         | Error m -> failwith m
-       in
-       for i = 0 to 7 do
-         let id = Printf.sprintf "bench-%04d" i in
-         ignore
-           (Core.Daemon.handle d
-              (Core.Server_protocol.Create_session
-                 { id; scenario = "cpu-gpu"; max_horizon = None; alg = None }));
-         match
-           Core.Daemon.handle d
-             (Core.Server_protocol.Feed
-                { id; seq = 0;
-                  loads = Array.init 96 (fun j -> 0.3 +. (float_of_int (j mod 5) *. 0.1)) })
-         with
-         | Core.Server_protocol.Decisions _ -> ()
-         | _ -> failwith "bench setup: feed"
-       done;
-       fun () ->
-         match Core.Daemon.checkpoint_now d with
-         | Ok () -> ()
-         | Error m -> failwith m);
     bench "store: recover (base + 128-record tail, 512 cemented)"
       (let dir = Filename.temp_file "rs-bench" ".store" in
        Sys.remove dir;

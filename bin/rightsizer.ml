@@ -223,7 +223,8 @@ let crash_after_arg =
     & opt (some int) None
     & info [ "crash-after" ] ~docv:"N"
         ~doc:"Testing hook: simulate a crash (exit 3) after N slots/layers, \
-              leaving the last checkpoint behind (requires --checkpoint).")
+              leaving behind only the state already made durable (the checkpoint \
+              file for solve and online, the log for serve).")
 
 (* Load and decode a checkpoint, or explain why not. *)
 let load_checkpoint ~kind ~decode path =
@@ -1012,30 +1013,25 @@ let serve_cmd =
       & info [ "fault-seed" ] ~docv:"N"
           ~doc:"Seed for probabilistic fault plans (default 0).")
   in
-  (* Not the shared [resume_arg]: that one is a cmdliner [file] whose
-     existence check is right for offline solves, but a log-mode daemon
-     may legitimately resume with no snapshot on disk (the store is the
-     durable state and the snapshot only its fallback). *)
   let serve_resume_arg =
     Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:"Resume the session table.  With $(b,--log-dir), recovery prefers \
-                the incremental store (base + tail) and falls back to this \
-                checkpoint FILE; without it, FILE is the checkpoint written by \
-                $(b,--checkpoint).  The resumed daemon is bit-identical to an \
-                uninterrupted one; torn or corrupted state is rejected.")
+      value & flag
+      & info [ "resume" ]
+          ~doc:"Recover the session table from the $(b,--log-dir) store (base + \
+                tail) instead of starting a new epoch.  The resumed daemon is \
+                bit-identical to an uninterrupted one; a store that cannot be \
+                recovered fails the start.  Requires $(b,--log-dir).")
   in
   let log_dir_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "log-dir" ] ~docv:"DIR"
-          ~doc:"Switch durability to the incremental store: append-only decision \
-                log + cemented chunks in DIR, fsynced per round — O(delta) instead \
-                of the full-table snapshot (docs/durability.md).  $(b,--resume) \
-                then prefers log recovery, falling back to the snapshot.")
+          ~doc:"Keep the session table durable in the incremental store: an \
+                append-only decision log + cemented chunks in DIR, fsynced once \
+                per round (docs/durability.md).  A store write failure stops the \
+                daemon with exit status 4; restart it with $(b,--resume).  \
+                Without DIR the daemon keeps no durable state.")
   in
   let cement_every_arg =
     Arg.(
@@ -1061,12 +1057,12 @@ let serve_cmd =
     in
     go [] specs
   in
-  let run () unix_path tcp_port checkpoint every resume crash_after_slots max_sessions
-      metrics_port audit_every audit_sample faults fault_seed log_dir cement_every
-      domains =
+  let run () unix_path tcp_port resume crash_after_slots max_sessions metrics_port
+      audit_every audit_sample faults fault_seed log_dir cement_every domains =
     if unix_path = None && tcp_port = None then
       `Error (false, "serve: pass --unix PATH and/or --port PORT")
-    else if every < 1 then `Error (false, "serve: --checkpoint-every must be >= 1")
+    else if resume && log_dir = None then
+      `Error (false, "serve: --resume requires --log-dir")
     else if audit_sample < 1 then `Error (false, "serve: --audit-sample must be >= 1")
     else if audit_every <> None && Option.get audit_every < 1 then
       `Error (false, "serve: --audit-every must be >= 1")
@@ -1079,11 +1075,10 @@ let serve_cmd =
       with_domains domains @@ fun pool ->
       let cfg =
         { Core.Daemon.default_config with
-          unix_path; tcp_port; pool; checkpoint; checkpoint_every = every;
-          max_sessions; crash_after_slots; metrics_port; audit_every; audit_sample;
-          log_dir; cement_every }
+          unix_path; tcp_port; pool; max_sessions; crash_after_slots; metrics_port;
+          audit_every; audit_sample; log_dir; cement_every }
       in
-      match Core.Daemon.create ?resume cfg with
+      match Core.Daemon.create ~resume cfg with
       | Error m -> `Error (false, m)
       | Ok d ->
           let stop _ = Core.Daemon.request_stop d in
@@ -1098,9 +1093,12 @@ let serve_cmd =
           (match metrics_port with
           | Some p -> Printf.printf "metrics on 127.0.0.1:%d\n%!" p
           | None -> ());
-          if resume <> None then
+          if resume then
             Printf.printf "resumed %d sessions\n%!" (Core.Daemon.session_count d);
-          Core.Daemon.run d;
+          (try Core.Daemon.run d
+           with Core.Daemon.Store_failed m ->
+             Printf.eprintf "serve: store failure: %s; exiting (restart with --resume)\n%!" m;
+             exit 4);
           Core.Obs.Run_manifest.note "sessions"
             (string_of_int (Core.Daemon.session_count d));
           Printf.printf "stopped after %d stepped slots (%d live sessions)\n%!"
@@ -1111,13 +1109,14 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the multi-session right-sizing daemon (protocol: docs/serving.md).  \
-             SIGINT/SIGTERM stop it gracefully, writing a final checkpoint.")
+             SIGINT/SIGTERM stop it gracefully, cementing the $(b,--log-dir) store.  \
+             Exit status 4: a store write failed.")
     Term.(
       ret
-        (const run $ obs_term $ unix_sock_arg $ tcp_port_arg $ checkpoint_arg
-        $ checkpoint_every_arg $ serve_resume_arg $ crash_after_arg $ max_sessions_arg
-        $ metrics_port_arg $ audit_every_arg $ audit_sample_arg $ fault_arg
-        $ fault_seed_arg $ log_dir_arg $ cement_every_arg $ domains_arg))
+        (const run $ obs_term $ unix_sock_arg $ tcp_port_arg $ serve_resume_arg
+        $ crash_after_arg $ max_sessions_arg $ metrics_port_arg $ audit_every_arg
+        $ audit_sample_arg $ fault_arg $ fault_seed_arg $ log_dir_arg $ cement_every_arg
+        $ domains_arg))
 
 (* --- monitor --- *)
 

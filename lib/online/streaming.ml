@@ -131,7 +131,11 @@ let feed t volume =
 
 let fed t = t.clock
 let config t = Array.copy t.current
-let loads t = Array.sub t.loads 0 t.clock
+let loads_from t ~from_ =
+  let from_ = max 0 (min from_ t.clock) in
+  Array.sub t.loads from_ (t.clock - from_)
+
+let loads t = loads_from t ~from_:0
 
 module S = Util.Sexp
 

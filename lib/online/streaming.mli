@@ -97,6 +97,10 @@ val loads : t -> float array
 (** A copy of the volumes fed so far (length {!fed}) — what the shadow
     oracle replays through the offline solver. *)
 
+val loads_from : t -> from_:int -> float array
+(** A copy of the volumes for slots [from_, fed) only — O(slots copied),
+    not O(history). *)
+
 val save : t -> Util.Sexp.t
 (** The session's complete resumable state: fed loads, clock, current
     configuration, engine and stepper payloads. *)

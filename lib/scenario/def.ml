@@ -19,7 +19,6 @@ type source =
 type fault_plan = Nth of int | Every of int | Prob of float
 
 type daemon = {
-  checkpoint_every : int option;
   crash_after : int option;
   audit : (int * int) option;
   metrics : bool;
@@ -66,7 +65,7 @@ let fault_sites =
     "store.recover" ]
 
 let default_daemon =
-  { checkpoint_every = None; crash_after = None; audit = None; metrics = true;
+  { crash_after = None; audit = None; metrics = true;
     faults = []; fault_seed = 1; log_dir = false; cement_every = None }
 
 let default_verify = { oracle = true; ratio_bound = 10.; max_injected_retries = 10_000 }
@@ -159,17 +158,12 @@ let validate_plan ~ctx site = function
 let validate_daemon ~slots ~sessions d =
   let ctx = "daemon" in
   let* () =
-    match d.checkpoint_every with
-    | None -> Ok ()
-    | Some n -> check_dur ~ctx "checkpoint-every" n
-  in
-  let* () =
     match d.crash_after with
     | None -> Ok ()
     | Some n ->
         let* () = check_pos ~ctx "crash-after" n in
-        if d.checkpoint_every = None then
-          err "%s: (crash-after %d) requires (checkpoint-every N)" ctx n
+        if not d.log_dir then
+          err "%s: (crash-after %d) requires (log-dir true)" ctx n
         else if n >= slots * sessions then
           err "%s: (crash-after %d) never trips: only %d slots are stepped" ctx n
             (slots * sessions)
@@ -454,11 +448,10 @@ let parse_daemon body =
   let ctx = "daemon" in
   let* get =
     fields ~ctx
-      [ "checkpoint-every"; "crash-after"; "audit"; "metrics"; "faults"; "fault-seed";
-        "log-dir"; "cement-every" ]
+      [ "crash-after"; "audit"; "metrics"; "faults"; "fault-seed"; "log-dir";
+        "cement-every" ]
       body
   in
-  let* checkpoint_every = opt_int ~ctx get "checkpoint-every" in
   let* crash_after = opt_int ~ctx get "crash-after" in
   let* audit =
     match get "audit" with
@@ -481,8 +474,7 @@ let parse_daemon body =
   let* log_dir = opt_bool ~ctx ~default:false get "log-dir" in
   let* cement_every = opt_int ~ctx get "cement-every" in
   Ok
-    { checkpoint_every; crash_after; audit; metrics; faults; fault_seed; log_dir;
-      cement_every }
+    { crash_after; audit; metrics; faults; fault_seed; log_dir; cement_every }
 
 let predictor_names =
   [ "naive"; "seasonal-naive"; "ewma"; "holt"; "holt-winters" ]
@@ -698,10 +690,7 @@ let daemon_to_sexp d =
   S.List
     (S.Atom "daemon"
     :: List.concat
-         [ (match d.checkpoint_every with
-           | None -> []
-           | Some n -> [ ifield "checkpoint-every" n ]);
-           (match d.crash_after with None -> [] | Some n -> [ ifield "crash-after" n ]);
+         [ (match d.crash_after with None -> [] | Some n -> [ ifield "crash-after" n ]);
            (match d.audit with
            | None -> []
            | Some (every, sample) ->

@@ -5,7 +5,7 @@
     name — the server types and cost model the daemon serves), a
     synthetic {e workload} built from {!Sim.Workload} /
     {!Dcsim.Job_trace} generators expressed as {e fractions of the
-    fleet's capacity}, a {e daemon} section (checkpointing, a
+    fleet's capacity}, a {e daemon} section (the durable store, a
     deterministic mid-run crash, shadow-oracle auditing, metrics
     scraping, {!Util.Faultinj} fault storms), optional {e race}
     (forecast-driven receding horizon vs the served online stepper) and
@@ -65,11 +65,9 @@ type source =
 type fault_plan = Nth of int | Every of int | Prob of float
 
 type daemon = {
-  checkpoint_every : int option;  (** enables checkpointing *)
   crash_after : int option;
       (** crash (exit 3) after this many stepped slots, then resume
-          from the checkpoint and re-feed — requires
-          [checkpoint_every] *)
+          from the store and re-feed — requires [log_dir] *)
   audit : (int * int) option;     (** shadow oracle: (every, sample) *)
   metrics : bool;                 (** serve and scrape [--metrics-port] *)
   faults : (string * fault_plan) list;  (** site must be in {!fault_sites} *)

@@ -80,13 +80,16 @@ let fresh_workdir name =
   in
   go 0
 
-(* Shallow scratch dir: socket, log, checkpoint — no subdirectories. *)
-let remove_workdir dir =
+(* The scratch dir holds the socket, the daemon log and, in log mode,
+   the [store/] subdirectory. *)
+let rec remove_workdir dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
   | entries ->
       Array.iter
-        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
+        (fun e ->
+          let path = Filename.concat dir e in
+          try Sys.remove path with Sys_error _ -> remove_workdir path)
         entries;
       (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
@@ -501,23 +504,17 @@ let session_ids def =
 
 let spawn_config def ~bin ~workdir ~metrics_port ~resume =
   let d = def.Def.daemon in
-  let ckpt =
-    if d.Def.checkpoint_every <> None then Some (Filename.concat workdir "daemon.ckpt")
-    else None
-  in
+  let store = if d.Def.log_dir then Some (Filename.concat workdir "store") else None in
   { (Spawn.config ~bin ~sock:(Filename.concat workdir "daemon.sock")
        ~log:(Filename.concat workdir "daemon.log"))
     with
     Spawn.metrics_port;
-    checkpoint = ckpt;
-    checkpoint_every = d.Def.checkpoint_every;
-    resume = (if resume then ckpt else None);
+    resume = (if resume then store else None);
     crash_after = (if resume then None else d.Def.crash_after);
     audit = d.Def.audit;
     faults = List.map (fun (site, plan) -> site, Def.plan_to_string plan) d.Def.faults;
     fault_seed = Some d.Def.fault_seed;
-    log_dir =
-      (if d.Def.log_dir then Some (Filename.concat workdir "store") else None);
+    log_dir = store;
     cement_every = d.Def.cement_every }
 
 let run ?bin ?workdir def =

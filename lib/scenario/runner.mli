@@ -77,7 +77,7 @@ type outcome = {
 
 val run : ?bin:string -> ?workdir:string -> Def.t -> (outcome, string) result
 (** [bin] is the rightsizer binary (default [Sys.executable_name]);
-    [workdir] the scratch dir for socket/log/checkpoint (default a fresh
+    [workdir] the scratch dir for socket/log/store (default a fresh
     temp dir, removed again when the run passes).  [Error] only for
     harness-level breakage that leaves nothing to report (the workdir
     cannot be created, the daemon never started). *)

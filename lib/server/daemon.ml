@@ -10,16 +10,14 @@ let c_batches = Obs.Counter.make "server.batches"
 let c_batch_size = Obs.Counter.make "server.batch_size"
 let c_faults = Obs.Counter.make "server.faults"
 let c_disconnects = Obs.Counter.make "server.disconnects"
-let c_checkpoints = Obs.Counter.make "server.checkpoints"
 let c_sessions = Obs.Counter.make "server.sessions_created"
-let c_store_degraded = Obs.Counter.make "server.store_degraded"
+
+exception Store_failed of string
 
 type config = {
   unix_path : string option;
   tcp_port : int option;
   pool : Util.Pool.t option;
-  checkpoint : string option;
-  checkpoint_every : int;
   max_frame_bytes : int;
   max_sessions : int;
   crash_after_slots : int option;
@@ -35,8 +33,6 @@ let default_config =
   { unix_path = None;
     tcp_port = None;
     pool = None;
-    checkpoint = None;
-    checkpoint_every = 64;
     max_frame_bytes = Codec.default_max_frame_bytes;
     max_sessions = 1024;
     crash_after_slots = None;
@@ -56,8 +52,7 @@ type conn = {
 }
 
 (* State of the incremental store ([--log-dir]): the live tail writer
-   plus daemon-owned telemetry.  [None] means full-snapshot mode —
-   either never configured, or degraded to it after a store failure. *)
+   plus daemon-owned telemetry. *)
 type store_state = {
   store_dir : string;
   writer : Store.Log.writer;
@@ -65,7 +60,7 @@ type store_state = {
   cement_h : Obs.Histogram.t;          (* cement duration, us *)
   mutable chunks : int;                (* cemented chunks on disk *)
   mutable last_append_at : float;      (* wall clock of last fsync; nan before *)
-  mutable recover_s : float;           (* startup recovery duration, s *)
+  recover_s : float;                   (* startup recovery duration, s *)
 }
 
 type t = {
@@ -75,7 +70,6 @@ type t = {
   mutable listeners : Unix.file_descr list;
   stop : bool Atomic.t;
   mutable stepped : int;   (* freshly stepped slots, across all sessions *)
-  mutable since_ck : int;
   (* Bounded latency telemetry: O(buckets) forever, where the old
      design kept a per-request sample array.  Daemon-owned (not in the
      process-wide registry) so concurrent daemons in one test process
@@ -86,8 +80,7 @@ type t = {
   mutable metrics_listener : Unix.file_descr option;
   mutable metrics_conns : Unix.file_descr list;
   start_time : float;
-  mutable last_ck_at : float;  (* wall clock of last checkpoint; nan before *)
-  mutable store : store_state option;
+  store : store_state option;  (* [None]: no [log_dir], no durable state *)
 }
 
 let session_count t = Hashtbl.length t.sessions
@@ -130,25 +123,20 @@ let metrics_body t =
           | Some p -> float_of_int (Util.Pool.size p)
           | None -> 0. );
         ("server.uptime_s", [], Unix.gettimeofday () -. t.start_time) ]
-    @ (* checkpoint-age means "how stale is my durable state": with the
-         incremental store active that is the last fsync'd record, not
-         the last full snapshot. *)
-    (let durable_at =
-       match t.store with
-       | Some st when not (Float.is_nan st.last_append_at) -> st.last_append_at
-       | Some _ | None -> t.last_ck_at
-     in
-     if Float.is_nan durable_at then []
-     else [ ("server.checkpoint_age_s", [], Unix.gettimeofday () -. durable_at) ])
     @ (match t.store with
       | None -> []
       | Some st ->
-          [ ( "store.tail_records",
+          (* checkpoint-age means "how stale is my durable state": the
+             age of the last fsync'd round *)
+          (if Float.is_nan st.last_append_at then []
+           else
+             [ ("server.checkpoint_age_s", [], Unix.gettimeofday () -. st.last_append_at) ])
+          @ [ ( "store.tail_records",
               [],
-              float_of_int (Store.Log.records_on_disk st.writer) );
-            ("store.tail_bytes", [], float_of_int (Store.Log.tail_bytes st.writer));
-            ("store.cemented_chunks", [], float_of_int st.chunks);
-            ("store.recovery_s", [], st.recover_s) ])
+                float_of_int (Store.Log.records_on_disk st.writer) );
+              ("store.tail_bytes", [], float_of_int (Store.Log.tail_bytes st.writer));
+              ("store.cemented_chunks", [], float_of_int st.chunks);
+              ("store.recovery_s", [], st.recover_s) ])
     @ (match t.audit with Some a -> Audit.gauges a | None -> [])
   in
   (* Distribution of slots fed across live sessions, rebuilt per scrape
@@ -171,85 +159,30 @@ let metrics_body t =
   in
   Obs.Metrics_export.to_prometheus ~counters ~gauges ~histograms ()
 
-(* --- checkpointing ------------------------------------------------- *)
+(* --- the incremental store (--log-dir) ------------------------------ *)
 
-let snapshot_kind = "server-sessions"
-
-let table_payload t =
-  let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
+let table_payload sessions =
+  let all = Hashtbl.fold (fun _ s acc -> s :: acc) sessions [] in
   let sorted =
     List.sort (fun a b -> compare (Session.id a) (Session.id b)) all
   in
   S.List (S.Atom "sessions" :: List.map Session.save sorted)
 
-let checkpoint_now t =
-  match t.cfg.checkpoint with
-  | None -> Error "daemon: no checkpoint path configured"
-  | Some path -> (
-      match Util.Snapshot.save ~path ~kind:snapshot_kind (table_payload t) with
-      | Ok () ->
-          t.since_ck <- 0;
-          t.last_ck_at <- Unix.gettimeofday ();
-          Obs.Counter.incr c_checkpoints;
-          Ok ()
-      | Error e -> Error (Util.Snapshot.error_to_string e))
-
-let restore_sessions t path =
-  match Util.Snapshot.load ~kind:snapshot_kind ~path () with
-  | Error e -> Error ("daemon: resume: " ^ Util.Snapshot.error_to_string e)
-  | Ok (S.List (S.Atom "sessions" :: rows)) ->
-      let rec go = function
-        | [] -> Ok ()
-        | row :: rest -> (
-            match Session.of_sexp row with
-            | Ok s ->
-                Hashtbl.replace t.sessions (Session.id s) s;
-                go rest
-            | Error m -> Error ("daemon: resume: " ^ m))
-      in
-      go rows
-  | Ok (S.Atom _ | S.List _) ->
-      Error "daemon: resume: unexpected checkpoint payload"
-
-(* --- the incremental store (--log-dir) ------------------------------ *)
-
-(* A marker left behind when the store degrades mid-run: the log is
-   stale from that point on, so a later resume must not prefer it over
-   the full snapshot.  Removed when the store is re-enabled (rebased)
-   at the next start. *)
-let degraded_marker dir = Filename.concat dir "degraded"
-
 let store_log t r =
   match t.store with None -> () | Some st -> Store.Log.append st.writer r
 
-(* Give up on the store and fall back to full-snapshot durability:
-   close the tail, leave the degraded marker, and immediately take a
-   snapshot so nothing logged-but-not-snapshotted can be lost. *)
-let store_degrade t why =
-  match t.store with
-  | None -> ()
-  | Some st ->
-      prerr_endline ("daemon: store degraded to full-snapshot mode: " ^ why);
-      (try Out_channel.with_open_bin (degraded_marker st.store_dir) (fun _ -> ())
-       with Sys_error _ -> ());
-      Store.Log.close_writer st.writer;
-      t.store <- None;
-      Obs.Counter.incr c_store_degraded;
-      if t.cfg.checkpoint <> None then
-        match checkpoint_now t with
-        | Ok () -> ()
-        | Error m -> prerr_endline ("daemon: checkpoint failed: " ^ m)
-
 (* Fold the fsync'd tail into the next cemented chunk with the current
-   table as the new base, then truncate the tail.  An injected
-   [store.cement] fault leaves the tail intact — the cement simply
-   retries at the next threshold crossing.  An empty tail only rewrites
-   the base (no empty chunks). *)
+   table as the new base, then truncate the tail.  A failed cement
+   (injected [store.cement] fault or a real error) leaves the tail
+   intact, so nothing durable is lost and the cement simply retries at
+   the next threshold crossing.  An empty tail only rewrites the base
+   (no empty chunks).  A failed tail truncate is crash-only: the tail
+   still overlaps the new base, which recovery replays idempotently. *)
 let store_cement_now t st =
   match Store.Log.read ~path:(Store.Cemented.tail_path ~dir:st.store_dir) with
-  | Error m -> store_degrade t ("cement: " ^ m)
+  | Error m -> prerr_endline ("daemon: store: cement deferred: " ^ m)
   | Ok scan -> (
-      let base = table_payload t in
+      let base = table_payload t.sessions in
       let t0 = Obs.Span.now_us () in
       match
         if scan.Store.Log.records = [] then
@@ -262,45 +195,43 @@ let store_cement_now t st =
       | exception Util.Faultinj.Injected { site; _ } ->
           Obs.Counter.incr c_faults;
           Util.Faultinj.recovered site
-      | Error m -> store_degrade t ("cement: " ^ m)
-      | Ok cemented ->
+      | Error m -> prerr_endline ("daemon: store: cement deferred: " ^ m)
+      | Ok cemented -> (
           Obs.Histogram.observe st.cement_h (Obs.Span.now_us () -. t0);
           (match cemented with Some _ -> st.chunks <- st.chunks + 1 | None -> ());
           st.last_append_at <- Unix.gettimeofday ();
-          (match Store.Log.reset st.writer with
+          match Store.Log.reset st.writer with
           | Ok () -> ()
-          | Error m -> store_degrade t ("tail reset: " ^ m)))
+          | Error m -> raise (Store_failed ("tail reset: " ^ m))))
 
 (* End-of-round durability: one write + fsync for everything this round
    appended — O(records this round), not O(sessions) — then cement once
-   the tail passes [cement_every] records. *)
+   the tail passes [cement_every] records.  A failed flush is
+   crash-only: it raises before any of the round's replies is written,
+   so no client ever sees a decision the log does not hold. *)
 let store_round_end t =
-  (match t.store with
+  match t.store with
   | None -> ()
   | Some st ->
       if Store.Log.pending st.writer > 0 then begin
         let t0 = Obs.Span.now_us () in
         match Store.Log.flush st.writer with
         | exception Util.Faultinj.Injected { site; _ } ->
-            Obs.Counter.incr c_faults;
-            Util.Faultinj.recovered site;
-            store_degrade t ("injected fault at " ^ site)
+            raise (Store_failed ("injected fault at " ^ site))
+        | Error m -> raise (Store_failed ("append: " ^ m))
         | Ok () ->
             Obs.Histogram.observe st.append_h (Obs.Span.now_us () -. t0);
             st.last_append_at <- Unix.gettimeofday ()
-        | Error m -> store_degrade t ("append: " ^ m)
-      end);
-  match t.store with
-  | Some st when Store.Log.records_on_disk st.writer >= t.cfg.cement_every ->
-      store_cement_now t st
-  | Some _ | None -> ()
+      end;
+      if Store.Log.records_on_disk st.writer >= t.cfg.cement_every then
+        store_cement_now t st
 
 (* Rebuild the session table from the store: the base snapshot (the
    table at the last cement) plus the tail replayed on top.  Replay is
    idempotent — a tail that overlaps the base (crash between cement and
    tail truncate) re-answers old slots from each session's history — so
    every crash point lands on the same state. *)
-let restore_from_store t (r : Store.Cemented.recovery) =
+let restore_from_store sessions (r : Store.Cemented.recovery) =
   let* () =
     match r.Store.Cemented.base with
     | None -> Ok ()
@@ -310,7 +241,7 @@ let restore_from_store t (r : Store.Cemented.recovery) =
           | row :: rest -> (
               match Session.of_sexp row with
               | Ok s ->
-                  Hashtbl.replace t.sessions (Session.id s) s;
+                  Hashtbl.replace sessions (Session.id s) s;
                   go rest
               | Error m -> Error ("daemon: store base: " ^ m))
         in
@@ -319,22 +250,22 @@ let restore_from_store t (r : Store.Cemented.recovery) =
   in
   let apply = function
     | Store.Log.Create { id; scenario; max_horizon; alg; alg_used = _ } ->
-        if Hashtbl.mem t.sessions id then Ok ()
+        if Hashtbl.mem sessions id then Ok ()
         else (
           match Session.create ~id { Session.scenario; max_horizon; alg } with
           | Ok s ->
-              Hashtbl.replace t.sessions id s;
+              Hashtbl.replace sessions id s;
               Ok ()
           | Error (_, m) -> Error (Printf.sprintf "daemon: store: create %s: %s" id m))
     | Store.Log.Feed { id; seq; loads } -> (
-        match Hashtbl.find_opt t.sessions id with
+        match Hashtbl.find_opt sessions id with
         | None -> Error (Printf.sprintf "daemon: store: feed for unknown session %s" id)
         | Some s -> (
             match Session.feed s ~seq loads with
             | Ok _ -> Ok ()
             | Error (_, m) -> Error (Printf.sprintf "daemon: store: feed %s: %s" id m)))
     | Store.Log.Close { id } ->
-        Hashtbl.remove t.sessions id;
+        Hashtbl.remove sessions id;
         Ok ()
   in
   let rec go = function
@@ -350,14 +281,13 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
-(* Bring the store up at daemon start.  A resume prefers log recovery;
-   it falls back to the snapshot file when the store is empty (log mode
-   newly enabled), marked degraded, unreadable, or when the
-   [store.recover] fault fires — and in every fallback case the
-   restored state is {e rebased}: the current table becomes the new
-   base and the stale tail is truncated, so the log is authoritative
-   again from this round on. *)
-let store_setup t ~dir ~resume =
+(* Bring the store up at daemon start.  [resume] rebuilds [sessions]
+   from base + tail (the writer then truncates any torn tail); a
+   recovery failure fails the start, as there is no second copy to fall
+   back to.  A fresh start opens a new epoch: the empty table becomes
+   the base and the stale tail is truncated, while cemented chunks stay
+   on disk as history. *)
+let store_open sessions ~dir ~resume =
   let* () =
     match mkdir_p dir with
     | () -> Ok ()
@@ -365,46 +295,14 @@ let store_setup t ~dir ~resume =
         Error (Printf.sprintf "daemon: store: mkdir %s: %s" dir (Unix.error_message e))
   in
   let t0 = Unix.gettimeofday () in
-  let fallback why =
-    (match why with
-    | Some m -> prerr_endline ("daemon: store: " ^ m ^ "; resuming from snapshot")
-    | None -> ());
-    match resume with
-    | Some path when Sys.file_exists path -> restore_sessions t path
-    | Some path ->
-        prerr_endline
-          ("daemon: store: no snapshot at " ^ path ^ "; starting with an empty table");
-        Ok ()
-    | None -> Ok ()
-  in
-  let* from_log =
-    match resume with
-    | None -> Ok false (* fresh epoch: whatever is on disk is history *)
-    | Some _ ->
-        if Sys.file_exists (degraded_marker dir) then
-          let* () = fallback (Some "log was marked degraded") in
-          Ok false
-        else (
-          match Store.Cemented.recover ~dir with
-          | exception Util.Faultinj.Injected { site; _ } ->
-              Obs.Counter.incr c_faults;
-              Util.Faultinj.recovered site;
-              let* () = fallback (Some ("injected fault at " ^ site)) in
-              Ok false
-          | Error m ->
-              let* () = fallback (Some ("recovery failed: " ^ m)) in
-              Ok false
-          | Ok r ->
-              if
-                r.Store.Cemented.base = None
-                && r.Store.Cemented.tail.Store.Log.records = []
-                && r.Store.Cemented.chunks = 0
-              then
-                let* () = fallback None in
-                Ok false
-              else
-                let* () = restore_from_store t r in
-                Ok true)
+  let* () =
+    if not resume then Ok ()
+    else
+      match Store.Cemented.recover ~dir with
+      | exception Util.Faultinj.Injected { site; _ } ->
+          Error ("daemon: store: recovery failed: injected fault at " ^ site)
+      | Error m -> Error ("daemon: store: recovery failed: " ^ m)
+      | Ok r -> restore_from_store sessions r
   in
   let* writer, _scan =
     Result.map_error
@@ -412,28 +310,20 @@ let store_setup t ~dir ~resume =
       (Store.Log.open_writer ~path:(Store.Cemented.tail_path ~dir) ())
   in
   let* chunks = Result.map List.length (Store.Cemented.read_index ~dir) in
-  let st =
+  let* () =
+    if resume then Ok ()
+    else
+      let* () = Store.Cemented.write_base ~dir (table_payload sessions) in
+      Store.Log.reset writer
+  in
+  Ok
     { store_dir = dir;
       writer;
       append_h = Obs.Histogram.create ();
       cement_h = Obs.Histogram.create ();
       chunks;
       last_append_at = Float.nan;
-      recover_s = 0. }
-  in
-  t.store <- Some st;
-  let* () =
-    if from_log then Ok ()
-    else begin
-      (* rebase: the table did not come from this log *)
-      let* () = Store.Cemented.write_base ~dir (table_payload t) in
-      let* () = Store.Log.reset writer in
-      (try Sys.remove (degraded_marker dir) with Sys_error _ -> ());
-      Ok ()
-    end
-  in
-  st.recover_s <- Unix.gettimeofday () -. t0;
-  Ok ()
+      recover_s = Unix.gettimeofday () -. t0 }
 
 (* --- request execution --------------------------------------------- *)
 
@@ -626,20 +516,17 @@ let process_round t items =
     Array.iteri (fun k s -> fresh := !fresh + Session.fed s - before.(k)) sess;
     Obs.Counter.add c_decisions !fresh;
     t.stepped <- t.stepped + !fresh;
-    t.since_ck <- t.since_ck + !fresh;
     (* One feed record per session per round, carrying only the slots
        freshly stepped this round — the O(delta) append. *)
     if t.store <> None then
       Array.iteri
         (fun k s ->
-          let fed = Session.fed s in
-          if fed > before.(k) then
-            let loads = Session.loads s in
+          if Session.fed s > before.(k) then
             store_log t
               (Store.Log.Feed
                  { id = Session.id s;
                    seq = before.(k);
-                   loads = Array.sub loads before.(k) (fed - before.(k)) }))
+                   loads = Session.loads_from s ~from_:before.(k) }))
         sess
   end;
   (* late: snapshot / close / shutdown *)
@@ -681,29 +568,33 @@ let bind_tcp port =
   Unix.listen fd 64;
   fd
 
-let create ?resume cfg =
+let create ?(resume = false) cfg =
   if cfg.unix_path = None && cfg.tcp_port = None then
     Error "daemon: configure at least one of unix_path / tcp_port"
-  else if cfg.checkpoint_every < 1 then
-    Error "daemon: checkpoint_every must be >= 1"
   else if cfg.cement_every < 1 then Error "daemon: cement_every must be >= 1"
+  else if resume && cfg.log_dir = None then
+    Error "daemon: resume requires a log_dir to recover from"
   else begin
+    let sessions = Hashtbl.create 64 in
+    let* store =
+      match cfg.log_dir with
+      | None -> Ok None
+      | Some dir -> Result.map Option.some (store_open sessions ~dir ~resume)
+    in
     let t =
       { cfg;
-        sessions = Hashtbl.create 64;
+        sessions;
         conns = Hashtbl.create 16;
         listeners = [];
         stop = Atomic.make false;
         stepped = 0;
-        since_ck = 0;
         lat_h = Obs.Histogram.create ();
         batch_h = Obs.Histogram.create ();
         audit = None;
         metrics_listener = None;
         metrics_conns = [];
         start_time = Unix.gettimeofday ();
-        last_ck_at = Float.nan;
-        store = None }
+        store }
     in
     (match cfg.audit_every with
     | Some every ->
@@ -713,12 +604,6 @@ let create ?resume cfg =
                ~stepped_now:(fun () -> t.stepped)
                ())
     | None -> ());
-    let* () =
-      match cfg.log_dir with
-      | Some dir -> store_setup t ~dir ~resume
-      | None -> (
-          match resume with None -> Ok () | Some path -> restore_sessions t path)
-    in
     match
       (let ls = ref [] in
        (match cfg.unix_path with
@@ -910,35 +795,18 @@ let run t =
           List.iter flush_conn conns;
           List.iter (fun c -> if c.dead then drop_conn t c) conns
         end;
-        (match t.cfg.crash_after_slots with
+        match t.cfg.crash_after_slots with
         | Some n when t.stepped >= n ->
-            prerr_endline "daemon: crash-after-slots reached; dying without checkpoint";
+            prerr_endline "daemon: crash-after-slots reached; dying without a final cement";
             exit 3
-        | _ -> ());
-        (* With the store active, per-round durability is the log flush
-           in [store_round_end]; the periodic full-table rewrite is
-           exactly the O(sessions) cost the store exists to avoid. *)
-        if
-          t.store = None
-          && t.cfg.checkpoint <> None
-          && t.since_ck >= t.cfg.checkpoint_every
-        then
-          match checkpoint_now t with
-          | Ok () -> ()
-          | Error m -> prerr_endline ("daemon: checkpoint failed: " ^ m)
+        | _ -> ()
   done;
-  (* Graceful stop: cement what the log holds, then (when configured)
-     write the full snapshot too — it stays the fallback, and the
-     equivalence tests restore the same state through both paths. *)
-  (match t.store with Some st -> store_cement_now t st | None -> ());
-  (match t.cfg.checkpoint with
-  | Some _ -> (
-      match checkpoint_now t with
-      | Ok () -> ()
-      | Error m -> prerr_endline ("daemon: final checkpoint failed: " ^ m))
-  | None -> ());
+  (* Graceful stop: cement what the log holds, so the next start
+     recovers from the base alone. *)
   (match t.store with
-  | Some st -> Store.Log.close_writer st.writer
+  | Some st ->
+      store_cement_now t st;
+      Store.Log.close_writer st.writer
   | None -> ());
   export_latency t;
   (match t.audit with Some a -> Audit.stop a | None -> ());

@@ -18,26 +18,23 @@
     dropped connection leaves its sessions intact for a later
     [create-session] re-attach.
 
-    Persistence: with a checkpoint path configured, the whole session
-    table (specs, decision histories, streaming states) is written
-    through {!Util.Snapshot} (kind [server-sessions]) every
-    [checkpoint_every] stepped slots and once more on graceful
-    shutdown; [create ~resume] reloads it, and every restored session
-    continues decision-for-decision identically.
-
-    With [log_dir] set, durability switches to the incremental store
-    ({!Store.Log} / {!Store.Cemented}): every round appends one record
-    per state transition and fsyncs once, so per-round durability work
-    is O(records that round) instead of the snapshot's O(sessions);
+    Durability: with [log_dir] set, the incremental store
+    ({!Store.Log} / {!Store.Cemented}) is the daemon's only durable
+    state.  Every round appends one record per state transition and
+    fsyncs once, so per-round durability work is O(records that round);
     once the tail passes [cement_every] records it is folded into an
-    immutable chunk with the table as the new base.  [create ~resume]
-    then {e prefers} log recovery (base + tail replay — bit-identical
-    to the snapshot path) and falls back to the snapshot when the
-    store is empty, marked degraded, or fails; any store failure at
-    runtime degrades the daemon back to full-snapshot mode after an
-    immediate checkpoint.  The periodic full-table snapshot is skipped
-    while the store is active; the graceful-stop snapshot still runs,
-    keeping the fallback file fresh.
+    immutable chunk with the table as the new base, and a graceful stop
+    cements once more.  [create ~resume:true] rebuilds the table from
+    base + tail, and every recovered session continues
+    decision-for-decision identically.  Without [log_dir] the daemon
+    keeps no durable state.
+
+    Store failures are crash-only.  A failed round flush (or a failed
+    tail truncate after a cement) raises {!Store_failed} before any of
+    that round's replies is written; the process exits and a
+    [~resume:true] restart recovers the last fsync'd round.  A failed
+    recovery makes {!create} return [Error].  A failed cement keeps the
+    fsync'd tail and retries at the next threshold crossing.
 
     Fault sites ({!Util.Faultinj}): [server.accept] (the incoming
     connection is accepted and immediately closed), [server.read] (the
@@ -46,16 +43,15 @@
     [injected] error before any state changes, so the client can
     simply re-send).  All three degrade the one connection or round —
     the daemon never dies.  The store adds [store.append] (the round's
-    flush tears and the daemon degrades to snapshot mode),
-    [store.cement] (a torn [chunk-*.store.tmp] orphan is left and the
-    cement retries at the next threshold crossing) and [store.recover]
-    (resume falls back to the snapshot path).
+    flush tears and raises {!Store_failed}), [store.cement] (a torn
+    [chunk-*.store.tmp] orphan is left and the cement retries at the
+    next threshold crossing) and [store.recover] ({!create} fails).
 
     Telemetry ({!Obs.Counter}, [server.] prefix): [server.accepts],
     [server.requests], [server.decisions], [server.batches],
     [server.batch_size] (summed stepped-session count per round —
     divide by [server.batches] for the mean), [server.faults],
-    [server.disconnects], [server.checkpoints], and on graceful stop
+    [server.disconnects], [server.sessions_created], and on graceful stop
     [server.latency_p50_us] / [server.latency_p99_us] so the CLI's
     [--metrics] export carries the latency distribution.  Each step
     phase runs inside a [server.batch] span. *)
@@ -64,12 +60,10 @@ type config = {
   unix_path : string option;   (** Unix-domain socket path *)
   tcp_port : int option;       (** TCP port, bound to 127.0.0.1 *)
   pool : Util.Pool.t option;   (** fan step batches out across domains *)
-  checkpoint : string option;
-  checkpoint_every : int;      (** stepped slots between checkpoints *)
   max_frame_bytes : int;
   max_sessions : int;
   crash_after_slots : int option;
-      (** testing hook: [exit 3] mid-loop (no final checkpoint — the
+      (** testing hook: [exit 3] mid-loop (no final cement — the
           deterministic stand-in for [kill -9]) once this many slots
           have been stepped *)
   metrics_port : int option;
@@ -84,29 +78,36 @@ type config = {
           deterministic for tests *)
   log_dir : string option;
       (** directory for the incremental store (tail log + cemented
-          chunks); [None] keeps full-snapshot durability *)
+          chunks); [None] keeps no durable state *)
   cement_every : int;
       (** fold the tail into a cemented chunk once it holds this many
           fsync'd records *)
 }
 
 val default_config : config
-(** No listeners, no pool, no checkpointing, no metrics port, no
-    auditing ([audit_sample = 4]), [checkpoint_every = 64],
-    [max_frame_bytes = Codec.default_max_frame_bytes],
+(** No listeners, no pool, no metrics port, no auditing
+    ([audit_sample = 4]), [max_frame_bytes = Codec.default_max_frame_bytes],
     [max_sessions = 1024], no [log_dir], [cement_every = 4096]. *)
 
 type t
 
-val create : ?resume:string -> config -> (t, string) result
-(** Bind the configured listeners (at least one of [unix_path] /
-    [tcp_port] is required; an existing socket file is replaced) and,
-    with [resume], reload a [server-sessions] checkpoint. *)
+exception Store_failed of string
+(** A round's log flush, or the tail truncate after a cement, failed.
+    Raised out of {!handle} and {!run} before any of the round's
+    replies is written; the daemon must be abandoned and restarted
+    with [~resume:true]. *)
+
+val create : ?resume:bool -> config -> (t, string) result
+(** Open the store (when [log_dir] is set) and bind the configured
+    listeners (at least one of [unix_path] / [tcp_port] is required; an
+    existing socket file is replaced).  With [resume] (default [false];
+    requires [log_dir]) the session table is recovered from the store
+    first, and any recovery failure is an [Error]. *)
 
 val run : t -> unit
 (** The blocking serve loop; returns after {!request_stop} (or a
-    [shutdown] request), having written a final checkpoint, closed
-    every socket and removed the Unix socket file. *)
+    [shutdown] request), having cemented the log, closed every socket
+    and removed the Unix socket file.  Raises {!Store_failed}. *)
 
 val request_stop : t -> unit
 (** Signal- and thread-safe: the loop exits within its select timeout. *)
@@ -115,7 +116,7 @@ val handle : t -> Protocol.request -> Protocol.response
 (** Execute one request synchronously against the session table,
     bypassing the sockets and the hello gate — the unit-test and
     bench entry point.  Semantically identical to sending the request
-    on an otherwise idle connection. *)
+    on an otherwise idle connection.  Raises {!Store_failed}. *)
 
 val session_count : t -> int
 val stepped_slots : t -> int
@@ -126,14 +127,10 @@ val metrics_body : t -> string
 (** The full Prometheus-format scrape: the process-wide
     counter/gauge/histogram registries plus the daemon's own series
     (request-latency and batch-duration histograms, session/connection/
-    pool-occupancy gauges, checkpoint age, per-session fed-slot
+    pool-occupancy gauges, the age of the last fsync'd round, per-session fed-slot
     distribution) and, when auditing is enabled, the shadow oracle's
     regret metrics.  The same body answers the [metrics] protocol
     request and the [--metrics-port] HTTP listener. *)
 
 val audit : t -> Audit.t option
 (** The shadow oracle, when [audit_every] is configured. *)
-
-val checkpoint_now : t -> (unit, string) result
-(** Write the session-table checkpoint immediately (requires a
-    configured checkpoint path). *)

@@ -150,6 +150,7 @@ let feed t ~seq loads =
   end
 
 let loads t = Online.Streaming.loads t.streaming
+let loads_from t ~from_ = Online.Streaming.loads_from t.streaming ~from_
 
 let decisions_from t ~from_ =
   let from_ = max 0 (min from_ t.hist_len) in

@@ -15,8 +15,8 @@
     configurations back, bit-identical, without re-stepping.
 
     Sessions serialise through {!save}/{!of_sexp} — spec, history and
-    the complete streaming state — which is what the daemon's
-    [server-sessions] checkpoint aggregates. *)
+    the complete streaming state — which is what the store's
+    [base.store] aggregates at each cement boundary. *)
 
 type spec = {
   scenario : string;
@@ -59,6 +59,10 @@ val loads : t -> float array
 (** A copy of the volumes fed so far (length {!fed}) — together with
     {!decisions_from} and {!spec}, everything the shadow oracle needs to
     re-cost this session offline. *)
+
+val loads_from : t -> from_:int -> float array
+(** The volumes for slots [from_, fed) only — what the daemon logs for
+    a round's freshly stepped slots without copying the whole history. *)
 
 val save : t -> Util.Sexp.t
 (** [(session (id ..) (scenario ..) (max-horizon ..)? (history ..) (state ..))] *)

@@ -2,8 +2,6 @@ type config = {
   bin : string;
   sock : string;
   metrics_port : int option;
-  checkpoint : string option;
-  checkpoint_every : int option;
   resume : string option;
   crash_after : int option;
   audit : (int * int) option;
@@ -16,9 +14,9 @@ type config = {
 }
 
 let config ~bin ~sock ~log =
-  { bin; sock; metrics_port = None; checkpoint = None; checkpoint_every = None;
-    resume = None; crash_after = None; audit = None; faults = []; fault_seed = None;
-    log_dir = None; cement_every = None; log; extra_args = [] }
+  { bin; sock; metrics_port = None; resume = None; crash_after = None; audit = None;
+    faults = []; fault_seed = None; log_dir = None; cement_every = None; log;
+    extra_args = [] }
 
 type t = {
   cfg : config;
@@ -51,9 +49,7 @@ let argv cfg =
   List.concat
     [ [ cfg.bin; "serve"; "--unix"; cfg.sock ];
       int_opt "--metrics-port" cfg.metrics_port;
-      opt "--checkpoint" cfg.checkpoint;
-      int_opt "--checkpoint-every" cfg.checkpoint_every;
-      opt "--resume" cfg.resume;
+      (if cfg.resume = None then [] else [ "--resume" ]);
       int_opt "--crash-after" cfg.crash_after;
       (match cfg.audit with
       | None -> []
@@ -72,8 +68,6 @@ let argv cfg =
    a stale partial file is a trap for any later scan, so sweep them
    before every (re)spawn. *)
 let clean_orphans cfg =
-  let rm path = try Sys.remove path with Sys_error _ -> () in
-  (match cfg.checkpoint with Some p -> rm (p ^ ".tmp") | None -> ());
   match cfg.log_dir with
   | None -> ()
   | Some dir -> (
@@ -82,7 +76,8 @@ let clean_orphans cfg =
       | entries ->
           Array.iter
             (fun name ->
-              if Filename.check_suffix name ".tmp" then rm (Filename.concat dir name))
+              if Filename.check_suffix name ".tmp" then
+                try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
             entries)
 
 let start cfg =

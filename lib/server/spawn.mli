@@ -6,8 +6,8 @@
     This module owns the process-management half of that: build the
     [serve] argv from a {!config}, fork/exec it with stdout+stderr
     captured to a log file, wait until the Unix socket actually accepts
-    a connection, and stop it — gracefully (SIGTERM, which writes a
-    final checkpoint) or hard.
+    a connection, and stop it — gracefully (SIGTERM, which cements the
+    store) or hard.
 
     Every spawned pid is tracked in a process-global registry and
     killed with SIGKILL from an [at_exit] hook, so a failed assertion
@@ -19,9 +19,10 @@ type config = {
   bin : string;                   (** path to the rightsizer binary *)
   sock : string;                  (** Unix-domain socket path to serve on *)
   metrics_port : int option;
-  checkpoint : string option;
-  checkpoint_every : int option;
   resume : string option;
+      (** [Some _] passes [--resume] (recover from [log_dir]); the
+          payload names the recovered state for the caller's own
+          bookkeeping and is not passed to the daemon *)
   crash_after : int option;       (** the daemon's deterministic kill -9 stand-in *)
   audit : (int * int) option;     (** --audit-every, --audit-sample *)
   faults : (string * string) list;
@@ -41,9 +42,8 @@ type t
 
 val start : config -> (t, string) result
 (** Fork/exec [bin serve ...].  Before forking, orphaned [*.tmp] files
-    a killed daemon may have left (the checkpoint's, and any in
-    [log_dir] — torn snapshot renames, injected-crash chunk orphans)
-    are removed, so a respawn in a reused workdir can never trip over a
+    a killed daemon may have left in [log_dir] (torn snapshot renames,
+    injected-crash chunk orphans) are removed, so a respawn in a reused workdir can never trip over a
     stale partial file.  The daemon is not yet ready — call
     {!wait_ready}. *)
 

@@ -144,10 +144,9 @@ let cement ~dir ?base ~records () =
       Ok seq
 
 (* Rewrite only the base snapshot — a "rebase".  Used when the daemon's
-   state did not come from this log (fresh epoch, or a fallback restore
-   from a full snapshot): the caller writes its current state as the
-   new base and truncates the tail, so recovery works from here without
-   fabricating an empty chunk. *)
+   state did not come from this log (a fresh epoch): the caller writes
+   its current state as the new base and truncates the tail, so
+   recovery works from here without fabricating an empty chunk. *)
 let write_base ~dir payload =
   snap_err (Snapshot.save ~path:(base_path ~dir) ~kind:base_kind payload)
 
@@ -166,7 +165,7 @@ type recovery = {
    O(base + tail) regardless of how much history has been cemented.
 
    Fault site: [store.recover] fires before anything is read; the
-   daemon degrades to the full-snapshot path. *)
+   daemon's start fails. *)
 let recover ~dir =
   Util.Faultinj.hit "store.recover";
   let* base =

@@ -25,8 +25,8 @@
 
     Fault sites ({!Util.Faultinj}): [store.cement] (dies mid-compaction
     leaving a torn [chunk-*.store.tmp] orphan; live files untouched) and
-    [store.recover] (fires before anything is read; the daemon degrades
-    to the full-snapshot path). *)
+    [store.recover] (fires before anything is read; the daemon's start
+    fails). *)
 
 val tail_path : dir:string -> string
 val chunk_path : dir:string -> int -> string
@@ -51,8 +51,8 @@ val cement :
 
 val write_base : dir:string -> Util.Sexp.t -> (unit, string) result
 (** Rewrite only [base.store] — a "rebase" for state that did not come
-    from this log (fresh epoch, or a fallback restore from a full
-    snapshot); the caller truncates the tail afterwards. *)
+    from this log (a daemon's fresh epoch); the caller truncates the
+    tail afterwards. *)
 
 type recovery = {
   base : Util.Sexp.t option;  (** state at the last cement boundary *)

@@ -1,12 +1,11 @@
-(** Append-only per-daemon decision log — the O(delta) half of the
-    durability story.
+(** Append-only per-daemon decision log — the live half of the daemon's
+    durable state.
 
-    The daemon's full-table snapshot rewrites every session at every
-    checkpoint, so durability cost grows with the table.  The log
-    instead appends one record per state transition (session created,
-    loads fed, session closed), fsync-batched once per daemon round:
-    per-round durability work is O(records appended that round), not
-    O(sessions).
+    Rewriting the whole session table on every checkpoint would make
+    durability cost grow with the table.  The log instead appends one
+    record per state transition (session created, loads fed, session
+    closed), fsync-batched once per daemon round: per-round durability
+    work is O(records appended that round), not O(sessions).
 
     Each record is framed as
 

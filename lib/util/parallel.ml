@@ -1,18 +1,12 @@
 let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
-(* Forward declaration of the benchmark knob so [effective_domains] can
-   honour it; defined for real below. *)
-let spawn_per_call = ref false
-
-let effective_domains domains =
-  if !spawn_per_call then domains else min domains (recommended_domains ())
+let effective_domains domains = min domains (recommended_domains ())
 
 (* Below this many items the job hand-off overhead dominates any
    speed-up, even on the persistent pool. *)
 let min_parallel_items = 256
 
 let c_fills = Obs.Counter.make "parallel.fills"
-let c_spawns = Obs.Counter.make "parallel.domain_spawns"
 
 (* --- process-wide pool ------------------------------------------------ *)
 
@@ -44,36 +38,13 @@ let global ~domains =
       end;
       p
 
-(* --- legacy spawn-per-call strategy (benchmark reference) ------------- *)
-
-let spawning_for ~domains ~n f =
-  let workers = max 1 (min (min domains n) Pool.max_domains) in
-  Obs.Counter.add c_spawns (workers - 1);
-  let chunk = (n + workers - 1) / workers in
-  let run lo hi =
-    for i = lo to hi do
-      f i
-    done
-  in
-  let handles =
-    List.init (workers - 1) (fun w ->
-        let lo = (w + 1) * chunk in
-        let hi = min (n - 1) (lo + chunk - 1) in
-        Domain.spawn (fun () -> if lo <= hi then run lo hi))
-  in
-  (* The calling domain takes the first chunk. *)
-  run 0 (min (n - 1) (chunk - 1));
-  List.iter Domain.join handles
-
 (* --- public helpers --------------------------------------------------- *)
 
 let parallel_for ?pool ?(min_items = min_parallel_items) ~domains ~n f =
   (* Right-size the fan-out to the hardware: with fewer cores than the
      requested width, the surplus participants only add chunk hand-off
      and wake-up overhead (on a single-core runner this collapses the
-     pooled path to the plain sequential loop).  The legacy
-     spawn-per-call branch keeps the caller's count untouched so the
-     benchmark reference still measures exactly what was asked. *)
+     pooled path to the plain sequential loop). *)
   let domains = effective_domains domains in
   if domains <= 1 || n < min_items then
     for i = 0 to n - 1 do
@@ -84,10 +55,8 @@ let parallel_for ?pool ?(min_items = min_parallel_items) ~domains ~n f =
     Obs.Span.with_ "parallel.fill"
       ~args:[ ("n", string_of_int n); ("workers", string_of_int domains) ]
     @@ fun () ->
-    if !spawn_per_call then spawning_for ~domains ~n f
-    else
-      let pool = match pool with Some p -> p | None -> global ~domains in
-      Pool.run ~workers:domains pool ~n f
+    let pool = match pool with Some p -> p | None -> global ~domains in
+    Pool.run ~workers:domains pool ~n f
   end
 
 let parallel_fill ?pool ?min_items ~domains out f =

@@ -19,8 +19,7 @@ val recommended_domains : unit -> int
 
 val effective_domains : int -> int
 (** The fan-out {!parallel_for} will actually use for a request of the
-    given width — the request capped at {!recommended_domains} (or
-    untouched under {!spawn_per_call}).  Callers that *restructure*
+    given width — the request capped at {!recommended_domains}.  Callers that *restructure*
     work for parallelism (e.g. precomputing a dense candidate array a
     pruned sequential scan would mostly skip) should gate on this, not
     on the requested width: when the fan-out collapses to 1 the
@@ -49,8 +48,7 @@ val parallel_for :
     {!recommended_domains}: oversubscribing the cores only adds
     hand-off overhead, and on a single-core machine the cap makes a
     pooled request identical to the sequential loop instead of slower
-    than it.  (The {!spawn_per_call} benchmark reference is exempt so
-    it keeps measuring the caller's exact request.) *)
+    than it. *)
 
 val parallel_fill :
   ?pool:Pool.t -> ?min_items:int -> domains:int -> 'a array -> (int -> 'a) -> unit
@@ -63,11 +61,3 @@ val parallel_init :
     is evaluated (once, eagerly) to seed the array, then every index
     including 0 is filled — so [f] must tolerate a second call at
     index 0. *)
-
-val spawn_per_call : bool ref
-(** Benchmark knob: when set, the helpers use the legacy strategy of
-    spawning fresh domains on every call instead of the pool.  Retained
-    so the bench harness (and CI's regression gate) can measure the
-    pooled path against the pre-pool baseline; leave it [false]
-    everywhere else.  The legacy path still counts
-    [parallel.domain_spawns]. *)

@@ -25,18 +25,14 @@ The comparator is deliberately runner-noise-aware:
   "faster than baseline - consider refreshing" note: a stale baseline
   quietly widens the regression budget for every later change.
 
-Pool sanity: two checks on the pool trio.
-
-- Pooled vs sequential DP (gating): the pooled solve must not be
-  slower than the sequential solve by more than 25% plus the 1 ms
-  absolute floor.  The pooled fan-out is right-sized to the runner's
-  cores (Util.Parallel caps domains at recommended_domains), so on a
-  1-CPU runner pooled degenerates to the same sequential loop and the
-  two are statistically tied; on a multicore runner pooled should win
-  outright.  Either way a pooled run materially slower than sequential
-  is a genuine pipeline regression, not core-count noise.
-- Pooled vs spawn-per-layer (warn-only): spawn churn comparisons stay
-  informational because they are the most scheduler-sensitive numbers.
+Pool sanity (gating): the pooled DP solve must not be slower than the
+sequential solve by more than 25% plus the 1 ms absolute floor.  The
+pooled fan-out is right-sized to the runner's cores (Util.Parallel caps
+domains at recommended_domains), so on a 1-CPU runner pooled
+degenerates to the same sequential loop and the two are statistically
+tied; on a multicore runner pooled should win outright.  Either way a
+pooled run materially slower than sequential is a genuine pipeline
+regression, not core-count noise.
 
 Exit status: 0 when every gated bench passes, 1 otherwise.
 """
@@ -49,7 +45,6 @@ ABS_FLOOR_NANOS = 1e6  # ignore regressions smaller than 1 ms in absolute terms
 
 POOLED_BENCH = "pool: exact DP on 4-domain pool (d=3, T=96)"
 SEQ_BENCH = "pool: exact DP sequential (d=3, T=96, m=(10,6,4))"
-SPAWN_BENCH = "pool: exact DP spawn-per-layer x4 (d=3, T=96)"
 
 
 def load(path):
@@ -140,21 +135,6 @@ def main():
                     f"ok    pooled DP {fmt(pooled)} vs sequential {fmt(seq)} "
                     f"({seq / pooled:.2f}x)"
                 )
-
-    if POOLED_BENCH in cur_benches and SPAWN_BENCH in cur_benches:
-        pooled = cur_benches[POOLED_BENCH]["nanos"]
-        spawn = cur_benches[SPAWN_BENCH]["nanos"]
-        print()
-        if 0 < spawn < pooled:
-            print(
-                f"WARN  pooled DP ({fmt(pooled)}) slower than spawn-per-layer "
-                f"({fmt(spawn)}) on this runner - not failing (core-count dependent)"
-            )
-        elif pooled > 0:
-            print(
-                f"info  pooled DP {fmt(pooled)} vs spawn-per-layer {fmt(spawn)} "
-                f"({spawn / pooled:.2f}x)"
-            )
 
     if improvements:
         print(

@@ -79,21 +79,29 @@ check_case solve-dp     3 solve  --scenario cpu-gpu      --horizon 10
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
 
-# Log-mode daemon crash/resume: the daemon serves with --log-dir (the
-# incremental session log, docs/durability.md) instead of periodic full
-# snapshots, survives a mid-cement fault plus a hard crash, and must
-# answer the re-fed slots bit-identically after recovering from
-# base + tail.  The scenario runner asserts the bit-identity; its JSON
-# recovery report is kept as a CI artifact.
+# Daemon crash/resume: the daemon serves with --log-dir (the
+# incremental session log, its only durable state; docs/durability.md),
+# survives a mid-cement fault plus a hard crash, and must answer the
+# re-fed slots bit-identically after recovering from base + tail.  The
+# scenario runner asserts the bit-identity; its JSON recovery report is
+# kept as a CI artifact.  The run gets a private TMPDIR that must be
+# empty afterwards: a passing scenario removes its workdir, store/
+# included.
 log_store_case() {
   local out="$WORK/log-store"
-  mkdir -p "$out"
-  if "$BIN" scenario run test/scenarios/crash_resume_log.sexp --out "$out" \
-      > "$WORK/log-store.txt" 2>&1; then
+  local tmp="$WORK/log-store-tmp"
+  mkdir -p "$out" "$tmp"
+  if TMPDIR="$tmp" "$BIN" scenario run test/scenarios/crash_resume_log.sexp \
+      --out "$out" > "$WORK/log-store.txt" 2>&1; then
     echo "OK   log-store: $(tail -1 "$WORK/log-store.txt")"
   else
     echo "FAIL log-store: crash_resume_log scenario failed" >&2
     cat "$WORK/log-store.txt" >&2
+    FAILED=1
+  fi
+  if [ -n "$(ls -A "$tmp")" ]; then
+    echo "FAIL log-store: the run left files in its TMPDIR:" >&2
+    ls -AR "$tmp" >&2
     FAILED=1
   fi
   cp "$out"/*.json "${ARTIFACT_DIR:-$WORK}/" 2>/dev/null || true

@@ -76,23 +76,19 @@ let random_faults rng =
     Def.fault_sites
 
 let random_daemon rng ~slots ~sessions =
-  let checkpoint_every =
-    if Prng.int rng 2 = 0 then Some (dur rng 50) else None
-  in
-  let crash_after =
-    match checkpoint_every with
-    | Some _ when Prng.int rng 2 = 0 && slots * sessions > 1 ->
-        Some (dur rng (slots * sessions - 1))
-    | _ -> None
-  in
   let log_dir = Prng.int rng 2 = 0 in
+  let crash_after =
+    if log_dir && Prng.int rng 2 = 0 && slots * sessions > 1 then
+      Some (dur rng (slots * sessions - 1))
+    else None
+  in
   let faults =
     (* store.* sites are only valid with (log-dir true) *)
     List.filter
       (fun (site, _) -> log_dir || not (String.starts_with ~prefix:"store." site))
       (random_faults rng)
   in
-  { Def.checkpoint_every; crash_after;
+  { Def.crash_after;
     audit = (if Prng.int rng 2 = 0 then Some (dur rng 100, dur rng 4) else None);
     metrics = Prng.int rng 2 = 0;
     faults;
@@ -239,11 +235,13 @@ let rejections =
     wrap
       "(name bad/name) (base cpu-gpu) (slots 10) (workload (constant (level 0.5)))",
     "name";
-    "crash-after without checkpoint-every",
-    wrap (minimal ^ " (daemon (crash-after 5))"), "checkpoint-every";
+    "crash-after without log-dir",
+    wrap (minimal ^ " (daemon (crash-after 5))"), "log-dir";
     "crash-after never trips",
-    wrap (minimal ^ " (daemon (checkpoint-every 2) (crash-after 10))"),
+    wrap (minimal ^ " (daemon (crash-after 10) (log-dir true))"),
     "never trips";
+    "checkpoint-every is no longer a daemon field",
+    wrap (minimal ^ " (daemon (checkpoint-every 2))"), "checkpoint-every";
     "unknown fault site",
     wrap (minimal ^ " (daemon (faults (server.warp (nth 1))))"), "server.warp";
     "duplicate fault site",

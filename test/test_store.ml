@@ -1,7 +1,9 @@
 (* Durability store tests: append-only log round-trips bit-identically,
    torn tails truncate to the clean prefix at every byte offset, corrupt
-   cemented chunks are rejected, and recovering a daemon from the log
-   yields the same session table as recovering from a full snapshot.
+   cemented chunks are rejected, recovering a daemon from the log yields
+   exactly the abandoned daemon's session table, and store failures are
+   crash-only: a failed append raises before any reply, a failed
+   recovery fails the start.
 
    Random values are generated from an integer seed (the [test_props.ml]
    convention) so qcheck shrinking walks over seeds and every failure
@@ -227,85 +229,157 @@ let test_cement_recover_roundtrip () =
       | Ok rs -> checks "full replay feed" (frames (old_records @ tail_records)) (frames rs)
       | Error m -> Alcotest.fail m)
 
-(* --- log recovery == snapshot recovery ------------------------------ *)
+(* --- daemon recovery ---------------------------------------------- *)
 
 let expect_decisions = function
   | P.Decisions { configs; _ } -> configs
   | P.Error { msg; _ } -> Alcotest.fail ("unexpected error reply: " ^ msg)
   | _ -> Alcotest.fail "expected decisions"
 
-(* Drive the 4-session fixture from [test_server.ml] through a daemon
-   that writes both a full snapshot and the incremental log, then
-   restore once from each and compare the session tables bit-exactly
-   (via the Query_snapshot sexp, which serializes full session state). *)
+(* The 4-session fixture from [test_server.ml]: mixed scenarios (both
+   algorithms), 14 slots each, the first [cut] fed before the crash. *)
+let scenarios =
+  [ ("m1", "cpu-gpu"); ("m2", "three-tier"); ("m3", "time-varying"); ("m4", "cpu-gpu") ]
+
+let slots = 14
+let cut = 9
+
+let fixture_loads id =
+  let rng = Util.Prng.create (Hashtbl.hash id) in
+  Array.init slots (fun _ -> Util.Prng.float rng 1.5)
+
+let mk_daemon ?resume dir name cfg =
+  match
+    Daemon.create ?resume { cfg with Daemon.unix_path = Some (Filename.concat dir name) }
+  with
+  | Ok d -> d
+  | Error m -> Alcotest.fail m
+
+let create_and_feed d ~upto =
+  List.iter
+    (fun (id, scenario) ->
+      (match
+         Daemon.handle d (P.Create_session { id; scenario; max_horizon = None; alg = None })
+       with
+      | P.Session _ -> ()
+      | _ -> Alcotest.fail ("create " ^ id));
+      ignore
+        (expect_decisions
+           (Daemon.handle d
+              (P.Feed { id; seq = 0; loads = Array.sub (fixture_loads id) 0 upto }))))
+    scenarios
+
+(* Full session state (specs, histories, streaming states, bit-exact
+   floats) through the Query_snapshot reply. *)
+let session_state d id =
+  match Daemon.handle d (P.Query_snapshot { id }) with
+  | P.Snapshot_state { state; _ } -> Util.Sexp.to_string state
+  | _ -> Alcotest.fail ("snapshot " ^ id)
+
+let oracle_decisions id scenario =
+  let spec = { Server.Session.scenario; max_horizon = None; alg = None } in
+  match Server.Session.create ~id spec with
+  | Error (_, m) -> Alcotest.fail m
+  | Ok s -> (
+      match Server.Session.feed s ~seq:0 (fixture_loads id) with
+      | Ok xs -> xs
+      | Error (_, m) -> Alcotest.fail m)
+
+(* Drive the fixture through a log-mode daemon that cements mid-run,
+   abandon it after its last round (no graceful-stop cement), recover a
+   fresh daemon from base + tail, and compare it with the abandoned
+   daemon's own live table: the Query_snapshot sexps bit-exactly, then
+   the decisions both give for the rest of every trace. *)
 let test_log_matches_snapshot_recovery () =
   with_tmpdir (fun dir ->
-      let ck = Filename.concat dir "sessions.snap" in
-      let sdir = Filename.concat dir "store" in
-      let mk ?resume name cfg =
-        match
-          Daemon.create ?resume
-            { cfg with Daemon.unix_path = Some (Filename.concat dir name) }
-        with
-        | Ok d -> d
-        | Error m -> Alcotest.fail m
+      let cfg =
+        { Daemon.default_config with
+          Daemon.log_dir = Some (Filename.concat dir "store"); cement_every = 6 }
       in
-      let base_cfg =
-        { Daemon.default_config with Daemon.checkpoint = Some ck }
-      in
-      let scenarios =
-        [ ("m1", "cpu-gpu"); ("m2", "three-tier"); ("m3", "time-varying");
-          ("m4", "cpu-gpu") ]
-      in
-      let slots = 14 and cut = 9 in
-      let loads name =
-        let rng = Util.Prng.create (Hashtbl.hash name) in
-        Array.init slots (fun _ -> Util.Prng.float rng 1.5)
-      in
-      let d1 =
-        mk "c1.sock" { base_cfg with Daemon.log_dir = Some sdir; cement_every = 6 }
-      in
-      List.iter
-        (fun (id, scenario) ->
-          (match
-             Daemon.handle d1 (P.Create_session { id; scenario; max_horizon = None; alg = None })
-           with
-          | P.Session _ -> ()
-          | _ -> Alcotest.fail ("create " ^ id));
-          ignore
-            (expect_decisions
-               (Daemon.handle d1
-                  (P.Feed { id; seq = 0; loads = Array.sub (loads id) 0 cut }))))
-        scenarios;
-      (match Daemon.checkpoint_now d1 with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m);
-      (* both daemons resume the same abandoned state: d-snap through the
-         full snapshot, d-log through base + tail *)
-      let d_snap = mk ~resume:ck "c2.sock" { base_cfg with Daemon.log_dir = None } in
-      let d_log =
-        mk ~resume:ck "c3.sock" { base_cfg with Daemon.log_dir = Some sdir }
-      in
-      checki "snapshot resumed all" (List.length scenarios) (Daemon.session_count d_snap);
+      let d1 = mk_daemon dir "c1.sock" cfg in
+      create_and_feed d1 ~upto:cut;
+      let d_log = mk_daemon ~resume:true dir "c2.sock" cfg in
       checki "log resumed all" (List.length scenarios) (Daemon.session_count d_log);
-      let state d id =
-        match Daemon.handle d (P.Query_snapshot { id }) with
-        | P.Snapshot_state { state; _ } -> Util.Sexp.to_string state
-        | _ -> Alcotest.fail ("snapshot " ^ id)
-      in
       List.iter
         (fun (id, _) ->
-          checks (id ^ " state bit-identical") (state d_snap id) (state d_log id))
+          checks (id ^ " state bit-identical") (session_state d1 id)
+            (session_state d_log id))
         scenarios;
-      (* and both continue identically on the remaining slots *)
+      (* d1's continued appends land in the same tail; nothing recovers
+         from it again *)
       List.iter
         (fun (id, _) ->
-          let all = loads id in
-          let a = expect_decisions (Daemon.handle d_snap (P.Feed { id; seq = 0; loads = all })) in
+          let all = fixture_loads id in
+          let a = expect_decisions (Daemon.handle d1 (P.Feed { id; seq = 0; loads = all })) in
           let b = expect_decisions (Daemon.handle d_log (P.Feed { id; seq = 0; loads = all })) in
           checkb (id ^ " decisions bit-identical") true
             (Array.for_all2 Model.Config.equal a b))
         scenarios)
+
+let with_faults plans f =
+  Util.Faultinj.arm plans;
+  Fun.protect ~finally:Util.Faultinj.disarm f
+
+(* An injected [store.append] tears the round's flush: the round raises
+   before any reply exists, and the torn half-frame stays on disk.  A
+   fresh daemon resumed from the same store recovers exactly the last
+   fsync'd table (truncating the torn tail), and the whole trace
+   re-fed from slot 0 matches an uninterrupted oracle bit for bit. *)
+let test_append_failure_is_crash_only () =
+  with_tmpdir (fun dir ->
+      let sdir = Filename.concat dir "store" in
+      let cfg = { Daemon.default_config with Daemon.log_dir = Some sdir } in
+      let d1 = mk_daemon dir "a1.sock" cfg in
+      create_and_feed d1 ~upto:cut;
+      let before = List.map (fun (id, _) -> (id, session_state d1 id)) scenarios in
+      with_faults [ ("store.append", Util.Faultinj.Nth 1) ] (fun () ->
+          match
+            Daemon.handle d1
+              (P.Feed { id = "m1"; seq = cut; loads = Array.sub (fixture_loads "m1") cut 2 })
+          with
+          | exception Daemon.Store_failed _ -> ()
+          | _ -> Alcotest.fail "a failed append still answered the round");
+      let tail = Cemented.tail_path ~dir:sdir in
+      (match Log.read ~path:tail with
+      | Ok scan -> checkb "torn half-frame on disk" true (scan.Log.torn_bytes > 0)
+      | Error m -> Alcotest.fail m);
+      let d2 = mk_daemon ~resume:true dir "a2.sock" cfg in
+      List.iter
+        (fun (id, state) -> checks (id ^ " pre-failure state") state (session_state d2 id))
+        before;
+      (match Log.read ~path:tail with
+      | Ok scan -> checki "torn tail truncated" 0 scan.Log.torn_bytes
+      | Error m -> Alcotest.fail m);
+      List.iter
+        (fun (id, scenario) ->
+          let all = fixture_loads id in
+          let resumed = expect_decisions (Daemon.handle d2 (P.Feed { id; seq = 0; loads = all })) in
+          checkb (id ^ " bit-identical to oracle") true
+            (Array.for_all2 Model.Config.equal resumed (oracle_decisions id scenario)))
+        scenarios)
+
+(* An injected [store.recover] fails the start outright — there is no
+   second copy to fall back to — and the same store recovers once the
+   site is disarmed. *)
+let test_recover_failure_fails_start () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        { Daemon.default_config with Daemon.log_dir = Some (Filename.concat dir "store") }
+      in
+      create_and_feed (mk_daemon dir "r1.sock" cfg) ~upto:cut;
+      let cfg2 = { cfg with Daemon.unix_path = Some (Filename.concat dir "r2.sock") } in
+      with_faults [ ("store.recover", Util.Faultinj.Nth 1) ] (fun () ->
+          match Daemon.create ~resume:true cfg2 with
+          | Ok _ -> Alcotest.fail "resume succeeded through a failed recovery"
+          | Error m ->
+              let site = "store.recover" in
+              let n = String.length site in
+              let rec mentions i =
+                i + n <= String.length m && (String.sub m i n = site || mentions (i + 1))
+              in
+              checkb ("error names the site: " ^ m) true (mentions 0));
+      let d = mk_daemon ~resume:true dir "r2.sock" cfg in
+      checki "recovered all once disarmed" (List.length scenarios) (Daemon.session_count d))
 
 let () =
   Alcotest.run "store"
@@ -320,4 +394,8 @@ let () =
             test_cement_recover_roundtrip ] );
       ( "daemon",
         [ Alcotest.test_case "log recovery == snapshot recovery, 4 sessions" `Quick
-            test_log_matches_snapshot_recovery ] ) ]
+            test_log_matches_snapshot_recovery;
+          Alcotest.test_case "store.append failure raises, resume recovers" `Quick
+            test_append_failure_is_crash_only;
+          Alcotest.test_case "store.recover failure fails the start" `Quick
+            test_recover_failure_fails_start ] ) ]

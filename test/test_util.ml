@@ -152,29 +152,6 @@ let test_parallel_fill_edges () =
         out)
     [ (m - 1, 4); (m, 4); (m + 1, 4); (5, 16); (m + 5, 2 * (m + 5)); (4 * m, 8) ]
 
-let test_parallel_spawn_counter () =
-  match Obs.Counter.find "parallel.domain_spawns" with
-  | None -> Alcotest.fail "parallel.domain_spawns not registered"
-  | Some c ->
-      let m = Util.Parallel.min_parallel_items in
-      (* The legacy spawn-per-call strategy still spawns (and counts)
-         domains - 1 fresh domains per parallel section... *)
-      Util.Parallel.spawn_per_call := true;
-      Fun.protect ~finally:(fun () -> Util.Parallel.spawn_per_call := false)
-        (fun () ->
-          let before = Obs.Counter.value c in
-          ignore (Util.Parallel.parallel_init ~domains:4 (2 * m) float_of_int);
-          checkb "spawns counted above threshold" true (Obs.Counter.value c = before + 3);
-          let before = Obs.Counter.value c in
-          ignore (Util.Parallel.parallel_init ~domains:4 (m - 1) float_of_int);
-          checkb "no spawns below threshold" true (Obs.Counter.value c = before));
-      (* ...whereas the pooled default spawns at most once (pool
-         creation, counted under pool.domain_spawns) and never again. *)
-      ignore (Util.Parallel.parallel_init ~domains:2 (2 * m) float_of_int);
-      let before = Obs.Counter.value c in
-      ignore (Util.Parallel.parallel_init ~domains:2 (2 * m) float_of_int);
-      checkb "pooled fills never re-spawn" true (Obs.Counter.value c = before)
-
 let test_parallel_min_items_override () =
   (* ?min_items lets tests force the pooled path on tiny ranges. *)
   let f i = float_of_int (i * 3) in
@@ -322,7 +299,6 @@ let () =
             test_parallel_fill_matches_sequential;
           Alcotest.test_case "recommended domains" `Quick test_parallel_recommended;
           Alcotest.test_case "fill edge cases" `Quick test_parallel_fill_edges;
-          Alcotest.test_case "spawn counter" `Quick test_parallel_spawn_counter;
           Alcotest.test_case "min_items override" `Quick test_parallel_min_items_override;
           Alcotest.test_case "generic element type" `Quick test_parallel_generic_type
         ] );
