@@ -143,9 +143,9 @@ let schedule inst s =
    duplicate write stores the identical bit pattern, so a plain float
    array is safe.
 
-   Tier 2 — striped shards for off-grid lookups (the online steppers
-   probe configurations that live on no grid).  Each domain works in
-   the shard picked by its id, mirroring Obs.Counter's stripe design,
+   Tier 2 — striped shards for off-grid lookups (configurations with
+   no grid rank, such as Alg_c's sub-slot schedule).  Each domain works
+   in the shard picked by its id, mirroring Obs.Counter's stripe design,
    so the common case (few, long-lived pool workers) never contends.
    Within a shard, the key is the configuration packed into one
    mixed-radix [int] (radix [m_j + 1] per axis, folded with the time
@@ -215,6 +215,8 @@ let pack cache ~time x =
     if !ok then !key else -1
   end
 
+let cache_instance cache = cache.inst
+
 let layer_table cache ~time n =
   let cur = cache.layers.(time) in
   if Array.length cur >= n then cur
@@ -250,15 +252,6 @@ let make_piece fn xj ~load ~cap =
       upper = Float.min 1. (xf *. cap /. load) }
   end
 
-(* Fill the not-yet-computed entries of one grid line of slot [time]'s
-   rank table: ranks [rank0 .. rank0 + |values| - 1], whose
-   configurations share the prefix [x.(0 .. d-2)] and take the swept
-   (last) axis's value from [values] (ascending, so capacity is
-   non-decreasing and the dispatch sweep's warm bracket applies).
-   [x.(d-1)] is clobbered.  Every fast path reproduces [operating]
-   bit-for-bit (same summation order); the dispatch path solves the
-   same KKT system from a warm bracket, which can move the objective at
-   the solver-tolerance level (~1e-12 relative) only. *)
 (* Per-layer invariants of a line fill: the swept (last) axis's
    dispatch piece and its solver stats per value index.  Every line of
    a layer shares the same load and last-axis values, so these are
@@ -270,8 +263,7 @@ type line_ctx = {
   lx_swept : Convex.Dispatch.stats option array;
 }
 
-let line_ctx cache ~time ~values =
-  let inst = cache.inst in
+let line_ctx inst ~time ~values =
   let d = Instance.num_types inst in
   let load = inst.Instance.load.(time) in
   if load <= 0. then { lx_pieces = [||]; lx_swept = [||] }
@@ -286,8 +278,17 @@ let line_ctx cache ~time ~values =
     { lx_pieces = pieces; lx_swept = swept }
   end
 
-let fill_line ?ctx cache ~time ~table ~rank0 ~x ~values =
-  let inst = cache.inst in
+(* Fill the not-yet-computed ([nan]) entries of one grid line of a
+   slot-[time] operating-cost table (a memo rank table or a caller's
+   reused row): ranks [rank0 .. rank0 + |values| - 1], whose
+   configurations share the prefix [x.(0 .. d-2)] and take the swept
+   (last) axis's value from [values] (ascending, so capacity is
+   non-decreasing and the dispatch sweep's warm bracket applies).
+   [x.(d-1)] is clobbered.  Every fast path reproduces [operating]
+   bit-for-bit (same summation order); the dispatch path solves the
+   same KKT system from a warm bracket, which can move the objective at
+   the solver-tolerance level (~1e-12 relative) only. *)
+let fill_line ?ctx inst ~time ~table ~rank0 ~x ~values =
   let d = Array.length x in
   let len = Array.length values in
   let any = ref false in
@@ -393,22 +394,6 @@ let operating_rank cache ~time ~rank x =
     Obs.Counter.incr c_rank_hits;
     v
   end
-
-let localize cache =
-  let mine = cache.stripes.((Domain.self () :> int) land (shards - 1)) in
-  Array.iter
-    (fun shard ->
-      if shard != mine then begin
-        Mutex.lock shard.lock;
-        let packed = Hashtbl.fold (fun k v acc -> (k, v) :: acc) shard.packed [] in
-        let generic = Hashtbl.fold (fun k v acc -> (k, v) :: acc) shard.generic [] in
-        Mutex.unlock shard.lock;
-        Mutex.lock mine.lock;
-        List.iter (fun (k, v) -> Hashtbl.replace mine.packed k v) packed;
-        List.iter (fun (k, v) -> Hashtbl.replace mine.generic k v) generic;
-        Mutex.unlock mine.lock
-      end)
-    cache.stripes
 
 let cached_operating cache ~time x =
   let shard = cache.stripes.((Domain.self () :> int) land (shards - 1)) in

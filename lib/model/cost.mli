@@ -50,8 +50,13 @@ val schedule_switching : Instance.t -> Schedule.t -> float
 (** The switching-cost part [C_sw(X)]. *)
 
 type cache
-(** Memo for [g_t(x)] — the dynamic programs evaluate the same (slot,
-    configuration) pairs many times during reconstruction.  Two tiers:
+(** Memo for [g_t(x)].  Its users are [Offline.Brute_force], whose
+    search re-reads each (slot, configuration) value many times, the
+    [Online.Baselines], [Offline.Graph_paper], [Online.Alg_c]'s sub-slot
+    pick and the memo-backed [Offline.Dp.fill_layer].  The two DP
+    engines ([Offline.Dp.solve] and [Online.Prefix_opt]) read each
+    layer's values exactly once, so they fill one reused row with
+    {!fill_line} instead.  Two tiers:
 
     - {b flat per-slot rank tables} ({!layer_table} /
       {!operating_rank}): when the caller enumerates a state grid it
@@ -60,15 +65,18 @@ type cache
       locks.  [nan] marks an empty slot; pool workers touch disjoint
       ranks during a fill, and racing duplicate writes of the same
       value are benign.
-    - {b striped shards} for off-grid probes ({!cached_operating}):
-      per-domain shards selected by domain id (like [Obs.Counter]),
-      keyed by the configuration packed into one mixed-radix [int]
-      (with a generic fallback table for state spaces too large to
-      pack).  Entries are not shared between shards: a value cached by
+    - {b striped shards} for configurations with no grid rank
+      ({!cached_operating}): per-domain shards selected by domain id
+      (like [Obs.Counter]), keyed by the configuration packed into one
+      mixed-radix [int] (with a generic fallback table for state spaces
+      too large to pack).  Entries are not shared between shards: a value cached by
       one domain may be recomputed by another, trading a little
       duplicate work for mostly-uncontended lookups. *)
 
 val make_cache : Instance.t -> cache
+
+val cache_instance : cache -> Instance.t
+(** The instance the memo was made over. *)
 
 val layer_table : cache -> time:int -> int -> float array
 (** [layer_table cache ~time n] is slot [time]'s rank table, grown to
@@ -87,28 +95,29 @@ type line_ctx
     to what the solver would re-derive, so fills with and without a
     context produce bit-identical tables. *)
 
-val line_ctx : cache -> time:int -> values:int array -> line_ctx
+val line_ctx : Instance.t -> time:int -> values:int array -> line_ctx
 (** The shared per-layer context for lines sweeping the last axis
     through [values] at slot [time]. *)
 
 val fill_line :
   ?ctx:line_ctx ->
-  cache ->
+  Instance.t ->
   time:int ->
   table:float array ->
   rank0:int ->
   x:Config.t ->
   values:int array ->
   unit
-(** [fill_line cache ~time ~table ~rank0 ~x ~values] computes the
-    not-yet-cached entries of one grid line of slot [time]'s rank table
-    [table] (obtained from {!layer_table}): ranks [rank0 + i] hold the
-    configurations sharing the prefix [x.(0 .. d-2)] with the last
-    coordinate swept through [values.(i)] ([x.(d-1)] is clobbered).
-    [values] must be ascending — capacity then grows along the line, so
-    the dispatch solves share one warm-started multiplier sweep
-    ({!Convex.Dispatch.sweep_solve}) and the per-line prefix pieces are
-    built once.  Zero-load, load-independent, infeasible and [d = 1]
+(** [fill_line inst ~time ~table ~rank0 ~x ~values] computes the
+    [nan] (not yet computed) entries of one grid line of a slot-[time]
+    operating-cost table [table] — a memo rank table from
+    {!layer_table}, or a caller's own row reset to [nan].  Ranks
+    [rank0 + i] hold the configurations sharing the prefix
+    [x.(0 .. d-2)] with the last coordinate swept through [values.(i)]
+    ([x.(d-1)] is clobbered).  [values] must be ascending — capacity
+    then grows along the line, so the dispatch solves share one
+    warm-started multiplier sweep ({!Convex.Dispatch.sweep_solve}) and
+    the per-line prefix pieces are built once.  Zero-load, load-independent, infeasible and [d = 1]
     cells match {!operating} bit-for-bit; dispatch cells agree to the
     solver tolerance (~1e-12 relative).  Lines are disjoint rank
     ranges, so concurrent calls on different lines are safe. *)
@@ -122,13 +131,6 @@ val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
     raced by writers storing the same configuration's value. *)
 
 val cached_operating : cache -> time:int -> Config.t -> float
-(** Memoised {!operating} for configurations with no grid rank (the
-    online steppers' off-grid probes); callable concurrently from
-    several domains on the same [cache]. *)
-
-val localize : cache -> unit
-(** Copy every off-grid entry cached by other domains into the calling
-    domain's shard.  Call after a parallel warm-up fan-out when
-    subsequent {e sequential} code should hit the values the pool
-    workers computed.  (Rank tables need no localising — they are
-    shared by construction.) *)
+(** Memoised {!operating} for configurations with no grid rank (such
+    as [Online.Alg_c]'s sub-slot configurations); callable concurrently
+    from several domains on the same [cache]. *)

@@ -57,26 +57,25 @@ let state_count inst ~grids =
   done;
   !acc
 
-(* Operating costs of every state of a layer's grid, memoised in the
-   slot's flat rank table (Model.Cost.layer_table).  The fill walks the
-   grid line by line along the last axis (stride 1, so each line is a
-   contiguous rank range): within a line the configurations differ only
-   in the swept coordinate, so Model.Cost.fill_line builds the dispatch
-   pieces once and warm-starts each cell's multiplier search from the
-   previous cell's bracket.  The pooled fan-out hands whole lines to
-   workers — a warm chain never crosses a line, so sequential and
-   pooled fills stay bit-identical. *)
-let fill_layer ?pool ?(domains = 1) cache grid ~time =
+(* Operating costs of every state of a layer's grid into [table], by
+   rank.  The fill walks the grid line by line along the last axis
+   (stride 1, so each line is a contiguous rank range): within a line
+   the configurations differ only in the swept coordinate, so
+   Model.Cost.fill_line builds the dispatch pieces once and warm-starts
+   each cell's multiplier search from the previous cell's bracket.
+   Only [nan] entries are computed.  The pooled fan-out hands whole
+   lines to workers — a warm chain never crosses a line, so sequential
+   and pooled fills stay bit-identical. *)
+let fill_lines ?pool ~domains inst grid ~time table =
   let n = Grid.size grid in
-  let table = Model.Cost.layer_table cache ~time n in
   let d = Grid.dim grid in
   let values = Grid.axis_values grid (d - 1) in
   let len = Array.length values in
   let n_lines = n / len in
-  let ctx = Model.Cost.line_ctx cache ~time ~values in
+  let ctx = Model.Cost.line_ctx inst ~time ~values in
   let line k =
     let rank0 = k * len in
-    Model.Cost.fill_line ~ctx cache ~time ~table ~rank0
+    Model.Cost.fill_line ~ctx inst ~time ~table ~rank0
       ~x:(Grid.config_scratch grid rank0) ~values
   in
   if domains > 1 && n >= Util.Parallel.min_parallel_items then begin
@@ -88,7 +87,16 @@ let fill_layer ?pool ?(domains = 1) cache grid ~time =
   else
     for k = 0 to n_lines - 1 do
       line k
-    done;
+    done
+
+let fill_row ?pool ?(domains = 1) inst grid ~time row =
+  if Array.length row <> Grid.size grid then invalid_arg "Dp.fill_row: row size mismatch";
+  Array.fill row 0 (Array.length row) nan;
+  fill_lines ?pool ~domains inst grid ~time row
+
+let fill_layer ?pool ?(domains = 1) cache grid ~time =
+  let table = Model.Cost.layer_table cache ~time (Grid.size grid) in
+  fill_lines ?pool ~domains (Model.Cost.cache_instance cache) grid ~time table;
   table
 
 let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
@@ -109,7 +117,6 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
   let grids = match grids with Some g -> g | None -> dense_grids inst in
   let betas = betas inst in
   let d = Model.Instance.num_types inst in
-  let cache = Model.Cost.make_cache inst in
   (* Reuse the previous slot's grid object when the axes coincide, so the
      cheap in-place transform applies on the common static-size path. *)
   let grid_at = Array.make horizon (grids 0) in
@@ -142,6 +149,18 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
     end
   done;
   let work = lazy (Plane.create !work_size, Plane.create !work_size) in
+  (* One operating-cost row per distinct grid size, refilled for every
+     layer: the ramp consumes a layer's g_t values once, and the
+     reconstruction reads only the arena and switching costs. *)
+  let rows = Hashtbl.create 4 in
+  let row_of n =
+    match Hashtbl.find_opt rows n with
+    | Some row -> row
+    | None ->
+        let row = Array.create_float n in
+        Hashtbl.add rows n row;
+        row
+  in
   (* Resume a checkpointed forward pass: the saved layers replace the
      recomputation up to [next_time].  The caller must supply the same
      instance and grids the frontier was captured under; sizes are
@@ -199,7 +218,8 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
               (if up > 0 then !base +. (float_of_int up *. beta_last) else !base)
           done
         done;
-        let ops = fill_layer ?pool ~domains cache grid ~time in
+        let ops = row_of n in
+        fill_row ?pool ~domains inst grid ~time ops;
         for i = 0 to n - 1 do
           Bigarray.Array1.unsafe_set arena (off + i)
             (Bigarray.Array1.unsafe_get arena (off + i) +. Array.unsafe_get ops i)
@@ -207,7 +227,8 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
       end
       else begin
         let src_grid = grid_at.(time - 1) in
-        let ops = fill_layer ?pool ~domains cache grid ~time in
+        let ops = row_of n in
+        fill_row ?pool ~domains inst grid ~time ops;
         if src_grid == grid then begin
           Plane.blit ~src:arena ~soff:offsets.(time - 1) ~dst:arena ~doff:off ~len:n;
           Transform.ramp_grid_plane ?pool ~domains ~ops ~grid ~betas arena ~off

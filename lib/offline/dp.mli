@@ -43,10 +43,11 @@ val solve :
     configuration, so the result is deterministic.
 
     [domains] fans the parallel-safe work — the per-layer
-    operating-cost evaluations [g_t(x)] (the dominant part, through the
-    shard-safe memo), the ramp transforms, and the reconstruction
-    scan's candidate totals — out across OCaml 5 domains on [pool]
-    (default: [Util.Parallel]'s persistent global pool).  Passing
+    operating-cost evaluations [g_t(x)] (the dominant part, into one
+    reused row per grid size — see {!fill_row}), the ramp transforms,
+    and the reconstruction scan's candidate totals — out across OCaml 5
+    domains on [pool] (default: [Util.Parallel]'s persistent global
+    pool).  Passing
     [?pool] alone uses the pool's full size; the default with neither
     is sequential.  Results are bit-identical to the sequential solve:
     every parallel section computes the same values into disjoint
@@ -68,17 +69,33 @@ val solve :
     under {!Util.Faultinj.suppressed} (the fill only reads the previous
     layer, so the retry is exact) and counted in [dp.layer_retries]. *)
 
+val fill_row :
+  ?pool:Util.Pool.t ->
+  ?domains:int ->
+  Model.Instance.t ->
+  Grid.t ->
+  time:int ->
+  float array ->
+  unit
+(** [fill_row inst grid ~time row] overwrites [row] with the operating
+    cost [g_time(x)] of every state of [grid], by flat rank.  [row]
+    must hold exactly [Grid.size grid] entries; a caller reuses it from
+    slot to slot.  The fill walks the grid line by line along the last
+    (stride-1) axis through {!Model.Cost.fill_line}, so each line builds
+    its dispatch pieces once and warm-starts every cell's multiplier
+    search from its predecessor's bracket.  With [domains > 1] whole
+    lines fan out over [pool] (grids of at least
+    {!Util.Parallel.min_parallel_items} states); a warm chain never
+    crosses a line, so sequential and pooled fills are bit-identical.
+    This is the per-layer fill of {!solve} and of the online prefix DP
+    ([Online.Prefix_opt]). *)
+
 val fill_layer :
   ?pool:Util.Pool.t -> ?domains:int -> Model.Cost.cache -> Grid.t -> time:int -> float array
-(** Operating costs of every state of a layer's grid, memoised in the
-    slot's flat rank table ({!Model.Cost.layer_table}) and returned.
-    The fill walks the grid line by line along the last (stride-1) axis
-    through {!Model.Cost.fill_line}, so each line builds its dispatch
-    pieces once and warm-starts every cell's multiplier search from its
-    predecessor's bracket.  With [domains > 1] whole lines fan out over
-    [pool]; a warm chain never crosses a line, so sequential and pooled
-    fills are bit-identical.  Also the per-slot fill of the online
-    prefix DP. *)
+(** The memo-backed {!fill_row}: fills the not-yet-computed entries of
+    the slot's flat rank table ({!Model.Cost.layer_table}) in the same
+    line order and returns the table.  The values equal {!fill_row}'s
+    bit for bit. *)
 
 val solve_optimal : ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> result
 (** Section 4.1: exact optimum on dense grids. *)

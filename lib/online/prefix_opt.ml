@@ -8,7 +8,7 @@ type t = {
   mutable inst : Model.Instance.t;  (* swapped by [rebind] on horizon growth *)
   grid : Offline.Grid.t;
   betas : float array;
-  mutable cache : Model.Cost.cache;
+  ops : float array;  (* the current slot's g_t per grid rank, refilled each step *)
   pool : Util.Pool.t option;
   domains : int;
   arrival : Offline.Plane.t;  (* meaningful only when [clock > 0] *)
@@ -37,7 +37,7 @@ let create ?grid ?domains ?pool inst =
   { inst;
     grid;
     betas;
-    cache = Model.Cost.make_cache inst;
+    ops = Array.create_float (Offline.Grid.size grid);
     pool;
     domains;
     arrival = Offline.Plane.create (Offline.Grid.size grid);
@@ -53,11 +53,9 @@ let rebind e inst =
     invalid_arg "Prefix_opt.rebind: fleet sizes changed";
   if Model.Instance.horizon inst < e.clock then
     invalid_arg "Prefix_opt.rebind: horizon shorter than slots already processed";
-  e.inst <- inst;
-  (* The memo keys (time, config) mean the same thing under the new
-     instance; rebuilding only forfeits cached values, which are
-     recomputed identically. *)
-  e.cache <- Model.Cost.make_cache inst
+  (* Nothing derived from the old instance outlives a step: the
+     operating-cost row is refilled from [e.inst] every slot. *)
+  e.inst <- inst
 
 let save e =
   (* The codec predates the plane engine: the arrival layer still
@@ -104,14 +102,14 @@ let step e =
     | Some idx -> Bigarray.Array1.unsafe_set e.arrival idx 0.
     | None -> assert false
   end;
-  (* The grid states are the ranks of the slot's flat memo table, so the
-     fill is lock-free array traffic; the line-based fill warm-starts
-     each cell's dispatch from its line predecessor.  The ramp then
-     updates the arrival plane in place (no per-slot copy), fusing the
+  (* Each g_t value is used once, by the ramp, so the fill overwrites
+     the engine's one row; the line-based fill warm-starts each cell's
+     dispatch from its line predecessor.  The ramp then updates the
+     arrival plane in place (no per-slot copy), fusing the
      operating-cost add into its final contiguous pass. *)
-  let ops = Offline.Dp.fill_layer ?pool:e.pool ~domains:e.domains e.cache e.grid ~time in
-  Offline.Transform.ramp_grid_plane ?pool:e.pool ~domains:e.domains ~ops ~grid:e.grid
-    ~betas:e.betas e.arrival ~off:0;
+  Offline.Dp.fill_row ?pool:e.pool ~domains:e.domains e.inst e.grid ~time e.ops;
+  Offline.Transform.ramp_grid_plane ?pool:e.pool ~domains:e.domains ~ops:e.ops
+    ~grid:e.grid ~betas:e.betas e.arrival ~off:0;
   e.clock <- time + 1;
   (* Flat-index order is lexicographic, so the first strict minimum is the
      lexicographically smallest optimal last configuration. *)

@@ -45,6 +45,42 @@ let test_prefix_step_past_horizon_raises () =
   checkb "raises" true
     (try ignore (Online.Prefix_opt.step engine); false with Invalid_argument _ -> true)
 
+(* The engine's live state is O(grid) — the arrival plane and one
+   operating-cost row — however many slots it has processed. *)
+let test_prefix_memory_flat_in_slots () =
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:400 () in
+  let engine = Online.Prefix_opt.create inst in
+  let words () = Obj.reachable_words (Obj.repr engine) in
+  for _ = 1 to 16 do
+    ignore (Online.Prefix_opt.step engine)
+  done;
+  let after_16 = words () in
+  for _ = 17 to 400 do
+    ignore (Online.Prefix_opt.step engine)
+  done;
+  checki "words reachable after 16 and after 400 steps" after_16 (words ())
+
+(* The forward pass refills one reused row, so a solve allocates about
+   one layer's worth of floats in the major heap, not one table per
+   slot.  The layer arena is a Bigarray outside the OCaml heap.  Words
+   promoted from the minor heap are left out: they are whatever short-
+   lived values a minor collection happens to find live, so their count
+   follows GC pacing rather than what the solve keeps. *)
+let test_dp_solve_major_heap_is_one_layer () =
+  let inst = Sim.Scenarios.large_fleet ~horizon:64 () in
+  let layer = Offline.Grid.size (Offline.Dp.dense_grids inst 0) in
+  let direct_major_words () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct_major_words () in
+  ignore (Offline.Dp.solve inst);
+  let words = direct_major_words () -. before in
+  checkb
+    (Printf.sprintf "%.0f words allocated in the major heap < 4 layers of %d" words layer)
+    true
+    (words < 4. *. float_of_int layer)
+
 (* --- Algorithm A --- *)
 
 let simple_static ?(beta = 5.) ?(idle = 1.) ?(count = 5) ~load () =
@@ -893,7 +929,10 @@ let () =
           Alcotest.test_case "last config closes an optimal prefix" `Quick
             test_prefix_last_is_optimal_end;
           Alcotest.test_case "step past horizon raises" `Quick
-            test_prefix_step_past_horizon_raises
+            test_prefix_step_past_horizon_raises;
+          Alcotest.test_case "memory flat in slots" `Quick test_prefix_memory_flat_in_slots;
+          Alcotest.test_case "Dp.solve major heap is one layer" `Quick
+            test_dp_solve_major_heap_is_one_layer
         ] );
       ( "alg_a",
         [ Alcotest.test_case "runtime t_j" `Quick test_alg_a_runtime_value;

@@ -540,6 +540,109 @@ let prop_plane_engine_matches_reference seed =
                (fun a b -> Array.for_all2 (fun (x : float) y -> x = y || (x <> x && y <> y)) a b)
                f.Offline.Dp.layers f'.Offline.Dp.layers)
 
+(* --- Operating-cost rows --- *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A random sub-grid of the fleet: every axis keeps 0 and its fleet size
+   (so the full capacity stays on the grid) and a random subset of the
+   counts in between. *)
+let random_subgrid rng counts =
+  Offline.Grid.make
+    (Array.map
+       (fun m ->
+         Array.of_list
+           (List.filter
+              (fun v -> v = 0 || v = m || Util.Prng.bool rng)
+              (List.init (m + 1) Fun.id)))
+       counts)
+
+(* The DP engines' reused-row fill equals the memo-backed
+   [Dp.fill_layer] bit for bit, at 1 domain and on a 2-domain pool.
+   Dynamic runs draw a fresh sub-grid per slot, so a row is refilled
+   across different rank spaces of the same size. *)
+let row_fill_matches_memo pool rng ~dynamic inst =
+  let counts = Model.Instance.counts inst in
+  let cache = Model.Cost.make_cache inst in
+  let rows = Hashtbl.create 4 and pooled_rows = Hashtbl.create 4 in
+  let row_of tbl n =
+    match Hashtbl.find_opt tbl n with
+    | Some row -> row
+    | None ->
+        let row = Array.make n 0. in
+        Hashtbl.add tbl n row;
+        row
+  in
+  let ok = ref true in
+  for time = 0 to Model.Instance.horizon inst - 1 do
+    let grid = if dynamic then random_subgrid rng counts else Offline.Grid.dense counts in
+    let n = Offline.Grid.size grid in
+    let memo = Offline.Dp.fill_layer cache grid ~time in
+    let row = row_of rows n and pooled = row_of pooled_rows n in
+    Offline.Dp.fill_row inst grid ~time row;
+    Offline.Dp.fill_row ~pool ~domains:2 inst grid ~time pooled;
+    if not (bits_equal memo row && bits_equal memo pooled) then ok := false
+  done;
+  !ok
+
+let prop_row_fill_matches_memo pool seed =
+  let rng = Util.Prng.create seed in
+  let dynamic = Util.Prng.bool rng in
+  row_fill_matches_memo pool rng ~dynamic (tiny_instance rng ~dynamic)
+
+(* Tiny grids stay under the parallel cutoff, so the pool case above
+   runs the sequential fallback; large-fleet's grids (2501 states, a
+   sub-grid several hundred) clear it, so whole lines really fan out. *)
+let prop_row_fill_matches_memo_fanned_out pool seed =
+  let rng = Util.Prng.create seed in
+  let dynamic = Util.Prng.bool rng in
+  row_fill_matches_memo pool rng ~dynamic (Sim.Scenarios.large_fleet ~horizon:3 ~seed ())
+
+(* [Prefix_opt]'s arrival plane, read back through [save], equals the
+   plane rebuilt step by step from the memo-backed fill: [Dp.fill_layer]
+   then [Transform.ramp_grid_plane], starting from the all-off state —
+   bit for bit after every step, on a dense grid or a random sub-grid. *)
+let prop_prefix_opt_matches_memo_rebuild seed =
+  let rng = Util.Prng.create seed in
+  let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
+  let instf = Model.Instance.fold_switching inst in
+  let counts = Model.Instance.counts instf in
+  let grid =
+    if Util.Prng.bool rng then Offline.Grid.dense counts else random_subgrid rng counts
+  in
+  let n = Offline.Grid.size grid in
+  let betas =
+    Array.map (fun st -> st.Model.Server_type.switching_cost) instf.Model.Instance.types
+  in
+  let cache = Model.Cost.make_cache instf in
+  let reference = Offline.Plane.create n in
+  Offline.Plane.fill_range reference ~off:0 ~len:n infinity;
+  (match Offline.Grid.index_of grid (Model.Config.zero (Offline.Grid.dim grid)) with
+  | Some zero -> Bigarray.Array1.set reference zero 0.
+  | None -> assert false);
+  let engine = Online.Prefix_opt.create ~grid inst in
+  let saved_arrival () =
+    match Online.Prefix_opt.save engine with
+    | Util.Sexp.List (_ :: fields) -> Util.Snapshot.floats_of_field fields "arrival"
+    | Util.Sexp.List [] | Util.Sexp.Atom _ -> Error "unexpected payload"
+  in
+  let ok = ref true in
+  for time = 0 to Model.Instance.horizon instf - 1 do
+    let ops = Offline.Dp.fill_layer cache grid ~time in
+    Offline.Transform.ramp_grid_plane ~ops ~grid ~betas reference ~off:0;
+    ignore (Online.Prefix_opt.step engine);
+    match saved_arrival () with
+    | Ok arrival ->
+        if not (bits_equal arrival (Offline.Plane.to_array reference ~off:0 ~len:n)) then
+          ok := false
+    | Error _ -> ok := false
+  done;
+  !ok
+
 let prop_sexp_roundtrip seed =
   (* print . parse = id on generated trees. *)
   let rng = Util.Prng.create seed in
@@ -672,7 +775,9 @@ let prop_opt_lower_bounds_everything seed =
   List.for_all (fun c -> c >= opt -. 1e-6) candidates
 
 let () =
-  Alcotest.run "props"
+  let pool = Util.Pool.create ~name:"props" ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
+  Alcotest.run ~and_exit:false "props"
     [ ( "convex",
         [ mk_test ~count:100 ~name:"constructors produce convex increasing fns"
             prop_fn_convex_increasing;
@@ -703,7 +808,11 @@ let () =
           mk_test ~count:40 ~name:"DP schedule feasible" prop_dp_schedule_feasible;
           mk_test ~count:20 ~name:"Theorem 16: (1+eps)-approximation" prop_approx_theorem16;
           mk_test ~count:60 ~name:"plane arena = reference float-array DP"
-            prop_plane_engine_matches_reference
+            prop_plane_engine_matches_reference;
+          mk_test ~count:60 ~name:"reused-row fill = memo fill (1 and 2 domains)"
+            (prop_row_fill_matches_memo pool);
+          mk_test ~count:10 ~name:"reused-row fill = memo fill (large fleet, fans out)"
+            (prop_row_fill_matches_memo_fanned_out pool)
         ] );
       ( "systems",
         [ mk_test ~count:25 ~name:"streaming session = batch run" prop_streaming_equals_batch;
@@ -728,6 +837,8 @@ let () =
           mk_test ~count:20 ~name:"Theorem 13: B within 2d+1+c(I)" prop_alg_b_theorem13;
           mk_test ~count:15 ~name:"Theorem 15: C within 2d+1+eps" prop_alg_c_theorem15;
           mk_test ~count:25 ~name:"optimal prefix cost is monotone" prop_prefix_cost_monotone;
+          mk_test ~count:40 ~name:"prefix-opt plane = memo fill + ramp"
+            prop_prefix_opt_matches_memo_rebuild;
           mk_test ~count:20 ~name:"baselines feasible" prop_baselines_feasible;
           mk_test ~count:20 ~name:"OPT lower-bounds all policies"
             prop_opt_lower_bounds_everything
