@@ -279,12 +279,6 @@ let benches =
        in
        ignore (Core.Cost.operating_rank cache ~time:6 ~rank x : float);
        fun () -> Core.Cost.operating_rank cache ~time:6 ~rank x);
-    bench "kernel: memo packed off-grid hit (d=2)"
-      (let inst = Lazy.force fix_cpu_gpu in
-       let cache = Core.Cost.make_cache inst in
-       let x = [| 4; 2 |] in
-       ignore (Core.Cost.cached_operating cache ~time:6 x : float);
-       fun () -> Core.Cost.cached_operating cache ~time:6 x);
     bench "kernel: g_t(x) evaluation (d=2)"
       (let inst = Lazy.force fix_cpu_gpu in
        fun () -> Core.Cost.operating inst ~time:6 [| 4; 2 |]);

@@ -963,13 +963,13 @@ let unix_sock_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "unix" ] ~docv:"PATH" ~doc:"Listen on (or connect to) a Unix-domain socket at PATH.")
+    & info [ "unix" ] ~docv:"PATH" ~doc:"Listen on a Unix-domain socket at PATH.")
 
 let tcp_port_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "port" ] ~docv:"PORT" ~doc:"Listen on (or connect to) TCP 127.0.0.1:PORT.")
+    & info [ "port" ] ~docv:"PORT" ~doc:"Listen on TCP 127.0.0.1:PORT.")
 
 let serve_cmd =
   let max_sessions_arg =
@@ -1205,104 +1205,6 @@ let monitor_cmd =
         (const run $ obs_term $ port_arg $ interval_arg $ once_arg $ json_arg
         $ raw_arg $ count_arg))
 
-(* --- loadgen --- *)
-
-let loadgen_cmd =
-  let connections_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "c"; "connections" ] ~docv:"N" ~doc:"Concurrent client connections (default 1).")
-  in
-  let sessions_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "sessions" ] ~docv:"N" ~doc:"Sessions per connection (default 1).")
-  in
-  let slots_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "slots" ] ~docv:"N" ~doc:"Slots fed to every session (default 64).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~docv:"N" ~doc:"Slots per feed frame (default 8).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Trace seed (default 1).")
-  in
-  let prefix_arg =
-    Arg.(
-      value & opt string "lg"
-      & info [ "prefix" ] ~docv:"STR" ~doc:"Session-id prefix (default lg).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Dump every decision as lines $(i,id slot n,n,...) to FILE.")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:"Check every received decision against an in-process sequential oracle.")
-  in
-  let oracle_arg =
-    Arg.(
-      value & flag
-      & info [ "oracle-only" ]
-          ~doc:"Skip the daemon entirely: write the oracle's decisions to --out.")
-  in
-  let tolerate_arg =
-    Arg.(
-      value & flag
-      & info [ "tolerate-disconnect" ]
-          ~doc:"Report a dropped daemon instead of failing (crash-test client).")
-  in
-  let close_arg =
-    Arg.(value & flag & info [ "close" ] ~doc:"Close every session when done.")
-  in
-  let run () unix port connections sessions slots batch (scenario, _) seed prefix out
-      verify oracle_only tolerate_disconnect close_sessions =
-    let target =
-      match (unix, port) with
-      | Some p, _ -> Ok (Core.Loadgen.Unix_path p)
-      | None, Some p -> Ok (Core.Loadgen.Tcp p)
-      | None, None ->
-          if oracle_only then Ok (Core.Loadgen.Unix_path "/nonexistent")
-          else Error "loadgen: pass --unix PATH or --port PORT"
-    in
-    match target with
-    | Error m -> `Error (false, m)
-    | Ok target -> (
-        let cfg =
-          { Core.Loadgen.default_config with
-            target; connections; sessions_per_conn = sessions; slots; batch;
-            scenario; seed; prefix; out; verify; oracle_only;
-            tolerate_disconnect; close_sessions }
-        in
-        Core.Obs.Run_manifest.note "scenario" scenario;
-        Core.Obs.Run_manifest.note "connections" (string_of_int connections);
-        match Core.Loadgen.run cfg with
-        | Error m -> `Error (false, m)
-        | Ok r ->
-            print_endline (Core.Loadgen.report_to_string r);
-            if r.Core.Loadgen.verify_failures > 0 then
-              `Error (false, "loadgen: decisions disagree with the oracle")
-            else `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:"Replay synthetic workload traces against a running daemon over N \
-             concurrent connections and report throughput and latency.")
-    Term.(
-      ret
-        (const run $ obs_term $ unix_sock_arg $ tcp_port_arg $ connections_arg
-        $ sessions_arg $ slots_arg $ batch_arg $ scenario_arg $ seed_arg $ prefix_arg
-        $ out_arg $ verify_arg $ oracle_arg $ tolerate_arg $ close_arg))
-
 (* --- scenario --- *)
 
 let scenario_files_arg =
@@ -1517,5 +1419,5 @@ let () =
   let doc = "Right-sizing heterogeneous data centers (SPAA 2021 reproduction)" in
   let info = Cmd.info "rightsizer" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; report_cmd; verify_cmd; solve_cmd; online_cmd; arena_cmd;
-       compare_cmd; simulate_cmd; analyze_cmd; plan_cmd; serve_cmd; monitor_cmd; loadgen_cmd; scenario_cmd;
+       compare_cmd; simulate_cmd; analyze_cmd; plan_cmd; serve_cmd; monitor_cmd; scenario_cmd;
        replay_cmd ]))

@@ -41,7 +41,6 @@ module Server_session = Server.Session
 module Daemon = Server.Daemon
 module Server_audit = Server.Audit
 module Server_monitor = Server.Monitor
-module Loadgen = Server.Loadgen
 module Server_client = Server.Client
 module Server_spawn = Server.Spawn
 module Store_log = Store.Log

@@ -16,9 +16,11 @@
     - {!Baselines}, {!Adversary}, {!Harness}: comparison policies and
       experiment machinery;
     - {!Workload}, {!Scenarios}: synthetic traces and named setups;
-    - {!Daemon}, {!Loadgen}, {!Server_protocol}, {!Server_codec},
-      {!Server_session}: the multi-session serving daemon and its wire
-      protocol (see [docs/serving.md]);
+    - {!Daemon}, {!Server_protocol}, {!Server_codec},
+      {!Server_session}, {!Server_client}: the multi-session serving
+      daemon, its wire protocol and its client (see [docs/serving.md]);
+    - {!Scenario_def}, {!Scenario_runner}: declarative system tests that
+      spawn [serve] and drive it (see [docs/scenarios.md]);
     - {!Prng}, {!Stats}, {!Table}, {!Ascii_plot}: utilities.
 
     The top-level helpers cover the common calls. *)
@@ -66,18 +68,17 @@ module Server_session = Server.Session
 module Daemon = Server.Daemon
 module Server_audit = Server.Audit
 module Server_monitor = Server.Monitor
-module Loadgen = Server.Loadgen
-
 module Server_client = Server.Client
 (** Synchronous wire-protocol client (connect/hello/request over a Unix
     or loopback TCP socket). *)
 
 module Server_spawn = Server.Spawn
+(** Spawn and tear down real daemon processes (leak-proof via an
+    [at_exit] SIGKILL registry; see [docs/scenarios.md]). *)
+
 module Store_log = Store.Log
 module Store_cemented = Store.Cemented
 module Store_replay = Store.Replay
-(** Spawn and tear down real daemon processes (leak-proof via an
-    [at_exit] SIGKILL registry; see [docs/scenarios.md]). *)
 
 module Scenario_def = Scenario.Def
 (** Declarative scenario files — strict sexp codec plus

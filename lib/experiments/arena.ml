@@ -180,17 +180,8 @@ let standings entries =
   in
   List.sort (fun a b -> compare a.mean_ratio b.mean_ratio) ranked
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json entries ranked =
+  let json_escape = Obs.Events.json_escape in
   let num x = if Float.is_finite x then fmt "%.6f" x else fmt "\"%h\"" x in
   let entry e =
     fmt

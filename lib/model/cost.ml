@@ -133,87 +133,24 @@ let schedule inst s =
     invalid_arg "Cost.schedule: horizon mismatch";
   schedule_operating inst s +. schedule_switching inst s
 
-(* The memo has two tiers.
-
-   Tier 1 — flat per-slot tables addressed by grid rank: the DP loops
-   already know each state's flat index, so the index *is* the key.  No
-   hashing, no key allocation, no locks: [nan] marks an empty slot
-   ([operating] never returns [nan] — infeasible states are [infinity]),
-   pool workers write disjoint ranks during a fill, and a racing
-   duplicate write stores the identical bit pattern, so a plain float
-   array is safe.
-
-   Tier 2 — striped shards for off-grid lookups (configurations with
-   no grid rank, such as Alg_c's sub-slot schedule).  Each domain works
-   in the shard picked by its id, mirroring Obs.Counter's stripe design,
-   so the common case (few, long-lived pool workers) never contends.
-   Within a shard, the key is the configuration packed into one
-   mixed-radix [int] (radix [m_j + 1] per axis, folded with the time
-   slot) — no per-lookup allocation, monomorphic int hashing.  A
-   generic [(time, coordinate list)] table backs the rare instance
-   whose state space overflows 62-bit packing or whose probes leave
-   [0..m_j].  A miss computes outside the lock — [operating] is pure,
-   so a racing duplicate computation is wasted work, never a wrong
-   answer. *)
-
-let shards = 8 (* power of two, mirroring Obs.Counter's stripe count *)
-
-type shard = {
-  lock : Mutex.t;
-  packed : (int, float) Hashtbl.t;
-  generic : (int * int list, float) Hashtbl.t;
-}
+(* The memo: flat per-slot tables addressed by grid rank.  The DP
+   loops already know each state's flat index, so the index *is* the
+   key.  No hashing, no key allocation, no locks: [nan] marks an empty
+   slot ([operating] never returns [nan] — infeasible states are
+   [infinity]), pool workers write disjoint ranks during a fill, and a
+   racing duplicate write stores the identical bit pattern, so a plain
+   float array is safe. *)
 
 type cache = {
   inst : Instance.t;
   layers : float array array; (* slot -> rank -> g_t(x); [nan] = empty *)
-  radix : int array; (* m_j + 1 per axis, for off-grid key packing *)
-  packable : bool; (* whole (slot, config) space fits one OCaml int *)
-  stripes : shard array;
 }
 
 let make_cache inst =
-  let radix = Array.map (fun m -> m + 1) (Instance.counts inst) in
-  let horizon = Instance.horizon inst in
-  let packable =
-    (* Overflow-safe capacity check for the mixed-radix packing. *)
-    let cap = ref (max 1 horizon) in
-    let ok = ref true in
-    Array.iter
-      (fun r ->
-        if !ok then if r > 0 && !cap <= max_int / r then cap := !cap * r else ok := false)
-      radix;
-    !ok
-  in
-  { inst;
-    layers = Array.make (max 1 horizon) [||];
-    radix;
-    packable;
-    stripes =
-      Array.init shards (fun _ ->
-          { lock = Mutex.create ();
-            packed = Hashtbl.create 512;
-            generic = Hashtbl.create 16 }) }
+  { inst; layers = Array.make (max 1 (Instance.horizon inst)) [||] }
 
-let c_memo_hits = Obs.Counter.make "cost.memo_hits"
-let c_memo_misses = Obs.Counter.make "cost.memo_misses"
 let c_rank_hits = Obs.Counter.make "cost.rank_hits"
 let c_rank_misses = Obs.Counter.make "cost.rank_misses"
-
-(* Mixed-radix key of an off-grid probe; [-1] when the space is too big
-   to pack or a coordinate falls outside [0 .. m_j]. *)
-let pack cache ~time x =
-  if not (cache.packable && Array.length x = Array.length cache.radix) then -1
-  else begin
-    let key = ref time in
-    let ok = ref true in
-    Array.iteri
-      (fun j xj ->
-        if xj < 0 || xj >= cache.radix.(j) then ok := false
-        else key := (!key * cache.radix.(j)) + xj)
-      x;
-    if !ok then !key else -1
-  end
 
 let cache_instance cache = cache.inst
 
@@ -393,46 +330,4 @@ let operating_rank cache ~time ~rank x =
   else begin
     Obs.Counter.incr c_rank_hits;
     v
-  end
-
-let cached_operating cache ~time x =
-  let shard = cache.stripes.((Domain.self () :> int) land (shards - 1)) in
-  let key = pack cache ~time x in
-  if key >= 0 then begin
-    Mutex.lock shard.lock;
-    let found =
-      match Hashtbl.find shard.packed key with
-      | g -> g
-      | exception Not_found -> nan
-    in
-    Mutex.unlock shard.lock;
-    if not (Float.is_nan found) then begin
-      Obs.Counter.incr c_memo_hits;
-      found
-    end
-    else begin
-      Obs.Counter.incr c_memo_misses;
-      let g = operating cache.inst ~time x in
-      Mutex.lock shard.lock;
-      Hashtbl.replace shard.packed key g;
-      Mutex.unlock shard.lock;
-      g
-    end
-  end
-  else begin
-    let key = (time, Array.to_list x) in
-    Mutex.lock shard.lock;
-    let found = Hashtbl.find_opt shard.generic key in
-    Mutex.unlock shard.lock;
-    match found with
-    | Some g ->
-        Obs.Counter.incr c_memo_hits;
-        g
-    | None ->
-        Obs.Counter.incr c_memo_misses;
-        let g = operating cache.inst ~time x in
-        Mutex.lock shard.lock;
-        Hashtbl.replace shard.generic key g;
-        Mutex.unlock shard.lock;
-        g
   end

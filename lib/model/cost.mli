@@ -52,26 +52,18 @@ val schedule_switching : Instance.t -> Schedule.t -> float
 type cache
 (** Memo for [g_t(x)].  Its users are [Offline.Brute_force], whose
     search re-reads each (slot, configuration) value many times, the
-    [Online.Baselines], [Offline.Graph_paper], [Online.Alg_c]'s sub-slot
-    pick and the memo-backed [Offline.Dp.fill_layer].  The two DP
-    engines ([Offline.Dp.solve] and [Online.Prefix_opt]) read each
-    layer's values exactly once, so they fill one reused row with
-    {!fill_line} instead.  Two tiers:
+    [Online.Baselines], [Offline.Graph_paper] and the memo-backed
+    [Offline.Dp.fill_layer].  The two DP engines ([Offline.Dp.solve]
+    and [Online.Prefix_opt]) read each layer's values exactly once, so
+    they fill one reused row with {!fill_line} instead.
 
-    - {b flat per-slot rank tables} ({!layer_table} /
-      {!operating_rank}): when the caller enumerates a state grid it
-      already holds each state's flat index, which addresses a plain
-      [float array] directly — no key allocation, no hashing, no
-      locks.  [nan] marks an empty slot; pool workers touch disjoint
-      ranks during a fill, and racing duplicate writes of the same
-      value are benign.
-    - {b striped shards} for configurations with no grid rank
-      ({!cached_operating}): per-domain shards selected by domain id
-      (like [Obs.Counter]), keyed by the configuration packed into one
-      mixed-radix [int] (with a generic fallback table for state spaces
-      too large to pack).  Entries are not shared between shards: a value cached by
-      one domain may be recomputed by another, trading a little
-      duplicate work for mostly-uncontended lookups. *)
+    The memo is a set of {b flat per-slot rank tables} ({!layer_table}
+    / {!operating_rank}): when the caller enumerates a state grid it
+    already holds each state's flat index, which addresses a plain
+    [float array] directly — no key allocation, no hashing, no locks.
+    [nan] marks an empty slot; pool workers touch disjoint ranks
+    during a fill, and racing duplicate writes of the same value are
+    benign. *)
 
 val make_cache : Instance.t -> cache
 
@@ -129,8 +121,3 @@ val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
     [rank], and {!layer_table} must have been sized past [rank] first.
     Lock-free; safe from several domains as long as a rank is only
     raced by writers storing the same configuration's value. *)
-
-val cached_operating : cache -> time:int -> Config.t -> float
-(** Memoised {!operating} for configurations with no grid rank (such
-    as [Online.Alg_c]'s sub-slot configurations); callable concurrently
-    from several domains on the same [cache]. *)

@@ -32,7 +32,7 @@ let solve ?(limit = 2_000_000) ?domains ?pool inst =
      index is its grid rank — the key into the slot's flat memo table.
      Size every table up front (single-domain), then the warm-up
      fan-out and the sequential search below share the same lock-free
-     slots; no shard merging needed. *)
+     slots. *)
   Array.iteri
     (fun time states ->
       ignore (Model.Cost.layer_table cache ~time (Array.length states) : float array))

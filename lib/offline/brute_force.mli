@@ -18,6 +18,6 @@ val solve :
     comparable with {!Dp.solve}.
 
     With [domains > 1] (or a [pool]), every (slot, state) operating
-    cost is pre-evaluated in parallel into the shard-safe memo before
+    cost is pre-evaluated in parallel into the rank-table memo before
     the sequential search runs; the search itself — and therefore the
     result — is unchanged. *)

@@ -50,13 +50,12 @@ let run ?domains ?pool ~eps inst =
   let sub_schedule = b.Alg_b.schedule in
   (* mu(t): the sub-slot of U(t) whose configuration has the cheapest
      operating cost; g~_u is g_t / n~_t, so compare with the original g_t. *)
-  let cache = Model.Cost.make_cache inst in
   let schedule = Array.make horizon [||] in
   let best = Array.make horizon infinity in
   Array.iteri
     (fun u x ->
       let t = slot_of.(u) in
-      let g = Model.Cost.cached_operating cache ~time:t x in
+      let g = Model.Cost.operating inst ~time:t x in
       if g < best.(t) then begin
         best.(t) <- g;
         schedule.(t) <- Array.copy x

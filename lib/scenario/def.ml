@@ -809,9 +809,8 @@ let loads t ~session_index =
   let inst = mk (Some t.slots) in
   let cap = declared_capacity inst in
   let horizon = t.slots in
-  (* Mirrors Loadgen.loads_for's seeding so traces are deterministic in
-     (seed, session); each source draws from its own split stream so adding
-     a source never perturbs the others. *)
+  (* Traces are deterministic in (seed, session); each source draws from
+     its own split stream so adding a source never perturbs the others. *)
   let rng = Util.Prng.create ((t.seed * 1_000_003) + session_index) in
   let eval src =
     let rng = Util.Prng.split rng in

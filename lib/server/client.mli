@@ -4,10 +4,10 @@
     {!hello} pins the protocol version, {!send}/{!recv} move whole
     requests and responses through the {!Codec} framing (kept separate
     so callers can pipeline several in-flight requests on one
-    connection), and {!request} is the one-shot pair.  Both the
-    {!Loadgen} connection threads and the scenario runner are built on
-    this module, so there is exactly one implementation of the client
-    side of the protocol.
+    connection), and {!request} is the one-shot pair.  The scenario
+    runner is built on this module; the end-to-end benchmark uses it
+    for its control connection, and its open-loop load connections
+    frame with the same {!Codec} and {!Protocol}.
 
     All failures — socket errors, a closed connection, malformed
     frames — surface as [Error msg]; the connection should then be

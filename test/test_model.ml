@@ -237,19 +237,30 @@ let test_schedule_cost_initial_powerup_counted () =
   checkf 1e-9 "beta + one slot idle" 8.
     (Model.Cost.schedule inst (Model.Schedule.of_lists [ [ 1 ] ]))
 
+(* The rank-table memo: [layer_table] + [operating_rank] must return
+   [operating] for every state of a dense grid, and a second read must
+   be a rank-table hit returning the same value. *)
 let test_cost_cache_consistent () =
   let inst = two_type_instance ~load:(Some [| 2.5; 1.; 0.; 2. |]) () in
   let cache = Model.Cost.make_cache inst in
+  let grid = Offline.Grid.dense (Model.Instance.counts inst) in
+  let n = Offline.Grid.size grid in
+  let counter name = Obs.Counter.value (Option.get (Obs.Counter.find name)) in
   for time = 0 to 3 do
-    let x = [| 2; 1 |] in
-    checkf 1e-12 "cache = direct"
-      (Model.Cost.operating inst ~time x)
-      (Model.Cost.cached_operating cache ~time x)
+    ignore (Model.Cost.layer_table cache ~time n : float array);
+    Offline.Grid.iter grid (fun rank x ->
+        checkf 0. "cache = direct"
+          (Model.Cost.operating inst ~time x)
+          (Model.Cost.operating_rank cache ~time ~rank x))
   done;
-  (* Second read hits the memo and must agree. *)
-  checkf 1e-12 "memo stable"
-    (Model.Cost.cached_operating cache ~time:0 [| 2; 1 |])
-    (Model.Cost.cached_operating cache ~time:0 [| 2; 1 |])
+  let x = [| 2; 1 |] in
+  let rank = Option.get (Offline.Grid.index_of grid x) in
+  let misses = counter "cost.rank_misses" and hits = counter "cost.rank_hits" in
+  checkf 0. "memo stable"
+    (Model.Cost.operating inst ~time:0 x)
+    (Model.Cost.operating_rank cache ~time:0 ~rank x);
+  checki "second read is a hit" (hits + 1) (counter "cost.rank_hits");
+  checki "no recomputation" misses (counter "cost.rank_misses")
 
 let test_operating_volume () =
   let inst = two_type_instance ~load:(Some [| 2.5; 2.; 2.; 2. |]) () in

@@ -471,6 +471,75 @@ let test_daemon_checkpoint_resume_multisession () =
             (Array.for_all2 Model.Config.equal resumed oracle))
         scenarios)
 
+(* One running daemon, two client connections: one over the Unix
+   socket, one over loopback TCP, two cpu-gpu sessions each.  Both
+   connections pipeline every 4-slot feed before reading a reply, so a
+   daemon round can serve both at once; every decision must equal a
+   sequential Session fed the same loads. *)
+let test_daemon_two_connections () =
+  with_daemon (fun dir mk cfg ->
+      let port = Server.Spawn.pick_free_port () in
+      let d = mk "two.sock" { cfg with Daemon.tcp_port = Some port } in
+      let runner = Thread.create Daemon.run d in
+      Fun.protect ~finally:(fun () -> Daemon.request_stop d; Thread.join runner)
+      @@ fun () ->
+      let ok = function Ok v -> v | Error m -> Alcotest.fail m in
+      let slots = 12 and batch = 4 in
+      let spec = { Session.scenario = "cpu-gpu"; max_horizon = None; alg = None } in
+      let session id =
+        let rng = Util.Prng.create (Hashtbl.hash id) in
+        let loads = Array.init slots (fun _ -> Util.Prng.float rng 1.5) in
+        let oracle =
+          match Result.bind (Session.create ~id spec) (fun s -> Session.feed s ~seq:0 loads) with
+          | Ok xs -> xs
+          | Error (_, m) -> Alcotest.fail m
+        in
+        (id, loads, oracle)
+      in
+      let conns =
+        List.map
+          (fun (name, target) ->
+            let c = ok (Server.Client.connect target) in
+            ok (Server.Client.hello c);
+            (c, [ session (name ^ "-1"); session (name ^ "-2") ]))
+          [ ("unix", Server.Client.Unix_path (Filename.concat dir "two.sock"));
+            ("tcp", Server.Client.Tcp port) ]
+      in
+      (* a connection's feed frames in send order: round-robin over its sessions *)
+      let frames sessions =
+        List.concat_map (fun k -> List.map (fun s -> (s, k * batch)) sessions)
+          (List.init (slots / batch) Fun.id)
+      in
+      List.iter
+        (fun (c, sessions) ->
+          List.iter
+            (fun (id, _, _) ->
+              let create = P.Create_session { id; scenario = "cpu-gpu"; max_horizon = None; alg = None } in
+              match ok (Server.Client.request c create) with
+              | P.Session _ -> ()
+              | _ -> Alcotest.fail ("create " ^ id))
+            sessions)
+        conns;
+      List.iter
+        (fun (c, sessions) ->
+          List.iter
+            (fun ((id, loads, _), seq) ->
+              ok (Server.Client.send c (P.Feed { id; seq; loads = Array.sub loads seq batch })))
+            (frames sessions))
+        conns;
+      List.iter
+        (fun (c, sessions) ->
+          List.iter
+            (fun ((id, _, oracle), seq) ->
+              match ok (Server.Client.recv c) with
+              | P.Decisions { id = rid; seq = rseq; configs } when rid = id && rseq = seq ->
+                  checkb (Printf.sprintf "%s@%d matches the sequential session" id seq) true
+                    (Array.for_all2 Model.Config.equal configs (Array.sub oracle seq batch))
+              | _ -> Alcotest.fail (Printf.sprintf "feed %s@%d" id seq))
+            (frames sessions);
+          Server.Client.close c)
+        conns)
+
 (* Metrics scrape + shadow oracle, through the in-process handle path
    with a synchronous audit so every number is deterministic. *)
 let test_daemon_metrics_and_audit () =
@@ -627,4 +696,6 @@ let () =
           Alcotest.test_case "metrics scrape + shadow audit" `Quick
             test_daemon_metrics_and_audit;
           Alcotest.test_case "audit matches direct offline replay" `Quick
-            test_audit_matches_direct_computation ] ) ]
+            test_audit_matches_direct_computation;
+          Alcotest.test_case "two connections, unix + tcp" `Quick
+            test_daemon_two_connections ] ) ]
