@@ -258,16 +258,17 @@ let benches =
       (let cells = Lazy.force dispatch_line_cells in
        fun () ->
          Array.iter (fun cell -> ignore (Core.Dispatch.solve cell ~total:1.)) cells);
-    (* Per-cell cost of a whole-layer fill on a fresh cache: 61*41 =
-       2501 states, each one dispatch sweep cell.  Divide the reported
-       time by 2501 for the ns/cell figure quoted in
-       docs/performance.md. *)
+    (* Per-cell cost of the served layer fill: [Dp.fill_row] of the
+       large-fleet scenario at slot 6 into a reused row, as
+       [Prefix_opt.step] runs it.  61*41 = 2501 states, most of them one
+       dispatch sweep cell; the batch tier's exponent 1.6 keeps the
+       power kernel's [**] in the loop.  Divide the reported time by
+       2501 for the ns/cell figure quoted in docs/performance.md. *)
     bench "dp: ns/cell layer fill (d=2, m=(60,40), 2501 cells)"
-      (let inst = Lazy.force fix_large in
-       let grid = Core.Grid.dense (Core.Instance.counts inst) in
-       fun () ->
-         let cache = Core.Cost.make_cache inst in
-         ignore (Core.Offline_dp.fill_layer cache grid ~time:6 : float array));
+      (let inst = Core.Scenarios.large_fleet () in
+       let grid = Core.Offline_dp.dense_grids inst 6 in
+       let row = Array.make (Core.Grid.size grid) 0. in
+       fun () -> Core.Offline_dp.fill_row inst grid ~time:6 row);
     bench "kernel: memo rank-table hit (d=2)"
       (let inst = Lazy.force fix_cpu_gpu in
        let cache = Core.Cost.make_cache inst in

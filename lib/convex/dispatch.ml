@@ -9,9 +9,17 @@ let count_iters n = Obs.Counter.add c_iters n
 
 let feas_eps = 1e-9
 
+(* [Float.max 1. x], bit for bit.  The stdlib breaks signed-zero ties
+   with two [caml_signbit] C calls per use; [1.] has no sign to tie
+   with, so plain comparisons that keep a NaN [x] give the same bits. *)
+let[@inline] max1 x = if x > 1. || Float.is_nan x then x else 1.
+
 let feasible pieces ~total =
-  let cap = Array.fold_left (fun acc p -> acc +. p.upper) 0. pieces in
-  cap +. (feas_eps *. Float.max 1. total) >= total
+  let cap = ref 0. in
+  for j = 0 to Array.length pieces - 1 do
+    cap := !cap +. pieces.(j).upper
+  done;
+  !cap +. (feas_eps *. max1 total) >= total
 
 let objective pieces z =
   let acc = ref 0. in
@@ -187,8 +195,32 @@ let waterfill ~tol ~analytic pieces ~total =
    caches the endpoint derivatives of pieces that are physically reused
    between cells (a line fill mutates only the swept axis's piece). *)
 
+(* Every grid cell of a layer fill runs [sweep_solve].  Past the
+   per-piece cache fills ({!refresh}, once per line for the prefix
+   pieces), nothing on a cell's path allocates, calls a closure, calls
+   into another module or touches an atomic.  Without flambda, and with
+   [-opaque] in the dev profile, a call into [Fn] is never inlined and
+   boxes its float argument and result, so the cell path evaluates the
+   kernel families with {!Fn.eval}'s and {!Fn.inv_deriv}'s own
+   expressions from the constants {!Fn.probe_kernel} carries.  Only
+   active [Generic_kernel] pieces (affine, piecewise-linear and summed
+   costs, which no built-in scenario produces) call into [Fn] per
+   cell; a zero-capacity piece reads its value at 0 from the cache.
+   The work counters accumulate in the record and reach [Obs.Counter]
+   once per line ({!sweep_finish}): a bump costs a [Domain.self] C
+   call plus an atomic add. *)
+
+(* A flat float record: its field is stored unboxed, where a float
+   field of the mixed [sweep] record would box on every store. *)
+type carried = {
+  mutable nu_hi : float; (* upper multiplier bracket carried along a line; nan = cold *)
+}
+
 type sweep = {
-  mutable warm : float; (* upper multiplier bracket carried along a line; nan = cold *)
+  carry : carried;
+  mutable calls : int; (* dispatch.calls not yet added to the counter *)
+  mutable analytic : int; (* dispatch.analytic_solves likewise *)
+  mutable newton : int; (* dispatch.newton_evals likewise *)
   mutable d0 : float array; (* derivative at 0 per piece *)
   mutable dup : float array; (* derivative at the cap per piece *)
   mutable v0 : float array; (* value at 0 per piece; nan = not yet evaluated *)
@@ -197,7 +229,8 @@ type sweep = {
   mutable zl : float array; (* responses at the lower bracket *)
   mutable zh : float array; (* responses at the upper bracket *)
   mutable pker : Fn.probe_kernel array; (* pre-derived probe constants per piece *)
-  mutable pfn : Fn.t array; (* piece identity for endpoint-derivative reuse *)
+  mutable pinv : bool array; (* closed-form derivative inverse per piece *)
+  mutable pfn : Fn.t array; (* piece identity for cache reuse *)
   mutable pup : float array;
 }
 
@@ -207,6 +240,7 @@ type stats = {
   s_v0 : float;
   s_vup : float;
   s_ker : Fn.probe_kernel;
+  s_inv : bool;
 }
 
 let piece_stats p =
@@ -214,12 +248,16 @@ let piece_stats p =
     s_dup = Fn.deriv p.fn p.upper;
     s_v0 = Fn.eval p.fn 0.;
     s_vup = Fn.eval p.fn p.upper;
-    s_ker = Fn.probe_kernel p.fn }
+    s_ker = Fn.probe_kernel p.fn;
+    s_inv = Fn.has_inv_deriv p.fn }
 
 let dummy_fn = Fn.const 0.
 
 let new_sweep () =
-  { warm = nan;
+  { carry = { nu_hi = nan };
+    calls = 0;
+    analytic = 0;
+    newton = 0;
     d0 = [||];
     dup = [||];
     v0 = [||];
@@ -228,6 +266,7 @@ let new_sweep () =
     zl = [||];
     zh = [||];
     pker = [||];
+    pinv = [||];
     pfn = [||];
     pup = [||] }
 
@@ -241,6 +280,7 @@ let ensure_capacity sw d =
     sw.zl <- Array.make d 0.;
     sw.zh <- Array.make d 0.;
     sw.pker <- Array.make d Fn.Generic_kernel;
+    sw.pinv <- Array.make d true;
     sw.pfn <- Array.make d dummy_fn;
     sw.pup <- Array.make d (-1.)
   end
@@ -255,50 +295,109 @@ let cold_key : sweep Domain.DLS.key = Domain.DLS.new_key new_sweep
 
 let sweep_start () =
   let sw = Domain.DLS.get sweep_key in
-  sw.warm <- nan;
+  sw.carry.nu_hi <- nan;
   sw
 
-(* Core analytic solve.  Leaves the optimal assignment in [sw.z] (first
-   [d] entries) and returns the objective; updates [sw.warm] with a
-   multiplier upper bracket valid for any cell whose responses dominate
-   this one's pointwise. *)
-let waterfill_analytic ~tol ?swept sw pieces ~total =
+let sweep_finish sw =
+  Obs.Counter.add c_calls sw.calls;
+  Obs.Counter.add c_analytic sw.analytic;
+  Obs.Counter.add c_newton sw.newton;
+  sw.calls <- 0;
+  sw.analytic <- 0;
+  sw.newton <- 0
+
+(* Bring the per-piece caches up to date with [pieces] and report
+   whether every active piece inverts its derivative in closed form.
+   The entries are invariants of (fn, upper), so a piece physically
+   shared with the previous call (a line's fixed prefix) keeps them,
+   and a caller-precomputed bundle for the swept (last) piece seeds its
+   slot: line fills cycle that slot through a per-layer piece table
+   whose stats were derived once, not per cell. *)
+let refresh ?swept sw pieces =
   let d = Array.length pieces in
   ensure_capacity sw d;
-  let d0 = sw.d0 and dup = sw.dup in
-  (* A caller-precomputed invariant bundle for the swept (last) piece
-     seeds the endpoint cache: line fills cycle that slot through a
-     per-layer piece table whose stats were derived once, not per
-     cell. *)
   (match swept with
   | Some s ->
       let j = d - 1 in
       let p = pieces.(j) in
-      if p.upper > 0. then begin
-        d0.(j) <- s.s_d0;
-        dup.(j) <- s.s_dup;
-        sw.v0.(j) <- s.s_v0;
-        sw.vup.(j) <- s.s_vup;
-        sw.pker.(j) <- s.s_ker;
-        sw.pfn.(j) <- p.fn;
-        sw.pup.(j) <- p.upper
-      end
+      sw.d0.(j) <- s.s_d0;
+      sw.dup.(j) <- s.s_dup;
+      sw.v0.(j) <- s.s_v0;
+      sw.vup.(j) <- s.s_vup;
+      sw.pker.(j) <- s.s_ker;
+      sw.pinv.(j) <- s.s_inv;
+      sw.pfn.(j) <- p.fn;
+      sw.pup.(j) <- p.upper
   | None -> ());
-  let nu_min = ref infinity and nu_max = ref neg_infinity in
+  let invertible = ref true in
   for j = 0 to d - 1 do
     let p = pieces.(j) in
-    if p.upper > 0. then begin
-      (* Endpoint derivatives are invariants of (fn, upper): reuse them
-         when the piece is physically the one from the previous cell. *)
-      if not (sw.pfn.(j) == p.fn && sw.pup.(j) = p.upper) then begin
-        d0.(j) <- Fn.deriv p.fn 0.;
-        dup.(j) <- Fn.deriv p.fn p.upper;
-        sw.v0.(j) <- nan;
-        sw.vup.(j) <- nan;
-        sw.pker.(j) <- Fn.probe_kernel p.fn;
-        sw.pfn.(j) <- p.fn;
-        sw.pup.(j) <- p.upper
-      end;
+    if not (sw.pfn.(j) == p.fn && sw.pup.(j) = p.upper) then begin
+      sw.d0.(j) <- Fn.deriv p.fn 0.;
+      sw.dup.(j) <- Fn.deriv p.fn p.upper;
+      sw.v0.(j) <- nan;
+      sw.vup.(j) <- nan;
+      sw.pker.(j) <- Fn.probe_kernel p.fn;
+      sw.pinv.(j) <- Fn.has_inv_deriv p.fn;
+      sw.pfn.(j) <- p.fn;
+      sw.pup.(j) <- p.upper
+    end;
+    if p.upper > 0. && not sw.pinv.(j) then invertible := false
+  done;
+  !invertible
+
+(* [Float.min x y], bit for bit, for [y > 0.]: then only a NaN [x] or
+   one below [y] is the minimum, whatever the signs of zero. *)
+let[@inline] min_pos x y = if y > x || Float.is_nan x then x else y
+
+(* [Float.min upper (Float.max 0. z)], bit for bit, for a cap
+   [upper > 0] (a NaN cap fails the feasibility check first): plain
+   comparisons that keep a NaN [z], without the stdlib's sign-bit C
+   calls. *)
+let[@inline] clamp_response upper z =
+  let z = if z > 0. || Float.is_nan z then z else 0. in
+  if z > upper then upper else z
+
+(* {!Fn.eval} of piece [j] at [z], with its own expressions for the
+   kernel families. *)
+let[@inline] value_at sw pieces j z =
+  match Array.unsafe_get sw.pker j with
+  | Fn.Power_kernel { idle; coef; expo; _ } -> idle +. (coef *. (z ** expo))
+  | Fn.Quad_kernel { c0; c1; c2; _ } -> c0 +. (c1 *. z) +. (c2 *. z *. z)
+  | Fn.Generic_kernel -> Fn.eval pieces.(j).fn z
+
+(* Value of piece [j] at 0, evaluated at most once per cached piece. *)
+let[@inline] value_at_0 sw pieces j =
+  if Float.is_nan sw.v0.(j) then sw.v0.(j) <- Fn.eval pieces.(j).fn 0.;
+  sw.v0.(j)
+
+(* Response of piece [j] to multiplier [nu] through {!Fn.inv_deriv}'s
+   own expressions, not the probe kernel's reciprocals: the epilogue
+   after a probe loop that stopped without meeting the residual. *)
+let[@inline] response sw pieces j nu =
+  let upper = pieces.(j).upper in
+  if upper <= 0. then 0.
+  else if sw.d0.(j) >= nu then 0.
+  else if sw.dup.(j) <= nu then upper
+  else
+    clamp_response upper
+      (match Array.unsafe_get sw.pker j with
+      | Fn.Power_kernel { coef; expo; _ } ->
+          if nu <= 0. then 0. else (nu /. (coef *. expo)) ** (1. /. (expo -. 1.))
+      | Fn.Quad_kernel { c1; c2; _ } -> if c1 >= nu then 0. else (nu -. c1) /. (2. *. c2)
+      | Fn.Generic_kernel -> Fn.inv_deriv pieces.(j).fn nu)
+
+(* Core analytic solve, over caches {!refresh} brought up to date.
+   Leaves the optimal assignment in [sw.z] (first [d] entries), writes
+   the objective to [dst.(di)] and updates the carried bracket with a
+   multiplier upper bracket valid for any cell whose responses dominate
+   this one's pointwise. *)
+let waterfill_analytic ~tol sw pieces ~total dst di =
+  let d = Array.length pieces in
+  let d0 = sw.d0 and dup = sw.dup and pker = sw.pker and zs = sw.z in
+  let nu_min = ref infinity and nu_max = ref neg_infinity in
+  for j = 0 to d - 1 do
+    if pieces.(j).upper > 0. then begin
       if d0.(j) < !nu_min then nu_min := d0.(j);
       if dup.(j) > !nu_max then nu_max := dup.(j)
     end
@@ -306,24 +405,27 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
   let lo = ref (!nu_min -. 1.) and hi = ref (!nu_max +. 1.) in
   (* A warm bracket from the previous (smaller) cell tightens the top;
      the bottom must come from this cell's own endpoint derivatives. *)
-  if Float.is_finite sw.warm && sw.warm > !lo && sw.warm < !hi then hi := sw.warm;
-  let response j nu =
-    let p = pieces.(j) in
-    if p.upper <= 0. then 0.
-    else if d0.(j) >= nu then 0.
-    else if dup.(j) <= nu then p.upper
-    else Float.min p.upper (Float.max 0. (Fn.inv_deriv p.fn nu))
-  in
-  (* One probe: responses summed with the closed-form multiplier-space
-     slope of the interior pieces (d nu / d z = h'', so the response
-     slope is 1 / h''; flat stretches contribute a jump, not slope).
-     Each response is recorded in [sw.z] as it is computed, so the
-     common exit — the probe that meets the feasibility residual — is
-     already the final assignment, with no second response pass. *)
-  let zs = sw.z in
-  let pker = sw.pker in
-  let sum = ref 0. and slope = ref 0. and curv = ref 0. in
-  let eval_at nu =
+  let warm = sw.carry.nu_hi in
+  if Float.is_finite warm && warm > !lo && warm < !hi then hi := warm;
+  let nu_eps = tol *. 1e-3 in
+  let resid_tol = nu_eps *. max1 total in
+  let iters = ref 0 in
+  let exact = ref nan in
+  let sum = ref 0. and slope = ref 0. in
+  (* Warm cells probe the inherited bracket first: its residual is tiny
+     and the Newton step from it lands on the root.  Cold cells start
+     at the midpoint, exactly like the old bisection. *)
+  let next = ref (if Float.is_finite warm then !hi else 0.5 *. (!lo +. !hi)) in
+  let continue_ = ref (Float.is_finite !next && !hi > !lo) in
+  while !continue_ && !iters < 80 do
+    incr iters;
+    (* One probe: responses summed with the closed-form multiplier-space
+       slope of the interior pieces (d nu / d z = h'', so the response
+       slope is 1 / h''; flat stretches contribute a jump, not slope).
+       Each response is recorded in [sw.z] as it is computed, so the
+       common exit — the probe that meets the feasibility residual — is
+       already the final assignment, with no second response pass. *)
+    let nu = !next in
     sum := 0.;
     slope := 0.;
     for j = 0 to d - 1 do
@@ -333,13 +435,11 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
         else if d0.(j) >= nu then 0.
         else if dup.(j) <= nu then p.upper
         else begin
+          let curv = ref 0. in
           let zi =
             match Array.unsafe_get pker j with
-            | Fn.Power_kernel { scale; expo_inv; expo_m1; quarters } ->
-                if nu <= 0. then begin
-                  curv := 0.;
-                  0.
-                end
+            | Fn.Power_kernel { scale; expo_inv; expo_m1; quarters; _ } ->
+                if nu <= 0. then 0.
                 else begin
                   let x = nu *. scale in
                   (* Quarter-power exponents take the sqrt-chain fast
@@ -361,62 +461,51 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
                         x *. s *. sqrt s
                     | _ -> x ** expo_inv
                   in
-                  curv := (if z > 0. then expo_m1 *. nu /. z else 0.);
+                  if z > 0. then curv := expo_m1 *. nu /. z;
                   z
                 end
-            | Fn.Quad_kernel { c1; inv_c2x2; c2x2 } ->
+            | Fn.Quad_kernel { c1; inv_c2x2; c2x2; _ } ->
                 curv := c2x2;
                 if c1 >= nu then 0. else (nu -. c1) *. inv_c2x2
-            | Fn.Generic_kernel -> Fn.inv_deriv_curv p.fn nu ~curv
+            | Fn.Generic_kernel ->
+                let c = ref 0. in
+                let z = Fn.inv_deriv_curv p.fn nu ~curv:c in
+                curv := !c;
+                z
           in
-          let z = Float.min p.upper (Float.max 0. zi) in
-          let c = !curv in
-          if c > 0. then slope := !slope +. (1. /. c);
-          z
+          if !curv > 0. then slope := !slope +. (1. /. !curv);
+          clamp_response p.upper zi
         end
       in
       Array.unsafe_set zs j zj;
       sum := !sum +. zj
-    done
-  in
-  let nu_eps = tol *. 1e-3 in
-  let resid_tol = nu_eps *. Float.max 1. total in
-  let iters = ref 0 in
-  let exact = ref nan in
-  (* Warm cells probe the inherited bracket first: its residual is tiny
-     and the Newton step from it lands on the root.  Cold cells start
-     at the midpoint, exactly like the old bisection. *)
-  let nu = ref (if Float.is_finite sw.warm then !hi else 0.5 *. (!lo +. !hi)) in
-  let continue_ = ref (Float.is_finite !nu && !hi > !lo) in
-  while !continue_ && !iters < 80 do
-    incr iters;
-    eval_at !nu;
+    done;
     if Float.abs (!sum -. total) <= resid_tol then begin
-      exact := !nu;
+      exact := nu;
       continue_ := false
     end
     else begin
-      if !sum < total then lo := !nu else hi := !nu;
-      if !hi -. !lo <= nu_eps *. Float.max 1. (Float.abs !lo +. Float.abs !hi) then
+      if !sum < total then lo := nu else hi := nu;
+      if !hi -. !lo <= nu_eps *. max1 (Float.abs !lo +. Float.abs !hi) then
         continue_ := false
       else begin
-        let step = if !slope > 0. then !nu -. ((!sum -. total) /. !slope) else nan in
-        nu := (if step > !lo && step < !hi then step else 0.5 *. (!lo +. !hi))
+        let step = if !slope > 0. then nu -. ((!sum -. total) /. !slope) else nan in
+        next := (if step > !lo && step < !hi then step else 0.5 *. (!lo +. !hi))
       end
     end
   done;
-  Obs.Counter.add c_newton !iters;
+  sw.newton <- sw.newton + !iters;
   let z = sw.z in
   if Float.is_finite !exact then
     (* [z] already holds the exact probe's responses (the loop recorded
        them), so the assignment is done.  The probe met the constraint,
        so it brackets from whichever side; only a sum >= total makes it
        a sound upper bracket to carry. *)
-    sw.warm <- (if !sum >= total then !exact else !hi)
+    sw.carry.nu_hi <- (if !sum >= total then !exact else !hi)
   else begin
     let s_lo = ref 0. and s_hi = ref 0. in
     for j = 0 to d - 1 do
-      let a = response j !lo and b = response j !hi in
+      let a = response sw pieces j !lo and b = response sw pieces j !hi in
       sw.zl.(j) <- a;
       sw.zh.(j) <- b;
       s_lo := !s_lo +. a;
@@ -428,15 +517,16 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
       done
     else begin
       (* A derivative plateau straddles the optimal multiplier: cost is
-         linear along it, so linear interpolation is optimal. *)
-      let theta =
-        Util.Float_cmp.clamp ~lo:0. ~hi:1. ((total -. !s_lo) /. (!s_hi -. !s_lo))
-      in
+         linear along it, so linear interpolation is optimal.  The
+         clamp to [0, 1] is [Util.Float_cmp.clamp]'s, bit for bit. *)
+      let t = (total -. !s_lo) /. (!s_hi -. !s_lo) in
+      let t = if t > 1. then 1. else t in
+      let theta = if t > 0. || Float.is_nan t then t else 0. in
       for j = 0 to d - 1 do
         z.(j) <- sw.zl.(j) +. (theta *. (sw.zh.(j) -. sw.zl.(j)))
       done
     end;
-    sw.warm <- !hi
+    sw.carry.nu_hi <- !hi
   end;
   (* Repair any residual drift from the stopping tolerance. *)
   let s = ref 0. in
@@ -448,14 +538,14 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
     for j = 0 to d - 1 do
       if !resid > 0. then begin
         let room = pieces.(j).upper -. z.(j) in
-        let delta = Float.min room !resid in
+        let delta = min_pos room !resid in
         if delta > 0. then begin
           z.(j) <- z.(j) +. delta;
           resid := !resid -. delta
         end
       end
       else if !resid < 0. then begin
-        let delta = Float.min z.(j) (-. !resid) in
+        let delta = min_pos z.(j) (-. !resid) in
         if delta > 0. then begin
           z.(j) <- z.(j) -. delta;
           resid := !resid +. delta
@@ -470,20 +560,16 @@ let waterfill_analytic ~tol ?swept sw pieces ~total =
     let p = pieces.(j) in
     let zj = z.(j) in
     let v =
-      if p.upper <= 0. then Fn.eval p.fn zj
-      else if zj = 0. then begin
-        if Float.is_nan sw.v0.(j) then sw.v0.(j) <- Fn.eval p.fn 0.;
-        sw.v0.(j)
-      end
+      if zj = 0. then value_at_0 sw pieces j
       else if zj = p.upper then begin
         if Float.is_nan sw.vup.(j) then sw.vup.(j) <- Fn.eval p.fn p.upper;
         sw.vup.(j)
       end
-      else Fn.eval p.fn zj
+      else value_at sw pieces j zj
     in
     obj := !obj +. v
   done;
-  !obj
+  dst.(di) <- !obj
 
 let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
   Obs.Counter.incr c_calls;
@@ -508,74 +594,76 @@ let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
       z.(!last_active) <- total;
       Some { assignment = z; objective = objective pieces z }
     end
-    else if
-      (not numeric)
-      && Array.for_all (fun p -> p.upper <= 0. || Fn.has_inv_deriv p.fn) pieces
-    then begin
-      (* Every active piece inverts its derivative in closed form: one
-         safeguarded Newton iteration on the multiplier, no nested 1-D
-         searches.  Cold start (no line context). *)
-      Obs.Counter.incr c_analytic;
-      let sw = Domain.DLS.get cold_key in
-      sw.warm <- nan;
-      let objective = waterfill_analytic ~tol sw pieces ~total in
-      Some { assignment = Array.sub sw.z 0 (Array.length pieces); objective }
-    end
     else begin
-      match solve_few ~tol pieces ~total with
-      | Some solution -> Some solution
-      | None -> Some (waterfill ~tol ~analytic:false pieces ~total)
+      let sw = Domain.DLS.get cold_key in
+      if (not numeric) && refresh sw pieces then begin
+        (* Every active piece inverts its derivative in closed form: one
+           safeguarded Newton iteration on the multiplier, no nested 1-D
+           searches.  Cold start (no line context). *)
+        Obs.Counter.incr c_analytic;
+        sw.carry.nu_hi <- nan;
+        let objective = [| 0. |] in
+        waterfill_analytic ~tol sw pieces ~total objective 0;
+        sweep_finish sw;
+        Some { assignment = Array.sub sw.z 0 (Array.length pieces); objective = objective.(0) }
+      end
+      else begin
+        match solve_few ~tol pieces ~total with
+        | Some solution -> Some solution
+        | None -> Some (waterfill ~tol ~analytic:false pieces ~total)
+      end
     end
   end
 
-(* Objective of the forced assignments, without materialising them. *)
-let objective_zeros pieces =
-  let acc = ref 0. in
-  for j = 0 to Array.length pieces - 1 do
-    acc := !acc +. Fn.eval pieces.(j).fn 0.
-  done;
-  !acc
-
-let sweep_solve ?(tol = 1e-9) ?swept sw pieces ~total =
-  Obs.Counter.incr c_calls;
+let sweep_solve ?(tol = 1e-9) ?swept sw pieces ~total dst di =
+  sw.calls <- sw.calls + 1;
   if total < 0. then invalid_arg "Dispatch.sweep_solve: negative total";
-  if not (feasible pieces ~total) then infinity
-  else if total = 0. then objective_zeros pieces
+  let invertible = refresh ?swept sw pieces in
+  if not (feasible pieces ~total) then dst.(di) <- infinity
   else begin
     let nactive = ref 0 and last_active = ref (-1) in
-    Array.iteri
-      (fun j p ->
-        if p.upper > 0. then begin
+    if total > 0. then
+      for j = 0 to Array.length pieces - 1 do
+        if pieces.(j).upper > 0. then begin
           incr nactive;
           last_active := j
-        end)
-      pieces;
-    if !nactive = 0 then
-      (* Feasible only through the tolerance: everything stays at 0. *)
-      objective_zeros pieces
+        end
+      done;
+    if !nactive = 0 then begin
+      (* A zero total, or feasible only through the tolerance:
+         everything stays at 0. *)
+      let acc = ref 0. in
+      for j = 0 to Array.length pieces - 1 do
+        acc := !acc +. value_at_0 sw pieces j
+      done;
+      dst.(di) <- !acc
+    end
     else if !nactive = 1 then begin
       let acc = ref 0. in
       for j = 0 to Array.length pieces - 1 do
-        acc := !acc +. Fn.eval pieces.(j).fn (if j = !last_active then total else 0.)
+        let v =
+          if j = !last_active then value_at sw pieces j total else value_at_0 sw pieces j
+        in
+        acc := !acc +. v
       done;
-      !acc
+      dst.(di) <- !acc
     end
-    else if Array.for_all (fun p -> p.upper <= 0. || Fn.has_inv_deriv p.fn) pieces
-    then begin
-      Obs.Counter.incr c_analytic;
-      waterfill_analytic ~tol ?swept sw pieces ~total
+    else if invertible then begin
+      sw.analytic <- sw.analytic + 1;
+      waterfill_analytic ~tol sw pieces ~total dst di
     end
     else
       (* Non-invertible pieces: the golden-section / numeric route via
          [solve], which uses its own scratch (the warm chain survives). *)
-      match solve ~tol pieces ~total with
-      | Some s -> s.objective
-      | None -> infinity
+      dst.(di) <- (match solve ~tol pieces ~total with Some s -> s.objective | None -> infinity)
   end
 
 let solve_line ?(tol = 1e-9) cells ~total =
   let sw = sweep_start () in
-  Array.map (fun pieces -> sweep_solve ~tol sw pieces ~total) cells
+  let out = Array.make (Array.length cells) nan in
+  Array.iteri (fun i pieces -> sweep_solve ~tol sw pieces ~total out i) cells;
+  sweep_finish sw;
+  out
 
 let greedy ?(steps = 4096) pieces ~total =
   Obs.Counter.incr c_calls;

@@ -66,44 +66,51 @@ val sweep_start : unit -> sweep
 (** The calling domain's sweep scratch with the warm bracket cleared.
     Call once per grid line, before the first {!sweep_solve}. *)
 
-type stats = {
-  s_d0 : float;
-  s_dup : float;
-  s_v0 : float;
-  s_vup : float;
-  s_ker : Fn.probe_kernel;
-}
+type stats
 (** The per-piece invariants the solver caches: derivative and value at
-    [0] and at the cap, plus the {!Fn.probe_kernel} constants of the
-    Newton loop.  Precompute them with {!piece_stats} when the
-    same piece recurs across many {!sweep_solve} calls (a layer fill
-    cycles the swept slot through one per-layer piece table) and pass
-    them as [?swept] to skip their per-cell re-derivation. *)
+    [0] and at the cap, the {!Fn.probe_kernel} constants of the Newton
+    loop, and whether the derivative inverts in closed form.
+    Precompute them with {!piece_stats} when the same piece recurs
+    across many {!sweep_solve} calls (a layer fill cycles the swept
+    slot through one per-layer piece table) and pass them as [?swept]
+    to skip their per-cell re-derivation. *)
 
 val piece_stats : piece -> stats
 (** [stats] of a piece, exactly as the solver would derive them. *)
 
-val sweep_solve : ?tol:float -> ?swept:stats -> sweep -> piece array -> total:float -> float
-(** [sweep_solve sw pieces ~total] is the optimal objective (as
-    {!solve}, but [infinity] where {!solve} returns [None]), reusing
-    and updating the sweep's warm multiplier bracket.  Sound whenever
+val sweep_solve :
+  ?tol:float -> ?swept:stats -> sweep -> piece array -> total:float -> float array -> int -> unit
+(** [sweep_solve sw pieces ~total row i] stores in [row.(i)] the optimal
+    objective (as {!solve}, but [infinity] where {!solve} returns
+    [None]), reusing and updating the sweep's warm multiplier bracket.
+    Writing into the caller's row keeps the objective unboxed: a cell
+    solved along the analytic path allocates nothing.  Sound whenever
     successive calls present instances whose responses are pointwise
     non-decreasing (a grid line swept in order of non-decreasing
     capacity): the optimal multiplier is then non-increasing, so the
     carried upper bracket stays valid — including across skipped cells.
     Pieces physically shared with the previous call (the line fills
     rebuild only the swept axis's piece) also reuse their cached
-    endpoint derivatives.  [swept] seeds that cache for the final piece
-    ([pieces.(d-1)], the swept slot) with {!stats} the caller derived
-    once — they must describe exactly that piece.  Matches per-cell
-    {!solve} to well within [tol] (default [1e-9]); non-invertible
-    pieces fall back to {!solve} transparently. *)
+    endpoint derivatives and values.  [swept] seeds that cache for the
+    final piece ([pieces.(d-1)], the swept slot) with {!stats} the
+    caller derived once — they must describe exactly that piece.
+    Matches per-cell {!solve} to well within [tol] (default [1e-9]);
+    non-invertible pieces fall back to {!solve} transparently.  The
+    cell's [dispatch.*] counts stay in [sw] until {!sweep_finish}. *)
+
+val sweep_finish : sweep -> unit
+(** Add the counts the sweep's cells accumulated to the
+    [dispatch.calls], [dispatch.analytic_solves] and
+    [dispatch.newton_evals] counters, and clear them.  Call once at the
+    end of each line: a counter bump per cell would cost a
+    [Domain.self] C call and an atomic add. *)
 
 val solve_line : ?tol:float -> piece array array -> total:float -> float array
-(** Batched {!sweep_solve} over the cells of one line, in order:
-    [solve_line cells ~total] is the per-cell optimal objectives
-    ([infinity] for infeasible cells).  The cells must be ordered by
-    pointwise non-decreasing capacity (see {!sweep_solve}). *)
+(** Batched {!sweep_solve} over the cells of one line, in order, ending
+    with {!sweep_finish}: [solve_line cells ~total] is the per-cell
+    optimal objectives ([infinity] for infeasible cells).  The cells
+    must be ordered by pointwise non-decreasing capacity (see
+    {!sweep_solve}). *)
 
 val greedy : ?steps:int -> piece array -> total:float -> solution option
 (** Marginal-cost greedy on a grid of [steps] increments (default 4096).

@@ -169,20 +169,26 @@ let rec inv_deriv_curv f nu ~curv =
    small multiple of 1/4 — which covers the power-model exponents the
    literature actually uses, [expo] in {5, 3, 7/3, 2, 9/5, 5/3, 1.5}
    — the response is a chain of [sqrt]s and multiplies instead of a
-   [**], which is several times cheaper per probe. *)
+   [**], which is several times cheaper per probe.  Both kernels also
+   carry the family's own coefficients, so the solver evaluates [eval]
+   and [inv_deriv] of a piece with the same expressions as this module
+   without a call into it. *)
 type probe_kernel =
   | Power_kernel of {
+      idle : float;
+      coef : float;
+      expo : float;
       scale : float;
       expo_inv : float;
       expo_m1 : float;
       quarters : int;  (* k when expo_inv = k/4 with 1 <= k <= 8, else 0 *)
     }
-  | Quad_kernel of { c1 : float; inv_c2x2 : float; c2x2 : float }
+  | Quad_kernel of { c0 : float; c1 : float; c2 : float; inv_c2x2 : float; c2x2 : float }
   | Generic_kernel
 
 let probe_kernel f =
   match f with
-  | Power { coef; expo; _ } ->
+  | Power { idle; coef; expo } ->
       let expo_inv = 1. /. (expo -. 1.) in
       let k4 = 4. *. expo_inv in
       let k = Float.round k4 in
@@ -193,9 +199,10 @@ let probe_kernel f =
           int_of_float k
         else 0
       in
-      Power_kernel { scale = 1. /. (coef *. expo); expo_inv; expo_m1 = expo -. 1.; quarters }
-  | Quadratic { c1; c2; _ } ->
-      Quad_kernel { c1; inv_c2x2 = 1. /. (2. *. c2); c2x2 = 2. *. c2 }
+      Power_kernel
+        { idle; coef; expo; scale = 1. /. (coef *. expo); expo_inv; expo_m1 = expo -. 1.; quarters }
+  | Quadratic { c0; c1; c2 } ->
+      Quad_kernel { c0; c1; c2; inv_c2x2 = 1. /. (2. *. c2); c2x2 = 2. *. c2 }
   | Const _ | Affine _ | Piecewise _ | Max_affine _ | Sum _ -> Generic_kernel
 
 let rec has_inv_deriv = function

@@ -64,28 +64,37 @@ val inv_deriv_curv : t -> float -> curv:float ref -> float
 
 type probe_kernel =
   | Power_kernel of {
+      idle : float;
+      coef : float;
+      expo : float;
       scale : float;
       expo_inv : float;
       expo_m1 : float;
       quarters : int;
     }
-      (** response [(nu * scale) ^ expo_inv], curvature
-          [expo_m1 * nu / z].  [quarters = k] marks inverse exponents
-          that are small multiples of a quarter ([expo_inv = k/4],
-          [1 <= k <= 8]) — these cover the standard dynamic-power
-          exponents ([expo] in [{5, 3, 7/3, 2, 9/5, 5/3, 3/2}]) and
-          evaluate as a chain of [sqrt]s and multiplies instead of
-          [Float.pow]; [0] means no such form. *)
-  | Quad_kernel of { c1 : float; inv_c2x2 : float; c2x2 : float }
-      (** response [(nu - c1) * inv_c2x2] (or [0] below [c1]),
-          curvature [c2x2] *)
-  | Generic_kernel  (** fall back to {!inv_deriv_curv} *)
+      (** the power family [idle + coef z^expo]: response
+          [(nu * scale) ^ expo_inv], curvature [expo_m1 * nu / z].
+          [quarters = k] marks inverse exponents that are small
+          multiples of a quarter ([expo_inv = k/4], [1 <= k <= 8]) —
+          these cover the standard dynamic-power exponents ([expo] in
+          [{5, 3, 7/3, 2, 9/5, 5/3, 3/2}]) and evaluate as a chain of
+          [sqrt]s and multiplies instead of [Float.pow]; [0] means no
+          such form. *)
+  | Quad_kernel of { c0 : float; c1 : float; c2 : float; inv_c2x2 : float; c2x2 : float }
+      (** the quadratic [c0 + c1 z + c2 z^2]: response
+          [(nu - c1) * inv_c2x2] (or [0] below [c1]), curvature
+          [c2x2] *)
+  | Generic_kernel  (** fall back to {!inv_deriv_curv} and {!eval} *)
 
 val probe_kernel : t -> probe_kernel
 (** Pre-derived constants for the dispatch solver's probe loop — the
     per-family reciprocals hoisted out of the Newton iteration.  The
-    kernels use reciprocal multiplication, so responses may differ from
-    {!inv_deriv} in the last few ulps. *)
+    probe responses use reciprocal multiplication, so they may differ
+    from {!inv_deriv} in the last few ulps.  The family's own
+    coefficients ride along: [idle +. (coef *. (z ** expo))] and
+    [c0 +. (c1 *. z) +. (c2 *. z *. z)] are exactly {!eval}'s
+    expressions, so a caller that evaluates them itself gets {!eval}'s
+    bits without a cross-module call. *)
 
 val has_inv_deriv : t -> bool
 (** Whether {!inv_deriv} returns a closed form ([nan]-free) for this

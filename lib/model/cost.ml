@@ -221,11 +221,14 @@ let line_ctx inst ~time ~values =
    configurations share the prefix [x.(0 .. d-2)] and take the swept
    (last) axis's value from [values] (ascending, so capacity is
    non-decreasing and the dispatch sweep's warm bracket applies).
-   [x.(d-1)] is clobbered.  Every fast path reproduces [operating]
-   bit-for-bit (same summation order); the dispatch path solves the
-   same KKT system from a warm bracket, which can move the objective at
-   the solver-tolerance level (~1e-12 relative) only. *)
-let fill_line ?ctx inst ~time ~table ~rank0 ~x ~values =
+   [x] is only read, and [x.(d-1)] not at all.  Every fast path
+   reproduces [operating] bit-for-bit (same summation order); the
+   dispatch path solves the same KKT system from a warm bracket, which
+   can move the objective at the solver-tolerance level (~1e-12
+   relative) only.  A dispatch cell allocates nothing: the pieces come
+   from the line's scratch and [ctx], and the solver writes the
+   objective straight into [table]. *)
+let fill_line ~ctx inst ~time ~table ~rank0 ~x ~values =
   let d = Array.length x in
   let len = Array.length values in
   let any = ref false in
@@ -266,18 +269,25 @@ let fill_line ?ctx inst ~time ~table ~rank0 ~x ~values =
         if x.(j) > 0 && not (Convex.Fn.is_constant (inst.Instance.cost ~time ~typ:j))
         then base_const := false
       done;
+      let base_const = !base_const in
       let fn_last = inst.Instance.cost ~time ~typ:(d - 1) in
       let last_const = Convex.Fn.is_constant fn_last in
+      (* The load-independent cells' idle sums, derived only on the
+         lines that can have such cells. *)
       let idle_base =
-        lazy
-          (let acc = ref 0. in
-           for j = 0 to d - 2 do
-             if x.(j) > 0 then
-               acc := !acc +. (float_of_int x.(j) *. Instance.idle_cost inst ~time ~typ:j)
-           done;
-           !acc)
+        if base_const then begin
+          let acc = ref 0. in
+          for j = 0 to d - 2 do
+            if x.(j) > 0 then
+              acc := !acc +. (float_of_int x.(j) *. Instance.idle_cost inst ~time ~typ:j)
+          done;
+          !acc
+        end
+        else 0.
       in
-      let idle_last = lazy (Instance.idle_cost inst ~time ~typ:(d - 1)) in
+      let idle_last =
+        if base_const && last_const then Instance.idle_cost inst ~time ~typ:(d - 1) else 0.
+      in
       let ps = pieces_scratch d in
       for j = 0 to d - 2 do
         ps.(j) <- make_piece (inst.Instance.cost ~time ~typ:j) x.(j) ~load
@@ -290,30 +300,23 @@ let fill_line ?ctx inst ~time ~table ~rank0 ~x ~values =
           incr misses;
           let v = values.(i) in
           let cap = !cap_base +. (float_of_int v *. cap_last) in
-          let g =
-            if cap +. cap_eps < load then infinity
-            else if !base_const && (v = 0 || last_const) then
-              if v > 0 then Lazy.force idle_base +. (float_of_int v *. Lazy.force idle_last)
-              else Lazy.force idle_base
-            else if d = 1 then begin
-              (* Lemma 2: spread the volume evenly over the active servers. *)
-              let xf = float_of_int v in
-              let z = Float.min (load /. xf) cap_last in
-              xf *. Convex.Fn.eval fn_last z
-            end
-            else begin
-              match ctx with
-              | Some c ->
-                  ps.(d - 1) <- c.lx_pieces.(i);
-                  Convex.Dispatch.sweep_solve ?swept:c.lx_swept.(i) sw ps ~total:1.
-              | None ->
-                  ps.(d - 1) <- make_piece fn_last v ~load ~cap:cap_last;
-                  Convex.Dispatch.sweep_solve sw ps ~total:1.
-            end
-          in
-          table.(idx) <- g
+          if cap +. cap_eps < load then table.(idx) <- infinity
+          else if base_const && (v = 0 || last_const) then
+            table.(idx) <-
+              (if v > 0 then idle_base +. (float_of_int v *. idle_last) else idle_base)
+          else if d = 1 then begin
+            (* Lemma 2: spread the volume evenly over the active servers. *)
+            let xf = float_of_int v in
+            let z = Float.min (load /. xf) cap_last in
+            table.(idx) <- xf *. Convex.Fn.eval fn_last z
+          end
+          else begin
+            ps.(d - 1) <- ctx.lx_pieces.(i);
+            Convex.Dispatch.sweep_solve ?swept:ctx.lx_swept.(i) sw ps ~total:1. table idx
+          end
         end
       done;
+      Convex.Dispatch.sweep_finish sw
     end;
     if !misses > 0 then Obs.Counter.add c_rank_misses !misses
   end

@@ -84,15 +84,14 @@ type line_ctx
     {!line_ctx} per (slot, grid) layer fill and pass it to every line
     of that layer — it is immutable and safe to share across pool
     domains.  Purely an amortisation: the cached stats are value-equal
-    to what the solver would re-derive, so fills with and without a
-    context produce bit-identical tables. *)
+    to what the solver would re-derive per cell. *)
 
 val line_ctx : Instance.t -> time:int -> values:int array -> line_ctx
 (** The shared per-layer context for lines sweeping the last axis
     through [values] at slot [time]. *)
 
 val fill_line :
-  ?ctx:line_ctx ->
+  ctx:line_ctx ->
   Instance.t ->
   time:int ->
   table:float array ->
@@ -100,19 +99,22 @@ val fill_line :
   x:Config.t ->
   values:int array ->
   unit
-(** [fill_line inst ~time ~table ~rank0 ~x ~values] computes the
+(** [fill_line ~ctx inst ~time ~table ~rank0 ~x ~values] computes the
     [nan] (not yet computed) entries of one grid line of a slot-[time]
     operating-cost table [table] — a memo rank table from
     {!layer_table}, or a caller's own row reset to [nan].  Ranks
     [rank0 + i] hold the configurations sharing the prefix
     [x.(0 .. d-2)] with the last coordinate swept through [values.(i)]
-    ([x.(d-1)] is clobbered).  [values] must be ascending — capacity
-    then grows along the line, so the dispatch solves share one
-    warm-started multiplier sweep ({!Convex.Dispatch.sweep_solve}) and
-    the per-line prefix pieces are built once.  Zero-load, load-independent, infeasible and [d = 1]
-    cells match {!operating} bit-for-bit; dispatch cells agree to the
-    solver tolerance (~1e-12 relative).  Lines are disjoint rank
-    ranges, so concurrent calls on different lines are safe. *)
+    ([x] is only read, and [x.(d-1)] not at all).  [ctx] is the
+    layer's {!line_ctx} for the same [time] and [values].  [values]
+    must be ascending — capacity then grows along the line, so the
+    dispatch solves share one warm-started multiplier sweep
+    ({!Convex.Dispatch.sweep_solve}), the per-line prefix pieces are
+    built once, and a dispatch cell allocates nothing.  Zero-load,
+    load-independent, infeasible and [d = 1] cells match {!operating}
+    bit-for-bit; dispatch cells agree to the solver tolerance (~1e-12
+    relative).  Lines are disjoint rank ranges, so concurrent calls on
+    different lines are safe. *)
 
 val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
 (** Memoised {!operating} through slot [time]'s rank table: returns the

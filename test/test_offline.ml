@@ -335,6 +335,72 @@ let test_dp_parallel_identical () =
       checkb "identical schedule" true (par.Offline.Dp.schedule = seq.Offline.Dp.schedule))
     [ 2; 4 ]
 
+(* --- Golden operating-cost rows --- *)
+
+(* 64-bit FNV-1a over the little-endian bytes of each float's bit
+   pattern: one number that moves if any bit of any row does. *)
+let fnv_basis = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+let fnv_float h x =
+  let bits = Int64.bits_of_float x in
+  let h = ref h in
+  for k = 0 to 7 do
+    let byte = Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xffL in
+    h := Int64.mul (Int64.logxor !h byte) fnv_prime
+  done;
+  !h
+
+let golden_counters =
+  [ "dispatch.calls"; "dispatch.analytic_solves"; "dispatch.newton_evals"; "cost.rank_misses" ]
+
+(* Per named scenario: the digest of every [Dp.fill_row] row over its
+   default horizon on the dense grids, and what the fill adds to
+   [golden_counters].  Recorded with the fill as it stood before its
+   per-cell boxing, closures and counter bumps were removed, so any
+   change to a row bit or to the work done shows here. *)
+let golden_rows =
+  [ ("cpu-gpu", 0xd806a0c7cb6947f4L, [ 1209; 978; 5412; 1728 ]);
+    ("homogeneous", 0x27dcf94576191fd1L, [ 0; 0; 0; 440 ]);
+    ("three-tier", 0x29045fc95d5fd697L, [ 6811; 6555; 39368; 8820 ]);
+    ("large-fleet", 0x9da25336fcc10c68L, [ 56848; 55595; 228225; 80032 ]);
+    ("time-varying", 0x82ae6a3f7459eb74L, [ 793; 646; 3256; 1260 ]);
+    ("spot-market", 0xcbcc6d9fc4247b8cL, [ 0; 0; 0; 1260 ]);
+    ("maintenance", 0xd3282fb5eb61a544L, [ 523; 396; 948; 710 ]) ]
+
+let counter_value name =
+  match Obs.Counter.find name with Some c -> Obs.Counter.value c | None -> 0
+
+let test_fill_rows_golden () =
+  List.iter
+    (fun (name, make) ->
+      let digest, counts =
+        match List.find_opt (fun (n, _, _) -> n = name) golden_rows with
+        | Some (_, digest, counts) -> (digest, counts)
+        | None -> Alcotest.failf "no golden rows recorded for scenario %s" name
+      in
+      let inst = make None in
+      let before = List.map counter_value golden_counters in
+      let h = ref fnv_basis in
+      for time = 0 to Model.Instance.horizon inst - 1 do
+        let grid = Offline.Dp.dense_grids inst time in
+        let row = Array.make (Offline.Grid.size grid) 0. in
+        Offline.Dp.fill_row inst grid ~time row;
+        Array.iter (fun x -> h := fnv_float !h x) row
+      done;
+      Alcotest.(check string)
+        (name ^ " row digest")
+        (Printf.sprintf "%016Lx" digest)
+        (Printf.sprintf "%016Lx" !h);
+      List.iteri
+        (fun k counter ->
+          checki
+            (Printf.sprintf "%s %s" name counter)
+            (List.nth counts k)
+            (counter_value counter - List.nth before k))
+        golden_counters)
+    Sim.Scenarios.named
+
 (* --- Approximation (Theorems 16 / 21) --- *)
 
 let test_approx_within_bound () =
@@ -497,7 +563,9 @@ let () =
             test_dp_powers_down_across_long_gap;
           Alcotest.test_case "infeasible raises" `Quick test_dp_infeasible_raises;
           Alcotest.test_case "initial state" `Quick test_dp_initial_state;
-          Alcotest.test_case "parallel evaluation identical" `Quick test_dp_parallel_identical
+          Alcotest.test_case "parallel evaluation identical" `Quick test_dp_parallel_identical;
+          Alcotest.test_case "fill rows match the golden digests" `Quick
+            test_fill_rows_golden
         ] );
       ( "approx",
         [ Alcotest.test_case "Theorem 16 bound" `Quick test_approx_within_bound;

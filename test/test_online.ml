@@ -81,6 +81,42 @@ let test_dp_solve_major_heap_is_one_layer () =
     true
     (words < 4. *. float_of_int layer)
 
+(* A dispatch cell of the operating-cost fill allocates nothing: a
+   large-fleet layer allocates only per line (the line's prefix
+   pieces) and per layer (the swept axis's piece table), under two
+   words per grid state.  One boxed float per dispatch cell would
+   push every measurement below over that ceiling.  Minor words are
+   exact on OCaml 5: the same count in every run.  The first fill of
+   the process is left out of the measurement; it sizes the
+   per-domain scratch. *)
+let test_fill_allocation_ceiling () =
+  let inst = Sim.Scenarios.large_fleet () in
+  let grid = Offline.Dp.dense_grids inst 0 in
+  let n = Offline.Grid.size grid in
+  let ceiling = 2. *. float_of_int n in
+  let row = Array.make n 0. in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  Offline.Dp.fill_row inst grid ~time:0 row;
+  List.iter
+    (fun time ->
+      let words = minor_words (fun () -> Offline.Dp.fill_row inst grid ~time row) in
+      checkb
+        (Printf.sprintf "fill_row at slot %d: %.0f words <= %.0f" time words ceiling)
+        true (words <= ceiling))
+    [ 0; 6; 12 ];
+  let engine = Online.Prefix_opt.create inst in
+  for _ = 1 to 6 do
+    ignore (Online.Prefix_opt.step engine)
+  done;
+  let words = minor_words (fun () -> ignore (Online.Prefix_opt.step engine)) in
+  checkb
+    (Printf.sprintf "Prefix_opt.step at slot 6: %.0f words <= %.0f" words ceiling)
+    true (words <= ceiling)
+
 (* --- Algorithm A --- *)
 
 let simple_static ?(beta = 5.) ?(idle = 1.) ?(count = 5) ~load () =
@@ -932,7 +968,8 @@ let () =
             test_prefix_step_past_horizon_raises;
           Alcotest.test_case "memory flat in slots" `Quick test_prefix_memory_flat_in_slots;
           Alcotest.test_case "Dp.solve major heap is one layer" `Quick
-            test_dp_solve_major_heap_is_one_layer
+            test_dp_solve_major_heap_is_one_layer;
+          Alcotest.test_case "fill allocation ceiling" `Quick test_fill_allocation_ceiling
         ] );
       ( "alg_a",
         [ Alcotest.test_case "runtime t_j" `Quick test_alg_a_runtime_value;
