@@ -285,10 +285,13 @@ let benches =
        fun () -> Core.Cost.operating inst ~time:6 [| 4; 2 |]);
     bench "kernel: ramp transform, 64x64 grid"
       (let grid = Core.Grid.dense [| 63; 63 |] in
-       let flat = Array.init (Core.Grid.size grid) (fun i -> float_of_int (i mod 97)) in
+       let n = Core.Grid.size grid in
+       let filled = Offline.Plane.create n and work = Offline.Plane.create n in
+       Offline.Plane.of_array (Array.init n (fun i -> float_of_int (i mod 97))) filled ~off:0;
+       let ops = Array.make n 0. in
        fun () ->
-         let work = Array.copy flat in
-         Core.Transform.ramp_grid ~grid ~betas:[| 1.5; 2.5 |] work);
+         Offline.Plane.blit ~src:filled ~soff:0 ~dst:work ~doff:0 ~len:n;
+         Core.Transform.ramp_grid_plane ~ops ~grid ~betas:[| 1.5; 2.5 |] work ~off:0);
     bench "kernel: prefix-opt single step (d=2)"
       (let inst = Lazy.force fix_cpu_gpu in
        fun () ->
@@ -508,37 +511,27 @@ let gated =
     "store: append round (64 records, no fsync)";
     "store: recover (base + 128-record tail, 512 cemented)" ]
 
-(* Machine-independent reference kernel: the comparator divides every
-   timing by the calibration ratio between the two runs, so a uniformly
-   slower CI runner does not read as a regression. *)
+(* Machine-independent reference kernel (a blit plus the plane ramp over
+   a 64x64 grid: pure compute, no parallelism, no I/O): the comparator
+   divides every timing by the calibration ratio between the two runs,
+   so a uniformly slower CI runner does not read as a regression. *)
 let calibration_bench = "kernel: ramp transform, 64x64 grid"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let write_json ~path results =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"rightsizer-bench/1\",\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"calibration\": \"%s\",\n" (json_escape calibration_bench));
+    (Printf.sprintf "  \"calibration\": \"%s\",\n"
+       (Core.Obs.Events.json_escape calibration_bench));
   Buffer.add_string buf "  \"tolerance\": 0.25,\n";
   Buffer.add_string buf "  \"benches\": {\n";
   let n = List.length results in
   List.iteri
     (fun i (name, nanos) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": {\"nanos\": %.1f, \"gate\": %b}%s\n" (json_escape name)
+        (Printf.sprintf "    \"%s\": {\"nanos\": %.1f, \"gate\": %b}%s\n"
+           (Core.Obs.Events.json_escape name)
            (if Float.is_nan nanos then -1. else nanos)
            (List.mem name gated)
            (if i = n - 1 then "" else ",")))

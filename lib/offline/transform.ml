@@ -1,73 +1,14 @@
-let ramp_line ~beta ~values ~costs =
-  let n = Array.length values in
-  if Array.length costs <> n then invalid_arg "Transform.ramp_line: length mismatch";
-  (* Forward: reach i from below, paying beta per unit climbed. *)
-  for i = 1 to n - 1 do
-    let climb = beta *. float_of_int (values.(i) - values.(i - 1)) in
-    if costs.(i - 1) +. climb < costs.(i) then costs.(i) <- costs.(i - 1) +. climb
-  done;
-  (* Backward: reach i from above for free. *)
-  for i = n - 2 downto 0 do
-    if costs.(i + 1) < costs.(i) then costs.(i) <- costs.(i + 1)
-  done
+(* The passes below run over [Plane.t] segments: the DP arena keeps every
+   layer in one unboxed allocation and ramps each new layer in place, and
+   the cross-grid transform ping-pongs through two reusable scratch
+   planes, so a layer step allocates no float storage.
 
-(* Both two-pointer passes of the between-transform assume sorted axes;
-   an unsorted destination silently leaves [infinity] holes instead of
-   failing, so it is checked eagerly (the cost is one compare per
-   element, dwarfed by the pass itself). *)
-let check_sorted name values =
-  for i = 0 to Array.length values - 2 do
-    if values.(i) >= values.(i + 1) then
-      invalid_arg (name ^ ": values must be sorted strictly ascending")
-  done
+   The last axis has stride 1, so its lines are contiguous both in the
+   plane segment and in the slot's rank table — the [ops] rank-table add
+   is fused into that final pass while the line is still cache-hot
+   ([inf + g = inf] keeps infeasible states infeasible). *)
 
-let ramp_between ~beta ~src_values ~src ~dst_values =
-  let ns = Array.length src_values and nd = Array.length dst_values in
-  if Array.length src <> ns then invalid_arg "Transform.ramp_between: length mismatch";
-  check_sorted "Transform.ramp_between: src_values" src_values;
-  check_sorted "Transform.ramp_between: dst_values" dst_values;
-  let out = Array.make nd infinity in
-  (* From below: out.(i) = beta * vd_i + min_{vs_y <= vd_i} (src_y - beta * vs_y). *)
-  let y = ref 0 and best = ref infinity in
-  for i = 0 to nd - 1 do
-    while !y < ns && src_values.(!y) <= dst_values.(i) do
-      let candidate = src.(!y) -. (beta *. float_of_int src_values.(!y)) in
-      if candidate < !best then best := candidate;
-      incr y
-    done;
-    if !best < infinity then out.(i) <- !best +. (beta *. float_of_int dst_values.(i))
-  done;
-  (* From above (free descent): suffix minimum of src over vs_y >= vd_i. *)
-  let y = ref (ns - 1) and best = ref infinity in
-  for i = nd - 1 downto 0 do
-    while !y >= 0 && src_values.(!y) >= dst_values.(i) do
-      if src.(!y) < !best then best := src.(!y);
-      decr y
-    done;
-    if !best < out.(i) then out.(i) <- !best
-  done;
-  out
-
-(* Iterate over every 1-D line along axis [j] of a flat array with the
-   given per-axis lengths, calling [f ~offset ~stride]. *)
-let iter_lines lengths j f =
-  let d = Array.length lengths in
-  let stride = ref 1 in
-  for k = j + 1 to d - 1 do
-    stride := !stride * lengths.(k)
-  done;
-  let stride = !stride in
-  let block = stride * lengths.(j) in
-  let size = Array.fold_left ( * ) 1 lengths in
-  let base = ref 0 in
-  while !base < size do
-    for off = 0 to stride - 1 do
-      f ~offset:(!base + off) ~stride
-    done;
-    base := !base + block
-  done
-
-(* Lines along axis [j] can also be addressed directly: line [k] (of
+(* Lines along axis [j] can be addressed directly: line [k] (of
    [size / lengths.(j)] total) starts at [(k / stride) * block + k mod
    stride].  The parallel paths below use this to fan independent lines
    out across a domain pool without materialising (offset, stride)
@@ -75,59 +16,13 @@ let iter_lines lengths j f =
    [j+1] reads what axis [j] wrote. *)
 let line_offset ~block ~stride k = ((k / stride) * block) + (k mod stride)
 
-(* Strided variants of the 1-D passes: operate directly on the flat
-   array at [offset + i * stride] instead of copying the line into a
-   scratch buffer.  Same reads, same float operations, same order as
-   the buffered versions — results are bit-identical — but the per-line
-   fan-out closures allocate nothing. *)
-let ramp_line_strided ~beta ~values flat ~offset ~stride =
-  let n = Array.length values in
-  for i = 1 to n - 1 do
-    let climb = beta *. float_of_int (values.(i) - values.(i - 1)) in
-    let prev = flat.(offset + ((i - 1) * stride)) in
-    let cur = offset + (i * stride) in
-    if prev +. climb < flat.(cur) then flat.(cur) <- prev +. climb
+(* Row-major stride of axis [j]: the product of the later axes' lengths. *)
+let stride_of lengths j =
+  let stride = ref 1 in
+  for k = j + 1 to Array.length lengths - 1 do
+    stride := !stride * lengths.(k)
   done;
-  for i = n - 2 downto 0 do
-    let nxt = flat.(offset + ((i + 1) * stride)) in
-    let cur = offset + (i * stride) in
-    if nxt < flat.(cur) then flat.(cur) <- nxt
-  done
-
-(* [dst] slots for this line must be pre-initialised to [infinity]
-   (they are: [ramp_across] allocates each intermediate that way). *)
-let ramp_between_strided ~beta ~src_values ~src ~soff ~dst_values ~dst ~doff ~stride =
-  let ns = Array.length src_values and nd = Array.length dst_values in
-  (* From below: dst.(i) = beta * vd_i + min_{vs_y <= vd_i} (src_y - beta * vs_y). *)
-  let y = ref 0 and best = ref infinity in
-  for i = 0 to nd - 1 do
-    while !y < ns && src_values.(!y) <= dst_values.(i) do
-      let candidate = src.(soff + (!y * stride)) -. (beta *. float_of_int src_values.(!y)) in
-      if candidate < !best then best := candidate;
-      incr y
-    done;
-    if !best < infinity then
-      dst.(doff + (i * stride)) <- !best +. (beta *. float_of_int dst_values.(i))
-  done;
-  (* From above (free descent): suffix minimum of src over vs_y >= vd_i. *)
-  let y = ref (ns - 1) and best = ref infinity in
-  for i = nd - 1 downto 0 do
-    while !y >= 0 && src_values.(!y) >= dst_values.(i) do
-      let v = src.(soff + (!y * stride)) in
-      if v < !best then best := v;
-      decr y
-    done;
-    let cur = doff + (i * stride) in
-    if !best < dst.(cur) then dst.(cur) <- !best
-  done
-
-(* Fan the per-line closure out when the axis slab is big enough.  The
-   [min_items] cutoff is in matrix *elements* (the unit of actual
-   work), not lines, so it is scaled by the line length before the
-   per-line [Util.Parallel.parallel_for]. *)
-let for_lines ?pool ~domains ~min_items ~line_len ~n_lines f =
-  let min_lines = 1 + ((min_items - 1) / max 1 line_len) in
-  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~domains ~n:n_lines f
+  !stride
 
 (* A ramp pass is pure memory traffic — a handful of float compares per
    element — so the fan-out only pays for itself on much larger slabs
@@ -136,98 +31,19 @@ let for_lines ?pool ~domains ~min_items ~line_len ~n_lines f =
    shape) inline while grids big enough to care still fan out. *)
 let ramp_min_items = 16 * Util.Parallel.min_parallel_items
 
-let ramp_grid ?pool ?(domains = 1) ?(min_items = ramp_min_items) ~grid ~betas flat =
-  let d = Grid.dim grid in
-  if Array.length betas <> d then invalid_arg "Transform.ramp_grid: betas mismatch";
-  if Array.length flat <> Grid.size grid then
-    invalid_arg "Transform.ramp_grid: size mismatch";
-  let lengths = Array.init d (Grid.axis_length grid) in
-  for j = 0 to d - 1 do
-    let values = Grid.axis_values grid j in
-    let n = lengths.(j) in
-    if domains > 1 then begin
-      let stride = ref 1 in
-      for k = j + 1 to d - 1 do
-        stride := !stride * lengths.(k)
-      done;
-      let stride = !stride in
-      let block = stride * n in
-      let n_lines = Array.length flat / max 1 n in
-      let beta = betas.(j) in
-      for_lines ?pool ~domains ~min_items ~line_len:n ~n_lines (fun k ->
-          ramp_line_strided ~beta ~values flat ~offset:(line_offset ~block ~stride k)
-            ~stride)
-    end
-    else begin
-      let line = Array.make n 0. in
-      iter_lines lengths j (fun ~offset ~stride ->
-          for i = 0 to n - 1 do
-            line.(i) <- flat.(offset + (i * stride))
-          done;
-          ramp_line ~beta:betas.(j) ~values ~costs:line;
-          for i = 0 to n - 1 do
-            flat.(offset + (i * stride)) <- line.(i)
-          done)
-    end
-  done
+(* Fan the per-line closure out when the axis slab is big enough.  The
+   cutoff is in matrix *elements* (the unit of actual work), not lines,
+   so it is scaled by the line length before the per-line
+   [Util.Parallel.parallel_for]. *)
+let for_lines ?pool ~domains ~line_len ~n_lines f =
+  let min_lines = 1 + ((ramp_min_items - 1) / max 1 line_len) in
+  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~domains ~n:n_lines f
 
-let ramp_across ?pool ?(domains = 1) ?(min_items = ramp_min_items) ~src_grid ~dst_grid
-    ~betas flat =
-  let d = Grid.dim src_grid in
-  if Grid.dim dst_grid <> d then invalid_arg "Transform.ramp_across: dim mismatch";
-  if Array.length betas <> d then invalid_arg "Transform.ramp_across: betas mismatch";
-  if Array.length flat <> Grid.size src_grid then
-    invalid_arg "Transform.ramp_across: size mismatch";
-  for j = 0 to d - 1 do
-    check_sorted "Transform.ramp_across: dst axis" (Grid.axis_values dst_grid j)
-  done;
-  (* Replace one axis at a time; [lengths] tracks the mixed shape. *)
-  let lengths = Array.init d (Grid.axis_length src_grid) in
-  let current = ref (Array.copy flat) in
-  for j = 0 to d - 1 do
-    let src_values = Grid.axis_values src_grid j in
-    let dst_values = Grid.axis_values dst_grid j in
-    let ns = lengths.(j) and nd = Array.length dst_values in
-    let stride = ref 1 in
-    for k = j + 1 to d - 1 do
-      stride := !stride * lengths.(k)
-    done;
-    let stride = !stride in
-    let src_block = stride * ns and dst_block = stride * nd in
-    let new_size = Array.length !current / ns * nd in
-    let next = Array.make new_size infinity in
-    let n_lines = Array.length !current / ns in
-    let src = !current in
-    (* Matching src/dst lines share a line index: only axis [j]'s length
-       changed, so the other-axes enumeration (and the stride) agree. *)
-    let beta = betas.(j) in
-    for_lines ?pool ~domains ~min_items ~line_len:(ns + nd) ~n_lines (fun k ->
-        ramp_between_strided ~beta ~src_values ~src
-          ~soff:(line_offset ~block:src_block ~stride k)
-          ~dst_values ~dst:next
-          ~doff:(line_offset ~block:dst_block ~stride k)
-          ~stride);
-    lengths.(j) <- nd;
-    current := next
-  done;
-  !current
-
-(* --- Bigarray plane variants ------------------------------------------
-
-   The same passes over [Plane.t] segments instead of fresh float
-   arrays: the DP arena keeps every layer in one unboxed allocation and
-   ramps each new layer in place, and the cross-grid transform
-   ping-pongs through two reusable scratch planes instead of allocating
-   one array per axis.  The float operations and their order are
-   exactly those of the array versions, so results are bit-identical.
-
-   The last axis has stride 1, so its lines are contiguous both in the
-   plane segment and in the slot's rank table — the optional [ops]
-   rank-table add is fused into that final pass while the line is still
-   cache-hot ([inf + g = inf] keeps infeasible states infeasible). *)
-
+(* In-place 1-D pass on one strided line:
+   [p(i) <- min_y p(y) + beta * (values(i) - values(y))^+]. *)
 let ramp_line_strided_p ~beta ~values (p : Plane.t) ~offset ~stride =
   let n = Array.length values in
+  (* Forward: reach i from below, paying beta per unit climbed. *)
   for i = 1 to n - 1 do
     let climb = beta *. float_of_int (values.(i) - values.(i - 1)) in
     let prev = Bigarray.Array1.unsafe_get p (offset + ((i - 1) * stride)) in
@@ -235,6 +51,7 @@ let ramp_line_strided_p ~beta ~values (p : Plane.t) ~offset ~stride =
     if prev +. climb < Bigarray.Array1.unsafe_get p cur then
       Bigarray.Array1.unsafe_set p cur (prev +. climb)
   done;
+  (* Backward: reach i from above for free. *)
   for i = n - 2 downto 0 do
     let nxt = Bigarray.Array1.unsafe_get p (offset + ((i + 1) * stride)) in
     let cur = offset + (i * stride) in
@@ -242,20 +59,22 @@ let ramp_line_strided_p ~beta ~values (p : Plane.t) ~offset ~stride =
   done
 
 (* Contiguous (stride-1) last-axis pass with the fused rank-table add. *)
-let ramp_line_last_p ~beta ~values ?ops (p : Plane.t) ~offset ~rank0 =
+let ramp_line_last_p ~beta ~values ~ops (p : Plane.t) ~offset ~rank0 =
   ramp_line_strided_p ~beta ~values p ~offset ~stride:1;
-  match ops with
-  | None -> ()
-  | Some o ->
-      for i = 0 to Array.length values - 1 do
-        Bigarray.Array1.unsafe_set p (offset + i)
-          (Bigarray.Array1.unsafe_get p (offset + i) +. Array.unsafe_get o (rank0 + i))
-      done
+  for i = 0 to Array.length values - 1 do
+    Bigarray.Array1.unsafe_set p (offset + i)
+      (Bigarray.Array1.unsafe_get p (offset + i) +. Array.unsafe_get ops (rank0 + i))
+  done
 
-(* [dst] slots for this line must be pre-initialised to [infinity]. *)
+(* 1-D pass across two sorted axes, from the [src] line at [soff] to the
+   [dst] line at [doff]:
+   [dst(i) <- min_y src(y) + beta * (dst_values(i) - src_values(y))^+]
+   in [O(|src| + |dst|)].  The [dst] slots of the line must be
+   pre-initialised to [infinity]. *)
 let ramp_between_strided_p ~beta ~src_values ~(src : Plane.t) ~soff ~dst_values
     ~(dst : Plane.t) ~doff ~stride =
   let ns = Array.length src_values and nd = Array.length dst_values in
+  (* From below: dst(i) = beta * vd_i + min_{vs_y <= vd_i} (src_y - beta * vs_y). *)
   let y = ref 0 and best = ref infinity in
   for i = 0 to nd - 1 do
     while !y < ns && src_values.(!y) <= dst_values.(i) do
@@ -271,6 +90,7 @@ let ramp_between_strided_p ~beta ~src_values ~(src : Plane.t) ~soff ~dst_values
         (doff + (i * stride))
         (!best +. (beta *. float_of_int dst_values.(i)))
   done;
+  (* From above (free descent): suffix minimum of src over vs_y >= vd_i. *)
   let y = ref (ns - 1) and best = ref infinity in
   for i = nd - 1 downto 0 do
     while !y >= 0 && src_values.(!y) >= dst_values.(i) do
@@ -283,66 +103,58 @@ let ramp_between_strided_p ~beta ~src_values ~(src : Plane.t) ~soff ~dst_values
       Bigarray.Array1.unsafe_set dst cur !best
   done
 
-let ramp_grid_plane ?pool ?(domains = 1) ?(min_items = ramp_min_items) ?ops ~grid
-    ~betas (p : Plane.t) ~off =
+let check_segment msg (p : Plane.t) ~off ~size =
+  if off < 0 || off + size > Plane.length p then invalid_arg msg
+
+let ramp_grid_plane ?pool ?(domains = 1) ~ops ~grid ~betas (p : Plane.t) ~off =
   let d = Grid.dim grid in
   if Array.length betas <> d then invalid_arg "Transform.ramp_grid_plane: betas mismatch";
   let size = Grid.size grid in
-  if off < 0 || off + size > Plane.length p then
-    invalid_arg "Transform.ramp_grid_plane: segment out of range";
-  (match ops with
-  | Some o when Array.length o <> size ->
-      invalid_arg "Transform.ramp_grid_plane: ops size mismatch"
-  | _ -> ());
+  check_segment "Transform.ramp_grid_plane: segment out of range" p ~off ~size;
+  if Array.length ops <> size then invalid_arg "Transform.ramp_grid_plane: ops size mismatch";
   let lengths = Array.init d (Grid.axis_length grid) in
   for j = 0 to d - 1 do
     let values = Grid.axis_values grid j in
     let n = lengths.(j) in
-    let stride = ref 1 in
-    for k = j + 1 to d - 1 do
-      stride := !stride * lengths.(k)
-    done;
-    let stride = !stride in
+    let stride = stride_of lengths j in
     let block = stride * n in
     let n_lines = size / max 1 n in
     let beta = betas.(j) in
     let run k =
       if j = d - 1 then
-        ramp_line_last_p ~beta ~values ?ops p ~offset:(off + (k * n)) ~rank0:(k * n)
+        ramp_line_last_p ~beta ~values ~ops p ~offset:(off + (k * n)) ~rank0:(k * n)
       else
         ramp_line_strided_p ~beta ~values p
           ~offset:(off + line_offset ~block ~stride k)
           ~stride
     in
-    if domains > 1 then for_lines ?pool ~domains ~min_items ~line_len:n ~n_lines run
+    if domains > 1 then for_lines ?pool ~domains ~line_len:n ~n_lines run
     else
       for k = 0 to n_lines - 1 do
         run k
       done
   done
 
-let ramp_across_plane ?pool ?(domains = 1) ?(min_items = ramp_min_items) ?ops ~src_grid
-    ~dst_grid ~betas ~(src : Plane.t) ~soff ~tmp:((wa, wb) : Plane.t * Plane.t)
-    (dst : Plane.t) ~doff =
+let ramp_across_plane ?pool ?(domains = 1) ~ops ~src_grid ~dst_grid ~betas
+    ~(src : Plane.t) ~soff ~tmp:((wa, wb) : Plane.t * Plane.t) (dst : Plane.t) ~doff =
   let d = Grid.dim src_grid in
   if Grid.dim dst_grid <> d then invalid_arg "Transform.ramp_across_plane: dim mismatch";
   if Array.length betas <> d then
     invalid_arg "Transform.ramp_across_plane: betas mismatch";
-  (match ops with
-  | Some o when Array.length o <> Grid.size dst_grid ->
-      invalid_arg "Transform.ramp_across_plane: ops size mismatch"
-  | _ -> ());
+  check_segment "Transform.ramp_across_plane: src segment out of range" src ~off:soff
+    ~size:(Grid.size src_grid);
+  check_segment "Transform.ramp_across_plane: dst segment out of range" dst ~off:doff
+    ~size:(Grid.size dst_grid);
+  if Array.length ops <> Grid.size dst_grid then
+    invalid_arg "Transform.ramp_across_plane: ops size mismatch";
+  (* Replace one axis at a time; [lengths] tracks the mixed shape. *)
   let lengths = Array.init d (Grid.axis_length src_grid) in
   let cur = ref src and cur_off = ref soff and cur_size = ref (Grid.size src_grid) in
   for j = 0 to d - 1 do
     let src_values = Grid.axis_values src_grid j in
     let dst_values = Grid.axis_values dst_grid j in
     let ns = lengths.(j) and nd = Array.length dst_values in
-    let stride = ref 1 in
-    for k = j + 1 to d - 1 do
-      stride := !stride * lengths.(k)
-    done;
-    let stride = !stride in
+    let stride = stride_of lengths j in
     let src_block = stride * ns and dst_block = stride * nd in
     let new_size = !cur_size / ns * nd in
     let last = j = d - 1 in
@@ -351,12 +163,14 @@ let ramp_across_plane ?pool ?(domains = 1) ?(min_items = ramp_min_items) ?ops ~s
     let target, target_off =
       if last then (dst, doff) else if !cur == wa then (wb, 0) else (wa, 0)
     in
-    if target_off + new_size > Plane.length target then
+    if (not last) && new_size > Plane.length target then
       invalid_arg "Transform.ramp_across_plane: scratch plane too small";
     Plane.fill_range target ~off:target_off ~len:new_size infinity;
     let n_lines = !cur_size / ns in
     let beta = betas.(j) in
     let src_p = !cur and src_off = !cur_off in
+    (* Matching src/dst lines share a line index: only axis [j]'s length
+       changed, so the other-axes enumeration (and the stride) agree. *)
     let run k =
       let soff = src_off + line_offset ~block:src_block ~stride k in
       let doff = target_off + line_offset ~block:dst_block ~stride k in
@@ -364,17 +178,12 @@ let ramp_across_plane ?pool ?(domains = 1) ?(min_items = ramp_min_items) ?ops ~s
         ~doff ~stride;
       if last then
         (* stride = 1 here: the finished line is ranks k*nd onward. *)
-        match ops with
-        | None -> ()
-        | Some o ->
-            for i = 0 to nd - 1 do
-              Bigarray.Array1.unsafe_set target (doff + i)
-                (Bigarray.Array1.unsafe_get target (doff + i)
-                +. Array.unsafe_get o ((k * nd) + i))
-            done
+        for i = 0 to nd - 1 do
+          Bigarray.Array1.unsafe_set target (doff + i)
+            (Bigarray.Array1.unsafe_get target (doff + i) +. Array.unsafe_get ops ((k * nd) + i))
+        done
     in
-    if domains > 1 then
-      for_lines ?pool ~domains ~min_items ~line_len:(ns + nd) ~n_lines run
+    if domains > 1 then for_lines ?pool ~domains ~line_len:(ns + nd) ~n_lines run
     else
       for k = 0 to n_lines - 1 do
         run k

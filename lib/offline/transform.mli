@@ -11,92 +11,49 @@
     forward/backward scan per axis instead of materialising the graph.
     The mismatched-grid variant supports the approximation grids
     (Section 4.2, edge weight [beta_j (N_j(x_j) - x_j)] telescopes to the
-    same ramp) and time-varying sizes (Section 4.3). *)
+    same ramp) and time-varying sizes (Section 4.3).
 
-val ramp_line : beta:float -> values:int array -> costs:float array -> unit
-(** In-place 1-D transform on a single axis:
-    [costs.(i) <- min_y costs.(y) + beta * (values.(i) - values.(y))^+].
-    [values] must be strictly increasing and match [costs] in length. *)
+    Both transforms work on {!Plane.t} segments — the DP layer arena —
+    holding a flat state-cost array over a grid in flat-index order.
+    The scans assume strictly increasing axes; {!Grid.make} rejects any
+    other axis, so every grid satisfies it.
 
-val ramp_between :
-  beta:float ->
-  src_values:int array ->
-  src:float array ->
-  dst_values:int array ->
-  float array
-(** 1-D transform across two (possibly different) sorted axes:
-    [out.(i) = min_y src.(y) + beta * (dst_values.(i) - src_values.(y))^+].
-    Runs in [O(|src| + |dst|)].  Both value arrays must be sorted
-    strictly ascending — the two-pointer scans would otherwise leave
-    silent [infinity] holes, so unsorted input raises
-    [Invalid_argument]. *)
-
-val ramp_grid :
-  ?pool:Util.Pool.t ->
-  ?domains:int ->
-  ?min_items:int ->
-  grid:Grid.t ->
-  betas:float array ->
-  float array ->
-  unit
-(** In-place multi-dimensional transform of a flat state-cost array over
-    [grid], applying {!ramp_line} along every axis ([betas.(j)] is the
-    per-unit up cost of axis [j]).
+    The required [ops] row — the slot's operating costs, indexed by the
+    result grid's rank, one entry per state — is added elementwise
+    during the final (contiguous, stride-1) axis pass, fusing the DP's
+    [entering += g_t] into the last cache-hot traversal; [inf + g] keeps
+    infeasible states at [infinity].  A caller that wants the bare ramp
+    passes a row of zeros.
 
     With [domains > 1] the independent lines of each axis pass fan out
     over [pool] (default: the global pool) whenever the pass touches at
-    least [min_items] matrix elements (default: 16x
-    {!Util.Parallel.min_parallel_items} — a ramp pass is a few float
-    compares per element, so it needs a much larger slab than an
-    operating-cost fill before the fan-out pays); the parallel per-line
-    closures work in place through strided indexing and allocate
-    nothing.  The axis passes themselves stay ordered, and results are
-    bit-identical to the sequential scan. *)
+    least 4096 matrix elements (16x {!Util.Parallel.min_parallel_items}
+    — a ramp pass is a few float compares per element, so it needs a
+    much larger slab than an operating-cost fill before the fan-out
+    pays).  The axis passes themselves stay ordered, and sequential and
+    pooled runs agree bit for bit.
 
-val ramp_across :
-  ?pool:Util.Pool.t ->
-  ?domains:int ->
-  ?min_items:int ->
-  src_grid:Grid.t ->
-  dst_grid:Grid.t ->
-  betas:float array ->
-  float array ->
-  float array
-(** Multi-dimensional transform from a flat array over [src_grid] to a
-    fresh flat array over [dst_grid] (axes are transformed one at a time
-    through intermediate mixed shapes).  The grids must have the same
-    dimension.  [pool]/[domains]/[min_items] as in {!ramp_grid}. *)
-
-(** {1 Plane variants}
-
-    The same transforms over {!Plane.t} segments — the DP layer arena.
-    Float operations and their order match the array versions exactly,
-    so results are bit-identical; sequential and pooled runs agree
-    bit-for-bit as well.  The optional [ops] array (the slot's rank
-    table, indexed by grid rank) is added elementwise during the final
-    (contiguous, stride-1) axis pass, fusing the DP's
-    [entering += g_t] into the last cache-hot traversal; [inf + g]
-    keeps infeasible states at [infinity]. *)
+    The source and destination segments are bounds-checked against
+    their planes, and [ops] against the grid, before the destination is
+    written; a mismatch raises [Invalid_argument]. *)
 
 val ramp_grid_plane :
   ?pool:Util.Pool.t ->
   ?domains:int ->
-  ?min_items:int ->
-  ?ops:float array ->
+  ops:float array ->
   grid:Grid.t ->
   betas:float array ->
   Plane.t ->
   off:int ->
   unit
-(** In-place {!ramp_grid} on the plane segment
-    [\[off, off + Grid.size grid)], with the optional fused [ops] add
-    ([ops] must have exactly [Grid.size grid] entries). *)
+(** In-place transform of the plane segment [\[off, off + Grid.size grid)]
+    over [grid] ([betas.(j)] is the per-unit up cost of axis [j]), then
+    the fused [ops] add. *)
 
 val ramp_across_plane :
   ?pool:Util.Pool.t ->
   ?domains:int ->
-  ?min_items:int ->
-  ?ops:float array ->
+  ops:float array ->
   src_grid:Grid.t ->
   dst_grid:Grid.t ->
   betas:float array ->
@@ -106,11 +63,12 @@ val ramp_across_plane :
   Plane.t ->
   doff:int ->
   unit
-(** {!ramp_across} from the [src] segment at [soff] (over [src_grid])
-    into the [dst] segment at [doff] (over [dst_grid]), ping-ponging
-    the intermediate mixed shapes through the two [tmp] scratch planes
-    (each must hold the largest intermediate shape; with [d = 1] the
-    single pass goes straight from [src] to [dst]).  The source segment
-    is left untouched, and may live in the same plane as [dst] as long
-    as the segments are disjoint.  [ops] is fused into the final axis
-    pass as in {!ramp_grid_plane}. *)
+(** Transform from the [src] segment at [soff] (over [src_grid]) into
+    the [dst] segment at [doff] (over [dst_grid], same dimension), then
+    the fused [ops] add.  Axes are replaced one at a time through
+    intermediate mixed shapes, which ping-pong through the two [tmp]
+    scratch planes (each must hold the largest intermediate shape, else
+    ["scratch plane too small"]; with [d = 1] the single pass goes
+    straight from [src] to [dst]).  The source segment is left
+    untouched, and may live in the same plane as [dst] as long as the
+    segments are disjoint. *)

@@ -89,10 +89,43 @@ let test_grid_validation () =
     (try ignore (Offline.Grid.make [| [| 1; 2 |] |]); false with Invalid_argument _ -> true);
   checkb "not increasing" true
     (try ignore (Offline.Grid.make [| [| 0; 2; 2 |] |]); false with Invalid_argument _ -> true);
+  (* The ramp scans' sorted-axis precondition rests on this guard alone. *)
+  checkb "decreasing" true
+    (try ignore (Offline.Grid.make [| [| 0; 2; 1 |] |]); false with Invalid_argument _ -> true);
   checkb "gamma <= 1" true
     (try ignore (Offline.Grid.power ~gamma:1. [| 5 |]); false with Invalid_argument _ -> true)
 
 (* --- Transform --- *)
+
+let plane_of costs =
+  let p = Offline.Plane.create (Array.length costs) in
+  Offline.Plane.of_array costs p ~off:0;
+  p
+
+(* The bare in-place ramp: a zero [ops] row adds nothing. *)
+let ramp_grid ~grid ~betas costs =
+  let n = Array.length costs in
+  let p = plane_of costs in
+  Offline.Transform.ramp_grid_plane ~ops:(Array.make n 0.) ~grid ~betas p ~off:0;
+  Offline.Plane.to_array p ~off:0 ~len:n
+
+(* Scratch planes big enough for every intermediate shape. *)
+let scratch_for src_grid dst_grid =
+  let cells = ref 1 in
+  for j = 0 to Offline.Grid.dim src_grid - 1 do
+    cells :=
+      !cells * max (Offline.Grid.axis_length src_grid j) (Offline.Grid.axis_length dst_grid j)
+  done;
+  (Offline.Plane.create !cells, Offline.Plane.create !cells)
+
+let ramp_across ~src_grid ~dst_grid ~betas src =
+  let n = Offline.Grid.size dst_grid in
+  let dst = Offline.Plane.create n in
+  Offline.Transform.ramp_across_plane ~ops:(Array.make n 0.) ~src_grid ~dst_grid ~betas
+    ~src:(plane_of src) ~soff:0 ~tmp:(scratch_for src_grid dst_grid) dst ~doff:0;
+  Offline.Plane.to_array dst ~off:0 ~len:n
+
+let axis_grid values = Offline.Grid.make [| values |]
 
 let brute_ramp ~beta ~values ~costs i =
   let best = ref infinity in
@@ -119,15 +152,15 @@ let test_ramp_line_matches_bruteforce () =
     let costs = Array.init n (fun _ -> Util.Prng.float rng 10.) in
     let beta = Util.Prng.float rng 3. in
     let expected = Array.init n (brute_ramp ~beta ~values ~costs) in
-    let got = Array.copy costs in
-    Offline.Transform.ramp_line ~beta ~values ~costs:got;
+    let got = ramp_grid ~grid:(axis_grid values) ~betas:[| beta |] costs in
     Array.iteri (fun i e -> checkf 1e-9 "ramp matches" e got.(i)) expected
   done
 
 let test_ramp_line_infinity () =
   let values = [| 0; 1; 2 |] in
-  let costs = [| infinity; 5.; infinity |] in
-  Offline.Transform.ramp_line ~beta:2. ~values ~costs;
+  let costs =
+    ramp_grid ~grid:(axis_grid values) ~betas:[| 2. |] [| infinity; 5.; infinity |]
+  in
   checkf 0. "free descent" 5. costs.(0);
   checkf 0. "unchanged" 5. costs.(1);
   checkf 0. "climb" 7. costs.(2)
@@ -140,7 +173,10 @@ let test_ramp_between_matches_bruteforce () =
     let dst_values = strictly_increasing_axis rng nd in
     let src = Array.init ns (fun _ -> Util.Prng.float rng 10.) in
     let beta = Util.Prng.float rng 3. in
-    let got = Offline.Transform.ramp_between ~beta ~src_values ~src ~dst_values in
+    let got =
+      ramp_across ~src_grid:(axis_grid src_values) ~dst_grid:(axis_grid dst_values)
+        ~betas:[| beta |] src
+    in
     Array.iteri
       (fun i vi ->
         let best = ref infinity in
@@ -157,9 +193,8 @@ let test_ramp_between_matches_bruteforce () =
 let test_ramp_grid_2d () =
   (* 2x2 grid, both betas 1; start from a single finite cell. *)
   let grid = Offline.Grid.dense [| 1; 1 |] in
-  let flat = [| infinity; infinity; infinity; 0. |] in
   (* index 3 = (1,1). *)
-  Offline.Transform.ramp_grid ~grid ~betas:[| 1.; 1. |] flat;
+  let flat = ramp_grid ~grid ~betas:[| 1.; 1. |] [| infinity; infinity; infinity; 0. |] in
   checkf 1e-12 "(1,1) stays" 0. flat.(3);
   checkf 1e-12 "(1,0): free down" 0. flat.(2);
   checkf 1e-12 "(0,1): free down" 0. flat.(1);
@@ -167,51 +202,52 @@ let test_ramp_grid_2d () =
 
 let test_ramp_grid_up_costs () =
   let grid = Offline.Grid.dense [| 1; 1 |] in
-  let flat = [| 0.; infinity; infinity; infinity |] in
-  Offline.Transform.ramp_grid ~grid ~betas:[| 2.; 3. |] flat;
+  let flat = ramp_grid ~grid ~betas:[| 2.; 3. |] [| 0.; infinity; infinity; infinity |] in
   checkf 1e-12 "(0,0)" 0. flat.(0);
   checkf 1e-12 "(0,1)" 3. flat.(1);
   checkf 1e-12 "(1,0)" 2. flat.(2);
   checkf 1e-12 "(1,1)" 5. flat.(3)
 
 let test_ramp_across_matches_dense () =
-  (* When src and dst grids coincide, ramp_across must equal ramp_grid. *)
+  (* When src and dst grids coincide, the across transform must equal
+     the in-place one. *)
   let grid = Offline.Grid.dense [| 2; 2 |] in
   let rng = Util.Prng.create 5 in
   let flat = Array.init (Offline.Grid.size grid) (fun _ -> Util.Prng.float rng 10.) in
-  let in_place = Array.copy flat in
-  Offline.Transform.ramp_grid ~grid ~betas:[| 1.5; 0.5 |] in_place;
-  let across =
-    Offline.Transform.ramp_across ~src_grid:grid ~dst_grid:grid ~betas:[| 1.5; 0.5 |] flat
-  in
+  let in_place = ramp_grid ~grid ~betas:[| 1.5; 0.5 |] flat in
+  let across = ramp_across ~src_grid:grid ~dst_grid:grid ~betas:[| 1.5; 0.5 |] flat in
   Array.iteri (fun i e -> checkf 1e-9 "agree" e across.(i)) in_place
 
 let test_ramp_across_mismatched () =
   (* src axis {0,1,2}, dst axis {0,2}: hand-checked. *)
-  let src_grid = Offline.Grid.make [| [| 0; 1; 2 |] |] in
-  let dst_grid = Offline.Grid.make [| [| 0; 2 |] |] in
-  let src = [| 4.; 1.; 3. |] in
-  let out = Offline.Transform.ramp_across ~src_grid ~dst_grid ~betas:[| 2. |] src in
+  let out =
+    ramp_across ~src_grid:(axis_grid [| 0; 1; 2 |]) ~dst_grid:(axis_grid [| 0; 2 |])
+      ~betas:[| 2. |] [| 4.; 1.; 3. |]
+  in
   (* dst 0: min(4, 1, 3) = 1 (free down). dst 2: min(4+4, 1+2, 3) = 3. *)
   checkf 1e-12 "dst 0" 1. out.(0);
   checkf 1e-12 "dst 2" 3. out.(1)
 
-let test_ramp_between_rejects_unsorted () =
-  (* The two-pointer scans would leave silent [infinity] holes on an
-     unsorted axis, so both sides must be rejected up front. *)
-  let sorted = [| 0; 2 |] in
-  let unsorted = [| 2; 0 |] in
-  let src = [| 1.; 2. |] in
-  Alcotest.check_raises "unsorted dst" (Invalid_argument
-      "Transform.ramp_between: dst_values: values must be sorted strictly ascending")
-    (fun () ->
-      ignore
-        (Offline.Transform.ramp_between ~beta:1. ~src_values:sorted ~src ~dst_values:unsorted));
-  Alcotest.check_raises "unsorted src" (Invalid_argument
-      "Transform.ramp_between: src_values: values must be sorted strictly ascending")
-    (fun () ->
-      ignore
-        (Offline.Transform.ramp_between ~beta:1. ~src_values:unsorted ~src ~dst_values:sorted))
+let test_ramp_across_segments_checked () =
+  (* A segment that does not fit its plane is rejected before anything
+     is written, on either side. *)
+  let src_grid = axis_grid [| 0; 1; 2 |] and dst_grid = axis_grid [| 0; 2 |] in
+  let across ~src ~soff dst ~doff =
+    Offline.Transform.ramp_across_plane ~ops:[| 0.; 0. |] ~src_grid ~dst_grid ~betas:[| 2. |]
+      ~src ~soff ~tmp:(scratch_for src_grid dst_grid) dst ~doff
+  in
+  let dst = plane_of [| 7.; 7. |] in
+  let src_error = Invalid_argument "Transform.ramp_across_plane: src segment out of range" in
+  Alcotest.check_raises "src shorter than src_grid" src_error (fun () ->
+      across ~src:(plane_of [| 4.; 1. |]) ~soff:0 dst ~doff:0);
+  Alcotest.check_raises "negative soff" src_error (fun () ->
+      across ~src:(plane_of [| 4.; 1.; 3. |]) ~soff:(-1) dst ~doff:0);
+  Alcotest.check_raises "dst past its plane"
+    (Invalid_argument "Transform.ramp_across_plane: dst segment out of range") (fun () ->
+      across ~src:(plane_of [| 4.; 1.; 3. |]) ~soff:0 dst ~doff:1);
+  Alcotest.(check (array (float 0.)))
+    "dst untouched" [| 7.; 7. |]
+    (Offline.Plane.to_array dst ~off:0 ~len:2)
 
 (* --- DP vs brute force --- *)
 
@@ -549,8 +585,8 @@ let () =
           Alcotest.test_case "across = in-place on equal grids" `Quick
             test_ramp_across_matches_dense;
           Alcotest.test_case "across mismatched grids" `Quick test_ramp_across_mismatched;
-          Alcotest.test_case "unsorted values rejected" `Quick
-            test_ramp_between_rejects_unsorted
+          Alcotest.test_case "across segments bounds-checked" `Quick
+            test_ramp_across_segments_checked
         ] );
       ( "dp",
         [ Alcotest.test_case "matches brute force (static)" `Quick test_dp_matches_bruteforce;

@@ -157,6 +157,55 @@ let prop_pooled_approx_identical pool seed =
   seq.Offline.Dp.cost = par.Offline.Dp.cost
   && schedules_equal seq.Offline.Dp.schedule par.Offline.Dp.schedule
 
+(* The plane ramps fan out only when one axis pass touches at least
+   4,096 elements, which no DP test grid reaches (the largest has 2,501
+   states).  A 100x100 grid clears it on both passes, in place and
+   across to a coarser 34x34 grid (axes 0, 3, ..., 99), and the pooled
+   result must equal the sequential one bit for bit. *)
+let test_ramp_planes_fan_out pool () =
+  let grid = Offline.Grid.dense [| 99; 99 |] in
+  let coarse_axis = Array.init 34 (fun i -> 3 * i) in
+  let coarse = Offline.Grid.make [| coarse_axis; coarse_axis |] in
+  let n = Offline.Grid.size grid and nc = Offline.Grid.size coarse in
+  let betas = [| 1.5; 2.5 |] in
+  let rng = Util.Prng.create 11 in
+  let row len =
+    Array.init len (fun i -> if i mod 17 = 0 then infinity else Util.Prng.float rng 50.)
+  in
+  let costs = row n and ops = row n and ops_c = row nc in
+  let plane () =
+    let p = Offline.Plane.create n in
+    Offline.Plane.of_array costs p ~off:0;
+    p
+  in
+  let bits p len =
+    Array.map Int64.bits_of_float (Offline.Plane.to_array p ~off:0 ~len)
+  in
+  let fills = Option.get (Obs.Counter.find "parallel.fills") in
+  let fanned_out before =
+    if Util.Parallel.recommended_domains () > 1 then
+      checkb "parallel.fills moved" true (Obs.Counter.value fills > before)
+  in
+  let seq = plane () and par = plane () in
+  Offline.Transform.ramp_grid_plane ~ops ~grid ~betas seq ~off:0;
+  let before = Obs.Counter.value fills in
+  Offline.Transform.ramp_grid_plane ~pool ~domains:2 ~ops ~grid ~betas par ~off:0;
+  fanned_out before;
+  Alcotest.(check (array int64)) "in place: pooled = sequential" (bits seq n) (bits par n);
+  let across ?pool ~domains () =
+    let dst = Offline.Plane.create nc in
+    Offline.Transform.ramp_across_plane ?pool ~domains ~ops:ops_c ~src_grid:grid
+      ~dst_grid:coarse ~betas ~src:(plane ()) ~soff:0
+      ~tmp:(Offline.Plane.create n, Offline.Plane.create n)
+      dst ~doff:0;
+    bits dst nc
+  in
+  let seq = across ~domains:1 () in
+  let before = Obs.Counter.value fills in
+  let par = across ~pool ~domains:2 () in
+  fanned_out before;
+  Alcotest.(check (array int64)) "across: pooled = sequential" seq par
+
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
 let mk_prop ?(count = 25) ~name prop =
@@ -184,6 +233,8 @@ let () =
             mk_prop ~count:5 ~name:"pooled Dp.solve = sequential (dense d=3, fans out)"
               (prop_pooled_dp_identical_large pool);
             mk_prop ~count:15 ~name:"pooled solve_approx = sequential"
-              (prop_pooled_approx_identical pool)
+              (prop_pooled_approx_identical pool);
+            Alcotest.test_case "pooled plane ramps = sequential (fan out)" `Quick
+              (test_ramp_planes_fan_out pool)
           ] )
       ]

@@ -237,6 +237,45 @@ let prop_solve_line_matches_per_cell seed =
 
 (* --- Transforms --- *)
 
+(* A random sub-grid of the fleet: every axis keeps 0 and its fleet size
+   (so the full capacity stays on the grid) and a random subset of the
+   counts in between. *)
+let random_subgrid rng counts =
+  Offline.Grid.make
+    (Array.map
+       (fun m ->
+         Array.of_list
+           (List.filter
+              (fun v -> v = 0 || v = m || Util.Prng.bool rng)
+              (List.init (m + 1) Fun.id)))
+       counts)
+
+(* The bare in-place ramp on a plane copy of [costs]: a zero [ops] row
+   adds nothing. *)
+let ramp_grid ~grid ~betas costs =
+  let n = Array.length costs in
+  let p = Offline.Plane.create n in
+  Offline.Plane.of_array costs p ~off:0;
+  Offline.Transform.ramp_grid_plane ~ops:(Array.make n 0.) ~grid ~betas p ~off:0;
+  Offline.Plane.to_array p ~off:0 ~len:n
+
+(* The ramp straight from its definition,
+   [D'(x) = min_y D(y) + sum_j beta_j (x_j - y_j)^+], minimising over
+   every state [y] of [src_grid] for each state [x] of [dst_grid] — the
+   reference for the plane engine's per-axis scans. *)
+let brute_ramp ~src_grid ~dst_grid ~betas src =
+  Array.init (Offline.Grid.size dst_grid) (fun i ->
+      let x = Offline.Grid.config_at dst_grid i in
+      let best = ref infinity in
+      Array.iteri
+        (fun yi cy ->
+          let y = Offline.Grid.config_at src_grid yi in
+          let c = ref cy in
+          Array.iteri (fun j b -> c := !c +. (b *. float_of_int (max 0 (x.(j) - y.(j))))) betas;
+          if !c < !best then best := !c)
+        src;
+      !best)
+
 let prop_ramp_line_dominated_and_idempotent seed =
   let rng = Util.Prng.create seed in
   let n = 2 + Util.Prng.int rng 8 in
@@ -245,14 +284,12 @@ let prop_ramp_line_dominated_and_idempotent seed =
     values.(i) <- values.(i - 1) + 1 + Util.Prng.int rng 3
   done;
   let costs = Array.init n (fun _ -> Util.Prng.float rng 10.) in
-  let beta = Util.Prng.float rng 3. in
-  let once = Array.copy costs in
-  Offline.Transform.ramp_line ~beta ~values ~costs:once;
+  let grid = Offline.Grid.make [| values |] and betas = [| Util.Prng.float rng 3. |] in
+  let once = ramp_grid ~grid ~betas costs in
   (* Transform never increases any entry... *)
   let dominated = Array.for_all2 (fun a b -> a <= b +. 1e-12) once costs in
   (* ...and is idempotent: re-applying it changes nothing. *)
-  let twice = Array.copy once in
-  Offline.Transform.ramp_line ~beta ~values ~costs:twice;
+  let twice = ramp_grid ~grid ~betas once in
   dominated && Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-12) twice once
 
 (* --- Offline DP --- *)
@@ -437,8 +474,10 @@ let prop_fractional_refine_preserves_g seed =
   !ok
 
 let prop_ramp_across_random_grids seed =
-  (* The mismatched-grid transform equals the brute-force minimum. *)
+  (* The mismatched-grid transform equals the brute-force minimum, on
+     random 1-D and 2-D grids (2-D runs through the scratch planes). *)
   let rng = Util.Prng.create seed in
+  let d = 1 + Util.Prng.int rng 2 in
   let axis () =
     let n = 1 + Util.Prng.int rng 5 in
     let vals = Array.make n 0 in
@@ -447,31 +486,31 @@ let prop_ramp_across_random_grids seed =
     done;
     vals
   in
-  let src_values = axis () and dst_values = axis () in
-  let src = Array.init (Array.length src_values) (fun _ -> Util.Prng.float rng 10.) in
-  let beta = Util.Prng.float rng 3. in
-  let got = Offline.Transform.ramp_between ~beta ~src_values ~src ~dst_values in
-  let ok = ref true in
-  Array.iteri
-    (fun i vi ->
-      let best = ref infinity in
-      Array.iteri
-        (fun y cy ->
-          let c = cy +. (beta *. float_of_int (max 0 (vi - src_values.(y)))) in
-          if c < !best then best := c)
-        src;
-      if Float.abs (!best -. got.(i)) > 1e-9 then ok := false)
-    dst_values;
-  !ok
+  let src_grid = Offline.Grid.make (Array.init d (fun _ -> axis ())) in
+  let dst_grid = Offline.Grid.make (Array.init d (fun _ -> axis ())) in
+  let src = Array.init (Offline.Grid.size src_grid) (fun _ -> Util.Prng.float rng 10.) in
+  let betas = Array.init d (fun _ -> Util.Prng.float rng 3.) in
+  let n = Offline.Grid.size dst_grid in
+  let scratch () = Offline.Plane.create (Offline.Grid.size src_grid * n) in
+  let src_p = Offline.Plane.create (Array.length src) and dst = Offline.Plane.create n in
+  Offline.Plane.of_array src src_p ~off:0;
+  Offline.Transform.ramp_across_plane ~ops:(Array.make n 0.) ~src_grid ~dst_grid ~betas
+    ~src:src_p ~soff:0 ~tmp:(scratch (), scratch ()) dst ~doff:0;
+  let got = Offline.Plane.to_array dst ~off:0 ~len:n in
+  Array.for_all2
+    (fun e g -> Float.abs (e -. g) <= 1e-9)
+    (brute_ramp ~src_grid ~dst_grid ~betas src)
+    got
 
-(* The Bigarray plane arena must reproduce a reference float-array DP
-   layer by layer.  The reference recomputes every forward layer the
-   pre-arena way — fresh arrays, [ramp_grid]/[ramp_across], operating
-   costs through [Cost.operating] rather than the warm-swept line
-   fill — and the engine's layers are observed through [?on_layer].
-   Dynamic instances give per-slot grids, exercising the cross-grid
-   [ramp_across] ping-pong path; the final frontier also round-trips
-   through the sexp codec bit-exactly. *)
+(* The Bigarray plane arena must reproduce a straight-line reference DP
+   layer by layer.  The reference builds every arrival layer by brute
+   force from the ramp's definition ([brute_ramp], the minimum over
+   every state of the previous slot's grid) and adds operating costs
+   through [Cost.operating] rather than the warm-swept line fill; the
+   engine's layers are observed through [?on_layer].  Half the runs
+   draw a random sub-grid per slot, exercising the cross-grid
+   [ramp_across_plane] ping-pong path; the final frontier also
+   round-trips through the sexp codec bit-exactly. *)
 let prop_plane_engine_matches_reference seed =
   let rng = Util.Prng.create seed in
   let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
@@ -481,7 +520,11 @@ let prop_plane_engine_matches_reference seed =
   let betas =
     Array.map (fun st -> st.Model.Server_type.switching_cost) instf.Model.Instance.types
   in
-  let grids = Array.init horizon (Offline.Dp.dense_grids instf) in
+  let grids =
+    if Util.Prng.bool rng then
+      Array.init horizon (fun _ -> random_subgrid rng (Model.Instance.counts instf))
+    else Array.init horizon (Offline.Dp.dense_grids instf)
+  in
   let zero = Model.Config.zero d in
   let reference = Array.make horizon [||] in
   for time = 0 to horizon - 1 do
@@ -496,14 +539,7 @@ let prop_plane_engine_matches_reference seed =
         Array.init n (fun i ->
             Model.Config.switching_cost instf.Model.Instance.types ~from_:zero
               ~to_:(Offline.Grid.config_scratch g i))
-      else if Offline.Grid.equal g grids.(time - 1) then begin
-        let a = Array.copy reference.(time - 1) in
-        Offline.Transform.ramp_grid ~grid:g ~betas a;
-        a
-      end
-      else
-        Offline.Transform.ramp_across ~src_grid:grids.(time - 1) ~dst_grid:g ~betas
-          reference.(time - 1)
+      else brute_ramp ~src_grid:grids.(time - 1) ~dst_grid:g ~betas reference.(time - 1)
     in
     reference.(time) <- Array.mapi (fun i c -> c +. ops.(i)) arrival
   done;
@@ -516,7 +552,7 @@ let prop_plane_engine_matches_reference seed =
   let final = ref None in
   (try
      ignore
-       (Offline.Dp.solve
+       (Offline.Dp.solve ~grids:(Array.get grids)
           ~on_layer:(fun ~time thunk ->
             let f = thunk () in
             let got = f.Offline.Dp.layers.(time) in
@@ -547,19 +583,6 @@ let bits_equal a b =
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
-
-(* A random sub-grid of the fleet: every axis keeps 0 and its fleet size
-   (so the full capacity stays on the grid) and a random subset of the
-   counts in between. *)
-let random_subgrid rng counts =
-  Offline.Grid.make
-    (Array.map
-       (fun m ->
-         Array.of_list
-           (List.filter
-              (fun v -> v = 0 || v = m || Util.Prng.bool rng)
-              (List.init (m + 1) Fun.id)))
-       counts)
 
 (* The DP engines' reused-row fill equals the memo-backed
    [Dp.fill_layer] bit for bit, at 1 domain and on a 2-domain pool.
