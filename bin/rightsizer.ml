@@ -250,91 +250,59 @@ let simulated_crash ~done_ = function
       exit 3
   | Some _ | None -> ()
 
-(* The checkpointable online runner: the same engine+stepper loop as
-   Alg_a.run / Alg_b.run, with the composite session state (partial
-   schedule included — the final cost needs every slot's decision)
-   snapshotted every N slots.  Algorithm A for time-independent
-   instances, algorithm B otherwise. *)
+(* The checkpointable online runner: a Streaming session (algorithm A
+   for time-independent instances, algorithm B otherwise) fed the
+   instance's loads slot by slot.  A checkpoint is the session's own
+   save; the schedule, resumed prefix included, is rebuilt from the
+   session's power events at the end. *)
 let run_online_checkpointed ?pool ~checkpoint ~every ~resume ~crash_after inst =
-  let module S = Core.Sexp in
   let horizon = Core.Instance.horizon inst in
-  let engine = Core.Prefix_opt.create ?pool inst in
-  let stepper =
-    if inst.Core.Instance.time_independent then Core.Stepper.alg_a inst
-    else Core.Stepper.alg_b inst
+  let types = inst.Core.Instance.types in
+  let session =
+    if inst.Core.Instance.time_independent then
+      let fns = Array.mapi (fun typ _ -> inst.Core.Instance.cost ~time:0 ~typ) types in
+      Core.Streaming.alg_a ?pool ~max_horizon:horizon ~types ~fns ()
+    else
+      Core.Streaming.alg_b ?pool ~max_horizon:horizon ~types
+        ~cost:inst.Core.Instance.cost ()
   in
-  let schedule = Array.make horizon [||] in
-  let start =
+  (* A checkpoint resumes only a run over the loads it was fed, bit for bit. *)
+  let own_prefix loads =
+    let bits = Array.map Int64.bits_of_float in
+    bits loads = bits (Array.sub inst.Core.Instance.load 0 (Array.length loads))
+  in
+  let restored =
     match resume with
-    | None -> Ok 0
+    | None -> Ok ()
     | Some path ->
         load_checkpoint ~kind:"online-run" path ~decode:(fun payload ->
-            match payload with
-            | S.List (S.Atom "online-run" :: fields) -> (
-                let rows name =
-                  match S.assoc name fields with
-                  | None -> Error (Printf.sprintf "online-run: missing field %s" name)
-                  | Some rows ->
-                      let rec go acc = function
-                        | [] -> Ok (List.rev acc)
-                        | (S.List (S.Atom "x" :: _) as row) :: rest -> (
-                            match Core.Snapshot.ints_of_field [ row ] "x" with
-                            | Ok r -> go (r :: acc) rest
-                            | Error m -> Error m)
-                        | _ -> Error (Printf.sprintf "online-run: malformed %s" name)
-                      in
-                      go [] rows
-                in
-                let sub name =
-                  match S.assoc name fields with
-                  | Some [ payload ] -> Ok payload
-                  | Some _ | None ->
-                      Error (Printf.sprintf "online-run: missing field %s" name)
-                in
-                match
-                  ( Core.Snapshot.int_of_field fields "time",
-                    rows "schedule",
-                    sub "engine",
-                    sub "stepper" )
-                with
-                | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _
-                | _, _, _, Error m -> Error m
-                | Ok time, Ok rows, Ok engine_s, Ok stepper_s ->
-                    if time < 0 || time > horizon || List.length rows <> time then
-                      Error "online-run: schedule prefix does not match the clock"
-                    else (
-                      List.iteri (fun i x -> schedule.(i) <- x) rows;
-                      match
-                        ( Core.Prefix_opt.restore engine engine_s,
-                          Core.Stepper.restore stepper stepper_s )
-                      with
-                      | Error m, _ | _, Error m -> Error m
-                      | Ok (), Ok () -> Ok time))
-            | S.Atom _ | S.List _ -> Error "online-run: unexpected payload shape")
+            Result.bind (Core.Streaming.restore session payload) (fun () ->
+                if own_prefix (Core.Streaming.loads session) then Ok ()
+                else
+                  Error
+                    "online-run: the checkpoint's loads are not a prefix of this \
+                     instance's loads"))
   in
-  match start with
-  | Error m -> Error m
-  | Ok start ->
-      let save_at time =
-        S.List
-          (S.Atom "online-run"
-          :: S.List [ S.Atom "time"; S.Atom (string_of_int time) ]
-          :: S.List
-               (S.Atom "schedule"
-               :: List.init time (fun i -> Core.Snapshot.int_array_field "x" schedule.(i)))
-          :: [ S.List [ S.Atom "engine"; Core.Prefix_opt.save engine ];
-               S.List [ S.Atom "stepper"; Core.Stepper.save stepper ] ])
-      in
-      for time = start to horizon - 1 do
-        let { Core.Prefix_opt.last = hat; _ } = Core.Prefix_opt.step engine in
-        schedule.(time) <- Core.Stepper.step stepper ~time ~hat;
-        (match checkpoint with
-        | Some path when (time + 1) mod every = 0 || time = horizon - 1 ->
-            write_checkpoint ~kind:"online-run" ~path (save_at (time + 1))
-        | Some _ | None -> ());
-        simulated_crash ~done_:(time + 1) crash_after
-      done;
-      Ok (schedule, Core.Cost.schedule inst schedule)
+  let rec feed time =
+    if time = horizon then Ok ()
+    else
+      match Core.Streaming.feed_result session inst.Core.Instance.load.(time) with
+      | Error e ->
+          Error
+            (Printf.sprintf "slot %d: %s" time (Core.Streaming.feed_error_to_string e))
+      | Ok _ ->
+          (match checkpoint with
+          | Some path when (time + 1) mod every = 0 || time = horizon - 1 ->
+              write_checkpoint ~kind:"online-run" ~path (Core.Streaming.save session)
+          | Some _ | None -> ());
+          simulated_crash ~done_:(time + 1) crash_after;
+          feed (time + 1)
+  in
+  Result.map
+    (fun () ->
+      let schedule = Core.Streaming.decisions session in
+      (schedule, Core.Cost.schedule inst schedule))
+    (Result.bind restored (fun () -> feed (Core.Streaming.fed session)))
 
 let print_schedule inst schedule =
   let d = Core.Instance.num_types inst in
@@ -555,6 +523,13 @@ let online_cmd =
   let run () scenario horizon file eps alg domains checkpoint every resume crash_after =
     match resolve_instance scenario horizon file with
     | Error m -> `Error (false, m)
+    | Ok (name, inst) when inst.Core.Instance.size_varying ->
+        `Error
+          ( false,
+            Printf.sprintf
+              "instance %s has time-varying fleet sizes, which only the offline \
+               solver honours (Section 4.3); use `rightsizer solve'"
+              name )
     | Ok (name, inst) -> (
         let checkpointing = checkpoint <> None || resume <> None in
         let algorithm =
@@ -604,7 +579,8 @@ let online_cmd =
              (--alg a|b|c|rand|det2d|homog, default auto).  With \
              --checkpoint/--resume the run is a checkpointable slot loop (algorithm A \
              for time-independent instances, algorithm B otherwise) that survives \
-             crashes bit-identically.")
+             crashes bit-identically.  Instances with time-varying fleet sizes are \
+             refused: only $(b,solve) honours them.")
     Term.(
       ret
         (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ eps_arg

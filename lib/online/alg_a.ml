@@ -16,20 +16,11 @@ let runtime inst ~typ =
   if idle <= 0. then None else Some (max 1 (int_of_float (Float.ceil (beta /. idle))))
 
 let run ?grid ?domains ?pool inst =
-  Obs.Span.with_ "alg_a.run" @@ fun () ->
-  let horizon = Model.Instance.horizon inst in
-  let engine = Prefix_opt.create ?grid ?domains ?pool inst in
-  let stepper = Stepper.alg_a inst in
-  let schedule = Array.make horizon [||] in
-  let prefix_last = Array.make horizon [||] in
-  let prefix_costs = Array.make horizon 0. in
-  for time = 0 to horizon - 1 do
-    let { Prefix_opt.last = hat; prefix_cost; _ } = Prefix_opt.step engine in
-    prefix_last.(time) <- hat;
-    prefix_costs.(time) <- prefix_cost;
-    schedule.(time) <- Stepper.step stepper ~time ~hat
-  done;
+  let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
+    Stepper.run ?grid ?domains ?pool ~span:"alg_a.run" Stepper.alg_a inst
+  in
   let power_ups = Stepper.power_ups stepper in
   Log.debug (fun m ->
-      m "algorithm A: T=%d, %d power-up events" horizon (List.length power_ups));
+      m "algorithm A: T=%d, %d power-up events" (Model.Instance.horizon inst)
+        (List.length power_ups));
   { schedule; prefix_last; prefix_costs; runtimes = Stepper.runtimes stepper; power_ups }

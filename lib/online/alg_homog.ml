@@ -41,19 +41,9 @@ let c_of_instance inst =
   !worst /. beta
 
 let run ?grid ?domains ?pool inst =
-  Obs.Span.with_ "alg_homog.run" @@ fun () ->
-  let horizon = Model.Instance.horizon inst in
-  let engine = Prefix_opt.create ?grid ?domains ?pool inst in
-  let stepper = Stepper.alg_homog inst in
-  let schedule = Array.make horizon [||] in
-  let prefix_last = Array.make horizon [||] in
-  let prefix_costs = Array.make horizon 0. in
-  for time = 0 to horizon - 1 do
-    let { Prefix_opt.last = hat; prefix_cost; _ } = Prefix_opt.step engine in
-    prefix_last.(time) <- hat;
-    prefix_costs.(time) <- prefix_cost;
-    schedule.(time) <- Stepper.step stepper ~time ~hat
-  done;
+  let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
+    Stepper.run ?grid ?domains ?pool ~span:"alg_homog.run" Stepper.alg_homog inst
+  in
   { schedule;
     prefix_last;
     prefix_costs;

@@ -1,20 +1,20 @@
+(* The accumulated-idle bookkeeping of algorithm B and det2d. *)
+type budget = {
+  prefix : float array array;  (* prefix.(j).(t) = sum of l_{v,j}, v < t *)
+  groups : (int * int) list array;  (* per type: (power-up slot, count) *)
+}
+
 type rule =
   | A of { runtimes : int option array; w : (int, int array) Hashtbl.t }
       (* w: power-up slot -> counts per type (sparse, unbounded horizon) *)
-  | B of {
-      prefix : float array array;  (* prefix.(j).(t) = sum of l_{v,j}, v < t *)
-      groups : (int * int) list array;  (* per type: (power-up slot, count) *)
-    }
-  | Det2d of {
+  | B of budget
+  | Det2d of budget
       (* Same accumulated-idle bookkeeping as B, but a group leaves at
          break-even (accumulated idle >= beta) instead of strictly
          beyond it; restricted to load-independent costs, where the
          earlier power-down matches algorithm A's ceil(beta/l) timer on
          time-independent instances and generalises it to time-varying
          prices. *)
-      prefix : float array array;
-      groups : (int * int) list array;
-    }
   | Homog of homog_state
       (* Pooled single-type rule for coinciding server types: one
          accumulated-idle budget over the summed active count, with the
@@ -52,38 +52,23 @@ let alg_a inst =
     ups = [];
     downs = [] }
 
-let alg_b inst =
+let budget_stepper ~name (rule : budget -> rule) inst =
   Array.iter
     (fun st ->
       if st.Model.Server_type.switching_cost <= 0. then
-        invalid_arg "Stepper.alg_b: every switching cost must be positive")
+        invalid_arg ("Stepper." ^ name ^ ": every switching cost must be positive"))
     inst.Model.Instance.types;
   let d = Model.Instance.num_types inst in
   let horizon = Model.Instance.horizon inst in
   { inst;
-    rule =
-      B { prefix = Array.make_matrix d (horizon + 1) 0.; groups = Array.make d [] };
+    rule = rule { prefix = Array.make_matrix d (horizon + 1) 0.; groups = Array.make d [] };
     x = Array.make d 0;
     clock = 0;
     ups = [];
     downs = [] }
 
-let alg_det2d inst =
-  Array.iter
-    (fun st ->
-      if st.Model.Server_type.switching_cost <= 0. then
-        invalid_arg "Stepper.alg_det2d: every switching cost must be positive")
-    inst.Model.Instance.types;
-  let d = Model.Instance.num_types inst in
-  let horizon = Model.Instance.horizon inst in
-  { inst;
-    rule =
-      Det2d
-        { prefix = Array.make_matrix d (horizon + 1) 0.; groups = Array.make d [] };
-    x = Array.make d 0;
-    clock = 0;
-    ups = [];
-    downs = [] }
+let alg_b inst = budget_stepper ~name:"alg_b" (fun b -> B b) inst
+let alg_det2d inst = budget_stepper ~name:"alg_det2d" (fun b -> Det2d b) inst
 
 let alg_homog inst =
   let d = Model.Instance.num_types inst in
@@ -121,6 +106,34 @@ let event name ~time ~typ ~count =
           ("typ", string_of_int typ);
           ("count", string_of_int count) ]
 
+let power_down t ~time ~typ count =
+  t.x.(typ) <- t.x.(typ) - count;
+  Obs.Counter.add c_downs count;
+  event "stepper.power_down" ~time ~typ ~count;
+  t.downs <- (time, typ, count) :: t.downs
+
+(* Whether the group powered up at slot [u] leaves at [time]: its idle
+   cost accumulated since [u + 1] crosses [beta] during this slot.  B
+   waits until the cost strictly exceeds beta; the break-even rules
+   (det2d, homog) leave as soon as it reaches beta. *)
+let crosses ~break_even prefix ~time ~beta (u, _) =
+  let upto_prev = prefix.(time) -. prefix.(u + 1) in
+  let upto_now = prefix.(time + 1) -. prefix.(u + 1) in
+  if break_even then upto_prev < beta && beta <= upto_now
+  else upto_prev <= beta && beta < upto_now
+
+(* B's and det2d's power-down of type [typ]: add the slot's idle cost to
+   the type's budget and power down every group whose budget runs out. *)
+let budget_down t (b : budget) ~time ~typ ~break_even =
+  let prefix = b.prefix.(typ) in
+  prefix.(time + 1) <- prefix.(time) +. Model.Instance.idle_cost t.inst ~time ~typ;
+  let beta = t.inst.Model.Instance.types.(typ).Model.Server_type.switching_cost in
+  let leaving, staying =
+    List.partition (crosses ~break_even prefix ~time ~beta) b.groups.(typ)
+  in
+  b.groups.(typ) <- staying;
+  List.iter (fun (_, count) -> power_down t ~time ~typ count) leaving
+
 (* Pooled step for coinciding types: one budget over the summed count,
    the per-type split kept canonical (fill type 0 first).  The canonical
    fill is monotone in the pooled total, so the down and up phases each
@@ -136,12 +149,7 @@ let step_homog t (h : homog_state) ~time ~hat =
   let beta = t.inst.Model.Instance.types.(0).Model.Server_type.switching_cost in
   h.prefix.(time + 1) <- h.prefix.(time) +. l;
   let leaving, staying =
-    List.partition
-      (fun (u, _) ->
-        let upto_prev = h.prefix.(time) -. h.prefix.(u + 1) in
-        let upto_now = h.prefix.(time + 1) -. h.prefix.(u + 1) in
-        upto_prev < beta && beta <= upto_now)
-      h.groups
+    List.partition (crosses ~break_even:true h.prefix ~time ~beta) h.groups
   in
   h.groups <- staying;
   let fill n =
@@ -191,57 +199,14 @@ let step t ~time ~hat =
         match runtimes.(typ) with
         | Some tbar when time - tbar >= 0 -> (
             match Hashtbl.find_opt w (time - tbar) with
-            | Some counts when counts.(typ) > 0 ->
-                t.x.(typ) <- t.x.(typ) - counts.(typ);
-                Obs.Counter.add c_downs counts.(typ);
-                event "stepper.power_down" ~time ~typ ~count:counts.(typ);
-                t.downs <- (time, typ, counts.(typ)) :: t.downs
+            | Some counts when counts.(typ) > 0 -> power_down t ~time ~typ counts.(typ)
             | Some _ | None -> ())
         | Some _ | None -> ())
-    | B b ->
-        let l = Model.Instance.idle_cost t.inst ~time ~typ in
-        b.prefix.(typ).(time + 1) <- b.prefix.(typ).(time) +. l;
-        let beta = t.inst.Model.Instance.types.(typ).Model.Server_type.switching_cost in
-        let leaving, staying =
-          List.partition
-            (fun (u, _) ->
-              let upto_prev = b.prefix.(typ).(time) -. b.prefix.(typ).(u + 1) in
-              let upto_now = b.prefix.(typ).(time + 1) -. b.prefix.(typ).(u + 1) in
-              upto_prev <= beta && beta < upto_now)
-            b.groups.(typ)
-        in
-        b.groups.(typ) <- staying;
-        List.iter
-          (fun (_, count) ->
-            t.x.(typ) <- t.x.(typ) - count;
-            Obs.Counter.add c_downs count;
-            event "stepper.power_down" ~time ~typ ~count;
-            t.downs <- (time, typ, count) :: t.downs)
-          leaving
+    | B b -> budget_down t b ~time ~typ ~break_even:false
     | Det2d b ->
         if not (Convex.Fn.is_constant (t.inst.Model.Instance.cost ~time ~typ)) then
           invalid_arg "Stepper.step: algorithm det2d needs load-independent costs";
-        let l = Model.Instance.idle_cost t.inst ~time ~typ in
-        b.prefix.(typ).(time + 1) <- b.prefix.(typ).(time) +. l;
-        let beta = t.inst.Model.Instance.types.(typ).Model.Server_type.switching_cost in
-        (* Break-even rule: leave as soon as the accumulated idle cost
-           reaches beta (B waits until it strictly exceeds it). *)
-        let leaving, staying =
-          List.partition
-            (fun (u, _) ->
-              let upto_prev = b.prefix.(typ).(time) -. b.prefix.(typ).(u + 1) in
-              let upto_now = b.prefix.(typ).(time + 1) -. b.prefix.(typ).(u + 1) in
-              upto_prev < beta && beta <= upto_now)
-            b.groups.(typ)
-        in
-        b.groups.(typ) <- staying;
-        List.iter
-          (fun (_, count) ->
-            t.x.(typ) <- t.x.(typ) - count;
-            Obs.Counter.add c_downs count;
-            event "stepper.power_down" ~time ~typ ~count;
-            t.downs <- (time, typ, count) :: t.downs)
-          leaving);
+        budget_down t b ~time ~typ ~break_even:true);
     (* Power up to the optimal-prefix target. *)
     if t.x.(typ) < hat.(typ) then begin
       let up = hat.(typ) - t.x.(typ) in
@@ -257,8 +222,7 @@ let step t ~time ~hat =
                 c
           in
           counts.(typ) <- counts.(typ) + up
-      | B b -> b.groups.(typ) <- b.groups.(typ) @ [ (time, up) ]
-      | Det2d b -> b.groups.(typ) <- b.groups.(typ) @ [ (time, up) ]);
+      | B b | Det2d b -> b.groups.(typ) <- b.groups.(typ) @ [ (time, up) ]);
       t.x.(typ) <- hat.(typ);
       Obs.Counter.add c_ups up;
       event "stepper.power_up" ~time ~typ ~count:up;
@@ -275,6 +239,29 @@ let runtimes t =
   | A { runtimes; _ } -> Array.copy runtimes
   | B _ | Det2d _ | Homog _ ->
       invalid_arg "Stepper.runtimes: only algorithm A has fixed timers"
+
+type batch = {
+  stepper : t;
+  schedule : Model.Schedule.t;
+  prefix_last : Model.Config.t array;
+  prefix_costs : float array;
+}
+
+let run ?grid ?domains ?pool ~span make inst =
+  Obs.Span.with_ span @@ fun () ->
+  let horizon = Model.Instance.horizon inst in
+  let engine = Prefix_opt.create ?grid ?domains ?pool inst in
+  let stepper = make inst in
+  let schedule = Array.make horizon [||] in
+  let prefix_last = Array.make horizon [||] in
+  let prefix_costs = Array.make horizon 0. in
+  for time = 0 to horizon - 1 do
+    let { Prefix_opt.last = hat; prefix_cost; _ } = Prefix_opt.step engine in
+    prefix_last.(time) <- hat;
+    prefix_costs.(time) <- prefix_cost;
+    schedule.(time) <- step stepper ~time ~hat
+  done;
+  { stepper; schedule; prefix_last; prefix_costs }
 
 let rebind t inst =
   if Model.Instance.num_types inst <> Array.length t.x then
@@ -447,6 +434,23 @@ let restore_budget ~n ~clock ~fields ~commit =
         Error "stepper: prefix rows do not match the clock"
       else commit rows groups
 
+(* Events [restore] accepts: chronological, each a positive count of an
+   existing type at an already-processed slot. *)
+let events_in_range ~d ~clock events =
+  let rec go prev = function
+    | [] -> true
+    | (time, typ, count) :: rest ->
+        prev <= time && time < clock && 0 <= typ && typ < d && count > 0 && go time rest
+  in
+  go 0 events
+
+(* The configuration the events lead to from all-off. *)
+let replay ~d ups downs =
+  let x = Array.make d 0 in
+  List.iter (fun (_, typ, count) -> x.(typ) <- x.(typ) + count) ups;
+  List.iter (fun (_, typ, count) -> x.(typ) <- x.(typ) - count) downs;
+  x
+
 let restore t sexp =
   match sexp with
   | S.List (S.Atom "stepper" :: fields) -> (
@@ -472,6 +476,10 @@ let restore t sexp =
           if Array.length x <> d then Error "stepper: dimension mismatch"
           else if clock < 0 || clock > Model.Instance.horizon t.inst then
             Error "stepper: clock outside the instance horizon"
+          else if not (events_in_range ~d ~clock ups && events_in_range ~d ~clock downs)
+          then Error "stepper: power events out of range or out of time order"
+          else if replay ~d ups downs <> x then
+            Error "stepper: power events do not match x"
           else
             let commit () =
               Array.blit x 0 t.x 0 d;
@@ -504,16 +512,7 @@ let restore t sexp =
                     in
                     Hashtbl.reset w;
                     fill slots)
-            | B b, "b" ->
-                restore_budget ~n:d ~clock ~fields ~commit:(fun rows groups ->
-                    Array.iteri
-                      (fun typ row ->
-                        Array.fill b.prefix.(typ) 0 (Array.length b.prefix.(typ)) 0.;
-                        Array.blit row 0 b.prefix.(typ) 0 (Array.length row))
-                      rows;
-                    Array.blit groups 0 b.groups 0 d;
-                    commit ())
-            | Det2d b, "det2d" ->
+            | B b, "b" | Det2d b, "det2d" ->
                 restore_budget ~n:d ~clock ~fields ~commit:(fun rows groups ->
                     Array.iteri
                       (fun typ row ->

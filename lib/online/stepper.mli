@@ -53,6 +53,26 @@ val runtimes : t -> int option array
 (** Algorithm A's timers per type ([None] = never powers down); raises
     [Invalid_argument] on any other stepper. *)
 
+type batch = {
+  stepper : t;  (** the stepper after the last slot (its power events) *)
+  schedule : Model.Schedule.t;
+  prefix_last : Model.Config.t array;  (** [x^_t] per slot *)
+  prefix_costs : float array;  (** [C(X^t)] per slot *)
+}
+
+val run :
+  ?grid:Offline.Grid.t ->
+  ?domains:int ->
+  ?pool:Util.Pool.t ->
+  span:string ->
+  (Model.Instance.t -> t) ->
+  Model.Instance.t ->
+  batch
+(** [run ~span make inst] is the batch loop of {!Alg_a.run},
+    {!Alg_b.run}, {!Alg_det2d.run} and {!Alg_homog.run}: inside the
+    span [span], a {!Prefix_opt} engine ([grid], [domains] and [pool] as
+    in {!Prefix_opt.create}) feeds each slot's [x^_t] to [make inst]. *)
+
 val rebind : t -> Model.Instance.t -> unit
 (** Swap in a new instance agreeing with the slots already processed —
     the streaming layer's buffer growth.  Same types; the horizon must
@@ -71,5 +91,8 @@ val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into a stepper freshly built over the same
     instance with the same rule; stepping afterwards is
     decision-for-decision identical to the uninterrupted stepper.
-    Validates the rule tag, dimensions and clock.  On [Error] the
-    stepper may be partially overwritten — discard it. *)
+    Validates the rule tag, dimensions and clock, and the power events:
+    each at a processed slot, of an existing type, with a positive
+    count, in time order, and together leading from all-off to the
+    saved configuration.  On [Error] the stepper may be partially
+    overwritten — discard it. *)

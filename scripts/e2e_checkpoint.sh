@@ -8,7 +8,10 @@
 #      simulated crash (exit 3) to leave a checkpoint behind,
 #   3. resumes from the checkpoint with --resume,
 # and fails unless the resumed result line is byte-identical to the
-# uninterrupted one.  See docs/robustness.md.  (Daemon-level serving,
+# uninterrupted one.  A fourth, cross-width run crashes on two domains
+# and resumes on one, and a further leg checks that `online` refuses
+# an instance with time-varying fleet sizes (offline only).
+# See docs/robustness.md.  (Daemon-level serving,
 # metrics, and crash/resume e2e live in the scenario fleet now:
 # `rightsizer scenario run test/scenarios/*.sexp`, docs/scenarios.md.)
 #
@@ -34,6 +37,9 @@ first_line() {
   printf '%s\n' "${out%%$'\n'*}"
 }
 
+# Extra flags for the crashed run only (see the cross-width leg).
+CRASH_FLAGS=()
+
 check_case() {
   local name=$1; shift
   local crash_after=$1; shift
@@ -50,7 +56,7 @@ check_case() {
   fi
 
   status=0
-  "$BIN" "$@" --checkpoint "$ck" --checkpoint-every 2 \
+  "$BIN" "$@" "${CRASH_FLAGS[@]}" --checkpoint "$ck" --checkpoint-every 2 \
     --crash-after "$crash_after" > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 3 ]; then
     echo "FAIL $name: expected simulated crash (exit 3), got exit $status" >&2
@@ -78,6 +84,35 @@ check_case() {
 check_case solve-dp     3 solve  --scenario cpu-gpu      --horizon 10
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
+
+# Cross-width resume: the crashed run writes its checkpoint on a
+# 2-domain pool, while the uninterrupted and the resumed runs use the
+# default single domain; the resumed result line must equal the
+# sequential run's (the pool changes no decision and no checkpoint
+# byte).  large-fleet's 2501 states clear the pool's fan-out cutoff.
+CRASH_FLAGS=(--domains 2)
+check_case cross-width 5 online --scenario large-fleet --horizon 12
+CRASH_FLAGS=()
+
+# Time-varying fleet sizes (Section 4.3) are offline only: `online`
+# must refuse the maintenance scenario, with the error that says so,
+# instead of printing a schedule that breaks its maintenance window.
+maintenance_case() {
+  local status=0
+  "$BIN" online --scenario maintenance > /dev/null 2> "$WORK/maintenance.err" \
+    || status=$?
+  if [ "$status" -eq 0 ]; then
+    echo "FAIL maintenance: online accepted a size-varying instance" >&2
+    FAILED=1
+  elif ! grep -q 'time-varying fleet sizes' "$WORK/maintenance.err"; then
+    echo "FAIL maintenance: exit $status without the size-varying refusal:" >&2
+    cat "$WORK/maintenance.err" >&2
+    FAILED=1
+  else
+    echo "OK   maintenance: online refused it (exit $status): $(cat "$WORK/maintenance.err")"
+  fi
+}
+maintenance_case
 
 # Daemon crash/resume: the daemon serves with --log-dir (the
 # incremental session log, its only durable state; docs/durability.md),

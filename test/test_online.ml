@@ -929,8 +929,13 @@ let prop_all_solvers_feasible_within_bound seed =
 
 let prop_checkpoint_resume_bit_identity seed =
   (* Feed half the trace, save, restore into a fresh session, feed the
-     rest: every decision must be bit-identical to the batch run. *)
+     rest: every decision must be bit-identical to the batch run, and
+     the decisions rebuilt from the restored power events must be the
+     batch schedule's first k rows, then all of it. *)
   let rng = Util.Prng.create seed in
+  let schedule_equal a b =
+    Array.length a = Array.length b && Array.for_all2 Model.Config.equal a b
+  in
   List.for_all
     (fun f ->
       let inst = f.gen rng in
@@ -948,13 +953,17 @@ let prop_checkpoint_resume_bit_identity seed =
       match Online.Streaming.restore resumed snap with
       | Error _ -> false
       | Ok () ->
+          let rebuilt_prefix_ok =
+            schedule_equal (Online.Streaming.decisions resumed) (Array.sub batch 0 k)
+          in
           let suffix_ok = ref (Online.Streaming.fed resumed = k) in
           for t = k to Array.length loads - 1 do
             suffix_ok :=
               !suffix_ok
               && Model.Config.equal (Online.Streaming.feed resumed loads.(t)) batch.(t)
           done;
-          !prefix_ok && !suffix_ok)
+          !prefix_ok && rebuilt_prefix_ok && !suffix_ok
+          && schedule_equal (Online.Streaming.decisions resumed) batch)
     solver_families
 
 let () =

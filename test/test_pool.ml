@@ -206,6 +206,43 @@ let test_ramp_planes_fan_out pool () =
   fanned_out before;
   Alcotest.(check (array int64)) "across: pooled = sequential" seq par
 
+(* A streaming session hands its pool to the prefix engine.  On the
+   large-fleet scenario (61 x 41 = 2501 states, above
+   min_parallel_items) a session on a 2-domain pool must decide and
+   save exactly as one without a pool, and its save must resume in a
+   session without a pool (the CLI's --domains 2 crash, --domains 1
+   resume). *)
+let test_pooled_session_identical () =
+  let horizon = 10 and k = 5 in
+  let inst = Sim.Scenarios.large_fleet ~horizon () in
+  let types = inst.Model.Instance.types in
+  let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
+  let session ?pool () = Online.Streaming.alg_a ?pool ~max_horizon:horizon ~types ~fns () in
+  let loads = inst.Model.Instance.load in
+  let decide s t = Online.Streaming.feed s loads.(t) in
+  let check_decision t a b =
+    Alcotest.(check (array int)) (Printf.sprintf "slot %d: pooled = sequential" t) a b
+  in
+  let fills = Option.get (Obs.Counter.find "parallel.fills") in
+  let seq = session () in
+  Util.Pool.with_pool ~domains:2 @@ fun pool ->
+  let par = session ~pool () in
+  let before = Obs.Counter.value fills in
+  for t = 0 to k - 1 do
+    check_decision t (decide seq t) (decide par t)
+  done;
+  if Util.Parallel.recommended_domains () > 1 then
+    checkb "parallel.fills moved" true (Obs.Counter.value fills > before);
+  let snap = Online.Streaming.save par in
+  checkb "pooled save = sequential save" true (snap = Online.Streaming.save seq);
+  let resumed = session () in
+  (match Online.Streaming.restore resumed snap with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "restore without a pool: %s" m);
+  for t = k to horizon - 1 do
+    check_decision t (decide seq t) (decide resumed t)
+  done
+
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
 let mk_prop ?(count = 25) ~name prop =
@@ -235,6 +272,8 @@ let () =
             mk_prop ~count:15 ~name:"pooled solve_approx = sequential"
               (prop_pooled_approx_identical pool);
             Alcotest.test_case "pooled plane ramps = sequential (fan out)" `Quick
-              (test_ramp_planes_fan_out pool)
+              (test_ramp_planes_fan_out pool);
+            Alcotest.test_case "pooled streaming session = sequential (large-fleet)"
+              `Quick test_pooled_session_identical
           ] )
       ]

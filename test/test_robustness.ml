@@ -358,6 +358,76 @@ let test_wrong_kind_rejected () =
   | Error e -> Alcotest.fail ("expected Wrong_kind, got " ^ Snapshot.error_to_string e)
   | Ok _ -> Alcotest.fail "wrong kind accepted"
 
+let test_old_online_checkpoint_refused () =
+  (* An online-run checkpoint holds a Streaming.save payload.  The
+     older CLI payload, (online-run (time k) (schedule (x ..) ..)
+     (engine ..) (stepper ..)), must be refused, never misread. *)
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:6 () in
+  let engine = Online.Prefix_opt.create inst and stepper = Online.Stepper.alg_a inst in
+  let schedule =
+    List.init 3 (fun time ->
+        let hat = (Online.Prefix_opt.step engine).Online.Prefix_opt.last in
+        Online.Stepper.step stepper ~time ~hat)
+  in
+  let old =
+    S.List
+      [ S.Atom "online-run";
+        S.List [ S.Atom "time"; S.Atom "3" ];
+        S.List (S.Atom "schedule" :: List.map (Snapshot.int_array_field "x") schedule);
+        S.List [ S.Atom "engine"; Online.Prefix_opt.save engine ];
+        S.List [ S.Atom "stepper"; Online.Stepper.save stepper ] ]
+  in
+  match Snapshot.parse ~kind:"online-run" (Snapshot.render ~kind:"online-run" old) with
+  | Error e -> Alcotest.fail ("container: " ^ Snapshot.error_to_string e)
+  | Ok payload -> (
+      match Online.Streaming.restore (session_a inst) payload with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "an old online-run payload was restored")
+
+let test_tampered_power_events_refused () =
+  (* A payload can pass its checksum and still carry stepper events
+     that Streaming.decisions cannot replay into the saved run: each
+     such payload must be refused on restore. *)
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:12 () in
+  let session = session_a inst in
+  for t = 0 to 7 do
+    ignore (Online.Streaming.feed session inst.Model.Instance.load.(t))
+  done;
+  let snap = Online.Streaming.save session in
+  let event (time, typ, count) =
+    S.List (List.map (fun i -> S.Atom (string_of_int i)) [ time; typ; count ])
+  in
+  let rec field name = function
+    | S.List (S.Atom n :: events) when n = name -> Some events
+    | S.List items -> List.find_map (field name) items
+    | S.Atom _ -> None
+  in
+  let rec tamper name f = function
+    | S.List (S.Atom n :: events) when n = name -> S.List (S.Atom n :: f events)
+    | S.List items -> S.List (List.map (tamper name f) items)
+    | S.Atom _ as a -> a
+  in
+  let restore payload = Online.Streaming.restore (session_a inst) payload in
+  checkb "fixture power-ups" true
+    (field "ups" snap
+    = Some (List.map event [ (0, 0, 2); (3, 0, 1); (4, 1, 1); (6, 0, 1); (7, 1, 1) ]));
+  checkb "fixture power-downs" true (field "downs" snap = Some [ event (6, 0, 2) ]);
+  checkb "untampered payload restores" true (Result.is_ok (restore snap));
+  let set_first e = function _ :: rest -> event e :: rest | [] -> [] in
+  let set_last e l = List.rev (set_first e (List.rev l)) in
+  List.iter
+    (fun (what, name, f) ->
+      match restore (tamper name f snap) with
+      | Error m ->
+          checkb (what ^ ": " ^ m) true (String.starts_with ~prefix:"stepper: power events" m)
+      | Ok () -> Alcotest.failf "restored a payload with %s" what)
+    [ ("a type out of range", "ups", set_first (0, 2, 2));
+      ("an event before slot 0", "ups", set_first (-1, 0, 2));
+      ("an event at an unprocessed slot", "ups", set_last (8, 1, 1));
+      ("a zero count", "ups", fun l -> l @ [ event (7, 0, 0) ]);
+      ("events out of time order", "ups", List.rev);
+      ("a dropped power-down", "downs", fun _ -> []) ]
+
 let test_fault_streaming_feed_clean_retry () =
   let types = [| st ~count:2 ~switching_cost:3. ~cap:1. () |] in
   let fns = [| Convex.Fn.const 1. |] in
@@ -461,6 +531,10 @@ let () =
             test_golden_v1_fixture;
           Alcotest.test_case "unknown version rejected" `Quick test_unknown_version_rejected;
           Alcotest.test_case "wrong kind rejected" `Quick test_wrong_kind_rejected;
+          Alcotest.test_case "old online-run checkpoint refused" `Quick
+            test_old_online_checkpoint_refused;
+          Alcotest.test_case "tampered power events refused" `Quick
+            test_tampered_power_events_refused;
           Alcotest.test_case "corrupted payload fails the checksum" `Quick
             test_corrupted_payload_checksum
         ] );
