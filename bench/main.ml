@@ -297,6 +297,13 @@ let benches =
        fun () ->
          let e = Core.Prefix_opt.create inst in
          Core.Prefix_opt.step e);
+    (* The steady-state online fill: 96 slots of the large-fleet
+       scenario (2501 states), where [Prefix_opt.step] solves dispatch
+       problems only on the lines' undominated prefixes.  The single
+       step above is a cold slot 0. *)
+    bench "online: algorithm A full run, large fleet (d=2, T=96)"
+      (let inst = Core.Scenarios.large_fleet ~horizon:96 () in
+       fun () -> Core.Alg_a.run inst);
     bench "kernel: snapshot render+parse (dp-frontier, 12 layers)"
       (let inst = Lazy.force fix_cpu_gpu in
        let captured = ref None in

@@ -298,6 +298,8 @@ let sweep_start () =
   sw.carry.nu_hi <- nan;
   sw
 
+let sweep_multiplier sw = sw.carry.nu_hi
+
 let sweep_finish sw =
   Obs.Counter.add c_calls sw.calls;
   Obs.Counter.add c_analytic sw.analytic;

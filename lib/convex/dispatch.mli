@@ -98,6 +98,14 @@ val sweep_solve :
     non-invertible pieces fall back to {!solve} transparently.  The
     cell's [dispatch.*] counts stay in [sw] until {!sweep_finish}. *)
 
+val sweep_multiplier : sweep -> float
+(** The multiplier the line's latest analytic solve ended on (the
+    upper bracket it carries to the next cell), or [nan] before the
+    line's first one.  Any multiplier [nu] bounds a cell from below by
+    weak duality, [sum_j h_j(z_j) >= nu * total + sum_j min_{0 <= z <=
+    u_j} (h_j(z) - nu z)], and this one is within the solver's
+    tolerance of the latest cell's optimum. *)
+
 val sweep_finish : sweep -> unit
 (** Add the counts the sweep's cells accumulated to the
     [dispatch.calls], [dispatch.analytic_solves] and

@@ -169,18 +169,6 @@ let layer_table cache ~time n =
    inactive types. *)
 let zero_piece = { Convex.Dispatch.fn = Convex.Fn.const 0.; upper = 0. }
 
-(* Per-domain pieces scratch for the line fills: the prefix pieces are
-   built once per line and only the swept axis's piece is rebuilt per
-   cell (which also lets the dispatch sweep reuse their cached endpoint
-   derivatives via physical equality). *)
-let pieces_key : Convex.Dispatch.piece array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let pieces_scratch d =
-  let buf = Domain.DLS.get pieces_key in
-  if Array.length !buf <> d then buf := Array.make d zero_piece;
-  !buf
-
 let make_piece fn xj ~load ~cap =
   if xj = 0 then zero_piece
   else begin
@@ -189,13 +177,20 @@ let make_piece fn xj ~load ~cap =
       upper = Float.min 1. (xf *. cap /. load) }
   end
 
-(* Per-layer invariants of a line fill: the swept (last) axis's
-   dispatch piece and its solver stats per value index.  Every line of
-   a layer shares the same load and last-axis values, so these are
-   derived once per layer instead of once per cell; the arrays are
-   immutable after construction and safe to share across pool
-   domains. *)
+(* Per-layer invariants of a line fill: the slot's load and per-type
+   costs, and the swept (last) axis's dispatch piece and its solver
+   stats per value index.  Every line of a layer shares them, so they
+   are derived once per layer instead of once per line or cell; the
+   arrays are immutable after construction and safe to share across
+   pool domains. *)
 type line_ctx = {
+  lx_load : float;
+  lx_fns : Convex.Fn.t array;  (* f_{t,j} per type *)
+  lx_caps : float array;  (* per-server capacity per type *)
+  lx_idle : float array;  (* f_{t,j}(0) per type *)
+  lx_const : bool array;  (* f_{t,j} load-independent *)
+  lx_kers : Convex.Fn.probe_kernel array;  (* for [line_bound]'s closed forms *)
+  lx_inv : bool array;  (* f_{t,j}'s derivative inverts in closed form *)
   lx_pieces : Convex.Dispatch.piece array;
   lx_swept : Convex.Dispatch.stats option array;
 }
@@ -203,122 +198,230 @@ type line_ctx = {
 let line_ctx inst ~time ~values =
   let d = Instance.num_types inst in
   let load = inst.Instance.load.(time) in
-  if load <= 0. then { lx_pieces = [||]; lx_swept = [||] }
+  let fns = Array.init d (fun typ -> inst.Instance.cost ~time ~typ) in
+  let caps = Array.map (fun st -> st.Server_type.cap) inst.Instance.types in
+  let pieces, swept =
+    if load <= 0. then ([||], [||])
+    else begin
+      let pieces =
+        Array.map (fun v -> make_piece fns.(d - 1) v ~load ~cap:caps.(d - 1)) values
+      in
+      (pieces, Array.map (fun p -> Some (Convex.Dispatch.piece_stats p)) pieces)
+    end
+  in
+  { lx_load = load;
+    lx_fns = fns;
+    lx_caps = caps;
+    lx_idle = Array.map (fun fn -> Convex.Fn.eval fn 0.) fns;
+    lx_const = Array.map Convex.Fn.is_constant fns;
+    lx_kers = Array.map Convex.Fn.probe_kernel fns;
+    lx_inv = Array.map Convex.Fn.has_inv_deriv fns;
+    lx_pieces = pieces;
+    lx_swept = swept }
+
+(* A line cursor: the state of one grid line's fill between cells, so
+   a caller can drive the line cell by cell and stop after any of them
+   with the warm chain of the cells before intact.  One per domain,
+   re-aimed at each line; its floats live in an all-float record, where
+   they are stored unboxed, so re-aiming allocates nothing beyond the
+   line's prefix pieces. *)
+type line_floats = {
+  mutable load : float;
+  mutable cap_base : float;  (* capacity of the fixed prefix x.(0 .. d-2) *)
+  mutable cap_last : float;  (* per-server capacity of the swept type *)
+  mutable idle_base : float;  (* idle sum of the prefix, when load-independent *)
+  mutable idle_last : float;  (* idle cost of a swept server, likewise *)
+}
+
+type line = {
+  lf : line_floats;
+  mutable ctx : line_ctx;
+  mutable table : float array;
+  mutable rank0 : int;
+  mutable values : int array;
+  mutable x : int array;  (* the line's configuration; x.(d-1) unused *)
+  mutable loaded : bool;
+  mutable base_const : bool;  (* every active prefix type load-independent *)
+  mutable last_const : bool;
+  mutable ps : Convex.Dispatch.piece array;  (* prefix pieces, then the cell's swept one *)
+  mutable sw : Convex.Dispatch.sweep;
+  mutable misses : int;
+}
+
+let empty_ctx =
+  { lx_load = 0.;
+    lx_fns = [||];
+    lx_caps = [||];
+    lx_idle = [||];
+    lx_const = [||];
+    lx_kers = [||];
+    lx_inv = [||];
+    lx_pieces = [||];
+    lx_swept = [||] }
+
+let line_key : line Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { lf = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
+        ctx = empty_ctx;
+        table = [||];
+        rank0 = 0;
+        values = [||];
+        x = [||];
+        loaded = false;
+        base_const = true;
+        last_const = true;
+        ps = [||];
+        sw = Convex.Dispatch.sweep_start ();
+        misses = 0 })
+
+let line_start ~ctx ~table ~rank0 ~x ~values =
+  let l = Domain.DLS.get line_key in
+  let d = Array.length x in
+  if Array.length l.x <> d then begin
+    l.x <- Array.make d 0;
+    l.ps <- Array.make d zero_piece
+  end;
+  Array.blit x 0 l.x 0 d;
+  l.ctx <- ctx;
+  l.table <- table;
+  l.rank0 <- rank0;
+  l.values <- values;
+  l.misses <- 0;
+  let f = l.lf in
+  let load = ctx.lx_load in
+  f.load <- load;
+  f.cap_last <- ctx.lx_caps.(d - 1);
+  (* The load-independent cells' idle sums (the whole line at zero
+     load), derived only on the lines that can have such cells;
+     ascending-type order keeps the float sums identical to
+     [idle_sum]'s. *)
+  let base_const = ref true in
+  if load > 0. then
+    for j = 0 to d - 2 do
+      if x.(j) > 0 && not ctx.lx_const.(j) then base_const := false
+    done;
+  let last_const = load <= 0. || ctx.lx_const.(d - 1) in
+  let idle_base = ref 0. in
+  if !base_const then
+    for j = 0 to d - 2 do
+      if x.(j) > 0 then idle_base := !idle_base +. (float_of_int x.(j) *. ctx.lx_idle.(j))
+    done;
+  f.idle_base <- !idle_base;
+  f.idle_last <- (if !base_const && last_const then ctx.lx_idle.(d - 1) else 0.);
+  l.base_const <- !base_const;
+  l.last_const <- last_const;
+  l.loaded <- load > 0.;
+  if load > 0. then begin
+    let cap_base = ref 0. in
+    for j = 0 to d - 2 do
+      cap_base := !cap_base +. (float_of_int x.(j) *. ctx.lx_caps.(j))
+    done;
+    f.cap_base <- !cap_base;
+    for j = 0 to d - 2 do
+      l.ps.(j) <- make_piece ctx.lx_fns.(j) x.(j) ~load ~cap:ctx.lx_caps.(j)
+    done;
+    l.sw <- Convex.Dispatch.sweep_start ()
+  end;
+  l
+
+(* Every fast path reproduces [operating] bit-for-bit (same summation
+   order); the dispatch path solves the same KKT system from the
+   line's warm bracket.  A dispatch cell allocates nothing: the pieces
+   come from the cursor and [ctx], and the solver writes the objective
+   straight into the table. *)
+let[@inline] line_cell l i =
+  let idx = l.rank0 + i in
+  let f = l.lf in
+  l.misses <- l.misses + 1;
+  let v = l.values.(i) in
+  if l.loaded && f.cap_base +. (float_of_int v *. f.cap_last) +. cap_eps < f.load then
+    l.table.(idx) <- infinity
+  else if l.base_const && (v = 0 || l.last_const) then
+    l.table.(idx) <-
+      (if v > 0 then f.idle_base +. (float_of_int v *. f.idle_last) else f.idle_base)
+  else if Array.length l.x = 1 then begin
+    (* Lemma 2: spread the volume evenly over the active servers. *)
+    let xf = float_of_int v in
+    let z = Float.min (f.load /. xf) f.cap_last in
+    l.table.(idx) <- xf *. Convex.Fn.eval l.ctx.lx_fns.(0) z
+  end
   else begin
-    let types = inst.Instance.types in
-    let fn_last = inst.Instance.cost ~time ~typ:(d - 1) in
-    let cap_last = types.(d - 1).Server_type.cap in
-    let pieces =
-      Array.map (fun v -> make_piece fn_last v ~load ~cap:cap_last) values
-    in
-    let swept = Array.map (fun p -> Some (Convex.Dispatch.piece_stats p)) pieces in
-    { lx_pieces = pieces; lx_swept = swept }
+    let d = Array.length l.ps in
+    l.ps.(d - 1) <- l.ctx.lx_pieces.(i);
+    Convex.Dispatch.sweep_solve ?swept:l.ctx.lx_swept.(i) l.sw l.ps ~total:1. l.table idx
   end
 
-(* Fill the not-yet-computed ([nan]) entries of one grid line of a
-   slot-[time] operating-cost table (a memo rank table or a caller's
-   reused row): ranks [rank0 .. rank0 + |values| - 1], whose
-   configurations share the prefix [x.(0 .. d-2)] and take the swept
-   (last) axis's value from [values] (ascending, so capacity is
-   non-decreasing and the dispatch sweep's warm bracket applies).
-   [x] is only read, and [x.(d-1)] not at all.  Every fast path
-   reproduces [operating] bit-for-bit (same summation order); the
-   dispatch path solves the same KKT system from a warm bracket, which
-   can move the objective at the solver-tolerance level (~1e-12
-   relative) only.  A dispatch cell allocates nothing: the pieces come
-   from the line's scratch and [ctx], and the solver writes the
-   objective straight into [table]. *)
-let fill_line ~ctx inst ~time ~table ~rank0 ~x ~values =
+(* The cursor lets go of the layer's context and arrays, so a cursor
+   idle between fills keeps no layer alive. *)
+let line_finish l =
+  if l.loaded then Convex.Dispatch.sweep_finish l.sw;
+  if l.misses > 0 then Obs.Counter.add c_rank_misses l.misses;
+  l.misses <- 0;
+  l.ctx <- empty_ctx;
+  l.table <- [||];
+  l.values <- [||]
+
+type bound = { mutable icept : float; mutable slope : float }
+
+(* [min_{0 <= s <= cap_j} f_{t,j}(s) - mu s] in closed form: the
+   minimiser is f's derivative inverse at [mu], capped; the kernel
+   families evaluate [Fn.inv_deriv]'s and [Fn.eval]'s expressions
+   without a boxing call into [Fn].  A [nan] (no closed form) passes
+   through to the caller's comparison, which then proves nothing. *)
+let[@inline] phi ctx j mu =
+  if mu <= 0. then ctx.lx_idle.(j) (* f is non-decreasing: the minimum is f(0) *)
+  else begin
+    let fn = ctx.lx_fns.(j) and cap = ctx.lx_caps.(j) in
+    match ctx.lx_kers.(j) with
+    | Convex.Fn.Power_kernel { idle; coef; expo; scale; expo_inv; _ } ->
+        let s = (mu *. scale) ** expo_inv in
+        let s = if s > cap then cap else s in
+        idle +. (coef *. (s ** expo)) -. (mu *. s)
+    | Convex.Fn.Quad_kernel { c0; c1; c2; inv_c2x2; _ } ->
+        let s = if c1 >= mu then 0. else (mu -. c1) *. inv_c2x2 in
+        let s = if s > cap then cap else s in
+        c0 +. (c1 *. s) +. (c2 *. s *. s) -. (mu *. s)
+    | Convex.Fn.Generic_kernel ->
+        let s = Convex.Fn.inv_deriv fn mu in
+        let s = if s > cap then cap else s in
+        Convex.Fn.eval fn s -. (mu *. s)
+  end
+
+(* Weak duality holds for any multiplier, so a stale or missing one
+   (nan before the line's first analytic solve) only loosens the bound:
+   [mu = 0] then gives the idle sum. *)
+let line_bound l b =
+  let ctx = l.ctx and x = l.x in
   let d = Array.length x in
+  let closed = ref ctx.lx_inv.(d - 1) in
+  for j = 0 to d - 2 do
+    if x.(j) > 0 && not ctx.lx_inv.(j) then closed := false
+  done;
+  if !closed then begin
+    let nu = if l.loaded then Convex.Dispatch.sweep_multiplier l.sw else nan in
+    let nu = if Float.is_finite nu then nu else 0. in
+    let mu = if l.loaded then nu /. l.lf.load else 0. in
+    let acc = ref nu in
+    for j = 0 to d - 2 do
+      if x.(j) > 0 then acc := !acc +. (float_of_int x.(j) *. phi ctx j mu)
+    done;
+    b.icept <- !acc;
+    b.slope <- phi ctx (d - 1) mu
+  end;
+  !closed
+
+let fill_line ~ctx ~table ~rank0 ~x ~values =
   let len = Array.length values in
   let any = ref false in
   for i = 0 to len - 1 do
     if Float.is_nan table.(rank0 + i) then any := true
   done;
   if !any then begin
-    let types = inst.Instance.types in
-    let load = inst.Instance.load.(time) in
-    let misses = ref 0 in
-    if load <= 0. then begin
-      (* idle_sum, split into the fixed-prefix part and the swept term
-         (ascending-type order keeps the float sum identical). *)
-      let base = ref 0. in
-      for j = 0 to d - 2 do
-        if x.(j) > 0 then
-          base := !base +. (float_of_int x.(j) *. Instance.idle_cost inst ~time ~typ:j)
-      done;
-      let idle_last = Instance.idle_cost inst ~time ~typ:(d - 1) in
-      for i = 0 to len - 1 do
-        let idx = rank0 + i in
-        if Float.is_nan table.(idx) then begin
-          incr misses;
-          let v = values.(i) in
-          table.(idx) <-
-            (if v > 0 then !base +. (float_of_int v *. idle_last) else !base)
-        end
-      done
-    end
-    else begin
-      let cap_last = types.(d - 1).Server_type.cap in
-      let cap_base = ref 0. in
-      for j = 0 to d - 2 do
-        cap_base := !cap_base +. (float_of_int x.(j) *. types.(j).Server_type.cap)
-      done;
-      let base_const = ref true in
-      for j = 0 to d - 2 do
-        if x.(j) > 0 && not (Convex.Fn.is_constant (inst.Instance.cost ~time ~typ:j))
-        then base_const := false
-      done;
-      let base_const = !base_const in
-      let fn_last = inst.Instance.cost ~time ~typ:(d - 1) in
-      let last_const = Convex.Fn.is_constant fn_last in
-      (* The load-independent cells' idle sums, derived only on the
-         lines that can have such cells. *)
-      let idle_base =
-        if base_const then begin
-          let acc = ref 0. in
-          for j = 0 to d - 2 do
-            if x.(j) > 0 then
-              acc := !acc +. (float_of_int x.(j) *. Instance.idle_cost inst ~time ~typ:j)
-          done;
-          !acc
-        end
-        else 0.
-      in
-      let idle_last =
-        if base_const && last_const then Instance.idle_cost inst ~time ~typ:(d - 1) else 0.
-      in
-      let ps = pieces_scratch d in
-      for j = 0 to d - 2 do
-        ps.(j) <- make_piece (inst.Instance.cost ~time ~typ:j) x.(j) ~load
-                    ~cap:types.(j).Server_type.cap
-      done;
-      let sw = Convex.Dispatch.sweep_start () in
-      for i = 0 to len - 1 do
-        let idx = rank0 + i in
-        if Float.is_nan table.(idx) then begin
-          incr misses;
-          let v = values.(i) in
-          let cap = !cap_base +. (float_of_int v *. cap_last) in
-          if cap +. cap_eps < load then table.(idx) <- infinity
-          else if base_const && (v = 0 || last_const) then
-            table.(idx) <-
-              (if v > 0 then idle_base +. (float_of_int v *. idle_last) else idle_base)
-          else if d = 1 then begin
-            (* Lemma 2: spread the volume evenly over the active servers. *)
-            let xf = float_of_int v in
-            let z = Float.min (load /. xf) cap_last in
-            table.(idx) <- xf *. Convex.Fn.eval fn_last z
-          end
-          else begin
-            ps.(d - 1) <- ctx.lx_pieces.(i);
-            Convex.Dispatch.sweep_solve ?swept:ctx.lx_swept.(i) sw ps ~total:1. table idx
-          end
-        end
-      done;
-      Convex.Dispatch.sweep_finish sw
-    end;
-    if !misses > 0 then Obs.Counter.add c_rank_misses !misses
+    let l = line_start ~ctx ~table ~rank0 ~x ~values in
+    for i = 0 to len - 1 do
+      if Float.is_nan table.(rank0 + i) then line_cell l i
+    done;
+    line_finish l
   end
 
 let operating_rank cache ~time ~rank x =

@@ -79,42 +79,76 @@ val layer_table : cache -> time:int -> int -> float array
     ranks. *)
 
 type line_ctx
-(** Per-layer invariants of {!fill_line}: the swept axis's dispatch
-    pieces and their solver stats per value index.  Build one with
-    {!line_ctx} per (slot, grid) layer fill and pass it to every line
-    of that layer — it is immutable and safe to share across pool
-    domains.  Purely an amortisation: the cached stats are value-equal
-    to what the solver would re-derive per cell. *)
+(** Per-layer invariants of a line fill: the slot's load, each type's
+    cost function, capacity, idle cost and closed-form constants, and
+    the swept axis's dispatch pieces and their solver stats per value
+    index.  Build one with {!line_ctx} per (slot, grid) layer fill and
+    pass it to every line of that layer — it is immutable and safe to
+    share across pool domains.  Purely an amortisation: the cached
+    values equal what a cell would re-derive. *)
 
 val line_ctx : Instance.t -> time:int -> values:int array -> line_ctx
 (** The shared per-layer context for lines sweeping the last axis
     through [values] at slot [time]. *)
 
-val fill_line :
-  ctx:line_ctx ->
-  Instance.t ->
-  time:int ->
-  table:float array ->
-  rank0:int ->
-  x:Config.t ->
-  values:int array ->
-  unit
-(** [fill_line ~ctx inst ~time ~table ~rank0 ~x ~values] computes the
-    [nan] (not yet computed) entries of one grid line of a slot-[time]
-    operating-cost table [table] — a memo rank table from
-    {!layer_table}, or a caller's own row reset to [nan].  Ranks
-    [rank0 + i] hold the configurations sharing the prefix
-    [x.(0 .. d-2)] with the last coordinate swept through [values.(i)]
-    ([x] is only read, and [x.(d-1)] not at all).  [ctx] is the
-    layer's {!line_ctx} for the same [time] and [values].  [values]
-    must be ascending — capacity then grows along the line, so the
-    dispatch solves share one warm-started multiplier sweep
-    ({!Convex.Dispatch.sweep_solve}), the per-line prefix pieces are
-    built once, and a dispatch cell allocates nothing.  Zero-load,
+type line
+(** A line cursor: one grid line's fill, driven cell by cell.  Lines
+    of a slot-[t] operating-cost table are the rank ranges
+    [rank0 .. rank0 + |values| - 1] whose configurations share the
+    prefix [x.(0 .. d-2)] and take the swept (last) axis's value from
+    [values] (ascending, so capacity grows along the line and the
+    dispatch solves share one warm-started multiplier sweep,
+    {!Convex.Dispatch.sweep_solve}).  Each domain owns one cursor:
+    finish a line before starting the next on the same domain. *)
+
+val line_start :
+  ctx:line_ctx -> table:float array -> rank0:int -> x:Config.t -> values:int array -> line
+(** Aim the calling domain's cursor at a line of [table]: [x] is read
+    for its prefix (and copied; [x.(d-1)] is ignored), [ctx] is the
+    layer's {!line_ctx} for the same [values].  Builds the line's
+    prefix pieces once and clears the warm bracket. *)
+
+val line_cell : line -> int -> unit
+(** [line_cell l i] computes [g_t] of the line's cell [i] into
+    [table.(rank0 + i)].  Cells must be computed in ascending [i]; any
+    prefix of a line gets exactly the values (bits and warm chain) the
+    whole line would, so a caller may stop after any cell.  Zero-load,
     load-independent, infeasible and [d = 1] cells match {!operating}
-    bit-for-bit; dispatch cells agree to the solver tolerance (~1e-12
-    relative).  Lines are disjoint rank ranges, so concurrent calls on
-    different lines are safe. *)
+    bit for bit; dispatch cells agree to the solver tolerance (~1e-12
+    relative) and allocate nothing. *)
+
+val line_finish : line -> unit
+(** Add the line's work to the counters ([cost.rank_misses], one per
+    computed cell, and the dispatch counters). *)
+
+type bound = { mutable icept : float; mutable slope : float }
+(** A lower bound on [g_t] along a line: [g_t(x) >= icept + slope * v]
+    at every cell whose swept count is [v]. *)
+
+val line_bound : line -> bound -> bool
+(** [line_bound l b] writes into [b] the weak-duality bound of the
+    line's dispatch problems at the multiplier [nu] of its latest
+    analytic solve: with [mu = nu / lambda_t],
+    [g_t(x) >= nu + sum_j x_j phi_j(mu)], where
+    [phi_j(mu) = min_{0 <= s <= cap_j} f_{t,j}(s) - mu s] (piece [j]'s
+    box relaxed to the per-server capacity, which makes the bound
+    linear in the swept count).  Before any solve, or at zero load, it
+    uses [mu = 0]: the idle sum.  Returns [false], leaving [b]
+    untouched, when an active type of the line (a prefix type with
+    [x_j > 0], or the swept type) has no closed-form derivative
+    inverse ({!Convex.Fn.has_inv_deriv}).  The bound is exact
+    arithmetic up to float rounding; callers compare it with a
+    margin. *)
+
+val fill_line :
+  ctx:line_ctx -> table:float array -> rank0:int -> x:Config.t -> values:int array -> unit
+(** [fill_line ~ctx ~table ~rank0 ~x ~values] computes the [nan] (not
+    yet computed) cells of one line of a slot-[time] operating-cost
+    table [table] — a memo rank table from {!layer_table}, or a
+    caller's own row reset to [nan] — in order, through the calling
+    domain's {!line} cursor.  Lines are disjoint rank ranges, so
+    concurrent calls on different lines (from different domains) are
+    safe. *)
 
 val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
 (** Memoised {!operating} through slot [time]'s rank table: returns the

@@ -75,8 +75,7 @@ let fill_lines ?pool ~domains inst grid ~time table =
   let ctx = Model.Cost.line_ctx inst ~time ~values in
   let line k =
     let rank0 = k * len in
-    Model.Cost.fill_line ~ctx inst ~time ~table ~rank0
-      ~x:(Grid.config_scratch grid rank0) ~values
+    Model.Cost.fill_line ~ctx ~table ~rank0 ~x:(Grid.config_scratch grid rank0) ~values
   in
   if domains > 1 && n >= Util.Parallel.min_parallel_items then begin
     (* The parallel cutoff counts cells (each runs a dispatch solve);

@@ -8,7 +8,18 @@
     whole online run costs the same as one offline solve.
 
     The engine only ever reads the instance at slots it has been stepped
-    through, so it is a valid online computation. *)
+    through, so it is a valid online computation.
+
+    The layer it keeps is {e canonical}: +infinity at every state that
+    a cheaper state below it reaches by power-ups alone (beyond a 1e-9
+    relative allowance), the cheapest prefix cost everywhere else.  Such
+    a state is on no optimal path and never an optimal last
+    configuration, so every ramp, argmin and decision is bit-identical to
+    keeping its cost; and the layer does not depend on which states'
+    operating costs a step skipped.  Without a pool (or below the fan-out
+    cutoff), a step stops each grid line's fill once a weak-duality bound
+    proves the line's remaining states dominated, so it solves the
+    dispatch problem (eq. (1)) only where a prefix can still use it. *)
 
 type t
 
@@ -33,9 +44,10 @@ val create :
 
     With [domains > 1] (or a [pool]; [domains] defaults to the pool's
     size), each step's ramp transform and operating-cost fill run on the
-    pool when the grid clears {!Util.Parallel.min_parallel_items}.  The
-    argmin scan stays sequential, so stepped results are bit-identical
-    to the single-domain engine. *)
+    pool when the grid clears {!Util.Parallel.min_parallel_items}; the
+    pooled fill computes every state and skips nothing.  The pruning
+    sweep and the argmin scan stay sequential, so stepped results and
+    saved layers are bit-identical to the single-domain engine. *)
 
 val step : t -> step
 (** Reveal and process the next slot.  Raises [Invalid_argument] past the
@@ -53,11 +65,16 @@ val rebind : t -> Model.Instance.t -> unit
     dimension/fleet mismatch or a horizon shorter than {!time}. *)
 
 val save : t -> Util.Sexp.t
-(** The engine's resumable state (clock and live DP layer), floats
-    encoded bit-exactly ({!Util.Snapshot.float_atom}). *)
+(** The engine's resumable state (clock and live DP layer, which is
+    canonical: +infinity at dominated states), floats encoded
+    bit-exactly ({!Util.Snapshot.float_atom}). *)
 
 val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into an engine created over the same instance
     and grid; stepping afterwards is decision-for-decision identical to
-    the uninterrupted engine.  Validates the payload shape, the clock
-    against the horizon and the layer length against the grid. *)
+    the uninterrupted engine.  Any layer is accepted, canonical or not
+    (a checkpoint written before layers were canonical keeps finite
+    costs at dominated states): no ramp value or argmin depends on a
+    dominated state's cost, so both resume to the same bits.  Validates
+    the payload shape, the clock against the horizon and the layer
+    length against the grid. *)

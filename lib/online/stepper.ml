@@ -231,6 +231,7 @@ let step t ~time ~hat =
   done);
   Array.copy t.x
 
+let time t = t.clock
 let power_ups t = List.rev t.ups
 let power_downs t = List.rev t.downs
 

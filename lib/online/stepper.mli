@@ -42,6 +42,9 @@ val step : t -> time:int -> hat:Model.Config.t -> Model.Config.t
 (** Process one slot (slots must be fed in order, starting at 0) and
     return the resulting active configuration (a fresh array). *)
 
+val time : t -> int
+(** Number of slots stepped so far. *)
+
 val power_ups : t -> (int * int * int) list
 (** Chronological [(time, typ, count)] power-up events so far. *)
 

@@ -202,6 +202,10 @@ let restore t sexp =
                 Stepper.restore t.stepper stepper )
             with
             | Error m, _ | _, Error m -> Error m
+            | Ok (), Ok () when Prefix_opt.time t.engine <> clock ->
+                Error "streaming: engine clock does not match the session clock"
+            | Ok (), Ok () when Stepper.time t.stepper <> clock ->
+                Error "streaming: stepper clock does not match the session clock"
             | Ok (), Ok () ->
                 t.clock <- clock;
                 t.current <- Array.copy current;

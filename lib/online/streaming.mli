@@ -127,5 +127,7 @@ val save : t -> Util.Sexp.t
 val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into a session constructed with the same
     types, cost functions and cap.  Validates dimensions, the clock and
-    the cap; on [Error] the session may be partially overwritten —
+    the cap, and that the engine's and the stepper's clocks are the
+    session's (the engine's arrival plane is only meaningful at its own
+    slot); on [Error] the session may be partially overwritten —
     discard it. *)

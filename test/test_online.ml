@@ -117,6 +117,31 @@ let test_fill_allocation_ceiling () =
     (Printf.sprintf "Prefix_opt.step at slot 6: %.0f words <= %.0f" words ceiling)
     true (words <= ceiling)
 
+(* The online fill's exact work.  A large-fleet session fed 192 slots
+   adds at most [max_solves] to [dispatch.calls]: [Prefix_opt.step]
+   solves a state's dispatch problem only while its line can still hold
+   a state some prefix uses, so work counts, which repeat exactly, pin
+   the saving with no timing noise.  Filling every state, as the engine
+   did before it pruned dominated states, made 318,923 solves here.
+   The session must still decide exactly as the batch run on two
+   domains, which fills every state. *)
+let test_online_fill_work () =
+  let max_solves = 134_743 in
+  let horizon = 192 in
+  let inst = Sim.Scenarios.large_fleet ~horizon () in
+  let types = inst.Model.Instance.types in
+  let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
+  let session = Online.Streaming.alg_a ~max_horizon:horizon ~types ~fns () in
+  let calls = Option.get (Obs.Counter.find "dispatch.calls") in
+  let before = Obs.Counter.value calls in
+  let decided = Array.map (Online.Streaming.feed session) inst.Model.Instance.load in
+  let solves = Obs.Counter.value calls - before in
+  checkb
+    (Printf.sprintf "%d dispatch solves <= %d" solves max_solves)
+    true (solves <= max_solves);
+  let batch = Online.Alg_a.run ~domains:2 inst in
+  checkb "decisions = batch Alg_a.run" true (decided = batch.Online.Alg_a.schedule)
+
 (* --- Algorithm A --- *)
 
 let simple_static ?(beta = 5.) ?(idle = 1.) ?(count = 5) ~load () =
@@ -978,7 +1003,9 @@ let () =
           Alcotest.test_case "memory flat in slots" `Quick test_prefix_memory_flat_in_slots;
           Alcotest.test_case "Dp.solve major heap is one layer" `Quick
             test_dp_solve_major_heap_is_one_layer;
-          Alcotest.test_case "fill allocation ceiling" `Quick test_fill_allocation_ceiling
+          Alcotest.test_case "fill allocation ceiling" `Quick test_fill_allocation_ceiling;
+          Alcotest.test_case "online fill work (large-fleet, T=192)" `Quick
+            test_online_fill_work
         ] );
       ( "alg_a",
         [ Alcotest.test_case "runtime t_j" `Quick test_alg_a_runtime_value;

@@ -428,6 +428,90 @@ let test_tampered_power_events_refused () =
       ("events out of time order", "ups", List.rev);
       ("a dropped power-down", "downs", fun _ -> []) ]
 
+(* Each part of a Streaming payload carries its own clock.  A payload
+   whose engine or stepper clock disagrees with the session's passes
+   every other check, and the engine's arrival plane then stands for
+   the wrong slot: a cpu-gpu session saved after 8 slots and restored
+   with its engine clock at 7 decided slot 9 as (1, 2), where the
+   saved session decides (2, 2).  Both must be refused on restore. *)
+let test_tampered_clock_refused ~part ~clock ~expected () =
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:12 () in
+  let session = session_a inst in
+  for t = 0 to 7 do
+    ignore (Online.Streaming.feed session inst.Model.Instance.load.(t))
+  done;
+  let snap = Online.Streaming.save session in
+  let rec retime = function
+    | S.List (S.Atom p :: fields) when p = part ->
+        S.List
+          (S.Atom p
+          :: List.map
+               (function
+                 | S.List [ S.Atom "clock"; S.Atom _ ] ->
+                     S.List [ S.Atom "clock"; S.Atom (string_of_int clock) ]
+                 | field -> retime field)
+               fields)
+    | S.List items -> S.List (List.map retime items)
+    | S.Atom _ as a -> a
+  in
+  let tampered = retime snap in
+  checkb "the payload was tampered" false (tampered = snap);
+  checkb "untampered payload restores" true
+    (Result.is_ok (Online.Streaming.restore (session_a inst) snap));
+  match Online.Streaming.restore (session_a inst) tampered with
+  | Error m -> Alcotest.(check string) "refusal" expected m
+  | Ok () -> Alcotest.failf "restored a payload with its %s clock at %d" part clock
+
+(* test/fixtures/online_three_tier_v1.snap was written by the CLI before
+   the engine's arrival plane became canonical: [online --scenario
+   three-tier --horizon 24 --checkpoint F --checkpoint-every 5
+   --crash-after 10].  Its plane keeps the arrival cost of states that
+   the canonical plane holds at +infinity.  Restored into the session
+   [online] builds, it must decide every remaining slot exactly like an
+   uninterrupted session. *)
+let test_online_v1_fixture_resumes () =
+  let path =
+    if Sys.file_exists "fixtures/online_three_tier_v1.snap" then
+      "fixtures/online_three_tier_v1.snap"
+    else Filename.concat "test" "fixtures/online_three_tier_v1.snap"
+  in
+  let horizon = 24 in
+  let inst = Sim.Scenarios.three_tier ~horizon () in
+  let types = inst.Model.Instance.types in
+  let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
+  let session () = Online.Streaming.alg_a ~max_horizon:horizon ~types ~fns () in
+  let loads = inst.Model.Instance.load in
+  let whole = session () in
+  let engine_payload s =
+    match Online.Streaming.save s with
+    | S.List fields ->
+        List.find_map
+          (function S.List [ S.Atom "engine"; e ] -> Some e | _ -> None)
+          fields
+    | S.Atom _ -> None
+  in
+  match Snapshot.load ~kind:"online-run" ~path () with
+  | Error e -> Alcotest.fail ("online fixture unreadable: " ^ Snapshot.error_to_string e)
+  | Ok payload ->
+      let resumed = session () in
+      (match Online.Streaming.restore resumed payload with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail ("online fixture refused: " ^ m));
+      checki "slots in the fixture" 10 (Online.Streaming.fed resumed);
+      for t = 0 to 9 do
+        ignore (Online.Streaming.feed whole loads.(t))
+      done;
+      checkb "the fixture's plane is not the canonical one" false
+        (engine_payload resumed = engine_payload whole);
+      for t = 10 to horizon - 1 do
+        Alcotest.(check (array int))
+          (Printf.sprintf "slot %d" t)
+          (Online.Streaming.feed whole loads.(t))
+          (Online.Streaming.feed resumed loads.(t))
+      done;
+      checkb "schedules agree" true
+        (Online.Streaming.decisions resumed = Online.Streaming.decisions whole)
+
 let test_fault_streaming_feed_clean_retry () =
   let types = [| st ~count:2 ~switching_cost:3. ~cap:1. () |] in
   let fns = [| Convex.Fn.const 1. |] in
@@ -533,6 +617,14 @@ let () =
           Alcotest.test_case "wrong kind rejected" `Quick test_wrong_kind_rejected;
           Alcotest.test_case "old online-run checkpoint refused" `Quick
             test_old_online_checkpoint_refused;
+          Alcotest.test_case "tampered engine clock refused" `Quick
+            (test_tampered_clock_refused ~part:"prefix-opt" ~clock:7
+               ~expected:"streaming: engine clock does not match the session clock");
+          Alcotest.test_case "tampered stepper clock refused" `Quick
+            (test_tampered_clock_refused ~part:"stepper" ~clock:9
+               ~expected:"streaming: stepper clock does not match the session clock");
+          Alcotest.test_case "online checkpoint with a pre-canonical plane resumes" `Quick
+            test_online_v1_fixture_resumes;
           Alcotest.test_case "tampered power events refused" `Quick
             test_tampered_power_events_refused;
           Alcotest.test_case "corrupted payload fails the checksum" `Quick
