@@ -135,7 +135,9 @@ let benches =
     bench "pool: exact DP sequential (d=3, T=96, m=(10,6,4))"
       (fun () -> Core.Offline_dp.solve_optimal (Lazy.force fix_pool_dense));
     bench "pool: exact DP on 4-domain pool (d=3, T=96)"
-      (fun () -> Core.Offline_dp.solve_optimal ~domains:4 (Lazy.force fix_pool_dense));
+      (let pool = Core.Pool.create ~name:"pool" ~domains:4 () in
+       at_exit (fun () -> Core.Pool.shutdown pool);
+       fun () -> Core.Offline_dp.solve_optimal ~pool (Lazy.force fix_pool_dense));
     bench "chasing: hypercube adversary (d=12)"
       (fun () -> Core.Adversary.chasing_lower_bound ~d:12);
     bench "lower-bound: resonant bursts, A full run (d=2)"

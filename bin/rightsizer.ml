@@ -179,9 +179,13 @@ let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "domains" ] ~docv:"N"
-        ~doc:"Spread the solvers' grid fills over N domains (a persistent worker \
-              pool; default 1 = sequential).  Schedules and costs are bit-identical \
-              to the sequential run; only the wall time changes.")
+        ~doc:"Run the parallel work on a persistent pool of N domains (default 1 = \
+              sequential): the grid fills and ramps of every offline DP solve \
+              ($(b,solve), the OPT that $(b,online), $(b,compare) and $(b,arena) \
+              report, $(b,compare)'s receding-horizon baseline) and, under \
+              $(b,serve), each round's session steps.  The online algorithms run on \
+              one domain.  Schedules, costs and decisions are bit-identical to the \
+              sequential run; only the wall time changes.")
 
 (* Resolve --domains into an optional pool for the command body; the
    manifest records the setting either way, and the pool is shut down
@@ -255,16 +259,14 @@ let simulated_crash ~done_ = function
    instance's loads slot by slot.  A checkpoint is the session's own
    save; the schedule, resumed prefix included, is rebuilt from the
    session's power events at the end. *)
-let run_online_checkpointed ?pool ~checkpoint ~every ~resume ~crash_after inst =
+let run_online_checkpointed ~checkpoint ~every ~resume ~crash_after inst =
   let horizon = Core.Instance.horizon inst in
   let types = inst.Core.Instance.types in
   let session =
     if inst.Core.Instance.time_independent then
       let fns = Array.mapi (fun typ _ -> inst.Core.Instance.cost ~time:0 ~typ) types in
-      Core.Streaming.alg_a ?pool ~max_horizon:horizon ~types ~fns ()
-    else
-      Core.Streaming.alg_b ?pool ~max_horizon:horizon ~types
-        ~cost:inst.Core.Instance.cost ()
+      Core.Streaming.alg_a ~max_horizon:horizon ~types ~fns ()
+    else Core.Streaming.alg_b ~max_horizon:horizon ~types ~cost:inst.Core.Instance.cost ()
   in
   (* A checkpoint resumes only a run over the loads it was fed, bit for bit. *)
   let own_prefix loads =
@@ -480,25 +482,25 @@ let solve_cmd =
 (* Run a solver chosen by name; Error when the instance does not meet
    the solver's preconditions.  The names are the same the serving
    daemon accepts in create-session (docs/solvers.md). *)
-let run_named_alg ?pool ~eps inst alg =
+let run_named_alg ~eps inst alg =
   match alg with
   | "a" ->
       if inst.Core.Instance.time_independent then
-        Ok ("A", (Core.Alg_a.run ?pool inst).Core.Alg_a.schedule)
+        Ok ("A", (Core.Alg_a.run inst).Core.Alg_a.schedule)
       else Error "--alg a requires time-independent costs"
-  | "b" -> Ok ("B", (Core.Alg_b.run ?pool inst).Core.Alg_b.schedule)
-  | "c" -> Ok ("C", (Core.Alg_c.run ?pool ~eps inst).Core.Alg_c.schedule)
+  | "b" -> Ok ("B", (Core.Alg_b.run inst).Core.Alg_b.schedule)
+  | "c" -> Ok ("C", (Core.Alg_c.run ~eps inst).Core.Alg_c.schedule)
   | "rand" ->
       Ok
         ( "rand",
           (Core.Alg_rand.run ~rng:(Core.Prng.create 42) inst).Core.Alg_rand.schedule )
   | "det2d" ->
       if Core.Alg_det2d.applicable inst then
-        Ok ("det2d", (Core.Alg_det2d.run ?pool inst).Core.Alg_det2d.schedule)
+        Ok ("det2d", (Core.Alg_det2d.run inst).Core.Alg_det2d.schedule)
       else Error "--alg det2d requires load-independent costs and positive switching costs"
   | "homog" ->
       if Core.Alg_homog.applicable inst then
-        Ok ("homog", (Core.Alg_homog.run ?pool inst).Core.Alg_homog.schedule)
+        Ok ("homog", (Core.Alg_homog.run inst).Core.Alg_homog.schedule)
       else
         Error
           "--alg homog requires coinciding server types (equal beta, cap, costs) and a \
@@ -555,12 +557,11 @@ let online_cmd =
             | Some a ->
                 Result.map
                   (fun (_, schedule) -> (schedule, Core.Cost.schedule inst schedule))
-                  (run_named_alg ?pool ~eps inst a)
+                  (run_named_alg ~eps inst a)
             | None ->
                 if checkpointing then
-                  run_online_checkpointed ?pool ~checkpoint ~every ~resume ~crash_after
-                    inst
-                else Ok (Core.run_online ~eps ?pool inst)
+                  run_online_checkpointed ~checkpoint ~every ~resume ~crash_after inst
+                else Ok (Core.run_online ~eps inst)
           in
           match result with
           | Error m -> `Error (false, m)
@@ -731,8 +732,8 @@ let analyze_cmd =
           | `Opt ->
               ( "offline optimum",
                 (Core.Offline_dp.solve_optimal ?pool inst).Core.Offline_dp.schedule )
-          | `A -> ("algorithm A", (Core.Alg_a.run ?pool inst).Core.Alg_a.schedule)
-          | `B -> ("algorithm B", (Core.Alg_b.run ?pool inst).Core.Alg_b.schedule)
+          | `A -> ("algorithm A", (Core.Alg_a.run inst).Core.Alg_a.schedule)
+          | `B -> ("algorithm B", (Core.Alg_b.run inst).Core.Alg_b.schedule)
         in
         Core.Obs.Run_manifest.note "algorithm" algo_name;
         let d = Core.Instance.num_types inst in

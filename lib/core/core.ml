@@ -65,19 +65,19 @@ module Ascii_plot = Util.Ascii_plot
 module Svg = Util.Svg
 module Obs = Obs
 
-let solve_offline ?domains ?pool inst =
-  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_optimal ?domains ?pool inst in
+let solve_offline ?pool inst =
+  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_optimal ?pool inst in
   (schedule, cost)
 
-let solve_approx ?domains ?pool ~eps inst =
-  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_approx ?domains ?pool ~eps inst in
+let solve_approx ?pool ~eps inst =
+  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_approx ?pool ~eps inst in
   (schedule, cost)
 
-let run_online ?(eps = 0.5) ?domains ?pool inst =
+let run_online ?(eps = 0.5) inst =
   let schedule =
     if inst.Model.Instance.time_independent then
-      (Online.Alg_a.run ?domains ?pool inst).Online.Alg_a.schedule
-    else (Online.Alg_c.run ?domains ?pool ~eps inst).Online.Alg_c.schedule
+      (Online.Alg_a.run inst).Online.Alg_a.schedule
+    else (Online.Alg_c.run ~eps inst).Online.Alg_c.schedule
   in
   (schedule, Model.Cost.schedule inst schedule)
 

@@ -119,18 +119,15 @@ module Obs = Obs
     manifests ({!Obs.Span}, {!Obs.Counter}, {!Obs.Sink},
     {!Obs.Trace_export}, {!Obs.Metrics_export}, {!Obs.Run_manifest}). *)
 
-val solve_offline :
-  ?domains:int -> ?pool:Pool.t -> Instance.t -> Schedule.t * float
-(** Exact optimal schedule and cost (Section 4.1).  [domains]/[pool]
-    parallelise the DP's grid fills on a persistent domain pool; the
-    result is bit-identical to the single-domain solve
-    (see {!Offline_dp.solve}). *)
+val solve_offline : ?pool:Pool.t -> Instance.t -> Schedule.t * float
+(** Exact optimal schedule and cost (Section 4.1).  [pool] parallelises
+    the DP's grid fills on a persistent domain pool; the result is
+    bit-identical to the solve without one (see {!Offline_dp.solve}). *)
 
-val solve_approx :
-  ?domains:int -> ?pool:Pool.t -> eps:float -> Instance.t -> Schedule.t * float
+val solve_approx : ?pool:Pool.t -> eps:float -> Instance.t -> Schedule.t * float
 (** [(1 + eps)]-approximate schedule and cost (Sections 4.2/4.3). *)
 
-val run_online : ?eps:float -> ?domains:int -> ?pool:Pool.t -> Instance.t -> Schedule.t * float
+val run_online : ?eps:float -> Instance.t -> Schedule.t * float
 (** The paper's online algorithm matched to the instance: algorithm A
     for time-independent costs, algorithm C (default [eps = 0.5]) for
     time-dependent ones.  Returns the schedule and its cost. *)

@@ -29,21 +29,21 @@ type solver = {
   algorithm : [ `A | `B | `C of float | `Rand | `Det2d | `Homog ] option;
 }
 
-let solvers ?domains ?pool () =
+let solvers =
   let some f inst = Some (f inst) in
   [ { sname = "alg-A";
       attempt =
         (fun inst ->
           if inst.Model.Instance.time_independent then
-            Some (Online.Alg_a.run ?domains ?pool inst).Online.Alg_a.schedule
+            Some (Online.Alg_a.run inst).Online.Alg_a.schedule
           else None);
       algorithm = Some `A };
     { sname = "alg-B";
-      attempt = some (fun inst -> (Online.Alg_b.run ?domains ?pool inst).Online.Alg_b.schedule);
+      attempt = some (fun inst -> (Online.Alg_b.run inst).Online.Alg_b.schedule);
       algorithm = Some `B };
     { sname = "alg-C(0.5)";
       attempt =
-        some (fun inst -> (Online.Alg_c.run ?domains ?pool ~eps:0.5 inst).Online.Alg_c.schedule);
+        some (fun inst -> (Online.Alg_c.run ~eps:0.5 inst).Online.Alg_c.schedule);
       algorithm = Some (`C 0.5) };
     { sname = "alg-rand(42)";
       attempt =
@@ -56,14 +56,14 @@ let solvers ?domains ?pool () =
       attempt =
         (fun inst ->
           if Online.Alg_det2d.applicable inst then
-            Some (Online.Alg_det2d.run ?domains ?pool inst).Online.Alg_det2d.schedule
+            Some (Online.Alg_det2d.run inst).Online.Alg_det2d.schedule
           else None);
       algorithm = Some `Det2d };
     { sname = "homog";
       attempt =
         (fun inst ->
           if Online.Alg_homog.applicable inst then
-            Some (Online.Alg_homog.run ?domains ?pool inst).Online.Alg_homog.schedule
+            Some (Online.Alg_homog.run inst).Online.Alg_homog.schedule
           else None);
       algorithm = Some `Homog };
     { sname = "always-on";
@@ -108,11 +108,10 @@ let scenarios () =
 
 let eps = 1e-6
 
-let race ?domains ?pool scenarios =
-  let solvers = solvers ?domains ?pool () in
+let race ?pool scenarios =
   List.concat_map
     (fun (scenario, inst) ->
-      let opt = Online.Harness.opt_cost ?domains ?pool inst in
+      let opt = Online.Harness.opt_cost ?pool inst in
       List.filter_map
         (fun s ->
           match s.attempt inst with
@@ -202,9 +201,9 @@ let to_json entries ranked =
     (String.concat ",\n" (List.map standing ranked))
     (String.concat ",\n" (List.map entry entries))
 
-let report ?domains ?pool () =
+let report ?pool () =
   let scenarios = scenarios () in
-  let entries = race ?domains ?pool scenarios in
+  let entries = race ?pool scenarios in
   let ranked = standings entries in
   let races_tbl =
     Util.Table.create

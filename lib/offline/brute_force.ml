@@ -1,12 +1,6 @@
 exception Too_large of int
 
-let solve ?(limit = 2_000_000) ?domains ?pool inst =
-  let domains =
-    match (domains, pool) with
-    | Some d, _ -> max 1 d
-    | None, Some p -> Util.Pool.size p
-    | None, None -> 1
-  in
+let solve ?(limit = 2_000_000) ?pool inst =
   let horizon = Model.Instance.horizon inst in
   if horizon = 0 then invalid_arg "Brute_force.solve: empty instance";
   let d = Model.Instance.num_types inst in
@@ -39,7 +33,7 @@ let solve ?(limit = 2_000_000) ?domains ?pool inst =
     layer_states;
   (* The search revisits each (slot, state) cost many times; with a pool
      available, pre-evaluate them all in parallel. *)
-  if domains > 1 then begin
+  if Util.Parallel.width pool > 1 then begin
     let pairs =
       Array.concat
         (Array.to_list
@@ -47,7 +41,7 @@ let solve ?(limit = 2_000_000) ?domains ?pool inst =
               (fun time states -> Array.mapi (fun rank x -> (time, rank, x)) states)
               layer_states))
     in
-    Util.Parallel.parallel_for ?pool ~domains ~n:(Array.length pairs) (fun i ->
+    Util.Parallel.parallel_for ?pool ~n:(Array.length pairs) (fun i ->
         let time, rank, x = pairs.(i) in
         ignore (Model.Cost.operating_rank cache ~time ~rank x : float))
   end;

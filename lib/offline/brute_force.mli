@@ -9,15 +9,14 @@ exception Too_large of int
 (** Raised when the enumeration would exceed the work limit; the payload
     is the estimated number of schedules. *)
 
-val solve :
-  ?limit:int -> ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> Dp.result
+val solve : ?limit:int -> ?pool:Util.Pool.t -> Model.Instance.t -> Dp.result
 (** Cheapest schedule by enumeration (default limit: [2_000_000]
     schedules).  Raises [Invalid_argument] when no feasible schedule
     exists, [Too_large] past the limit.  Ties are broken towards the
     lexicographically smallest schedule so results are deterministic and
     comparable with {!Dp.solve}.
 
-    With [domains > 1] (or a [pool]), every (slot, state) operating
-    cost is pre-evaluated in parallel into the rank-table memo before
-    the sequential search runs; the search itself — and therefore the
-    result — is unchanged. *)
+    On a [pool] wider than one domain ({!Util.Parallel.width}), every
+    (slot, state) operating cost is pre-evaluated in parallel into the
+    rank-table memo before the sequential search runs; the search
+    itself — and therefore the result — is unchanged. *)

@@ -66,7 +66,7 @@ let state_count inst ~grids =
    Only [nan] entries are computed.  The pooled fan-out hands whole
    lines to workers — a warm chain never crosses a line, so sequential
    and pooled fills stay bit-identical. *)
-let fill_lines ?pool ~domains inst grid ~time table =
+let fill_lines ?pool inst grid ~time table =
   let n = Grid.size grid in
   let d = Grid.dim grid in
   let values = Grid.axis_values grid (d - 1) in
@@ -77,36 +77,24 @@ let fill_lines ?pool ~domains inst grid ~time table =
     let rank0 = k * len in
     Model.Cost.fill_line ~ctx ~table ~rank0 ~x:(Grid.config_scratch grid rank0) ~values
   in
-  if domains > 1 && n >= Util.Parallel.min_parallel_items then begin
-    (* The parallel cutoff counts cells (each runs a dispatch solve);
-       expressed in lines for the per-line fan-out. *)
-    let min_lines = 1 + ((Util.Parallel.min_parallel_items - 1) / len) in
-    Util.Parallel.parallel_for ?pool ~min_items:min_lines ~domains ~n:n_lines line
-  end
-  else
-    for k = 0 to n_lines - 1 do
-      line k
-    done
+  (* The parallel cutoff counts cells (each runs a dispatch solve);
+     expressed in lines for the per-line fan-out. *)
+  let min_lines = 1 + ((Util.Parallel.min_parallel_items - 1) / len) in
+  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~n:n_lines line
 
-let fill_row ?pool ?(domains = 1) inst grid ~time row =
+let fill_row ?pool inst grid ~time row =
   if Array.length row <> Grid.size grid then invalid_arg "Dp.fill_row: row size mismatch";
   Array.fill row 0 (Array.length row) nan;
-  fill_lines ?pool ~domains inst grid ~time row
+  fill_lines ?pool inst grid ~time row
 
-let fill_layer ?pool ?(domains = 1) cache grid ~time =
+let fill_layer ?pool cache grid ~time =
   let table = Model.Cost.layer_table cache ~time (Grid.size grid) in
-  fill_lines ?pool ~domains (Model.Cost.cache_instance cache) grid ~time table;
+  fill_lines ?pool (Model.Cost.cache_instance cache) grid ~time table;
   table
 
-let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
-  (* [?pool] without an explicit count means "use the whole pool". *)
-  let domains =
-    match (domains, pool) with
-    | Some d, _ -> max 1 d
-    | None, Some p -> Util.Pool.size p
-    | None, None -> 1
-  in
- Obs.Span.with_ "dp.solve" ~args:[ ("domains", string_of_int domains) ] @@ fun () ->
+let solve ?grids ?initial ?pool ?resume ?on_layer inst =
+  let width = Util.Parallel.width pool in
+  Obs.Span.with_ "dp.solve" ~args:[ ("domains", string_of_int width) ] @@ fun () ->
   Obs.Counter.incr c_solves;
   (* Two-sided switching costs fold into the power-up side without
      changing any schedule's cost (paper, Section 1). *)
@@ -218,7 +206,7 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
           done
         done;
         let ops = row_of n in
-        fill_row ?pool ~domains inst grid ~time ops;
+        fill_row ?pool inst grid ~time ops;
         for i = 0 to n - 1 do
           Bigarray.Array1.unsafe_set arena (off + i)
             (Bigarray.Array1.unsafe_get arena (off + i) +. Array.unsafe_get ops i)
@@ -227,15 +215,14 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
       else begin
         let src_grid = grid_at.(time - 1) in
         let ops = row_of n in
-        fill_row ?pool ~domains inst grid ~time ops;
+        fill_row ?pool inst grid ~time ops;
         if src_grid == grid then begin
           Plane.blit ~src:arena ~soff:offsets.(time - 1) ~dst:arena ~doff:off ~len:n;
-          Transform.ramp_grid_plane ?pool ~domains ~ops ~grid ~betas arena ~off
+          Transform.ramp_grid_plane ?pool ~ops ~grid ~betas arena ~off
         end
         else
-          Transform.ramp_across_plane ?pool ~domains ~ops ~src_grid ~dst_grid:grid
-            ~betas ~src:arena ~soff:offsets.(time - 1) ~tmp:(Lazy.force work) arena
-            ~doff:off
+          Transform.ramp_across_plane ?pool ~ops ~src_grid ~dst_grid:grid ~betas ~src:arena
+            ~soff:offsets.(time - 1) ~tmp:(Lazy.force work) arena ~doff:off
       end
     in
     (try
@@ -285,12 +272,9 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
        trades away the pruned scan's skipped switching-cost
        evaluations, which only pays off when the domains are real. *)
     let totals =
-      if
-        Util.Parallel.effective_domains domains > 1
-        && Grid.size grid >= Util.Parallel.min_parallel_items
-      then
+      if width > 1 && Grid.size grid >= Util.Parallel.min_parallel_items then
         Some
-          (Util.Parallel.parallel_init ?pool ~domains (Grid.size grid) (fun idx ->
+          (Util.Parallel.parallel_init ?pool (Grid.size grid) (fun idx ->
                Bigarray.Array1.unsafe_get arena (loff + idx)
                +. Model.Config.switching_cost inst.Model.Instance.types
                     ~from_:(Grid.config_scratch grid idx) ~to_:target))
@@ -335,9 +319,9 @@ let solve ?grids ?initial ?domains ?pool ?resume ?on_layer inst =
         !best);
   { schedule; cost = !best }
 
-let solve_optimal ?domains ?pool inst = solve ?domains ?pool inst
+let solve_optimal ?pool inst = solve ?pool inst
 
-let solve_approx ?domains ?pool ~eps inst =
+let solve_approx ?pool ~eps inst =
   if eps <= 0. then invalid_arg "Dp.solve_approx: eps must be positive";
   let gamma = 1. +. (eps /. 2.) in
-  solve ~grids:(approx_grids ~gamma inst) ?domains ?pool inst
+  solve ~grids:(approx_grids ~gamma inst) ?pool inst

@@ -27,7 +27,6 @@ type frontier = {
 val solve :
   ?grids:(int -> Grid.t) ->
   ?initial:Model.Config.t ->
-  ?domains:int ->
   ?pool:Util.Pool.t ->
   ?resume:frontier ->
   ?on_layer:(time:int -> (unit -> frontier) -> unit) ->
@@ -42,14 +41,12 @@ val solve :
     Argmin ties are broken towards the lexicographically smallest
     configuration, so the result is deterministic.
 
-    [domains] fans the parallel-safe work — the per-layer
-    operating-cost evaluations [g_t(x)] (the dominant part, into one
-    reused row per grid size — see {!fill_row}), the ramp transforms,
-    and the reconstruction scan's candidate totals — out across OCaml 5
-    domains on [pool] (default: [Util.Parallel]'s persistent global
-    pool).  Passing
-    [?pool] alone uses the pool's full size; the default with neither
-    is sequential.  Results are bit-identical to the sequential solve:
+    [pool] fans the parallel-safe work — the per-layer operating-cost
+    evaluations [g_t(x)] (the dominant part, into one reused row per
+    grid size — see {!fill_row}), the ramp transforms, and the
+    reconstruction scan's candidate totals — out across the pool
+    ({!Util.Parallel.width} domains); without a pool the solve is
+    sequential.  Results are bit-identical to the sequential solve:
     every parallel section computes the same values into disjoint
     slots, and all fuzzy argmin scans remain single ordered passes.
     Layers smaller than {!Util.Parallel.min_parallel_items} states stay
@@ -70,37 +67,31 @@ val solve :
     layer, so the retry is exact) and counted in [dp.layer_retries]. *)
 
 val fill_row :
-  ?pool:Util.Pool.t ->
-  ?domains:int ->
-  Model.Instance.t ->
-  Grid.t ->
-  time:int ->
-  float array ->
-  unit
+  ?pool:Util.Pool.t -> Model.Instance.t -> Grid.t -> time:int -> float array -> unit
 (** [fill_row inst grid ~time row] overwrites [row] with the operating
     cost [g_time(x)] of every state of [grid], by flat rank.  [row]
     must hold exactly [Grid.size grid] entries; a caller reuses it from
     slot to slot.  The fill walks the grid line by line along the last
     (stride-1) axis through {!Model.Cost.fill_line}, so each line builds
     its dispatch pieces once and warm-starts every cell's multiplier
-    search from its predecessor's bracket.  With [domains > 1] whole
-    lines fan out over [pool] (grids of at least
+    search from its predecessor's bracket.  On a [pool], whole lines fan
+    out over {!Util.Parallel.width} domains (grids of at least
     {!Util.Parallel.min_parallel_items} states); a warm chain never
     crosses a line, so sequential and pooled fills are bit-identical.
-    This is the per-layer fill of {!solve} and of the online prefix DP
-    ([Online.Prefix_opt]). *)
+    This is the per-layer fill of {!solve}; the online prefix DP
+    ([Online.Prefix_opt]) drives the same line kernel cell by cell and
+    stops a line early once the rest of it is dominated. *)
 
-val fill_layer :
-  ?pool:Util.Pool.t -> ?domains:int -> Model.Cost.cache -> Grid.t -> time:int -> float array
+val fill_layer : ?pool:Util.Pool.t -> Model.Cost.cache -> Grid.t -> time:int -> float array
 (** The memo-backed {!fill_row}: fills the not-yet-computed entries of
     the slot's flat rank table ({!Model.Cost.layer_table}) in the same
     line order and returns the table.  The values equal {!fill_row}'s
     bit for bit. *)
 
-val solve_optimal : ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> result
+val solve_optimal : ?pool:Util.Pool.t -> Model.Instance.t -> result
 (** Section 4.1: exact optimum on dense grids. *)
 
-val solve_approx : ?domains:int -> ?pool:Util.Pool.t -> eps:float -> Model.Instance.t -> result
+val solve_approx : ?pool:Util.Pool.t -> eps:float -> Model.Instance.t -> result
 (** Section 4.2 (and 4.3 when the instance is size-varying): grids
     [M^gamma] with [gamma = 1 + eps/2], guaranteeing
     [cost <= (1 + eps) * OPT] (Theorem 16 with [2*gamma - 1 = 1 + eps]).

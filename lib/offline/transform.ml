@@ -35,9 +35,9 @@ let ramp_min_items = 16 * Util.Parallel.min_parallel_items
    cutoff is in matrix *elements* (the unit of actual work), not lines,
    so it is scaled by the line length before the per-line
    [Util.Parallel.parallel_for]. *)
-let for_lines ?pool ~domains ~line_len ~n_lines f =
+let for_lines ?pool ~line_len ~n_lines f =
   let min_lines = 1 + ((ramp_min_items - 1) / max 1 line_len) in
-  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~domains ~n:n_lines f
+  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~n:n_lines f
 
 (* In-place 1-D pass on one strided line:
    [p(i) <- min_y p(y) + beta * (values(i) - values(y))^+]. *)
@@ -106,7 +106,7 @@ let ramp_between_strided_p ~beta ~src_values ~(src : Plane.t) ~soff ~dst_values
 let check_segment msg (p : Plane.t) ~off ~size =
   if off < 0 || off + size > Plane.length p then invalid_arg msg
 
-let ramp_grid_plane ?pool ?(domains = 1) ~ops ~grid ~betas (p : Plane.t) ~off =
+let ramp_grid_plane ?pool ~ops ~grid ~betas (p : Plane.t) ~off =
   let d = Grid.dim grid in
   if Array.length betas <> d then invalid_arg "Transform.ramp_grid_plane: betas mismatch";
   let size = Grid.size grid in
@@ -128,14 +128,10 @@ let ramp_grid_plane ?pool ?(domains = 1) ~ops ~grid ~betas (p : Plane.t) ~off =
           ~offset:(off + line_offset ~block ~stride k)
           ~stride
     in
-    if domains > 1 then for_lines ?pool ~domains ~line_len:n ~n_lines run
-    else
-      for k = 0 to n_lines - 1 do
-        run k
-      done
+    for_lines ?pool ~line_len:n ~n_lines run
   done
 
-let ramp_across_plane ?pool ?(domains = 1) ~ops ~src_grid ~dst_grid ~betas
+let ramp_across_plane ?pool ~ops ~src_grid ~dst_grid ~betas
     ~(src : Plane.t) ~soff ~tmp:((wa, wb) : Plane.t * Plane.t) (dst : Plane.t) ~doff =
   let d = Grid.dim src_grid in
   if Grid.dim dst_grid <> d then invalid_arg "Transform.ramp_across_plane: dim mismatch";
@@ -183,11 +179,7 @@ let ramp_across_plane ?pool ?(domains = 1) ~ops ~src_grid ~dst_grid ~betas
             (Bigarray.Array1.unsafe_get target (doff + i) +. Array.unsafe_get ops ((k * nd) + i))
         done
     in
-    if domains > 1 then for_lines ?pool ~domains ~line_len:(ns + nd) ~n_lines run
-    else
-      for k = 0 to n_lines - 1 do
-        run k
-      done;
+    for_lines ?pool ~line_len:(ns + nd) ~n_lines run;
     lengths.(j) <- nd;
     cur := target;
     cur_off := target_off;

@@ -25,9 +25,9 @@
     infeasible states at [infinity].  A caller that wants the bare ramp
     passes a row of zeros.
 
-    With [domains > 1] the independent lines of each axis pass fan out
-    over [pool] (default: the global pool) whenever the pass touches at
-    least 4096 matrix elements (16x {!Util.Parallel.min_parallel_items}
+    On a [pool] the independent lines of each axis pass fan out over
+    {!Util.Parallel.width} domains whenever the pass touches at least
+    4096 matrix elements (16x {!Util.Parallel.min_parallel_items}
     — a ramp pass is a few float compares per element, so it needs a
     much larger slab than an operating-cost fill before the fan-out
     pays).  The axis passes themselves stay ordered, and sequential and
@@ -39,7 +39,6 @@
 
 val ramp_grid_plane :
   ?pool:Util.Pool.t ->
-  ?domains:int ->
   ops:float array ->
   grid:Grid.t ->
   betas:float array ->
@@ -52,7 +51,6 @@ val ramp_grid_plane :
 
 val ramp_across_plane :
   ?pool:Util.Pool.t ->
-  ?domains:int ->
   ops:float array ->
   src_grid:Grid.t ->
   dst_grid:Grid.t ->

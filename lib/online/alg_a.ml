@@ -15,9 +15,9 @@ let runtime inst ~typ =
   let idle = Model.Instance.idle_cost inst ~time:0 ~typ in
   if idle <= 0. then None else Some (max 1 (int_of_float (Float.ceil (beta /. idle))))
 
-let run ?grid ?domains ?pool inst =
+let run ?grid inst =
   let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
-    Stepper.run ?grid ?domains ?pool ~span:"alg_a.run" Stepper.alg_a inst
+    Stepper.run ?grid ~span:"alg_a.run" Stepper.alg_a inst
   in
   let power_ups = Stepper.power_ups stepper in
   Log.debug (fun m ->

@@ -20,23 +20,14 @@ type result = {
           the block starts [s_{j,i}] of the analysis (Figure 2) *)
 }
 
-val run :
-  ?grid:Offline.Grid.t ->
-  ?domains:int ->
-  ?pool:Util.Pool.t ->
-  Model.Instance.t ->
-  result
+val run : ?grid:Offline.Grid.t -> Model.Instance.t -> result
 (** Raises [Invalid_argument] when the instance is not time-independent
     (use algorithm B or C then) or admits no feasible schedule.
 
     [grid] restricts the internal optimal-prefix engine to a reduced
     state grid (see {!Prefix_opt.create}) — a scalable mode for large
     fleets whose guarantee degrades gracefully with the grid's
-    approximation factor (measured by the ablation experiment).
-
-    [domains]/[pool] parallelise the prefix engine's per-step transforms
-    (see {!Prefix_opt.create}); the schedule produced is bit-identical
-    to the single-domain run. *)
+    approximation factor (measured by the ablation experiment). *)
 
 val runtime : Model.Instance.t -> typ:int -> int option
 (** The power-down timer [t_j] ([None] when [f_j(0) = 0]). *)

@@ -20,9 +20,9 @@ let c_of_instance inst =
   done;
   !acc
 
-let run ?grid ?domains ?pool inst =
+let run ?grid inst =
   let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
-    Stepper.run ?grid ?domains ?pool ~span:"alg_b.run" Stepper.alg_b inst
+    Stepper.run ?grid ~span:"alg_b.run" Stepper.alg_b inst
   in
   { schedule;
     prefix_last;

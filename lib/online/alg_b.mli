@@ -19,16 +19,10 @@ type result = {
       (** [(time, typ, count)]: servers leaving at the start of [time] *)
 }
 
-val run :
-  ?grid:Offline.Grid.t ->
-  ?domains:int ->
-  ?pool:Util.Pool.t ->
-  Model.Instance.t ->
-  result
+val run : ?grid:Offline.Grid.t -> Model.Instance.t -> result
 (** Requires every [beta_j > 0] (otherwise [c(I)] is unbounded and the
     paper's guarantee is void); raises [Invalid_argument] otherwise or
-    when no feasible schedule exists.  [grid], [domains] and [pool] as
-    in {!Alg_a.run}. *)
+    when no feasible schedule exists.  [grid] as in {!Alg_a.run}. *)
 
 val c_of_instance : Model.Instance.t -> float
 (** The constant [c(I) = sum_j max_t l_{t,j} / beta_j] of Theorem 13. *)

@@ -41,12 +41,12 @@ let refine ~eps inst =
   in
   (parts, slot_of, refined)
 
-let run ?domains ?pool ~eps inst =
+let run ~eps inst =
   if eps <= 0. then invalid_arg "Alg_c.run: eps must be positive";
   Obs.Span.with_ "alg_c.run" ~args:[ ("eps", string_of_float eps) ] @@ fun () ->
   let horizon = Model.Instance.horizon inst in
   let parts, slot_of, refined = refine ~eps inst in
-  let b = Alg_b.run ?domains ?pool refined in
+  let b = Alg_b.run refined in
   let sub_schedule = b.Alg_b.schedule in
   (* mu(t): the sub-slot of U(t) whose configuration has the cheapest
      operating cost; g~_u is g_t / n~_t, so compare with the original g_t. *)

@@ -17,9 +17,9 @@ type result = {
   c_refined : float;                (** [c(I~)] actually achieved *)
 }
 
-val run : ?domains:int -> ?pool:Util.Pool.t -> eps:float -> Model.Instance.t -> result
-(** Requires [eps > 0] and every [beta_j > 0].  [domains] and [pool]
-    parallelise the underlying {!Alg_b.run} on the refined instance. *)
+val run : eps:float -> Model.Instance.t -> result
+(** Requires [eps > 0] and every [beta_j > 0]; runs {!Alg_b.run} on the
+    refined instance. *)
 
 val parts_of_slot : eps:float -> Model.Instance.t -> time:int -> int
 (** The sub-slot count [n~_t]. *)

@@ -19,9 +19,9 @@ let applicable inst =
        (fun st -> st.Model.Server_type.switching_cost > 0.)
        inst.Model.Instance.types
 
-let run ?grid ?domains ?pool inst =
+let run ?grid inst =
   let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
-    Stepper.run ?grid ?domains ?pool ~span:"alg_det2d.run" Stepper.alg_det2d inst
+    Stepper.run ?grid ~span:"alg_det2d.run" Stepper.alg_det2d inst
   in
   { schedule;
     prefix_last;

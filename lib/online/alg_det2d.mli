@@ -26,7 +26,6 @@ val applicable : Model.Instance.t -> bool
 (** Whether the instance is in the algorithm's domain: every cost
     function constant (load-independent) and every [beta_j > 0]. *)
 
-val run :
-  ?grid:Offline.Grid.t -> ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> result
+val run : ?grid:Offline.Grid.t -> Model.Instance.t -> result
 (** Full batch run over the instance's horizon (reads slots strictly in
     order; raises [Invalid_argument] if {!applicable} is false). *)

@@ -40,9 +40,9 @@ let c_of_instance inst =
   done;
   !worst /. beta
 
-let run ?grid ?domains ?pool inst =
+let run ?grid inst =
   let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
-    Stepper.run ?grid ?domains ?pool ~span:"alg_homog.run" Stepper.alg_homog inst
+    Stepper.run ?grid ~span:"alg_homog.run" Stepper.alg_homog inst
   in
   { schedule;
     prefix_last;

@@ -36,7 +36,6 @@ val c_of_instance : Model.Instance.t -> float
 (** The pooled analogue of Theorem 13's constant:
     [max_t l_{t,0} / beta_0] (one effective type). *)
 
-val run :
-  ?grid:Offline.Grid.t -> ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> result
+val run : ?grid:Offline.Grid.t -> Model.Instance.t -> result
 (** Full batch run (reads slots strictly in order); raises
     [Invalid_argument] if {!applicable} is false. *)

@@ -18,15 +18,11 @@ val follow_demand : Model.Instance.t -> Model.Schedule.t
     "power down whenever idle" extreme. *)
 
 val receding_horizon :
-  ?domains:int ->
-  ?pool:Util.Pool.t ->
-  window:int ->
-  Model.Instance.t ->
-  Model.Schedule.t
+  ?pool:Util.Pool.t -> window:int -> Model.Instance.t -> Model.Schedule.t
 (** Re-plans an optimal schedule over the next [window] slots from the
     current state and commits only the first decision.  With lookahead
     it is not an online algorithm in the paper's sense; it bounds what
-    limited foresight buys.  [domains]/[pool] parallelise each window's
+    limited foresight buys.  [pool] parallelises each window's
     {!Offline.Dp.solve}. *)
 
 val lcp_1d : Model.Instance.t -> Model.Schedule.t

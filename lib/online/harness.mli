@@ -8,8 +8,8 @@ type evaluation = {
   feasible : bool;   (** paper-sense feasibility of the schedule *)
 }
 
-val opt_cost : ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> float
-(** Exact optimum via {!Offline.Dp.solve_optimal}. *)
+val opt_cost : ?pool:Util.Pool.t -> Model.Instance.t -> float
+(** Exact optimum via {!Offline.Dp.solve_optimal} ([pool] as there). *)
 
 val ratio : cost:float -> opt:float -> float
 (** The canonical nan-free competitive ratio [cost / opt], defined on
@@ -25,7 +25,6 @@ val run_suite :
   ?eps:float ->
   ?window:int ->
   ?include_baselines:bool ->
-  ?domains:int ->
   ?pool:Util.Pool.t ->
   Model.Instance.t ->
   (string * Model.Schedule.t) list
@@ -34,9 +33,9 @@ val run_suite :
     [include_baselines] (default true) — always-on, follow-the-demand,
     receding horizon (default [window = 3]) and, for [d = 1], LCP.
 
-    [domains]/[pool] parallelise the DP-backed policies (OPT, the
-    online algorithms' prefix engines, receding horizon); every
-    schedule is bit-identical to the single-domain run. *)
+    [pool] parallelises the offline DPs (OPT and every receding-horizon
+    window); the online algorithms run sequentially.  Every schedule is
+    bit-identical to the run without a pool. *)
 
 val competitive_bound :
   Model.Instance.t ->

@@ -11,8 +11,6 @@ type t = {
   ops : float array;
       (* per grid rank during a step: g_t, overwritten cell by cell by U,
          the power-up-only ramp of the step's A (see [step]) *)
-  pool : Util.Pool.t option;
-  domains : int;
   arrival : Offline.Plane.t;  (* canonical; meaningful only when [clock > 0] *)
   mutable clock : int;
   axes : int array array;  (* the grid's axis values *)
@@ -23,13 +21,7 @@ type t = {
   bound : Model.Cost.bound;
 }
 
-let create ?grid ?domains ?pool inst =
-  let domains =
-    match (domains, pool) with
-    | Some d, _ -> max 1 d
-    | None, Some p -> Util.Pool.size p
-    | None, None -> 1
-  in
+let create ?grid inst =
   let inst = Model.Instance.fold_switching inst in
   let grid =
     match grid with
@@ -58,8 +50,6 @@ let create ?grid ?domains ?pool inst =
     grid;
     betas;
     ops = Array.create_float (Offline.Grid.size grid);
-    pool;
-    domains;
     arrival = Offline.Plane.create (Offline.Grid.size grid);
     clock = 0;
     axes;
@@ -199,14 +189,14 @@ let prove e ~np ~rank0 ~from =
   done;
   !q
 
-(* The sequential fill: each line's cells are computed through a
-   [Model.Cost] cursor and swept as they come.  After a dominated cell,
-   the line's dual bound may prove every remaining cell dominated, and
-   the line stops there: the solved cells are a prefix of the line with
-   its warm chain, so each solved g_t has [Dp.fill_row]'s bits.  After a
-   failed proof, none restarts before the sweep reaches the failing
-   cell, which keeps proof work linear in the line length. *)
-let sweep_sequential e ~time =
+(* The fill: each line's cells are computed through a [Model.Cost]
+   cursor and swept as they come.  After a dominated cell, the line's
+   dual bound may prove every remaining cell dominated, and the line
+   stops there: the solved cells are a prefix of the line with its warm
+   chain, so each solved g_t has [Dp.fill_row]'s bits.  After a failed
+   proof, none restarts before the sweep reaches the failing cell, which
+   keeps proof work linear in the line length. *)
+let sweep e ~time =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
   let ctx = Model.Cost.line_ctx e.inst ~time ~values in
@@ -241,20 +231,6 @@ let sweep_sequential e ~time =
     Model.Cost.line_finish line
   done
 
-(* The pooled fill: every line in parallel exactly as [Dp.fill_row],
-   then the same sweep over the full row.  It skips nothing but writes
-   the same canonical plane. *)
-let sweep_pooled e ~time =
-  Offline.Dp.fill_row ?pool:e.pool ~domains:e.domains e.inst e.grid ~time e.ops;
-  let len = Array.length e.axes.(Array.length e.axes - 1) in
-  for k = 0 to (Offline.Grid.size e.grid / len) - 1 do
-    let rank0 = k * len in
-    let np = line_preds e ~rank0 in
-    for i = 0 to len - 1 do
-      ignore (sweep_cell e ~np ~r:(rank0 + i) ~i : bool)
-    done
-  done
-
 let step e =
   if e.clock >= Model.Instance.horizon e.inst then
     invalid_arg "Prefix_opt.step: past the horizon";
@@ -270,10 +246,9 @@ let step e =
   (* The ramp updates the arrival plane in place to R (a zero [ops] row
      adds nothing to values >= 0); the sweep then adds g_t and prunes. *)
   Array.fill e.ops 0 n 0.;
-  Offline.Transform.ramp_grid_plane ?pool:e.pool ~domains:e.domains ~ops:e.ops
-    ~grid:e.grid ~betas:e.betas e.arrival ~off:0;
-  if e.domains > 1 && n >= Util.Parallel.min_parallel_items then sweep_pooled e ~time
-  else sweep_sequential e ~time;
+  Offline.Transform.ramp_grid_plane ~ops:e.ops ~grid:e.grid ~betas:e.betas e.arrival
+    ~off:0;
+  sweep e ~time;
   e.clock <- time + 1;
   (* Flat-index order is lexicographic, so the first strict minimum is the
      lexicographically smallest optimal last configuration. *)

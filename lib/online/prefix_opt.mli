@@ -16,10 +16,12 @@
     a state is on no optimal path and never an optimal last
     configuration, so every ramp, argmin and decision is bit-identical to
     keeping its cost; and the layer does not depend on which states'
-    operating costs a step skipped.  Without a pool (or below the fan-out
-    cutoff), a step stops each grid line's fill once a weak-duality bound
-    proves the line's remaining states dominated, so it solves the
-    dispatch problem (eq. (1)) only where a prefix can still use it. *)
+    operating costs a step skipped.  A step stops each grid line's fill
+    once a weak-duality bound proves the line's remaining states
+    dominated, so it solves the dispatch problem (eq. (1)) only where a
+    prefix can still use it.  A step runs on the calling domain: a
+    pooled fill of every state was slower on two domains than this
+    pruned fill on one, so the engine takes no pool. *)
 
 type t
 
@@ -33,21 +35,13 @@ type step = {
   prefix_cost : float;  (** [C(X^t)], the optimal prefix cost *)
 }
 
-val create :
-  ?grid:Offline.Grid.t -> ?domains:int -> ?pool:Util.Pool.t -> Model.Instance.t -> t
+val create : ?grid:Offline.Grid.t -> Model.Instance.t -> t
 (** Engine over the given state grid (default: the instance's dense
     declared-count grid).  Passing a reduced power-of-gamma grid
     ({!Offline.Grid.power}) makes each step cost [O(prod log m_j)]
     instead of [O(prod m_j)]; the returned prefix optima are then
     optimal *within the grid* — a scalability/accuracy trade-off
-    analysed by the ablation experiment rather than by the paper.
-
-    With [domains > 1] (or a [pool]; [domains] defaults to the pool's
-    size), each step's ramp transform and operating-cost fill run on the
-    pool when the grid clears {!Util.Parallel.min_parallel_items}; the
-    pooled fill computes every state and skips nothing.  The pruning
-    sweep and the argmin scan stay sequential, so stepped results and
-    saved layers are bit-identical to the single-domain engine. *)
+    analysed by the ablation experiment rather than by the paper. *)
 
 val step : t -> step
 (** Reveal and process the next slot.  Raises [Invalid_argument] past the

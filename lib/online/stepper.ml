@@ -248,10 +248,10 @@ type batch = {
   prefix_costs : float array;
 }
 
-let run ?grid ?domains ?pool ~span make inst =
+let run ?grid ~span make inst =
   Obs.Span.with_ span @@ fun () ->
   let horizon = Model.Instance.horizon inst in
-  let engine = Prefix_opt.create ?grid ?domains ?pool inst in
+  let engine = Prefix_opt.create ?grid inst in
   let stepper = make inst in
   let schedule = Array.make horizon [||] in
   let prefix_last = Array.make horizon [||] in

@@ -64,17 +64,11 @@ type batch = {
 }
 
 val run :
-  ?grid:Offline.Grid.t ->
-  ?domains:int ->
-  ?pool:Util.Pool.t ->
-  span:string ->
-  (Model.Instance.t -> t) ->
-  Model.Instance.t ->
-  batch
+  ?grid:Offline.Grid.t -> span:string -> (Model.Instance.t -> t) -> Model.Instance.t -> batch
 (** [run ~span make inst] is the batch loop of {!Alg_a.run},
     {!Alg_b.run}, {!Alg_det2d.run} and {!Alg_homog.run}: inside the
-    span [span], a {!Prefix_opt} engine ([grid], [domains] and [pool] as
-    in {!Prefix_opt.create}) feeds each slot's [x^_t] to [make inst]. *)
+    span [span], a {!Prefix_opt} engine ([grid] as in
+    {!Prefix_opt.create}) feeds each slot's [x^_t] to [make inst]. *)
 
 val rebind : t -> Model.Instance.t -> unit
 (** Swap in a new instance agreeing with the slots already processed —

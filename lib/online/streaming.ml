@@ -17,7 +17,7 @@ let c_grows = Obs.Counter.make "streaming.buffer_grows"
    horizon in logarithmically many regrows. *)
 let initial_capacity = 64
 
-let build ~pool ~max_horizon ~types ~make_inst ~make_stepper =
+let build ~max_horizon ~types ~make_inst ~make_stepper =
   (match max_horizon with
   | Some m when m < 1 -> invalid_arg "Streaming: max_horizon must be >= 1"
   | Some _ | None -> ());
@@ -39,30 +39,30 @@ let build ~pool ~max_horizon ~types ~make_inst ~make_stepper =
   { make_inst;
     inst;
     loads;
-    engine = Prefix_opt.create ?pool inst;
+    engine = Prefix_opt.create inst;
     stepper = make_stepper inst;
     capacity;
     hard_cap = max_horizon;
     clock = 0;
     current = Model.Config.zero (Array.length types) }
 
-let alg_a ?pool ?max_horizon ~types ~fns () =
-  build ~pool ~max_horizon ~types
+let alg_a ?max_horizon ~types ~fns () =
+  build ~max_horizon ~types
     ~make_inst:(fun ~loads -> Model.Instance.make_static ~types ~load:loads ~fns ())
     ~make_stepper:Stepper.alg_a
 
-let alg_b ?pool ?max_horizon ~types ~cost () =
-  build ~pool ~max_horizon ~types
+let alg_b ?max_horizon ~types ~cost () =
+  build ~max_horizon ~types
     ~make_inst:(fun ~loads -> Model.Instance.make ~types ~load:loads ~cost ())
     ~make_stepper:Stepper.alg_b
 
 let det2d ?max_horizon ~types ~cost () =
-  build ~pool:None ~max_horizon ~types
+  build ~max_horizon ~types
     ~make_inst:(fun ~loads -> Model.Instance.make ~types ~load:loads ~cost ())
     ~make_stepper:Stepper.alg_det2d
 
 let homog ?max_horizon ~types ~fns () =
-  build ~pool:None ~max_horizon ~types
+  build ~max_horizon ~types
     ~make_inst:(fun ~loads -> Model.Instance.make_static ~types ~load:loads ~fns ())
     ~make_stepper:Stepper.alg_homog
 

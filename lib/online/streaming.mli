@@ -24,7 +24,6 @@
 type t
 
 val alg_a :
-  ?pool:Util.Pool.t ->
   ?max_horizon:int ->
   types:Model.Server_type.t array ->
   fns:Convex.Fn.t array ->
@@ -33,21 +32,15 @@ val alg_a :
 (** A streaming session running algorithm A (time-independent costs,
     one function per type).  [max_horizon] is an optional hard cap on
     the number of slots the session will absorb; by default the session
-    is unbounded and the buffer grows as slots arrive.
-
-    [pool] is handed to the session's {!Prefix_opt} engine
-    ({!Prefix_opt.create}), which spreads each slot's operating-cost
-    fill and ramp over the pool's domains.  Decisions and {!save}
-    payloads are bit-identical with or without it, so a session saved
-    with a pool restores into one built without (and vice versa).
-    {!alg_b} takes [pool] alike; {!det2d} and {!homog} run sequentially.
+    is unbounded and the buffer grows as slots arrive.  A session runs
+    on the domain that feeds it; a server spreads sessions, not one
+    session's steps, across its domains.
 
     A session runs the fleet at its declared counts: the instance it
     builds has no per-slot availability, so a fleet whose size varies
     over time (Section 4.3) is out of reach of every session. *)
 
 val alg_b :
-  ?pool:Util.Pool.t ->
   ?max_horizon:int ->
   types:Model.Server_type.t array ->
   cost:(time:int -> typ:int -> Convex.Fn.t) ->

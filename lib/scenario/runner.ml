@@ -336,7 +336,7 @@ let metrics_phase st ~port ~failures =
             if audit_runs < 1. then
               failures := "audit: no shadow-oracle batch completed" :: !failures;
             match row2.Server.Monitor.regret_ratio with
-            | Some r when r < 1. -. 1e-9 ->
+            | Some r when r < 1. -. Server.Audit.below_opt_allowance ->
                 failures :=
                   Printf.sprintf "audit: regret ratio %.6f below 1 (beat OPT?)" r
                   :: !failures

@@ -11,11 +11,12 @@
 
     - [audit.regret_ratio] (gauge): the worst [online / OPT] over the
       last batch — an empirical sample of the paper's competitive
-      ratio, clamped at [1.0] so float noise never reads as beating
-      OPT;
+      ratio, published raw.  OPT is optimal, so a value below
+      [1 - below_opt_allowance] is a violation, not noise;
     - [audit.regret_abs] (gauge) and [audit.regret_abs_dist] /
-      [audit.regret_ratio_dist] (histograms): the absolute gap and the
-      cumulative per-session distributions;
+      [audit.regret_ratio_dist] (histograms): the absolute gap
+      [online - OPT] (also raw) and the cumulative per-session
+      distributions;
     - [audit.lag_rounds] (gauge): slots the daemon stepped while the
       batch waited for the worker — how stale the published ratio is;
     - [audit.runs] / [audit.sessions_audited] / [audit.failures]
@@ -28,6 +29,13 @@
     tests. *)
 
 type t
+
+val below_opt_allowance : float
+(** The relative float noise ([1e-9]) a reader allows below a ratio of
+    1: the online and OPT costs are sums of the same kind of float
+    terms, so a ratio in [\[1 - below_opt_allowance, 1)] is rounding,
+    and anything lower means the online schedule beat OPT — a replay or
+    solver bug.  The scenario runner fails a run on it. *)
 
 val create :
   ?sync:bool ->

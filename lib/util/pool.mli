@@ -69,8 +69,8 @@ val run : ?workers:int -> t -> n:int -> (int -> unit) -> unit
 val shutdown : t -> unit
 (** Wake and join the workers.  Idempotent; concurrent use of {!run}
     during shutdown is not allowed.  Pools left running at process exit
-    are harmless only if their domains are joined eventually — the
-    global pool in {!Parallel} installs an [at_exit] hook for this. *)
+    are harmless only if their domains are joined eventually, so every
+    pool's creator shuts it down ({!with_pool} does). *)
 
 val with_pool : ?name:string -> domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] creates a pool, applies [f], and shuts the

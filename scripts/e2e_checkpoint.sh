@@ -85,11 +85,13 @@ check_case solve-dp     3 solve  --scenario cpu-gpu      --horizon 10
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
 
-# Cross-width resume: the crashed run writes its checkpoint on a
-# 2-domain pool, while the uninterrupted and the resumed runs use the
-# default single domain; the resumed result line must equal the
-# sequential run's (the pool changes no decision and no checkpoint
-# byte).  large-fleet's 2501 states clear the pool's fan-out cutoff.
+# Cross-width resume: the crashed run is started with --domains 2,
+# while the uninterrupted and the resumed runs use the default single
+# domain; the resumed result line must equal the sequential run's.  The
+# online session runs on one domain at any width: --domains reaches
+# only the pooled OPT of the result line, which the crashed run never
+# prints, so the leg pins that the width changes no checkpoint byte
+# and no decision.
 CRASH_FLAGS=(--domains 2)
 check_case cross-width 5 online --scenario large-fleet --horizon 12
 CRASH_FLAGS=()

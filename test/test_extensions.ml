@@ -294,7 +294,7 @@ let test_arena_golden_deterministic () =
   let e1 = Core.Arena.race fixture in
   let e2 = Core.Arena.race fixture in
   checkb "entries replay bit-exactly" true (e1 = e2);
-  let e4 = Core.Arena.race ~domains:4 fixture in
+  let e4 = Core.Pool.with_pool ~domains:4 (fun pool -> Core.Arena.race ~pool fixture) in
   checkb "entries identical under domains=4" true (e1 = e4);
   let s1 = Core.Arena.standings e1 and s4 = Core.Arena.standings e4 in
   checkb "standings identical" true (s1 = s4);

@@ -365,7 +365,9 @@ let test_dp_parallel_identical () =
   let seq = Offline.Dp.solve_optimal inst in
   List.iter
     (fun domains ->
-      let par = Offline.Dp.solve_optimal ~domains inst in
+      let par =
+        Util.Pool.with_pool ~domains (fun pool -> Offline.Dp.solve_optimal ~pool inst)
+      in
       checkb (Printf.sprintf "identical cost (domains=%d)" domains) true
         (par.Offline.Dp.cost = seq.Offline.Dp.cost);
       checkb "identical schedule" true (par.Offline.Dp.schedule = seq.Offline.Dp.schedule))

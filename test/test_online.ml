@@ -123,8 +123,32 @@ let test_fill_allocation_ceiling () =
    a state some prefix uses, so work counts, which repeat exactly, pin
    the saving with no timing noise.  Filling every state, as the engine
    did before it pruned dominated states, made 318,923 solves here.
-   The session must still decide exactly as the batch run on two
-   domains, which fills every state. *)
+   The session must still decide exactly as a full fill built here
+   from the offline kernels: per slot, [Dp.fill_row] over every state,
+   the fused ramp, and the first strict minimum, fed to the same
+   algorithm A stepper. *)
+let full_fill_alg_a inst =
+  let folded = Model.Instance.fold_switching inst in
+  let grid = Offline.Grid.dense (Model.Instance.counts folded) in
+  let betas =
+    Array.map (fun st -> st.Model.Server_type.switching_cost) folded.Model.Instance.types
+  in
+  let n = Offline.Grid.size grid in
+  let arrival = Offline.Plane.create n in
+  Offline.Plane.fill_range arrival ~off:0 ~len:n infinity;
+  let zero = Model.Config.zero (Offline.Grid.dim grid) in
+  Bigarray.Array1.set arrival (Option.get (Offline.Grid.index_of grid zero)) 0.;
+  let ops = Array.make n 0. in
+  let stepper = Online.Stepper.alg_a inst in
+  Array.init (Model.Instance.horizon inst) (fun time ->
+      Offline.Dp.fill_row folded grid ~time ops;
+      Offline.Transform.ramp_grid_plane ~ops ~grid ~betas arrival ~off:0;
+      let lo = ref 0 in
+      for idx = 1 to n - 1 do
+        if Bigarray.Array1.get arrival idx < Bigarray.Array1.get arrival !lo then lo := idx
+      done;
+      Online.Stepper.step stepper ~time ~hat:(Offline.Grid.config_at grid !lo))
+
 let test_online_fill_work () =
   let max_solves = 134_743 in
   let horizon = 192 in
@@ -139,8 +163,7 @@ let test_online_fill_work () =
   checkb
     (Printf.sprintf "%d dispatch solves <= %d" solves max_solves)
     true (solves <= max_solves);
-  let batch = Online.Alg_a.run ~domains:2 inst in
-  checkb "decisions = batch Alg_a.run" true (decided = batch.Online.Alg_a.schedule)
+  checkb "decisions = full fill" true (decided = full_fill_alg_a inst)
 
 (* --- Algorithm A --- *)
 

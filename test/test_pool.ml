@@ -100,10 +100,10 @@ let schedules_equal a b =
   Array.length a = Array.length b && Array.for_all2 (fun x y -> x = y) a b
 
 (* Small random instances; min_items:1 is not available through
-   Dp.solve, so force fan-out by keeping domains > 1 while the grids
-   stay under the cutoff (exercising the sequential fallback) AND by
-   using instances above the cutoff (exercising the pool).  Both must
-   be bit-identical. *)
+   Dp.solve, so force fan-out by solving on a pool while the grids stay
+   under the cutoff (exercising the sequential fallback) AND by using
+   instances above the cutoff (exercising the pool).  Both must be
+   bit-identical. *)
 let random_instance seed =
   let rng = Util.Prng.create seed in
   if Util.Prng.int rng 2 = 0 then
@@ -144,7 +144,7 @@ let prop_pooled_dp_identical_large pool seed =
   let inst = Model.Instance.make_static ~types ~load ~fns () in
   let seq = Offline.Dp.solve inst in
   let par = Offline.Dp.solve ~pool inst in
-  let par4 = Offline.Dp.solve ~domains:4 ~pool inst in
+  let par4 = Util.Pool.with_pool ~domains:4 (fun pool -> Offline.Dp.solve ~pool inst) in
   seq.Offline.Dp.cost = par.Offline.Dp.cost
   && schedules_equal seq.Offline.Dp.schedule par.Offline.Dp.schedule
   && seq.Offline.Dp.cost = par4.Offline.Dp.cost
@@ -189,59 +189,22 @@ let test_ramp_planes_fan_out pool () =
   let seq = plane () and par = plane () in
   Offline.Transform.ramp_grid_plane ~ops ~grid ~betas seq ~off:0;
   let before = Obs.Counter.value fills in
-  Offline.Transform.ramp_grid_plane ~pool ~domains:2 ~ops ~grid ~betas par ~off:0;
+  Offline.Transform.ramp_grid_plane ~pool ~ops ~grid ~betas par ~off:0;
   fanned_out before;
   Alcotest.(check (array int64)) "in place: pooled = sequential" (bits seq n) (bits par n);
-  let across ?pool ~domains () =
+  let across ?pool () =
     let dst = Offline.Plane.create nc in
-    Offline.Transform.ramp_across_plane ?pool ~domains ~ops:ops_c ~src_grid:grid
+    Offline.Transform.ramp_across_plane ?pool ~ops:ops_c ~src_grid:grid
       ~dst_grid:coarse ~betas ~src:(plane ()) ~soff:0
       ~tmp:(Offline.Plane.create n, Offline.Plane.create n)
       dst ~doff:0;
     bits dst nc
   in
-  let seq = across ~domains:1 () in
+  let seq = across () in
   let before = Obs.Counter.value fills in
-  let par = across ~pool ~domains:2 () in
+  let par = across ~pool () in
   fanned_out before;
   Alcotest.(check (array int64)) "across: pooled = sequential" seq par
-
-(* A streaming session hands its pool to the prefix engine.  On the
-   large-fleet scenario (61 x 41 = 2501 states, above
-   min_parallel_items) a session on a 2-domain pool must decide and
-   save exactly as one without a pool, and its save must resume in a
-   session without a pool (the CLI's --domains 2 crash, --domains 1
-   resume). *)
-let test_pooled_session_identical () =
-  let horizon = 10 and k = 5 in
-  let inst = Sim.Scenarios.large_fleet ~horizon () in
-  let types = inst.Model.Instance.types in
-  let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
-  let session ?pool () = Online.Streaming.alg_a ?pool ~max_horizon:horizon ~types ~fns () in
-  let loads = inst.Model.Instance.load in
-  let decide s t = Online.Streaming.feed s loads.(t) in
-  let check_decision t a b =
-    Alcotest.(check (array int)) (Printf.sprintf "slot %d: pooled = sequential" t) a b
-  in
-  let fills = Option.get (Obs.Counter.find "parallel.fills") in
-  let seq = session () in
-  Util.Pool.with_pool ~domains:2 @@ fun pool ->
-  let par = session ~pool () in
-  let before = Obs.Counter.value fills in
-  for t = 0 to k - 1 do
-    check_decision t (decide seq t) (decide par t)
-  done;
-  if Util.Parallel.recommended_domains () > 1 then
-    checkb "parallel.fills moved" true (Obs.Counter.value fills > before);
-  let snap = Online.Streaming.save par in
-  checkb "pooled save = sequential save" true (snap = Online.Streaming.save seq);
-  let resumed = session () in
-  (match Online.Streaming.restore resumed snap with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "restore without a pool: %s" m);
-  for t = k to horizon - 1 do
-    check_decision t (decide seq t) (decide resumed t)
-  done
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
@@ -272,8 +235,6 @@ let () =
             mk_prop ~count:15 ~name:"pooled solve_approx = sequential"
               (prop_pooled_approx_identical pool);
             Alcotest.test_case "pooled plane ramps = sequential (fan out)" `Quick
-              (test_ramp_planes_fan_out pool);
-            Alcotest.test_case "pooled streaming session = sequential (large-fleet)"
-              `Quick test_pooled_session_identical
+              (test_ramp_planes_fan_out pool)
           ] )
       ]

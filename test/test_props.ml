@@ -607,7 +607,7 @@ let row_fill_matches_memo pool rng ~dynamic inst =
     let memo = Offline.Dp.fill_layer cache grid ~time in
     let row = row_of rows n and pooled = row_of pooled_rows n in
     Offline.Dp.fill_row inst grid ~time row;
-    Offline.Dp.fill_row ~pool ~domains:2 inst grid ~time pooled;
+    Offline.Dp.fill_row ~pool inst grid ~time pooled;
     if not (bits_equal memo row && bits_equal memo pooled) then ok := false
   done;
   !ok

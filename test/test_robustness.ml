@@ -266,7 +266,7 @@ let test_fault_pool_real_exception_propagates () =
   let exception Boom in
   checkb "raises" true
     (try
-       ignore (Util.Parallel.parallel_init ~pool ~domains:2 600 (fun i ->
+       ignore (Util.Parallel.parallel_init ~pool 600 (fun i ->
            if i = 300 then raise Boom else i));
        false
      with Boom -> true)
