@@ -180,12 +180,13 @@ let domains_arg =
     value & opt int 1
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:"Run the parallel work on a persistent pool of N domains (default 1 = \
-              sequential): the grid fills and ramps of every offline DP solve \
-              ($(b,solve), the OPT that $(b,online), $(b,compare) and $(b,arena) \
-              report, $(b,compare)'s receding-horizon baseline) and, under \
-              $(b,serve), each round's session steps.  The online algorithms run on \
-              one domain.  Schedules, costs and decisions are bit-identical to the \
-              sequential run; only the wall time changes.")
+              sequential): the ramps of large grids and the reconstruction of every \
+              offline DP solve ($(b,solve), the OPT that $(b,online), $(b,compare) \
+              and $(b,arena) report, $(b,compare)'s receding-horizon baseline) and, \
+              under $(b,serve), each round's session steps.  The DP's forward sweep \
+              and the online algorithms run on one domain.  Schedules, costs and \
+              decisions are bit-identical to the sequential run; only the wall time \
+              changes.")
 
 (* Resolve --domains into an optional pool for the command body; the
    manifest records the setting either way, and the pool is shut down

@@ -121,8 +121,9 @@ module Obs = Obs
 
 val solve_offline : ?pool:Pool.t -> Instance.t -> Schedule.t * float
 (** Exact optimal schedule and cost (Section 4.1).  [pool] parallelises
-    the DP's grid fills on a persistent domain pool; the result is
-    bit-identical to the solve without one (see {!Offline_dp.solve}). *)
+    the DP's large ramps and its reconstruction on a persistent domain
+    pool; the result is bit-identical to the solve without one (see
+    {!Offline_dp.solve}). *)
 
 val solve_approx : ?pool:Pool.t -> eps:float -> Instance.t -> Schedule.t * float
 (** [(1 + eps)]-approximate schedule and cost (Sections 4.2/4.3). *)

@@ -53,9 +53,10 @@ type cache
 (** Memo for [g_t(x)].  Its users are [Offline.Brute_force], whose
     search re-reads each (slot, configuration) value many times, the
     [Online.Baselines], [Offline.Graph_paper] and the memo-backed
-    [Offline.Dp.fill_layer].  The two DP engines ([Offline.Dp.solve]
-    and [Online.Prefix_opt]) read each layer's values exactly once, so
-    they fill one reused row with {!fill_line} instead.
+    [Offline.Dp.fill_layer].  The DP engines ([Offline.Dp.solve] and
+    [Online.Prefix_opt], through [Offline.Forward]) read each layer's
+    values at most once, so they drive a {!line} cursor over one reused
+    row instead, and stop a line once the rest of it is dominated.
 
     The memo is a set of {b flat per-slot rank tables} ({!layer_table}
     / {!operating_rank}): when the caller enumerates a state grid it

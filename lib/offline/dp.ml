@@ -63,33 +63,24 @@ let state_count inst ~grids =
    the configurations differ only in the swept coordinate, so
    Model.Cost.fill_line builds the dispatch pieces once and warm-starts
    each cell's multiplier search from the previous cell's bracket.
-   Only [nan] entries are computed.  The pooled fan-out hands whole
-   lines to workers — a warm chain never crosses a line, so sequential
-   and pooled fills stay bit-identical. *)
-let fill_lines ?pool inst grid ~time table =
-  let n = Grid.size grid in
-  let d = Grid.dim grid in
-  let values = Grid.axis_values grid (d - 1) in
+   Only [nan] entries are computed. *)
+let fill_lines inst grid ~time table =
+  let values = Grid.axis_values grid (Grid.dim grid - 1) in
   let len = Array.length values in
-  let n_lines = n / len in
   let ctx = Model.Cost.line_ctx inst ~time ~values in
-  let line k =
+  for k = 0 to (Grid.size grid / len) - 1 do
     let rank0 = k * len in
     Model.Cost.fill_line ~ctx ~table ~rank0 ~x:(Grid.config_scratch grid rank0) ~values
-  in
-  (* The parallel cutoff counts cells (each runs a dispatch solve);
-     expressed in lines for the per-line fan-out. *)
-  let min_lines = 1 + ((Util.Parallel.min_parallel_items - 1) / len) in
-  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~n:n_lines line
+  done
 
-let fill_row ?pool inst grid ~time row =
+let fill_row inst grid ~time row =
   if Array.length row <> Grid.size grid then invalid_arg "Dp.fill_row: row size mismatch";
   Array.fill row 0 (Array.length row) nan;
-  fill_lines ?pool inst grid ~time row
+  fill_lines inst grid ~time row
 
-let fill_layer ?pool cache grid ~time =
+let fill_layer cache grid ~time =
   let table = Model.Cost.layer_table cache ~time (Grid.size grid) in
-  fill_lines ?pool (Model.Cost.cache_instance cache) grid ~time table;
+  fill_lines (Model.Cost.cache_instance cache) grid ~time table;
   table
 
 let solve ?grids ?initial ?pool ?resume ?on_layer inst =
@@ -114,8 +105,9 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
   (* The layer arena: every retained layer lives back to back in one
      unboxed float64 plane — arena[offsets.(t) + i] is the cheapest cost
      of a schedule prefix ending in state i of grid t, including slot
-     t's operating cost.  Layers are blitted forward and ramped in
-     place; no per-layer copies. *)
+     t's operating cost, or +infinity where the state is dominated
+     (Forward's canonical layer).  Layers are blitted forward and ramped
+     in place; no per-layer copies. *)
   let offsets = Array.make (horizon + 1) 0 in
   for time = 0 to horizon - 1 do
     offsets.(time + 1) <- offsets.(time) + Grid.size grid_at.(time)
@@ -136,18 +128,6 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
     end
   done;
   let work = lazy (Plane.create !work_size, Plane.create !work_size) in
-  (* One operating-cost row per distinct grid size, refilled for every
-     layer: the ramp consumes a layer's g_t values once, and the
-     reconstruction reads only the arena and switching costs. *)
-  let rows = Hashtbl.create 4 in
-  let row_of n =
-    match Hashtbl.find_opt rows n with
-    | Some row -> row
-    | None ->
-        let row = Array.create_float n in
-        Hashtbl.add rows n row;
-        row
-  in
   (* Resume a checkpointed forward pass: the saved layers replace the
      recomputation up to [next_time].  The caller must supply the same
      instance and grids the frontier was captured under; sizes are
@@ -167,55 +147,34 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         done;
         f.next_time
   in
+  (* One sweep context per run of equal grids; its scratch row is the
+     ramp's zero [ops] row, then the sweep's g_t. *)
+  let fwd = ref (Forward.create grid_at.(0) ~betas) in
   (Obs.Span.with_ "dp.forward" @@ fun () ->
   for time = start_time to horizon - 1 do
     let grid = grid_at.(time) in
     let n = Grid.size grid in
     let off = offsets.(time) in
     Obs.Counter.add c_cells n;
-    (* The fill only reads the previous layer's (untouched) arena
-       segment, so an injected fault can be absorbed by refilling. *)
+    (* Each layer is R, the ramped previous layer, made canonical by
+       the sweep.  The fill only reads the previous layer's (untouched)
+       arena segment, so an injected fault can be absorbed by refilling. *)
     let fill () =
+      if Forward.grid !fwd != grid then fwd := Forward.create grid ~betas;
       if time = 0 then begin
-        (* Single known source: the switching cost from it is closed-form,
-           no transform needed (and [initial] need not be on the grid).
-           Strided per-line fill: the cost splits into the fixed-prefix
-           part and the swept last coordinate's term (same ascending-type
-           summation as Model.Config.switching_cost, so values are
-           bit-identical to the closed form) — no per-cell closure or
-           configuration allocation. *)
-        let init =
-          match initial with None -> Model.Config.zero d | Some c -> c
-        in
-        let values = Grid.axis_values grid (d - 1) in
-        let len = Array.length values in
-        let init_last = init.(d - 1) in
-        let beta_last = betas.(d - 1) in
-        for k = 0 to (n / len) - 1 do
-          let rank0 = k * len in
-          let x = Grid.config_scratch grid rank0 in
-          let base = ref 0. in
-          for j = 0 to d - 2 do
-            let up = x.(j) - init.(j) in
-            if up > 0 then base := !base +. (float_of_int up *. betas.(j))
-          done;
-          for i = 0 to len - 1 do
-            let up = values.(i) - init_last in
-            Bigarray.Array1.unsafe_set arena (off + rank0 + i)
-              (if up > 0 then !base +. (float_of_int up *. beta_last) else !base)
-          done
-        done;
-        let ops = row_of n in
-        fill_row ?pool inst grid ~time ops;
+        (* Single known source: R is the closed-form switching cost from
+           it, no transform needed (and [initial] need not be on the
+           grid). *)
+        let init = match initial with None -> Model.Config.zero d | Some c -> c in
         for i = 0 to n - 1 do
           Bigarray.Array1.unsafe_set arena (off + i)
-            (Bigarray.Array1.unsafe_get arena (off + i) +. Array.unsafe_get ops i)
+            (Model.Config.switching_cost inst.Model.Instance.types ~from_:init
+               ~to_:(Grid.config_scratch grid i))
         done
       end
       else begin
         let src_grid = grid_at.(time - 1) in
-        let ops = row_of n in
-        fill_row ?pool inst grid ~time ops;
+        let ops = Forward.zero_ops !fwd in
         if src_grid == grid then begin
           Plane.blit ~src:arena ~soff:offsets.(time - 1) ~dst:arena ~doff:off ~len:n;
           Transform.ramp_grid_plane ?pool ~ops ~grid ~betas arena ~off
@@ -223,7 +182,8 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         else
           Transform.ramp_across_plane ?pool ~ops ~src_grid ~dst_grid:grid ~betas ~src:arena
             ~soff:offsets.(time - 1) ~tmp:(Lazy.force work) arena ~doff:off
-      end
+      end;
+      Forward.sweep !fwd inst ~time arena ~off
     in
     (try
        Util.Faultinj.hit "dp.layer_fill";
@@ -270,14 +230,18 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
        the schedule — bit-identical to the sequential solve.  Gated on
        the fan-out the pool will actually deliver: the dense precompute
        trades away the pruned scan's skipped switching-cost
-       evaluations, which only pays off when the domains are real. *)
+       evaluations, which only pays off when the domains are real.  A
+       dominated state's +infinity total needs no config decode. *)
     let totals =
       if width > 1 && Grid.size grid >= Util.Parallel.min_parallel_items then
         Some
           (Util.Parallel.parallel_init ?pool (Grid.size grid) (fun idx ->
-               Bigarray.Array1.unsafe_get arena (loff + idx)
-               +. Model.Config.switching_cost inst.Model.Instance.types
-                    ~from_:(Grid.config_scratch grid idx) ~to_:target))
+               let arrival = Bigarray.Array1.unsafe_get arena (loff + idx) in
+               if arrival = infinity then infinity
+               else
+                 arrival
+                 +. Model.Config.switching_cost inst.Model.Instance.types
+                      ~from_:(Grid.config_scratch grid idx) ~to_:target))
       else None
     in
     let best = ref infinity and best_x = ref None in

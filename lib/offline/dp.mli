@@ -6,7 +6,9 @@
     Section 4.3's time-varying data-center sizes fall out of letting the
     grid differ per slot.  Layer transitions are ramp inf-convolutions
     ({!Transform}), so a solve costs [O(T * |grid| * d)] plus the
-    operating-cost evaluations [g_t(x)]. *)
+    operating-cost evaluations [g_t(x)], which {!Forward.sweep} (the
+    online prefix engine's step too) solves only where a prefix can use
+    them. *)
 
 type result = {
   schedule : Model.Schedule.t;  (** an optimal (w.r.t. the grids) schedule *)
@@ -19,7 +21,8 @@ type frontier = {
       (** the arrival layers for slots [0 .. next_time - 1] — everything
           the forward pass has computed so far (reconstruction needs all
           of them, so a checkpoint keeps the whole prefix, not just the
-          newest layer) *)
+          newest layer).  Layers are canonical ({!Forward}): +infinity at
+          dominated states. *)
 }
 (** A checkpoint of an in-flight forward pass; see [?resume]/[?on_layer]
     on {!solve} and the sexp codec below. *)
@@ -41,16 +44,13 @@ val solve :
     Argmin ties are broken towards the lexicographically smallest
     configuration, so the result is deterministic.
 
-    [pool] fans the parallel-safe work — the per-layer operating-cost
-    evaluations [g_t(x)] (the dominant part, into one reused row per
-    grid size — see {!fill_row}), the ramp transforms, and the
-    reconstruction scan's candidate totals — out across the pool
-    ({!Util.Parallel.width} domains); without a pool the solve is
-    sequential.  Results are bit-identical to the sequential solve:
-    every parallel section computes the same values into disjoint
-    slots, and all fuzzy argmin scans remain single ordered passes.
-    Layers smaller than {!Util.Parallel.min_parallel_items} states stay
-    sequential regardless.
+    [pool] fans the ramp transforms (above {!Transform}'s cutoff) and
+    the reconstruction scan's candidate totals out across
+    {!Util.Parallel.width} domains; the forward sweep, nearly all of
+    the time, runs on the calling domain.  Results are bit-identical
+    to the sequential solve: every parallel section computes the same
+    values into disjoint slots, and all fuzzy argmin scans remain
+    single ordered passes.
 
     Checkpoint/resume: [on_layer] is invoked after each filled layer
     with a thunk that materialises the current {!frontier} (a deep
@@ -59,30 +59,25 @@ val solve :
     layers.  The caller must resume with the same instance and grids
     the frontier was captured under (sizes are validated, semantics are
     the contract); the resumed solve is then bit-identical to an
-    uninterrupted one.
+    uninterrupted one.  A frontier written before layers were canonical
+    (finite costs at dominated states) resumes to the same result.
 
     Fault site: [dp.layer_fill] ({!Util.Faultinj}) fires before each
     layer fill; an injected fault is absorbed by refilling the layer
     under {!Util.Faultinj.suppressed} (the fill only reads the previous
     layer, so the retry is exact) and counted in [dp.layer_retries]. *)
 
-val fill_row :
-  ?pool:Util.Pool.t -> Model.Instance.t -> Grid.t -> time:int -> float array -> unit
+val fill_row : Model.Instance.t -> Grid.t -> time:int -> float array -> unit
 (** [fill_row inst grid ~time row] overwrites [row] with the operating
     cost [g_time(x)] of every state of [grid], by flat rank.  [row]
     must hold exactly [Grid.size grid] entries; a caller reuses it from
     slot to slot.  The fill walks the grid line by line along the last
     (stride-1) axis through {!Model.Cost.fill_line}, so each line builds
     its dispatch pieces once and warm-starts every cell's multiplier
-    search from its predecessor's bracket.  On a [pool], whole lines fan
-    out over {!Util.Parallel.width} domains (grids of at least
-    {!Util.Parallel.min_parallel_items} states); a warm chain never
-    crosses a line, so sequential and pooled fills are bit-identical.
-    This is the per-layer fill of {!solve}; the online prefix DP
-    ([Online.Prefix_opt]) drives the same line kernel cell by cell and
-    stops a line early once the rest of it is dominated. *)
+    search from its predecessor's bracket.  {!Forward.sweep} computes a
+    prefix of each line through the same kernel, with the same bits. *)
 
-val fill_layer : ?pool:Util.Pool.t -> Model.Cost.cache -> Grid.t -> time:int -> float array
+val fill_layer : Model.Cost.cache -> Grid.t -> time:int -> float array
 (** The memo-backed {!fill_row}: fills the not-yet-computed entries of
     the slot's flat rank table ({!Model.Cost.layer_table}) in the same
     line order and returns the table.  The values equal {!fill_row}'s

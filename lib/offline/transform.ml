@@ -4,9 +4,8 @@
    planes, so a layer step allocates no float storage.
 
    The last axis has stride 1, so its lines are contiguous both in the
-   plane segment and in the slot's rank table — the [ops] rank-table add
-   is fused into that final pass while the line is still cache-hot
-   ([inf + g = inf] keeps infeasible states infeasible). *)
+   plane segment and in the [ops] row, whose add is fused into that
+   final pass while the line is still cache-hot. *)
 
 (* Lines along axis [j] can be addressed directly: line [k] (of
    [size / lengths.(j)] total) starts at [(k / stride) * block + k mod

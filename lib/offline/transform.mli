@@ -18,12 +18,12 @@
     The scans assume strictly increasing axes; {!Grid.make} rejects any
     other axis, so every grid satisfies it.
 
-    The required [ops] row — the slot's operating costs, indexed by the
-    result grid's rank, one entry per state — is added elementwise
-    during the final (contiguous, stride-1) axis pass, fusing the DP's
-    [entering += g_t] into the last cache-hot traversal; [inf + g] keeps
-    infeasible states at [infinity].  A caller that wants the bare ramp
-    passes a row of zeros.
+    The required [ops] row, indexed by the result grid's rank, is added
+    elementwise during the final (contiguous, stride-1) axis pass.  The
+    DP engines pass a row of zeros ({!Forward.zero_ops}) and add the
+    operating costs in {!Forward.sweep}; a caller may fuse its own
+    [g_t] here instead ([inf + g] keeps infeasible states at
+    [infinity]).
 
     On a [pool] the independent lines of each axis pass fan out over
     {!Util.Parallel.width} domains whenever the pass touches at least

@@ -10,18 +10,10 @@
     The engine only ever reads the instance at slots it has been stepped
     through, so it is a valid online computation.
 
-    The layer it keeps is {e canonical}: +infinity at every state that
-    a cheaper state below it reaches by power-ups alone (beyond a 1e-9
-    relative allowance), the cheapest prefix cost everywhere else.  Such
-    a state is on no optimal path and never an optimal last
-    configuration, so every ramp, argmin and decision is bit-identical to
-    keeping its cost; and the layer does not depend on which states'
-    operating costs a step skipped.  A step stops each grid line's fill
-    once a weak-duality bound proves the line's remaining states
-    dominated, so it solves the dispatch problem (eq. (1)) only where a
-    prefix can still use it.  A step runs on the calling domain: a
-    pooled fill of every state was slower on two domains than this
-    pruned fill on one, so the engine takes no pool. *)
+    A step is the offline DP's forward step ({!Offline.Forward}): the
+    zero-[ops] ramp of the kept layer, then the sweep that adds [g_t]
+    and leaves the layer canonical (+infinity at dominated states), then
+    the argmin.  It runs on the calling domain and takes no pool. *)
 
 type t
 
@@ -66,9 +58,7 @@ val save : t -> Util.Sexp.t
 val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into an engine created over the same instance
     and grid; stepping afterwards is decision-for-decision identical to
-    the uninterrupted engine.  Any layer is accepted, canonical or not
-    (a checkpoint written before layers were canonical keeps finite
-    costs at dominated states): no ramp value or argmin depends on a
-    dominated state's cost, so both resume to the same bits.  Validates
-    the payload shape, the clock against the horizon and the layer
-    length against the grid. *)
+    the uninterrupted engine.  A layer saved before layers were
+    canonical (finite costs at dominated states) resumes to the same
+    bits.  Validates the payload shape, the clock against the horizon
+    and the layer length against the grid. *)

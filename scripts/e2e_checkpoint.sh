@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end crash/resume check through the real CLI binary.
 #
-# For each of three runs (offline DP, online algorithm A, online
-# algorithm B) this script:
+# For each of five runs (offline DP on one dense grid, across the
+# maintenance scenario's changing grids and on the reduced grids of
+# --eps, online algorithm A, online algorithm B) this script:
 #   1. records the uninterrupted run's result line,
 #   2. re-runs with --checkpoint + --crash-after, expecting the
 #      simulated crash (exit 3) to leave a checkpoint behind,
 #   3. resumes from the checkpoint with --resume,
 # and fails unless the resumed result line is byte-identical to the
-# uninterrupted one.  A fourth, cross-width run crashes on two domains
+# uninterrupted one.  A sixth, cross-width run crashes on two domains
 # and resumes on one, and a further leg checks that `online` refuses
 # an instance with time-varying fleet sizes (offline only).
 # See docs/robustness.md.  (Daemon-level serving,
@@ -82,6 +83,8 @@ check_case() {
 }
 
 check_case solve-dp     3 solve  --scenario cpu-gpu      --horizon 10
+check_case solve-cross-grid 5 solve --scenario maintenance --horizon 30
+check_case solve-approx 5 solve  --scenario large-fleet  --horizon 24 --eps 0.25
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
 

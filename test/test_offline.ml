@@ -439,6 +439,73 @@ let test_fill_rows_golden () =
         golden_counters)
     Sim.Scenarios.named
 
+(* --- Forward work --- *)
+
+(* FNV-1a over a schedule's counts, slot by slot. *)
+let schedule_digest sched =
+  Array.fold_left (Array.fold_left (fun h x -> fnv_float h (float_of_int x))) fnv_basis sched
+
+(* The forward pass runs the online engine's canonical sweep, so a solve
+   makes exactly the dispatch solves a streaming session over the same
+   loads makes: 134,743 on large-fleet T=192, where filling every state
+   made 318,923.  On maintenance T=300 (cross-grid ramps at the
+   maintenance windows) it makes 5,645, down from 8,263.  Work counts
+   repeat exactly, so they pin the saving with no timing noise.  Cost
+   and schedule keep the bits the full fill's solve produced. *)
+let test_dp_forward_work () =
+  let calls () = counter_value "dispatch.calls" in
+  let solve inst =
+    let before = calls () in
+    let r = Offline.Dp.solve inst in
+    (calls () - before, Printf.sprintf "%h" r.Offline.Dp.cost,
+     Printf.sprintf "%016Lx" (schedule_digest r.Offline.Dp.schedule))
+  in
+  let horizon = 192 in
+  let inst = Sim.Scenarios.large_fleet ~horizon () in
+  let solves, cost, digest = solve inst in
+  let types = inst.Model.Instance.types in
+  let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
+  let session = Online.Streaming.alg_a ~max_horizon:horizon ~types ~fns () in
+  let before = calls () in
+  Array.iter (fun l -> ignore (Online.Streaming.feed session l)) inst.Model.Instance.load;
+  checki "large-fleet solve = streaming session" (calls () - before) solves;
+  checkb (Printf.sprintf "large-fleet: %d solves <= 134743" solves) true (solves <= 134_743);
+  Alcotest.(check string) "large-fleet cost bits" "0x1.896c8e3eb5841p+13" cost;
+  Alcotest.(check string) "large-fleet schedule digest" "a46c2fac1f773f7d" digest;
+  let solves, cost, digest = solve (Sim.Scenarios.maintenance ~horizon:300 ()) in
+  checkb (Printf.sprintf "maintenance: %d solves <= 5645" solves) true (solves <= 5_645);
+  Alcotest.(check string) "maintenance cost bits" "0x1.77140dcf7713dp+10" cost;
+  Alcotest.(check string) "maintenance schedule digest" "3024995e9531dafd" digest
+
+(* Only a loss by more than the allowance prunes a state; a tie with a
+   state below it does not.  At zero load and zero cost every state of
+   every layer ties with its lower neighbours (its prefix cost is the
+   power-up from the all-off state), so every layer stays finite; with
+   free power-ups every state ties at 0, so the online engine's largest
+   optimal last configuration is the whole fleet. *)
+let test_forward_ties_stay () =
+  let fleet beta =
+    let types =
+      [| st ~count:3 ~switching_cost:beta ~cap:1. (); st ~count:2 ~switching_cost:beta ~cap:2. () |]
+    in
+    let fns = [| Convex.Fn.const 0.; Convex.Fn.const 0. |] in
+    Model.Instance.make_static ~types ~load:(Array.make 4 0.) ~fns ()
+  in
+  let finite = ref true in
+  ignore
+    (Offline.Dp.solve
+       ~on_layer:(fun ~time thunk ->
+         if not (Array.for_all Float.is_finite (thunk ()).Offline.Dp.layers.(time)) then
+           finite := false)
+       (fleet 1.5));
+  checkb "every state of every layer finite" true !finite;
+  let engine = Online.Prefix_opt.create (fleet 0.) in
+  for _ = 1 to 4 do
+    let step = Online.Prefix_opt.step engine in
+    Alcotest.(check (array int)) "last" [| 0; 0 |] step.Online.Prefix_opt.last;
+    Alcotest.(check (array int)) "last_hi" [| 3; 2 |] step.Online.Prefix_opt.last_hi
+  done
+
 (* --- Approximation (Theorems 16 / 21) --- *)
 
 let test_approx_within_bound () =
@@ -603,7 +670,10 @@ let () =
           Alcotest.test_case "initial state" `Quick test_dp_initial_state;
           Alcotest.test_case "parallel evaluation identical" `Quick test_dp_parallel_identical;
           Alcotest.test_case "fill rows match the golden digests" `Quick
-            test_fill_rows_golden
+            test_fill_rows_golden;
+          Alcotest.test_case "forward work = online engine's, same bits" `Quick
+            test_dp_forward_work;
+          Alcotest.test_case "tied states are not pruned" `Quick test_forward_ties_stay
         ] );
       ( "approx",
         [ Alcotest.test_case "Theorem 16 bound" `Quick test_approx_within_bound;

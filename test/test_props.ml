@@ -502,128 +502,11 @@ let prop_ramp_across_random_grids seed =
     (brute_ramp ~src_grid ~dst_grid ~betas src)
     got
 
-(* The Bigarray plane arena must reproduce a straight-line reference DP
-   layer by layer.  The reference builds every arrival layer by brute
-   force from the ramp's definition ([brute_ramp], the minimum over
-   every state of the previous slot's grid) and adds operating costs
-   through [Cost.operating] rather than the warm-swept line fill; the
-   engine's layers are observed through [?on_layer].  Half the runs
-   draw a random sub-grid per slot, exercising the cross-grid
-   [ramp_across_plane] ping-pong path; the final frontier also
-   round-trips through the sexp codec bit-exactly. *)
-let prop_plane_engine_matches_reference seed =
-  let rng = Util.Prng.create seed in
-  let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
-  let instf = Model.Instance.fold_switching inst in
-  let horizon = Model.Instance.horizon instf in
-  let d = Model.Instance.num_types instf in
-  let betas =
-    Array.map (fun st -> st.Model.Server_type.switching_cost) instf.Model.Instance.types
-  in
-  let grids =
-    if Util.Prng.bool rng then
-      Array.init horizon (fun _ -> random_subgrid rng (Model.Instance.counts instf))
-    else Array.init horizon (Offline.Dp.dense_grids instf)
-  in
-  let zero = Model.Config.zero d in
-  let reference = Array.make horizon [||] in
-  for time = 0 to horizon - 1 do
-    let g = grids.(time) in
-    let n = Offline.Grid.size g in
-    let ops =
-      Array.init n (fun i ->
-          Model.Cost.operating instf ~time (Offline.Grid.config_scratch g i))
-    in
-    let arrival =
-      if time = 0 then
-        Array.init n (fun i ->
-            Model.Config.switching_cost instf.Model.Instance.types ~from_:zero
-              ~to_:(Offline.Grid.config_scratch g i))
-      else brute_ramp ~src_grid:grids.(time - 1) ~dst_grid:g ~betas reference.(time - 1)
-    in
-    reference.(time) <- Array.mapi (fun i c -> c +. ops.(i)) arrival
-  done;
-  let close a b =
-    if Float.is_finite a && Float.is_finite b then
-      Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs b)
-    else a = b
-  in
-  let ok = ref true in
-  let final = ref None in
-  (try
-     ignore
-       (Offline.Dp.solve ~grids:(Array.get grids)
-          ~on_layer:(fun ~time thunk ->
-            let f = thunk () in
-            let got = f.Offline.Dp.layers.(time) in
-            if not (Array.for_all2 close got reference.(time)) then ok := false;
-            if time = horizon - 1 then final := Some f)
-          inst)
-   with Invalid_argument _ ->
-     (* Infeasible instances raise after the forward pass; the layer
-        comparisons above still ran for every slot. *)
-     ());
-  !ok
-  &&
-  match !final with
-  | None -> false
-  | Some f -> (
-      match Offline.Dp.frontier_of_sexp (Offline.Dp.frontier_to_sexp f) with
-      | Error _ -> false
-      | Ok f' ->
-          f'.Offline.Dp.next_time = f.Offline.Dp.next_time
-          && Array.for_all2
-               (fun a b -> Array.for_all2 (fun (x : float) y -> x = y || (x <> x && y <> y)) a b)
-               f.Offline.Dp.layers f'.Offline.Dp.layers)
-
-(* --- Operating-cost rows --- *)
-
 let bits_equal a b =
   Array.length a = Array.length b
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
-
-(* The DP engines' reused-row fill equals the memo-backed
-   [Dp.fill_layer] bit for bit, at 1 domain and on a 2-domain pool.
-   Dynamic runs draw a fresh sub-grid per slot, so a row is refilled
-   across different rank spaces of the same size. *)
-let row_fill_matches_memo pool rng ~dynamic inst =
-  let counts = Model.Instance.counts inst in
-  let cache = Model.Cost.make_cache inst in
-  let rows = Hashtbl.create 4 and pooled_rows = Hashtbl.create 4 in
-  let row_of tbl n =
-    match Hashtbl.find_opt tbl n with
-    | Some row -> row
-    | None ->
-        let row = Array.make n 0. in
-        Hashtbl.add tbl n row;
-        row
-  in
-  let ok = ref true in
-  for time = 0 to Model.Instance.horizon inst - 1 do
-    let grid = if dynamic then random_subgrid rng counts else Offline.Grid.dense counts in
-    let n = Offline.Grid.size grid in
-    let memo = Offline.Dp.fill_layer cache grid ~time in
-    let row = row_of rows n and pooled = row_of pooled_rows n in
-    Offline.Dp.fill_row inst grid ~time row;
-    Offline.Dp.fill_row ~pool inst grid ~time pooled;
-    if not (bits_equal memo row && bits_equal memo pooled) then ok := false
-  done;
-  !ok
-
-let prop_row_fill_matches_memo pool seed =
-  let rng = Util.Prng.create seed in
-  let dynamic = Util.Prng.bool rng in
-  row_fill_matches_memo pool rng ~dynamic (tiny_instance rng ~dynamic)
-
-(* Tiny grids stay under the parallel cutoff, so the pool case above
-   runs the sequential fallback; large-fleet's grids (2501 states, a
-   sub-grid several hundred) clear it, so whole lines really fan out. *)
-let prop_row_fill_matches_memo_fanned_out pool seed =
-  let rng = Util.Prng.create seed in
-  let dynamic = Util.Prng.bool rng in
-  row_fill_matches_memo pool rng ~dynamic (Sim.Scenarios.large_fleet ~horizon:3 ~seed ())
 
 (* The canonical form of an arrival plane [a] over [grid]: +infinity at
    every state x that some z <= x, z <> x, reaches more cheaply by
@@ -655,6 +538,156 @@ let canonical_plane grid ~betas a =
       u.(r) <- Float.min ar !cand;
       if ar > !cand +. (1e-9 *. Float.max 1. (Float.abs !cand)) then infinity else ar)
     a
+
+(* The Bigarray plane arena against two references built from the same
+   per-slot grids.  The brute-force reference builds every arrival layer
+   from the ramp's definition ([brute_ramp], the minimum over every
+   state of the previous slot's grid) and adds operating costs through
+   [Cost.operating] rather than the warm-swept line fill; the engine's
+   layers, observed through [?on_layer], must match it within 1e-9 at
+   every state they keep finite.  The kernel reference is the full,
+   unpruned DP: per slot, [Dp.fill_row], then the fused
+   [ramp_grid_plane] (equal grids) or [ramp_across_plane] from the raw
+   previous layer.  Each engine layer must be the [canonical_plane] of
+   the kernel layer bit for bit, and the two must ramp to the same bits.
+   The grids are dense, a random sub-grid per slot, or a power grid of
+   random ratio per slot; the latter two exercise the cross-grid
+   [ramp_across_plane] ping-pong path.  The final frontier also
+   round-trips through the sexp codec bit-exactly. *)
+let prop_plane_engine_matches_reference seed =
+  let rng = Util.Prng.create seed in
+  let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
+  let instf = Model.Instance.fold_switching inst in
+  let horizon = Model.Instance.horizon instf in
+  let d = Model.Instance.num_types instf in
+  let counts = Model.Instance.counts instf in
+  let betas =
+    Array.map (fun st -> st.Model.Server_type.switching_cost) instf.Model.Instance.types
+  in
+  let grids =
+    match Util.Prng.int rng 3 with
+    | 0 -> Array.init horizon (Offline.Dp.dense_grids instf)
+    | 1 -> Array.init horizon (fun _ -> random_subgrid rng counts)
+    | _ ->
+        Array.init horizon (fun _ ->
+            Offline.Grid.power ~gamma:(1.3 +. Util.Prng.float rng 1.7) counts)
+  in
+  let zero = Model.Config.zero d in
+  let brute = Array.make horizon [||] and kernel = Array.make horizon [||] in
+  for time = 0 to horizon - 1 do
+    let g = grids.(time) in
+    let n = Offline.Grid.size g in
+    let ops =
+      Array.init n (fun i ->
+          Model.Cost.operating instf ~time (Offline.Grid.config_scratch g i))
+    in
+    let row = Array.make n 0. in
+    Offline.Dp.fill_row instf g ~time row;
+    if time = 0 then begin
+      let climb =
+        Array.init n (fun i ->
+            Model.Config.switching_cost instf.Model.Instance.types ~from_:zero
+              ~to_:(Offline.Grid.config_scratch g i))
+      in
+      brute.(0) <- Array.mapi (fun i c -> c +. ops.(i)) climb;
+      kernel.(0) <- Array.mapi (fun i c -> c +. row.(i)) climb
+    end
+    else begin
+      let src_grid = grids.(time - 1) in
+      brute.(time) <-
+        Array.mapi
+          (fun i c -> c +. ops.(i))
+          (brute_ramp ~src_grid ~dst_grid:g ~betas brute.(time - 1));
+      let prev = kernel.(time - 1) in
+      let src = Offline.Plane.create (Array.length prev) in
+      Offline.Plane.of_array prev src ~off:0;
+      let dst = Offline.Plane.create n in
+      if Offline.Grid.equal src_grid g then begin
+        Offline.Plane.blit ~src ~soff:0 ~dst ~doff:0 ~len:n;
+        Offline.Transform.ramp_grid_plane ~ops:row ~grid:g ~betas dst ~off:0
+      end
+      else begin
+        let scratch () = Offline.Plane.create (Array.length prev * n) in
+        Offline.Transform.ramp_across_plane ~ops:row ~src_grid ~dst_grid:g ~betas ~src
+          ~soff:0 ~tmp:(scratch (), scratch ()) dst ~doff:0
+      end;
+      kernel.(time) <- Offline.Plane.to_array dst ~off:0 ~len:n
+    end
+  done;
+  let close a b =
+    (not (Float.is_finite a)) || Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs b)
+  in
+  let ok = ref true in
+  let final = ref None in
+  (try
+     ignore
+       (Offline.Dp.solve ~grids:(Array.get grids)
+          ~on_layer:(fun ~time thunk ->
+            let f = thunk () in
+            let got = f.Offline.Dp.layers.(time) in
+            let grid = grids.(time) in
+            if
+              not
+                (Array.for_all2 close got brute.(time)
+                && bits_equal got (canonical_plane grid ~betas kernel.(time))
+                && bits_equal (ramp_grid ~grid ~betas got) (ramp_grid ~grid ~betas kernel.(time))
+                )
+            then ok := false;
+            if time = horizon - 1 then final := Some f)
+          inst)
+   with Invalid_argument _ ->
+     (* Infeasible instances raise after the forward pass; the layer
+        comparisons above still ran for every slot. *)
+     ());
+  !ok
+  &&
+  match !final with
+  | None -> false
+  | Some f -> (
+      match Offline.Dp.frontier_of_sexp (Offline.Dp.frontier_to_sexp f) with
+      | Error _ -> false
+      | Ok f' ->
+          f'.Offline.Dp.next_time = f.Offline.Dp.next_time
+          && Array.for_all2 bits_equal f.Offline.Dp.layers f'.Offline.Dp.layers)
+
+(* --- Operating-cost rows --- *)
+
+(* The reused-row fill equals the memo-backed [Dp.fill_layer] bit for
+   bit.  Dynamic runs draw a fresh sub-grid per slot, so a row is
+   refilled across different rank spaces of the same size. *)
+let row_fill_matches_memo rng ~dynamic inst =
+  let counts = Model.Instance.counts inst in
+  let cache = Model.Cost.make_cache inst in
+  let rows = Hashtbl.create 4 in
+  let row_of n =
+    match Hashtbl.find_opt rows n with
+    | Some row -> row
+    | None ->
+        let row = Array.make n 0. in
+        Hashtbl.add rows n row;
+        row
+  in
+  let ok = ref true in
+  for time = 0 to Model.Instance.horizon inst - 1 do
+    let grid = if dynamic then random_subgrid rng counts else Offline.Grid.dense counts in
+    let memo = Offline.Dp.fill_layer cache grid ~time in
+    let row = row_of (Offline.Grid.size grid) in
+    Offline.Dp.fill_row inst grid ~time row;
+    if not (bits_equal memo row) then ok := false
+  done;
+  !ok
+
+let prop_row_fill_matches_memo seed =
+  let rng = Util.Prng.create seed in
+  let dynamic = Util.Prng.bool rng in
+  row_fill_matches_memo rng ~dynamic (tiny_instance rng ~dynamic)
+
+(* Large-fleet's grids (2501 states, a sub-grid several hundred) give
+   long lines with long warm chains. *)
+let prop_row_fill_matches_memo_large_fleet seed =
+  let rng = Util.Prng.create seed in
+  let dynamic = Util.Prng.bool rng in
+  row_fill_matches_memo rng ~dynamic (Sim.Scenarios.large_fleet ~horizon:3 ~seed ())
 
 (* [Prefix_opt]'s arrival plane, read back through [save], is the
    canonical form of the plane rebuilt step by step from the memo-backed
@@ -859,8 +892,6 @@ let prop_opt_lower_bounds_everything seed =
   List.for_all (fun c -> c >= opt -. 1e-6) candidates
 
 let () =
-  let pool = Util.Pool.create ~name:"props" ~domains:2 () in
-  Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
   Alcotest.run ~and_exit:false "props"
     [ ( "convex",
         [ mk_test ~count:100 ~name:"constructors produce convex increasing fns"
@@ -893,10 +924,9 @@ let () =
           mk_test ~count:20 ~name:"Theorem 16: (1+eps)-approximation" prop_approx_theorem16;
           mk_test ~count:60 ~name:"plane arena = reference float-array DP"
             prop_plane_engine_matches_reference;
-          mk_test ~count:60 ~name:"reused-row fill = memo fill (1 and 2 domains)"
-            (prop_row_fill_matches_memo pool);
-          mk_test ~count:10 ~name:"reused-row fill = memo fill (large fleet, fans out)"
-            (prop_row_fill_matches_memo_fanned_out pool)
+          mk_test ~count:60 ~name:"reused-row fill = memo fill" prop_row_fill_matches_memo;
+          mk_test ~count:10 ~name:"reused-row fill = memo fill (large fleet)"
+            prop_row_fill_matches_memo_large_fleet
         ] );
       ( "systems",
         [ mk_test ~count:25 ~name:"streaming session = batch run" prop_streaming_equals_batch;

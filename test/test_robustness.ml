@@ -462,6 +462,12 @@ let test_tampered_clock_refused ~part ~clock ~expected () =
   | Error m -> Alcotest.(check string) "refusal" expected m
   | Ok () -> Alcotest.failf "restored a payload with its %s clock at %d" part clock
 
+(* A checked-in fixture: cwd is test/ under `dune runtest`, the project
+   root under `dune exec test/test_robustness.exe` (the CI shards). *)
+let fixture name =
+  let path = Filename.concat "fixtures" name in
+  if Sys.file_exists path then path else Filename.concat "test" path
+
 (* test/fixtures/online_three_tier_v1.snap was written by the CLI before
    the engine's arrival plane became canonical: [online --scenario
    three-tier --horizon 24 --checkpoint F --checkpoint-every 5
@@ -470,11 +476,7 @@ let test_tampered_clock_refused ~part ~clock ~expected () =
    [online] builds, it must decide every remaining slot exactly like an
    uninterrupted session. *)
 let test_online_v1_fixture_resumes () =
-  let path =
-    if Sys.file_exists "fixtures/online_three_tier_v1.snap" then
-      "fixtures/online_three_tier_v1.snap"
-    else Filename.concat "test" "fixtures/online_three_tier_v1.snap"
-  in
+  let path = fixture "online_three_tier_v1.snap" in
   let horizon = 24 in
   let inst = Sim.Scenarios.three_tier ~horizon () in
   let types = inst.Model.Instance.types in
@@ -569,12 +571,7 @@ let test_golden_v1_fixture () =
      --crash-after 3].  Reading it — and resuming from it to the exact
      uninterrupted optimum — pins the v1 container and frontier codec:
      a format change that breaks old checkpoints fails here first. *)
-  let path =
-    (* cwd is test/ under `dune runtest`, the project root under
-       `dune exec test/test_robustness.exe` (the CI shards). *)
-    if Sys.file_exists "fixtures/golden_v1.snap" then "fixtures/golden_v1.snap"
-    else Filename.concat "test" "fixtures/golden_v1.snap"
-  in
+  let path = fixture "golden_v1.snap" in
   match Snapshot.load ~kind:"dp-frontier" ~path () with
   | Error e -> Alcotest.fail ("golden fixture unreadable: " ^ Snapshot.error_to_string e)
   | Ok payload -> (
@@ -587,6 +584,48 @@ let test_golden_v1_fixture () =
           let base = Offline.Dp.solve inst in
           let r = Offline.Dp.solve ~resume:f inst in
           checkb "resume from golden matches uninterrupted solve" true
+            (r.Offline.Dp.cost = base.Offline.Dp.cost
+            && schedules_equal r.Offline.Dp.schedule base.Offline.Dp.schedule))
+
+(* test/fixtures/dp_maintenance_v1.snap was written by the CLI before
+   the offline forward pass kept canonical layers: [solve --scenario
+   maintenance --horizon 12 --checkpoint F --checkpoint-every 1
+   --crash-after 6].  Maintenance changes the grid at its windows, so
+   the resume crosses grids.  The fixture keeps finite costs at 75
+   states the canonical layers hold at +infinity, and matches them bit
+   for bit everywhere else; resuming from it must still give the
+   uninterrupted solve's cost and schedule. *)
+let test_dp_maintenance_v1_fixture () =
+  let path = fixture "dp_maintenance_v1.snap" in
+  match Snapshot.load ~kind:"dp-frontier" ~path () with
+  | Error e -> Alcotest.fail ("maintenance fixture unreadable: " ^ Snapshot.error_to_string e)
+  | Ok payload -> (
+      match Offline.Dp.frontier_of_sexp payload with
+      | Error m -> Alcotest.fail ("maintenance frontier undecodable: " ^ m)
+      | Ok f ->
+          checki "next-time" 6 f.Offline.Dp.next_time;
+          let inst = Sim.Scenarios.maintenance ~horizon:12 () in
+          let canonical = ref None in
+          let base =
+            Offline.Dp.solve
+              ~on_layer:(fun ~time thunk -> if time = 5 then canonical := Some (thunk ()))
+              inst
+          in
+          (* The layers differ only where the canonical ones hold +infinity. *)
+          let pruned = ref 0 and other = ref 0 in
+          Array.iteri
+            (fun t layer ->
+              Array.iteri
+                (fun i v ->
+                  let w = (Option.get !canonical).Offline.Dp.layers.(t).(i) in
+                  if Float.is_finite v && w = infinity then incr pruned
+                  else if Int64.bits_of_float v <> Int64.bits_of_float w then incr other)
+                layer)
+            f.Offline.Dp.layers;
+          checki "fixture cells finite where the canonical layer is +infinity" 75 !pruned;
+          checki "fixture cells differing otherwise" 0 !other;
+          let r = Offline.Dp.solve ~resume:f inst in
+          checkb "resume from the fixture matches the uninterrupted solve" true
             (r.Offline.Dp.cost = base.Offline.Dp.cost
             && schedules_equal r.Offline.Dp.schedule base.Offline.Dp.schedule))
 
@@ -613,6 +652,8 @@ let () =
             prop_container_roundtrip;
           Alcotest.test_case "golden v1 fixture still loads and resumes" `Quick
             test_golden_v1_fixture;
+          Alcotest.test_case "cross-grid v1 frontier resumes to the same solve" `Quick
+            test_dp_maintenance_v1_fixture;
           Alcotest.test_case "unknown version rejected" `Quick test_unknown_version_rejected;
           Alcotest.test_case "wrong kind rejected" `Quick test_wrong_kind_rejected;
           Alcotest.test_case "old online-run checkpoint refused" `Quick
