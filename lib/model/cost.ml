@@ -189,8 +189,10 @@ type line_ctx = {
   lx_caps : float array;  (* per-server capacity per type *)
   lx_idle : float array;  (* f_{t,j}(0) per type *)
   lx_const : bool array;  (* f_{t,j} load-independent *)
-  lx_kers : Convex.Fn.probe_kernel array;  (* for [line_bound]'s closed forms *)
+  lx_kers : Convex.Fn.probe_kernel array;  (* for the dual's closed forms *)
   lx_inv : bool array;  (* f_{t,j}'s derivative inverts in closed form *)
+  lx_fcap : float array;  (* f_{t,j}(cap_j): a capped response's value *)
+  lx_dcap : float array;  (* f_{t,j}'(cap_j): the multiplier that saturates type j *)
   lx_pieces : Convex.Dispatch.piece array;
   lx_swept : Convex.Dispatch.stats option array;
 }
@@ -216,6 +218,8 @@ let line_ctx inst ~time ~values =
     lx_const = Array.map Convex.Fn.is_constant fns;
     lx_kers = Array.map Convex.Fn.probe_kernel fns;
     lx_inv = Array.map Convex.Fn.has_inv_deriv fns;
+    lx_fcap = Array.mapi (fun j fn -> Convex.Fn.eval fn caps.(j)) fns;
+    lx_dcap = Array.mapi (fun j fn -> Convex.Fn.deriv fn caps.(j)) fns;
     lx_pieces = pieces;
     lx_swept = swept }
 
@@ -233,8 +237,23 @@ type line_floats = {
   mutable idle_last : float;  (* idle cost of a swept server, likewise *)
 }
 
+type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
+
+(* The derivative data of the line's relaxed dual at the multiplier
+   [at] ([nan]: none yet), kept beside the bound it was evaluated into
+   ([owner]) so that a refit's first Newton step needs no evaluation.
+   At cell [v], D'(at) = gap - v resp and -D''(at) = curv + v dresp. *)
+type dual_floats = {
+  mutable at : float;
+  mutable gap : float;  (* lambda_t minus the prefix's response volume *)
+  mutable curv : float;  (* the prefix response volume's slope in mu *)
+  mutable resp : float;  (* a swept server's response s_{d-1}(at) *)
+  mutable dresp : float;  (* and its slope *)
+}
+
 type line = {
   lf : line_floats;
+  dual : dual_floats;
   mutable ctx : line_ctx;
   mutable table : float array;
   mutable rank0 : int;
@@ -246,6 +265,7 @@ type line = {
   mutable ps : Convex.Dispatch.piece array;  (* prefix pieces, then the cell's swept one *)
   mutable sw : Convex.Dispatch.sweep;
   mutable misses : int;
+  mutable owner : bound;  (* the bound [dual] was last evaluated into *)
 }
 
 let empty_ctx =
@@ -256,12 +276,15 @@ let empty_ctx =
     lx_const = [||];
     lx_kers = [||];
     lx_inv = [||];
+    lx_fcap = [||];
+    lx_dcap = [||];
     lx_pieces = [||];
     lx_swept = [||] }
 
 let line_key : line Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { lf = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
+        dual = { at = nan; gap = 0.; curv = 0.; resp = 0.; dresp = 0. };
         ctx = empty_ctx;
         table = [||];
         rank0 = 0;
@@ -272,7 +295,8 @@ let line_key : line Domain.DLS.key =
         last_const = true;
         ps = [||];
         sw = Convex.Dispatch.sweep_start ();
-        misses = 0 })
+        misses = 0;
+        owner = { icept = 0.; slope = 0.; mu = nan } })
 
 let line_start ~ctx ~table ~rank0 ~x ~values =
   let l = Domain.DLS.get line_key in
@@ -287,6 +311,7 @@ let line_start ~ctx ~table ~rank0 ~x ~values =
   l.rank0 <- rank0;
   l.values <- values;
   l.misses <- 0;
+  l.dual.at <- nan;
   let f = l.lf in
   let load = ctx.lx_load in
   f.load <- load;
@@ -361,31 +386,79 @@ let line_finish l =
   l.table <- [||];
   l.values <- [||]
 
-type bound = { mutable icept : float; mutable slope : float }
-
-(* [min_{0 <= s <= cap_j} f_{t,j}(s) - mu s] in closed form: the
-   minimiser is f's derivative inverse at [mu], capped; the kernel
-   families evaluate [Fn.inv_deriv]'s and [Fn.eval]'s expressions
-   without a boxing call into [Fn].  A [nan] (no closed form) passes
-   through to the caller's comparison, which then proves nothing. *)
-let[@inline] phi ctx j mu =
-  if mu <= 0. then ctx.lx_idle.(j) (* f is non-decreasing: the minimum is f(0) *)
-  else begin
-    let fn = ctx.lx_fns.(j) and cap = ctx.lx_caps.(j) in
-    match ctx.lx_kers.(j) with
-    | Convex.Fn.Power_kernel { idle; coef; expo; scale; expo_inv; _ } ->
-        let s = (mu *. scale) ** expo_inv in
-        let s = if s > cap then cap else s in
-        idle +. (coef *. (s ** expo)) -. (mu *. s)
-    | Convex.Fn.Quad_kernel { c0; c1; c2; inv_c2x2; _ } ->
-        let s = if c1 >= mu then 0. else (mu -. c1) *. inv_c2x2 in
-        let s = if s > cap then cap else s in
-        c0 +. (c1 *. s) +. (c2 *. s *. s) -. (mu *. s)
-    | Convex.Fn.Generic_kernel ->
-        let s = Convex.Fn.inv_deriv fn mu in
-        let s = if s > cap then cap else s in
-        Convex.Fn.eval fn s -. (mu *. s)
-  end
+(* The line's relaxed dual at [b.mu], per unit of load: with
+   [phi_j(mu) = min_{0 <= s <= cap_j} f_{t,j}(s) - mu s], the bound
+   [icept + slope v = lambda_t mu + sum_{j<d-1} x_j phi_j(mu) +
+   v phi_{d-1}(mu)], and the responses [s_j] (the minimisers, whose
+   volume gives D') with their slopes [ds_j / dmu] (which give D'') in
+   [l.dual].  The kernel families evaluate [Fn.inv_deriv]'s and
+   [Fn.eval]'s expressions without a boxing call into [Fn], with one
+   [**] per power type: an interior power response has
+   [s^expo = s * mu * scale], and a capped one takes [f(cap)] from the
+   layer context.  A response below [mu]'s reach ([mu <= 0], or a
+   quadratic's [mu <= c1]) is 0 with value [f(0)]: f is
+   non-decreasing.  A [nan] (no closed form) passes through to the
+   caller's comparison, which then proves nothing. *)
+let dual_at l b =
+  let ctx = l.ctx and x = l.x and dv = l.dual in
+  let d = Array.length x in
+  let mu = b.mu and load = l.lf.load in
+  let icept = ref (load *. mu) and gap = ref load and curv = ref 0. in
+  for j = 0 to d - 1 do
+    if j = d - 1 || x.(j) > 0 then begin
+      let phi = ref ctx.lx_idle.(j) and s = ref 0. and ds = ref 0. in
+      if mu > 0. then begin
+        let cap = ctx.lx_caps.(j) in
+        match ctx.lx_kers.(j) with
+        | Convex.Fn.Power_kernel { idle; coef; scale; expo_inv; _ } ->
+            let r = (mu *. scale) ** expo_inv in
+            if r >= cap then begin
+              s := cap;
+              phi := ctx.lx_fcap.(j) -. (mu *. cap)
+            end
+            else begin
+              s := r;
+              ds := expo_inv *. r /. mu;
+              phi := idle +. (coef *. (r *. mu *. scale)) -. (mu *. r)
+            end
+        | Convex.Fn.Quad_kernel { c0; c1; c2; inv_c2x2; _ } ->
+            if mu > c1 then begin
+              let r = (mu -. c1) *. inv_c2x2 in
+              if r >= cap then begin
+                s := cap;
+                phi := ctx.lx_fcap.(j) -. (mu *. cap)
+              end
+              else begin
+                s := r;
+                ds := inv_c2x2;
+                phi := c0 +. (c1 *. r) +. (c2 *. r *. r) -. (mu *. r)
+              end
+            end
+        | Convex.Fn.Generic_kernel ->
+            let fn = ctx.lx_fns.(j) in
+            let r = Convex.Fn.inv_deriv fn mu in
+            let r = if r > cap then cap else r in
+            s := r;
+            phi := Convex.Fn.eval fn r -. (mu *. r)
+      end;
+      if j = d - 1 then begin
+        b.slope <- !phi;
+        dv.resp <- !s;
+        dv.dresp <- !ds
+      end
+      else begin
+        let n = float_of_int x.(j) in
+        icept := !icept +. (n *. !phi);
+        gap := !gap -. (n *. !s);
+        curv := !curv +. (n *. !ds)
+      end
+    end
+  done;
+  b.icept <- !icept;
+  dv.gap <- !gap;
+  dv.curv <- !curv;
+  dv.at <- mu;
+  l.owner <- b
 
 (* Weak duality holds for any multiplier, so a stale or missing one
    (nan before the line's first analytic solve) only loosens the bound:
@@ -399,14 +472,57 @@ let line_bound l b =
   done;
   if !closed then begin
     let nu = if l.loaded then Convex.Dispatch.sweep_multiplier l.sw else nan in
-    let nu = if Float.is_finite nu then nu else 0. in
-    let mu = if l.loaded then nu /. l.lf.load else 0. in
-    let acc = ref nu in
-    for j = 0 to d - 2 do
-      if x.(j) > 0 then acc := !acc +. (float_of_int x.(j) *. phi ctx j mu)
-    done;
-    b.icept <- !acc;
-    b.slope <- phi ctx (d - 1) mu
+    b.mu <- (if nu > 0. then nu /. l.lf.load else 0.);
+    dual_at l b
+  end;
+  !closed
+
+(* Newton steps per refit: from the line's previous multiplier, which
+   is near the cell's own, two or three steps reach the root. *)
+let refit_steps = 3
+
+(* Safeguarded Newton on D_v(mu), which is concave: D' = gap - v resp
+   falls in mu, and its root is the cell's optimal multiplier.  Only
+   lines whose active types (a prefix type with [x_j > 0], or the swept
+   type) all have power or quadratic kernels are refitted: theirs give
+   the responses and slopes in closed form.  The sign bracket starts at
+   [0, the largest active saturation multiplier]: above it every
+   response sits at its cap, so D' is the constant
+   [lambda_t - capacity], which is <= 0 on a cell whose capacity covers
+   the load.  Only such cells are refitted: on a cell feasible only
+   within [cap_eps], D grows without bound while the solver's split
+   stays finite.  A step that leaves the bracket, or one with no slope
+   (every response at 0 or at its cap), bisects it instead. *)
+let line_refit l b ~v =
+  let vf = float_of_int v and f = l.lf and x = l.x and ctx = l.ctx in
+  let d = Array.length x in
+  let closed = ref (l.loaded && f.cap_base +. (vf *. f.cap_last) >= f.load) in
+  let hi = ref 0. in
+  for j = 0 to d - 1 do
+    if j = d - 1 || x.(j) > 0 then begin
+      (match ctx.lx_kers.(j) with
+      | Convex.Fn.Power_kernel _ | Convex.Fn.Quad_kernel _ -> ()
+      | Convex.Fn.Generic_kernel -> closed := false);
+      if ctx.lx_dcap.(j) > !hi then hi := ctx.lx_dcap.(j)
+    end
+  done;
+  if !closed then begin
+    let dv = l.dual and load = f.load and lo = ref 0. in
+    if not (l.owner == b && dv.at = b.mu) then dual_at l b;
+    let steps = ref 0 in
+    while !steps < refit_steps do
+      incr steps;
+      let mu = b.mu in
+      let g = dv.gap -. (vf *. dv.resp) in
+      if g > 0. then (if mu > !lo then lo := mu)
+      else if mu < !hi then hi := mu;
+      if Float.abs g <= 1e-9 *. load || !hi <= !lo then steps := refit_steps
+      else begin
+        let next = mu +. (g /. (dv.curv +. (vf *. dv.dresp))) in
+        b.mu <- (if next > !lo && next < !hi then next else 0.5 *. (!lo +. !hi));
+        dual_at l b
+      end
+    done
   end;
   !closed
 

@@ -115,31 +115,59 @@ val line_cell : line -> int -> unit
     prefix of a line gets exactly the values (bits and warm chain) the
     whole line would, so a caller may stop after any cell.  Zero-load,
     load-independent, infeasible and [d = 1] cells match {!operating}
-    bit for bit; dispatch cells agree to the solver tolerance (~1e-12
-    relative) and allocate nothing. *)
+    bit for bit.  A dispatch cell allocates nothing, and its value is
+    the cost of a feasible split: the solver stops within its tolerance
+    of the optimal multiplier, and that split can cost more than the
+    optimum (up to 0.6% has been seen with power exponents of 1.1-1.4),
+    but never less, beyond rounding.  So a solved [g_t] is never below
+    a dual bound ({!line_bound}, {!line_refit}), and a proof from such a
+    bound never prunes a state that the solved value would keep. *)
 
 val line_finish : line -> unit
 (** Add the line's work to the counters ([cost.rank_misses], one per
     computed cell, and the dispatch counters). *)
 
-type bound = { mutable icept : float; mutable slope : float }
+type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
 (** A lower bound on [g_t] along a line: [g_t(x) >= icept + slope * v]
-    at every cell whose swept count is [v]. *)
-
-val line_bound : line -> bound -> bool
-(** [line_bound l b] writes into [b] the weak-duality bound of the
-    line's dispatch problems at the multiplier [nu] of its latest
-    analytic solve: with [mu = nu / lambda_t],
-    [g_t(x) >= nu + sum_j x_j phi_j(mu)], where
+    at every cell whose swept count is [v].  It is the line's relaxed
+    dual at the multiplier [mu >= 0], per unit of load:
+    [icept = lambda_t mu + sum_{j<d-1} x_j phi_j(mu)] and
+    [slope = phi_{d-1}(mu)], where
     [phi_j(mu) = min_{0 <= s <= cap_j} f_{t,j}(s) - mu s] (piece [j]'s
     box relaxed to the per-server capacity, which makes the bound
-    linear in the swept count).  Before any solve, or at zero load, it
-    uses [mu = 0]: the idle sum.  Returns [false], leaving [b]
-    untouched, when an active type of the line (a prefix type with
-    [x_j > 0], or the swept type) has no closed-form derivative
-    inverse ({!Convex.Fn.has_inv_deriv}).  The bound is exact
-    arithmetic up to float rounding; callers compare it with a
+    linear in the swept count and loses nothing: [x_j s_j <= lambda_t]
+    already holds on the simplex).  Weak duality makes every [mu >= 0]
+    a valid bound, [D_v(mu) <= g_t], so neither the multiplier's source
+    nor a refit's convergence matters for soundness; the bound is exact
+    arithmetic up to float rounding, and callers compare it with a
     margin. *)
+
+val line_bound : line -> bound -> bool
+(** [line_bound l b] writes into [b] the bound at the multiplier [nu]
+    of the line's latest analytic solve, [mu = nu / lambda_t] (which is
+    within the solver's tolerance of that cell's optimum).  Before any
+    solve, or at zero load, it uses [mu = 0]: the idle sum.  Returns
+    [false], leaving [b] untouched, when an active type of the line (a
+    prefix type with [x_j > 0], or the swept type) has no closed-form
+    derivative inverse ({!Convex.Fn.has_inv_deriv}). *)
+
+val line_refit : line -> bound -> v:int -> bool
+(** [line_refit l b ~v] moves [b] towards the best bound for the cell
+    with swept count [v]: up to three safeguarded Newton steps on that
+    cell's dual [D_v(mu)], which is concave, from [b.mu] (any [mu >= 0];
+    it need not come from {!line_bound}).  [D_v'(mu) = lambda_t -
+    sum_j x_j s_j(mu)], the gap between the load and the responses'
+    volume, and its slope come in closed form from the power and
+    quadratic kernels, with one [**] per power type per step.  Each
+    step keeps a sign bracket on [D_v'], which starts at [\[0, the
+    largest saturation multiplier f_{t,j}'(cap_j) of an active type\]],
+    and bisects it when the Newton point leaves it or every response
+    sits at 0 or at its cap.  The steps stop early once the responses
+    carry the load to 1e-9 relative.  [b] ends at the last multiplier
+    reached, a valid bound like any other.  Returns [false], leaving
+    [b] untouched, at zero load, when the cell's capacity does not
+    cover the load, or when an active type's kernel is
+    {!Convex.Fn.Generic_kernel}.  Allocates nothing. *)
 
 val fill_line :
   ctx:line_ctx -> table:float array -> rank0:int -> x:Config.t -> values:int array -> unit

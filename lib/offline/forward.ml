@@ -18,7 +18,12 @@ type t = {
   pred_off : int array;  (* the current line's earlier-axis predecessors: rank distance, *)
   pred_climb : float array;  (* and power-up cost from each *)
   bound : Model.Cost.bound;
+  mutable proved : int;  (* this sweep's cells skipped by completed proofs, *)
+  mutable refits : int;  (* and its refits, added to the counters once per sweep *)
 }
+
+let c_proved = Obs.Counter.make "forward.proved_cells"
+let c_refits = Obs.Counter.make "forward.refits"
 
 let create grid ~betas =
   let d = Grid.dim grid in
@@ -42,7 +47,9 @@ let create grid ~betas =
     climbs;
     pred_off = Array.make d 0;
     pred_climb = Array.make d 0.;
-    bound = { Model.Cost.icept = 0.; slope = 0. } }
+    bound = { Model.Cost.icept = 0.; slope = 0.; mu = 0. };
+    proved = 0;
+    refits = 0 }
 
 let grid e = e.grid
 
@@ -93,27 +100,39 @@ let sweep_cell e (p : Plane.t) ~off ~np ~r ~i =
   Bigarray.Array1.unsafe_set p (off + r) (if dominated then infinity else a);
   dominated
 
+(* Refits per proof: each is [Model.Cost.line_refit]'s few Newton
+   steps, so a proof's work stays linear in the line length. *)
+let max_refits = 16
+
 (* Try to prove cells [from ..] of the line at [rank0] dominated without
    their g_t: continue the cand chain as if each were dominated (U =
    cand) and require R + the line's lower bound on g_t to exceed it by
    twice the allowance, so that float noise in a solved g_t could never
-   have kept the state.  Returns the first cell that fails, or the line
-   length when every remaining cell is proved. *)
-let prove e (p : Plane.t) ~off ~np ~rank0 ~from =
+   have kept the state.  Where the bound fails at a cell, refit it to
+   that cell's own multiplier and carry the new bound on along the line.
+   Returns the first cell that fails after its refit, or the line length
+   when every remaining cell is proved. *)
+let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
   let b = e.bound in
-  let q = ref from and proved = ref true in
+  let q = ref from and proved = ref true and refits = ref 0 in
   while !proved && !q < len do
     let r = rank0 + !q in
     set_cand e ~np ~r ~i:!q;
     let c = e.ops.(r) in
-    let lower =
-      Bigarray.Array1.unsafe_get p (off + r)
-      +. (b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int values.(!q)))
-    in
-    if lower > c +. (2. *. allowance c) then incr q else proved := false
+    let v = values.(!q) in
+    let ar = Bigarray.Array1.unsafe_get p (off + r) in
+    let need = c +. (2. *. allowance c) in
+    if ar +. (b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int v)) > need then incr q
+    else if !refits < max_refits && Model.Cost.line_refit line b ~v then begin
+      incr refits;
+      if ar +. (b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int v)) > need then incr q
+      else proved := false
+    end
+    else proved := false
   done;
+  e.refits <- e.refits + !refits;
   !q
 
 (* The fill: each line's cells are computed through a [Model.Cost]
@@ -147,9 +166,10 @@ let sweep e inst ~time (p : Plane.t) ~off =
       then
         if not (Model.Cost.line_bound line e.bound) then next_proof := len
         else begin
-          let q = prove e p ~off ~np ~rank0 ~from:(!i + 1) in
+          let q = prove e line p ~off ~np ~rank0 ~from:(!i + 1) in
           if q < len then next_proof := q
           else begin
+            e.proved <- e.proved + (len - 1 - !i);
             for c = !i + 1 to len - 1 do
               Bigarray.Array1.unsafe_set p (off + rank0 + c) infinity
             done;
@@ -159,4 +179,8 @@ let sweep e inst ~time (p : Plane.t) ~off =
       incr i
     done;
     Model.Cost.line_finish line
-  done
+  done;
+  Obs.Counter.add c_proved e.proved;
+  Obs.Counter.add c_refits e.refits;
+  e.proved <- 0;
+  e.refits <- 0

@@ -11,10 +11,31 @@
     path and never an optimal last configuration, so every ramp, argmin
     and reconstruction over canonical layers is bit-identical to one
     over full layers.  The sweep stops a grid line's fill once a
-    weak-duality bound ({!Model.Cost.line_bound}) proves the rest of it
-    dominated, so it solves the dispatch problem (eq. (1)) only where a
-    prefix can still use it; each [g_t] it computes has
-    {!Dp.fill_row}'s bits.  It runs on the calling domain. *)
+    weak-duality bound proves the rest of it dominated, so it solves the
+    dispatch problem (eq. (1)) only where a prefix can still use it;
+    each [g_t] it computes has {!Dp.fill_row}'s bits.  It runs on the
+    calling domain.
+
+    {b Proofs.}  After a dominated cell, a proof walks the rest of the
+    line with the bound [g_t >= icept + slope * v] of
+    {!Model.Cost.line_bound}: the line's relaxed dual at the multiplier
+    [mu] of the latest solve.  A cell is proved when its R plus that
+    bound exceeds its power-up candidate by twice the allowance.  The
+    tangent loosens along the line, so where it fails at a cell q the
+    proof refits [mu] to q ({!Model.Cost.line_refit}: a few safeguarded
+    Newton steps on q's dual, closed-form for power and quadratic
+    costs), re-checks q and carries the new bound on; it gives up at
+    the first cell that still fails, or after 16 refits.  The proof is
+    sound for any [mu >= 0]: weak duality puts the dual below the
+    optimal [g_t], and a solved [g_t] is the cost of a feasible split,
+    never below the optimum beyond rounding, so a proved state is one
+    the solved value would also have pruned, and the planes are
+    bit-identical to a full solve's.  A line with an active type whose
+    kernel has no closed-form Newton step keeps the single-multiplier
+    proof, and no proof restarts before the sweep reaches the cell
+    where the last one failed.  The [forward.proved_cells] and
+    [forward.refits] counters total the cells that completed proofs
+    skipped and the refits, once per sweep. *)
 
 type t
 (** A sweep context over one grid, with a scratch row of its size. *)

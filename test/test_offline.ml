@@ -447,11 +447,16 @@ let schedule_digest sched =
 
 (* The forward pass runs the online engine's canonical sweep, so a solve
    makes exactly the dispatch solves a streaming session over the same
-   loads makes: 134,743 on large-fleet T=192, where filling every state
-   made 318,923.  On maintenance T=300 (cross-grid ramps at the
-   maintenance windows) it makes 5,645, down from 8,263.  Work counts
-   repeat exactly, so they pin the saving with no timing noise.  Cost
-   and schedule keep the bits the full fill's solve produced. *)
+   loads makes: 88,643 on large-fleet T=192, where filling every state
+   made 318,923 and a proof that kept the multiplier of the cell it
+   started from made 134,743.  On maintenance T=300 (cross-grid ramps
+   at the maintenance windows) it makes 5,522 (full fill 8,263, one
+   multiplier per proof 5,645), and on three-tier T=1536 (d=3) 90,803
+   (one multiplier per proof 122,588).  Work counts repeat exactly, so
+   they pin the saving with no timing noise.  Every cell of a layer is
+   either computed ([cost.rank_misses]) or skipped by a completed proof
+   ([forward.proved_cells]).  Cost and schedule keep the bits the full
+   fill's solve produced. *)
 let test_dp_forward_work () =
   let calls () = counter_value "dispatch.calls" in
   let solve inst =
@@ -462,20 +467,78 @@ let test_dp_forward_work () =
   in
   let horizon = 192 in
   let inst = Sim.Scenarios.large_fleet ~horizon () in
+  let cells_before = counter_value "cost.rank_misses"
+  and proved_before = counter_value "forward.proved_cells"
+  and refits_before = counter_value "forward.refits" in
   let solves, cost, digest = solve inst in
+  let counted = counter_value "cost.rank_misses" - cells_before
+  and proved = counter_value "forward.proved_cells" - proved_before in
+  checki "every cell computed or proved"
+    (horizon * Offline.Grid.size (Offline.Dp.dense_grids inst 0))
+    (counted + proved);
+  checkb "refits ran" true (counter_value "forward.refits" > refits_before);
   let types = inst.Model.Instance.types in
   let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
   let session = Online.Streaming.alg_a ~max_horizon:horizon ~types ~fns () in
   let before = calls () in
   Array.iter (fun l -> ignore (Online.Streaming.feed session l)) inst.Model.Instance.load;
   checki "large-fleet solve = streaming session" (calls () - before) solves;
-  checkb (Printf.sprintf "large-fleet: %d solves <= 134743" solves) true (solves <= 134_743);
+  checkb (Printf.sprintf "large-fleet: %d solves <= 88643" solves) true (solves <= 88_643);
   Alcotest.(check string) "large-fleet cost bits" "0x1.896c8e3eb5841p+13" cost;
   Alcotest.(check string) "large-fleet schedule digest" "a46c2fac1f773f7d" digest;
   let solves, cost, digest = solve (Sim.Scenarios.maintenance ~horizon:300 ()) in
-  checkb (Printf.sprintf "maintenance: %d solves <= 5645" solves) true (solves <= 5_645);
+  checkb (Printf.sprintf "maintenance: %d solves <= 5522" solves) true (solves <= 5_522);
   Alcotest.(check string) "maintenance cost bits" "0x1.77140dcf7713dp+10" cost;
-  Alcotest.(check string) "maintenance schedule digest" "3024995e9531dafd" digest
+  Alcotest.(check string) "maintenance schedule digest" "3024995e9531dafd" digest;
+  let solves, cost, digest = solve (Sim.Scenarios.three_tier ~horizon:1536 ()) in
+  checkb (Printf.sprintf "three-tier: %d solves <= 90803" solves) true (solves <= 90_803);
+  Alcotest.(check string) "three-tier cost bits" "0x1.72f08da184e3p+13" cost;
+  Alcotest.(check string) "three-tier schedule digest" "ba4d4ce5ff91c8d5" digest
+
+(* A refit allocates nothing: its Newton steps keep every float in the
+   line cursor's all-float records or in registers, so twice the refits
+   allocate exactly the words of once.  Large-fleet mixes a quadratic
+   (exponent 2) and a power curve (exponent 1.6); the four starting
+   multipliers reach the Newton, bisection and capped-response
+   branches. *)
+let test_refit_allocates_nothing () =
+  let inst = Sim.Scenarios.large_fleet ~horizon:12 () in
+  let time = 6 in
+  let grid = Offline.Dp.dense_grids inst time in
+  let values = Offline.Grid.axis_values grid (Offline.Grid.dim grid - 1) in
+  let len = Array.length values in
+  let ctx = Model.Cost.line_ctx inst ~time ~values in
+  let table = Array.make (Offline.Grid.size grid) nan in
+  let rank0 = 30 * len in
+  let line =
+    Model.Cost.line_start ~ctx ~table ~rank0 ~x:(Offline.Grid.config_at grid rank0) ~values
+  in
+  for i = 0 to len / 2 do
+    Model.Cost.line_cell line i
+  done;
+  let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
+  checkb "closed-form bound" true (Model.Cost.line_bound line b);
+  let mu = b.Model.Cost.mu in
+  checkb "a solved multiplier" true (mu > 0.);
+  let starts = [| mu; 0.; 0.1 *. mu; 10. *. mu |] in
+  let ran = ref 0 in
+  let refits rounds =
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      for s = 0 to Array.length starts - 1 do
+        b.Model.Cost.mu <- starts.(s);
+        for q = 0 to len - 1 do
+          if Model.Cost.line_refit line b ~v:values.(q) then incr ran
+        done
+      done
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (refits 1);
+  let once = refits 1 in
+  checkf 0. "words of two rounds = words of one" once (refits 2);
+  checkb "refits ran" true (!ran > 0);
+  Model.Cost.line_finish line
 
 (* Only a loss by more than the allowance prunes a state; a tie with a
    state below it does not.  At zero load and zero cost every state of
@@ -673,7 +736,8 @@ let () =
             test_fill_rows_golden;
           Alcotest.test_case "forward work = online engine's, same bits" `Quick
             test_dp_forward_work;
-          Alcotest.test_case "tied states are not pruned" `Quick test_forward_ties_stay
+          Alcotest.test_case "tied states are not pruned" `Quick test_forward_ties_stay;
+          Alcotest.test_case "refits allocate nothing" `Quick test_refit_allocates_nothing
         ] );
       ( "approx",
         [ Alcotest.test_case "Theorem 16 bound" `Quick test_approx_within_bound;

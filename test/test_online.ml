@@ -122,7 +122,9 @@ let test_fill_allocation_ceiling () =
    solves a state's dispatch problem only while its line can still hold
    a state some prefix uses, so work counts, which repeat exactly, pin
    the saving with no timing noise.  Filling every state, as the engine
-   did before it pruned dominated states, made 318,923 solves here.
+   did before it pruned dominated states, made 318,923 solves here;
+   proving a line's tail with the one multiplier of the cell the proof
+   started from, before proofs refitted their bound, made 134,743.
    The session must still decide exactly as a full fill built here
    from the offline kernels: per slot, [Dp.fill_row] over every state,
    the fused ramp, and the first strict minimum, fed to the same
@@ -150,7 +152,7 @@ let full_fill_alg_a inst =
       Online.Stepper.step stepper ~time ~hat:(Offline.Grid.config_at grid !lo))
 
 let test_online_fill_work () =
-  let max_solves = 134_743 in
+  let max_solves = 88_643 in
   let horizon = 192 in
   let inst = Sim.Scenarios.large_fleet ~horizon () in
   let types = inst.Model.Instance.types in

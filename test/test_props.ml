@@ -689,6 +689,107 @@ let prop_row_fill_matches_memo_large_fleet seed =
   let dynamic = Util.Prng.bool rng in
   row_fill_matches_memo rng ~dynamic (Sim.Scenarios.large_fleet ~horizon:3 ~seed ())
 
+(* --- Dual bounds --- *)
+
+(* Up to 3 types of up to 6 servers, each a power curve with exponent
+   in [1.05, 3] or a quadratic; loads are zero, near the whole fleet's
+   capacity (so responses sit at the per-server cap) or anywhere in
+   between. *)
+let dual_instance rng =
+  let d = 1 + Util.Prng.int rng 3 and horizon = 2 + Util.Prng.int rng 2 in
+  let types =
+    Array.init d (fun j ->
+        Model.Server_type.make
+          ~name:(Printf.sprintf "t%d" j)
+          ~count:(1 + Util.Prng.int rng 6)
+          ~switching_cost:(Util.Prng.float rng 3.)
+          ~cap:(0.5 +. Util.Prng.float rng 1.5)
+          ())
+  in
+  let fns =
+    Array.init d (fun _ ->
+        if Util.Prng.bool rng then
+          Convex.Fn.power ~idle:(Util.Prng.float rng 2.) ~coef:(0.1 +. Util.Prng.float rng 2.)
+            ~expo:(1.05 +. Util.Prng.float rng 1.95)
+        else
+          Convex.Fn.quadratic ~c0:(Util.Prng.float rng 1.) ~c1:(Util.Prng.float rng 1.)
+            ~c2:(0.05 +. Util.Prng.float rng 1.))
+  in
+  let capacity =
+    Array.fold_left
+      (fun acc st -> acc +. (float_of_int st.Model.Server_type.count *. st.Model.Server_type.cap))
+      0. types
+  in
+  let load =
+    Array.init horizon (fun _ ->
+        match Util.Prng.int rng 4 with
+        | 0 -> 0.
+        | 1 -> capacity *. (0.9 +. Util.Prng.float rng 0.1)
+        | _ -> Util.Prng.float rng capacity)
+  in
+  Model.Instance.make_static ~types ~load ~fns ()
+
+(* A refitted line bound is a lower bound on g_t: for every line of
+   every slot's dense grid, after each of its cells is computed, the
+   bound is refitted to each later cell q from four multipliers: 0, the
+   sweep's ([Cost.line_bound]'s), and 0.1x and 10x that one.  From the
+   sweep's multiplier the refits also chain along the line, each from
+   the previous one's multiplier, as [Forward]'s proofs do.  After each
+   refit the bound must stay at most the cold [Cost.operating] and at
+   most [Dp.fill_row]'s value at q and at every cell after it, within
+   1e-12 relative. *)
+let prop_refit_bound_sound seed =
+  let rng = Util.Prng.create seed in
+  let inst = dual_instance rng in
+  let grid = Offline.Grid.dense (Model.Instance.counts inst) in
+  let d = Offline.Grid.dim grid and n = Offline.Grid.size grid in
+  let values = Offline.Grid.axis_values grid (d - 1) in
+  let len = Array.length values in
+  let ok = ref true in
+  for time = 0 to Model.Instance.horizon inst - 1 do
+    let row = Array.make n 0. in
+    Offline.Dp.fill_row inst grid ~time row;
+    let cold =
+      Array.init n (fun r -> Model.Cost.operating inst ~time (Offline.Grid.config_at grid r))
+    in
+    let below b ~from ~rank0 =
+      for q = from to len - 1 do
+        let lower = b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int values.(q)) in
+        List.iter
+          (fun g -> if lower > g +. (1e-12 *. Float.max 1. (Float.abs g)) then ok := false)
+          [ cold.(rank0 + q); row.(rank0 + q) ]
+      done
+    in
+    let ctx = Model.Cost.line_ctx inst ~time ~values in
+    let table = Array.make n nan in
+    for k = 0 to (n / len) - 1 do
+      let rank0 = k * len in
+      let line =
+        Model.Cost.line_start ~ctx ~table ~rank0 ~x:(Offline.Grid.config_at grid rank0) ~values
+      in
+      let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
+      for i = 0 to len - 1 do
+        Model.Cost.line_cell line i;
+        if Model.Cost.line_bound line b then begin
+          below b ~from:(i + 1) ~rank0;
+          let mu = b.Model.Cost.mu in
+          for q = i + 1 to len - 1 do
+            if Model.Cost.line_refit line b ~v:values.(q) then below b ~from:q ~rank0
+          done;
+          List.iter
+            (fun start ->
+              for q = i + 1 to len - 1 do
+                b.Model.Cost.mu <- start;
+                if Model.Cost.line_refit line b ~v:values.(q) then below b ~from:q ~rank0
+              done)
+            [ 0.; mu; 0.1 *. mu; 10. *. mu ]
+        end
+      done;
+      Model.Cost.line_finish line
+    done
+  done;
+  !ok
+
 (* [Prefix_opt]'s arrival plane, read back through [save], is the
    canonical form of the plane rebuilt step by step from the memo-backed
    fill ([Dp.fill_layer] then [Transform.ramp_grid_plane], starting from
@@ -926,7 +1027,8 @@ let () =
             prop_plane_engine_matches_reference;
           mk_test ~count:60 ~name:"reused-row fill = memo fill" prop_row_fill_matches_memo;
           mk_test ~count:10 ~name:"reused-row fill = memo fill (large fleet)"
-            prop_row_fill_matches_memo_large_fleet
+            prop_row_fill_matches_memo_large_fleet;
+          mk_test ~count:300 ~name:"refitted dual bound <= g_t" prop_refit_bound_sound
         ] );
       ( "systems",
         [ mk_test ~count:25 ~name:"streaming session = batch run" prop_streaming_equals_batch;
