@@ -573,8 +573,9 @@ let waterfill_analytic ~tol sw pieces ~total dst di =
   done;
   dst.(di) <- !obj
 
-let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
-  Obs.Counter.incr c_calls;
+(* [solve] without its [dispatch.calls] count: a [sweep_solve] cell
+   that falls back to it is already counted. *)
+let solve_uncounted ~tol ~numeric pieces ~total =
   if total < 0. then invalid_arg "Dispatch.solve: negative total";
   if not (feasible pieces ~total) then None
   else if total = 0. then begin
@@ -617,6 +618,10 @@ let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
     end
   end
 
+let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
+  Obs.Counter.incr c_calls;
+  solve_uncounted ~tol ~numeric pieces ~total
+
 let sweep_solve ?(tol = 1e-9) ?swept sw pieces ~total dst di =
   sw.calls <- sw.calls + 1;
   if total < 0. then invalid_arg "Dispatch.sweep_solve: negative total";
@@ -657,7 +662,10 @@ let sweep_solve ?(tol = 1e-9) ?swept sw pieces ~total dst di =
     else
       (* Non-invertible pieces: the golden-section / numeric route via
          [solve], which uses its own scratch (the warm chain survives). *)
-      dst.(di) <- (match solve ~tol pieces ~total with Some s -> s.objective | None -> infinity)
+      dst.(di) <-
+        (match solve_uncounted ~tol ~numeric:false pieces ~total with
+        | Some s -> s.objective
+        | None -> infinity)
   end
 
 let solve_line ?(tol = 1e-9) cells ~total =

@@ -95,8 +95,9 @@ val sweep_solve :
     final piece ([pieces.(d-1)], the swept slot) with {!stats} the
     caller derived once — they must describe exactly that piece.
     Matches per-cell {!solve} to well within [tol] (default [1e-9]);
-    non-invertible pieces fall back to {!solve} transparently.  The
-    cell's [dispatch.*] counts stay in [sw] until {!sweep_finish}. *)
+    non-invertible pieces fall back to {!solve} transparently, and such
+    a cell counts once in [dispatch.calls].  The cell's [dispatch.*]
+    counts stay in [sw] until {!sweep_finish}. *)
 
 val sweep_multiplier : sweep -> float
 (** The multiplier the line's latest analytic solve ended on (the

@@ -9,6 +9,7 @@ type frontier = { next_time : int; layers : float array array }
 let c_solves = Obs.Counter.make "dp.solves"
 let c_cells = Obs.Counter.make "dp.cells"
 let c_layer_retries = Obs.Counter.make "dp.layer_retries"
+let c_stored = Obs.Counter.make "dp.stored_cells"
 
 module S = Util.Sexp
 
@@ -102,17 +103,19 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
     let g = grids time in
     grid_at.(time) <- (if Grid.equal g grid_at.(time - 1) then grid_at.(time - 1) else g)
   done;
-  (* The layer arena: every retained layer lives back to back in one
-     unboxed float64 plane — arena[offsets.(t) + i] is the cheapest cost
-     of a schedule prefix ending in state i of grid t, including slot
-     t's operating cost, or +infinity where the state is dominated
-     (Forward's canonical layer).  Layers are blitted forward and ramped
-     in place; no per-layer copies. *)
-  let offsets = Array.make (horizon + 1) 0 in
-  for time = 0 to horizon - 1 do
-    offsets.(time + 1) <- offsets.(time) + Grid.size grid_at.(time)
-  done;
-  let arena = Plane.create offsets.(horizon) in
+  (* Layers are built in two dense planes sized for the largest grid:
+     [prev] holds layer t-1 and [cur] receives layer t.  A finished
+     layer — cell i the cheapest cost of a schedule prefix ending in
+     state i of grid t, including slot t's operating cost, or +infinity
+     where the state is dominated (Forward's canonical layer) — goes
+     into a run-length store that keeps only each line's finite run. *)
+  let plane_size = Array.fold_left (fun m g -> max m (Grid.size g)) 0 grid_at in
+  let prev = ref (Plane.create plane_size) and cur = ref (Plane.create plane_size) in
+  let store = Layer_store.create () in
+  let keep time p =
+    let g = grid_at.(time) in
+    Layer_store.append store p ~size:(Grid.size g) ~line:(Grid.axis_length g (d - 1))
+  in
   (* Cross-grid transforms ping-pong through two scratch planes sized
      for the largest intermediate mixed shape; lazy, so the common
      static-grid path allocates none. *)
@@ -129,9 +132,10 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
   done;
   let work = lazy (Plane.create !work_size, Plane.create !work_size) in
   (* Resume a checkpointed forward pass: the saved layers replace the
-     recomputation up to [next_time].  The caller must supply the same
-     instance and grids the frontier was captured under; sizes are
-     validated here, semantic agreement is the caller's contract. *)
+     recomputation up to [next_time], and the last of them is left in
+     [prev].  The caller must supply the same instance and grids the
+     frontier was captured under; sizes are validated here, semantic
+     agreement is the caller's contract. *)
   let start_time =
     match resume with
     | None -> 0
@@ -143,23 +147,24 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         for time = 0 to f.next_time - 1 do
           if Array.length f.layers.(time) <> Grid.size grid_at.(time) then
             invalid_arg "Dp.solve: resume frontier does not match the grids";
-          Plane.of_array f.layers.(time) arena ~off:offsets.(time)
+          Plane.of_array f.layers.(time) !prev ~off:0;
+          ignore (keep time !prev : int)
         done;
         f.next_time
   in
-  (* One sweep context per run of equal grids; its scratch row is the
-     ramp's zero [ops] row, then the sweep's g_t. *)
+  (* One sweep context per run of equal grids; its scratch row holds the
+     sweep's g_t. *)
   let fwd = ref (Forward.create grid_at.(0) ~betas) in
   (Obs.Span.with_ "dp.forward" @@ fun () ->
   for time = start_time to horizon - 1 do
     let grid = grid_at.(time) in
     let n = Grid.size grid in
-    let off = offsets.(time) in
     Obs.Counter.add c_cells n;
     (* Each layer is R, the ramped previous layer, made canonical by
-       the sweep.  The fill only reads the previous layer's (untouched)
-       arena segment, so an injected fault can be absorbed by refilling. *)
+       the sweep.  The fill only reads [prev], which it leaves
+       untouched, so an injected fault can be absorbed by refilling. *)
     let fill () =
+      let p = !cur in
       if Forward.grid !fwd != grid then fwd := Forward.create grid ~betas;
       if time = 0 then begin
         (* Single known source: R is the closed-form switching cost from
@@ -167,23 +172,22 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
            grid). *)
         let init = match initial with None -> Model.Config.zero d | Some c -> c in
         for i = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set arena (off + i)
+          Bigarray.Array1.unsafe_set p i
             (Model.Config.switching_cost inst.Model.Instance.types ~from_:init
                ~to_:(Grid.config_scratch grid i))
         done
       end
       else begin
         let src_grid = grid_at.(time - 1) in
-        let ops = Forward.zero_ops !fwd in
         if src_grid == grid then begin
-          Plane.blit ~src:arena ~soff:offsets.(time - 1) ~dst:arena ~doff:off ~len:n;
-          Transform.ramp_grid_plane ?pool ~ops ~grid ~betas arena ~off
+          Plane.blit ~src:!prev ~soff:0 ~dst:p ~doff:0 ~len:n;
+          Transform.ramp_grid_plane ?pool ~grid ~betas p ~off:0
         end
         else
-          Transform.ramp_across_plane ?pool ~ops ~src_grid ~dst_grid:grid ~betas ~src:arena
-            ~soff:offsets.(time - 1) ~tmp:(Lazy.force work) arena ~doff:off
+          Transform.ramp_across_plane ?pool ~src_grid ~dst_grid:grid ~betas ~src:!prev ~soff:0
+            ~tmp:(Lazy.force work) p ~doff:0
       end;
-      Forward.sweep !fwd inst ~time arena ~off
+      Forward.sweep !fwd inst ~time p ~off:0
     in
     (try
        Util.Faultinj.hit "dp.layer_fill";
@@ -192,22 +196,23 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
        Obs.Counter.incr c_layer_retries;
        Util.Faultinj.recovered "dp.layer_fill";
        Util.Faultinj.suppressed fill);
+    Obs.Counter.add c_stored (keep time !cur);
+    let filled = !cur in
+    cur := !prev;
+    prev := filled;
     match on_layer with
     | None -> ()
     | Some cb ->
         cb ~time (fun () ->
-            { next_time = time + 1;
-              layers =
-                Array.init (time + 1) (fun u ->
-                    Plane.to_array arena ~off:offsets.(u) ~len:(Grid.size grid_at.(u)))
-            })
+            { next_time = time + 1; layers = Array.init (time + 1) (Layer_store.to_array store) })
   done);
-  (* Terminal: powering everything down is free. *)
+  (* Terminal: powering everything down is free.  [prev] holds the last
+     layer, filled or resumed. *)
   let last_grid = grid_at.(horizon - 1) in
-  let last_off = offsets.(horizon - 1) in
+  let last = !prev in
   let best = ref infinity and best_idx = ref (-1) in
   for i = 0 to Grid.size last_grid - 1 do
-    let c = Bigarray.Array1.unsafe_get arena (last_off + i) in
+    let c = Bigarray.Array1.unsafe_get last i in
     if c < !best then begin
       best := c;
       best_idx := i
@@ -219,11 +224,12 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
      predecessor achieving the arrival cost. *)
   let schedule = Array.make horizon [||] in
   schedule.(horizon - 1) <- Grid.config_at last_grid !best_idx;
+  let layer = !cur in
   (Obs.Span.with_ "dp.reconstruct" @@ fun () ->
   for time = horizon - 1 downto 1 do
     let target = schedule.(time) in
     let grid = grid_at.(time - 1) in
-    let loff = offsets.(time - 1) in
+    Layer_store.expand store (time - 1) layer;
     (* The candidate totals are independent per state, so the expensive
        half of the scan fans out; the fuzzy tie-breaking argmin stays a
        single ordered pass, keeping the chosen predecessor — and hence
@@ -236,7 +242,7 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
       if width > 1 && Grid.size grid >= Util.Parallel.min_parallel_items then
         Some
           (Util.Parallel.parallel_init ?pool (Grid.size grid) (fun idx ->
-               let arrival = Bigarray.Array1.unsafe_get arena (loff + idx) in
+               let arrival = Bigarray.Array1.unsafe_get layer idx in
                if arrival = infinity then infinity
                else
                  arrival
@@ -252,7 +258,7 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
        switching-cost evaluation.  Accepted candidates follow the exact
        legacy comparison, so the chosen predecessor is unchanged. *)
     for idx = 0 to Grid.size grid - 1 do
-      let arrival = Bigarray.Array1.unsafe_get arena (loff + idx) in
+      let arrival = Bigarray.Array1.unsafe_get layer idx in
       let lower = match totals with Some t -> t.(idx) | None -> arrival in
       if lower <= !best +. 1e-12 then begin
         let y = Grid.config_scratch grid idx in

@@ -8,7 +8,12 @@
     ({!Transform}), so a solve costs [O(T * |grid| * d)] plus the
     operating-cost evaluations [g_t(x)], which {!Forward.sweep} (the
     online prefix engine's step too) solves only where a prefix can use
-    them. *)
+    them.  The backward reconstruction needs every layer; a
+    {!Layer_store} keeps each line's finite run of them, so a solve's
+    memory is the canonical layers' finite cells plus two dense planes
+    of the largest grid, not [T * |grid|] floats.  The [dp.cells]
+    counter totals the filled layers' cells, [dp.stored_cells] the ones
+    the store keeps. *)
 
 type result = {
   schedule : Model.Schedule.t;  (** an optimal (w.r.t. the grids) schedule *)
@@ -53,13 +58,13 @@ val solve :
     single ordered passes.
 
     Checkpoint/resume: [on_layer] is invoked after each filled layer
-    with a thunk that materialises the current {!frontier} (a deep
-    copy — only call it when actually writing a checkpoint); [resume]
-    skips the forward pass up to [next_time] by reinstating the saved
-    layers.  The caller must resume with the same instance and grids
-    the frontier was captured under (sizes are validated, semantics are
-    the contract); the resumed solve is then bit-identical to an
-    uninterrupted one.  A frontier written before layers were canonical
+    with a thunk that materialises the current {!frontier} (it expands
+    every stored layer into a fresh array — only call it when actually
+    writing a checkpoint); [resume] skips the forward pass up to
+    [next_time] by storing the saved layers.  The caller must resume
+    with the same instance and grids the frontier was captured under
+    (sizes are validated, semantics are the contract); the resumed
+    solve is then bit-identical to an uninterrupted one.  A frontier written before layers were canonical
     (finite costs at dominated states) resumes to the same result.
 
     Fault site: [dp.layer_fill] ({!Util.Faultinj}) fires before each

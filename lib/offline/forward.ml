@@ -11,7 +11,7 @@
 type t = {
   grid : Grid.t;
   betas : float array;
-  ops : float array;  (* per rank: the ramp's zeros, then g_t, overwritten by U *)
+  ops : float array;  (* per rank: g_t, then U; a sweep writes each cell before reading it *)
   axes : int array array;  (* the grid's axis values *)
   strides : int array;  (* row-major stride per axis *)
   climbs : float array;  (* climbs.(i): the last axis's power-up cost from value i-1 to i *)
@@ -52,10 +52,6 @@ let create grid ~betas =
     refits = 0 }
 
 let grid e = e.grid
-
-let zero_ops e =
-  Array.fill e.ops 0 (Array.length e.ops) 0.;
-  e.ops
 
 (* Float noise the dominance test tolerates around a candidate cost. *)
 let[@inline] allowance c =

@@ -4,7 +4,7 @@
     "calculate X^t".
 
     A {!sweep} turns slot [t]'s ramped layer R (the previous layer's
-    ramp, {!Transform}, taken with a zero [ops] row) into the
+    ramp, {!Transform}, taken without an [ops] row) into the
     {e canonical} arrival layer: [R + g_t], except +infinity at every
     state that a cheaper state below it reaches by power-ups alone
     (beyond a 1e-9 relative allowance).  Such a state is on no optimal
@@ -45,11 +45,6 @@ val create : Grid.t -> betas:float array -> t
     [Invalid_argument] when its length is not the grid's dimension. *)
 
 val grid : t -> Grid.t
-
-val zero_ops : t -> float array
-(** The scratch row cleared to zeros: the [ops] row of the ramp that
-    builds R into this context's grid.  The next {!sweep} overwrites
-    it. *)
 
 val sweep : t -> Model.Instance.t -> time:int -> Plane.t -> off:int -> unit
 (** [sweep e inst ~time p ~off] makes the ramped layer R in the segment

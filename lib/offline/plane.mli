@@ -1,13 +1,14 @@
-(** Unboxed [float64] planes for the DP layer engine.
+(** Unboxed [float64] planes for the DP layer engines.
 
-    A plane is a flat [Bigarray.Array1] of doubles in C layout: the
-    layer arena stores every retained DP layer back to back in one
-    allocation, the ramp transforms run strided passes over segments in
-    place, and the two scratch planes absorb the intermediate shapes of
-    cross-grid transforms — no per-layer [Array.copy], no per-axis
-    fresh array.  Bigarrays live outside the OCaml heap, so the passes
-    never trigger minor-GC work and segments can be shared freely
-    across pool domains (the fills write disjoint lines).
+    A plane is a flat [Bigarray.Array1] of doubles in C layout: the DP
+    builds each layer in a reused dense plane and keeps the finished
+    layers in a {!Layer_store}, the ramp transforms run strided passes
+    over segments in place, and two scratch planes absorb the
+    intermediate shapes of cross-grid transforms — no per-layer
+    [Array.copy], no per-axis fresh array.  Bigarrays live outside the
+    OCaml heap, so the passes never trigger minor-GC work and segments
+    can be shared freely across pool domains (the fills write disjoint
+    lines).
 
     Conversion to and from ordinary [float array]s happens only at the
     boundaries (snapshot codecs, [on_layer] frontier capture), keeping

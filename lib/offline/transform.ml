@@ -1,10 +1,10 @@
-(* The passes below run over [Plane.t] segments: the DP arena keeps every
-   layer in one unboxed allocation and ramps each new layer in place, and
-   the cross-grid transform ping-pongs through two reusable scratch
-   planes, so a layer step allocates no float storage.
+(* The passes below run over [Plane.t] segments in place: the DP ramps
+   each new layer in a reused dense plane, and the cross-grid transform
+   ping-pongs through two reusable scratch planes, so a layer step
+   allocates no float storage.
 
    The last axis has stride 1, so its lines are contiguous both in the
-   plane segment and in the [ops] row, whose add is fused into that
+   plane segment and in an [ops] row, whose add is fused into that
    final pass while the line is still cache-hot. *)
 
 (* Lines along axis [j] can be addressed directly: line [k] (of
@@ -42,8 +42,14 @@ let for_lines ?pool ~line_len ~n_lines f =
    [p(i) <- min_y p(y) + beta * (values(i) - values(y))^+]. *)
 let ramp_line_strided_p ~beta ~values (p : Plane.t) ~offset ~stride =
   let n = Array.length values in
-  (* Forward: reach i from below, paying beta per unit climbed. *)
-  for i = 1 to n - 1 do
+  (* Forward: reach i from below, paying beta per unit climbed.  Below
+     the line's first finite cell every climb stays +infinity, so the
+     climb starts there. *)
+  let first = ref 0 in
+  while !first < n - 1 && Bigarray.Array1.unsafe_get p (offset + (!first * stride)) = infinity do
+    incr first
+  done;
+  for i = !first + 1 to n - 1 do
     let climb = beta *. float_of_int (values.(i) - values.(i - 1)) in
     let prev = Bigarray.Array1.unsafe_get p (offset + ((i - 1) * stride)) in
     let cur = offset + (i * stride) in
@@ -105,12 +111,15 @@ let ramp_between_strided_p ~beta ~src_values ~(src : Plane.t) ~soff ~dst_values
 let check_segment msg (p : Plane.t) ~off ~size =
   if off < 0 || off + size > Plane.length p then invalid_arg msg
 
-let ramp_grid_plane ?pool ~ops ~grid ~betas (p : Plane.t) ~off =
+let check_ops msg ops ~size =
+  match ops with Some ops when Array.length ops <> size -> invalid_arg msg | _ -> ()
+
+let ramp_grid_plane ?pool ?ops ~grid ~betas (p : Plane.t) ~off =
   let d = Grid.dim grid in
   if Array.length betas <> d then invalid_arg "Transform.ramp_grid_plane: betas mismatch";
   let size = Grid.size grid in
   check_segment "Transform.ramp_grid_plane: segment out of range" p ~off ~size;
-  if Array.length ops <> size then invalid_arg "Transform.ramp_grid_plane: ops size mismatch";
+  check_ops "Transform.ramp_grid_plane: ops size mismatch" ops ~size;
   let lengths = Array.init d (Grid.axis_length grid) in
   for j = 0 to d - 1 do
     let values = Grid.axis_values grid j in
@@ -120,17 +129,16 @@ let ramp_grid_plane ?pool ~ops ~grid ~betas (p : Plane.t) ~off =
     let n_lines = size / max 1 n in
     let beta = betas.(j) in
     let run k =
-      if j = d - 1 then
-        ramp_line_last_p ~beta ~values ~ops p ~offset:(off + (k * n)) ~rank0:(k * n)
-      else
-        ramp_line_strided_p ~beta ~values p
-          ~offset:(off + line_offset ~block ~stride k)
-          ~stride
+      match ops with
+      | Some ops when j = d - 1 ->
+          ramp_line_last_p ~beta ~values ~ops p ~offset:(off + (k * n)) ~rank0:(k * n)
+      | Some _ | None ->
+          ramp_line_strided_p ~beta ~values p ~offset:(off + line_offset ~block ~stride k) ~stride
     in
     for_lines ?pool ~line_len:n ~n_lines run
   done
 
-let ramp_across_plane ?pool ~ops ~src_grid ~dst_grid ~betas
+let ramp_across_plane ?pool ?ops ~src_grid ~dst_grid ~betas
     ~(src : Plane.t) ~soff ~tmp:((wa, wb) : Plane.t * Plane.t) (dst : Plane.t) ~doff =
   let d = Grid.dim src_grid in
   if Grid.dim dst_grid <> d then invalid_arg "Transform.ramp_across_plane: dim mismatch";
@@ -140,8 +148,7 @@ let ramp_across_plane ?pool ~ops ~src_grid ~dst_grid ~betas
     ~size:(Grid.size src_grid);
   check_segment "Transform.ramp_across_plane: dst segment out of range" dst ~off:doff
     ~size:(Grid.size dst_grid);
-  if Array.length ops <> Grid.size dst_grid then
-    invalid_arg "Transform.ramp_across_plane: ops size mismatch";
+  check_ops "Transform.ramp_across_plane: ops size mismatch" ops ~size:(Grid.size dst_grid);
   (* Replace one axis at a time; [lengths] tracks the mixed shape. *)
   let lengths = Array.init d (Grid.axis_length src_grid) in
   let cur = ref src and cur_off = ref soff and cur_size = ref (Grid.size src_grid) in
@@ -171,12 +178,14 @@ let ramp_across_plane ?pool ~ops ~src_grid ~dst_grid ~betas
       let doff = target_off + line_offset ~block:dst_block ~stride k in
       ramp_between_strided_p ~beta ~src_values ~src:src_p ~soff ~dst_values ~dst:target
         ~doff ~stride;
-      if last then
-        (* stride = 1 here: the finished line is ranks k*nd onward. *)
-        for i = 0 to nd - 1 do
-          Bigarray.Array1.unsafe_set target (doff + i)
-            (Bigarray.Array1.unsafe_get target (doff + i) +. Array.unsafe_get ops ((k * nd) + i))
-        done
+      match ops with
+      | Some ops when last ->
+          (* stride = 1 here: the finished line is ranks k*nd onward. *)
+          for i = 0 to nd - 1 do
+            Bigarray.Array1.unsafe_set target (doff + i)
+              (Bigarray.Array1.unsafe_get target (doff + i) +. Array.unsafe_get ops ((k * nd) + i))
+          done
+      | Some _ | None -> ()
     in
     for_lines ?pool ~line_len:(ns + nd) ~n_lines run;
     lengths.(j) <- nd;

@@ -13,17 +13,19 @@
     (Section 4.2, edge weight [beta_j (N_j(x_j) - x_j)] telescopes to the
     same ramp) and time-varying sizes (Section 4.3).
 
-    Both transforms work on {!Plane.t} segments — the DP layer arena —
-    holding a flat state-cost array over a grid in flat-index order.
-    The scans assume strictly increasing axes; {!Grid.make} rejects any
-    other axis, so every grid satisfies it.
+    Both transforms work on {!Plane.t} segments holding a flat
+    state-cost array over a grid in flat-index order.  The scans assume
+    strictly increasing axes; {!Grid.make} rejects any other axis, so
+    every grid satisfies it.  A line's upward climb starts at its first
+    finite cell: below it every climb is +infinity anyway, and a
+    canonical layer ({!Forward}) is mostly +infinity.
 
-    The required [ops] row, indexed by the result grid's rank, is added
-    elementwise during the final (contiguous, stride-1) axis pass.  The
-    DP engines pass a row of zeros ({!Forward.zero_ops}) and add the
-    operating costs in {!Forward.sweep}; a caller may fuse its own
-    [g_t] here instead ([inf + g] keeps infeasible states at
-    [infinity]).
+    An optional [ops] row, indexed by the result grid's rank, is added
+    elementwise during the final (contiguous, stride-1) axis pass;
+    without one there is no add pass.  The DP engines ramp without a
+    row and add the operating costs in {!Forward.sweep}; a caller may
+    fuse its own [g_t] here instead ([inf + g] keeps infeasible states
+    at [infinity]).
 
     On a [pool] the independent lines of each axis pass fan out over
     {!Util.Parallel.width} domains whenever the pass touches at least
@@ -34,12 +36,12 @@
     pooled runs agree bit for bit.
 
     The source and destination segments are bounds-checked against
-    their planes, and [ops] against the grid, before the destination is
-    written; a mismatch raises [Invalid_argument]. *)
+    their planes, and a given [ops] against the grid, before the
+    destination is written; a mismatch raises [Invalid_argument]. *)
 
 val ramp_grid_plane :
   ?pool:Util.Pool.t ->
-  ops:float array ->
+  ?ops:float array ->
   grid:Grid.t ->
   betas:float array ->
   Plane.t ->
@@ -47,11 +49,11 @@ val ramp_grid_plane :
   unit
 (** In-place transform of the plane segment [\[off, off + Grid.size grid)]
     over [grid] ([betas.(j)] is the per-unit up cost of axis [j]), then
-    the fused [ops] add. *)
+    the fused add of [ops], if given. *)
 
 val ramp_across_plane :
   ?pool:Util.Pool.t ->
-  ops:float array ->
+  ?ops:float array ->
   src_grid:Grid.t ->
   dst_grid:Grid.t ->
   betas:float array ->
@@ -63,7 +65,7 @@ val ramp_across_plane :
   unit
 (** Transform from the [src] segment at [soff] (over [src_grid]) into
     the [dst] segment at [doff] (over [dst_grid], same dimension), then
-    the fused [ops] add.  Axes are replaced one at a time through
+    the fused add of [ops], if given.  Axes are replaced one at a time through
     intermediate mixed shapes, which ping-pong through the two [tmp]
     scratch planes (each must hold the largest intermediate shape, else
     ["scratch plane too small"]; with [d = 1] the single pass goes

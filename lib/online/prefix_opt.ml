@@ -92,10 +92,9 @@ let step e =
     | Some idx -> Bigarray.Array1.unsafe_set e.arrival idx 0.
     | None -> assert false
   end;
-  (* The ramp updates the arrival plane in place to R (a zero [ops] row
-     adds nothing to values >= 0); the sweep then adds g_t and prunes. *)
-  Offline.Transform.ramp_grid_plane ~ops:(Offline.Forward.zero_ops e.forward) ~grid:e.grid
-    ~betas:e.betas e.arrival ~off:0;
+  (* The ramp updates the arrival plane in place to R; the sweep then
+     adds g_t and prunes. *)
+  Offline.Transform.ramp_grid_plane ~grid:e.grid ~betas:e.betas e.arrival ~off:0;
   Offline.Forward.sweep e.forward e.inst ~time e.arrival ~off:0;
   e.clock <- time + 1;
   (* Flat-index order is lexicographic, so the first strict minimum is the

@@ -11,7 +11,7 @@
     through, so it is a valid online computation.
 
     A step is the offline DP's forward step ({!Offline.Forward}): the
-    zero-[ops] ramp of the kept layer, then the sweep that adds [g_t]
+    ramp of the kept layer, then the sweep that adds [g_t]
     and leaves the layer canonical (+infinity at dominated states), then
     the argmin.  It runs on the calling domain and takes no pool. *)
 

@@ -258,6 +258,25 @@ let test_dispatch_warm_line_matches_cold () =
       else checkb (Printf.sprintf "cell %d infeasible" v) true (warm.(v) = infinity))
     cells
 
+(* A cell whose pieces have no closed-form inverse falls back from the
+   line sweep to [solve] and counts once in [dispatch.calls].  A
+   max-of-affine piece beside a power piece, five cells of which the
+   first is infeasible: five calls. *)
+let test_dispatch_fallback_counts_once () =
+  let calls () =
+    match Obs.Counter.find "dispatch.calls" with Some c -> Obs.Counter.value c | None -> 0
+  in
+  let hinge = Convex.Fn.max_affine [ (0.1, 0.5); (0., 1.5) ] in
+  let cube = Convex.Fn.power ~idle:0.1 ~coef:1. ~expo:3. in
+  let cells =
+    Array.init 5 (fun v -> [| piece hinge 0.5; piece cube (0.4 +. (0.2 *. float_of_int v)) |])
+  in
+  let before = calls () in
+  let out = Convex.Dispatch.solve_line cells ~total:1. in
+  checkb "first cell infeasible" true (out.(0) = infinity);
+  checkb "the rest feasible" true (Array.for_all Float.is_finite (Array.sub out 1 4));
+  Alcotest.(check int) "one call per cell" 5 (calls () - before)
+
 let () =
   Alcotest.run "convex"
     [ ( "fn",
@@ -294,6 +313,8 @@ let () =
           Alcotest.test_case "many identical pieces" `Quick test_dispatch_many_identical_pieces;
           Alcotest.test_case "rejects negative total" `Quick test_dispatch_negative_total_rejected;
           Alcotest.test_case "warm line sweep matches cold" `Quick
-            test_dispatch_warm_line_matches_cold
+            test_dispatch_warm_line_matches_cold;
+          Alcotest.test_case "fallback cell counts once" `Quick
+            test_dispatch_fallback_counts_once
         ] )
     ]

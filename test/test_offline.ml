@@ -249,6 +249,84 @@ let test_ramp_across_segments_checked () =
     "dst untouched" [| 7.; 7. |]
     (Offline.Plane.to_array dst ~off:0 ~len:2)
 
+let bits a = Array.map Int64.bits_of_float a
+
+(* A DP engine ramps without an [ops] row; a zero row adds +0 to every
+   cell, so the two agree bit for bit, also on layers that are mostly
+   +infinity (a canonical layer's shape), where each line's climb starts
+   at its first finite cell. *)
+let test_ramp_without_ops () =
+  let rng = Util.Prng.create 23 in
+  let sparse n =
+    Array.init n (fun _ ->
+        if Util.Prng.int rng 10 < 8 then infinity else Util.Prng.float rng 50.)
+  in
+  List.iter
+    (fun axes ->
+      let grid = Offline.Grid.make axes in
+      let n = Offline.Grid.size grid in
+      let betas = Array.map (fun _ -> 0.5 +. Util.Prng.float rng 3.) axes in
+      for _ = 1 to 20 do
+        let costs = sparse n in
+        let with_row = ramp_grid ~grid ~betas costs in
+        let p = plane_of costs in
+        Offline.Transform.ramp_grid_plane ~grid ~betas p ~off:0;
+        Alcotest.(check (array int64)) "within a grid" (bits with_row)
+          (bits (Offline.Plane.to_array p ~off:0 ~len:n));
+        let dst_grid = Offline.Grid.make (Array.map (fun a -> Array.sub a 0 2) axes) in
+        let m = Offline.Grid.size dst_grid in
+        let dst = Offline.Plane.create m in
+        Offline.Transform.ramp_across_plane ~src_grid:grid ~dst_grid ~betas ~src:(plane_of costs)
+          ~soff:0 ~tmp:(scratch_for grid dst_grid) dst ~doff:0;
+        Alcotest.(check (array int64)) "across grids"
+          (bits (ramp_across ~src_grid:grid ~dst_grid ~betas costs))
+          (bits (Offline.Plane.to_array dst ~off:0 ~len:m))
+      done)
+    [ [| [| 0; 1; 3; 4; 7 |] |];
+      [| [| 0; 1; 2; 5 |]; [| 0; 2; 3; 4; 6; 9 |] |];
+      [| [| 0; 1; 2 |]; [| 0; 3; 4 |]; [| 0; 1; 2; 3; 5 |] |] ]
+
+(* --- Layer store --- *)
+
+(* Every layer comes back bit for bit: an all-+infinity line stores
+   nothing, an all-finite line (with a negative zero and a subnormal)
+   stores every cell, and a run keeps its interior +infinity.  A large
+   layer's runs cross the store's chunk boundaries. *)
+let test_layer_store_round_trip () =
+  let inf = infinity in
+  let small =
+    [| inf; inf; inf; inf;
+       -0.; 4.9e-324; 3.25; 1e300;
+       inf; 2.; inf; 5.;
+       inf; 7.; 8.; inf |]
+  in
+  let other = [| 1.; inf; 6.; inf; inf; inf |] in
+  let big = Array.init 30_000 (fun i -> if i mod 7 = 0 then inf else float_of_int i /. 3.) in
+  let store = Offline.Layer_store.create () in
+  let append layer ~line =
+    Offline.Layer_store.append store (plane_of layer) ~size:(Array.length layer) ~line
+  in
+  checki "runs kept" 9 (append small ~line:4);
+  checki "an interior +infinity is kept" 3 (append other ~line:3);
+  (* Each 10,000-cell line loses its leading +infinity, the second line
+     its trailing one too. *)
+  checki "runs of the large layer" 29_998 (append big ~line:10_000);
+  List.iteri
+    (fun t layer ->
+      let name = Printf.sprintf "layer %d" t in
+      Alcotest.(check (array int64)) (name ^ " to_array") (bits layer)
+        (bits (Offline.Layer_store.to_array store t));
+      let p = plane_of (Array.make (Array.length layer + 3) 0.) in
+      Offline.Layer_store.expand store t p;
+      Alcotest.(check (array int64)) (name ^ " expand") (bits layer)
+        (bits (Offline.Plane.to_array p ~off:0 ~len:(Array.length layer))))
+    [ small; other; big ];
+  Alcotest.check_raises "no such layer" (Invalid_argument "Layer_store: no such layer")
+    (fun () -> ignore (Offline.Layer_store.to_array store 3));
+  Alcotest.check_raises "line must divide the size"
+    (Invalid_argument "Layer_store.append: layer shape does not fit the plane") (fun () ->
+      ignore (append small ~line:3))
+
 (* --- DP vs brute force --- *)
 
 let random_small_instance rng ~dynamic =
@@ -495,6 +573,36 @@ let test_dp_forward_work () =
   Alcotest.(check string) "three-tier cost bits" "0x1.72f08da184e3p+13" cost;
   Alcotest.(check string) "three-tier schedule digest" "ba4d4ce5ff91c8d5" digest
 
+(* The layer store keeps each line's run of finite cells
+   ([dp.stored_cells]), here a sixth to a tenth of the forward pass's
+   cells ([dp.cells]).  On these instances every line's finite cells are one
+   run, so it keeps exactly the canonical layers' finite cells. *)
+let test_dp_stored_cells () =
+  let large = Sim.Scenarios.large_fleet ~horizon:384 () in
+  List.iter
+    (fun (name, inst, grids, stored, cells) ->
+      let horizon = Model.Instance.horizon inst in
+      let finite = ref 0 in
+      let count ~time thunk =
+        if time = horizon - 1 then
+          Array.iter
+            (Array.iter (fun c -> if c < infinity then incr finite))
+            (thunk ()).Offline.Dp.layers
+      in
+      let stored_before = counter_value "dp.stored_cells"
+      and cells_before = counter_value "dp.cells" in
+      ignore (Offline.Dp.solve ?grids ~on_layer:count inst);
+      checki (name ^ " cells") cells (counter_value "dp.cells" - cells_before);
+      checki (name ^ " stored cells") stored (counter_value "dp.stored_cells" - stored_before);
+      checki (name ^ " finite cells") stored !finite)
+    [ ("large-fleet T=384", large, None, 156_733, 960_384);
+      ( "large-fleet T=384, eps=0.25",
+        large,
+        Some (Offline.Dp.approx_grids ~gamma:1.125 large),
+        80_885,
+        494_208 );
+      ("three-tier T=1536", Sim.Scenarios.three_tier ~horizon:1536 (), None, 23_561, 225_792) ]
+
 (* A refit allocates nothing: its Newton steps keep every float in the
    line cursor's all-float records or in registers, so twice the refits
    allocate exactly the words of once.  Large-fleet mixes a quadratic
@@ -718,8 +826,11 @@ let () =
             test_ramp_across_matches_dense;
           Alcotest.test_case "across mismatched grids" `Quick test_ramp_across_mismatched;
           Alcotest.test_case "across segments bounds-checked" `Quick
-            test_ramp_across_segments_checked
+            test_ramp_across_segments_checked;
+          Alcotest.test_case "no ops row = zero row, bit for bit" `Quick test_ramp_without_ops
         ] );
+      ( "layer_store",
+        [ Alcotest.test_case "round trip, bit for bit" `Quick test_layer_store_round_trip ] );
       ( "dp",
         [ Alcotest.test_case "matches brute force (static)" `Quick test_dp_matches_bruteforce;
           Alcotest.test_case "matches brute force (dynamic)" `Quick
@@ -736,6 +847,7 @@ let () =
             test_fill_rows_golden;
           Alcotest.test_case "forward work = online engine's, same bits" `Quick
             test_dp_forward_work;
+          Alcotest.test_case "stored cells = finite cells" `Quick test_dp_stored_cells;
           Alcotest.test_case "tied states are not pruned" `Quick test_forward_ties_stay;
           Alcotest.test_case "refits allocate nothing" `Quick test_refit_allocates_nothing
         ] );
