@@ -196,8 +196,8 @@ let waterfill ~tol ~analytic pieces ~total =
    between cells (a line fill mutates only the swept axis's piece). *)
 
 (* Every grid cell of a layer fill runs [sweep_solve].  Past the
-   per-piece cache fills ({!refresh}, once per line for the prefix
-   pieces), nothing on a cell's path allocates, calls a closure, calls
+   per-piece cache fills ({!table_set}, once per layer for each piece a
+   layer uses), nothing on a cell's path allocates, calls a closure, calls
    into another module or touches an atomic.  Without flambda, and with
    [-opaque] in the dev profile, a call into [Fn] is never inlined and
    boxes its float argument and result, so the cell path evaluates the
@@ -207,8 +207,8 @@ let waterfill ~tol ~analytic pieces ~total =
    costs, which no built-in scenario produces) call into [Fn] per
    cell; a zero-capacity piece reads its value at 0 from the cache.
    The work counters accumulate in the record and reach [Obs.Counter]
-   once per line ({!sweep_finish}): a bump costs a [Domain.self] C
-   call plus an atomic add. *)
+   only at {!sweep_finish}, which the layer fills call once per layer:
+   a bump costs a [Domain.self] C call plus an atomic add. *)
 
 (* A flat float record: its field is stored unboxed, where a float
    field of the mixed [sweep] record would box on every store. *)
@@ -233,23 +233,6 @@ type sweep = {
   mutable pfn : Fn.t array; (* piece identity for cache reuse *)
   mutable pup : float array;
 }
-
-type stats = {
-  s_d0 : float;
-  s_dup : float;
-  s_v0 : float;
-  s_vup : float;
-  s_ker : Fn.probe_kernel;
-  s_inv : bool;
-}
-
-let piece_stats p =
-  { s_d0 = Fn.deriv p.fn 0.;
-    s_dup = Fn.deriv p.fn p.upper;
-    s_v0 = Fn.eval p.fn 0.;
-    s_vup = Fn.eval p.fn p.upper;
-    s_ker = Fn.probe_kernel p.fn;
-    s_inv = Fn.has_inv_deriv p.fn }
 
 let dummy_fn = Fn.const 0.
 
@@ -312,25 +295,10 @@ let sweep_finish sw =
    whether every active piece inverts its derivative in closed form.
    The entries are invariants of (fn, upper), so a piece physically
    shared with the previous call (a line's fixed prefix) keeps them,
-   and a caller-precomputed bundle for the swept (last) piece seeds its
-   slot: line fills cycle that slot through a per-layer piece table
-   whose stats were derived once, not per cell. *)
-let refresh ?swept sw pieces =
+   and so does a slot {!sweep_seed} filled from a caller's table. *)
+let refresh sw pieces =
   let d = Array.length pieces in
   ensure_capacity sw d;
-  (match swept with
-  | Some s ->
-      let j = d - 1 in
-      let p = pieces.(j) in
-      sw.d0.(j) <- s.s_d0;
-      sw.dup.(j) <- s.s_dup;
-      sw.v0.(j) <- s.s_v0;
-      sw.vup.(j) <- s.s_vup;
-      sw.pker.(j) <- s.s_ker;
-      sw.pinv.(j) <- s.s_inv;
-      sw.pfn.(j) <- p.fn;
-      sw.pup.(j) <- p.upper
-  | None -> ());
   let invertible = ref true in
   for j = 0 to d - 1 do
     let p = pieces.(j) in
@@ -347,6 +315,64 @@ let refresh ?swept sw pieces =
     if p.upper > 0. && not sw.pinv.(j) then invertible := false
   done;
   !invertible
+
+(* A table of pieces with the caches {!refresh} would derive for each,
+   as parallel arrays so that the floats stay unboxed.  An entry's
+   caches are exactly {!refresh}'s: its values at 0 and at the cap are
+   {!Fn.eval}'s, which a lazy cache fill would compute too. *)
+type table = {
+  t_pieces : piece array;  (* [unbuilt] where no piece is set *)
+  t_d0 : float array;
+  t_dup : float array;
+  t_v0 : float array;
+  t_vup : float array;
+  t_ker : Fn.probe_kernel array;
+  t_inv : bool array;
+}
+
+let unbuilt = { fn = dummy_fn; upper = nan }
+
+let table n =
+  { t_pieces = Array.make n unbuilt;
+    t_d0 = Array.make n 0.;
+    t_dup = Array.make n 0.;
+    t_v0 = Array.make n 0.;
+    t_vup = Array.make n 0.;
+    t_ker = Array.make n Fn.Generic_kernel;
+    t_inv = Array.make n true }
+
+let table_clear t =
+  Array.fill t.t_pieces 0 (Array.length t.t_pieces) unbuilt;
+  Array.fill t.t_ker 0 (Array.length t.t_ker) Fn.Generic_kernel
+let table_built t i = t.t_pieces.(i) != unbuilt
+
+let table_set t i p =
+  t.t_pieces.(i) <- p;
+  t.t_d0.(i) <- Fn.deriv p.fn 0.;
+  t.t_dup.(i) <- Fn.deriv p.fn p.upper;
+  t.t_v0.(i) <- Fn.eval p.fn 0.;
+  t.t_vup.(i) <- Fn.eval p.fn p.upper;
+  t.t_ker.(i) <- Fn.probe_kernel p.fn;
+  t.t_inv.(i) <- Fn.has_inv_deriv p.fn
+
+(* A slot that already holds the entry's piece, with its caches (by
+   {!refresh}'s own test), is left as it is: consecutive lines often
+   share a prefix piece. *)
+let sweep_seed sw pieces j t i =
+  let p = t.t_pieces.(i) in
+  if p == unbuilt then invalid_arg "Dispatch.sweep_seed: entry not built";
+  ensure_capacity sw (Array.length pieces);
+  if not (pieces.(j) == p && sw.pfn.(j) == p.fn && sw.pup.(j) = p.upper) then begin
+    pieces.(j) <- p;
+    sw.d0.(j) <- t.t_d0.(i);
+    sw.dup.(j) <- t.t_dup.(i);
+    sw.v0.(j) <- t.t_v0.(i);
+    sw.vup.(j) <- t.t_vup.(i);
+    sw.pker.(j) <- t.t_ker.(i);
+    sw.pinv.(j) <- t.t_inv.(i);
+    sw.pfn.(j) <- p.fn;
+    sw.pup.(j) <- p.upper
+  end
 
 (* [Float.min x y], bit for bit, for [y > 0.]: then only a NaN [x] or
    one below [y] is the minimum, whatever the signs of zero. *)
@@ -622,10 +648,10 @@ let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
   Obs.Counter.incr c_calls;
   solve_uncounted ~tol ~numeric pieces ~total
 
-let sweep_solve ?(tol = 1e-9) ?swept sw pieces ~total dst di =
+let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
   sw.calls <- sw.calls + 1;
   if total < 0. then invalid_arg "Dispatch.sweep_solve: negative total";
-  let invertible = refresh ?swept sw pieces in
+  let invertible = refresh sw pieces in
   if not (feasible pieces ~total) then dst.(di) <- infinity
   else begin
     let nactive = ref 0 and last_active = ref (-1) in

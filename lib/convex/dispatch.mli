@@ -66,20 +66,40 @@ val sweep_start : unit -> sweep
 (** The calling domain's sweep scratch with the warm bracket cleared.
     Call once per grid line, before the first {!sweep_solve}. *)
 
-type stats
-(** The per-piece invariants the solver caches: derivative and value at
-    [0] and at the cap, the {!Fn.probe_kernel} constants of the Newton
-    loop, and whether the derivative inverts in closed form.
-    Precompute them with {!piece_stats} when the same piece recurs
-    across many {!sweep_solve} calls (a layer fill cycles the swept
-    slot through one per-layer piece table) and pass them as [?swept]
-    to skip their per-cell re-derivation. *)
+type table
+(** Pieces with the per-piece invariants the solver caches (derivative
+    and value at [0] and at the cap, the {!Fn.probe_kernel} constants of
+    the Newton loop, whether the derivative inverts in closed form),
+    kept unboxed by entry.  A layer fill builds each piece it uses once
+    ({!table_set}) and seeds every line's sweep from the table
+    ({!sweep_seed}) instead of re-deriving the caches per line or per
+    cell. *)
 
-val piece_stats : piece -> stats
-(** [stats] of a piece, exactly as the solver would derive them. *)
+val table : int -> table
+(** [table n] has [n] entries, none built.  Its storage is allocated
+    here, once; building an entry allocates only what the piece
+    itself and its probe constants need. *)
+
+val table_clear : table -> unit
+(** Mark every entry unbuilt (a new layer's pieces differ), and let go
+    of the pieces, so that they can die young. *)
+
+val table_built : table -> int -> bool
+
+val table_set : table -> int -> piece -> unit
+(** [table_set t i p] makes [p] entry [i] and derives its caches,
+    exactly as the solver would. *)
+
+val sweep_seed : sweep -> piece array -> int -> table -> int -> unit
+(** [sweep_seed sw pieces j t i] puts entry [i] of [t] into slot [j] of
+    [pieces] and its caches into the sweep's slot [j], so the next
+    {!sweep_solve} over [pieces] derives nothing for that slot; a later
+    call keeps them for as long as slot [j] holds the same piece.  The
+    one way to hand the solver precomputed caches.  Raises
+    [Invalid_argument] when entry [i] is not built. *)
 
 val sweep_solve :
-  ?tol:float -> ?swept:stats -> sweep -> piece array -> total:float -> float array -> int -> unit
+  ?tol:float -> sweep -> piece array -> total:float -> float array -> int -> unit
 (** [sweep_solve sw pieces ~total row i] stores in [row.(i)] the optimal
     objective (as {!solve}, but [infinity] where {!solve} returns
     [None]), reusing and updating the sweep's warm multiplier bracket.
@@ -89,11 +109,8 @@ val sweep_solve :
     non-decreasing (a grid line swept in order of non-decreasing
     capacity): the optimal multiplier is then non-increasing, so the
     carried upper bracket stays valid — including across skipped cells.
-    Pieces physically shared with the previous call (the line fills
-    rebuild only the swept axis's piece) also reuse their cached
-    endpoint derivatives and values.  [swept] seeds that cache for the
-    final piece ([pieces.(d-1)], the swept slot) with {!stats} the
-    caller derived once — they must describe exactly that piece.
+    Pieces physically shared with the previous call, or seeded by
+    {!sweep_seed}, reuse their cached endpoint derivatives and values.
     Matches per-cell {!solve} to well within [tol] (default [1e-9]);
     non-invertible pieces fall back to {!solve} transparently, and such
     a cell counts once in [dispatch.calls].  The cell's [dispatch.*]
@@ -110,9 +127,10 @@ val sweep_multiplier : sweep -> float
 val sweep_finish : sweep -> unit
 (** Add the counts the sweep's cells accumulated to the
     [dispatch.calls], [dispatch.analytic_solves] and
-    [dispatch.newton_evals] counters, and clear them.  Call once at the
-    end of each line: a counter bump per cell would cost a
-    [Domain.self] C call and an atomic add. *)
+    [dispatch.newton_evals] counters, and clear them.  {!sweep_start}
+    keeps the counts, so a layer fill calls this once, after its last
+    line: a counter bump per cell would cost a [Domain.self] C call and
+    an atomic add. *)
 
 val solve_line : ?tol:float -> piece array array -> total:float -> float array
 (** Batched {!sweep_solve} over the cells of one line, in order, ending

@@ -169,7 +169,7 @@ let layer_table cache ~time n =
    inactive types. *)
 let zero_piece = { Convex.Dispatch.fn = Convex.Fn.const 0.; upper = 0. }
 
-let make_piece fn xj ~load ~cap =
+let[@inline] make_piece fn xj ~load ~cap =
   if xj = 0 then zero_piece
   else begin
     let xf = float_of_int xj in
@@ -177,14 +177,26 @@ let make_piece fn xj ~load ~cap =
       upper = Float.min 1. (xf *. cap /. load) }
   end
 
-(* Per-layer invariants of a line fill: the slot's load and per-type
-   costs, and the swept (last) axis's dispatch piece and its solver
-   stats per value index.  Every line of a layer shares them, so they
-   are derived once per layer instead of once per line or cell; the
-   arrays are immutable after construction and safe to share across
-   pool domains. *)
+(* The floats of a line fill, in an all-float record, where they are
+   stored unboxed. *)
+type line_floats = {
+  mutable load : float;
+  mutable cap_base : float;  (* capacity of the fixed prefix x.(0 .. d-2) *)
+  mutable cap_last : float;  (* per-server capacity of the swept type *)
+  mutable idle_base : float;  (* idle sum of the prefix, when load-independent *)
+  mutable idle_last : float;  (* idle cost of a swept server, likewise *)
+}
+
+(* The line fills' context over one grid: its axes, and the invariants
+   of the layer it is aimed at, which every line of the layer shares:
+   the slot's load, the per-type costs and their constants, and per
+   axis a table of dispatch pieces by value index, each built (with its
+   solver caches) the first time a line uses it.  All storage is sized
+   here, once per grid; aiming at a layer overwrites it in place. *)
 type line_ctx = {
-  lx_load : float;
+  lx_axes : int array array;  (* the grid's axis values; the last is swept *)
+  lx_pos : int array;  (* line k's value index on axis j < d-1, at k * (d-1) + j *)
+  lx_f : line_floats;  (* the layer's load, and [line_live]'s scratch *)
   lx_fns : Convex.Fn.t array;  (* f_{t,j} per type *)
   lx_caps : float array;  (* per-server capacity per type *)
   lx_idle : float array;  (* f_{t,j}(0) per type *)
@@ -193,49 +205,102 @@ type line_ctx = {
   lx_inv : bool array;  (* f_{t,j}'s derivative inverts in closed form *)
   lx_fcap : float array;  (* f_{t,j}(cap_j): a capped response's value *)
   lx_dcap : float array;  (* f_{t,j}'(cap_j): the multiplier that saturates type j *)
-  lx_pieces : Convex.Dispatch.piece array;
-  lx_swept : Convex.Dispatch.stats option array;
+  lx_pieces : Convex.Dispatch.table array;  (* per axis: the piece of each value *)
 }
 
-let line_ctx inst ~time ~values =
-  let d = Instance.num_types inst in
-  let load = inst.Instance.load.(time) in
-  let fns = Array.init d (fun typ -> inst.Instance.cost ~time ~typ) in
-  let caps = Array.map (fun st -> st.Server_type.cap) inst.Instance.types in
-  let pieces, swept =
-    if load <= 0. then ([||], [||])
-    else begin
-      let pieces =
-        Array.map (fun v -> make_piece fns.(d - 1) v ~load ~cap:caps.(d - 1)) values
-      in
-      (pieces, Array.map (fun p -> Some (Convex.Dispatch.piece_stats p)) pieces)
-    end
-  in
-  { lx_load = load;
-    lx_fns = fns;
-    lx_caps = caps;
-    lx_idle = Array.map (fun fn -> Convex.Fn.eval fn 0.) fns;
-    lx_const = Array.map Convex.Fn.is_constant fns;
-    lx_kers = Array.map Convex.Fn.probe_kernel fns;
-    lx_inv = Array.map Convex.Fn.has_inv_deriv fns;
-    lx_fcap = Array.mapi (fun j fn -> Convex.Fn.eval fn caps.(j)) fns;
-    lx_dcap = Array.mapi (fun j fn -> Convex.Fn.deriv fn caps.(j)) fns;
-    lx_pieces = pieces;
-    lx_swept = swept }
+let line_ctx ~axes =
+  let d = Array.length axes in
+  if d = 0 then invalid_arg "Cost.line_ctx: no axes";
+  (* Lines run in rank order, so the prefix positions count up like an
+     odometer whose last digit is axis d-2. *)
+  let lines = Array.fold_left (fun n a -> n * Array.length a) 1 (Array.sub axes 0 (d - 1)) in
+  let pos = Array.make (lines * (d - 1)) 0 in
+  for k = 1 to lines - 1 do
+    let o = k * (d - 1) in
+    Array.blit pos (o - (d - 1)) pos o (d - 1);
+    let j = ref (d - 2) in
+    while pos.(o + !j) + 1 = Array.length axes.(!j) do
+      pos.(o + !j) <- 0;
+      decr j
+    done;
+    pos.(o + !j) <- pos.(o + !j) + 1
+  done;
+  { lx_axes = Array.map Array.copy axes;
+    lx_pos = pos;
+    lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
+    lx_fns = Array.make d zero_piece.Convex.Dispatch.fn;
+    lx_caps = Array.make d 0.;
+    lx_idle = Array.make d 0.;
+    lx_const = Array.make d true;
+    lx_kers = Array.make d Convex.Fn.Generic_kernel;
+    lx_inv = Array.make d true;
+    lx_fcap = Array.make d 0.;
+    lx_dcap = Array.make d 0.;
+    lx_pieces = Array.map (fun a -> Convex.Dispatch.table (Array.length a)) axes }
 
-(* A line cursor: the state of one grid line's fill between cells, so
-   a caller can drive the line cell by cell and stop after any of them
-   with the warm chain of the cells before intact.  One per domain,
-   re-aimed at each line; its floats live in an all-float record, where
-   they are stored unboxed, so re-aiming allocates nothing beyond the
-   line's prefix pieces. *)
-type line_floats = {
-  mutable load : float;
-  mutable cap_base : float;  (* capacity of the fixed prefix x.(0 .. d-2) *)
-  mutable cap_last : float;  (* per-server capacity of the swept type *)
-  mutable idle_base : float;  (* idle sum of the prefix, when load-independent *)
-  mutable idle_last : float;  (* idle cost of a swept server, likewise *)
-}
+let line_layer ctx inst ~time =
+  let d = Array.length ctx.lx_axes in
+  if Instance.num_types inst <> d then invalid_arg "Cost.line_layer: type count mismatch";
+  ctx.lx_f.load <- inst.Instance.load.(time);
+  for j = 0 to d - 1 do
+    let fn = inst.Instance.cost ~time ~typ:j in
+    let cap = inst.Instance.types.(j).Server_type.cap in
+    ctx.lx_fns.(j) <- fn;
+    ctx.lx_caps.(j) <- cap;
+    ctx.lx_idle.(j) <- Convex.Fn.eval fn 0.;
+    ctx.lx_const.(j) <- Convex.Fn.is_constant fn;
+    ctx.lx_kers.(j) <- Convex.Fn.probe_kernel fn;
+    ctx.lx_inv.(j) <- Convex.Fn.has_inv_deriv fn;
+    ctx.lx_fcap.(j) <- Convex.Fn.eval fn cap;
+    ctx.lx_dcap.(j) <- Convex.Fn.deriv fn cap;
+    Convex.Dispatch.table_clear ctx.lx_pieces.(j)
+  done
+
+(* Where the line starting at [rank0] keeps its prefix positions in
+   [lx_pos]. *)
+let[@inline] line_base ctx ~rank0 =
+  let d = Array.length ctx.lx_axes in
+  rank0 / Array.length ctx.lx_axes.(d - 1) * (d - 1)
+
+(* Capacity of the line's fixed prefix, in ascending-type order, into
+   [f.cap_base]. *)
+let prefix_capacity ctx ~base f =
+  let cap = ref 0. in
+  for j = 0 to Array.length ctx.lx_axes - 2 do
+    let xj = ctx.lx_axes.(j).(ctx.lx_pos.(base + j)) in
+    cap := !cap +. (float_of_int xj *. ctx.lx_caps.(j))
+  done;
+  f.cap_base <- !cap
+
+(* [line_cell]'s infeasibility test, run ahead of the line.  Capacity
+   grows along it (float sums and products are monotone), so its
+   infeasible cells are a prefix, and a binary search finds the first
+   cell that passes. *)
+let line_live ctx ~rank0 =
+  let f = ctx.lx_f in
+  let load = f.load in
+  if load <= 0. then 0
+  else begin
+    let d = Array.length ctx.lx_axes in
+    let values = ctx.lx_axes.(d - 1) in
+    prefix_capacity ctx ~base:(line_base ctx ~rank0) f;
+    let cap_base = f.cap_base and cap_last = ctx.lx_caps.(d - 1) in
+    let lo = ref 0 and hi = ref (Array.length values) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if cap_base +. (float_of_int values.(mid) *. cap_last) +. cap_eps < load then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+  end
+
+(* Axis [j]'s table with value index [i] built. *)
+let built_table ctx j i =
+  let t = ctx.lx_pieces.(j) in
+  if not (Convex.Dispatch.table_built t i) then
+    Convex.Dispatch.table_set t i
+      (make_piece ctx.lx_fns.(j) ctx.lx_axes.(j).(i) ~load:ctx.lx_f.load ~cap:ctx.lx_caps.(j));
+  t
 
 type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
 
@@ -251,6 +316,12 @@ type dual_floats = {
   mutable dresp : float;  (* and its slope *)
 }
 
+(* A line cursor: the state of one grid line's fill between cells, so
+   a caller can drive the line cell by cell and stop after any of them
+   with the warm chain of the cells before intact.  One per domain,
+   re-aimed at each line; its floats live in an all-float record, where
+   they are stored unboxed, so re-aiming allocates nothing.  Its work
+   counts accumulate across lines until {!line_flush}. *)
 type line = {
   lf : line_floats;
   dual : dual_floats;
@@ -269,7 +340,9 @@ type line = {
 }
 
 let empty_ctx =
-  { lx_load = 0.;
+  { lx_axes = [||];
+    lx_pos = [||];
+    lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
     lx_fns = [||];
     lx_caps = [||];
     lx_idle = [||];
@@ -278,8 +351,7 @@ let empty_ctx =
     lx_inv = [||];
     lx_fcap = [||];
     lx_dcap = [||];
-    lx_pieces = [||];
-    lx_swept = [||] }
+    lx_pieces = [||] }
 
 let line_key : line Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -298,22 +370,28 @@ let line_key : line Domain.DLS.key =
         misses = 0;
         owner = { icept = 0.; slope = 0.; mu = nan } })
 
-let line_start ~ctx ~table ~rank0 ~x ~values =
+let line_start ~ctx ~table ~rank0 =
   let l = Domain.DLS.get line_key in
-  let d = Array.length x in
+  let d = Array.length ctx.lx_axes in
   if Array.length l.x <> d then begin
     l.x <- Array.make d 0;
     l.ps <- Array.make d zero_piece
   end;
-  Array.blit x 0 l.x 0 d;
-  l.ctx <- ctx;
-  l.table <- table;
+  let x = l.x and base = line_base ctx ~rank0 in
+  for j = 0 to d - 2 do
+    x.(j) <- ctx.lx_axes.(j).(ctx.lx_pos.(base + j))
+  done;
+  (* The layer's context and table stay with the cursor until
+     [line_flush]; storing them again would cost a write barrier each. *)
+  if l.ctx != ctx then begin
+    l.ctx <- ctx;
+    l.values <- ctx.lx_axes.(d - 1)
+  end;
+  if l.table != table then l.table <- table;
   l.rank0 <- rank0;
-  l.values <- values;
-  l.misses <- 0;
   l.dual.at <- nan;
   let f = l.lf in
-  let load = ctx.lx_load in
+  let load = ctx.lx_f.load in
   f.load <- load;
   f.cap_last <- ctx.lx_caps.(d - 1);
   (* The load-independent cells' idle sums (the whole line at zero
@@ -337,23 +415,21 @@ let line_start ~ctx ~table ~rank0 ~x ~values =
   l.last_const <- last_const;
   l.loaded <- load > 0.;
   if load > 0. then begin
-    let cap_base = ref 0. in
+    prefix_capacity ctx ~base f;
+    l.sw <- Convex.Dispatch.sweep_start ();
     for j = 0 to d - 2 do
-      cap_base := !cap_base +. (float_of_int x.(j) *. ctx.lx_caps.(j))
-    done;
-    f.cap_base <- !cap_base;
-    for j = 0 to d - 2 do
-      l.ps.(j) <- make_piece ctx.lx_fns.(j) x.(j) ~load ~cap:ctx.lx_caps.(j)
-    done;
-    l.sw <- Convex.Dispatch.sweep_start ()
+      let i = ctx.lx_pos.(base + j) in
+      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table ctx j i) i
+    done
   end;
   l
 
 (* Every fast path reproduces [operating] bit-for-bit (same summation
    order); the dispatch path solves the same KKT system from the
-   line's warm bracket.  A dispatch cell allocates nothing: the pieces
-   come from the cursor and [ctx], and the solver writes the objective
-   straight into the table. *)
+   line's warm bracket.  A dispatch cell allocates nothing once its
+   swept piece is built: the pieces and their caches come from the
+   context's tables, and the solver writes the objective straight into
+   the table. *)
 let[@inline] line_cell l i =
   let idx = l.rank0 + i in
   let f = l.lf in
@@ -372,16 +448,20 @@ let[@inline] line_cell l i =
   end
   else begin
     let d = Array.length l.ps in
-    l.ps.(d - 1) <- l.ctx.lx_pieces.(i);
-    Convex.Dispatch.sweep_solve ?swept:l.ctx.lx_swept.(i) l.sw l.ps ~total:1. l.table idx
+    Convex.Dispatch.sweep_seed l.sw l.ps (d - 1) (built_table l.ctx (d - 1) i) i;
+    Convex.Dispatch.sweep_solve l.sw l.ps ~total:1. l.table idx
   end
 
-(* The cursor lets go of the layer's context and arrays, so a cursor
-   idle between fills keeps no layer alive. *)
-let line_finish l =
-  if l.loaded then Convex.Dispatch.sweep_finish l.sw;
+(* The cursor also lets go of the layer's context and table, so a
+   cursor idle between fills keeps no layer alive, and the context of
+   the layer's pieces: a long-lived context that kept them until the
+   next layer would have them promoted to the major heap. *)
+let line_flush () =
+  let l = Domain.DLS.get line_key in
   if l.misses > 0 then Obs.Counter.add c_rank_misses l.misses;
   l.misses <- 0;
+  Convex.Dispatch.sweep_finish l.sw;
+  Array.iter Convex.Dispatch.table_clear l.ctx.lx_pieces;
   l.ctx <- empty_ctx;
   l.table <- [||];
   l.values <- [||]
@@ -526,18 +606,17 @@ let line_refit l b ~v =
   end;
   !closed
 
-let fill_line ~ctx ~table ~rank0 ~x ~values =
-  let len = Array.length values in
+let fill_line ~ctx ~table ~rank0 =
+  let len = Array.length ctx.lx_axes.(Array.length ctx.lx_axes - 1) in
   let any = ref false in
   for i = 0 to len - 1 do
     if Float.is_nan table.(rank0 + i) then any := true
   done;
   if !any then begin
-    let l = line_start ~ctx ~table ~rank0 ~x ~values in
+    let l = line_start ~ctx ~table ~rank0 in
     for i = 0 to len - 1 do
       if Float.is_nan table.(rank0 + i) then line_cell l i
-    done;
-    line_finish l
+    done
   end
 
 let operating_rank cache ~time ~rank x =

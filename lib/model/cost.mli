@@ -80,52 +80,82 @@ val layer_table : cache -> time:int -> int -> float array
     ranks. *)
 
 type line_ctx
-(** Per-layer invariants of a line fill: the slot's load, each type's
-    cost function, capacity, idle cost and closed-form constants, and
-    the swept axis's dispatch pieces and their solver stats per value
-    index.  Build one with {!line_ctx} per (slot, grid) layer fill and
-    pass it to every line of that layer — it is immutable and safe to
-    share across pool domains.  Purely an amortisation: the cached
-    values equal what a cell would re-derive. *)
+(** The line fills' context over one grid: the grid's axis values, and
+    the invariants of the layer it is aimed at ({!line_layer}), which
+    every line of that layer shares: the slot's load, each type's cost
+    function, capacity, idle cost and closed-form constants, and per
+    axis a table of dispatch pieces by value index with their solver
+    caches ({!Convex.Dispatch.table}).  A piece is built the first time
+    a line of the layer uses it, so a layer builds each (type, count)
+    piece at most once, and cells a fill never computes build none.
+    All storage is sized once, when the context is made; aiming it at a
+    layer overwrites it in place and allocates only the probe constants
+    of each type's cost, and building a piece only that piece.  Purely
+    an amortisation: the values equal what a cell would re-derive.
+    Lines of the aimed layer are filled through the calling domain's
+    {!line} cursor, one domain at a time. *)
 
-val line_ctx : Instance.t -> time:int -> values:int array -> line_ctx
-(** The shared per-layer context for lines sweeping the last axis
-    through [values] at slot [time]. *)
+val line_ctx : axes:int array array -> line_ctx
+(** A context for the grid whose axis [j] takes the values [axes.(j)]
+    (ascending; rank order is row-major, so the last axis is the
+    stride-1 one lines sweep).  Aim it with {!line_layer} before the
+    first line.  Raises [Invalid_argument] when [axes] is empty. *)
+
+val line_layer : line_ctx -> Instance.t -> time:int -> unit
+(** Aim the context at slot [time] of the instance: its load and cost
+    functions; every piece table starts empty.  Raises
+    [Invalid_argument] when the instance's type count is not the
+    grid's dimension. *)
+
+val line_live : line_ctx -> rank0:int -> int
+(** The index of the first cell of the line starting at [rank0] whose
+    capacity covers the aimed layer's load within [1e-9] (0 at zero
+    load), or the line length when none does.  Exactly {!line_cell}'s
+    infeasibility test: capacity grows along a line, so the cells
+    before it are the line's infeasible ones, [+infinity], and the
+    cells from it on are not. *)
 
 type line
 (** A line cursor: one grid line's fill, driven cell by cell.  Lines
     of a slot-[t] operating-cost table are the rank ranges
     [rank0 .. rank0 + |values| - 1] whose configurations share the
     prefix [x.(0 .. d-2)] and take the swept (last) axis's value from
-    [values] (ascending, so capacity grows along the line and the
+    its [values] (ascending, so capacity grows along the line and the
     dispatch solves share one warm-started multiplier sweep,
-    {!Convex.Dispatch.sweep_solve}).  Each domain owns one cursor:
-    finish a line before starting the next on the same domain. *)
+    {!Convex.Dispatch.sweep_solve}).  Each domain owns one cursor and
+    fills one layer at a time: a line ends when the next one starts,
+    and the layer when {!line_flush} runs. *)
 
-val line_start :
-  ctx:line_ctx -> table:float array -> rank0:int -> x:Config.t -> values:int array -> line
-(** Aim the calling domain's cursor at a line of [table]: [x] is read
-    for its prefix (and copied; [x.(d-1)] is ignored), [ctx] is the
-    layer's {!line_ctx} for the same [values].  Builds the line's
-    prefix pieces once and clears the warm bracket. *)
+val line_start : ctx:line_ctx -> table:float array -> rank0:int -> line
+(** Aim the calling domain's cursor at the line of [table] starting at
+    rank [rank0] (a multiple of the last axis's length) of the
+    context's grid, in the layer the context is aimed at.  Seeds the
+    dispatch sweep with the line's prefix pieces from the context's
+    tables and clears the warm bracket. *)
 
 val line_cell : line -> int -> unit
 (** [line_cell l i] computes [g_t] of the line's cell [i] into
     [table.(rank0 + i)].  Cells must be computed in ascending [i]; any
     prefix of a line gets exactly the values (bits and warm chain) the
-    whole line would, so a caller may stop after any cell.  Zero-load,
-    load-independent, infeasible and [d = 1] cells match {!operating}
-    bit for bit.  A dispatch cell allocates nothing, and its value is
-    the cost of a feasible split: the solver stops within its tolerance
-    of the optimal multiplier, and that split can cost more than the
-    optimum (up to 0.6% has been seen with power exponents of 1.1-1.4),
-    but never less, beyond rounding.  So a solved [g_t] is never below
-    a dual bound ({!line_bound}, {!line_refit}), and a proof from such a
-    bound never prunes a state that the solved value would keep. *)
+    whole line would, so a caller may stop after any cell, or start at
+    any cell from {!line_live} on.  Zero-load, load-independent,
+    infeasible and [d = 1] cells match {!operating} bit for bit.  A
+    dispatch cell allocates nothing once its swept piece is built, and
+    its value is the cost of a feasible split: the solver stops within
+    its tolerance of the optimal multiplier, and that split can cost
+    more than the optimum (up to 0.6% has been seen with power
+    exponents of 1.1-1.4), but never less, beyond rounding.  So a
+    solved [g_t] is never below a dual bound ({!line_bound},
+    {!line_refit}), and a proof from such a bound never prunes a state
+    that the solved value would keep. *)
 
-val line_finish : line -> unit
-(** Add the line's work to the counters ([cost.rank_misses], one per
-    computed cell, and the dispatch counters). *)
+val line_flush : unit -> unit
+(** End the calling domain's layer fill: add the work its cursor
+    accumulated over the layer's lines to the counters
+    ([cost.rank_misses], one per computed cell, and the dispatch
+    counters), and release the layer's context, table and built
+    pieces, so an idle cursor keeps no layer alive and the pieces can
+    die young.  A layer fill calls it once, after its last line. *)
 
 type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
 (** A lower bound on [g_t] along a line: [g_t(x) >= icept + slope * v]
@@ -169,15 +199,13 @@ val line_refit : line -> bound -> v:int -> bool
     cover the load, or when an active type's kernel is
     {!Convex.Fn.Generic_kernel}.  Allocates nothing. *)
 
-val fill_line :
-  ctx:line_ctx -> table:float array -> rank0:int -> x:Config.t -> values:int array -> unit
-(** [fill_line ~ctx ~table ~rank0 ~x ~values] computes the [nan] (not
-    yet computed) cells of one line of a slot-[time] operating-cost
-    table [table] — a memo rank table from {!layer_table}, or a
-    caller's own row reset to [nan] — in order, through the calling
-    domain's {!line} cursor.  Lines are disjoint rank ranges, so
-    concurrent calls on different lines (from different domains) are
-    safe. *)
+val fill_line : ctx:line_ctx -> table:float array -> rank0:int -> unit
+(** [fill_line ~ctx ~table ~rank0] computes the [nan] (not yet
+    computed) cells of one line of an operating-cost table [table] of
+    the layer [ctx] is aimed at — a memo rank table from
+    {!layer_table}, or a caller's own row reset to [nan] — in order,
+    through the calling domain's {!line} cursor.  Call {!line_flush}
+    after the layer's last line. *)
 
 val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
 (** Memoised {!operating} through slot [time]'s rank table: returns the

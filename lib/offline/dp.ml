@@ -43,13 +43,22 @@ let frontier_of_sexp sexp =
 let betas inst =
   Array.map (fun st -> st.Model.Server_type.switching_cost) inst.Model.Instance.types
 
-let dense_grids inst time =
+(* One grid per distinct availability vector: a static instance builds
+   one grid for all its slots. *)
+let grids_by_avail build inst =
   let d = Model.Instance.num_types inst in
-  Grid.dense (Array.init d (fun typ -> inst.Model.Instance.avail ~time ~typ))
+  let built = Hashtbl.create 4 in
+  fun time ->
+    let avail = Array.init d (fun typ -> inst.Model.Instance.avail ~time ~typ) in
+    match Hashtbl.find_opt built avail with
+    | Some g -> g
+    | None ->
+        let g = build avail in
+        Hashtbl.add built avail g;
+        g
 
-let approx_grids ~gamma inst time =
-  let d = Model.Instance.num_types inst in
-  Grid.power ~gamma (Array.init d (fun typ -> inst.Model.Instance.avail ~time ~typ))
+let dense_grids inst = grids_by_avail Grid.dense inst
+let approx_grids ~gamma inst = grids_by_avail (Grid.power ~gamma) inst
 
 let state_count inst ~grids =
   let acc = ref 0 in
@@ -62,17 +71,31 @@ let state_count inst ~grids =
    rank.  The fill walks the grid line by line along the last axis
    (stride 1, so each line is a contiguous rank range): within a line
    the configurations differ only in the swept coordinate, so
-   Model.Cost.fill_line builds the dispatch pieces once and warm-starts
-   each cell's multiplier search from the previous cell's bracket.
-   Only [nan] entries are computed. *)
+   Model.Cost.fill_line seeds the dispatch pieces from the layer's
+   tables and warm-starts each cell's multiplier search from the
+   previous cell's bracket.  Only [nan] entries are computed. *)
+let fill_ctx_key : (Grid.t * Model.Cost.line_ctx) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* The calling domain's fill context, kept for the grid it filled last,
+   so a fill of an equal grid allocates no new tables. *)
+let fill_ctx grid =
+  let last = Domain.DLS.get fill_ctx_key in
+  match !last with
+  | Some (g, ctx) when Grid.equal g grid -> ctx
+  | Some _ | None ->
+      let ctx = Model.Cost.line_ctx ~axes:(Array.init (Grid.dim grid) (Grid.axis_values grid)) in
+      last := Some (grid, ctx);
+      ctx
+
 let fill_lines inst grid ~time table =
-  let values = Grid.axis_values grid (Grid.dim grid - 1) in
-  let len = Array.length values in
-  let ctx = Model.Cost.line_ctx inst ~time ~values in
+  let len = Grid.axis_length grid (Grid.dim grid - 1) in
+  let ctx = fill_ctx grid in
+  Model.Cost.line_layer ctx inst ~time;
   for k = 0 to (Grid.size grid / len) - 1 do
-    let rank0 = k * len in
-    Model.Cost.fill_line ~ctx ~table ~rank0 ~x:(Grid.config_scratch grid rank0) ~values
-  done
+    Model.Cost.fill_line ~ctx ~table ~rank0:(k * len)
+  done;
+  Model.Cost.line_flush ()
 
 let fill_row inst grid ~time row =
   if Array.length row <> Grid.size grid then invalid_arg "Dp.fill_row: row size mismatch";
@@ -206,16 +229,19 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         cb ~time (fun () ->
             { next_time = time + 1; layers = Array.init (time + 1) (Layer_store.to_array store) })
   done);
-  (* Terminal: powering everything down is free.  [prev] holds the last
-     layer, filled or resumed. *)
+  (* The reconstruction reads each stored layer through its finite
+     cells, in rank order: a +infinity arrival (a state below the load
+     or dominated) can never be a best predecessor, so it is never
+     decoded. *)
+  let cells = Array.make plane_size 0 and arrivals = Array.create_float plane_size in
+  (* Terminal: powering everything down is free, so the first cheapest
+     state of the last layer (filled or resumed) ends the schedule. *)
   let last_grid = grid_at.(horizon - 1) in
-  let last = !prev in
   let best = ref infinity and best_idx = ref (-1) in
-  for i = 0 to Grid.size last_grid - 1 do
-    let c = Bigarray.Array1.unsafe_get last i in
-    if c < !best then begin
-      best := c;
-      best_idx := i
+  for k = 0 to Layer_store.finite store (horizon - 1) cells arrivals - 1 do
+    if arrivals.(k) < !best then begin
+      best := arrivals.(k);
+      best_idx := cells.(k)
     end
   done;
   if not (Float.is_finite !best) then
@@ -224,30 +250,27 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
      predecessor achieving the arrival cost. *)
   let schedule = Array.make horizon [||] in
   schedule.(horizon - 1) <- Grid.config_at last_grid !best_idx;
-  let layer = !cur in
   (Obs.Span.with_ "dp.reconstruct" @@ fun () ->
   for time = horizon - 1 downto 1 do
     let target = schedule.(time) in
     let grid = grid_at.(time - 1) in
-    Layer_store.expand store (time - 1) layer;
+    let m = Layer_store.finite store (time - 1) cells arrivals in
     (* The candidate totals are independent per state, so the expensive
-       half of the scan fans out; the fuzzy tie-breaking argmin stays a
-       single ordered pass, keeping the chosen predecessor — and hence
-       the schedule — bit-identical to the sequential solve.  Gated on
-       the fan-out the pool will actually deliver: the dense precompute
+       half of the scan fans out over the finite cells; the fuzzy
+       tie-breaking argmin stays a single ordered pass, keeping the
+       chosen predecessor — and hence the schedule — bit-identical to
+       the sequential solve.  Gated on the fan-out the pool will
+       actually deliver and on the cells it would get: the precompute
        trades away the pruned scan's skipped switching-cost
-       evaluations, which only pays off when the domains are real.  A
-       dominated state's +infinity total needs no config decode. *)
+       evaluations, which only pays off when the domains are real and
+       the layer has enough finite cells. *)
     let totals =
-      if width > 1 && Grid.size grid >= Util.Parallel.min_parallel_items then
+      if width > 1 && m >= Util.Parallel.min_parallel_items then
         Some
-          (Util.Parallel.parallel_init ?pool (Grid.size grid) (fun idx ->
-               let arrival = Bigarray.Array1.unsafe_get layer idx in
-               if arrival = infinity then infinity
-               else
-                 arrival
-                 +. Model.Config.switching_cost inst.Model.Instance.types
-                      ~from_:(Grid.config_scratch grid idx) ~to_:target))
+          (Util.Parallel.parallel_init ?pool m (fun k ->
+               arrivals.(k)
+               +. Model.Config.switching_cost inst.Model.Instance.types
+                    ~from_:(Grid.config_scratch grid cells.(k)) ~to_:target))
       else None
     in
     let best = ref infinity and best_x = ref None in
@@ -257,14 +280,14 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
        than the tie fuzz can skip both the config decode and the
        switching-cost evaluation.  Accepted candidates follow the exact
        legacy comparison, so the chosen predecessor is unchanged. *)
-    for idx = 0 to Grid.size grid - 1 do
-      let arrival = Bigarray.Array1.unsafe_get layer idx in
-      let lower = match totals with Some t -> t.(idx) | None -> arrival in
+    for k = 0 to m - 1 do
+      let arrival = arrivals.(k) in
+      let lower = match totals with Some t -> t.(k) | None -> arrival in
       if lower <= !best +. 1e-12 then begin
-        let y = Grid.config_scratch grid idx in
+        let y = Grid.config_scratch grid cells.(k) in
         let total =
           match totals with
-          | Some t -> t.(idx)
+          | Some t -> t.(k)
           | None ->
               arrival
               +. Model.Config.switching_cost inst.Model.Instance.types ~from_:y ~to_:target

@@ -11,9 +11,13 @@
     them.  The backward reconstruction needs every layer; a
     {!Layer_store} keeps each line's finite run of them, so a solve's
     memory is the canonical layers' finite cells plus two dense planes
-    of the largest grid, not [T * |grid|] floats.  The [dp.cells]
-    counter totals the filled layers' cells, [dp.stored_cells] the ones
-    the store keeps. *)
+    of the largest grid, not [T * |grid|] floats, and the
+    reconstruction reads only the stored layers' finite cells
+    ({!Layer_store.finite}).  Slots with equal grids share one
+    {!Forward} context, and the default grids are built once per
+    distinct availability vector.  The [dp.cells] counter totals the
+    filled layers' cells, [dp.stored_cells] the ones the store
+    keeps. *)
 
 type result = {
   schedule : Model.Schedule.t;  (** an optimal (w.r.t. the grids) schedule *)
@@ -50,7 +54,8 @@ val solve :
     configuration, so the result is deterministic.
 
     [pool] fans the ramp transforms (above {!Transform}'s cutoff) and
-    the reconstruction scan's candidate totals out across
+    the reconstruction scan's candidate totals (on layers with at
+    least {!Util.Parallel.min_parallel_items} finite cells) out across
     {!Util.Parallel.width} domains; the forward sweep, nearly all of
     the time, runs on the calling domain.  Results are bit-identical
     to the sequential solve: every parallel section computes the same
@@ -77,10 +82,13 @@ val fill_row : Model.Instance.t -> Grid.t -> time:int -> float array -> unit
     cost [g_time(x)] of every state of [grid], by flat rank.  [row]
     must hold exactly [Grid.size grid] entries; a caller reuses it from
     slot to slot.  The fill walks the grid line by line along the last
-    (stride-1) axis through {!Model.Cost.fill_line}, so each line builds
-    its dispatch pieces once and warm-starts every cell's multiplier
-    search from its predecessor's bracket.  {!Forward.sweep} computes a
-    prefix of each line through the same kernel, with the same bits. *)
+    (stride-1) axis through {!Model.Cost.fill_line}, so each line seeds
+    its dispatch pieces from the layer's tables, built once per
+    (type, count), and warm-starts every cell's multiplier search from
+    its predecessor's bracket.  The calling domain keeps the fill
+    context, and so the tables, for the grid it filled last.
+    {!Forward.sweep} computes a stretch of each line through the same
+    kernel, with the same bits. *)
 
 val fill_layer : Model.Cost.cache -> Grid.t -> time:int -> float array
 (** The memo-backed {!fill_row}: fills the not-yet-computed entries of
@@ -98,10 +106,14 @@ val solve_approx : ?pool:Util.Pool.t -> eps:float -> Model.Instance.t -> result
     Requires [eps > 0]. *)
 
 val dense_grids : Model.Instance.t -> int -> Grid.t
-(** The per-slot dense grid (availability-aware). *)
+(** The per-slot dense grid (availability-aware).  [dense_grids inst]
+    builds one grid per distinct availability vector and returns it for
+    every slot with that vector, so a static instance's slots share one
+    grid ([grid.builds] counts the builds). *)
 
 val approx_grids : gamma:float -> Model.Instance.t -> int -> Grid.t
-(** The per-slot reduced grid [X_j M_{t,j}^gamma]. *)
+(** The per-slot reduced grid [X_j M_{t,j}^gamma], one per distinct
+    availability vector like {!dense_grids}. *)
 
 val state_count : Model.Instance.t -> grids:(int -> Grid.t) -> int
 (** Total number of graph states [sum_t |grid_t|] — the size measure in

@@ -8,22 +8,31 @@
    and x is dominated when A(x) > cand(x) + allowance.  U lives in
    [ops], over each g_t once it is consumed. *)
 
+(* The sweep's smallest arrival, in an all-float record so that it is
+   stored unboxed. *)
+type low = { mutable best : float }
+
 type t = {
   grid : Grid.t;
-  betas : float array;
   ops : float array;  (* per rank: g_t, then U; a sweep writes each cell before reading it *)
   axes : int array array;  (* the grid's axis values *)
-  strides : int array;  (* row-major stride per axis *)
   climbs : float array;  (* climbs.(i): the last axis's power-up cost from value i-1 to i *)
-  pred_off : int array;  (* the current line's earlier-axis predecessors: rank distance, *)
-  pred_climb : float array;  (* and power-up cost from each *)
+  line_np : int array;  (* per line, its earlier-axis predecessors' count; *)
+  pred_off : int array;  (* line k's, from k * (d-1) on: each one's rank distance *)
+  pred_climb : float array;  (* and the power-up cost from it *)
   bound : Model.Cost.bound;
+  ctx : Model.Cost.line_ctx;  (* the line fills' tables, sized for the grid *)
+  low : low;
+  mutable lo : int;  (* the first and last rank holding [low.best] *)
+  mutable hi : int;
   mutable proved : int;  (* this sweep's cells skipped by completed proofs, *)
-  mutable refits : int;  (* and its refits, added to the counters once per sweep *)
+  mutable refits : int;  (* its refits, *)
+  mutable skipped : int;  (* and its cells below the load, added to the counters once per sweep *)
 }
 
 let c_proved = Obs.Counter.make "forward.proved_cells"
 let c_refits = Obs.Counter.make "forward.refits"
+let c_skipped = Obs.Counter.make "forward.skipped_cells"
 
 let create grid ~betas =
   let d = Grid.dim grid in
@@ -39,17 +48,39 @@ let create grid ~betas =
       (fun i v -> if i = 0 then 0. else betas.(d - 1) *. float_of_int (v - last.(i - 1)))
       last
   in
+  let lines = Grid.size grid / Array.length last in
+  let line_np = Array.make lines 0 in
+  let pred_off = Array.make (lines * (d - 1)) 0 in
+  let pred_climb = Array.make (lines * (d - 1)) 0. in
+  for k = 0 to lines - 1 do
+    let rank0 = k * Array.length last and np = ref 0 in
+    for j = 0 to d - 2 do
+      let axis = axes.(j) in
+      let idx = rank0 / strides.(j) mod Array.length axis in
+      if idx > 0 then begin
+        pred_off.((k * (d - 1)) + !np) <- strides.(j);
+        pred_climb.((k * (d - 1)) + !np) <-
+          betas.(j) *. float_of_int (axis.(idx) - axis.(idx - 1));
+        incr np
+      end
+    done;
+    line_np.(k) <- !np
+  done;
   { grid;
-    betas;
     ops = Array.create_float (Grid.size grid);
     axes;
-    strides;
     climbs;
-    pred_off = Array.make d 0;
-    pred_climb = Array.make d 0.;
+    line_np;
+    pred_off;
+    pred_climb;
     bound = { Model.Cost.icept = 0.; slope = 0.; mu = 0. };
+    ctx = Model.Cost.line_ctx ~axes;
+    low = { best = infinity };
+    lo = -1;
+    hi = -1;
     proved = 0;
-    refits = 0 }
+    refits = 0;
+    skipped = 0 }
 
 let grid e = e.grid
 
@@ -58,27 +89,13 @@ let[@inline] allowance c =
   let a = Float.abs c in
   1e-9 *. if a > 1. then a else 1.
 
-(* The earlier-axis predecessors of the line starting at [rank0]; their
-   count. *)
-let line_preds e ~rank0 =
-  let np = ref 0 in
-  for j = 0 to Array.length e.axes - 2 do
-    let axis = e.axes.(j) in
-    let idx = rank0 / e.strides.(j) mod Array.length axis in
-    if idx > 0 then begin
-      e.pred_off.(!np) <- e.strides.(j);
-      e.pred_climb.(!np) <- e.betas.(j) *. float_of_int (axis.(idx) - axis.(idx - 1));
-      incr np
-    end
-  done;
-  !np
-
-(* cand of cell [i] (rank [r]) of the current line, written to
-   [ops.(r)]: the lower ranks there already hold U. *)
-let set_cand e ~np ~r ~i =
+(* cand of cell [i] (rank [r]) of the line whose [np] earlier-axis
+   predecessors start at [pb] of [pred_off], written to [ops.(r)]: the
+   lower ranks there already hold U. *)
+let set_cand e ~pb ~np ~r ~i =
   let ops = e.ops in
   let c = ref (if i > 0 then ops.(r - 1) +. e.climbs.(i) else infinity) in
-  for m = 0 to np - 1 do
+  for m = pb to pb + np - 1 do
     let v = ops.(r - e.pred_off.(m)) +. e.pred_climb.(m) in
     if v < !c then c := v
   done;
@@ -87,13 +104,24 @@ let set_cand e ~np ~r ~i =
 (* Consume g_t(r) from [ops]: write U(r) over it and the canonical
    arrival over R(r), at [off + r] of [p].  Returns whether the state
    is dominated. *)
-let sweep_cell e (p : Plane.t) ~off ~np ~r ~i =
+let sweep_cell e (p : Plane.t) ~off ~pb ~np ~r ~i =
   let a = Bigarray.Array1.unsafe_get p (off + r) +. e.ops.(r) in
-  set_cand e ~np ~r ~i;
+  set_cand e ~pb ~np ~r ~i;
   let c = e.ops.(r) in
   if a < c then e.ops.(r) <- a;
   let dominated = a > c +. allowance c in
-  Bigarray.Array1.unsafe_set p (off + r) (if dominated then infinity else a);
+  if dominated then Bigarray.Array1.unsafe_set p (off + r) infinity
+  else begin
+    Bigarray.Array1.unsafe_set p (off + r) a;
+    (* The ranks run in lexicographic order: keep the first and the
+       last holding the smallest arrival. *)
+    if a < e.low.best then begin
+      e.low.best <- a;
+      e.lo <- r;
+      e.hi <- r
+    end
+    else if a = e.low.best then e.hi <- r
+  end;
   dominated
 
 (* Refits per proof: each is [Model.Cost.line_refit]'s few Newton
@@ -108,14 +136,14 @@ let max_refits = 16
    that cell's own multiplier and carry the new bound on along the line.
    Returns the first cell that fails after its refit, or the line length
    when every remaining cell is proved. *)
-let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
+let prove e line (p : Plane.t) ~off ~pb ~np ~rank0 ~from =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
   let b = e.bound in
   let q = ref from and proved = ref true and refits = ref 0 in
   while !proved && !q < len do
     let r = rank0 + !q in
-    set_cand e ~np ~r ~i:!q;
+    set_cand e ~pb ~np ~r ~i:!q;
     let c = e.ops.(r) in
     let v = values.(!q) in
     let ar = Bigarray.Array1.unsafe_get p (off + r) in
@@ -132,51 +160,71 @@ let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
   !q
 
 (* The fill: each line's cells are computed through a [Model.Cost]
-   cursor and swept as they come.  After a dominated cell, the line's
-   dual bound may prove every remaining cell dominated, and the line
-   stops there: the solved cells are a prefix of the line with its warm
-   chain, so each solved g_t has [Dp.fill_row]'s bits.  After a failed
-   proof, none restarts before the sweep reaches the failing cell, which
-   keeps proof work linear in the line length. *)
+   cursor and swept as they come.  A line starts at its first cell
+   whose capacity covers the load ([Model.Cost.line_live]): below it
+   g_t is +infinity, and so is U, since every predecessor of such a
+   cell is below the load too, so those cells are written without a
+   cell call and a line wholly below the load sets nothing up.  After a
+   dominated cell, the line's dual bound may prove every remaining cell
+   dominated, and the line stops there: the solved cells are a prefix
+   of the line's live cells with its warm chain, so each solved g_t has
+   [Dp.fill_row]'s bits.  After a failed proof, none restarts before
+   the sweep reaches the failing cell, which keeps proof work linear in
+   the line length. *)
 let sweep e inst ~time (p : Plane.t) ~off =
   let n = Grid.size e.grid in
   if off < 0 || off + n > Plane.length p then
     invalid_arg "Forward.sweep: segment out of range";
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
-  let ctx = Model.Cost.line_ctx inst ~time ~values in
+  let ctx = e.ctx in
+  Model.Cost.line_layer ctx inst ~time;
+  e.low.best <- infinity;
+  e.lo <- -1;
+  e.hi <- -1;
   for k = 0 to (n / len) - 1 do
     let rank0 = k * len in
-    let np = line_preds e ~rank0 in
-    let line =
-      Model.Cost.line_start ~ctx ~table:e.ops ~rank0 ~x:(Grid.config_scratch e.grid rank0)
-        ~values
-    in
-    let i = ref 0 and next_proof = ref 0 in
-    while !i < len do
-      Model.Cost.line_cell line !i;
-      if
-        sweep_cell e p ~off ~np ~r:(rank0 + !i) ~i:!i
-        && !i >= !next_proof
-        && !i < len - 1
-      then
-        if not (Model.Cost.line_bound line e.bound) then next_proof := len
-        else begin
-          let q = prove e line p ~off ~np ~rank0 ~from:(!i + 1) in
-          if q < len then next_proof := q
-          else begin
-            e.proved <- e.proved + (len - 1 - !i);
-            for c = !i + 1 to len - 1 do
-              Bigarray.Array1.unsafe_set p (off + rank0 + c) infinity
-            done;
-            i := len
-          end
-        end;
-      incr i
+    let live = Model.Cost.line_live ctx ~rank0 in
+    for c = rank0 to rank0 + live - 1 do
+      Bigarray.Array1.unsafe_set p (off + c) infinity;
+      e.ops.(c) <- infinity
     done;
-    Model.Cost.line_finish line
+    e.skipped <- e.skipped + live;
+    if live < len then begin
+      let pb = k * (Array.length e.axes - 1) and np = e.line_np.(k) in
+      let line = Model.Cost.line_start ~ctx ~table:e.ops ~rank0 in
+      let i = ref live and next_proof = ref 0 in
+      while !i < len do
+        Model.Cost.line_cell line !i;
+        if
+          sweep_cell e p ~off ~pb ~np ~r:(rank0 + !i) ~i:!i
+          && !i >= !next_proof
+          && !i < len - 1
+        then
+          if not (Model.Cost.line_bound line e.bound) then next_proof := len
+          else begin
+            let q = prove e line p ~off ~pb ~np ~rank0 ~from:(!i + 1) in
+            if q < len then next_proof := q
+            else begin
+              e.proved <- e.proved + (len - 1 - !i);
+              for c = !i + 1 to len - 1 do
+                Bigarray.Array1.unsafe_set p (off + rank0 + c) infinity
+              done;
+              i := len
+            end
+          end;
+        incr i
+      done
+    end
   done;
+  Model.Cost.line_flush ();
   Obs.Counter.add c_proved e.proved;
   Obs.Counter.add c_refits e.refits;
+  Obs.Counter.add c_skipped e.skipped;
   e.proved <- 0;
-  e.refits <- 0
+  e.refits <- 0;
+  e.skipped <- 0
+
+let min_cost e = e.low.best
+let argmin e = e.lo
+let argmin_last e = e.hi

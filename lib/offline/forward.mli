@@ -10,11 +10,16 @@
     (beyond a 1e-9 relative allowance).  Such a state is on no optimal
     path and never an optimal last configuration, so every ramp, argmin
     and reconstruction over canonical layers is bit-identical to one
-    over full layers.  The sweep stops a grid line's fill once a
-    weak-duality bound proves the rest of it dominated, so it solves the
-    dispatch problem (eq. (1)) only where a prefix can still use it;
-    each [g_t] it computes has {!Dp.fill_row}'s bits.  It runs on the
-    calling domain.
+    over full layers.  The sweep starts each grid line at its first
+    state whose capacity covers the slot's load ({!Model.Cost.line_live}),
+    writing +infinity below it without computing anything, and stops a
+    line's fill once a weak-duality bound proves the rest of it
+    dominated, so it solves the dispatch problem (eq. (1)) only where a
+    prefix can still use it; each [g_t] it computes has {!Dp.fill_row}'s
+    bits.  It runs on the calling domain, through a
+    {!Model.Cost.line_ctx} that the context keeps for its grid, so a
+    layer builds each dispatch piece it uses once and allocates nothing
+    else per line.
 
     {b Proofs.}  After a dominated cell, a proof walks the rest of the
     line with the bound [g_t >= icept + slope * v] of
@@ -33,12 +38,18 @@
     bit-identical to a full solve's.  A line with an active type whose
     kernel has no closed-form Newton step keeps the single-multiplier
     proof, and no proof restarts before the sweep reaches the cell
-    where the last one failed.  The [forward.proved_cells] and
-    [forward.refits] counters total the cells that completed proofs
-    skipped and the refits, once per sweep. *)
+    where the last one failed.
+
+    {b Counters.}  Every cell of a layer is either computed
+    ([cost.rank_misses]), skipped by a completed proof
+    ([forward.proved_cells]) or skipped below the load
+    ([forward.skipped_cells]).  These, [forward.refits] and the dispatch
+    counters are added once per sweep. *)
 
 type t
-(** A sweep context over one grid, with a scratch row of its size. *)
+(** A sweep context over one grid: a scratch row of its size, each
+    line's predecessors, and the line fills' context with its piece
+    tables, all sized once when the context is made. *)
 
 val create : Grid.t -> betas:float array -> t
 (** [betas.(j)] is axis [j]'s per-unit power-up cost.  Raises
@@ -50,4 +61,18 @@ val sweep : t -> Model.Instance.t -> time:int -> Plane.t -> off:int -> unit
 (** [sweep e inst ~time p ~off] makes the ramped layer R in the segment
     [\[off, off + Grid.size (grid e))] of [p] slot [time]'s canonical
     layer, in place; [inst] supplies the slot's load and cost functions.
-    Raises [Invalid_argument] when the segment is out of range. *)
+    Raises [Invalid_argument] when the segment is out of range.  It
+    also records the layer's smallest arrival cost and the first and
+    last ranks holding it ({!min_cost}, {!argmin}, {!argmin_last}). *)
+
+val min_cost : t -> float
+(** The last sweep's smallest arrival cost; +infinity when every state
+    is infeasible. *)
+
+val argmin : t -> int
+(** The smallest rank holding {!min_cost} after the last sweep: rank
+    order is lexicographic, so this is the lexicographically smallest
+    cheapest state.  Meaningful only when {!min_cost} is finite. *)
+
+val argmin_last : t -> int
+(** The largest rank holding {!min_cost}, likewise. *)

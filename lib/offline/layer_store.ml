@@ -120,14 +120,21 @@ let iter_runs s t f =
     end
   done
 
-let expand s t (p : Plane.t) =
+let finite s t cells values =
   let size = size s t in
-  if size > Plane.length p then invalid_arg "Layer_store.expand: plane too small";
-  Plane.fill_range p ~off:0 ~len:size infinity;
+  if Array.length cells < size || Array.length values < size then
+    invalid_arg "Layer_store.finite: arrays too small";
+  let m = ref 0 in
   iter_runs s t (fun ~dst ~pos ~len ->
       for c = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set p (dst + c) (value s (pos + c))
-      done)
+        let v = value s (pos + c) in
+        if v < infinity then begin
+          Array.unsafe_set cells !m (dst + c);
+          Array.unsafe_set values !m v;
+          incr m
+        end
+      done);
+  !m
 
 let to_array s t =
   let a = Array.make (size s t) infinity in

@@ -22,10 +22,14 @@ val append : t -> Plane.t -> size:int -> line:int -> int
     unless [line >= 1] divides [size] and [p] holds at least [size]
     cells. *)
 
-val expand : t -> int -> Plane.t -> unit
-(** [expand s t p] writes layer [t] (counted from 0 in append order)
-    into the first cells of [p]: its runs, +infinity elsewhere.  Raises
-    [Invalid_argument] when there is no layer [t] or [p] is too small. *)
+val finite : t -> int -> int array -> float array -> int
+(** [finite s t cells values] is a view of layer [t] (counted from 0 in
+    append order) through its runs: it writes the rank of each of the
+    layer's finite cells, in ascending order, into [cells] and its value
+    into [values], and returns their count.  No cell outside a run is
+    visited, and no +infinity is written.  Raises [Invalid_argument]
+    when there is no layer [t], or when either array is shorter than
+    the layer. *)
 
 val to_array : t -> int -> float array
-(** Layer [t] as a fresh float array, the values {!expand} writes. *)
+(** Layer [t] as a fresh float array: its runs, +infinity elsewhere. *)

@@ -38,38 +38,50 @@ let for_lines ?pool ~line_len ~n_lines f =
   let min_lines = 1 + ((ramp_min_items - 1) / max 1 line_len) in
   Util.Parallel.parallel_for ?pool ~min_items:min_lines ~n:n_lines f
 
-(* In-place 1-D pass on one strided line:
-   [p(i) <- min_y p(y) + beta * (values(i) - values(y))^+]. *)
-let ramp_line_strided_p ~beta ~values (p : Plane.t) ~offset ~stride =
+(* In-place pass along one axis over a block of rows: row [i] holds
+   the [width] cells from [base + i * stride], one per line of the
+   block, and every line gets
+   [p(i) <- min_y p(y) + beta * (values(i) - values(y))^+].  Row by row,
+   the climb is computed once per row and the inner loops run over
+   contiguous cells; each line still sees its own forward climb, then
+   its backward descent, so the bits are a per-line pass's.  Below the
+   block's first row with a finite cell every climb stays +infinity, so
+   the climb starts there.  With [ops] (the stride-1 last axis, so
+   [width = 1]), the finished line gets the row [ops] from [rank]. *)
+let rec all_inf (p : Plane.t) c width =
+  width = 0 || (Bigarray.Array1.unsafe_get p c = infinity && all_inf p (c + 1) (width - 1))
+
+let ramp_rows ~beta ~values ?ops (p : Plane.t) ~base ~stride ~width ~rank =
   let n = Array.length values in
-  (* Forward: reach i from below, paying beta per unit climbed.  Below
-     the line's first finite cell every climb stays +infinity, so the
-     climb starts there. *)
   let first = ref 0 in
-  while !first < n - 1 && Bigarray.Array1.unsafe_get p (offset + (!first * stride)) = infinity do
+  while !first < n - 1 && all_inf p (base + (!first * stride)) width do
     incr first
   done;
+  (* Forward: reach i from below, paying beta per unit climbed. *)
   for i = !first + 1 to n - 1 do
     let climb = beta *. float_of_int (values.(i) - values.(i - 1)) in
-    let prev = Bigarray.Array1.unsafe_get p (offset + ((i - 1) * stride)) in
-    let cur = offset + (i * stride) in
-    if prev +. climb < Bigarray.Array1.unsafe_get p cur then
-      Bigarray.Array1.unsafe_set p cur (prev +. climb)
+    let row = base + (i * stride) in
+    for c = row to row + width - 1 do
+      let prev = Bigarray.Array1.unsafe_get p (c - stride) in
+      if prev +. climb < Bigarray.Array1.unsafe_get p c then
+        Bigarray.Array1.unsafe_set p c (prev +. climb)
+    done
   done;
   (* Backward: reach i from above for free. *)
   for i = n - 2 downto 0 do
-    let nxt = Bigarray.Array1.unsafe_get p (offset + ((i + 1) * stride)) in
-    let cur = offset + (i * stride) in
-    if nxt < Bigarray.Array1.unsafe_get p cur then Bigarray.Array1.unsafe_set p cur nxt
-  done
-
-(* Contiguous (stride-1) last-axis pass with the fused rank-table add. *)
-let ramp_line_last_p ~beta ~values ~ops (p : Plane.t) ~offset ~rank0 =
-  ramp_line_strided_p ~beta ~values p ~offset ~stride:1;
-  for i = 0 to Array.length values - 1 do
-    Bigarray.Array1.unsafe_set p (offset + i)
-      (Bigarray.Array1.unsafe_get p (offset + i) +. Array.unsafe_get ops (rank0 + i))
-  done
+    let row = base + (i * stride) in
+    for c = row to row + width - 1 do
+      let nxt = Bigarray.Array1.unsafe_get p (c + stride) in
+      if nxt < Bigarray.Array1.unsafe_get p c then Bigarray.Array1.unsafe_set p c nxt
+    done
+  done;
+  match ops with
+  | None -> ()
+  | Some ops ->
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set p (base + i)
+          (Bigarray.Array1.unsafe_get p (base + i) +. Array.unsafe_get ops (rank + i))
+      done
 
 (* 1-D pass across two sorted axes, from the [src] line at [soff] to the
    [dst] line at [doff]:
@@ -120,22 +132,29 @@ let ramp_grid_plane ?pool ?ops ~grid ~betas (p : Plane.t) ~off =
   let size = Grid.size grid in
   check_segment "Transform.ramp_grid_plane: segment out of range" p ~off ~size;
   check_ops "Transform.ramp_grid_plane: ops size mismatch" ops ~size;
-  let lengths = Array.init d (Grid.axis_length grid) in
+  let stride = ref size in
   for j = 0 to d - 1 do
     let values = Grid.axis_values grid j in
-    let n = lengths.(j) in
-    let stride = stride_of lengths j in
-    let block = stride * n in
-    let n_lines = size / max 1 n in
-    let beta = betas.(j) in
-    let run k =
-      match ops with
-      | Some ops when j = d - 1 ->
-          ramp_line_last_p ~beta ~values ~ops p ~offset:(off + (k * n)) ~rank0:(k * n)
-      | Some _ | None ->
-          ramp_line_strided_p ~beta ~values p ~offset:(off + line_offset ~block ~stride k) ~stride
-    in
-    for_lines ?pool ~line_len:n ~n_lines run
+    let n = Array.length values in
+    let block = !stride in
+    stride := block / n;
+    let stride = !stride and beta = betas.(j) in
+    let ops = if j = d - 1 then ops else None in
+    let n_lines = size / n in
+    if Util.Parallel.width pool > 1 && n_lines * n >= ramp_min_items then
+      (* One line per item, as [line_offset] addresses them, on a slab
+         big enough to pay for the fan-out. *)
+      for_lines ?pool ~line_len:n ~n_lines (fun k ->
+          let base = off + line_offset ~block ~stride k in
+          ramp_rows ~beta ~values ?ops p ~base ~stride ~width:1 ~rank:(base - off))
+    else if stride = 1 then
+      for k = 0 to n_lines - 1 do
+        ramp_rows ~beta ~values ?ops p ~base:(off + (k * n)) ~stride ~width:1 ~rank:(k * n)
+      done
+    else
+      for b = 0 to (size / block) - 1 do
+        ramp_rows ~beta ~values p ~base:(off + (b * block)) ~stride ~width:stride ~rank:0
+      done
   done
 
 let ramp_across_plane ?pool ?ops ~src_grid ~dst_grid ~betas

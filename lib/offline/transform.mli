@@ -16,9 +16,14 @@
     Both transforms work on {!Plane.t} segments holding a flat
     state-cost array over a grid in flat-index order.  The scans assume
     strictly increasing axes; {!Grid.make} rejects any other axis, so
-    every grid satisfies it.  A line's upward climb starts at its first
-    finite cell: below it every climb is +infinity anyway, and a
-    canonical layer ({!Forward}) is mostly +infinity.
+    every grid satisfies it.  {!ramp_grid_plane} runs a strided axis
+    row by row over each block of lines, so its inner loops are
+    contiguous and each row's climb is computed once; every element
+    gets the per-line scan's arithmetic, so the bits are the same.  A
+    block's upward climb starts at its first row with a finite cell
+    (a stride-1 line's first finite cell): below it every climb is
+    +infinity anyway, and a canonical layer ({!Forward}) is mostly
+    +infinity.
 
     An optional [ops] row, indexed by the result grid's rank, is added
     elementwise during the final (contiguous, stride-1) axis pass;

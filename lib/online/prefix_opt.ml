@@ -97,20 +97,11 @@ let step e =
   Offline.Transform.ramp_grid_plane ~grid:e.grid ~betas:e.betas e.arrival ~off:0;
   Offline.Forward.sweep e.forward e.inst ~time e.arrival ~off:0;
   e.clock <- time + 1;
-  (* Flat-index order is lexicographic, so the first strict minimum is the
-     lexicographically smallest optimal last configuration. *)
-  let best = ref infinity and lo = ref (-1) and hi = ref (-1) in
-  for idx = 0 to n - 1 do
-    let c = Bigarray.Array1.unsafe_get e.arrival idx in
-    if c < !best then begin
-      best := c;
-      lo := idx;
-      hi := idx
-    end
-    else if c = !best then hi := idx
-  done;
-  if not (Float.is_finite !best) then
+  (* The sweep kept the first and last ranks of the smallest cost; rank
+     order is lexicographic. *)
+  let best = Offline.Forward.min_cost e.forward in
+  if not (Float.is_finite best) then
     invalid_arg "Prefix_opt.step: no feasible schedule for this prefix";
-  { last = Offline.Grid.config_at e.grid !lo;
-    last_hi = Offline.Grid.config_at e.grid !hi;
-    prefix_cost = !best }
+  { last = Offline.Grid.config_at e.grid (Offline.Forward.argmin e.forward);
+    last_hi = Offline.Grid.config_at e.grid (Offline.Forward.argmin_last e.forward);
+    prefix_cost = best }

@@ -290,8 +290,9 @@ let test_ramp_without_ops () =
 
 (* Every layer comes back bit for bit: an all-+infinity line stores
    nothing, an all-finite line (with a negative zero and a subnormal)
-   stores every cell, and a run keeps its interior +infinity.  A large
-   layer's runs cross the store's chunk boundaries. *)
+   stores every cell, and a run keeps its interior +infinity, which the
+   finite-cell view skips.  A large layer's runs cross the store's chunk
+   boundaries. *)
 let test_layer_store_round_trip () =
   let inf = infinity in
   let small =
@@ -316,10 +317,15 @@ let test_layer_store_round_trip () =
       let name = Printf.sprintf "layer %d" t in
       Alcotest.(check (array int64)) (name ^ " to_array") (bits layer)
         (bits (Offline.Layer_store.to_array store t));
-      let p = plane_of (Array.make (Array.length layer + 3) 0.) in
-      Offline.Layer_store.expand store t p;
-      Alcotest.(check (array int64)) (name ^ " expand") (bits layer)
-        (bits (Offline.Plane.to_array p ~off:0 ~len:(Array.length layer))))
+      let size = Array.length layer in
+      let cells = Array.make size (-1) and values = Array.make size nan in
+      let m = Offline.Layer_store.finite store t cells values in
+      let finite = List.filter (fun i -> layer.(i) < infinity) (List.init size Fun.id) in
+      Alcotest.(check (list int)) (name ^ " finite ranks") finite
+        (Array.to_list (Array.sub cells 0 m));
+      Alcotest.(check (array int64)) (name ^ " finite values")
+        (bits (Array.of_list (List.map (Array.get layer) finite)))
+        (bits (Array.sub values 0 m)))
     [ small; other; big ];
   Alcotest.check_raises "no such layer" (Invalid_argument "Layer_store: no such layer")
     (fun () -> ignore (Offline.Layer_store.to_array store 3));
@@ -532,9 +538,11 @@ let schedule_digest sched =
    multiplier per proof 5,645), and on three-tier T=1536 (d=3) 90,803
    (one multiplier per proof 122,588).  Work counts repeat exactly, so
    they pin the saving with no timing noise.  Every cell of a layer is
-   either computed ([cost.rank_misses]) or skipped by a completed proof
-   ([forward.proved_cells]).  Cost and schedule keep the bits the full
-   fill's solve produced. *)
+   computed ([cost.rank_misses]), skipped by a completed proof
+   ([forward.proved_cells]) or skipped below the load
+   ([forward.skipped_cells]); on large-fleet every computed cell is a
+   dispatch solve.  Cost and schedule keep the bits the full fill's
+   solve produced. *)
 let test_dp_forward_work () =
   let calls () = counter_value "dispatch.calls" in
   let solve inst =
@@ -547,13 +555,17 @@ let test_dp_forward_work () =
   let inst = Sim.Scenarios.large_fleet ~horizon () in
   let cells_before = counter_value "cost.rank_misses"
   and proved_before = counter_value "forward.proved_cells"
+  and skipped_before = counter_value "forward.skipped_cells"
   and refits_before = counter_value "forward.refits" in
   let solves, cost, digest = solve inst in
   let counted = counter_value "cost.rank_misses" - cells_before
-  and proved = counter_value "forward.proved_cells" - proved_before in
-  checki "every cell computed or proved"
+  and proved = counter_value "forward.proved_cells" - proved_before
+  and skipped = counter_value "forward.skipped_cells" - skipped_before in
+  checki "every cell computed, proved or skipped"
     (horizon * Offline.Grid.size (Offline.Dp.dense_grids inst 0))
-    (counted + proved);
+    (counted + proved + skipped);
+  checki "cells below the load" 161_269 skipped;
+  checki "computed cells" solves counted;
   checkb "refits ran" true (counter_value "forward.refits" > refits_before);
   let types = inst.Model.Instance.types in
   let fns = Array.mapi (fun typ _ -> inst.Model.Instance.cost ~time:0 ~typ) types in
@@ -615,12 +627,13 @@ let test_refit_allocates_nothing () =
   let grid = Offline.Dp.dense_grids inst time in
   let values = Offline.Grid.axis_values grid (Offline.Grid.dim grid - 1) in
   let len = Array.length values in
-  let ctx = Model.Cost.line_ctx inst ~time ~values in
+  let ctx =
+    Model.Cost.line_ctx ~axes:(Array.init (Offline.Grid.dim grid) (Offline.Grid.axis_values grid))
+  in
+  Model.Cost.line_layer ctx inst ~time;
   let table = Array.make (Offline.Grid.size grid) nan in
   let rank0 = 30 * len in
-  let line =
-    Model.Cost.line_start ~ctx ~table ~rank0 ~x:(Offline.Grid.config_at grid rank0) ~values
-  in
+  let line = Model.Cost.line_start ~ctx ~table ~rank0 in
   for i = 0 to len / 2 do
     Model.Cost.line_cell line i
   done;
@@ -646,7 +659,7 @@ let test_refit_allocates_nothing () =
   let once = refits 1 in
   checkf 0. "words of two rounds = words of one" once (refits 2);
   checkb "refits ran" true (!ran > 0);
-  Model.Cost.line_finish line
+  Model.Cost.line_flush ()
 
 (* Only a loss by more than the allowance prunes a state; a tie with a
    state below it does not.  At zero load and zero cost every state of
@@ -676,6 +689,74 @@ let test_forward_ties_stay () =
     Alcotest.(check (array int)) "last" [| 0; 0 |] step.Online.Prefix_opt.last;
     Alcotest.(check (array int)) "last_hi" [| 3; 2 |] step.Online.Prefix_opt.last_hi
   done
+
+(* The online engine's argmins come from the sweep, not from a scan of
+   its plane; they must be a full-plane scan's first and last cheapest
+   states.  With free power-ups and zero costs every state that covers
+   the load ties at 0.  A positive load leaves the states below it at
+   +infinity, skipped by the sweep, so the ties start after skipped
+   cells; the zero load leaves none. *)
+let test_prefix_argmin_is_scan () =
+  let types =
+    [| st ~count:3 ~switching_cost:0. ~cap:1. (); st ~count:2 ~switching_cost:0. ~cap:2. () |]
+  in
+  let fns = [| Convex.Fn.const 0.; Convex.Fn.const 0. |] in
+  let load = [| 2.5; 0.; 4.; 5.5 |] in
+  let inst = Model.Instance.make_static ~types ~load ~fns () in
+  let grid = Offline.Grid.dense (Model.Instance.counts inst) in
+  let engine = Online.Prefix_opt.create inst in
+  Array.iteri
+    (fun time _ ->
+      let step = Online.Prefix_opt.step engine in
+      let plane =
+        match Online.Prefix_opt.save engine with
+        | Util.Sexp.List (_ :: fields) -> (
+            match Util.Snapshot.floats_of_field fields "arrival" with
+            | Ok a -> a
+            | Error m -> Alcotest.fail m)
+        | Util.Sexp.Atom _ | Util.Sexp.List [] -> Alcotest.fail "prefix-opt payload"
+      in
+      let best = Array.fold_left Float.min infinity plane in
+      let lo = ref (-1) and hi = ref (-1) in
+      Array.iteri
+        (fun i c ->
+          if c = best then begin
+            if !lo < 0 then lo := i;
+            hi := i
+          end)
+        plane;
+      let name = Printf.sprintf "slot %d" time in
+      checkb (name ^ ": ties") true (!lo < !hi);
+      Alcotest.(check (array int)) (name ^ " last") (Offline.Grid.config_at grid !lo)
+        step.Online.Prefix_opt.last;
+      Alcotest.(check (array int)) (name ^ " last_hi") (Offline.Grid.config_at grid !hi)
+        step.Online.Prefix_opt.last_hi;
+      checkf 0. (name ^ " prefix cost") best step.Online.Prefix_opt.prefix_cost)
+    load
+
+(* A grid is built once per distinct availability vector: once for a
+   static instance's whole horizon, exact or reduced, and once per
+   distinct window on maintenance, whose fleet shrinks during upkeep. *)
+let test_static_grid_built_once () =
+  let builds () = counter_value "grid.builds" in
+  let count f =
+    let before = builds () in
+    f ();
+    builds () - before
+  in
+  let inst = Sim.Scenarios.large_fleet ~horizon:48 () in
+  checki "exact solve" 1 (count (fun () -> ignore (Offline.Dp.solve inst)));
+  checki "(1+eps) solve" 1 (count (fun () -> ignore (Offline.Dp.solve_approx ~eps:0.25 inst)));
+  let m = Sim.Scenarios.maintenance () in
+  let d = Model.Instance.num_types m in
+  let distinct =
+    List.sort_uniq compare
+      (List.init (Model.Instance.horizon m) (fun time ->
+           Array.init d (fun typ -> m.Model.Instance.avail ~time ~typ)))
+  in
+  checkb "maintenance varies" true (List.length distinct > 1);
+  checki "maintenance solve" (List.length distinct)
+    (count (fun () -> ignore (Offline.Dp.solve m)))
 
 (* --- Approximation (Theorems 16 / 21) --- *)
 
@@ -849,6 +930,9 @@ let () =
             test_dp_forward_work;
           Alcotest.test_case "stored cells = finite cells" `Quick test_dp_stored_cells;
           Alcotest.test_case "tied states are not pruned" `Quick test_forward_ties_stay;
+          Alcotest.test_case "online argmins = full-plane scan" `Quick test_prefix_argmin_is_scan;
+          Alcotest.test_case "one grid per availability vector" `Quick
+            test_static_grid_built_once;
           Alcotest.test_case "refits allocate nothing" `Quick test_refit_allocates_nothing
         ] );
       ( "approx",

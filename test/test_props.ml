@@ -539,6 +539,39 @@ let canonical_plane grid ~betas a =
       if ar > !cand +. (1e-9 *. Float.max 1. (Float.abs !cand)) then infinity else ar)
     a
 
+(* The plane property's instances: [tiny_instance]'s (one or two types),
+   where a slot's load is sometimes zero or the slot's capacity to
+   within [Cost.cap_eps] (just above it, feasible only through that
+   tolerance), and a third of them size-varying (Section 4.3): each
+   slot makes a random number of each type's servers available, so the
+   grids change from slot to slot. *)
+let layer_instance rng =
+  let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
+  let types = inst.Model.Instance.types in
+  let horizon = Model.Instance.horizon inst in
+  let avail =
+    if Util.Prng.int rng 3 > 0 then None
+    else begin
+      let a =
+        Array.init horizon (fun _ ->
+            Array.map (fun st -> Util.Prng.int rng (st.Model.Server_type.count + 1)) types)
+      in
+      Some (fun ~time ~typ -> a.(time).(typ))
+    end
+  in
+  let make load = Model.Instance.make ?avail ~types ~load ~cost:inst.Model.Instance.cost () in
+  let sized = make inst.Model.Instance.load in
+  make
+    (Array.mapi
+       (fun time l ->
+         match Util.Prng.int rng 6 with
+         | 0 -> 0.
+         | 1 ->
+             Float.max 0.
+               (Model.Instance.capacity_at sized ~time +. Util.Prng.float rng 2e-9 -. 1e-9)
+         | _ -> l)
+       inst.Model.Instance.load)
+
 (* The Bigarray plane arena against two references built from the same
    per-slot grids.  The brute-force reference builds every arrival layer
    from the ramp's definition ([brute_ramp], the minimum over every
@@ -551,26 +584,29 @@ let canonical_plane grid ~betas a =
    previous layer.  Each engine layer must be the [canonical_plane] of
    the kernel layer bit for bit, and the two must ramp to the same bits.
    The grids are dense, a random sub-grid per slot, or a power grid of
-   random ratio per slot; the latter two exercise the cross-grid
-   [ramp_across_plane] ping-pong path.  The final frontier also
-   round-trips through the sexp codec bit-exactly. *)
+   random ratio per slot, over each slot's available servers; the
+   latter two, and dense grids of size-varying instances
+   ([layer_instance]), exercise the cross-grid [ramp_across_plane]
+   ping-pong path.  Zero loads make every state live, and loads at the
+   capacity leave one or a few states above it.  The final frontier
+   also round-trips through the sexp codec bit-exactly. *)
 let prop_plane_engine_matches_reference seed =
   let rng = Util.Prng.create seed in
-  let inst = tiny_instance rng ~dynamic:(Util.Prng.bool rng) in
+  let inst = layer_instance rng in
   let instf = Model.Instance.fold_switching inst in
   let horizon = Model.Instance.horizon instf in
   let d = Model.Instance.num_types instf in
-  let counts = Model.Instance.counts instf in
+  let counts time = Array.init d (fun typ -> instf.Model.Instance.avail ~time ~typ) in
   let betas =
     Array.map (fun st -> st.Model.Server_type.switching_cost) instf.Model.Instance.types
   in
   let grids =
     match Util.Prng.int rng 3 with
     | 0 -> Array.init horizon (Offline.Dp.dense_grids instf)
-    | 1 -> Array.init horizon (fun _ -> random_subgrid rng counts)
+    | 1 -> Array.init horizon (fun time -> random_subgrid rng (counts time))
     | _ ->
-        Array.init horizon (fun _ ->
-            Offline.Grid.power ~gamma:(1.3 +. Util.Prng.float rng 1.7) counts)
+        Array.init horizon (fun time ->
+            Offline.Grid.power ~gamma:(1.3 +. Util.Prng.float rng 1.7) (counts time))
   in
   let zero = Model.Config.zero d in
   let brute = Array.make horizon [||] and kernel = Array.make horizon [||] in
@@ -760,13 +796,12 @@ let prop_refit_bound_sound seed =
           [ cold.(rank0 + q); row.(rank0 + q) ]
       done
     in
-    let ctx = Model.Cost.line_ctx inst ~time ~values in
+    let ctx = Model.Cost.line_ctx ~axes:(Array.init d (Offline.Grid.axis_values grid)) in
+    Model.Cost.line_layer ctx inst ~time;
     let table = Array.make n nan in
     for k = 0 to (n / len) - 1 do
       let rank0 = k * len in
-      let line =
-        Model.Cost.line_start ~ctx ~table ~rank0 ~x:(Offline.Grid.config_at grid rank0) ~values
-      in
+      let line = Model.Cost.line_start ~ctx ~table ~rank0 in
       let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
       for i = 0 to len - 1 do
         Model.Cost.line_cell line i;
@@ -784,9 +819,9 @@ let prop_refit_bound_sound seed =
               done)
             [ 0.; mu; 0.1 *. mu; 10. *. mu ]
         end
-      done;
-      Model.Cost.line_finish line
-    done
+      done
+    done;
+    Model.Cost.line_flush ()
   done;
   !ok
 
