@@ -192,10 +192,11 @@ type line_floats = {
    the slot's load, the per-type costs and their constants, and per
    axis a table of dispatch pieces by value index, each built (with its
    solver caches) the first time a line uses it.  All storage is sized
-   here, once per grid; aiming at a layer overwrites it in place. *)
+   here, once per grid; aiming at a layer overwrites it in place.  A
+   line is named by its prefix's value indices ([pos]), which the
+   caller steps through its grid. *)
 type line_ctx = {
   lx_axes : int array array;  (* the grid's axis values; the last is swept *)
-  lx_pos : int array;  (* line k's value index on axis j < d-1, at k * (d-1) + j *)
   lx_f : line_floats;  (* the layer's load, and [line_live]'s scratch *)
   lx_fns : Convex.Fn.t array;  (* f_{t,j} per type *)
   lx_caps : float array;  (* per-server capacity per type *)
@@ -211,22 +212,7 @@ type line_ctx = {
 let line_ctx ~axes =
   let d = Array.length axes in
   if d = 0 then invalid_arg "Cost.line_ctx: no axes";
-  (* Lines run in rank order, so the prefix positions count up like an
-     odometer whose last digit is axis d-2. *)
-  let lines = Array.fold_left (fun n a -> n * Array.length a) 1 (Array.sub axes 0 (d - 1)) in
-  let pos = Array.make (lines * (d - 1)) 0 in
-  for k = 1 to lines - 1 do
-    let o = k * (d - 1) in
-    Array.blit pos (o - (d - 1)) pos o (d - 1);
-    let j = ref (d - 2) in
-    while pos.(o + !j) + 1 = Array.length axes.(!j) do
-      pos.(o + !j) <- 0;
-      decr j
-    done;
-    pos.(o + !j) <- pos.(o + !j) + 1
-  done;
   { lx_axes = Array.map Array.copy axes;
-    lx_pos = pos;
     lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
     lx_fns = Array.make d zero_piece.Convex.Dispatch.fn;
     lx_caps = Array.make d 0.;
@@ -256,18 +242,12 @@ let line_layer ctx inst ~time =
     Convex.Dispatch.table_clear ctx.lx_pieces.(j)
   done
 
-(* Where the line starting at [rank0] keeps its prefix positions in
-   [lx_pos]. *)
-let[@inline] line_base ctx ~rank0 =
-  let d = Array.length ctx.lx_axes in
-  rank0 / Array.length ctx.lx_axes.(d - 1) * (d - 1)
-
 (* Capacity of the line's fixed prefix, in ascending-type order, into
    [f.cap_base]. *)
-let prefix_capacity ctx ~base f =
+let prefix_capacity ctx ~pos f =
   let cap = ref 0. in
   for j = 0 to Array.length ctx.lx_axes - 2 do
-    let xj = ctx.lx_axes.(j).(ctx.lx_pos.(base + j)) in
+    let xj = ctx.lx_axes.(j).(pos.(j)) in
     cap := !cap +. (float_of_int xj *. ctx.lx_caps.(j))
   done;
   f.cap_base <- !cap
@@ -276,14 +256,14 @@ let prefix_capacity ctx ~base f =
    grows along it (float sums and products are monotone), so its
    infeasible cells are a prefix, and a binary search finds the first
    cell that passes. *)
-let line_live ctx ~rank0 =
+let line_live ctx ~pos =
   let f = ctx.lx_f in
   let load = f.load in
   if load <= 0. then 0
   else begin
     let d = Array.length ctx.lx_axes in
     let values = ctx.lx_axes.(d - 1) in
-    prefix_capacity ctx ~base:(line_base ctx ~rank0) f;
+    prefix_capacity ctx ~pos f;
     let cap_base = f.cap_base and cap_last = ctx.lx_caps.(d - 1) in
     let lo = ref 0 and hi = ref (Array.length values) in
     while !lo < !hi do
@@ -341,7 +321,6 @@ type line = {
 
 let empty_ctx =
   { lx_axes = [||];
-    lx_pos = [||];
     lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
     lx_fns = [||];
     lx_caps = [||];
@@ -370,16 +349,16 @@ let line_key : line Domain.DLS.key =
         misses = 0;
         owner = { icept = 0.; slope = 0.; mu = nan } })
 
-let line_start ~ctx ~table ~rank0 =
+let line_start ~ctx ~table ~rank0 ~pos =
   let l = Domain.DLS.get line_key in
   let d = Array.length ctx.lx_axes in
   if Array.length l.x <> d then begin
     l.x <- Array.make d 0;
     l.ps <- Array.make d zero_piece
   end;
-  let x = l.x and base = line_base ctx ~rank0 in
+  let x = l.x in
   for j = 0 to d - 2 do
-    x.(j) <- ctx.lx_axes.(j).(ctx.lx_pos.(base + j))
+    x.(j) <- ctx.lx_axes.(j).(pos.(j))
   done;
   (* The layer's context and table stay with the cursor until
      [line_flush]; storing them again would cost a write barrier each. *)
@@ -415,11 +394,10 @@ let line_start ~ctx ~table ~rank0 =
   l.last_const <- last_const;
   l.loaded <- load > 0.;
   if load > 0. then begin
-    prefix_capacity ctx ~base f;
+    prefix_capacity ctx ~pos f;
     l.sw <- Convex.Dispatch.sweep_start ();
     for j = 0 to d - 2 do
-      let i = ctx.lx_pos.(base + j) in
-      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table ctx j i) i
+      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table ctx j pos.(j)) pos.(j)
     done
   end;
   l
@@ -606,14 +584,14 @@ let line_refit l b ~v =
   end;
   !closed
 
-let fill_line ~ctx ~table ~rank0 =
+let fill_line ~ctx ~table ~rank0 ~pos =
   let len = Array.length ctx.lx_axes.(Array.length ctx.lx_axes - 1) in
   let any = ref false in
   for i = 0 to len - 1 do
     if Float.is_nan table.(rank0 + i) then any := true
   done;
   if !any then begin
-    let l = line_start ~ctx ~table ~rank0 in
+    let l = line_start ~ctx ~table ~rank0 ~pos in
     for i = 0 to len - 1 do
       if Float.is_nan table.(rank0 + i) then line_cell l i
     done

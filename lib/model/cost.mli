@@ -97,9 +97,8 @@ type line_ctx
 
 val line_ctx : axes:int array array -> line_ctx
 (** A context for the grid whose axis [j] takes the values [axes.(j)]
-    (ascending; rank order is row-major, so the last axis is the
-    stride-1 one lines sweep).  Aim it with {!line_layer} before the
-    first line.  Raises [Invalid_argument] when [axes] is empty. *)
+    (ascending; lines sweep the last axis).  Aim it with {!line_layer}
+    before the first line.  Raises [Invalid_argument] when [axes] is empty. *)
 
 val line_layer : line_ctx -> Instance.t -> time:int -> unit
 (** Aim the context at slot [time] of the instance: its load and cost
@@ -107,8 +106,9 @@ val line_layer : line_ctx -> Instance.t -> time:int -> unit
     [Invalid_argument] when the instance's type count is not the
     grid's dimension. *)
 
-val line_live : line_ctx -> rank0:int -> int
-(** The index of the first cell of the line starting at [rank0] whose
+val line_live : line_ctx -> pos:int array -> int
+(** The index of the first cell of the line whose prefix takes value
+    index [pos.(j)] on each axis [j < d-1] (as for {!line_start}) whose
     capacity covers the aimed layer's load within [1e-9] (0 at zero
     load), or the line length when none does.  Exactly {!line_cell}'s
     infeasibility test: capacity grows along a line, so the cells
@@ -126,10 +126,11 @@ type line
     fills one layer at a time: a line ends when the next one starts,
     and the layer when {!line_flush} runs. *)
 
-val line_start : ctx:line_ctx -> table:float array -> rank0:int -> line
-(** Aim the calling domain's cursor at the line of [table] starting at
-    rank [rank0] (a multiple of the last axis's length) of the
-    context's grid, in the layer the context is aimed at.  Seeds the
+val line_start : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array -> line
+(** Aim the calling domain's cursor at a line of the context's grid, in
+    the layer the context is aimed at: the line whose prefix takes
+    value index [pos.(j)] on each axis [j < d-1], stored in [table]
+    from [rank0] on.  The cursor reads [pos] here only.  Seeds the
     dispatch sweep with the line's prefix pieces from the context's
     tables and clears the warm bracket. *)
 
@@ -155,7 +156,9 @@ val line_flush : unit -> unit
     ([cost.rank_misses], one per computed cell, and the dispatch
     counters), and release the layer's context, table and built
     pieces, so an idle cursor keeps no layer alive and the pieces can
-    die young.  A layer fill calls it once, after its last line. *)
+    die young.  A layer fill calls it once, after its last line, and
+    also when a line raises, so that no count carries over into the
+    domain's next fill. *)
 
 type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
 (** A lower bound on [g_t] along a line: [g_t(x) >= icept + slope * v]
@@ -199,10 +202,10 @@ val line_refit : line -> bound -> v:int -> bool
     cover the load, or when an active type's kernel is
     {!Convex.Fn.Generic_kernel}.  Allocates nothing. *)
 
-val fill_line : ctx:line_ctx -> table:float array -> rank0:int -> unit
-(** [fill_line ~ctx ~table ~rank0] computes the [nan] (not yet
-    computed) cells of one line of an operating-cost table [table] of
-    the layer [ctx] is aimed at — a memo rank table from
+val fill_line : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array -> unit
+(** [fill_line ~ctx ~table ~rank0 ~pos] computes the [nan] (not yet
+    computed) cells of one line ({!line_start}'s) of an operating-cost
+    table [table] of the layer [ctx] is aimed at — a memo rank table from
     {!layer_table}, or a caller's own row reset to [nan] — in order,
     through the calling domain's {!line} cursor.  Call {!line_flush}
     after the layer's last line. *)

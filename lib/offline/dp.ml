@@ -71,31 +71,20 @@ let state_count inst ~grids =
    rank.  The fill walks the grid line by line along the last axis
    (stride 1, so each line is a contiguous rank range): within a line
    the configurations differ only in the swept coordinate, so
-   Model.Cost.fill_line seeds the dispatch pieces from the layer's
+   Model.Cost.fill_line seeds the dispatch pieces from the context's
    tables and warm-starts each cell's multiplier search from the
    previous cell's bracket.  Only [nan] entries are computed. *)
-let fill_ctx_key : (Grid.t * Model.Cost.line_ctx) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* The calling domain's fill context, kept for the grid it filled last,
-   so a fill of an equal grid allocates no new tables. *)
-let fill_ctx grid =
-  let last = Domain.DLS.get fill_ctx_key in
-  match !last with
-  | Some (g, ctx) when Grid.equal g grid -> ctx
-  | Some _ | None ->
-      let ctx = Model.Cost.line_ctx ~axes:(Array.init (Grid.dim grid) (Grid.axis_values grid)) in
-      last := Some (grid, ctx);
-      ctx
-
 let fill_lines inst grid ~time table =
-  let len = Grid.axis_length grid (Grid.dim grid - 1) in
-  let ctx = fill_ctx grid in
+  let d = Grid.dim grid in
+  let len = Grid.axis_length grid (d - 1) in
+  let ctx = Model.Cost.line_ctx ~axes:(Array.init d (Grid.axis_values grid)) in
+  let pos = Array.make (d - 1) 0 in
   Model.Cost.line_layer ctx inst ~time;
-  for k = 0 to (Grid.size grid / len) - 1 do
-    Model.Cost.fill_line ~ctx ~table ~rank0:(k * len)
-  done;
-  Model.Cost.line_flush ()
+  Fun.protect ~finally:Model.Cost.line_flush (fun () ->
+      for k = 0 to (Grid.size grid / len) - 1 do
+        Model.Cost.fill_line ~ctx ~table ~rank0:(k * len) ~pos;
+        Grid.next_line grid pos
+      done)
 
 let fill_row inst grid ~time row =
   if Array.length row <> Grid.size grid then invalid_arg "Dp.fill_row: row size mismatch";

@@ -85,8 +85,8 @@ val fill_row : Model.Instance.t -> Grid.t -> time:int -> float array -> unit
     (stride-1) axis through {!Model.Cost.fill_line}, so each line seeds
     its dispatch pieces from the layer's tables, built once per
     (type, count), and warm-starts every cell's multiplier search from
-    its predecessor's bracket.  The calling domain keeps the fill
-    context, and so the tables, for the grid it filled last.
+    its predecessor's bracket.  Each call makes its own fill context,
+    and so its tables, sized for the grid.
     {!Forward.sweep} computes a stretch of each line through the same
     kernel, with the same bits. *)
 

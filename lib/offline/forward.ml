@@ -16,10 +16,11 @@ type t = {
   grid : Grid.t;
   ops : float array;  (* per rank: g_t, then U; a sweep writes each cell before reading it *)
   axes : int array array;  (* the grid's axis values *)
-  climbs : float array;  (* climbs.(i): the last axis's power-up cost from value i-1 to i *)
-  line_np : int array;  (* per line, its earlier-axis predecessors' count; *)
-  pred_off : int array;  (* line k's, from k * (d-1) on: each one's rank distance *)
-  pred_climb : float array;  (* and the power-up cost from it *)
+  strides : int array;  (* row-major stride per axis *)
+  climbs : float array array;  (* climbs.(j).(i): axis j's power-up cost from value i-1 to i *)
+  pos : int array;  (* the current line's value index on each axis j < d-1 *)
+  pred_off : int array;  (* the current line's earlier-axis predecessors: rank distance, *)
+  pred_climb : float array;  (* and power-up cost from each *)
   bound : Model.Cost.bound;
   ctx : Model.Cost.line_ctx;  (* the line fills' tables, sized for the grid *)
   low : low;
@@ -42,37 +43,22 @@ let create grid ~betas =
   for j = d - 2 downto 0 do
     strides.(j) <- strides.(j + 1) * Array.length axes.(j + 1)
   done;
-  let last = axes.(d - 1) in
   let climbs =
     Array.mapi
-      (fun i v -> if i = 0 then 0. else betas.(d - 1) *. float_of_int (v - last.(i - 1)))
-      last
+      (fun j axis ->
+        Array.mapi
+          (fun i v -> if i = 0 then 0. else betas.(j) *. float_of_int (v - axis.(i - 1)))
+          axis)
+      axes
   in
-  let lines = Grid.size grid / Array.length last in
-  let line_np = Array.make lines 0 in
-  let pred_off = Array.make (lines * (d - 1)) 0 in
-  let pred_climb = Array.make (lines * (d - 1)) 0. in
-  for k = 0 to lines - 1 do
-    let rank0 = k * Array.length last and np = ref 0 in
-    for j = 0 to d - 2 do
-      let axis = axes.(j) in
-      let idx = rank0 / strides.(j) mod Array.length axis in
-      if idx > 0 then begin
-        pred_off.((k * (d - 1)) + !np) <- strides.(j);
-        pred_climb.((k * (d - 1)) + !np) <-
-          betas.(j) *. float_of_int (axis.(idx) - axis.(idx - 1));
-        incr np
-      end
-    done;
-    line_np.(k) <- !np
-  done;
   { grid;
     ops = Array.create_float (Grid.size grid);
     axes;
+    strides;
     climbs;
-    line_np;
-    pred_off;
-    pred_climb;
+    pos = Array.make (d - 1) 0;
+    pred_off = Array.make d 0;
+    pred_climb = Array.make d 0.;
     bound = { Model.Cost.icept = 0.; slope = 0.; mu = 0. };
     ctx = Model.Cost.line_ctx ~axes;
     low = { best = infinity };
@@ -89,13 +75,28 @@ let[@inline] allowance c =
   let a = Float.abs c in
   1e-9 *. if a > 1. then a else 1.
 
-(* cand of cell [i] (rank [r]) of the line whose [np] earlier-axis
-   predecessors start at [pb] of [pred_off], written to [ops.(r)]: the
-   lower ranks there already hold U. *)
-let set_cand e ~pb ~np ~r ~i =
+(* The earlier-axis predecessors of the current line, from its value
+   indices; their count. *)
+let line_preds e =
+  let np = ref 0 in
+  for j = 0 to Array.length e.axes - 2 do
+    let i = e.pos.(j) in
+    if i > 0 then begin
+      e.pred_off.(!np) <- e.strides.(j);
+      e.pred_climb.(!np) <- e.climbs.(j).(i);
+      incr np
+    end
+  done;
+  !np
+
+(* cand of cell [i] (rank [r]) of the current line, with its [np]
+   earlier-axis predecessors, written to [ops.(r)]: the lower ranks
+   there already hold U. *)
+let set_cand e ~np ~r ~i =
   let ops = e.ops in
-  let c = ref (if i > 0 then ops.(r - 1) +. e.climbs.(i) else infinity) in
-  for m = pb to pb + np - 1 do
+  let last = e.climbs.(Array.length e.climbs - 1) in
+  let c = ref (if i > 0 then ops.(r - 1) +. last.(i) else infinity) in
+  for m = 0 to np - 1 do
     let v = ops.(r - e.pred_off.(m)) +. e.pred_climb.(m) in
     if v < !c then c := v
   done;
@@ -104,9 +105,9 @@ let set_cand e ~pb ~np ~r ~i =
 (* Consume g_t(r) from [ops]: write U(r) over it and the canonical
    arrival over R(r), at [off + r] of [p].  Returns whether the state
    is dominated. *)
-let sweep_cell e (p : Plane.t) ~off ~pb ~np ~r ~i =
+let sweep_cell e (p : Plane.t) ~off ~np ~r ~i =
   let a = Bigarray.Array1.unsafe_get p (off + r) +. e.ops.(r) in
-  set_cand e ~pb ~np ~r ~i;
+  set_cand e ~np ~r ~i;
   let c = e.ops.(r) in
   if a < c then e.ops.(r) <- a;
   let dominated = a > c +. allowance c in
@@ -136,14 +137,14 @@ let max_refits = 16
    that cell's own multiplier and carry the new bound on along the line.
    Returns the first cell that fails after its refit, or the line length
    when every remaining cell is proved. *)
-let prove e line (p : Plane.t) ~off ~pb ~np ~rank0 ~from =
+let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
   let b = e.bound in
   let q = ref from and proved = ref true and refits = ref 0 in
   while !proved && !q < len do
     let r = rank0 + !q in
-    set_cand e ~pb ~np ~r ~i:!q;
+    set_cand e ~np ~r ~i:!q;
     let c = e.ops.(r) in
     let v = values.(!q) in
     let ar = Bigarray.Array1.unsafe_get p (off + r) in
@@ -171,39 +172,33 @@ let prove e line (p : Plane.t) ~off ~pb ~np ~rank0 ~from =
    [Dp.fill_row]'s bits.  After a failed proof, none restarts before
    the sweep reaches the failing cell, which keeps proof work linear in
    the line length. *)
-let sweep e inst ~time (p : Plane.t) ~off =
-  let n = Grid.size e.grid in
-  if off < 0 || off + n > Plane.length p then
-    invalid_arg "Forward.sweep: segment out of range";
+let sweep_lines e (p : Plane.t) ~off =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
-  let ctx = e.ctx in
-  Model.Cost.line_layer ctx inst ~time;
-  e.low.best <- infinity;
-  e.lo <- -1;
-  e.hi <- -1;
-  for k = 0 to (n / len) - 1 do
+  let ctx = e.ctx and pos = e.pos in
+  Array.fill pos 0 (Array.length pos) 0;
+  for k = 0 to (Grid.size e.grid / len) - 1 do
     let rank0 = k * len in
-    let live = Model.Cost.line_live ctx ~rank0 in
+    let live = Model.Cost.line_live ctx ~pos in
     for c = rank0 to rank0 + live - 1 do
       Bigarray.Array1.unsafe_set p (off + c) infinity;
       e.ops.(c) <- infinity
     done;
     e.skipped <- e.skipped + live;
     if live < len then begin
-      let pb = k * (Array.length e.axes - 1) and np = e.line_np.(k) in
-      let line = Model.Cost.line_start ~ctx ~table:e.ops ~rank0 in
+      let np = line_preds e in
+      let line = Model.Cost.line_start ~ctx ~table:e.ops ~rank0 ~pos in
       let i = ref live and next_proof = ref 0 in
       while !i < len do
         Model.Cost.line_cell line !i;
         if
-          sweep_cell e p ~off ~pb ~np ~r:(rank0 + !i) ~i:!i
+          sweep_cell e p ~off ~np ~r:(rank0 + !i) ~i:!i
           && !i >= !next_proof
           && !i < len - 1
         then
           if not (Model.Cost.line_bound line e.bound) then next_proof := len
           else begin
-            let q = prove e line p ~off ~pb ~np ~rank0 ~from:(!i + 1) in
+            let q = prove e line p ~off ~np ~rank0 ~from:(!i + 1) in
             if q < len then next_proof := q
             else begin
               e.proved <- e.proved + (len - 1 - !i);
@@ -215,8 +210,13 @@ let sweep e inst ~time (p : Plane.t) ~off =
           end;
         incr i
       done
-    end
-  done;
+    end;
+    Grid.next_line e.grid pos
+  done
+
+(* The sweep's work goes to the counters once, also when a line
+   raises. *)
+let flush e =
   Model.Cost.line_flush ();
   Obs.Counter.add c_proved e.proved;
   Obs.Counter.add c_refits e.refits;
@@ -224,6 +224,15 @@ let sweep e inst ~time (p : Plane.t) ~off =
   e.proved <- 0;
   e.refits <- 0;
   e.skipped <- 0
+
+let sweep e inst ~time (p : Plane.t) ~off =
+  if off < 0 || off + Grid.size e.grid > Plane.length p then
+    invalid_arg "Forward.sweep: segment out of range";
+  Model.Cost.line_layer e.ctx inst ~time;
+  e.low.best <- infinity;
+  e.lo <- -1;
+  e.hi <- -1;
+  Fun.protect ~finally:(fun () -> flush e) (fun () -> sweep_lines e p ~off)
 
 let min_cost e = e.low.best
 let argmin e = e.lo

@@ -44,12 +44,14 @@
     ([cost.rank_misses]), skipped by a completed proof
     ([forward.proved_cells]) or skipped below the load
     ([forward.skipped_cells]).  These, [forward.refits] and the dispatch
-    counters are added once per sweep. *)
+    counters are added once per sweep, also when a line raises. *)
 
 type t
 (** A sweep context over one grid: a scratch row of its size, each
-    line's predecessors, and the line fills' context with its piece
-    tables, all sized once when the context is made. *)
+    axis's power-up costs, and the line fills' context with its piece
+    tables, all sized once when the context is made.  The sweep steps
+    through the lines' axis indices as it goes, so nothing is kept per
+    line. *)
 
 val create : Grid.t -> betas:float array -> t
 (** [betas.(j)] is axis [j]'s per-unit power-up cost.  Raises

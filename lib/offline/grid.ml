@@ -67,6 +67,14 @@ let dim g = Array.length g.dims
 let axis_length g j = Array.length g.dims.(j)
 let size g = g.size
 
+let next_line g pos =
+  let j = ref (dim g - 2) in
+  while !j >= 0 && pos.(!j) + 1 = Array.length g.dims.(!j) do
+    pos.(!j) <- 0;
+    decr j
+  done;
+  if !j >= 0 then pos.(!j) <- pos.(!j) + 1
+
 let config_into g idx x =
   let d = dim g in
   if Array.length x <> d then invalid_arg "Grid.config_into: dimension mismatch";

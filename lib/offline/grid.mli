@@ -35,6 +35,13 @@ val axis_length : t -> int -> int
 val size : t -> int
 (** Total number of states (product of axis lengths). *)
 
+val next_line : t -> int array -> unit
+(** [next_line g pos] steps [pos], the value indices on axes
+    [0 .. d-2] of a line along the last axis, to the next line's in
+    rank order: an odometer whose last digit is axis [d-2], which
+    wraps to zeros after the last line.  From zeros, [k] steps give the
+    line that starts at rank [k * axis_length g (d-1)]. *)
+
 val config_at : t -> int -> Model.Config.t
 (** Configuration of a flat state index (fresh array). *)
 

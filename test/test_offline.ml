@@ -633,7 +633,7 @@ let test_refit_allocates_nothing () =
   Model.Cost.line_layer ctx inst ~time;
   let table = Array.make (Offline.Grid.size grid) nan in
   let rank0 = 30 * len in
-  let line = Model.Cost.line_start ~ctx ~table ~rank0 in
+  let line = Model.Cost.line_start ~ctx ~table ~rank0 ~pos:[| 30 |] in
   for i = 0 to len / 2 do
     Model.Cost.line_cell line i
   done;

@@ -120,19 +120,26 @@ let prop_pooled_dp_identical pool seed =
   seq.Offline.Dp.cost = par.Offline.Dp.cost
   && schedules_equal seq.Offline.Dp.schedule par.Offline.Dp.schedule
 
-(* A dense instance big enough to clear min_parallel_items, so the
-   pooled path actually fans out (385 states >= 256). *)
+(* A dense instance (11*7*5 = 385 states) whose pooled solve fans out:
+   the reconstruction hands a layer to the pool only when it holds at
+   least min_parallel_items (256) finite cells.  Loads alternate
+   between nearly the whole fleet (35 to 37.5 of capacity 38) and
+   little (below 5), and every server idles for less than its switching
+   cost, so after each peak the states below the peak's configuration
+   stay finite: each low slot's layer keeps 256 to 385 finite cells (in
+   every one of 300 seeds tried).  On a multi-core runner both pooled
+   solves must move [parallel.fills]. *)
 let prop_pooled_dp_identical_large pool seed =
   let rng = Util.Prng.create seed in
   let types =
     [| Model.Server_type.make ~name:"a" ~count:10
-         ~switching_cost:(0.5 +. Util.Prng.float rng 3.)
+         ~switching_cost:(1.5 +. Util.Prng.float rng 3.)
          ~cap:1. ();
        Model.Server_type.make ~name:"b" ~count:6
-         ~switching_cost:(0.5 +. Util.Prng.float rng 3.)
+         ~switching_cost:(1.5 +. Util.Prng.float rng 3.)
          ~cap:2. ();
        Model.Server_type.make ~name:"c" ~count:4
-         ~switching_cost:(0.5 +. Util.Prng.float rng 3.)
+         ~switching_cost:(1.5 +. Util.Prng.float rng 3.)
          ~cap:4. () |]
   in
   let fns =
@@ -140,12 +147,25 @@ let prop_pooled_dp_identical_large pool seed =
        Convex.Fn.power ~idle:(0.2 +. Util.Prng.float rng 1.) ~coef:0.5 ~expo:1.8;
        Convex.Fn.const (0.3 +. Util.Prng.float rng 1.) |]
   in
-  let load = Array.init 6 (fun _ -> Util.Prng.float rng 30.) in
+  let load =
+    Array.init 6 (fun t ->
+        if t mod 2 = 0 then 35. +. Util.Prng.float rng 2.5 else Util.Prng.float rng 5.)
+  in
   let inst = Model.Instance.make_static ~types ~load ~fns () in
+  let fills = Option.get (Obs.Counter.find "parallel.fills") in
+  let fanned_out solve =
+    let before = Obs.Counter.value fills in
+    let r = solve () in
+    (r, Util.Parallel.recommended_domains () = 1 || Obs.Counter.value fills > before)
+  in
   let seq = Offline.Dp.solve inst in
-  let par = Offline.Dp.solve ~pool inst in
-  let par4 = Util.Pool.with_pool ~domains:4 (fun pool -> Offline.Dp.solve ~pool inst) in
-  seq.Offline.Dp.cost = par.Offline.Dp.cost
+  let par, par_fanned = fanned_out (fun () -> Offline.Dp.solve ~pool inst) in
+  let par4, par4_fanned =
+    fanned_out (fun () ->
+        Util.Pool.with_pool ~domains:4 (fun pool -> Offline.Dp.solve ~pool inst))
+  in
+  par_fanned && par4_fanned
+  && seq.Offline.Dp.cost = par.Offline.Dp.cost
   && schedules_equal seq.Offline.Dp.schedule par.Offline.Dp.schedule
   && seq.Offline.Dp.cost = par4.Offline.Dp.cost
   && schedules_equal seq.Offline.Dp.schedule par4.Offline.Dp.schedule

@@ -799,9 +799,10 @@ let prop_refit_bound_sound seed =
     let ctx = Model.Cost.line_ctx ~axes:(Array.init d (Offline.Grid.axis_values grid)) in
     Model.Cost.line_layer ctx inst ~time;
     let table = Array.make n nan in
+    let pos = Array.make (d - 1) 0 in
     for k = 0 to (n / len) - 1 do
       let rank0 = k * len in
-      let line = Model.Cost.line_start ~ctx ~table ~rank0 in
+      let line = Model.Cost.line_start ~ctx ~table ~rank0 ~pos in
       let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
       for i = 0 to len - 1 do
         Model.Cost.line_cell line i;
@@ -819,7 +820,8 @@ let prop_refit_bound_sound seed =
               done)
             [ 0.; mu; 0.1 *. mu; 10. *. mu ]
         end
-      done
+      done;
+      Offline.Grid.next_line grid pos
     done;
     Model.Cost.line_flush ()
   done;
