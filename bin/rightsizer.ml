@@ -175,28 +175,6 @@ let horizon_arg =
     & opt (some int) None
     & info [ "T"; "horizon" ] ~docv:"SLOTS" ~doc:"Override the scenario's horizon.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "domains" ] ~docv:"N"
-        ~doc:"Run the parallel work on a persistent pool of N domains (default 1 = \
-              sequential): the ramps of large grids and the reconstruction of every \
-              offline DP solve ($(b,solve), the OPT that $(b,online), $(b,compare) \
-              and $(b,arena) report, $(b,compare)'s receding-horizon baseline) and, \
-              under $(b,serve), each round's session steps.  The DP's forward sweep \
-              and the online algorithms run on one domain.  Schedules, costs and \
-              decisions are bit-identical to the sequential run; only the wall time \
-              changes.")
-
-(* Resolve --domains into an optional pool for the command body; the
-   manifest records the setting either way, and the pool is shut down
-   (domains joined) before the command returns. *)
-let with_domains domains f =
-  let domains = max 1 domains in
-  Core.Obs.Run_manifest.note "domains" (string_of_int domains);
-  if domains = 1 then f None
-  else Core.Pool.with_pool ~name:"pool" ~domains (fun pool -> f (Some pool))
-
 (* --- checkpoint/resume flags (solve and online; docs/robustness.md) --- *)
 
 let checkpoint_arg =
@@ -413,8 +391,7 @@ let solve_cmd =
       & info [ "eps" ] ~docv:"EPS"
           ~doc:"Use the (1+eps)-approximation instead of the exact optimum.")
   in
-  let run () () scenario horizon file workload eps domains checkpoint every resume
-      crash_after =
+  let run () () scenario horizon file workload eps checkpoint every resume crash_after =
     match resolve_instance ?workload scenario horizon file with
     | Error m -> `Error (false, m)
     | Ok (name, inst) -> (
@@ -426,7 +403,6 @@ let solve_cmd =
         else if crash_after <> None && checkpoint = None then
           `Error (false, "--crash-after requires --checkpoint")
         else begin
-          with_domains domains @@ fun pool ->
           let grids =
             match eps with
             | None -> None
@@ -459,7 +435,7 @@ let solve_cmd =
                         simulated_crash ~done_:filled crash_after)
               in
               let { Core.Offline_dp.schedule; cost } =
-                Core.Offline_dp.solve ?grids ?pool ?resume:frontier ?on_layer inst
+                Core.Offline_dp.solve ?grids ?resume:frontier ?on_layer inst
               in
               Printf.printf "instance %s: %s cost %.4f\n" name
                 (match eps with
@@ -475,8 +451,8 @@ let solve_cmd =
     Term.(
       ret
         (const run $ verbose_term $ obs_term $ scenario_arg $ horizon_arg $ file_arg
-        $ workload_arg $ eps_arg $ domains_arg $ checkpoint_arg $ checkpoint_every_arg
-        $ resume_arg $ crash_after_arg))
+        $ workload_arg $ eps_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+        $ crash_after_arg))
 
 (* --- online --- *)
 
@@ -523,7 +499,7 @@ let online_cmd =
             "Solver to run: a, b, c, rand, det2d or homog (default: auto-pick A or B/C \
              from the instance).  See docs/solvers.md.")
   in
-  let run () scenario horizon file eps alg domains checkpoint every resume crash_after =
+  let run () scenario horizon file eps alg checkpoint every resume crash_after =
     match resolve_instance scenario horizon file with
     | Error m -> `Error (false, m)
     | Ok (name, inst) when inst.Core.Instance.size_varying ->
@@ -552,7 +528,6 @@ let online_cmd =
         else if alg <> None && checkpointing then
           `Error (false, "--alg cannot be combined with --checkpoint/--resume")
         else begin
-          with_domains domains @@ fun pool ->
           let result =
             match alg with
             | Some a ->
@@ -567,7 +542,7 @@ let online_cmd =
           match result with
           | Error m -> `Error (false, m)
           | Ok (schedule, cost) ->
-              let opt = Core.Harness.opt_cost ?pool inst in
+              let opt = Core.Harness.opt_cost inst in
               Printf.printf "instance %s: algorithm %s cost %.4f, OPT %.4f, ratio %.4f\n"
                 name algorithm cost opt
                 (Core.Harness.ratio ~cost ~opt);
@@ -586,8 +561,7 @@ let online_cmd =
     Term.(
       ret
         (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ eps_arg
-        $ alg_arg $ domains_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-        $ crash_after_arg))
+        $ alg_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ crash_after_arg))
 
 (* --- arena --- *)
 
@@ -599,9 +573,8 @@ let arena_cmd =
       & info [ "out" ] ~docv:"DIR"
           ~doc:"Also write the arena artifacts (arena.json, arena.csv) into $(docv).")
   in
-  let run () () out domains =
-    with_domains domains @@ fun pool ->
-    let report = Core.Arena.report ?pool () in
+  let run () () out =
+    let report = Core.Arena.run () in
     print_string (Core.Report.to_string report);
     (match out with
     | None -> ()
@@ -623,7 +596,7 @@ let arena_cmd =
        ~doc:"Race every online solver (A, B, C, rand, det2d, homog and the baselines) \
              across the scenario library and an adversarial trace; measure competitive \
              ratios against the exact optimum and assert every theoretical bound.")
-    Term.(ret (const run $ verbose_term $ obs_term $ out_arg $ domains_arg))
+    Term.(ret (const run $ verbose_term $ obs_term $ out_arg))
 
 (* --- compare --- *)
 
@@ -631,14 +604,13 @@ let compare_cmd =
   let window_arg =
     Arg.(value & opt int 3 & info [ "window" ] ~docv:"W" ~doc:"Receding-horizon lookahead.")
   in
-  let run () scenario horizon file window domains =
+  let run () scenario horizon file window =
     match resolve_instance scenario horizon file with
     | Error m -> `Error (false, m)
     | Ok (name, inst) ->
     Core.Obs.Run_manifest.note "algorithm" "suite";
-    with_domains domains @@ fun pool ->
-    let opt = Core.Harness.opt_cost ?pool inst in
-    let named = Core.Harness.run_suite ~window ?pool inst in
+    let opt = Core.Harness.opt_cost inst in
+    let named = Core.Harness.run_suite ~window inst in
     let tbl = Core.Table.create ~header:[ "policy"; "cost"; "ratio"; "feasible" ] in
     List.iter
       (fun e ->
@@ -657,8 +629,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Compare all policies on a scenario or instance file.")
     Term.(
       ret
-        (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ window_arg
-        $ domains_arg))
+        (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ window_arg))
 
 (* --- plan --- *)
 
@@ -723,16 +694,15 @@ let analyze_cmd =
       & info [ "a"; "algorithm" ] ~docv:"NAME"
           ~doc:"Whose schedule to analyse: $(b,opt), $(b,alg-a) or $(b,alg-b).")
   in
-  let run () scenario horizon file algo domains =
+  let run () scenario horizon file algo =
     match resolve_instance scenario horizon file with
     | Error m -> `Error (false, m)
     | Ok (name, inst) ->
-        with_domains domains @@ fun pool ->
         let algo_name, schedule =
           match algo with
           | `Opt ->
               ( "offline optimum",
-                (Core.Offline_dp.solve_optimal ?pool inst).Core.Offline_dp.schedule )
+                (Core.Offline_dp.solve_optimal inst).Core.Offline_dp.schedule )
           | `A -> ("algorithm A", (Core.Alg_a.run inst).Core.Alg_a.schedule)
           | `B -> ("algorithm B", (Core.Alg_b.run inst).Core.Alg_b.schedule)
         in
@@ -776,8 +746,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Operational statistics of a schedule (power cycles, usage).")
     Term.(
       ret
-        (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ algo_arg
-        $ domains_arg))
+        (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ algo_arg))
 
 (* --- report --- *)
 
@@ -875,14 +844,13 @@ let simulate_cmd =
       & info [ "c"; "controller" ] ~docv:"NAME"
           ~doc:"Decision policy: $(b,opt) (offline optimum), $(b,alg-a), $(b,alg-b),                 $(b,hysteresis), or $(b,static-peak).")
   in
-  let run () scenario horizon file boot carry failure_rate repair controller domains =
+  let run () scenario horizon file boot carry failure_rate repair controller =
     match resolve_instance scenario horizon file with
     | Error m -> `Error (false, m)
     | Ok (name, inst) ->
         let d = Core.Instance.num_types inst in
         if boot < 0 then `Error (false, "boot delay must be non-negative")
         else begin
-          with_domains domains @@ fun pool ->
           let failures =
             if failure_rate <= 0. then None
             else Some { Core.Sim_dc.rate = failure_rate; repair_slots = repair; seed = 11 }
@@ -894,7 +862,7 @@ let simulate_cmd =
             match controller with
             | `Opt ->
                 let { Core.Offline_dp.schedule; _ } =
-                  Core.Offline_dp.solve_optimal ?pool inst
+                  Core.Offline_dp.solve_optimal inst
                 in
                 ("offline optimum", Core.Controllers.of_schedule schedule)
             | `A -> ("algorithm A", Core.Controllers.alg_a inst)
@@ -928,7 +896,7 @@ let simulate_cmd =
     Term.(
       ret
         (const run $ obs_term $ scenario_arg $ horizon_arg $ file_arg $ boot_arg $ carry_arg
-        $ failure_arg $ repair_arg $ controller_arg $ domains_arg))
+        $ failure_arg $ repair_arg $ controller_arg))
 
 (* --- serve --- *)
 
@@ -950,6 +918,16 @@ let tcp_port_arg =
     & info [ "port" ] ~docv:"PORT" ~doc:"Listen on TCP 127.0.0.1:PORT.")
 
 let serve_cmd =
+  let domains_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "domains" ] ~docv:"N"
+          ~doc:(Printf.sprintf
+                  "Fan each round's session steps out across a persistent pool of N \
+                   domains, 1 to %d (default 1 = sequential).  Decisions are \
+                   bit-identical to the sequential run; only the wall time changes."
+                  Core.Pool.max_domains))
+  in
   let max_sessions_arg =
     Arg.(
       value & opt int 1024
@@ -1045,12 +1023,21 @@ let serve_cmd =
     else if audit_every <> None && Option.get audit_every < 1 then
       `Error (false, "serve: --audit-every must be >= 1")
     else if cement_every < 1 then `Error (false, "serve: --cement-every must be >= 1")
+    else if domains < 1 || domains > Core.Pool.max_domains then
+      `Error
+        (false, Printf.sprintf "serve: --domains must be between 1 and %d" Core.Pool.max_domains)
     else begin
       match parse_faults faults with
       | Error m -> `Error (false, m)
       | Ok faults ->
       if faults <> [] then Core.Faultinj.arm ~seed:fault_seed faults;
-      with_domains domains @@ fun pool ->
+      Core.Obs.Run_manifest.note "domains" (string_of_int domains);
+      (* The pool is shut down (its domains joined) before serve returns. *)
+      let with_pool f =
+        if domains = 1 then f None
+        else Core.Pool.with_pool ~name:"pool" ~domains (fun pool -> f (Some pool))
+      in
+      with_pool @@ fun pool ->
       let cfg =
         { Core.Daemon.default_config with
           unix_path; tcp_port; pool; max_sessions; crash_after_slots; metrics_port;

@@ -77,8 +77,6 @@ let rec deriv f z =
       !acc
   | Sum (a, b) -> deriv a z +. deriv b z
 
-let has_closed_deriv _ = true
-
 (* Second derivative, closed-form.  Piecewise-affine families are flat
    between kinks (the kinks themselves contribute response jumps, not
    slope, so 0 is the value the Newton safeguard wants there). *)

@@ -30,10 +30,6 @@ val deriv : t -> float -> float
     At kinks of piecewise functions it returns a value between the
     one-sided derivatives, which is all the KKT solver requires. *)
 
-val has_closed_deriv : t -> bool
-(** Always [true] under the variant representation; retained for
-    compatibility with callers that used to probe the closure record. *)
-
 val curvature : t -> float -> float
 (** [curvature f z] is the second derivative [f''(z)], closed-form for
     every family: [0] for (piecewise-)affine functions (kinks carry no

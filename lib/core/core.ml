@@ -53,7 +53,6 @@ module Arena = Experiments.Arena
 module Experiment_registry = Experiments.Registry
 module Scenarios = Sim.Scenarios
 module Pool = Util.Pool
-module Parallel = Util.Parallel
 module Prng = Util.Prng
 module Snapshot = Util.Snapshot
 module Faultinj = Util.Faultinj
@@ -65,12 +64,12 @@ module Ascii_plot = Util.Ascii_plot
 module Svg = Util.Svg
 module Obs = Obs
 
-let solve_offline ?pool inst =
-  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_optimal ?pool inst in
+let solve_offline inst =
+  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_optimal inst in
   (schedule, cost)
 
-let solve_approx ?pool ~eps inst =
-  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_approx ?pool ~eps inst in
+let solve_approx ~eps inst =
+  let { Offline.Dp.schedule; cost } = Offline.Dp.solve_approx ~eps inst in
   (schedule, cost)
 
 let run_online ?(eps = 0.5) inst =

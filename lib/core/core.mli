@@ -93,10 +93,10 @@ module Arena = Experiments.Arena
 module Experiment_registry = Experiments.Registry
 module Scenarios = Sim.Scenarios
 module Pool = Util.Pool
-(** Persistent domain pool: spawn workers once, reuse them across every
-    parallel fill in a run (see {!Parallel} and [docs/performance.md]). *)
+(** Persistent domain pool: spawn workers once, reuse them for every
+    job.  The daemon ([serve --domains]) fans each round's session steps
+    out across one; every solver runs on the calling domain. *)
 
-module Parallel = Util.Parallel
 module Prng = Util.Prng
 
 module Snapshot = Util.Snapshot
@@ -119,13 +119,10 @@ module Obs = Obs
     manifests ({!Obs.Span}, {!Obs.Counter}, {!Obs.Sink},
     {!Obs.Trace_export}, {!Obs.Metrics_export}, {!Obs.Run_manifest}). *)
 
-val solve_offline : ?pool:Pool.t -> Instance.t -> Schedule.t * float
-(** Exact optimal schedule and cost (Section 4.1).  [pool] parallelises
-    the DP's large ramps and its reconstruction on a persistent domain
-    pool; the result is bit-identical to the solve without one (see
-    {!Offline_dp.solve}). *)
+val solve_offline : Instance.t -> Schedule.t * float
+(** Exact optimal schedule and cost (Section 4.1). *)
 
-val solve_approx : ?pool:Pool.t -> eps:float -> Instance.t -> Schedule.t * float
+val solve_approx : eps:float -> Instance.t -> Schedule.t * float
 (** [(1 + eps)]-approximate schedule and cost (Sections 4.2/4.3). *)
 
 val run_online : ?eps:float -> Instance.t -> Schedule.t * float

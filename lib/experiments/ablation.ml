@@ -1,7 +1,7 @@
 let fmt = Printf.sprintf
 
-(* Wall clock (Obs.Span), not Sys.time: CPU time sums over domains and
-   over-reports any section that fans out via Util.Parallel. *)
+(* Wall clock (Obs.Span), not Sys.time, which sums CPU time over every
+   domain. *)
 let time = Obs.Span.timed
 let time_n = Obs.Span.timed_n
 

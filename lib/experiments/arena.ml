@@ -108,10 +108,10 @@ let scenarios () =
 
 let eps = 1e-6
 
-let race ?pool scenarios =
+let race scenarios =
   List.concat_map
     (fun (scenario, inst) ->
-      let opt = Online.Harness.opt_cost ?pool inst in
+      let opt = Online.Harness.opt_cost inst in
       List.filter_map
         (fun s ->
           match s.attempt inst with
@@ -201,9 +201,9 @@ let to_json entries ranked =
     (String.concat ",\n" (List.map standing ranked))
     (String.concat ",\n" (List.map entry entries))
 
-let report ?pool () =
+let run () =
   let scenarios = scenarios () in
-  let entries = race ?pool scenarios in
+  let entries = race scenarios in
   let ranked = standings entries in
   let races_tbl =
     Util.Table.create
@@ -250,5 +250,3 @@ let report ?pool () =
     artifacts =
       [ ("arena.json", to_json entries ranked); ("arena.csv", Util.Table.to_csv races_tbl) ]
   }
-
-let run () = report ()

@@ -39,18 +39,15 @@ val scenarios : unit -> (string * Model.Instance.t) list
     the spot-market and a coinciding-types pool built for the new
     solvers) plus the adaptive ski-rental adversary instance. *)
 
-val race : ?pool:Util.Pool.t -> (string * Model.Instance.t) list -> entry list
+val race : (string * Model.Instance.t) list -> entry list
 (** Run every applicable solver on every given scenario.  Deterministic:
-    the randomised solver uses a fixed per-race seed and the OPT solve,
-    the only part that runs on [pool], is bit-identical with or without
-    it, so the same scenario list always yields the same entries. *)
+    the randomised solver uses a fixed per-race seed, so the same
+    scenario list always yields the same entries. *)
 
 val standings : entry list -> standing list
 (** Aggregate and rank by mean measured ratio (ascending). *)
 
-val report : ?pool:Util.Pool.t -> unit -> Report.t
-(** The full arena over {!scenarios}, with a ranked standings table, the
-    per-race table, and [arena.json] / [arena.csv] artifacts. *)
-
 val run : unit -> Report.t
-(** [report ()] — the {!Registry} entry point. *)
+(** The full arena over {!scenarios}, with a ranked standings table, the
+    per-race table, and [arena.json] / [arena.csv] artifacts — the
+    {!Registry} entry point. *)

@@ -155,8 +155,8 @@ let thm15 () =
     pass = !ok;
     artifacts = [] }
 
-(* Wall clock (Obs.Span), not Sys.time: CPU time sums over domains and
-   over-reports any section that fans out via Util.Parallel. *)
+(* Wall clock (Obs.Span), not Sys.time, which sums CPU time over every
+   domain. *)
 let time = Obs.Span.timed
 
 let thm21 () =

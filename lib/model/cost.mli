@@ -62,9 +62,7 @@ type cache
     / {!operating_rank}): when the caller enumerates a state grid it
     already holds each state's flat index, which addresses a plain
     [float array] directly — no key allocation, no hashing, no locks.
-    [nan] marks an empty slot; pool workers touch disjoint ranks
-    during a fill, and racing duplicate writes of the same value are
-    benign. *)
+    [nan] marks an empty slot. *)
 
 val make_cache : Instance.t -> cache
 
@@ -75,9 +73,7 @@ val layer_table : cache -> time:int -> int -> float array
 (** [layer_table cache ~time n] is slot [time]'s rank table, grown to
     hold [n] states (fresh slots are [nan] = not yet computed).  A size
     change discards previous entries — the ranks belong to a different
-    grid.  Call from a single domain (before any parallel fan-out); the
-    returned array may then be read and filled concurrently at disjoint
-    ranks. *)
+    grid. *)
 
 type line_ctx
 (** The line fills' context over one grid: the grid's axis values, and

@@ -1,7 +1,7 @@
 (* Counters are striped LongAdder-style: each domain fetch-and-adds a
    shard picked by its id, and readers sum the shards.  A single shared
    cell turns every hot-path increment into a contended cache-line
-   ownership transfer once Util.Parallel fans the solvers out; striping
+   ownership transfer once a domain pool fans work out; striping
    keeps the RMWs local while staying exact.  The dummy allocations in
    [make_cells] space consecutive shards onto different cache lines. *)
 

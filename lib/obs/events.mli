@@ -3,8 +3,9 @@
     Events are immutable records produced by {!Span} (timed regions and
     instants) and consumed by whichever {!Sink} is installed.  Timestamps
     are wall-clock microseconds since an arbitrary per-process epoch
-    ({!Span.now_us}); [tid] is the emitting domain's id, so traces from
-    [Util.Parallel] fan-outs separate into per-domain tracks. *)
+    ({!Span.now_us}); [tid] is the emitting domain's id, so traces of a
+    domain pool's jobs (the daemon's session steps) separate into
+    per-domain tracks. *)
 
 type kind =
   | Begin    (** a span opened *)

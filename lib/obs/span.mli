@@ -5,7 +5,7 @@
     the call tree without a shared stack.  All timing uses the wall
     clock — unlike [Sys.time], which counts {e CPU} time summed over
     every domain and therefore over-reports multicore sections such as
-    [Util.Parallel.parallel_fill]. *)
+    a domain pool's job. *)
 
 val now_us : unit -> float
 (** Wall-clock microseconds since an arbitrary per-process epoch (the

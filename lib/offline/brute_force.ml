@@ -1,6 +1,6 @@
 exception Too_large of int
 
-let solve ?(limit = 2_000_000) ?pool inst =
+let solve ?(limit = 2_000_000) inst =
   let horizon = Model.Instance.horizon inst in
   if horizon = 0 then invalid_arg "Brute_force.solve: empty instance";
   let d = Model.Instance.num_types inst in
@@ -23,28 +23,12 @@ let solve ?(limit = 2_000_000) ?pool inst =
   ignore work;
   let cache = Model.Cost.make_cache inst in
   (* [layer_states] was built in [Grid.iter] order, so a state's array
-     index is its grid rank — the key into the slot's flat memo table.
-     Size every table up front (single-domain), then the warm-up
-     fan-out and the sequential search below share the same lock-free
-     slots. *)
+     index is its grid rank — the key into the slot's flat memo table,
+     sized here for the search below. *)
   Array.iteri
     (fun time states ->
       ignore (Model.Cost.layer_table cache ~time (Array.length states) : float array))
     layer_states;
-  (* The search revisits each (slot, state) cost many times; with a pool
-     available, pre-evaluate them all in parallel. *)
-  if Util.Parallel.width pool > 1 then begin
-    let pairs =
-      Array.concat
-        (Array.to_list
-           (Array.mapi
-              (fun time states -> Array.mapi (fun rank x -> (time, rank, x)) states)
-              layer_states))
-    in
-    Util.Parallel.parallel_for ?pool ~n:(Array.length pairs) (fun i ->
-        let time, rank, x = pairs.(i) in
-        ignore (Model.Cost.operating_rank cache ~time ~rank x : float))
-  end;
   let best_cost = ref infinity in
   let best = ref None in
   let current = Array.make horizon [||] in

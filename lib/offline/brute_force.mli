@@ -9,14 +9,11 @@ exception Too_large of int
 (** Raised when the enumeration would exceed the work limit; the payload
     is the estimated number of schedules. *)
 
-val solve : ?limit:int -> ?pool:Util.Pool.t -> Model.Instance.t -> Dp.result
+val solve : ?limit:int -> Model.Instance.t -> Dp.result
 (** Cheapest schedule by enumeration (default limit: [2_000_000]
     schedules).  Raises [Invalid_argument] when no feasible schedule
     exists, [Too_large] past the limit.  Ties are broken towards the
     lexicographically smallest schedule so results are deterministic and
-    comparable with {!Dp.solve}.
-
-    On a [pool] wider than one domain ({!Util.Parallel.width}), every
-    (slot, state) operating cost is pre-evaluated in parallel into the
-    rank-table memo before the sequential search runs; the search
-    itself — and therefore the result — is unchanged. *)
+    comparable with {!Dp.solve}.  The search re-reads each (slot,
+    state) operating cost through the rank-table memo
+    ({!Model.Cost.operating_rank}). *)

@@ -96,9 +96,8 @@ let fill_layer cache grid ~time =
   fill_lines (Model.Cost.cache_instance cache) grid ~time table;
   table
 
-let solve ?grids ?initial ?pool ?resume ?on_layer inst =
-  let width = Util.Parallel.width pool in
-  Obs.Span.with_ "dp.solve" ~args:[ ("domains", string_of_int width) ] @@ fun () ->
+let solve ?grids ?initial ?resume ?on_layer inst =
+  Obs.Span.with_ "dp.solve" @@ fun () ->
   Obs.Counter.incr c_solves;
   (* Two-sided switching costs fold into the power-up side without
      changing any schedule's cost (paper, Section 1). *)
@@ -193,10 +192,10 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         let src_grid = grid_at.(time - 1) in
         if src_grid == grid then begin
           Plane.blit ~src:!prev ~soff:0 ~dst:p ~doff:0 ~len:n;
-          Transform.ramp_grid_plane ?pool ~grid ~betas p ~off:0
+          Transform.ramp_grid_plane ~grid ~betas p ~off:0
         end
         else
-          Transform.ramp_across_plane ?pool ~src_grid ~dst_grid:grid ~betas ~src:!prev ~soff:0
+          Transform.ramp_across_plane ~src_grid ~dst_grid:grid ~betas ~src:!prev ~soff:0
             ~tmp:(Lazy.force work) p ~doff:0
       end;
       Forward.sweep !fwd inst ~time p ~off:0
@@ -244,24 +243,6 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
     let target = schedule.(time) in
     let grid = grid_at.(time - 1) in
     let m = Layer_store.finite store (time - 1) cells arrivals in
-    (* The candidate totals are independent per state, so the expensive
-       half of the scan fans out over the finite cells; the fuzzy
-       tie-breaking argmin stays a single ordered pass, keeping the
-       chosen predecessor — and hence the schedule — bit-identical to
-       the sequential solve.  Gated on the fan-out the pool will
-       actually deliver and on the cells it would get: the precompute
-       trades away the pruned scan's skipped switching-cost
-       evaluations, which only pays off when the domains are real and
-       the layer has enough finite cells. *)
-    let totals =
-      if width > 1 && m >= Util.Parallel.min_parallel_items then
-        Some
-          (Util.Parallel.parallel_init ?pool m (fun k ->
-               arrivals.(k)
-               +. Model.Config.switching_cost inst.Model.Instance.types
-                    ~from_:(Grid.config_scratch grid cells.(k)) ~to_:target))
-      else None
-    in
     let best = ref infinity and best_x = ref None in
     (* Ordered scan with a cheap lower-bound prune: the candidate total
        is at least the arrival cost (switching costs are non-negative),
@@ -271,15 +252,10 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
        legacy comparison, so the chosen predecessor is unchanged. *)
     for k = 0 to m - 1 do
       let arrival = arrivals.(k) in
-      let lower = match totals with Some t -> t.(k) | None -> arrival in
-      if lower <= !best +. 1e-12 then begin
+      if arrival <= !best +. 1e-12 then begin
         let y = Grid.config_scratch grid cells.(k) in
         let total =
-          match totals with
-          | Some t -> t.(k)
-          | None ->
-              arrival
-              +. Model.Config.switching_cost inst.Model.Instance.types ~from_:y ~to_:target
+          arrival +. Model.Config.switching_cost inst.Model.Instance.types ~from_:y ~to_:target
         in
         if
           total < !best -. 1e-12
@@ -301,9 +277,9 @@ let solve ?grids ?initial ?pool ?resume ?on_layer inst =
         !best);
   { schedule; cost = !best }
 
-let solve_optimal ?pool inst = solve ?pool inst
+let solve_optimal inst = solve inst
 
-let solve_approx ?pool ~eps inst =
+let solve_approx ~eps inst =
   if eps <= 0. then invalid_arg "Dp.solve_approx: eps must be positive";
   let gamma = 1. +. (eps /. 2.) in
-  solve ~grids:(approx_grids ~gamma inst) ?pool inst
+  solve ~grids:(approx_grids ~gamma inst) inst

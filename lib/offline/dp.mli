@@ -39,7 +39,6 @@ type frontier = {
 val solve :
   ?grids:(int -> Grid.t) ->
   ?initial:Model.Config.t ->
-  ?pool:Util.Pool.t ->
   ?resume:frontier ->
   ?on_layer:(time:int -> (unit -> frontier) -> unit) ->
   Model.Instance.t ->
@@ -53,14 +52,7 @@ val solve :
     Argmin ties are broken towards the lexicographically smallest
     configuration, so the result is deterministic.
 
-    [pool] fans the ramp transforms (above {!Transform}'s cutoff) and
-    the reconstruction scan's candidate totals (on layers with at
-    least {!Util.Parallel.min_parallel_items} finite cells) out across
-    {!Util.Parallel.width} domains; the forward sweep, nearly all of
-    the time, runs on the calling domain.  Results are bit-identical
-    to the sequential solve: every parallel section computes the same
-    values into disjoint slots, and all fuzzy argmin scans remain
-    single ordered passes.
+    The solve runs on the calling domain, one layer after another.
 
     Checkpoint/resume: [on_layer] is invoked after each filled layer
     with a thunk that materialises the current {!frontier} (it expands
@@ -96,10 +88,10 @@ val fill_layer : Model.Cost.cache -> Grid.t -> time:int -> float array
     line order and returns the table.  The values equal {!fill_row}'s
     bit for bit. *)
 
-val solve_optimal : ?pool:Util.Pool.t -> Model.Instance.t -> result
+val solve_optimal : Model.Instance.t -> result
 (** Section 4.1: exact optimum on dense grids. *)
 
-val solve_approx : ?pool:Util.Pool.t -> eps:float -> Model.Instance.t -> result
+val solve_approx : eps:float -> Model.Instance.t -> result
 (** Section 4.2 (and 4.3 when the instance is size-varying): grids
     [M^gamma] with [gamma = 1 + eps/2], guaranteeing
     [cost <= (1 + eps) * OPT] (Theorem 16 with [2*gamma - 1 = 1 + eps]).

@@ -6,9 +6,7 @@
     over segments in place, and two scratch planes absorb the
     intermediate shapes of cross-grid transforms — no per-layer
     [Array.copy], no per-axis fresh array.  Bigarrays live outside the
-    OCaml heap, so the passes never trigger minor-GC work and segments
-    can be shared freely across pool domains (the fills write disjoint
-    lines).
+    OCaml heap, so the passes never trigger minor-GC work.
 
     Conversion to and from ordinary [float array]s happens only at the
     boundaries (snapshot codecs, [on_layer] frontier capture), keeping

@@ -9,10 +9,8 @@
 
 (* Lines along axis [j] can be addressed directly: line [k] (of
    [size / lengths.(j)] total) starts at [(k / stride) * block + k mod
-   stride].  The parallel paths below use this to fan independent lines
-   out across a domain pool without materialising (offset, stride)
-   lists; the per-axis passes themselves stay sequential because axis
-   [j+1] reads what axis [j] wrote. *)
+   stride], so the cross-grid pass pairs source and destination lines
+   without materialising (offset, stride) lists. *)
 let line_offset ~block ~stride k = ((k / stride) * block) + (k mod stride)
 
 (* Row-major stride of axis [j]: the product of the later axes' lengths. *)
@@ -22,21 +20,6 @@ let stride_of lengths j =
     stride := !stride * lengths.(k)
   done;
   !stride
-
-(* A ramp pass is pure memory traffic — a handful of float compares per
-   element — so the fan-out only pays for itself on much larger slabs
-   than an operating-cost fill (whose items each run a dispatch solve).
-   16x the generic cutoff keeps small per-layer passes (the common DP
-   shape) inline while grids big enough to care still fan out. *)
-let ramp_min_items = 16 * Util.Parallel.min_parallel_items
-
-(* Fan the per-line closure out when the axis slab is big enough.  The
-   cutoff is in matrix *elements* (the unit of actual work), not lines,
-   so it is scaled by the line length before the per-line
-   [Util.Parallel.parallel_for]. *)
-let for_lines ?pool ~line_len ~n_lines f =
-  let min_lines = 1 + ((ramp_min_items - 1) / max 1 line_len) in
-  Util.Parallel.parallel_for ?pool ~min_items:min_lines ~n:n_lines f
 
 (* In-place pass along one axis over a block of rows: row [i] holds
    the [width] cells from [base + i * stride], one per line of the
@@ -126,7 +109,7 @@ let check_segment msg (p : Plane.t) ~off ~size =
 let check_ops msg ops ~size =
   match ops with Some ops when Array.length ops <> size -> invalid_arg msg | _ -> ()
 
-let ramp_grid_plane ?pool ?ops ~grid ~betas (p : Plane.t) ~off =
+let ramp_grid_plane ?ops ~grid ~betas (p : Plane.t) ~off =
   let d = Grid.dim grid in
   if Array.length betas <> d then invalid_arg "Transform.ramp_grid_plane: betas mismatch";
   let size = Grid.size grid in
@@ -140,15 +123,8 @@ let ramp_grid_plane ?pool ?ops ~grid ~betas (p : Plane.t) ~off =
     stride := block / n;
     let stride = !stride and beta = betas.(j) in
     let ops = if j = d - 1 then ops else None in
-    let n_lines = size / n in
-    if Util.Parallel.width pool > 1 && n_lines * n >= ramp_min_items then
-      (* One line per item, as [line_offset] addresses them, on a slab
-         big enough to pay for the fan-out. *)
-      for_lines ?pool ~line_len:n ~n_lines (fun k ->
-          let base = off + line_offset ~block ~stride k in
-          ramp_rows ~beta ~values ?ops p ~base ~stride ~width:1 ~rank:(base - off))
-    else if stride = 1 then
-      for k = 0 to n_lines - 1 do
+    if stride = 1 then
+      for k = 0 to (size / n) - 1 do
         ramp_rows ~beta ~values ?ops p ~base:(off + (k * n)) ~stride ~width:1 ~rank:(k * n)
       done
     else
@@ -157,7 +133,7 @@ let ramp_grid_plane ?pool ?ops ~grid ~betas (p : Plane.t) ~off =
       done
   done
 
-let ramp_across_plane ?pool ?ops ~src_grid ~dst_grid ~betas
+let ramp_across_plane ?ops ~src_grid ~dst_grid ~betas
     ~(src : Plane.t) ~soff ~tmp:((wa, wb) : Plane.t * Plane.t) (dst : Plane.t) ~doff =
   let d = Grid.dim src_grid in
   if Grid.dim dst_grid <> d then invalid_arg "Transform.ramp_across_plane: dim mismatch";
@@ -192,7 +168,7 @@ let ramp_across_plane ?pool ?ops ~src_grid ~dst_grid ~betas
     let src_p = !cur and src_off = !cur_off in
     (* Matching src/dst lines share a line index: only axis [j]'s length
        changed, so the other-axes enumeration (and the stride) agree. *)
-    let run k =
+    for k = 0 to n_lines - 1 do
       let soff = src_off + line_offset ~block:src_block ~stride k in
       let doff = target_off + line_offset ~block:dst_block ~stride k in
       ramp_between_strided_p ~beta ~src_values ~src:src_p ~soff ~dst_values ~dst:target
@@ -205,8 +181,7 @@ let ramp_across_plane ?pool ?ops ~src_grid ~dst_grid ~betas
               (Bigarray.Array1.unsafe_get target (doff + i) +. Array.unsafe_get ops ((k * nd) + i))
           done
       | Some _ | None -> ()
-    in
-    for_lines ?pool ~line_len:(ns + nd) ~n_lines run;
+    done;
     lengths.(j) <- nd;
     cur := target;
     cur_off := target_off;

@@ -32,20 +32,11 @@
     fuse its own [g_t] here instead ([inf + g] keeps infeasible states
     at [infinity]).
 
-    On a [pool] the independent lines of each axis pass fan out over
-    {!Util.Parallel.width} domains whenever the pass touches at least
-    4096 matrix elements (16x {!Util.Parallel.min_parallel_items}
-    — a ramp pass is a few float compares per element, so it needs a
-    much larger slab than an operating-cost fill before the fan-out
-    pays).  The axis passes themselves stay ordered, and sequential and
-    pooled runs agree bit for bit.
-
     The source and destination segments are bounds-checked against
     their planes, and a given [ops] against the grid, before the
     destination is written; a mismatch raises [Invalid_argument]. *)
 
 val ramp_grid_plane :
-  ?pool:Util.Pool.t ->
   ?ops:float array ->
   grid:Grid.t ->
   betas:float array ->
@@ -57,7 +48,6 @@ val ramp_grid_plane :
     the fused add of [ops], if given. *)
 
 val ramp_across_plane :
-  ?pool:Util.Pool.t ->
   ?ops:float array ->
   src_grid:Grid.t ->
   dst_grid:Grid.t ->

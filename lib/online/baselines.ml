@@ -48,7 +48,7 @@ let follow_demand inst =
       | None -> invalid_arg "Baselines.follow_demand: infeasible slot"
       | Some x -> x)
 
-let receding_horizon ?pool ~window inst =
+let receding_horizon ~window inst =
   if window < 1 then invalid_arg "Baselines.receding_horizon: window must be >= 1";
   let horizon = Model.Instance.horizon inst in
   let d = Model.Instance.num_types inst in
@@ -56,7 +56,7 @@ let receding_horizon ?pool ~window inst =
   Array.init horizon (fun time ->
       let len = min window (horizon - time) in
       let sub = Model.Instance.window inst ~start:time ~len in
-      let { Offline.Dp.schedule; _ } = Offline.Dp.solve ?pool ~initial:!current sub in
+      let { Offline.Dp.schedule; _ } = Offline.Dp.solve ~initial:!current sub in
       current := schedule.(0);
       Array.copy schedule.(0))
 

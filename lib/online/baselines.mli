@@ -17,13 +17,11 @@ val follow_demand : Model.Instance.t -> Model.Schedule.t
     operating cost [g_t(x)] alone, ignoring switching costs — the
     "power down whenever idle" extreme. *)
 
-val receding_horizon :
-  ?pool:Util.Pool.t -> window:int -> Model.Instance.t -> Model.Schedule.t
+val receding_horizon : window:int -> Model.Instance.t -> Model.Schedule.t
 (** Re-plans an optimal schedule over the next [window] slots from the
     current state and commits only the first decision.  With lookahead
     it is not an online algorithm in the paper's sense; it bounds what
-    limited foresight buys.  [pool] parallelises each window's
-    {!Offline.Dp.solve}. *)
+    limited foresight buys. *)
 
 val lcp_1d : Model.Instance.t -> Model.Schedule.t
 (** The lazy-capacity-provisioning principle of [23, 24] transplanted to

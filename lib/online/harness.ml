@@ -1,6 +1,6 @@
 type evaluation = { name : string; cost : float; ratio : float; feasible : bool }
 
-let opt_cost ?pool inst = (Offline.Dp.solve_optimal ?pool inst).Offline.Dp.cost
+let opt_cost inst = (Offline.Dp.solve_optimal inst).Offline.Dp.cost
 
 (* The canonical nan-free competitive ratio: on all-idle traces (zero
    load, free idling) OPT is 0 and a plain division yields nan; an
@@ -56,13 +56,13 @@ let competitive_bound inst ~algorithm =
       else if inst.Model.Instance.time_independent then 3.
       else 3. +. Alg_homog.c_of_instance inst
 
-let run_suite ?(eps = 0.5) ?(window = 3) ?(include_baselines = true) ?pool inst =
+let run_suite ?(eps = 0.5) ?(window = 3) ?(include_baselines = true) inst =
   Obs.Span.with_ "harness.run_suite" @@ fun () ->
   (* One span per policy, so a trace of a suite run shows where the wall
      time went across OPT, the online algorithms and the baselines. *)
   let policy name f = (name, Obs.Span.with_ ("harness." ^ name) f) in
   let opt =
-    Obs.Span.with_ "harness.OPT" (fun () -> Offline.Dp.solve_optimal ?pool inst)
+    Obs.Span.with_ "harness.OPT" (fun () -> Offline.Dp.solve_optimal inst)
   in
   let online =
     if inst.Model.Instance.time_independent then
@@ -80,7 +80,7 @@ let run_suite ?(eps = 0.5) ?(window = 3) ?(include_baselines = true) ?pool inst 
           policy "follow-demand" (fun () -> Baselines.follow_demand inst);
           (Printf.sprintf "horizon-%d" window,
            Obs.Span.with_ "harness.receding-horizon" (fun () ->
-               Baselines.receding_horizon ?pool ~window inst)) ]
+               Baselines.receding_horizon ~window inst)) ]
       in
       if Model.Instance.num_types inst = 1 then
         basic @ [ policy "lcp" (fun () -> Baselines.lcp_1d inst) ]

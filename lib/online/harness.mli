@@ -8,8 +8,8 @@ type evaluation = {
   feasible : bool;   (** paper-sense feasibility of the schedule *)
 }
 
-val opt_cost : ?pool:Util.Pool.t -> Model.Instance.t -> float
-(** Exact optimum via {!Offline.Dp.solve_optimal} ([pool] as there). *)
+val opt_cost : Model.Instance.t -> float
+(** Exact optimum via {!Offline.Dp.solve_optimal}. *)
 
 val ratio : cost:float -> opt:float -> float
 (** The canonical nan-free competitive ratio [cost / opt], defined on
@@ -25,17 +25,12 @@ val run_suite :
   ?eps:float ->
   ?window:int ->
   ?include_baselines:bool ->
-  ?pool:Util.Pool.t ->
   Model.Instance.t ->
   (string * Model.Schedule.t) list
 (** The standard line-up: OPT, algorithm A (time-independent instances)
     or algorithms B and C (default [eps = 0.5]), and — when
     [include_baselines] (default true) — always-on, follow-the-demand,
-    receding horizon (default [window = 3]) and, for [d = 1], LCP.
-
-    [pool] parallelises the offline DPs (OPT and every receding-horizon
-    window); the online algorithms run sequentially.  Every schedule is
-    bit-identical to the run without a pool. *)
+    receding horizon (default [window = 3]) and, for [d = 1], LCP. *)
 
 val competitive_bound :
   Model.Instance.t ->

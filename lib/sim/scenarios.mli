@@ -21,11 +21,8 @@ val three_tier : ?horizon:int -> ?seed:int -> unit -> Model.Instance.t
 
 val large_fleet : ?horizon:int -> ?seed:int -> unit -> Model.Instance.t
 (** Two types with large counts (60 web + 40 batch servers, a 2501-state
-    dense grid) — the one named scenario big enough that the offline DP
-    clears {!Util.Parallel.min_parallel_items} and actually fans out on
-    a domain pool (the online algorithms run on one domain at any
-    width).  Time-independent; the CLI's [--domains] demo and the CI
-    domain-pool smoke test use it. *)
+    dense grid) — the largest grid of the named scenarios.
+    Time-independent; the CI telemetry smoke test solves it. *)
 
 val time_varying_costs : ?horizon:int -> ?seed:int -> unit -> Model.Instance.t
 (** Two types whose idle costs follow a day/night electricity price —

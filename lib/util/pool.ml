@@ -31,8 +31,6 @@ type job = {
   n_chunks : int;
   cursor : int Atomic.t;     (* next chunk index to hand out *)
   remaining : int Atomic.t;  (* chunks not yet finished *)
-  entered : int Atomic.t;    (* workers that joined this job *)
-  max_workers : int;         (* cap on pool workers (submitter excluded) *)
   error : exn option Atomic.t;
 }
 
@@ -104,9 +102,7 @@ let rec worker_loop t last_epoch =
   let stop = t.stop and epoch = t.epoch and job = t.job in
   Mutex.unlock t.lock;
   if not stop then begin
-    (match job with
-    | Some j -> if Atomic.fetch_and_add j.entered 1 < j.max_workers then participate t j
-    | None -> ());
+    Option.iter (participate t) job;
     worker_loop t epoch
   end
 
@@ -145,22 +141,16 @@ let run_sequential job_counter n f =
     f i
   done
 
-let run ?workers t ~n f =
+let run t ~n f =
   if n < 0 then invalid_arg "Pool.run: negative range";
   if t.stop then invalid_arg "Pool.run: pool is shut down";
-  let cap =
-    match workers with
-    | None -> t.size
-    | Some w when w < 1 -> invalid_arg "Pool.run: workers must be >= 1"
-    | Some w -> min w t.size
-  in
   if n = 0 then ()
   else if !(Domain.DLS.get in_work_item) then run_sequential c_nested_jobs n f
-  else if cap = 1 || t.size = 1 || n = 1 then run_sequential c_seq_jobs n f
+  else if t.size = 1 || n = 1 then run_sequential c_seq_jobs n f
   else begin
     (* Several chunks per participant so an unlucky expensive chunk is
        absorbed by the others instead of serialising the job. *)
-    let chunk = max 1 (1 + ((n - 1) / (cap * 4))) in
+    let chunk = max 1 (1 + ((n - 1) / (t.size * 4))) in
     let n_chunks = 1 + ((n - 1) / chunk) in
     let job =
       { fn = f;
@@ -169,15 +159,13 @@ let run ?workers t ~n f =
         n_chunks;
         cursor = Atomic.make 0;
         remaining = Atomic.make n_chunks;
-        entered = Atomic.make 0;
-        max_workers = cap - 1;
         error = Atomic.make None }
     in
     Obs.Counter.incr c_jobs;
     Obs.Span.with_ (t.name ^ ".run")
       ~args:
         [ ("n", string_of_int n);
-          ("workers", string_of_int cap);
+          ("workers", string_of_int t.size);
           ("chunks", string_of_int n_chunks) ]
     @@ fun () ->
     Mutex.lock t.lock;

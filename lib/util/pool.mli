@@ -1,14 +1,13 @@
 (** Persistent domain pool for data-parallel index ranges.
 
-    {!Parallel} used to spawn fresh domains on every parallel section;
-    on the DP hot path that meant one [Domain.spawn] per worker {e per
-    layer}, and the spawn/join churn dominated the fan-out benefit on
-    small layers.  A pool spawns its workers once; each parallel job is
-    a contiguous index range that the participating domains consume in
-    chunks through a single atomic cursor (lock-free work distribution;
-    the mutex/condvar pair is only touched to publish a job and to
-    sleep between jobs).  No external dependency — hand-rolled rather
-    than domainslib, like the rest of [lib/util].
+    A pool spawns its workers once and reuses them for every job; its
+    one user is the daemon ([serve --domains]), which fans each round's
+    session steps out across it.  Each job is a contiguous index range
+    that the participating domains consume in chunks through a single
+    atomic cursor (lock-free work distribution; the mutex/condvar pair
+    is only touched to publish a job and to sleep between jobs).  No
+    external dependency — hand-rolled rather than domainslib, like the
+    rest of [lib/util].
 
     Results are deterministic whenever the work items are: every index
     is executed exactly once, and which domain runs it cannot be
@@ -52,19 +51,19 @@ val size : t -> int
 
 val is_shutdown : t -> bool
 
-val run : ?workers:int -> t -> n:int -> (int -> unit) -> unit
+val run : t -> n:int -> (int -> unit) -> unit
 (** [run t ~n f] executes [f i] once for every [0 <= i < n], fanning the
-    range out across the pool.  [f] must be safe to call concurrently
-    for distinct [i] (pure, or writing only to index-disjoint state).
-    Blocks until every index has completed.
+    range out across every domain of the pool, the submitting domain
+    included.  [f] must be safe to call concurrently for distinct [i]
+    (pure, or writing only to index-disjoint state).  Blocks until
+    every index has completed.
 
-    [workers] caps the participating domains (default: the pool size);
-    the submitting domain always participates.  The first exception
-    raised by any [f i] is re-raised in the submitter after the range
-    completes (remaining chunks are skipped, already-started ones
-    finish).  Calling [run] from inside a running work item — on any
-    pool — executes the nested range sequentially instead of
-    deadlocking.  Raises [Invalid_argument] after {!shutdown}. *)
+    The first exception raised by any [f i] is re-raised in the
+    submitter after the range completes (remaining chunks are skipped,
+    already-started ones finish).  Calling [run] from inside a running
+    work item — on any pool — executes the nested range sequentially
+    instead of deadlocking.  Raises [Invalid_argument] after
+    {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Wake and join the workers.  Idempotent; concurrent use of {!run}

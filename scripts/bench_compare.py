@@ -25,15 +25,6 @@ The comparator is deliberately runner-noise-aware:
   "faster than baseline - consider refreshing" note: a stale baseline
   quietly widens the regression budget for every later change.
 
-Pool sanity (gating): the pooled DP solve must not be slower than the
-sequential solve by more than 25% plus the 1 ms absolute floor.  The
-pooled fan-out is right-sized to the runner's cores (Util.Parallel caps
-domains at recommended_domains), so on a 1-CPU runner pooled
-degenerates to the same sequential loop and the two are statistically
-tied; on a multicore runner pooled should win outright.  Either way a
-pooled run materially slower than sequential is a genuine pipeline
-regression, not core-count noise.
-
 Exit status: 0 when every gated bench passes, 1 otherwise.
 """
 
@@ -42,9 +33,6 @@ import sys
 
 TOLERANCE_DEFAULT = 0.25
 ABS_FLOOR_NANOS = 1e6  # ignore regressions smaller than 1 ms in absolute terms
-
-POOLED_BENCH = "pool: exact DP on 4-domain pool (d=3, T=96)"
-SEQ_BENCH = "pool: exact DP sequential (d=3, T=96, m=(10,6,4))"
 
 
 def load(path):
@@ -117,24 +105,6 @@ def main():
         print()
         for name in new:
             print(f"NEW   {name}: {fmt(cur_benches[name]['nanos'])} (not gated)")
-
-    if POOLED_BENCH in cur_benches and SEQ_BENCH in cur_benches:
-        pooled = cur_benches[POOLED_BENCH]["nanos"]
-        seq = cur_benches[SEQ_BENCH]["nanos"]
-        print()
-        if pooled > 0 and seq > 0:
-            slack = seq * (1.0 + tolerance) + ABS_FLOOR_NANOS
-            if pooled > slack:
-                print(
-                    f"FAIL  pooled DP ({fmt(pooled)}) slower than sequential "
-                    f"({fmt(seq)}) beyond {tolerance:.0%} + {fmt(ABS_FLOOR_NANOS)}"
-                )
-                failures.append("pooled DP vs sequential")
-            else:
-                print(
-                    f"ok    pooled DP {fmt(pooled)} vs sequential {fmt(seq)} "
-                    f"({seq / pooled:.2f}x)"
-                )
 
     if improvements:
         print(

@@ -9,11 +9,10 @@
 #      simulated crash (exit 3) to leave a checkpoint behind,
 #   3. resumes from the checkpoint with --resume,
 # and fails unless the resumed result line is byte-identical to the
-# uninterrupted one.  A sixth, cross-width run crashes on two domains
-# and resumes on one, and a further leg checks that `online` refuses
-# an instance with time-varying fleet sizes (offline only).
-# See docs/robustness.md.  (Daemon-level serving,
-# metrics, and crash/resume e2e live in the scenario fleet now:
+# uninterrupted one.  Two refusal legs follow: `online` must refuse an
+# instance with time-varying fleet sizes (offline only), and `serve`
+# an out-of-range --domains.  See docs/robustness.md.  (Daemon-level
+# serving, metrics, and crash/resume e2e live in the scenario fleet now:
 # `rightsizer scenario run test/scenarios/*.sexp`, docs/scenarios.md.)
 #
 # Usage: scripts/e2e_checkpoint.sh [path-to-rightsizer-binary]
@@ -38,9 +37,6 @@ first_line() {
   printf '%s\n' "${out%%$'\n'*}"
 }
 
-# Extra flags for the crashed run only (see the cross-width leg).
-CRASH_FLAGS=()
-
 check_case() {
   local name=$1; shift
   local crash_after=$1; shift
@@ -57,7 +53,7 @@ check_case() {
   fi
 
   status=0
-  "$BIN" "$@" "${CRASH_FLAGS[@]}" --checkpoint "$ck" --checkpoint-every 2 \
+  "$BIN" "$@" --checkpoint "$ck" --checkpoint-every 2 \
     --crash-after "$crash_after" > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 3 ]; then
     echo "FAIL $name: expected simulated crash (exit 3), got exit $status" >&2
@@ -88,17 +84,6 @@ check_case solve-approx 5 solve  --scenario large-fleet  --horizon 24 --eps 0.25
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
 
-# Cross-width resume: the crashed run is started with --domains 2,
-# while the uninterrupted and the resumed runs use the default single
-# domain; the resumed result line must equal the sequential run's.  The
-# online session runs on one domain at any width: --domains reaches
-# only the pooled OPT of the result line, which the crashed run never
-# prints, so the leg pins that the width changes no checkpoint byte
-# and no decision.
-CRASH_FLAGS=(--domains 2)
-check_case cross-width 5 online --scenario large-fleet --horizon 12
-CRASH_FLAGS=()
-
 # Time-varying fleet sizes (Section 4.3) are offline only: `online`
 # must refuse the maintenance scenario, with the error that says so,
 # instead of printing a schedule that breaks its maintenance window.
@@ -118,6 +103,27 @@ maintenance_case() {
   fi
 }
 maintenance_case
+
+# `serve --domains 0` must be refused while the arguments are checked,
+# with an error that names the flag.  A daemon that accepted it would
+# listen until stopped, so the run is bounded by a timeout; its SIGTERM
+# stops a listening daemon with status 0 (or 143 if it is killed).
+serve_domains_case() {
+  local status=0
+  timeout --preserve-status 10 "$BIN" serve --unix "$WORK/refused.sock" --domains 0 \
+    > /dev/null 2> "$WORK/serve-domains.err" || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
+    echo "FAIL serve-domains: serve accepted --domains 0 (exit $status)" >&2
+    FAILED=1
+  elif ! grep -q -- '--domains' "$WORK/serve-domains.err"; then
+    echo "FAIL serve-domains: exit $status without naming --domains:" >&2
+    cat "$WORK/serve-domains.err" >&2
+    FAILED=1
+  else
+    echo "OK   serve-domains: serve refused --domains 0 (exit $status): $(cat "$WORK/serve-domains.err")"
+  fi
+}
+serve_domains_case
 
 # Daemon crash/resume: the daemon serves with --log-dir (the
 # incremental session log, its only durable state; docs/durability.md),

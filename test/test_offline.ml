@@ -439,24 +439,6 @@ let test_dp_initial_state () =
   checkf 1e-9 "cold pays beta" 11. cold.Offline.Dp.cost;
   checkf 1e-9 "warm does not" 1. warm.Offline.Dp.cost
 
-let test_dp_parallel_identical () =
-  (* A grid big enough to cross the parallel threshold; results must be
-     bit-identical to the sequential solve. *)
-  let types = [| st ~count:400 ~switching_cost:2. ~cap:1. () |] in
-  let fns = [| Convex.Fn.affine ~intercept:0.3 ~slope:0.9 |] in
-  let load = [| 120.; 300.; 50.; 0.; 200. |] in
-  let inst = Model.Instance.make_static ~types ~load ~fns () in
-  let seq = Offline.Dp.solve_optimal inst in
-  List.iter
-    (fun domains ->
-      let par =
-        Util.Pool.with_pool ~domains (fun pool -> Offline.Dp.solve_optimal ~pool inst)
-      in
-      checkb (Printf.sprintf "identical cost (domains=%d)" domains) true
-        (par.Offline.Dp.cost = seq.Offline.Dp.cost);
-      checkb "identical schedule" true (par.Offline.Dp.schedule = seq.Offline.Dp.schedule))
-    [ 2; 4 ]
-
 (* --- Golden operating-cost rows --- *)
 
 (* 64-bit FNV-1a over the little-endian bytes of each float's bit
@@ -923,7 +905,6 @@ let () =
             test_dp_powers_down_across_long_gap;
           Alcotest.test_case "infeasible raises" `Quick test_dp_infeasible_raises;
           Alcotest.test_case "initial state" `Quick test_dp_initial_state;
-          Alcotest.test_case "parallel evaluation identical" `Quick test_dp_parallel_identical;
           Alcotest.test_case "fill rows match the golden digests" `Quick
             test_fill_rows_golden;
           Alcotest.test_case "forward work = online engine's, same bits" `Quick

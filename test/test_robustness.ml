@@ -224,36 +224,10 @@ let with_armed ?seed plans f =
   Faultinj.arm ?seed plans;
   Fun.protect ~finally:Faultinj.disarm f
 
-(* A single-type grid (301 states) whose pooled DP hands work to the
-   workers: its reconstruction fans a layer out when the layer holds at
-   least min_parallel_items (256) finite cells.  A server idles for
-   less than its switching cost, so the load-5 slot after the load-290
-   one keeps every state from 5 to 290 finite, 286 cells. *)
-let wide_instance () =
-  let types = [| st ~count:300 ~switching_cost:2. ~cap:1. () |] in
-  let fns = [| Convex.Fn.affine ~intercept:1. ~slope:0.5 |] in
-  let load = [| 10.; 120.; 40.; 290.; 5.; 90. |] in
-  Model.Instance.make_static ~types ~load ~fns ()
-
 let test_fault_pool_degrades_to_sequential () =
-  let inst = wide_instance () in
-  let base = Offline.Dp.solve inst in
   let pool = Util.Pool.create ~name:"faulty" ~domains:2 () in
   Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
-  (* A DP under an injected pool fault stays bit-identical, and on a
-     multi-core runner the fault is reached.  (On a single-core runner
-     [Parallel] right-sizes the fan-out down to a sequential loop, so
-     the fault never fires there — the equality is the contract either
-     way.) *)
-  let degraded0 = counter "pool.degraded_jobs" in
-  let r = with_armed [ ("pool.job", Faultinj.Nth 1) ] (fun () -> Offline.Dp.solve ~pool inst) in
-  checkb "degraded solve bit-identical" true
-    (r.Offline.Dp.cost = base.Offline.Dp.cost
-    && schedules_equal r.Offline.Dp.schedule base.Offline.Dp.schedule);
-  if Util.Parallel.recommended_domains () > 1 then
-    checkb "the DP's pool job degraded" true (counter "pool.degraded_jobs" > degraded0);
-  (* Drive the degrade machinery itself through [Pool.run], which fans
-     out regardless of the hardware cap: the faulted job must re-run
+  (* A worker fault on a real fan-out: the faulted job must re-run
      sequentially with every slot still filled. *)
   let degraded0 = counter "pool.degraded_jobs" in
   let recovered0 = counter "faultinj.recovered" in
@@ -273,10 +247,17 @@ let test_fault_pool_real_exception_propagates () =
   let exception Boom in
   checkb "raises" true
     (try
-       ignore (Util.Parallel.parallel_init ~pool 600 (fun i ->
-           if i = 300 then raise Boom else i));
+       Util.Pool.run pool ~n:600 (fun i -> if i = 300 then raise Boom);
        false
      with Boom -> true)
+
+(* A six-slot instance on a single-type grid of 301 states, for the DP
+   layer-fault tests. *)
+let wide_instance () =
+  let types = [| st ~count:300 ~switching_cost:2. ~cap:1. () |] in
+  let fns = [| Convex.Fn.affine ~intercept:1. ~slope:0.5 |] in
+  let load = [| 10.; 120.; 40.; 290.; 5.; 90. |] in
+  Model.Instance.make_static ~types ~load ~fns ()
 
 let test_fault_dp_layer_refill () =
   let inst = wide_instance () in

@@ -475,11 +475,21 @@ let test_daemon_checkpoint_resume_multisession () =
    socket, one over loopback TCP, two cpu-gpu sessions each.  Both
    connections pipeline every 4-slot feed before reading a reply, so a
    daemon round can serve both at once; every decision must equal a
-   sequential Session fed the same loads. *)
-let test_daemon_two_connections () =
+   sequential Session fed the same loads.  With [domains > 1] the daemon
+   steps each round's sessions on a pool of that many domains, and every
+   round that steps two or more sessions runs a pool job. *)
+let test_daemon_two_connections ~domains () =
+  let with_pool f =
+    if domains = 1 then f None
+    else Util.Pool.with_pool ~name:"daemon" ~domains (fun pool -> f (Some pool))
+  in
+  let count name = Obs.Counter.value (Option.get (Obs.Counter.find name)) in
+  let batches0 = count "server.batches" and stepped0 = count "server.batch_size" in
+  let jobs0 = count "pool.jobs" in
+  with_pool @@ fun pool ->
   with_daemon (fun dir mk cfg ->
       let port = Server.Spawn.pick_free_port () in
-      let d = mk "two.sock" { cfg with Daemon.tcp_port = Some port } in
+      let d = mk "two.sock" { cfg with Daemon.tcp_port = Some port; pool } in
       let runner = Thread.create Daemon.run d in
       Fun.protect ~finally:(fun () -> Daemon.request_stop d; Thread.join runner)
       @@ fun () ->
@@ -538,7 +548,12 @@ let test_daemon_two_connections () =
               | _ -> Alcotest.fail (Printf.sprintf "feed %s@%d" id seq))
             (frames sessions);
           Server.Client.close c)
-        conns)
+        conns);
+  let multi_session_rounds =
+    count "server.batch_size" - stepped0 > count "server.batches" - batches0
+  in
+  if domains > 1 && multi_session_rounds then
+    checkb "multi-session rounds ran on the pool" true (count "pool.jobs" > jobs0)
 
 (* Metrics scrape + shadow oracle, through the in-process handle path
    with a synchronous audit so every number is deterministic. *)
@@ -698,4 +713,6 @@ let () =
           Alcotest.test_case "audit matches direct offline replay" `Quick
             test_audit_matches_direct_computation;
           Alcotest.test_case "two connections, unix + tcp" `Quick
-            test_daemon_two_connections ] ) ]
+            (test_daemon_two_connections ~domains:1);
+          Alcotest.test_case "two connections on a 2-domain pool" `Quick
+            (test_daemon_two_connections ~domains:2) ] ) ]

@@ -114,85 +114,6 @@ let test_stats_geomean () =
   checkb "nan on non-positive" true
     (Float.is_nan (Util.Stats.geometric_mean [| 1.; 0. |]))
 
-let test_parallel_fill_matches_sequential () =
-  let f i = float_of_int (i * i) /. 7. in
-  let sizes = [ 0; 1; 10; 255; 256; 1000 ] in
-  List.iter
-    (fun n ->
-      Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "n=%d no pool" n)
-        (Array.init n f) (Util.Parallel.parallel_init n f))
-    sizes;
-  List.iter
-    (fun domains ->
-      Util.Pool.with_pool ~domains @@ fun pool ->
-      List.iter
-        (fun n ->
-          let par = Util.Parallel.parallel_init ~pool n f in
-          Alcotest.(check (array (float 0.)))
-            (Printf.sprintf "n=%d domains=%d" n domains)
-            (Array.init n f) par)
-        sizes)
-    [ 1; 2; 3; 8 ]
-
-let test_parallel_recommended () =
-  let r = Util.Parallel.recommended_domains () in
-  checkb "at least one domain" true (r >= 1);
-  (* One width per pool: its size capped at the hardware, 1 without. *)
-  Alcotest.(check int) "width without a pool" 1 (Util.Parallel.width None);
-  List.iter
-    (fun domains ->
-      Util.Pool.with_pool ~domains @@ fun pool ->
-      Alcotest.(check int)
-        (Printf.sprintf "width of a %d-domain pool" domains)
-        (min domains r)
-        (Util.Parallel.width (Some pool)))
-    [ 1; 2; 4 ]
-
-let test_parallel_fill_edges () =
-  let m = Util.Parallel.min_parallel_items in
-  checkb "threshold positive" true (m > 0);
-  let f i = float_of_int (3 * i) +. 0.5 in
-  Util.Pool.with_pool ~domains:4 (fun pool ->
-      (* n = 0 and n = 1 must not spawn and must still fill every index. *)
-      Util.Parallel.parallel_fill ~pool [||] f;
-      let one = [| Float.nan |] in
-      Util.Parallel.parallel_fill ~pool one f;
-      checkf "n=1 filled" (f 0) one.(0);
-      (* More participating domains than items. *)
-      let one = [| Float.nan |] in
-      Util.Parallel.parallel_fill ~pool ~min_items:1 one f;
-      checkf "n=1 filled on the pool" (f 0) one.(0));
-  (* Around the sequential/parallel threshold. *)
-  List.iter
-    (fun (n, domains) ->
-      Util.Pool.with_pool ~domains @@ fun pool ->
-      let out = Array.make n Float.nan in
-      Util.Parallel.parallel_fill ~pool out f;
-      Array.iteri
-        (fun i v ->
-          if v <> f i then
-            Alcotest.failf "n=%d domains=%d: out.(%d) = %g, want %g" n domains i v (f i))
-        out)
-    [ (m - 1, 4); (m, 4); (m + 1, 4); (5, 8); (m + 5, 8); (4 * m, 8) ]
-
-let test_parallel_min_items_override () =
-  (* ?min_items lets tests force the pooled path on tiny ranges. *)
-  let f i = float_of_int (i * 3) in
-  let out =
-    Util.Pool.with_pool ~domains:2 (fun pool ->
-        Util.Parallel.parallel_init ~pool ~min_items:1 8 f)
-  in
-  Alcotest.(check (array (float 0.))) "tiny pooled fill" (Array.init 8 f) out
-
-let test_parallel_generic_type () =
-  (* parallel_init is generic, not float-only. *)
-  let words =
-    Util.Pool.with_pool ~domains:2 (fun pool ->
-        Util.Parallel.parallel_init ~pool ~min_items:1 300 string_of_int)
-  in
-  checkb "strings filled" true (Array.for_all2 ( = ) (Array.init 300 string_of_int) words)
-
 let test_float_close () =
   checkb "equal" true (Util.Float_cmp.close 1. 1.);
   checkb "near" true (Util.Float_cmp.close 1. (1. +. 1e-12));
@@ -323,14 +244,6 @@ let () =
           Alcotest.test_case "standard error" `Quick test_stats_std_error;
           Alcotest.test_case "95% CI" `Quick test_stats_ci95;
           Alcotest.test_case "geometric mean" `Quick test_stats_geomean
-        ] );
-      ( "parallel",
-        [ Alcotest.test_case "fill matches sequential" `Quick
-            test_parallel_fill_matches_sequential;
-          Alcotest.test_case "recommended domains" `Quick test_parallel_recommended;
-          Alcotest.test_case "fill edge cases" `Quick test_parallel_fill_edges;
-          Alcotest.test_case "min_items override" `Quick test_parallel_min_items_override;
-          Alcotest.test_case "generic element type" `Quick test_parallel_generic_type
         ] );
       ( "float_cmp",
         [ Alcotest.test_case "close" `Quick test_float_close;
