@@ -312,7 +312,13 @@ let benches =
        of carrying the multiplier bracket along the line. *)
     bench "dispatch: warm line sweep (d=3, 64 cells)"
       (let cells = Lazy.force dispatch_line_cells in
-       fun () -> Core.Dispatch.solve_line cells ~total:1.);
+       let sw = Core.Dispatch.sweep () in
+       fun () ->
+         let out = Array.make (Array.length cells) nan in
+         Core.Dispatch.sweep_start sw;
+         Array.iteri (fun i pieces -> Core.Dispatch.sweep_solve sw pieces ~total:1. out i) cells;
+         Core.Dispatch.sweep_finish sw;
+         out);
     bench "dispatch: cold per-cell sweep (d=3, 64 cells)"
       (let cells = Lazy.force dispatch_line_cells in
        fun () ->

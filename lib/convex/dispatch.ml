@@ -236,7 +236,7 @@ type sweep = {
 
 let dummy_fn = Fn.const 0.
 
-let new_sweep () =
+let sweep () =
   { carry = { nu_hi = nan };
     calls = 0;
     analytic = 0;
@@ -268,18 +268,7 @@ let ensure_capacity sw d =
     sw.pup <- Array.make d (-1.)
   end
 
-(* Per-domain scratch: a line sweep runs cell after cell on one domain,
-   so one record per domain suffices.  [solve] keeps a second, separate
-   record so its internal analytic solves never clobber a caller's
-   in-progress line sweep (e.g. the non-invertible fallback inside
-   [sweep_solve]). *)
-let sweep_key : sweep Domain.DLS.key = Domain.DLS.new_key new_sweep
-let cold_key : sweep Domain.DLS.key = Domain.DLS.new_key new_sweep
-
-let sweep_start () =
-  let sw = Domain.DLS.get sweep_key in
-  sw.carry.nu_hi <- nan;
-  sw
+let sweep_start sw = sw.carry.nu_hi <- nan
 
 let sweep_multiplier sw = sw.carry.nu_hi
 
@@ -599,9 +588,8 @@ let waterfill_analytic ~tol sw pieces ~total dst di =
   done;
   dst.(di) <- !obj
 
-(* [solve] without its [dispatch.calls] count: a [sweep_solve] cell
-   that falls back to it is already counted. *)
-let solve_uncounted ~tol ~numeric pieces ~total =
+let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
+  Obs.Counter.incr c_calls;
   if total < 0. then invalid_arg "Dispatch.solve: negative total";
   if not (feasible pieces ~total) then None
   else if total = 0. then begin
@@ -624,13 +612,14 @@ let solve_uncounted ~tol ~numeric pieces ~total =
       Some { assignment = z; objective = objective pieces z }
     end
     else begin
-      let sw = Domain.DLS.get cold_key in
+      (* A cold solve's scratch is its own: nothing carries between
+         calls, so no two solves share state. *)
+      let sw = sweep () in
       if (not numeric) && refresh sw pieces then begin
         (* Every active piece inverts its derivative in closed form: one
            safeguarded Newton iteration on the multiplier, no nested 1-D
            searches.  Cold start (no line context). *)
         Obs.Counter.incr c_analytic;
-        sw.carry.nu_hi <- nan;
         let objective = [| 0. |] in
         waterfill_analytic ~tol sw pieces ~total objective 0;
         sweep_finish sw;
@@ -643,10 +632,6 @@ let solve_uncounted ~tol ~numeric pieces ~total =
       end
     end
   end
-
-let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
-  Obs.Counter.incr c_calls;
-  solve_uncounted ~tol ~numeric pieces ~total
 
 let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
   sw.calls <- sw.calls + 1;
@@ -686,20 +671,13 @@ let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
       waterfill_analytic ~tol sw pieces ~total dst di
     end
     else
-      (* Non-invertible pieces: the golden-section / numeric route via
-         [solve], which uses its own scratch (the warm chain survives). *)
+      (* Non-invertible pieces: [solve]'s golden-section / numeric
+         route, which needs no scratch, so the warm chain survives. *)
       dst.(di) <-
-        (match solve_uncounted ~tol ~numeric:false pieces ~total with
+        (match solve_few ~tol pieces ~total with
         | Some s -> s.objective
-        | None -> infinity)
+        | None -> (waterfill ~tol ~analytic:false pieces ~total).objective)
   end
-
-let solve_line ?(tol = 1e-9) cells ~total =
-  let sw = sweep_start () in
-  let out = Array.make (Array.length cells) nan in
-  Array.iteri (fun i pieces -> sweep_solve ~tol sw pieces ~total out i) cells;
-  sweep_finish sw;
-  out
 
 let greedy ?(steps = 4096) pieces ~total =
   Obs.Counter.incr c_calls;

@@ -52,19 +52,25 @@ val solve :
     [tol].  [~numeric:true] disables the analytic-inverse fast path and
     forces the legacy golden-section / nested-bisection route — kept so
     the property tests and the benchmark suite can measure the analytic
-    path against it; production callers should leave the default. *)
+    path against it; production callers should leave the default.  Each
+    call makes its own scratch, so concurrent solves share nothing. *)
 
 type sweep
-(** Mutable per-domain scratch for a warm-started line sweep: carries
-    the previous cell's multiplier bracket and cached endpoint
-    derivatives between {!sweep_solve} calls.  Obtain one with
-    {!sweep_start}; each domain owns a single record, so do not
-    interleave two sweeps on one domain (finish a line before starting
-    the next — the DP line fills do exactly that). *)
+(** Mutable scratch for a warm-started line sweep: carries the previous
+    cell's multiplier bracket and cached endpoint derivatives between
+    {!sweep_solve} calls, and the cells' work counts until
+    {!sweep_finish}.  Its owner holds it (a line cursor of
+    [Model.Cost] holds one), so sweeps over different records never
+    share state, on any thread or domain; one record runs one line at a
+    time. *)
 
-val sweep_start : unit -> sweep
-(** The calling domain's sweep scratch with the warm bracket cleared.
-    Call once per grid line, before the first {!sweep_solve}. *)
+val sweep : unit -> sweep
+(** A fresh sweep, cold.  Its per-piece caches are sized by the first
+    solve or seed that uses them. *)
+
+val sweep_start : sweep -> unit
+(** Clear the warm bracket: call once per grid line, before its first
+    {!sweep_solve}.  The caches and the work counts stay. *)
 
 type table
 (** Pieces with the per-piece invariants the solver caches (derivative
@@ -112,8 +118,9 @@ val sweep_solve :
     Pieces physically shared with the previous call, or seeded by
     {!sweep_seed}, reuse their cached endpoint derivatives and values.
     Matches per-cell {!solve} to well within [tol] (default [1e-9]);
-    non-invertible pieces fall back to {!solve} transparently, and such
-    a cell counts once in [dispatch.calls].  The cell's [dispatch.*]
+    non-invertible pieces take {!solve}'s golden-section / numeric
+    route, with {!solve}'s bits, and such a cell counts once in
+    [dispatch.calls].  The cell's [dispatch.*]
     counts stay in [sw] until {!sweep_finish}. *)
 
 val sweep_multiplier : sweep -> float
@@ -131,13 +138,6 @@ val sweep_finish : sweep -> unit
     keeps the counts, so a layer fill calls this once, after its last
     line: a counter bump per cell would cost a [Domain.self] C call and
     an atomic add. *)
-
-val solve_line : ?tol:float -> piece array array -> total:float -> float array
-(** Batched {!sweep_solve} over the cells of one line, in order, ending
-    with {!sweep_finish}: [solve_line cells ~total] is the per-cell
-    optimal objectives ([infinity] for infeasible cells).  The cells
-    must be ordered by pointwise non-decreasing capacity (see
-    {!sweep_solve}). *)
 
 val greedy : ?steps:int -> piece array -> total:float -> solution option
 (** Marginal-cost greedy on a grid of [steps] increments (default 4096).

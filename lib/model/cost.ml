@@ -135,11 +135,9 @@ let schedule inst s =
 
 (* The memo: flat per-slot tables addressed by grid rank.  The DP
    loops already know each state's flat index, so the index *is* the
-   key.  No hashing, no key allocation, no locks: [nan] marks an empty
-   slot ([operating] never returns [nan] — infeasible states are
-   [infinity]), pool workers write disjoint ranks during a fill, and a
-   racing duplicate write stores the identical bit pattern, so a plain
-   float array is safe. *)
+   key.  No hashing, no key allocation: [nan] marks an empty slot
+   ([operating] never returns [nan] — infeasible states are
+   [infinity]). *)
 
 type cache = {
   inst : Instance.t;
@@ -187,14 +185,37 @@ type line_floats = {
   mutable idle_last : float;  (* idle cost of a swept server, likewise *)
 }
 
+type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
+
+(* The derivative data of the line's relaxed dual at the multiplier
+   [at] ([nan]: none yet), kept beside the bound it was evaluated into
+   ([owner]) so that a refit's first Newton step needs no evaluation.
+   At cell [v], D'(at) = gap - v resp and -D''(at) = curv + v dresp. *)
+type dual_floats = {
+  mutable at : float;
+  mutable gap : float;  (* lambda_t minus the prefix's response volume *)
+  mutable curv : float;  (* the prefix response volume's slope in mu *)
+  mutable resp : float;  (* a swept server's response s_{d-1}(at) *)
+  mutable dresp : float;  (* and its slope *)
+}
+
 (* The line fills' context over one grid: its axes, and the invariants
    of the layer it is aimed at, which every line of the layer shares:
    the slot's load, the per-type costs and their constants, and per
    axis a table of dispatch pieces by value index, each built (with its
    solver caches) the first time a line uses it.  All storage is sized
-   here, once per grid; aiming at a layer overwrites it in place.  A
+   here, once per grid (the cursor's sweep caches at its first line);
+   aiming at a layer overwrites it in place.  A
    line is named by its prefix's value indices ([pos]), which the
-   caller steps through its grid. *)
+   caller steps through its grid.
+
+   The context is also its own line cursor: the state of one grid
+   line's fill between cells, so a caller can drive the line cell by
+   cell and stop after any of them with the warm chain of the cells
+   before intact.  Two contexts share no fill state.  The cursor is
+   re-aimed at each line; its floats live in all-float records, where
+   they are stored unboxed, so re-aiming allocates nothing.  Its work
+   counts accumulate across lines until {!line_flush}. *)
 type line_ctx = {
   lx_axes : int array array;  (* the grid's axis values; the last is swept *)
   lx_f : line_floats;  (* the layer's load, and [line_live]'s scratch *)
@@ -207,13 +228,30 @@ type line_ctx = {
   lx_fcap : float array;  (* f_{t,j}(cap_j): a capped response's value *)
   lx_dcap : float array;  (* f_{t,j}'(cap_j): the multiplier that saturates type j *)
   lx_pieces : Convex.Dispatch.table array;  (* per axis: the piece of each value *)
+  lf : line_floats;  (* the cursor's line *)
+  dual : dual_floats;
+  mutable table : float array;
+  mutable rank0 : int;
+  values : int array;  (* the swept axis's values *)
+  x : int array;  (* the line's configuration; x.(d-1) unused *)
+  mutable loaded : bool;
+  mutable base_const : bool;  (* every active prefix type load-independent *)
+  mutable last_const : bool;
+  ps : Convex.Dispatch.piece array;  (* prefix pieces, then the cell's swept one *)
+  sw : Convex.Dispatch.sweep;
+  mutable misses : int;
+  mutable owner : bound;  (* the bound [dual] was last evaluated into *)
 }
+
+type line = line_ctx
+
+let line_floats () = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. }
 
 let line_ctx ~axes =
   let d = Array.length axes in
   if d = 0 then invalid_arg "Cost.line_ctx: no axes";
-  { lx_axes = Array.map Array.copy axes;
-    lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
+  { lx_axes = axes;
+    lx_f = line_floats ();
     lx_fns = Array.make d zero_piece.Convex.Dispatch.fn;
     lx_caps = Array.make d 0.;
     lx_idle = Array.make d 0.;
@@ -222,7 +260,20 @@ let line_ctx ~axes =
     lx_inv = Array.make d true;
     lx_fcap = Array.make d 0.;
     lx_dcap = Array.make d 0.;
-    lx_pieces = Array.map (fun a -> Convex.Dispatch.table (Array.length a)) axes }
+    lx_pieces = Array.map (fun a -> Convex.Dispatch.table (Array.length a)) axes;
+    lf = line_floats ();
+    dual = { at = nan; gap = 0.; curv = 0.; resp = 0.; dresp = 0. };
+    table = [||];
+    rank0 = 0;
+    values = axes.(d - 1);
+    x = Array.make d 0;
+    loaded = false;
+    base_const = true;
+    last_const = true;
+    ps = Array.make d zero_piece;
+    sw = Convex.Dispatch.sweep ();
+    misses = 0;
+    owner = { icept = 0.; slope = 0.; mu = nan } }
 
 let line_layer ctx inst ~time =
   let d = Array.length ctx.lx_axes in
@@ -282,97 +333,19 @@ let built_table ctx j i =
       (make_piece ctx.lx_fns.(j) ctx.lx_axes.(j).(i) ~load:ctx.lx_f.load ~cap:ctx.lx_caps.(j));
   t
 
-type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
-
-(* The derivative data of the line's relaxed dual at the multiplier
-   [at] ([nan]: none yet), kept beside the bound it was evaluated into
-   ([owner]) so that a refit's first Newton step needs no evaluation.
-   At cell [v], D'(at) = gap - v resp and -D''(at) = curv + v dresp. *)
-type dual_floats = {
-  mutable at : float;
-  mutable gap : float;  (* lambda_t minus the prefix's response volume *)
-  mutable curv : float;  (* the prefix response volume's slope in mu *)
-  mutable resp : float;  (* a swept server's response s_{d-1}(at) *)
-  mutable dresp : float;  (* and its slope *)
-}
-
-(* A line cursor: the state of one grid line's fill between cells, so
-   a caller can drive the line cell by cell and stop after any of them
-   with the warm chain of the cells before intact.  One per domain,
-   re-aimed at each line; its floats live in an all-float record, where
-   they are stored unboxed, so re-aiming allocates nothing.  Its work
-   counts accumulate across lines until {!line_flush}. *)
-type line = {
-  lf : line_floats;
-  dual : dual_floats;
-  mutable ctx : line_ctx;
-  mutable table : float array;
-  mutable rank0 : int;
-  mutable values : int array;
-  mutable x : int array;  (* the line's configuration; x.(d-1) unused *)
-  mutable loaded : bool;
-  mutable base_const : bool;  (* every active prefix type load-independent *)
-  mutable last_const : bool;
-  mutable ps : Convex.Dispatch.piece array;  (* prefix pieces, then the cell's swept one *)
-  mutable sw : Convex.Dispatch.sweep;
-  mutable misses : int;
-  mutable owner : bound;  (* the bound [dual] was last evaluated into *)
-}
-
-let empty_ctx =
-  { lx_axes = [||];
-    lx_f = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
-    lx_fns = [||];
-    lx_caps = [||];
-    lx_idle = [||];
-    lx_const = [||];
-    lx_kers = [||];
-    lx_inv = [||];
-    lx_fcap = [||];
-    lx_dcap = [||];
-    lx_pieces = [||] }
-
-let line_key : line Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { lf = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. };
-        dual = { at = nan; gap = 0.; curv = 0.; resp = 0.; dresp = 0. };
-        ctx = empty_ctx;
-        table = [||];
-        rank0 = 0;
-        values = [||];
-        x = [||];
-        loaded = false;
-        base_const = true;
-        last_const = true;
-        ps = [||];
-        sw = Convex.Dispatch.sweep_start ();
-        misses = 0;
-        owner = { icept = 0.; slope = 0.; mu = nan } })
-
-let line_start ~ctx ~table ~rank0 ~pos =
-  let l = Domain.DLS.get line_key in
-  let d = Array.length ctx.lx_axes in
-  if Array.length l.x <> d then begin
-    l.x <- Array.make d 0;
-    l.ps <- Array.make d zero_piece
-  end;
+let line_start ~ctx:l ~table ~rank0 ~pos =
+  let d = Array.length l.lx_axes in
   let x = l.x in
   for j = 0 to d - 2 do
-    x.(j) <- ctx.lx_axes.(j).(pos.(j))
+    x.(j) <- l.lx_axes.(j).(pos.(j))
   done;
-  (* The layer's context and table stay with the cursor until
-     [line_flush]; storing them again would cost a write barrier each. *)
-  if l.ctx != ctx then begin
-    l.ctx <- ctx;
-    l.values <- ctx.lx_axes.(d - 1)
-  end;
-  if l.table != table then l.table <- table;
+  l.table <- table;
   l.rank0 <- rank0;
   l.dual.at <- nan;
   let f = l.lf in
-  let load = ctx.lx_f.load in
+  let load = l.lx_f.load in
   f.load <- load;
-  f.cap_last <- ctx.lx_caps.(d - 1);
+  f.cap_last <- l.lx_caps.(d - 1);
   (* The load-independent cells' idle sums (the whole line at zero
      load), derived only on the lines that can have such cells;
      ascending-type order keeps the float sums identical to
@@ -380,24 +353,24 @@ let line_start ~ctx ~table ~rank0 ~pos =
   let base_const = ref true in
   if load > 0. then
     for j = 0 to d - 2 do
-      if x.(j) > 0 && not ctx.lx_const.(j) then base_const := false
+      if x.(j) > 0 && not l.lx_const.(j) then base_const := false
     done;
-  let last_const = load <= 0. || ctx.lx_const.(d - 1) in
+  let last_const = load <= 0. || l.lx_const.(d - 1) in
   let idle_base = ref 0. in
   if !base_const then
     for j = 0 to d - 2 do
-      if x.(j) > 0 then idle_base := !idle_base +. (float_of_int x.(j) *. ctx.lx_idle.(j))
+      if x.(j) > 0 then idle_base := !idle_base +. (float_of_int x.(j) *. l.lx_idle.(j))
     done;
   f.idle_base <- !idle_base;
-  f.idle_last <- (if !base_const && last_const then ctx.lx_idle.(d - 1) else 0.);
+  f.idle_last <- (if !base_const && last_const then l.lx_idle.(d - 1) else 0.);
   l.base_const <- !base_const;
   l.last_const <- last_const;
   l.loaded <- load > 0.;
   if load > 0. then begin
-    prefix_capacity ctx ~pos f;
-    l.sw <- Convex.Dispatch.sweep_start ();
+    prefix_capacity l ~pos f;
+    Convex.Dispatch.sweep_start l.sw;
     for j = 0 to d - 2 do
-      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table ctx j pos.(j)) pos.(j)
+      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table l j pos.(j)) pos.(j)
     done
   end;
   l
@@ -422,27 +395,22 @@ let[@inline] line_cell l i =
     (* Lemma 2: spread the volume evenly over the active servers. *)
     let xf = float_of_int v in
     let z = Float.min (f.load /. xf) f.cap_last in
-    l.table.(idx) <- xf *. Convex.Fn.eval l.ctx.lx_fns.(0) z
+    l.table.(idx) <- xf *. Convex.Fn.eval l.lx_fns.(0) z
   end
   else begin
     let d = Array.length l.ps in
-    Convex.Dispatch.sweep_seed l.sw l.ps (d - 1) (built_table l.ctx (d - 1) i) i;
+    Convex.Dispatch.sweep_seed l.sw l.ps (d - 1) (built_table l (d - 1) i) i;
     Convex.Dispatch.sweep_solve l.sw l.ps ~total:1. l.table idx
   end
 
-(* The cursor also lets go of the layer's context and table, so a
-   cursor idle between fills keeps no layer alive, and the context of
-   the layer's pieces: a long-lived context that kept them until the
-   next layer would have them promoted to the major heap. *)
-let line_flush () =
-  let l = Domain.DLS.get line_key in
-  if l.misses > 0 then Obs.Counter.add c_rank_misses l.misses;
-  l.misses <- 0;
-  Convex.Dispatch.sweep_finish l.sw;
-  Array.iter Convex.Dispatch.table_clear l.ctx.lx_pieces;
-  l.ctx <- empty_ctx;
-  l.table <- [||];
-  l.values <- [||]
+(* The flush lets go of the layer's pieces: a long-lived context that
+   kept them until the next layer would have them promoted to the major
+   heap. *)
+let line_flush ctx =
+  if ctx.misses > 0 then Obs.Counter.add c_rank_misses ctx.misses;
+  ctx.misses <- 0;
+  Convex.Dispatch.sweep_finish ctx.sw;
+  Array.iter Convex.Dispatch.table_clear ctx.lx_pieces
 
 (* The line's relaxed dual at [b.mu], per unit of load: with
    [phi_j(mu) = min_{0 <= s <= cap_j} f_{t,j}(s) - mu s], the bound
@@ -458,21 +426,21 @@ let line_flush () =
    non-decreasing.  A [nan] (no closed form) passes through to the
    caller's comparison, which then proves nothing. *)
 let dual_at l b =
-  let ctx = l.ctx and x = l.x and dv = l.dual in
+  let x = l.x and dv = l.dual in
   let d = Array.length x in
   let mu = b.mu and load = l.lf.load in
   let icept = ref (load *. mu) and gap = ref load and curv = ref 0. in
   for j = 0 to d - 1 do
     if j = d - 1 || x.(j) > 0 then begin
-      let phi = ref ctx.lx_idle.(j) and s = ref 0. and ds = ref 0. in
+      let phi = ref l.lx_idle.(j) and s = ref 0. and ds = ref 0. in
       if mu > 0. then begin
-        let cap = ctx.lx_caps.(j) in
-        match ctx.lx_kers.(j) with
+        let cap = l.lx_caps.(j) in
+        match l.lx_kers.(j) with
         | Convex.Fn.Power_kernel { idle; coef; scale; expo_inv; _ } ->
             let r = (mu *. scale) ** expo_inv in
             if r >= cap then begin
               s := cap;
-              phi := ctx.lx_fcap.(j) -. (mu *. cap)
+              phi := l.lx_fcap.(j) -. (mu *. cap)
             end
             else begin
               s := r;
@@ -484,7 +452,7 @@ let dual_at l b =
               let r = (mu -. c1) *. inv_c2x2 in
               if r >= cap then begin
                 s := cap;
-                phi := ctx.lx_fcap.(j) -. (mu *. cap)
+                phi := l.lx_fcap.(j) -. (mu *. cap)
               end
               else begin
                 s := r;
@@ -493,7 +461,7 @@ let dual_at l b =
               end
             end
         | Convex.Fn.Generic_kernel ->
-            let fn = ctx.lx_fns.(j) in
+            let fn = l.lx_fns.(j) in
             let r = Convex.Fn.inv_deriv fn mu in
             let r = if r > cap then cap else r in
             s := r;
@@ -522,11 +490,11 @@ let dual_at l b =
    (nan before the line's first analytic solve) only loosens the bound:
    [mu = 0] then gives the idle sum. *)
 let line_bound l b =
-  let ctx = l.ctx and x = l.x in
+  let x = l.x in
   let d = Array.length x in
-  let closed = ref ctx.lx_inv.(d - 1) in
+  let closed = ref l.lx_inv.(d - 1) in
   for j = 0 to d - 2 do
-    if x.(j) > 0 && not ctx.lx_inv.(j) then closed := false
+    if x.(j) > 0 && not l.lx_inv.(j) then closed := false
   done;
   if !closed then begin
     let nu = if l.loaded then Convex.Dispatch.sweep_multiplier l.sw else nan in
@@ -552,16 +520,16 @@ let refit_steps = 3
    stays finite.  A step that leaves the bracket, or one with no slope
    (every response at 0 or at its cap), bisects it instead. *)
 let line_refit l b ~v =
-  let vf = float_of_int v and f = l.lf and x = l.x and ctx = l.ctx in
+  let vf = float_of_int v and f = l.lf and x = l.x in
   let d = Array.length x in
   let closed = ref (l.loaded && f.cap_base +. (vf *. f.cap_last) >= f.load) in
   let hi = ref 0. in
   for j = 0 to d - 1 do
     if j = d - 1 || x.(j) > 0 then begin
-      (match ctx.lx_kers.(j) with
+      (match l.lx_kers.(j) with
       | Convex.Fn.Power_kernel _ | Convex.Fn.Quad_kernel _ -> ()
       | Convex.Fn.Generic_kernel -> closed := false);
-      if ctx.lx_dcap.(j) > !hi then hi := ctx.lx_dcap.(j)
+      if l.lx_dcap.(j) > !hi then hi := l.lx_dcap.(j)
     end
   done;
   if !closed then begin

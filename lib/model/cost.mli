@@ -84,17 +84,21 @@ type line_ctx
     caches ({!Convex.Dispatch.table}).  A piece is built the first time
     a line of the layer uses it, so a layer builds each (type, count)
     piece at most once, and cells a fill never computes build none.
-    All storage is sized once, when the context is made; aiming it at a
-    layer overwrites it in place and allocates only the probe constants
+    All storage is sized once, when the context is made (its cursor's
+    sweep caches at the first line); aiming it at a layer overwrites it
+    in place and allocates only the probe constants
     of each type's cost, and building a piece only that piece.  Purely
     an amortisation: the values equal what a cell would re-derive.
-    Lines of the aimed layer are filled through the calling domain's
-    {!line} cursor, one domain at a time. *)
+    Lines of the aimed layer are filled through the context's own
+    {!line} cursor, so fills through different contexts share no state
+    and may interleave, cell by cell, on any thread. *)
 
 val line_ctx : axes:int array array -> line_ctx
-(** A context for the grid whose axis [j] takes the values [axes.(j)]
-    (ascending; lines sweep the last axis).  Aim it with {!line_layer}
-    before the first line.  Raises [Invalid_argument] when [axes] is empty. *)
+(** A context, with its cursor, for the grid whose axis [j] takes the
+    values [axes.(j)] (ascending; lines sweep the last axis).  The
+    context keeps [axes] as they are, without a copy: the caller must
+    not change them.  Aim it with {!line_layer} before the first line.
+    Raises [Invalid_argument] when [axes] is empty. *)
 
 val line_layer : line_ctx -> Instance.t -> time:int -> unit
 (** Aim the context at slot [time] of the instance: its load and cost
@@ -118,17 +122,18 @@ type line
     prefix [x.(0 .. d-2)] and take the swept (last) axis's value from
     its [values] (ascending, so capacity grows along the line and the
     dispatch solves share one warm-started multiplier sweep,
-    {!Convex.Dispatch.sweep_solve}).  Each domain owns one cursor and
-    fills one layer at a time: a line ends when the next one starts,
-    and the layer when {!line_flush} runs. *)
+    {!Convex.Dispatch.sweep_solve}).  Each {!line_ctx} owns one cursor,
+    with its dispatch sweep, and fills one line at a time: a line ends
+    when the context's next one starts, and the layer when
+    {!line_flush} runs. *)
 
 val line_start : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array -> line
-(** Aim the calling domain's cursor at a line of the context's grid, in
-    the layer the context is aimed at: the line whose prefix takes
-    value index [pos.(j)] on each axis [j < d-1], stored in [table]
-    from [rank0] on.  The cursor reads [pos] here only.  Seeds the
-    dispatch sweep with the line's prefix pieces from the context's
-    tables and clears the warm bracket. *)
+(** Aim the context's cursor at a line of its grid, in the layer the
+    context is aimed at: the line whose prefix takes value index
+    [pos.(j)] on each axis [j < d-1], stored in [table] from [rank0]
+    on.  The cursor reads [pos] here only.  Seeds the dispatch sweep
+    with the line's prefix pieces from the context's tables and clears
+    the warm bracket. *)
 
 val line_cell : line -> int -> unit
 (** [line_cell l i] computes [g_t] of the line's cell [i] into
@@ -146,15 +151,13 @@ val line_cell : line -> int -> unit
     {!line_refit}), and a proof from such a bound never prunes a state
     that the solved value would keep. *)
 
-val line_flush : unit -> unit
-(** End the calling domain's layer fill: add the work its cursor
-    accumulated over the layer's lines to the counters
-    ([cost.rank_misses], one per computed cell, and the dispatch
-    counters), and release the layer's context, table and built
-    pieces, so an idle cursor keeps no layer alive and the pieces can
-    die young.  A layer fill calls it once, after its last line, and
-    also when a line raises, so that no count carries over into the
-    domain's next fill. *)
+val line_flush : line_ctx -> unit
+(** End the context's layer fill: add the work its cursor accumulated
+    over the layer's lines to the counters ([cost.rank_misses], one per
+    computed cell, and the dispatch counters), and release the layer's
+    built pieces, so that they can die young.  A layer fill calls it
+    once, after its last line, and also when a line raises, so that no
+    count carries over into the context's next fill. *)
 
 type bound = { mutable icept : float; mutable slope : float; mutable mu : float }
 (** A lower bound on [g_t] along a line: [g_t(x) >= icept + slope * v]
@@ -203,13 +206,11 @@ val fill_line : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array 
     computed) cells of one line ({!line_start}'s) of an operating-cost
     table [table] of the layer [ctx] is aimed at — a memo rank table from
     {!layer_table}, or a caller's own row reset to [nan] — in order,
-    through the calling domain's {!line} cursor.  Call {!line_flush}
-    after the layer's last line. *)
+    through the context's {!line} cursor.  Call {!line_flush} after the
+    layer's last line. *)
 
 val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
 (** Memoised {!operating} through slot [time]'s rank table: returns the
     cached value at [rank], or computes [operating ~time x] and stores
     it there.  [x] must be the configuration whose flat grid index is
-    [rank], and {!layer_table} must have been sized past [rank] first.
-    Lock-free; safe from several domains as long as a rank is only
-    raced by writers storing the same configuration's value. *)
+    [rank], and {!layer_table} must have been sized past [rank] first. *)

@@ -73,14 +73,15 @@ let state_count inst ~grids =
    the configurations differ only in the swept coordinate, so
    Model.Cost.fill_line seeds the dispatch pieces from the context's
    tables and warm-starts each cell's multiplier search from the
-   previous cell's bracket.  Only [nan] entries are computed. *)
+   previous cell's bracket.  Only [nan] entries are computed.  The
+   context, and the cursor it owns, are this call's. *)
 let fill_lines inst grid ~time table =
   let d = Grid.dim grid in
   let len = Grid.axis_length grid (d - 1) in
   let ctx = Model.Cost.line_ctx ~axes:(Array.init d (Grid.axis_values grid)) in
   let pos = Array.make (d - 1) 0 in
   Model.Cost.line_layer ctx inst ~time;
-  Fun.protect ~finally:Model.Cost.line_flush (fun () ->
+  Fun.protect ~finally:(fun () -> Model.Cost.line_flush ctx) (fun () ->
       for k = 0 to (Grid.size grid / len) - 1 do
         Model.Cost.fill_line ~ctx ~table ~rank0:(k * len) ~pos;
         Grid.next_line grid pos
@@ -142,6 +143,8 @@ let solve ?grids ?initial ?resume ?on_layer inst =
     end
   done;
   let work = lazy (Plane.create !work_size, Plane.create !work_size) in
+  (* The solve's buffer for decoding a state's configuration. *)
+  let x = Model.Config.zero d in
   (* Resume a checkpointed forward pass: the saved layers replace the
      recomputation up to [next_time], and the last of them is left in
      [prev].  The caller must supply the same instance and grids the
@@ -183,9 +186,9 @@ let solve ?grids ?initial ?resume ?on_layer inst =
            grid). *)
         let init = match initial with None -> Model.Config.zero d | Some c -> c in
         for i = 0 to n - 1 do
+          Grid.config_into grid i x;
           Bigarray.Array1.unsafe_set p i
-            (Model.Config.switching_cost inst.Model.Instance.types ~from_:init
-               ~to_:(Grid.config_scratch grid i))
+            (Model.Config.switching_cost inst.Model.Instance.types ~from_:init ~to_:x)
         done
       end
       else begin
@@ -253,17 +256,17 @@ let solve ?grids ?initial ?resume ?on_layer inst =
     for k = 0 to m - 1 do
       let arrival = arrivals.(k) in
       if arrival <= !best +. 1e-12 then begin
-        let y = Grid.config_scratch grid cells.(k) in
+        Grid.config_into grid cells.(k) x;
         let total =
-          arrival +. Model.Config.switching_cost inst.Model.Instance.types ~from_:y ~to_:target
+          arrival +. Model.Config.switching_cost inst.Model.Instance.types ~from_:x ~to_:target
         in
         if
           total < !best -. 1e-12
           || (Float.abs (total -. !best) <= 1e-12
-             && match !best_x with Some b -> Model.Config.compare y b < 0 | None -> true)
+             && match !best_x with Some b -> Model.Config.compare x b < 0 | None -> true)
         then begin
           best := total;
-          best_x := Some (Model.Config.copy y)
+          best_x := Some (Model.Config.copy x)
         end
       end
     done;

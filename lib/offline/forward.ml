@@ -22,7 +22,7 @@ type t = {
   pred_off : int array;  (* the current line's earlier-axis predecessors: rank distance, *)
   pred_climb : float array;  (* and power-up cost from each *)
   bound : Model.Cost.bound;
-  ctx : Model.Cost.line_ctx;  (* the line fills' tables, sized for the grid *)
+  ctx : Model.Cost.line_ctx;  (* the line fills' tables and cursor, sized for the grid *)
   low : low;
   mutable lo : int;  (* the first and last rank holding [low.best] *)
   mutable hi : int;
@@ -217,7 +217,7 @@ let sweep_lines e (p : Plane.t) ~off =
 (* The sweep's work goes to the counters once, also when a line
    raises. *)
 let flush e =
-  Model.Cost.line_flush ();
+  Model.Cost.line_flush e.ctx;
   Obs.Counter.add c_proved e.proved;
   Obs.Counter.add c_refits e.refits;
   Obs.Counter.add c_skipped e.skipped;

@@ -16,10 +16,11 @@
     line's fill once a weak-duality bound proves the rest of it
     dominated, so it solves the dispatch problem (eq. (1)) only where a
     prefix can still use it; each [g_t] it computes has {!Dp.fill_row}'s
-    bits.  It runs on the calling domain, through a
-    {!Model.Cost.line_ctx} that the context keeps for its grid, so a
-    layer builds each dispatch piece it uses once and allocates nothing
-    else per line.
+    bits.  It runs through a {!Model.Cost.line_ctx} that the context
+    keeps for its grid, with that context's own cursor and dispatch
+    sweep, so a layer builds each dispatch piece it uses once and
+    allocates nothing else per line, and two contexts' sweeps share no
+    state, on any thread or domain.
 
     {b Proofs.}  After a dominated cell, a proof walks the rest of the
     line with the bound [g_t >= icept + slope * v] of
@@ -49,7 +50,8 @@
 type t
 (** A sweep context over one grid: a scratch row of its size, each
     axis's power-up costs, and the line fills' context with its piece
-    tables, all sized once when the context is made.  The sweep steps
+    tables and cursor, all sized once when the context is made.  A
+    context runs one sweep at a time.  The sweep steps
     through the lines' axis indices as it goes, so nothing is kept per
     line. *)
 

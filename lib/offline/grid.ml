@@ -90,19 +90,6 @@ let config_at g idx =
   config_into g idx x;
   x
 
-(* Per-domain scratch buffer, so the parallel hot loops (DP layer
-   fills, reconstruction) can decode states without allocating one
-   array per call.  One buffer per domain suffices: the loops finish
-   with the decoded configuration before decoding the next. *)
-let scratch_key : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-
-let config_scratch g idx =
-  let buf = Domain.DLS.get scratch_key in
-  if Array.length !buf <> dim g then buf := Array.make (dim g) 0;
-  let x = !buf in
-  config_into g idx x;
-  x
-
 let find_axis axis v =
   (* Binary search for an exact value. *)
   let lo = ref 0 and hi = ref (Array.length axis - 1) in

@@ -49,12 +49,6 @@ val config_into : t -> int -> Model.Config.t -> unit
 (** [config_into g idx x] decodes flat index [idx] into the caller's
     buffer [x] (length [dim g]) — the allocation-free {!config_at}. *)
 
-val config_scratch : t -> int -> Model.Config.t
-(** Like {!config_at} but into a per-domain scratch buffer: the result
-    is valid until the calling domain's next [config_scratch] (on any
-    grid) — copy it if retained.  Safe under a domain pool: each domain
-    owns its buffer. *)
-
 val index_of : t -> Model.Config.t -> int option
 (** Flat index of a configuration, if each coordinate is on-grid. *)
 

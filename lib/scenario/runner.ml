@@ -335,6 +335,9 @@ let metrics_phase st ~port ~failures =
           if audit_armed then begin
             if audit_runs < 1. then
               failures := "audit: no shadow-oracle batch completed" :: !failures;
+            let raised = row2.Server.Monitor.audit_failures in
+            if raised > 0. then
+              failures := Printf.sprintf "audit: %.0f session replay(s) raised" raised :: !failures;
             match row2.Server.Monitor.regret_ratio with
             | Some r when r < 1. -. Server.Audit.below_opt_allowance ->
                 failures :=

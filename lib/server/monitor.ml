@@ -135,6 +135,7 @@ type row = {
   regret_abs : float option;
   audit_lag : float option;
   audit_runs : float;
+  audit_failures : float;
   uptime_s : float;
   at : float;
 }
@@ -153,6 +154,7 @@ let row_of snap =
     regret_abs = value snap "audit_regret_abs";
     audit_lag = value snap "audit_lag_rounds";
     audit_runs = value0 snap "audit_runs";
+    audit_failures = value0 snap "audit_failures";
     uptime_s = value0 snap "server_uptime_s";
     at = snap.at }
 
@@ -196,6 +198,7 @@ let render ?prev row =
   line "regret abs" (fmt_ratio row.regret_abs);
   line "audit lag (slots)" (fmt_opt row.audit_lag);
   line "audit runs" (Printf.sprintf "%.0f" row.audit_runs);
+  line "audit failures" (Printf.sprintf "%.0f" row.audit_failures);
   Buffer.contents b
 
 let json_field b name v =
@@ -225,6 +228,7 @@ let to_json ?prev row =
   json_field b "regret_abs" row.regret_abs;
   json_field b "audit_lag_rounds" row.audit_lag;
   json_field b "audit_runs" (Some row.audit_runs);
+  json_field b "audit_failures" (Some row.audit_failures);
   json_field b "uptime_s" (Some row.uptime_s);
   Buffer.add_char b '}';
   Buffer.contents b

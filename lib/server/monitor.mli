@@ -41,6 +41,7 @@ type row = {
   regret_abs : float option;
   audit_lag : float option;
   audit_runs : float;
+  audit_failures : float;  (** audited sessions whose replay raised *)
   uptime_s : float;
   at : float;
 }

@@ -230,10 +230,20 @@ let test_dispatch_negative_total_rejected () =
     (try ignore (Convex.Dispatch.solve [| piece (Convex.Fn.const 0.) 1. |] ~total:(-1.)); false
      with Invalid_argument _ -> true)
 
+(* One line of cells through a sweep the caller owns, as a layer fill
+   drives it: the per-cell objectives, [infinity] where infeasible. *)
+let sweep_line cells =
+  let sw = Convex.Dispatch.sweep () in
+  let out = Array.make (Array.length cells) nan in
+  Convex.Dispatch.sweep_start sw;
+  Array.iteri (fun i pieces -> Convex.Dispatch.sweep_solve sw pieces ~total:1. out i) cells;
+  Convex.Dispatch.sweep_finish sw;
+  out
+
 let test_dispatch_warm_line_matches_cold () =
   (* A concrete monotone line: a fixed prefix of two pieces plus a
      swept slot whose capacity grows cell by cell, exactly the shape
-     the DP layer fill hands to [solve_line].  The warm-started sweep
+     the DP layer fill hands to [sweep_solve].  The warm-started sweep
      must agree with a cold per-cell [solve] at every cell, including
      the leading infeasible ones. *)
   let cube = Convex.Fn.power ~idle:0.3 ~coef:1. ~expo:3. in
@@ -244,7 +254,7 @@ let test_dispatch_warm_line_matches_cold () =
         let cap = 0.3 *. float_of_int v in
         Array.append prefix [| piece cube (min 1.2 cap) |])
   in
-  let warm = Convex.Dispatch.solve_line cells ~total:1. in
+  let warm = sweep_line cells in
   Array.iteri
     (fun v cell ->
       let cold =
@@ -258,8 +268,8 @@ let test_dispatch_warm_line_matches_cold () =
       else checkb (Printf.sprintf "cell %d infeasible" v) true (warm.(v) = infinity))
     cells
 
-(* A cell whose pieces have no closed-form inverse falls back from the
-   line sweep to [solve] and counts once in [dispatch.calls].  A
+(* A cell whose pieces have no closed-form inverse takes [solve]'s
+   route from the line sweep and counts once in [dispatch.calls].  A
    max-of-affine piece beside a power piece, five cells of which the
    first is infeasible: five calls. *)
 let test_dispatch_fallback_counts_once () =
@@ -272,7 +282,7 @@ let test_dispatch_fallback_counts_once () =
     Array.init 5 (fun v -> [| piece hinge 0.5; piece cube (0.4 +. (0.2 *. float_of_int v)) |])
   in
   let before = calls () in
-  let out = Convex.Dispatch.solve_line cells ~total:1. in
+  let out = sweep_line cells in
   checkb "first cell infeasible" true (out.(0) = infinity);
   checkb "the rest feasible" true (Array.for_all Float.is_finite (Array.sub out 1 4));
   Alcotest.(check int) "one call per cell" 5 (calls () - before)

@@ -641,7 +641,7 @@ let test_refit_allocates_nothing () =
   let once = refits 1 in
   checkf 0. "words of two rounds = words of one" once (refits 2);
   checkb "refits ran" true (!ran > 0);
-  Model.Cost.line_flush ()
+  Model.Cost.line_flush ctx
 
 (* Only a loss by more than the allowance prunes a state; a tie with a
    state below it does not.  At zero load and zero cost every state of

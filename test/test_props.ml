@@ -196,7 +196,7 @@ let random_sweep_fn rng =
            (1 + Util.Prng.int rng 3)
            (fun _ -> (Util.Prng.float rng 2., Util.Prng.float rng 2.)))
 
-let prop_solve_line_matches_per_cell seed =
+let prop_sweep_line_matches_per_cell seed =
   let rng = Util.Prng.create seed in
   let d = 2 + Util.Prng.int rng 3 in
   let load = 0.5 +. Util.Prng.float rng 4. in
@@ -223,7 +223,11 @@ let prop_solve_line_matches_per_cell seed =
         let ps = Array.append ps [| piece_for fn_last v cap_last |] in
         ps)
   in
-  let line = Convex.Dispatch.solve_line cells ~total:1. in
+  let line = Array.make (Array.length cells) nan in
+  let sw = Convex.Dispatch.sweep () in
+  Convex.Dispatch.sweep_start sw;
+  Array.iteri (fun i ps -> Convex.Dispatch.sweep_solve sw ps ~total:1. line i) cells;
+  Convex.Dispatch.sweep_finish sw;
   let ok = ref true in
   Array.iteri
     (fun i ps ->
@@ -615,7 +619,7 @@ let prop_plane_engine_matches_reference seed =
     let n = Offline.Grid.size g in
     let ops =
       Array.init n (fun i ->
-          Model.Cost.operating instf ~time (Offline.Grid.config_scratch g i))
+          Model.Cost.operating instf ~time (Offline.Grid.config_at g i))
     in
     let row = Array.make n 0. in
     Offline.Dp.fill_row instf g ~time row;
@@ -623,7 +627,7 @@ let prop_plane_engine_matches_reference seed =
       let climb =
         Array.init n (fun i ->
             Model.Config.switching_cost instf.Model.Instance.types ~from_:zero
-              ~to_:(Offline.Grid.config_scratch g i))
+              ~to_:(Offline.Grid.config_at g i))
       in
       brute.(0) <- Array.mapi (fun i c -> c +. ops.(i)) climb;
       kernel.(0) <- Array.mapi (fun i c -> c +. row.(i)) climb
@@ -765,6 +769,91 @@ let dual_instance rng =
   in
   Model.Instance.make_static ~types ~load ~fns ()
 
+(* --- Reentrant fills --- *)
+
+(* The counters a layer fill adds at its [line_flush]. *)
+let fill_counts () =
+  List.map
+    (fun name -> match Obs.Counter.find name with Some c -> Obs.Counter.value c | None -> 0)
+    [ "cost.rank_misses"; "dispatch.calls"; "dispatch.analytic_solves"; "dispatch.newton_evals" ]
+
+(* A layer fill through its own context, one cell per [step] (false
+   once the layer is done), lines in rank order. *)
+let cell_stepper (inst, grid, time) =
+  let d = Offline.Grid.dim grid in
+  let len = Offline.Grid.axis_length grid (d - 1) in
+  let ctx = Model.Cost.line_ctx ~axes:(Array.init d (Offline.Grid.axis_values grid)) in
+  Model.Cost.line_layer ctx inst ~time;
+  let table = Array.make (Offline.Grid.size grid) nan in
+  let pos = Array.make (d - 1) 0 in
+  let line = ref None and rank0 = ref 0 and i = ref 0 in
+  let step () =
+    !rank0 < Array.length table
+    && begin
+         if !i = 0 then line := Some (Model.Cost.line_start ~ctx ~table ~rank0:!rank0 ~pos);
+         Model.Cost.line_cell (Option.get !line) !i;
+         incr i;
+         if !i = len then begin
+           i := 0;
+           rank0 := !rank0 + len;
+           Offline.Grid.next_line grid pos
+         end;
+         true
+       end
+  in
+  (ctx, table, step)
+
+(* Two layer fills, each through its own context, driven alternately
+   cell by cell (a cell of A, a cell of B, until both are done), give
+   each layer [Dp.fill_row]'s bits, and each context's [line_flush]
+   adds exactly the counts of its layer filled alone.  The two layers
+   are slots of one instance or of two, each on its dense grid, a
+   random sub-grid or a power grid; the instances are large-fleet, or
+   up to 3 power and quadratic types. *)
+let prop_interleaved_fills_match_alone seed =
+  let rng = Util.Prng.create seed in
+  let shared = if Util.Prng.bool rng then Some (dual_instance rng) else None in
+  let layer () =
+    let inst =
+      match shared with
+      | Some inst -> inst
+      | None ->
+          if Util.Prng.int rng 3 = 0 then Sim.Scenarios.large_fleet ~horizon:3 ~seed ()
+          else dual_instance rng
+    in
+    let counts = Model.Instance.counts inst in
+    let grid =
+      match Util.Prng.int rng 3 with
+      | 0 -> Offline.Grid.dense counts
+      | 1 -> random_subgrid rng counts
+      | _ -> Offline.Grid.power ~gamma:(1.3 +. Util.Prng.float rng 1.7) counts
+    in
+    (inst, grid, Util.Prng.int rng (Model.Instance.horizon inst))
+  in
+  let alone (inst, grid, time) =
+    let before = fill_counts () in
+    let row = Array.make (Offline.Grid.size grid) 0. in
+    Offline.Dp.fill_row inst grid ~time row;
+    (row, List.map2 ( - ) (fill_counts ()) before)
+  in
+  let a = layer () and b = layer () in
+  let row_a, counts_a = alone a and row_b, counts_b = alone b in
+  let ctx_a, table_a, step_a = cell_stepper a and ctx_b, table_b, step_b = cell_stepper b in
+  let more = ref true in
+  while !more do
+    let more_a = step_a () in
+    let more_b = step_b () in
+    more := more_a || more_b
+  done;
+  let c0 = fill_counts () in
+  Model.Cost.line_flush ctx_a;
+  let c1 = fill_counts () in
+  Model.Cost.line_flush ctx_b;
+  let c2 = fill_counts () in
+  bits_equal table_a row_a && bits_equal table_b row_b
+  && List.map2 ( - ) c1 c0 = counts_a
+  && List.map2 ( - ) c2 c1 = counts_b
+
 (* A refitted line bound is a lower bound on g_t: for every line of
    every slot's dense grid, after each of its cells is computed, the
    bound is refitted to each later cell q from four multipliers: 0, the
@@ -823,7 +912,7 @@ let prop_refit_bound_sound seed =
       done;
       Offline.Grid.next_line grid pos
     done;
-    Model.Cost.line_flush ()
+    Model.Cost.line_flush ctx
   done;
   !ok
 
@@ -1050,7 +1139,7 @@ let () =
           mk_test ~count:200 ~name:"analytic path = numeric path"
             prop_dispatch_analytic_matches_numeric;
           mk_test ~count:100 ~name:"warm line sweep = per-cell solve"
-            prop_solve_line_matches_per_cell
+            prop_sweep_line_matches_per_cell
         ] );
       ( "transform",
         [ mk_test ~count:100 ~name:"ramp_line dominates input and is idempotent"
@@ -1065,7 +1154,9 @@ let () =
           mk_test ~count:60 ~name:"reused-row fill = memo fill" prop_row_fill_matches_memo;
           mk_test ~count:10 ~name:"reused-row fill = memo fill (large fleet)"
             prop_row_fill_matches_memo_large_fleet;
-          mk_test ~count:300 ~name:"refitted dual bound <= g_t" prop_refit_bound_sound
+          mk_test ~count:300 ~name:"refitted dual bound <= g_t" prop_refit_bound_sound;
+          mk_test ~count:100 ~name:"interleaved layer fills = fills alone"
+            prop_interleaved_fills_match_alone
         ] );
       ( "systems",
         [ mk_test ~count:25 ~name:"streaming session = batch run" prop_streaming_equals_batch;

@@ -645,6 +645,65 @@ let test_daemon_metrics_and_audit () =
             | Some v -> Float.is_finite v && v > 0.
             | None -> false))
 
+(* The asynchronous shadow audit solves offline optima on its own
+   thread while the main thread steps sessions, and must leave every
+   served decision alone: each solver owns its scratch, so no fill of
+   the audit's can re-aim a session's.  Three large-fleet sessions are
+   fed one slot at a time for 96 slots, with an audit of all three due
+   after every round; every reply must equal a sequential Session's.
+   A collision needs a thread switch inside a line fill, so the case
+   runs 20 times. *)
+let test_async_audit_leaves_decisions_alone () =
+  let slots = 96 and runs = 20 in
+  let spec = { Session.scenario = "large-fleet"; max_horizon = None; alg = None } in
+  let sessions =
+    List.map
+      (fun seed ->
+        let id = Printf.sprintf "f%d" seed in
+        let loads = (Sim.Scenarios.large_fleet ~horizon:slots ~seed ()).Model.Instance.load in
+        let oracle =
+          match Result.bind (Session.create ~id spec) (fun s -> Session.feed s ~seq:0 loads) with
+          | Ok xs -> xs
+          | Error (_, m) -> Alcotest.fail m
+        in
+        (id, loads, oracle))
+      [ 1; 2; 3 ]
+  in
+  for run = 1 to runs do
+    with_daemon (fun _dir mk cfg ->
+        let cfg =
+          { cfg with Daemon.audit_every = Some 1; audit_sample = 3; audit_sync = false }
+        in
+        let d = mk "race.sock" cfg in
+        let audit = match Daemon.audit d with Some a -> a | None -> Alcotest.fail "no audit" in
+        Fun.protect ~finally:(fun () -> Server.Audit.stop audit) @@ fun () ->
+        List.iter
+          (fun (id, _, _) ->
+            match
+              Daemon.handle d (P.Create_session { id; scenario = "large-fleet"; max_horizon = None; alg = None })
+            with
+            | P.Session _ -> ()
+            | _ -> Alcotest.fail ("create " ^ id))
+          sessions;
+        for seq = 0 to slots - 1 do
+          List.iter
+            (fun (id, loads, oracle) ->
+              let served =
+                match Daemon.handle d (P.Feed { id; seq; loads = [| loads.(seq) |] }) with
+                | P.Decisions { configs = [| x |]; _ } -> Model.Config.equal x oracle.(seq)
+                | _ -> false
+              in
+              if not served then
+                Alcotest.failf "run %d: %s@%d differs from the sequential session" run id seq)
+            sessions
+        done;
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Server.Audit.audited audit = 0 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        checkb (Printf.sprintf "run %d: sessions audited" run) true (Server.Audit.audited audit > 0))
+  done
+
 (* The audit oracle agrees with a direct offline computation. *)
 let test_audit_matches_direct_computation () =
   with_daemon (fun _dir mk cfg ->
@@ -712,6 +771,8 @@ let () =
             test_daemon_metrics_and_audit;
           Alcotest.test_case "audit matches direct offline replay" `Quick
             test_audit_matches_direct_computation;
+          Alcotest.test_case "async audit leaves served decisions alone" `Quick
+            test_async_audit_leaves_decisions_alone;
           Alcotest.test_case "two connections, unix + tcp" `Quick
             (test_daemon_two_connections ~domains:1);
           Alcotest.test_case "two connections on a 2-domain pool" `Quick
