@@ -588,7 +588,34 @@ let waterfill_analytic ~tol sw pieces ~total dst di =
   done;
   dst.(di) <- !obj
 
-let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
+(* A cold solve's own scratch, sized to its pieces: the caches
+   {!refresh} derives for a fresh sweep, and only the arrays
+   {!waterfill_analytic} reads.  No two solves share state, and the
+   assignment it leaves in [z] is the caller's to keep. *)
+let cold_sweep pieces =
+  let d = Array.length pieces in
+  let sw =
+    { (sweep ()) with
+      d0 = Array.make d 0.;
+      dup = Array.make d 0.;
+      v0 = Array.make d nan;
+      vup = Array.make d nan;
+      z = Array.make d 0.;
+      zl = Array.make d 0.;
+      zh = Array.make d 0.;
+      pker = Array.make d Fn.Generic_kernel }
+  in
+  for j = 0 to d - 1 do
+    let p = pieces.(j) in
+    sw.d0.(j) <- Fn.deriv p.fn 0.;
+    sw.dup.(j) <- Fn.deriv p.fn p.upper;
+    sw.pker.(j) <- Fn.probe_kernel p.fn
+  done;
+  sw
+
+(* [solve], with [own] the caller's sweep ([None]: a fresh one, sized
+   to [pieces], whose assignment the result keeps). *)
+let solve_in ~tol ~numeric own pieces ~total =
   Obs.Counter.incr c_calls;
   if total < 0. then invalid_arg "Dispatch.solve: negative total";
   if not (feasible pieces ~total) then None
@@ -611,27 +638,35 @@ let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total =
       z.(!last_active) <- total;
       Some { assignment = z; objective = objective pieces z }
     end
+    else if (not numeric) && Array.for_all (fun p -> p.upper <= 0. || Fn.has_inv_deriv p.fn) pieces
+    then begin
+      (* Every active piece inverts its derivative in closed form: one
+         safeguarded Newton iteration on the multiplier, no nested 1-D
+         searches.  Cold start (no line context). *)
+      Obs.Counter.incr c_analytic;
+      let sw =
+        match own with
+        | None -> cold_sweep pieces
+        | Some sw ->
+            ignore (refresh sw pieces : bool);
+            sweep_start sw;
+            sw
+      in
+      let objective = [| 0. |] in
+      waterfill_analytic ~tol sw pieces ~total objective 0;
+      sweep_finish sw;
+      let assignment = if Option.is_none own then sw.z else Array.sub sw.z 0 (Array.length pieces) in
+      Some { assignment; objective = objective.(0) }
+    end
     else begin
-      (* A cold solve's scratch is its own: nothing carries between
-         calls, so no two solves share state. *)
-      let sw = sweep () in
-      if (not numeric) && refresh sw pieces then begin
-        (* Every active piece inverts its derivative in closed form: one
-           safeguarded Newton iteration on the multiplier, no nested 1-D
-           searches.  Cold start (no line context). *)
-        Obs.Counter.incr c_analytic;
-        let objective = [| 0. |] in
-        waterfill_analytic ~tol sw pieces ~total objective 0;
-        sweep_finish sw;
-        Some { assignment = Array.sub sw.z 0 (Array.length pieces); objective = objective.(0) }
-      end
-      else begin
-        match solve_few ~tol pieces ~total with
-        | Some solution -> Some solution
-        | None -> Some (waterfill ~tol ~analytic:false pieces ~total)
-      end
+      match solve_few ~tol pieces ~total with
+      | Some solution -> Some solution
+      | None -> Some (waterfill ~tol ~analytic:false pieces ~total)
     end
   end
+
+let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total = solve_in ~tol ~numeric None pieces ~total
+let solve_with sw pieces ~total = solve_in ~tol:1e-9 ~numeric:false (Some sw) pieces ~total
 
 let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
   sw.calls <- sw.calls + 1;

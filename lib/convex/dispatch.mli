@@ -60,9 +60,9 @@ type sweep
     cell's multiplier bracket and cached endpoint derivatives between
     {!sweep_solve} calls, and the cells' work counts until
     {!sweep_finish}.  Its owner holds it (a line cursor of
-    [Model.Cost] holds one), so sweeps over different records never
-    share state, on any thread or domain; one record runs one line at a
-    time. *)
+    [Model.Cost] holds one, and so does a memo, for {!solve_with}), so
+    sweeps over different records never share state, on any thread or
+    domain; one record runs one line, or one solve, at a time. *)
 
 val sweep : unit -> sweep
 (** A fresh sweep, cold.  Its per-piece caches are sized by the first
@@ -71,6 +71,14 @@ val sweep : unit -> sweep
 val sweep_start : sweep -> unit
 (** Clear the warm bracket: call once per grid line, before its first
     {!sweep_solve}.  The caches and the work counts stay. *)
+
+val solve_with : sweep -> piece array -> total:float -> solution option
+(** {!solve} in the caller's sweep instead of a fresh scratch: the same
+    solution, bit for bit, and the same counts.  Each call starts cold
+    (it clears the warm bracket), and a piece physically shared with
+    the previous solve keeps its caches.  For a caller that solves many
+    unrelated problems in turn, such as a memo's misses, which would
+    otherwise make a scratch for each. *)
 
 type table
 (** Pieces with the per-piece invariants the solver caches (derivative

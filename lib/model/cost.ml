@@ -45,7 +45,9 @@ let pieces inst ~time x ~load =
         { Convex.Dispatch.fn; upper })
     x
 
-let split_for_volume inst ~time ~load x =
+(* [solve] is the dispatch solver: {!Convex.Dispatch.solve}, or a
+   memo's {!Convex.Dispatch.solve_with}. *)
+let split_for_volume ~solve inst ~time ~load x =
   let d = Instance.num_types inst in
   if load <= 0. then Some (Array.make d 0., idle_sum inst ~time x)
   else if config_capacity inst x +. cap_eps < load then None
@@ -58,19 +60,21 @@ let split_for_volume inst ~time ~load x =
     Some ([| 1. |], xf *. Convex.Fn.eval (inst.Instance.cost ~time ~typ:0) z)
   end
   else
-    match Convex.Dispatch.solve (pieces inst ~time x ~load) ~total:1. with
+    match solve (pieces inst ~time x ~load) ~total:1. with
     | None -> None
-    | Some { assignment; objective } ->
+    | Some { Convex.Dispatch.assignment; objective } ->
         (* Idle cost of types left without volume still accrues: the
            dispatch pieces already include it via h_j(0) = x_j f(0). *)
         Some (assignment, objective)
 
+let cold_solve pieces ~total = Convex.Dispatch.solve pieces ~total
+
 let operating_split inst ~time x =
-  split_for_volume inst ~time ~load:inst.Instance.load.(time) x
+  split_for_volume ~solve:cold_solve inst ~time ~load:inst.Instance.load.(time) x
 
 let operating_by_type inst ~time ~volume x =
   if volume < 0. then invalid_arg "Cost.operating_by_type: negative volume";
-  match split_for_volume inst ~time ~load:volume x with
+  match split_for_volume ~solve:cold_solve inst ~time ~load:volume x with
   | None -> None
   | Some (split, _) ->
       Some
@@ -86,12 +90,16 @@ let operating_by_type inst ~time ~volume x =
 
 let operating_volume inst ~time ~volume x =
   if volume < 0. then invalid_arg "Cost.operating_volume: negative volume";
-  match split_for_volume inst ~time ~load:volume x with
+  match split_for_volume ~solve:cold_solve inst ~time ~load:volume x with
   | None -> infinity
   | Some (_, g) -> g
 
-let operating inst ~time x =
-  match operating_split inst ~time x with None -> infinity | Some (_, g) -> g
+let operating_in ~solve inst ~time x =
+  match split_for_volume ~solve inst ~time ~load:inst.Instance.load.(time) x with
+  | None -> infinity
+  | Some (_, g) -> g
+
+let operating inst ~time x = operating_in ~solve:cold_solve inst ~time x
 
 let load_dependent inst ~time x ~typ =
   match operating_split inst ~time x with
@@ -142,10 +150,14 @@ let schedule inst s =
 type cache = {
   inst : Instance.t;
   layers : float array array; (* slot -> rank -> g_t(x); [nan] = empty *)
+  solve : Convex.Dispatch.piece array -> total:float -> Convex.Dispatch.solution option;
+      (* the misses' dispatch, in the memo's own sweep *)
 }
 
 let make_cache inst =
-  { inst; layers = Array.make (max 1 (Instance.horizon inst)) [||] }
+  { inst;
+    layers = Array.make (max 1 (Instance.horizon inst)) [||];
+    solve = Convex.Dispatch.solve_with (Convex.Dispatch.sweep ()) }
 
 let c_rank_hits = Obs.Counter.make "cost.rank_hits"
 let c_rank_misses = Obs.Counter.make "cost.rank_misses"
@@ -178,9 +190,9 @@ let[@inline] make_piece fn xj ~load ~cap =
 (* The floats of a line fill, in an all-float record, where they are
    stored unboxed. *)
 type line_floats = {
-  mutable load : float;
-  mutable cap_base : float;  (* capacity of the fixed prefix x.(0 .. d-2) *)
-  mutable cap_last : float;  (* per-server capacity of the swept type *)
+  mutable load : float;  (* the layer's *)
+  mutable cap_last : float;  (* per-server capacity of the swept type, likewise *)
+  mutable cap_base : float;  (* capacity of the line's fixed prefix x.(0 .. d-2) *)
   mutable idle_base : float;  (* idle sum of the prefix, when load-independent *)
   mutable idle_last : float;  (* idle cost of a swept server, likewise *)
 }
@@ -213,12 +225,13 @@ type dual_floats = {
    line's fill between cells, so a caller can drive the line cell by
    cell and stop after any of them with the warm chain of the cells
    before intact.  Two contexts share no fill state.  The cursor is
-   re-aimed at each line; its floats live in all-float records, where
-   they are stored unboxed, so re-aiming allocates nothing.  Its work
-   counts accumulate across lines until {!line_flush}. *)
+   re-aimed at each line; its floats live in all-float records (the
+   line's beside the layer's), where they are stored unboxed, so
+   re-aiming allocates nothing.  Its work counts accumulate across
+   lines until {!line_flush}. *)
 type line_ctx = {
   lx_axes : int array array;  (* the grid's axis values; the last is swept *)
-  lx_f : line_floats;  (* the layer's load, and [line_live]'s scratch *)
+  lx_f : line_floats;  (* the layer's load and swept capacity, the line's sums *)
   lx_fns : Convex.Fn.t array;  (* f_{t,j} per type *)
   lx_caps : float array;  (* per-server capacity per type *)
   lx_idle : float array;  (* f_{t,j}(0) per type *)
@@ -228,11 +241,9 @@ type line_ctx = {
   lx_fcap : float array;  (* f_{t,j}(cap_j): a capped response's value *)
   lx_dcap : float array;  (* f_{t,j}'(cap_j): the multiplier that saturates type j *)
   lx_pieces : Convex.Dispatch.table array;  (* per axis: the piece of each value *)
-  lf : line_floats;  (* the cursor's line *)
   dual : dual_floats;
   mutable table : float array;
   mutable rank0 : int;
-  values : int array;  (* the swept axis's values *)
   x : int array;  (* the line's configuration; x.(d-1) unused *)
   mutable loaded : bool;
   mutable base_const : bool;  (* every active prefix type load-independent *)
@@ -242,8 +253,6 @@ type line_ctx = {
   mutable misses : int;
   mutable owner : bound;  (* the bound [dual] was last evaluated into *)
 }
-
-type line = line_ctx
 
 let line_floats () = { load = 0.; cap_base = 0.; cap_last = 0.; idle_base = 0.; idle_last = 0. }
 
@@ -261,11 +270,9 @@ let line_ctx ~axes =
     lx_fcap = Array.make d 0.;
     lx_dcap = Array.make d 0.;
     lx_pieces = Array.map (fun a -> Convex.Dispatch.table (Array.length a)) axes;
-    lf = line_floats ();
     dual = { at = nan; gap = 0.; curv = 0.; resp = 0.; dresp = 0. };
     table = [||];
     rank0 = 0;
-    values = axes.(d - 1);
     x = Array.make d 0;
     loaded = false;
     base_const = true;
@@ -291,22 +298,23 @@ let line_layer ctx inst ~time =
     ctx.lx_fcap.(j) <- Convex.Fn.eval fn cap;
     ctx.lx_dcap.(j) <- Convex.Fn.deriv fn cap;
     Convex.Dispatch.table_clear ctx.lx_pieces.(j)
-  done
+  done;
+  ctx.lx_f.cap_last <- ctx.lx_caps.(d - 1)
 
-(* Capacity of the line's fixed prefix, in ascending-type order, into
-   [f.cap_base]. *)
-let prefix_capacity ctx ~pos f =
+(* Capacity of the line's fixed prefix, in ascending-type order.
+   Inlined, so that the float is not boxed. *)
+let[@inline] prefix_capacity ctx ~pos =
   let cap = ref 0. in
   for j = 0 to Array.length ctx.lx_axes - 2 do
     let xj = ctx.lx_axes.(j).(pos.(j)) in
     cap := !cap +. (float_of_int xj *. ctx.lx_caps.(j))
   done;
-  f.cap_base <- !cap
+  !cap
 
 (* [line_cell]'s infeasibility test, run ahead of the line.  Capacity
    grows along it (float sums and products are monotone), so its
    infeasible cells are a prefix, and a binary search finds the first
-   cell that passes. *)
+   cell that passes.  It leaves the cursor alone. *)
 let line_live ctx ~pos =
   let f = ctx.lx_f in
   let load = f.load in
@@ -314,8 +322,7 @@ let line_live ctx ~pos =
   else begin
     let d = Array.length ctx.lx_axes in
     let values = ctx.lx_axes.(d - 1) in
-    prefix_capacity ctx ~pos f;
-    let cap_base = f.cap_base and cap_last = ctx.lx_caps.(d - 1) in
+    let cap_base = prefix_capacity ctx ~pos and cap_last = f.cap_last in
     let lo = ref 0 and hi = ref (Array.length values) in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
@@ -333,7 +340,7 @@ let built_table ctx j i =
       (make_piece ctx.lx_fns.(j) ctx.lx_axes.(j).(i) ~load:ctx.lx_f.load ~cap:ctx.lx_caps.(j));
   t
 
-let line_start ~ctx:l ~table ~rank0 ~pos =
+let line_start l ~table ~rank0 ~pos =
   let d = Array.length l.lx_axes in
   let x = l.x in
   for j = 0 to d - 2 do
@@ -342,10 +349,8 @@ let line_start ~ctx:l ~table ~rank0 ~pos =
   l.table <- table;
   l.rank0 <- rank0;
   l.dual.at <- nan;
-  let f = l.lf in
-  let load = l.lx_f.load in
-  f.load <- load;
-  f.cap_last <- l.lx_caps.(d - 1);
+  let f = l.lx_f in
+  let load = f.load in
   (* The load-independent cells' idle sums (the whole line at zero
      load), derived only on the lines that can have such cells;
      ascending-type order keeps the float sums identical to
@@ -367,13 +372,12 @@ let line_start ~ctx:l ~table ~rank0 ~pos =
   l.last_const <- last_const;
   l.loaded <- load > 0.;
   if load > 0. then begin
-    prefix_capacity l ~pos f;
+    f.cap_base <- prefix_capacity l ~pos;
     Convex.Dispatch.sweep_start l.sw;
     for j = 0 to d - 2 do
       Convex.Dispatch.sweep_seed l.sw l.ps j (built_table l j pos.(j)) pos.(j)
     done
-  end;
-  l
+  end
 
 (* Every fast path reproduces [operating] bit-for-bit (same summation
    order); the dispatch path solves the same KKT system from the
@@ -383,9 +387,9 @@ let line_start ~ctx:l ~table ~rank0 ~pos =
    the table. *)
 let[@inline] line_cell l i =
   let idx = l.rank0 + i in
-  let f = l.lf in
+  let f = l.lx_f in
   l.misses <- l.misses + 1;
-  let v = l.values.(i) in
+  let v = l.lx_axes.(Array.length l.lx_axes - 1).(i) in
   if l.loaded && f.cap_base +. (float_of_int v *. f.cap_last) +. cap_eps < f.load then
     l.table.(idx) <- infinity
   else if l.base_const && (v = 0 || l.last_const) then
@@ -428,7 +432,7 @@ let line_flush ctx =
 let dual_at l b =
   let x = l.x and dv = l.dual in
   let d = Array.length x in
-  let mu = b.mu and load = l.lf.load in
+  let mu = b.mu and load = l.lx_f.load in
   let icept = ref (load *. mu) and gap = ref load and curv = ref 0. in
   for j = 0 to d - 1 do
     if j = d - 1 || x.(j) > 0 then begin
@@ -498,7 +502,7 @@ let line_bound l b =
   done;
   if !closed then begin
     let nu = if l.loaded then Convex.Dispatch.sweep_multiplier l.sw else nan in
-    b.mu <- (if nu > 0. then nu /. l.lf.load else 0.);
+    b.mu <- (if nu > 0. then nu /. l.lx_f.load else 0.);
     dual_at l b
   end;
   !closed
@@ -520,7 +524,7 @@ let refit_steps = 3
    stays finite.  A step that leaves the bracket, or one with no slope
    (every response at 0 or at its cap), bisects it instead. *)
 let line_refit l b ~v =
-  let vf = float_of_int v and f = l.lf and x = l.x in
+  let vf = float_of_int v and f = l.lx_f and x = l.x in
   let d = Array.length x in
   let closed = ref (l.loaded && f.cap_base +. (vf *. f.cap_last) >= f.load) in
   let hi = ref 0. in
@@ -559,9 +563,9 @@ let fill_line ~ctx ~table ~rank0 ~pos =
     if Float.is_nan table.(rank0 + i) then any := true
   done;
   if !any then begin
-    let l = line_start ~ctx ~table ~rank0 ~pos in
+    line_start ctx ~table ~rank0 ~pos;
     for i = 0 to len - 1 do
-      if Float.is_nan table.(rank0 + i) then line_cell l i
+      if Float.is_nan table.(rank0 + i) then line_cell ctx i
     done
   end
 
@@ -570,7 +574,7 @@ let operating_rank cache ~time ~rank x =
   let v = t.(rank) in
   if Float.is_nan v then begin
     Obs.Counter.incr c_rank_misses;
-    let g = operating cache.inst ~time x in
+    let g = operating_in ~solve:cache.solve cache.inst ~time x in
     t.(rank) <- g;
     g
   end

@@ -55,14 +55,17 @@ type cache
     [Online.Baselines], [Offline.Graph_paper] and the memo-backed
     [Offline.Dp.fill_layer].  The DP engines ([Offline.Dp.solve] and
     [Online.Prefix_opt], through [Offline.Forward]) read each layer's
-    values at most once, so they drive a {!line} cursor over one reused
-    row instead, and stop a line once the rest of it is dominated.
+    values at most once, so they drive a {!line_ctx}'s line cursor
+    over one reused row instead, and stop a line once the rest of it is
+    dominated.
 
     The memo is a set of {b flat per-slot rank tables} ({!layer_table}
     / {!operating_rank}): when the caller enumerates a state grid it
     already holds each state's flat index, which addresses a plain
     [float array] directly — no key allocation, no hashing, no locks.
-    [nan] marks an empty slot. *)
+    [nan] marks an empty slot.  A miss solves its dispatch problem in
+    the memo's own sweep ({!Convex.Dispatch.solve_with}), so a memo
+    serves one caller at a time, and two memos share nothing. *)
 
 val make_cache : Instance.t -> cache
 
@@ -89,9 +92,9 @@ type line_ctx
     in place and allocates only the probe constants
     of each type's cost, and building a piece only that piece.  Purely
     an amortisation: the values equal what a cell would re-derive.
-    Lines of the aimed layer are filled through the context's own
-    {!line} cursor, so fills through different contexts share no state
-    and may interleave, cell by cell, on any thread. *)
+    The context is also its own line cursor ({!line_start}), so fills
+    through different contexts share no state and may interleave, cell
+    by cell, on any thread. *)
 
 val line_ctx : axes:int array array -> line_ctx
 (** A context, with its cursor, for the grid whose axis [j] takes the
@@ -113,30 +116,29 @@ val line_live : line_ctx -> pos:int array -> int
     load), or the line length when none does.  Exactly {!line_cell}'s
     infeasibility test: capacity grows along a line, so the cells
     before it are the line's infeasible ones, [+infinity], and the
-    cells from it on are not. *)
+    cells from it on are not.  It leaves the context's current line
+    alone. *)
 
-type line
-(** A line cursor: one grid line's fill, driven cell by cell.  Lines
-    of a slot-[t] operating-cost table are the rank ranges
-    [rank0 .. rank0 + |values| - 1] whose configurations share the
-    prefix [x.(0 .. d-2)] and take the swept (last) axis's value from
-    its [values] (ascending, so capacity grows along the line and the
-    dispatch solves share one warm-started multiplier sweep,
-    {!Convex.Dispatch.sweep_solve}).  Each {!line_ctx} owns one cursor,
-    with its dispatch sweep, and fills one line at a time: a line ends
-    when the context's next one starts, and the layer when
-    {!line_flush} runs. *)
-
-val line_start : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array -> line
-(** Aim the context's cursor at a line of its grid, in the layer the
-    context is aimed at: the line whose prefix takes value index
+val line_start : line_ctx -> table:float array -> rank0:int -> pos:int array -> unit
+(** Aim the context's line cursor at a line of its grid, in the layer
+    the context is aimed at: the line whose prefix takes value index
     [pos.(j)] on each axis [j < d-1], stored in [table] from [rank0]
-    on.  The cursor reads [pos] here only.  Seeds the dispatch sweep
-    with the line's prefix pieces from the context's tables and clears
-    the warm bracket. *)
+    on.  The cursor reads [pos] here only.  Seeds the context's
+    dispatch sweep with the line's prefix pieces from its tables and
+    clears the warm bracket.
 
-val line_cell : line -> int -> unit
-(** [line_cell l i] computes [g_t] of the line's cell [i] into
+    A line is one grid line's fill, driven cell by cell
+    ({!line_cell}).  Lines of a slot-[t] operating-cost table are the
+    rank ranges [rank0 .. rank0 + |values| - 1] whose configurations
+    share the prefix [x.(0 .. d-2)] and take the swept (last) axis's
+    value from its [values] (ascending, so capacity grows along the
+    line and the dispatch solves share one warm-started multiplier
+    sweep, {!Convex.Dispatch.sweep_solve}).  A context fills one line
+    at a time: a line ends when the context's next one starts, and the
+    layer when {!line_flush} runs. *)
+
+val line_cell : line_ctx -> int -> unit
+(** [line_cell ctx i] computes [g_t] of the current line's cell [i] into
     [table.(rank0 + i)].  Cells must be computed in ascending [i]; any
     prefix of a line gets exactly the values (bits and warm chain) the
     whole line would, so a caller may stop after any cell, or start at
@@ -174,21 +176,22 @@ type bound = { mutable icept : float; mutable slope : float; mutable mu : float 
     arithmetic up to float rounding, and callers compare it with a
     margin. *)
 
-val line_bound : line -> bound -> bool
-(** [line_bound l b] writes into [b] the bound at the multiplier [nu]
-    of the line's latest analytic solve, [mu = nu / lambda_t] (which is
-    within the solver's tolerance of that cell's optimum).  Before any
+val line_bound : line_ctx -> bound -> bool
+(** [line_bound ctx b] writes into [b] the bound at the multiplier
+    [nu] of the current line's latest analytic solve,
+    [mu = nu / lambda_t] (which is within the solver's tolerance of
+    that cell's optimum).  Before any
     solve, or at zero load, it uses [mu = 0]: the idle sum.  Returns
     [false], leaving [b] untouched, when an active type of the line (a
     prefix type with [x_j > 0], or the swept type) has no closed-form
     derivative inverse ({!Convex.Fn.has_inv_deriv}). *)
 
-val line_refit : line -> bound -> v:int -> bool
-(** [line_refit l b ~v] moves [b] towards the best bound for the cell
-    with swept count [v]: up to three safeguarded Newton steps on that
-    cell's dual [D_v(mu)], which is concave, from [b.mu] (any [mu >= 0];
-    it need not come from {!line_bound}).  [D_v'(mu) = lambda_t -
-    sum_j x_j s_j(mu)], the gap between the load and the responses'
+val line_refit : line_ctx -> bound -> v:int -> bool
+(** [line_refit ctx b ~v] moves [b] towards the best bound for the
+    current line's cell with swept count [v]: up to three safeguarded
+    Newton steps on that cell's dual [D_v(mu)], which is concave, from
+    [b.mu] (any [mu >= 0]; it need not come from {!line_bound}).
+    [D_v'(mu) = lambda_t - sum_j x_j s_j(mu)], the gap between the load and the responses'
     volume, and its slope come in closed form from the power and
     quadratic kernels, with one [**] per power type per step.  Each
     step keeps a sign bracket on [D_v'], which starts at [\[0, the
@@ -206,11 +209,12 @@ val fill_line : ctx:line_ctx -> table:float array -> rank0:int -> pos:int array 
     computed) cells of one line ({!line_start}'s) of an operating-cost
     table [table] of the layer [ctx] is aimed at — a memo rank table from
     {!layer_table}, or a caller's own row reset to [nan] — in order,
-    through the context's {!line} cursor.  Call {!line_flush} after the
+    through the context's line cursor.  Call {!line_flush} after the
     layer's last line. *)
 
 val operating_rank : cache -> time:int -> rank:int -> Config.t -> float
 (** Memoised {!operating} through slot [time]'s rank table: returns the
-    cached value at [rank], or computes [operating ~time x] and stores
-    it there.  [x] must be the configuration whose flat grid index is
-    [rank], and {!layer_table} must have been sized past [rank] first. *)
+    cached value at [rank], or computes [operating ~time x], bit for
+    bit, and stores it there.  [x] must be the configuration whose
+    flat grid index is [rank], and {!layer_table} must have been sized
+    past [rank] first. *)

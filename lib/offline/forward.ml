@@ -137,7 +137,7 @@ let max_refits = 16
    that cell's own multiplier and carry the new bound on along the line.
    Returns the first cell that fails after its refit, or the line length
    when every remaining cell is proved. *)
-let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
+let prove e (p : Plane.t) ~off ~np ~rank0 ~from =
   let values = e.axes.(Array.length e.axes - 1) in
   let len = Array.length values in
   let b = e.bound in
@@ -150,7 +150,7 @@ let prove e line (p : Plane.t) ~off ~np ~rank0 ~from =
     let ar = Bigarray.Array1.unsafe_get p (off + r) in
     let need = c +. (2. *. allowance c) in
     if ar +. (b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int v)) > need then incr q
-    else if !refits < max_refits && Model.Cost.line_refit line b ~v then begin
+    else if !refits < max_refits && Model.Cost.line_refit e.ctx b ~v then begin
       incr refits;
       if ar +. (b.Model.Cost.icept +. (b.Model.Cost.slope *. float_of_int v)) > need then incr q
       else proved := false
@@ -187,18 +187,18 @@ let sweep_lines e (p : Plane.t) ~off =
     e.skipped <- e.skipped + live;
     if live < len then begin
       let np = line_preds e in
-      let line = Model.Cost.line_start ~ctx ~table:e.ops ~rank0 ~pos in
+      Model.Cost.line_start ctx ~table:e.ops ~rank0 ~pos;
       let i = ref live and next_proof = ref 0 in
       while !i < len do
-        Model.Cost.line_cell line !i;
+        Model.Cost.line_cell ctx !i;
         if
           sweep_cell e p ~off ~np ~r:(rank0 + !i) ~i:!i
           && !i >= !next_proof
           && !i < len - 1
         then
-          if not (Model.Cost.line_bound line e.bound) then next_proof := len
+          if not (Model.Cost.line_bound ctx e.bound) then next_proof := len
           else begin
-            let q = prove e line p ~off ~np ~rank0 ~from:(!i + 1) in
+            let q = prove e p ~off ~np ~rank0 ~from:(!i + 1) in
             if q < len then next_proof := q
             else begin
               e.proved <- e.proved + (len - 1 - !i);

@@ -77,6 +77,7 @@ let instance_for ~scenario ~loads =
 let below_opt_allowance = 1e-9
 
 let audit_one s =
+  Util.Faultinj.hit "audit.replay";
   match instance_for ~scenario:s.scenario ~loads:s.loads with
   | None -> None
   | Some inst ->

@@ -4,7 +4,7 @@
     exercised, and failure paths are only debuggable if the failures are
     reproducible.  This module lets tests (and the CLI) {e arm} named
     fault sites — [pool.job], [dp.layer_fill], [streaming.feed],
-    [snapshot.write] — with a deterministic firing plan; instrumented
+    [snapshot.write], [audit.replay] — with a deterministic firing plan; instrumented
     code calls {!hit} (or {!check}) at each site and receives an
     {!Injected} exception exactly when the plan says so.  Randomised
     plans draw from a seeded {!Prng} stream split per site, so a seed

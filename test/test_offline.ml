@@ -615,12 +615,12 @@ let test_refit_allocates_nothing () =
   Model.Cost.line_layer ctx inst ~time;
   let table = Array.make (Offline.Grid.size grid) nan in
   let rank0 = 30 * len in
-  let line = Model.Cost.line_start ~ctx ~table ~rank0 ~pos:[| 30 |] in
+  Model.Cost.line_start ctx ~table ~rank0 ~pos:[| 30 |];
   for i = 0 to len / 2 do
-    Model.Cost.line_cell line i
+    Model.Cost.line_cell ctx i
   done;
   let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
-  checkb "closed-form bound" true (Model.Cost.line_bound line b);
+  checkb "closed-form bound" true (Model.Cost.line_bound ctx b);
   let mu = b.Model.Cost.mu in
   checkb "a solved multiplier" true (mu > 0.);
   let starts = [| mu; 0.; 0.1 *. mu; 10. *. mu |] in
@@ -631,7 +631,7 @@ let test_refit_allocates_nothing () =
       for s = 0 to Array.length starts - 1 do
         b.Model.Cost.mu <- starts.(s);
         for q = 0 to len - 1 do
-          if Model.Cost.line_refit line b ~v:values.(q) then incr ran
+          if Model.Cost.line_refit ctx b ~v:values.(q) then incr ran
         done
       done
     done;

@@ -87,7 +87,7 @@ let test_dp_solve_major_heap_is_one_layer () =
    its fill context.  A [Dp.fill_row] layer, which makes a context
    sized for the grid (about 1,000 words, its line cursor and dispatch
    sweep included) and builds every piece, allocates at most
-   [fill_ceiling] words (4,647, 4,744 and 4,115 at slots 0, 6 and 12),
+   [fill_ceiling] words (4,639, 4,736 and 4,107 at slots 0, 6 and 12),
    and a warm [Prefix_opt.step], whose context lives with its sweep,
    [step_ceiling] (3,523); with a piece table per line and one per
    layer they allocated 4,171, 4,307, 4,341 and 4,545, under a ceiling

@@ -786,12 +786,12 @@ let cell_stepper (inst, grid, time) =
   Model.Cost.line_layer ctx inst ~time;
   let table = Array.make (Offline.Grid.size grid) nan in
   let pos = Array.make (d - 1) 0 in
-  let line = ref None and rank0 = ref 0 and i = ref 0 in
+  let rank0 = ref 0 and i = ref 0 in
   let step () =
     !rank0 < Array.length table
     && begin
-         if !i = 0 then line := Some (Model.Cost.line_start ~ctx ~table ~rank0:!rank0 ~pos);
-         Model.Cost.line_cell (Option.get !line) !i;
+         if !i = 0 then Model.Cost.line_start ctx ~table ~rank0:!rank0 ~pos;
+         Model.Cost.line_cell ctx !i;
          incr i;
          if !i = len then begin
            i := 0;
@@ -854,6 +854,46 @@ let prop_interleaved_fills_match_alone seed =
   && List.map2 ( - ) c1 c0 = counts_a
   && List.map2 ( - ) c2 c1 = counts_b
 
+(* A memo's dispatch sweep: [solve_with] over one sweep, reused for a
+   run of unrelated problems (a new problem, or the previous one's
+   pieces again, physically), gives each [solve]'s assignment and
+   objective bit for bit, and the same counts. *)
+let prop_solve_with_matches_solve seed =
+  let rng = Util.Prng.create seed in
+  let counts () =
+    List.map
+      (fun name -> match Obs.Counter.find name with Some c -> Obs.Counter.value c | None -> 0)
+      [ "dispatch.calls"; "dispatch.analytic_solves"; "dispatch.newton_evals"; "scalar_min.iters" ]
+  in
+  let counted f =
+    let before = counts () in
+    let r = f () in
+    (r, List.map2 ( - ) (counts ()) before)
+  in
+  let sw = Convex.Dispatch.sweep () in
+  let pieces = ref [||] in
+  List.for_all
+    (fun _ ->
+      if Array.length !pieces = 0 || Util.Prng.bool rng then begin
+        let d = 1 + Util.Prng.int rng 4 in
+        pieces :=
+          Array.init d (fun _ ->
+              { Convex.Dispatch.fn = random_sweep_fn rng; upper = 0.3 +. Util.Prng.float rng 0.9 })
+      end;
+      let cap = Array.fold_left (fun acc p -> acc +. p.Convex.Dispatch.upper) 0. !pieces in
+      let total = Util.Prng.float rng (1.1 *. cap) in
+      let cold, cold_counts = counted (fun () -> Convex.Dispatch.solve !pieces ~total) in
+      let held, held_counts = counted (fun () -> Convex.Dispatch.solve_with sw !pieces ~total) in
+      cold_counts = held_counts
+      &&
+      match (cold, held) with
+      | Some a, Some b ->
+          bits_equal a.Convex.Dispatch.assignment b.Convex.Dispatch.assignment
+          && bits_equal [| a.Convex.Dispatch.objective |] [| b.Convex.Dispatch.objective |]
+      | None, None -> true
+      | _ -> false)
+    (List.init 8 Fun.id)
+
 (* A refitted line bound is a lower bound on g_t: for every line of
    every slot's dense grid, after each of its cells is computed, the
    bound is refitted to each later cell q from four multipliers: 0, the
@@ -891,21 +931,21 @@ let prop_refit_bound_sound seed =
     let pos = Array.make (d - 1) 0 in
     for k = 0 to (n / len) - 1 do
       let rank0 = k * len in
-      let line = Model.Cost.line_start ~ctx ~table ~rank0 ~pos in
+      Model.Cost.line_start ctx ~table ~rank0 ~pos;
       let b = { Model.Cost.icept = 0.; slope = 0.; mu = 0. } in
       for i = 0 to len - 1 do
-        Model.Cost.line_cell line i;
-        if Model.Cost.line_bound line b then begin
+        Model.Cost.line_cell ctx i;
+        if Model.Cost.line_bound ctx b then begin
           below b ~from:(i + 1) ~rank0;
           let mu = b.Model.Cost.mu in
           for q = i + 1 to len - 1 do
-            if Model.Cost.line_refit line b ~v:values.(q) then below b ~from:q ~rank0
+            if Model.Cost.line_refit ctx b ~v:values.(q) then below b ~from:q ~rank0
           done;
           List.iter
             (fun start ->
               for q = i + 1 to len - 1 do
                 b.Model.Cost.mu <- start;
-                if Model.Cost.line_refit line b ~v:values.(q) then below b ~from:q ~rank0
+                if Model.Cost.line_refit ctx b ~v:values.(q) then below b ~from:q ~rank0
               done)
             [ 0.; mu; 0.1 *. mu; 10. *. mu ]
         end
@@ -1139,7 +1179,8 @@ let () =
           mk_test ~count:200 ~name:"analytic path = numeric path"
             prop_dispatch_analytic_matches_numeric;
           mk_test ~count:100 ~name:"warm line sweep = per-cell solve"
-            prop_sweep_line_matches_per_cell
+            prop_sweep_line_matches_per_cell;
+          mk_test ~count:100 ~name:"solve in a held sweep = solve" prop_solve_with_matches_solve
         ] );
       ( "transform",
         [ mk_test ~count:100 ~name:"ramp_line dominates input and is idempotent"

@@ -643,7 +643,42 @@ let test_daemon_metrics_and_audit () =
           checkb "monitor reconstructs batch quantile" true
             (match row.Server.Monitor.p50_batch_us with
             | Some v -> Float.is_finite v && v > 0.
-            | None -> false))
+            | None -> false);
+          checkb "scraped audit failures" true (find2 "audit_failures" = Some 0.);
+          checkb "monitor audit failures" true (row.Server.Monitor.audit_failures = 0.))
+
+(* A replay that raises is counted, and the count reaches the scrape
+   and the monitor row that scenario legs check. *)
+let test_audit_failures_scraped () =
+  with_daemon (fun _dir mk cfg ->
+      let cfg =
+        { cfg with Daemon.audit_every = Some 1; audit_sample = 1; audit_sync = true }
+      in
+      let d = mk "f.sock" cfg in
+      (match
+         Daemon.handle d (P.Create_session { id = "s"; scenario = "cpu-gpu"; max_horizon = None; alg = None })
+       with
+      | P.Session _ -> ()
+      | _ -> Alcotest.fail "create");
+      Util.Faultinj.arm [ ("audit.replay", Util.Faultinj.Nth 1) ];
+      Fun.protect ~finally:Util.Faultinj.disarm (fun () ->
+          List.iter
+            (fun seq ->
+              ignore (expect_decisions (Daemon.handle d (P.Feed { id = "s"; seq; loads = [| 1.; 2. |] }))))
+            [ 0; 2 ]);
+      let audit = match Daemon.audit d with Some a -> a | None -> Alcotest.fail "no audit" in
+      checkb "two audit runs" true (Server.Audit.runs audit = 2);
+      checkb "the second replay audited" true (Server.Audit.audited audit = 1);
+      let body =
+        match Daemon.handle d P.Metrics with
+        | P.Metrics_reply { body } -> body
+        | _ -> Alcotest.fail "metrics request failed"
+      in
+      match Server.Monitor.parse body with
+      | Error m -> Alcotest.fail m
+      | Ok snap ->
+          checkb "one replay raised" true
+            ((Server.Monitor.row_of snap).Server.Monitor.audit_failures = 1.))
 
 (* The asynchronous shadow audit solves offline optima on its own
    thread while the main thread steps sessions, and must leave every
@@ -769,6 +804,8 @@ let () =
             test_daemon_checkpoint_resume_multisession;
           Alcotest.test_case "metrics scrape + shadow audit" `Quick
             test_daemon_metrics_and_audit;
+          Alcotest.test_case "audit failures reach the scrape" `Quick
+            test_audit_failures_scraped;
           Alcotest.test_case "audit matches direct offline replay" `Quick
             test_audit_matches_direct_computation;
           Alcotest.test_case "async audit leaves served decisions alone" `Quick
