@@ -147,16 +147,7 @@ let resolve_instance ?workload (name, mk) horizon file =
         match Core.Trace.load_workload ~path with
         | exception Invalid_argument m -> Error (Printf.sprintf "bad workload %s: %s" path m)
         | load ->
-            let swapped =
-              Core.Instance.make ~types:inst.Core.Instance.types ~load
-                ~cost:(fun ~time ~typ ->
-                  (* Clamp the cost clock into the original horizon so
-                     longer traces reuse the final slot's functions. *)
-                  inst.Core.Instance.cost
-                    ~time:(min time (Core.Instance.horizon inst - 1))
-                    ~typ)
-                ()
-            in
+            let swapped = Core.Instance.with_loads inst load in
             if Core.Instance.feasible_load swapped then
               Ok (Printf.sprintf "%s + %s" label (Filename.basename path), swapped)
             else Error "workload exceeds the fleet's capacity")
@@ -1302,21 +1293,6 @@ let scenario_cmd =
 
 (* --- replay --- *)
 
-(* Re-run recorded sessions through Server.Session — the same code path
-   that served them — so the "old" decisions are reproduced
-   bit-faithfully, not approximated.  Store.Replay owns the store
-   reading and the OPT comparison; this callback owns the stepping. *)
-let replay_run ~scenario ~alg ~loads =
-  match
-    Core.Server_session.create ~id:"replay"
-      { Core.Server_session.scenario; max_horizon = None; alg = Some alg }
-  with
-  | Error (_, m) -> Error m
-  | Ok s -> (
-      match Core.Server_session.feed s ~seq:0 loads with
-      | Error (_, m) -> Error m
-      | Ok configs -> Ok configs)
-
 let replay_cmd =
   let store_arg =
     Arg.(
@@ -1340,9 +1316,9 @@ let replay_cmd =
       & info [ "session" ] ~docv:"ID" ~doc:"Replay only this session.")
   in
   let run () store alg session =
-    match Core.Store_replay.replay ~run:replay_run ?alg ?session ~dir:store () with
+    match Core.Server_audit.replay_store ?alg ?session ~dir:store () with
     | Error m -> `Error (false, "replay: " ^ m)
-    | Ok { Core.Store_replay.rows; failures } ->
+    | Ok { Core.Server_audit.rows; failures } ->
         let tbl =
           Core.Table.create
             ~header:
@@ -1350,7 +1326,7 @@ let replay_cmd =
                 "new"; "new cost"; "new ratio"; "OPT"; "delta%" ]
         in
         List.iter
-          (fun (r : Core.Store_replay.row) ->
+          (fun (r : Core.Server_audit.row) ->
             let delta =
               if r.old_cost > 0. then
                 100. *. (r.new_cost -. r.old_cost) /. r.old_cost

@@ -9,6 +9,9 @@ let count_iters n = Obs.Counter.add c_iters n
 
 let feas_eps = 1e-9
 
+(* The z-space accuracy of every solve. *)
+let tol = 1e-9
+
 (* [Float.max 1. x], bit for bit.  The stdlib breaks signed-zero ties
    with two [caml_signbit] C calls per use; [1.] has no sign to tie
    with, so plain comparisons that keep a NaN [x] give the same bits. *)
@@ -30,7 +33,7 @@ let objective pieces z =
    forced; with two, the problem is a 1-D convex minimisation solved by
    golden section.  These cover d <= 2, the dominant case in the
    experiments, far cheaper than the nested-bisection water-filling. *)
-let solve_few ~tol pieces ~total =
+let solve_few pieces ~total =
   let active = ref [] in
   Array.iteri (fun j p -> if p.upper > 0. then active := j :: !active) pieces;
   match !active with
@@ -81,16 +84,16 @@ let solve_few ~tol pieces ~total =
       Some { assignment = z; objective = objective pieces z }
   | _ :: _ :: _ :: _ -> None
 
-(* KKT water-filling, with either analytic or bisected per-piece
-   responses: bisect the multiplier [nu] until the responses sum to
-   [total], interpolate across derivative plateaus (cost is linear
-   along them, so the interpolation keeps optimality), then repair
-   residual drift.  The response of piece [j] to multiplier [nu] is the
-   largest z in [0, upper] whose derivative does not exceed [nu] —
-   monotone non-decreasing in nu.  The derivatives at the piece
+(* KKT water-filling with bisected per-piece responses: bisect the
+   multiplier [nu] until the responses sum to [total], interpolate
+   across derivative plateaus (cost is linear along them, so the
+   interpolation keeps optimality), then repair residual drift.  The
+   response of piece [j] to multiplier [nu] is the largest z in
+   [0, upper] whose derivative does not exceed [nu] — monotone
+   non-decreasing in nu.  The derivatives at the piece
    endpoints are loop invariants of the outer bisection, so they are
    cached once per piece rather than re-derived at every probe. *)
-let waterfill ~tol ~analytic pieces ~total =
+let waterfill pieces ~total =
   let d = Array.length pieces in
   let d0 = Array.make d 0. and dup = Array.make d 0. in
   let nu_lo = ref infinity and nu_hi = ref neg_infinity in
@@ -107,10 +110,6 @@ let waterfill ~tol ~analytic pieces ~total =
     if p.upper <= 0. then 0.
     else if d0.(j) >= nu then 0.
     else if dup.(j) <= nu then p.upper
-    else if analytic then
-      (* Interior strict crossing: the closed form is exact; clamp only
-         to absorb last-ulp rounding past the cap. *)
-      Float.min p.upper (Float.max 0. (Fn.inv_deriv p.fn nu))
     else
       Scalar_min.bisect_monotone ~on_iter:count_iters (Fn.deriv p.fn) ~lo:0. ~hi:p.upper
         ~target:nu
@@ -409,7 +408,7 @@ let[@inline] response sw pieces j nu =
    the objective to [dst.(di)] and updates the carried bracket with a
    multiplier upper bracket valid for any cell whose responses dominate
    this one's pointwise. *)
-let waterfill_analytic ~tol sw pieces ~total dst di =
+let waterfill_analytic sw pieces ~total dst di =
   let d = Array.length pieces in
   let d0 = sw.d0 and dup = sw.dup and pker = sw.pker and zs = sw.z in
   let nu_min = ref infinity and nu_max = ref neg_infinity in
@@ -615,7 +614,7 @@ let cold_sweep pieces =
 
 (* [solve], with [own] the caller's sweep ([None]: a fresh one, sized
    to [pieces], whose assignment the result keeps). *)
-let solve_in ~tol ~numeric own pieces ~total =
+let solve_in ~numeric own pieces ~total =
   Obs.Counter.incr c_calls;
   if total < 0. then invalid_arg "Dispatch.solve: negative total";
   if not (feasible pieces ~total) then None
@@ -653,22 +652,22 @@ let solve_in ~tol ~numeric own pieces ~total =
             sw
       in
       let objective = [| 0. |] in
-      waterfill_analytic ~tol sw pieces ~total objective 0;
+      waterfill_analytic sw pieces ~total objective 0;
       sweep_finish sw;
       let assignment = if Option.is_none own then sw.z else Array.sub sw.z 0 (Array.length pieces) in
       Some { assignment; objective = objective.(0) }
     end
     else begin
-      match solve_few ~tol pieces ~total with
+      match solve_few pieces ~total with
       | Some solution -> Some solution
-      | None -> Some (waterfill ~tol ~analytic:false pieces ~total)
+      | None -> Some (waterfill pieces ~total)
     end
   end
 
-let solve ?(tol = 1e-9) ?(numeric = false) pieces ~total = solve_in ~tol ~numeric None pieces ~total
-let solve_with sw pieces ~total = solve_in ~tol:1e-9 ~numeric:false (Some sw) pieces ~total
+let solve ?(numeric = false) pieces ~total = solve_in ~numeric None pieces ~total
+let solve_with sw pieces ~total = solve_in ~numeric:false (Some sw) pieces ~total
 
-let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
+let sweep_solve sw pieces ~total dst di =
   sw.calls <- sw.calls + 1;
   if total < 0. then invalid_arg "Dispatch.sweep_solve: negative total";
   let invertible = refresh sw pieces in
@@ -703,15 +702,15 @@ let sweep_solve ?(tol = 1e-9) sw pieces ~total dst di =
     end
     else if invertible then begin
       sw.analytic <- sw.analytic + 1;
-      waterfill_analytic ~tol sw pieces ~total dst di
+      waterfill_analytic sw pieces ~total dst di
     end
     else
       (* Non-invertible pieces: [solve]'s golden-section / numeric
          route, which needs no scratch, so the warm chain survives. *)
       dst.(di) <-
-        (match solve_few ~tol pieces ~total with
+        (match solve_few pieces ~total with
         | Some s -> s.objective
-        | None -> (waterfill ~tol ~analytic:false pieces ~total).objective)
+        | None -> (waterfill pieces ~total).objective)
   end
 
 let greedy ?(steps = 4096) pieces ~total =

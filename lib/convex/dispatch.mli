@@ -43,13 +43,12 @@ type solution = {
   objective : float;         (** [sum_j h_j(z_j)] *)
 }
 
-val solve :
-  ?tol:float -> ?numeric:bool -> piece array -> total:float -> solution option
+val solve : ?numeric:bool -> piece array -> total:float -> solution option
 (** Water-filling solve.  Returns [None] when [sum_j u_j < total] (no
     feasible assignment).  [total] must be non-negative.  Accuracy: the
-    assignment satisfies the simplex constraint to within [tol]
-    (default [1e-9]) and the objective is optimal to first order in
-    [tol].  [~numeric:true] disables the analytic-inverse fast path and
+    assignment satisfies the simplex constraint to within [1e-9] and
+    the objective is optimal to first order in that tolerance.
+    [~numeric:true] disables the analytic-inverse fast path and
     forces the legacy golden-section / nested-bisection route — kept so
     the property tests and the benchmark suite can measure the analytic
     path against it; production callers should leave the default.  Each
@@ -112,8 +111,7 @@ val sweep_seed : sweep -> piece array -> int -> table -> int -> unit
     one way to hand the solver precomputed caches.  Raises
     [Invalid_argument] when entry [i] is not built. *)
 
-val sweep_solve :
-  ?tol:float -> sweep -> piece array -> total:float -> float array -> int -> unit
+val sweep_solve : sweep -> piece array -> total:float -> float array -> int -> unit
 (** [sweep_solve sw pieces ~total row i] stores in [row.(i)] the optimal
     objective (as {!solve}, but [infinity] where {!solve} returns
     [None]), reusing and updating the sweep's warm multiplier bracket.
@@ -125,7 +123,7 @@ val sweep_solve :
     carried upper bracket stays valid — including across skipped cells.
     Pieces physically shared with the previous call, or seeded by
     {!sweep_seed}, reuse their cached endpoint derivatives and values.
-    Matches per-cell {!solve} to well within [tol] (default [1e-9]);
+    Matches per-cell {!solve} to well within its [1e-9] tolerance;
     non-invertible pieces take {!solve}'s golden-section / numeric
     route, with {!solve}'s bits, and such a cell counts once in
     [dispatch.calls].  The cell's [dispatch.*]

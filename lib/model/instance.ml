@@ -54,6 +54,18 @@ let make_static ?avail ~types ~load ~fns () =
 let horizon inst = Array.length inst.load
 let num_types inst = Array.length inst.types
 
+let with_loads ?(avail = false) inst load =
+  validate ~types:inst.types ~load;
+  let clamp time = min time (horizon inst - 1) in
+  let cost ~time ~typ = inst.cost ~time:(clamp time) ~typ in
+  let avail, size_varying =
+    if avail then
+      let a ~time ~typ = inst.avail ~time:(clamp time) ~typ in
+      (a, check_avail inst.types a ~horizon:(Array.length load))
+    else (default_avail inst.types, false)
+  in
+  { inst with load; cost; avail; size_varying }
+
 let prefix inst t =
   if t < 1 || t > horizon inst then invalid_arg "Instance.prefix: bad length";
   { inst with load = Array.sub inst.load 0 t }

@@ -48,6 +48,14 @@ val horizon : t -> int
 val num_types : t -> int
 (** [d]. *)
 
+val with_loads : ?avail:bool -> t -> float array -> t
+(** [with_loads inst loads] keeps [inst]'s types and cost functions
+    over other loads.  The cost clock is clamped into [inst]'s horizon,
+    so a slot past it reuses the final slot's functions.  Availability
+    is the declared counts, or with [~avail:true] (default [false])
+    [inst]'s own, clamped the same way.  [time_independent] carries
+    over.  Raises [Invalid_argument] as {!make} does. *)
+
 val prefix : t -> int -> t
 (** [prefix inst t] is the shortened instance [I^t]: the first [t] slots
     ([1 <= t <= horizon]). *)

@@ -93,28 +93,12 @@ let rec remove_workdir dir =
         entries;
       (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
-(* The instance a served session implicitly solves — the same
-   reconstruction the daemon's shadow oracle performs: scenario types and
-   costs over the observed loads, cost (and avail) clamped into the
-   scenario horizon. *)
-let replay_instance ?(with_avail = false) ~base_name ~loads () =
-  match Sim.Scenarios.by_name base_name with
-  | None -> fatal "unknown base scenario %s" base_name
-  | Some mk ->
-      let base = mk None in
-      let horizon = Model.Instance.horizon base in
-      let clamp time = min time (horizon - 1) in
-      let cost ~time ~typ = base.Model.Instance.cost ~time:(clamp time) ~typ in
-      let avail =
-        if with_avail then Some (fun ~time ~typ -> base.Model.Instance.avail ~time:(clamp time) ~typ)
-        else None
-      in
-      Model.Instance.make ?avail ~types:base.Model.Instance.types ~load:loads ~cost ()
-
-let base_is_size_varying base_name =
-  match Sim.Scenarios.by_name base_name with
-  | None -> false
-  | Some mk -> (mk None).Model.Instance.size_varying
+(* The instance a served session solves ({!Server.Session.instance});
+   [Def.validate] has checked that the base scenario exists. *)
+let instance ?avail def loads =
+  match Server.Session.instance ?avail ~scenario:def.Def.base loads with
+  | Some inst -> inst
+  | None -> fatal "unknown base scenario %s" def.Def.base
 
 (* --- the drive loop --------------------------------------------------- *)
 
@@ -354,18 +338,6 @@ let metrics_phase st ~port ~failures =
 
 (* --- offline verification ---------------------------------------------- *)
 
-let oracle_decisions def ~id ~loads =
-  match
-    Server.Session.create ~id
-      { Server.Session.scenario = def.Def.base; max_horizon = Some def.Def.slots;
-        alg = def.Def.alg }
-  with
-  | Error (_, m) -> Error m
-  | Ok s -> (
-      match Server.Session.feed s ~seq:0 loads with
-      | Error (_, m) -> Error m
-      | Ok configs -> Ok configs)
-
 let verify_session def ~id ~loads ~decisions ~replayed ~failures =
   let missing = Array.exists (fun c -> Array.length c = 0) decisions in
   if missing then begin
@@ -376,8 +348,14 @@ let verify_session def ~id ~loads ~decisions ~replayed ~failures =
     let oracle_match =
       if not def.Def.verify.Def.oracle then None
       else
-        match oracle_decisions def ~id:"oracle" ~loads with
-        | Error m ->
+        match
+          Server.Session.replay
+            { Server.Session.scenario = def.Def.base;
+              max_horizon = Some def.Def.slots;
+              alg = def.Def.alg }
+            ~loads
+        with
+        | Error (_, m) ->
             failures := Printf.sprintf "%s: oracle replay failed: %s" id m :: !failures;
             Some false
         | Ok want ->
@@ -389,24 +367,26 @@ let verify_session def ~id ~loads ~decisions ~replayed ~failures =
                 :: !failures;
             Some same
     in
-    let inst = replay_instance ~base_name:def.Def.base ~loads () in
+    let inst = instance def loads in
     let online = Model.Cost.schedule inst decisions in
     let operating = Model.Cost.schedule_operating inst decisions in
     let switching = Model.Cost.schedule_switching inst decisions in
-    let opt = (Offline.Dp.solve_optimal inst).Offline.Dp.cost in
-    let ratio = if opt > 0. then Float.max 1. (online /. opt) else 1. in
+    let opt = Online.Harness.opt_cost inst in
+    let ratio = Online.Harness.ratio ~cost:online ~opt in
     if not (Float.is_finite online) then
       failures := Printf.sprintf "%s: online cost is infinite (infeasible slot)" id
                   :: !failures;
+    if ratio < 1. -. Server.Audit.below_opt_allowance then
+      failures :=
+        Printf.sprintf "%s: ratio %.6f below 1 (online %.6f beat OPT %.6f)" id ratio
+          online opt
+        :: !failures;
     let avail_opt =
-      if not (base_is_size_varying def.Def.base) then None
+      let inst_avail = instance ~avail:true def loads in
+      if not inst_avail.Model.Instance.size_varying then None
       else begin
         let solved =
-          try
-            let inst_avail =
-              replay_instance ~with_avail:true ~base_name:def.Def.base ~loads ()
-            in
-            Some (Offline.Dp.solve_optimal inst_avail).Offline.Dp.cost
+          try Some (Online.Harness.opt_cost inst_avail)
           with Invalid_argument _ -> None
         in
         match solved with
@@ -440,11 +420,10 @@ let predictor_make = function
   | Def.Holt_winters p ->
       fun () -> Forecast.Predictor.holt_winters ~alpha:0.4 ~beta:0.1 ~gamma:0.1 ~period:p
 
-let race_phase def ~loads ~online_cost ~failures =
+let race_phase def inst ~online_cost ~failures =
   match def.Def.race with
   | None -> None
   | Some r -> (
-      let inst = replay_instance ~base_name:def.Def.base ~loads () in
       match
         Forecast.Predictive.plan ~make:(predictor_make r.Def.predictor)
           ~window:r.Def.window inst
@@ -467,34 +446,31 @@ let race_phase def ~loads ~online_cost ~failures =
                 race_cost = cost;
                 vs_online = (if online_cost > 0. then cost /. online_cost else 1.) })
 
-let fleet_phase def ~loads ~failures =
+let fleet_phase def inst ~failures =
   match def.Def.fleet with
   | None -> None
   | Some f -> (
-      match Sim.Scenarios.by_name def.Def.base with
-      | None -> None
-      | Some mk -> (
-          let base = mk None in
-          let candidates =
-            Array.mapi
-              (fun j (st : Model.Server_type.t) ->
-                { Planner.Fleet.server = st;
-                  capex = List.nth f.Def.capex j;
-                  fn = base.Model.Instance.cost ~time:0 ~typ:j })
-              base.Model.Instance.types
-          in
-          match
-            Planner.Fleet.optimize ~budget:f.Def.budget ~candidates ~load:loads ()
-          with
-          | exception Invalid_argument m ->
-              failures := Printf.sprintf "fleet: %s" m :: !failures;
-              None
-          | plan ->
-              Some
-                { counts = plan.Planner.Fleet.counts;
-                  capex = plan.Planner.Fleet.capex;
-                  total = plan.Planner.Fleet.total;
-                  exhaustive = plan.Planner.Fleet.exhaustive }))
+      let candidates =
+        Array.mapi
+          (fun j (st : Model.Server_type.t) ->
+            { Planner.Fleet.server = st;
+              capex = List.nth f.Def.capex j;
+              fn = inst.Model.Instance.cost ~time:0 ~typ:j })
+          inst.Model.Instance.types
+      in
+      match
+        Planner.Fleet.optimize ~budget:f.Def.budget ~candidates
+          ~load:inst.Model.Instance.load ()
+      with
+      | exception Invalid_argument m ->
+          failures := Printf.sprintf "fleet: %s" m :: !failures;
+          None
+      | plan ->
+          Some
+            { counts = plan.Planner.Fleet.counts;
+              capex = plan.Planner.Fleet.capex;
+              total = plan.Planner.Fleet.total;
+              exhaustive = plan.Planner.Fleet.exhaustive })
 
 (* --- the run ----------------------------------------------------------- *)
 
@@ -605,8 +581,9 @@ let run ?bin ?workdir def =
                                 None)))
                   in
                   let ratio_max =
-                    List.fold_left (fun a (s : session_result) -> Float.max a s.ratio) 1.
-                      sessions
+                    List.fold_left
+                      (fun a (s : session_result) -> Float.max a s.ratio)
+                      neg_infinity sessions
                   in
                   if sessions <> [] && ratio_max > def.Def.verify.Def.ratio_bound then
                     failures :=
@@ -618,9 +595,7 @@ let run ?bin ?workdir def =
                     match sessions with
                     | [] -> Float.nan, None, None
                     | s0 :: _ ->
-                        let inst =
-                          replay_instance ~base_name:def.Def.base ~loads:loads.(0) ()
-                        in
+                        let inst = instance def loads.(0) in
                         let alg_v =
                           match st.alg with
                           | "a" -> `A
@@ -631,9 +606,8 @@ let run ?bin ?workdir def =
                               if inst.Model.Instance.time_independent then `A else `B
                         in
                         ( Online.Harness.competitive_bound inst ~algorithm:alg_v,
-                          race_phase def ~loads:loads.(0) ~online_cost:s0.online_cost
-                            ~failures,
-                          fleet_phase def ~loads:loads.(0) ~failures )
+                          race_phase def inst ~online_cost:s0.online_cost ~failures,
+                          fleet_phase def inst ~failures )
                   in
                   if def.Def.daemon.Def.crash_after <> None && st.crash = None
                      && !failures = [] then

@@ -25,8 +25,8 @@ type session_result = {
   online_cost : float;
   operating : float;
   switching : float;
-  opt_cost : float;         (** offline DP optimum on the replay instance *)
-  ratio : float;            (** max 1 (online / opt) *)
+  opt_cost : float;         (** [Online.Harness.opt_cost] of {!Server.Session.instance} *)
+  ratio : float;            (** [Online.Harness.ratio], raw: below 1 fails the run *)
   avail_opt : float option; (** avail-aware optimum (size-varying bases) *)
   oracle_match : bool option;  (** None when the oracle check is off *)
 }
@@ -62,7 +62,7 @@ type outcome = {
   def : Def.t;
   alg : string;                  (** "a" or "b" (first session's reply) *)
   theory_bound : float;          (** the paper's guarantee for the instance *)
-  ratio_max : float;
+  ratio_max : float;             (** the largest session [ratio] *)
   sessions : session_result list;
   race : race_result option;
   fleet : fleet_result option;

@@ -1,12 +1,12 @@
 (* The shadow oracle: periodically replay sampled live sessions'
    decision histories against the offline optimum and publish the gap
    as telemetry.  This is the paper's competitive ratio measured
-   continuously on real traffic — [Offline.Dp.solve_optimal] computes
+   continuously on real traffic — [Online.Harness.opt_cost] computes
    OPT on exactly the loads the session was fed, [Model.Cost.schedule]
    prices the decisions the online algorithm actually made, and the
    ratio of the two is an empirical sample of the guarantee the
-   theorems bound (2d for algorithm A's deterministic companion, O(1)
-   in expectation for B).
+   theorems bound (Theorem 8: 2d+1 for algorithm A, 2d for
+   load-independent costs; Theorem 13: 2d+1+c(I) for B).
 
    Concurrency: the daemon's select loop must never block on a DP
    solve, so audits run on one background [Thread].  The handoff is
@@ -53,23 +53,6 @@ type t = {
   mutable failures : int;       (* sessions whose replay raised *)
 }
 
-(* Rebuild the instance a session was (implicitly) solving: scenario
-   types and costs over the observed loads, with the cost closure
-   clamped into the scenario horizon — the same clamp [Session] applies
-   when it builds the streaming engine, so online and oracle price
-   every slot identically. *)
-let instance_for ~scenario ~loads =
-  match Sim.Scenarios.by_name scenario with
-  | None -> None
-  | Some mk ->
-      let base = mk None in
-      let types = base.Model.Instance.types in
-      let horizon = Model.Instance.horizon base in
-      let cost ~time ~typ =
-        base.Model.Instance.cost ~time:(min time (horizon - 1)) ~typ
-      in
-      Some (Model.Instance.make ~types ~load:loads ~cost ())
-
 (* OPT is optimal, so online >= OPT up to float noise in the two cost
    sums.  The published ratio is raw: a reader allows this much relative
    noise below 1 before calling it a violation, instead of the audit
@@ -78,13 +61,12 @@ let below_opt_allowance = 1e-9
 
 let audit_one s =
   Util.Faultinj.hit "audit.replay";
-  match instance_for ~scenario:s.scenario ~loads:s.loads with
-  | None -> None
-  | Some inst ->
+  Option.map
+    (fun inst ->
       let online = Model.Cost.schedule inst s.decisions in
-      let opt = (Offline.Dp.solve_optimal inst).Offline.Dp.cost in
-      let ratio = if opt > 0. then online /. opt else 1. in
-      Some (online -. opt, ratio)
+      let opt = Online.Harness.opt_cost inst in
+      (online -. opt, Online.Harness.ratio ~cost:online ~opt))
+    (Session.instance ~scenario:s.scenario s.loads)
 
 let run_batch t b =
   let lag = float_of_int (max 0 (t.stepped_now () - b.stepped_at)) in
@@ -228,3 +210,81 @@ let counters t =
 let histograms t =
   [ ("audit.regret_abs_dist", Obs.Histogram.export t.h_regret_abs);
     ("audit.regret_ratio_dist", Obs.Histogram.export t.h_regret_ratio) ]
+
+(* --- historical replay ------------------------------------------------ *)
+
+type row = {
+  r_id : string;
+  r_scenario : string;
+  slots : int;
+  old_alg : string;
+  new_alg : string;
+  old_cost : float;
+  new_cost : float;
+  opt_cost : float;
+  old_ratio : float;
+  new_ratio : float;
+}
+
+type report = { rows : row list; failures : (string * string) list }
+
+(* Re-run one recorded session from slot 0 under the alg the daemon
+   served and, when it differs, under [alg], and price both against one
+   OPT on the instance the session solved. *)
+let replay_trace ?alg (t : Store.Replay.trace) =
+  let ( let* ) = Result.bind in
+  let rerun which alg =
+    Result.map_error
+      (fun (_, m) -> Printf.sprintf "%s alg %s: %s" which alg m)
+      (Session.replay
+         { Session.scenario = t.scenario; max_horizon = None; alg = Some alg }
+         ~loads:t.loads)
+  in
+  let* inst =
+    if Array.length t.loads = 0 then Error "no slots fed"
+    else
+      Option.to_result ~none:("unknown base scenario " ^ t.scenario)
+        (Session.instance ~scenario:t.scenario t.loads)
+  in
+  let* old_decisions = rerun "old" t.alg_used in
+  let new_alg = Option.value alg ~default:t.alg_used in
+  let* new_decisions =
+    if new_alg = t.alg_used then Ok old_decisions else rerun "new" new_alg
+  in
+  let opt = Online.Harness.opt_cost inst in
+  let old_cost = Model.Cost.schedule inst old_decisions in
+  let new_cost = Model.Cost.schedule inst new_decisions in
+  Ok
+    { r_id = t.id;
+      r_scenario = t.scenario;
+      slots = Array.length t.loads;
+      old_alg = t.alg_used;
+      new_alg;
+      old_cost;
+      new_cost;
+      opt_cost = opt;
+      old_ratio = Online.Harness.ratio ~cost:old_cost ~opt;
+      new_ratio = Online.Harness.ratio ~cost:new_cost ~opt }
+
+let replay_store ?alg ?session ~dir () =
+  match Store.Replay.traces ~dir with
+  | Error _ as e -> e
+  | Ok all -> (
+      let selected =
+        match session with
+        | None -> all
+        | Some id -> List.filter (fun (t : Store.Replay.trace) -> t.id = id) all
+      in
+      match (selected, session) with
+      | [], Some id -> Error (Printf.sprintf "no recorded session %s" id)
+      | [], None -> Error "the store holds no sessions"
+      | _ ->
+          let rows, failures =
+            List.partition_map
+              (fun (t : Store.Replay.trace) ->
+                match replay_trace ?alg t with
+                | Ok row -> Either.Left row
+                | Error m -> Either.Right (t.id, m))
+              selected
+          in
+          Ok { rows; failures })

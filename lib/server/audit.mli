@@ -3,11 +3,9 @@
     Every [every] freshly stepped slots, the daemon hands the audit a
     copy-out snapshot of its [sample] longest-running sessions — loads
     fed, decisions returned, scenario name.  A background thread
-    rebuilds each session's instance (scenario types and costs over the
-    observed loads, cost clamped into the scenario horizon exactly as
-    {!Session} does), prices the online decisions with
-    [Model.Cost.schedule], solves the offline optimum with
-    [Offline.Dp.solve_optimal], and publishes:
+    rebuilds each session's instance ({!Session.instance}), prices the
+    online decisions with [Model.Cost.schedule], solves the offline
+    optimum with [Online.Harness.opt_cost], and publishes:
 
     - [audit.regret_ratio] (gauge): the worst [online / OPT] over the
       last batch — an empirical sample of the paper's competitive
@@ -35,7 +33,8 @@ val below_opt_allowance : float
     1: the online and OPT costs are sums of the same kind of float
     terms, so a ratio in [\[1 - below_opt_allowance, 1)] is rounding,
     and anything lower means the online schedule beat OPT — a replay or
-    solver bug.  The scenario runner fails a run on it. *)
+    solver bug.  The scenario runner fails a run on it, both for this
+    audit's gauge and for each session it judges itself. *)
 
 val create :
   ?sync:bool ->
@@ -76,3 +75,38 @@ val histograms : t -> (string * Obs.Histogram.export) list
     consumes — owned by this audit instance, not the process-wide
     registries, so concurrent daemons in one process (tests) do not
     cross-contaminate. *)
+
+(** {1 Historical replay}
+
+    [rightsizer replay] judges recorded sessions the way the audit
+    judges live ones.  {!Store.Replay.traces} rebuilds each session's
+    loads from the store; {!replay_store} re-runs them through
+    {!Session.replay} — once under the algorithm the daemon served
+    ([alg_used]), and once under a challenger — and prices both on
+    {!Session.instance} against [Online.Harness.opt_cost].  The re-run
+    of [alg_used] must reproduce the served decisions, because it runs
+    the code path that served them. *)
+
+type row = {
+  r_id : string;
+  r_scenario : string;
+  slots : int;
+  old_alg : string;
+  new_alg : string;
+  old_cost : float;
+  new_cost : float;
+  opt_cost : float;
+  old_ratio : float;  (** [Online.Harness.ratio] of old_cost and opt, raw *)
+  new_ratio : float;
+}
+
+type report = { rows : row list; failures : (string * string) list }
+(** [failures] carries sessions that could not be replayed (unknown
+    scenario, challenger alg inapplicable, nothing fed) as [(id, why)]. *)
+
+val replay_store :
+  ?alg:string -> ?session:string -> dir:string -> unit -> (report, string) result
+(** Replay all sessions (or just [session]) in the store at [dir],
+    challenging with [alg] when given (default: [alg_used] only, whose
+    decisions the new columns then repeat).  [Error] means the store
+    itself could not be read or selected nothing. *)

@@ -750,6 +750,32 @@ let serve_metrics_conn t fd =
   t.metrics_conns <- List.filter (fun fd' -> fd' != fd) t.metrics_conns;
   close_quietly fd
 
+(* Graceful stop: cement what the log holds, so the next start
+   recovers from the base alone; stop the audit worker; close every
+   socket. *)
+let close t =
+  (match t.store with
+  | Some st ->
+      store_cement_now t st;
+      Store.Log.close_writer st.writer
+  | None -> ());
+  export_latency t;
+  (match t.audit with Some a -> Audit.stop a | None -> ());
+  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+  List.iter (fun c -> drop_conn t c) conns;
+  List.iter close_quietly t.listeners;
+  t.listeners <- [];
+  List.iter close_quietly t.metrics_conns;
+  t.metrics_conns <- [];
+  (match t.metrics_listener with
+  | Some lfd ->
+      close_quietly lfd;
+      t.metrics_listener <- None
+  | None -> ());
+  match t.cfg.unix_path with
+  | Some p -> ( try Sys.remove p with Sys_error _ -> ())
+  | None -> ()
+
 let run t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -801,26 +827,4 @@ let run t =
             exit 3
         | _ -> ()
   done;
-  (* Graceful stop: cement what the log holds, so the next start
-     recovers from the base alone. *)
-  (match t.store with
-  | Some st ->
-      store_cement_now t st;
-      Store.Log.close_writer st.writer
-  | None -> ());
-  export_latency t;
-  (match t.audit with Some a -> Audit.stop a | None -> ());
-  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (fun c -> drop_conn t c) conns;
-  List.iter close_quietly t.listeners;
-  t.listeners <- [];
-  List.iter close_quietly t.metrics_conns;
-  t.metrics_conns <- [];
-  (match t.metrics_listener with
-  | Some lfd ->
-      close_quietly lfd;
-      t.metrics_listener <- None
-  | None -> ());
-  match t.cfg.unix_path with
-  | Some p -> ( try Sys.remove p with Sys_error _ -> ())
-  | None -> ()
+  close t

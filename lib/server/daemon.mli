@@ -106,8 +106,14 @@ val create : ?resume:bool -> config -> (t, string) result
 
 val run : t -> unit
 (** The blocking serve loop; returns after {!request_stop} (or a
-    [shutdown] request), having cemented the log, closed every socket
-    and removed the Unix socket file.  Raises {!Store_failed}. *)
+    [shutdown] request), having {!close}d the daemon.  Raises
+    {!Store_failed}. *)
+
+val close : t -> unit
+(** Graceful stop: cement the log, stop the audit worker, close every
+    socket and remove the Unix socket file.  {!run} ends with it; a
+    daemon driven through {!handle} calls it once when done.  Raises
+    {!Store_failed}. *)
 
 val request_stop : t -> unit
 (** Signal- and thread-safe: the loop exits within its select timeout. *)

@@ -19,9 +19,8 @@ type t = {
 (* The scenario supplies types and cost structure only; its canned
    loads are ignored (the client streams its own) and so is any
    per-slot availability — a served fleet runs at its declared counts.
-   Cost closures are clamped into the scenario's horizon so sessions
-   can stream past it, the same clamp the CLI applies when swapping a
-   longer workload CSV into an instance. *)
+   The cost clock is clamped into the scenario's horizon
+   ({!Model.Instance.with_loads}), so sessions can stream past it. *)
 let build_streaming spec =
   match Sim.Scenarios.by_name spec.scenario with
   | None -> Error (Protocol.Unknown_scenario, "unknown scenario " ^ spec.scenario)
@@ -32,14 +31,11 @@ let build_streaming spec =
       | _ -> (
           let inst = mk None in
           let types = inst.Model.Instance.types in
-          let horizon = Model.Instance.horizon inst in
           let fns () =
             Array.init (Array.length types) (fun j ->
                 inst.Model.Instance.cost ~time:0 ~typ:j)
           in
-          let cost ~time ~typ =
-            inst.Model.Instance.cost ~time:(min time (horizon - 1)) ~typ
-          in
+          let cost = (Model.Instance.with_loads inst [||]).Model.Instance.cost in
           match spec.alg with
           | None ->
               if inst.Model.Instance.time_independent then
@@ -148,6 +144,14 @@ let feed t ~seq loads =
     in
     go 0
   end
+
+let instance ?avail ~scenario loads =
+  Option.map
+    (fun mk -> Model.Instance.with_loads ?avail (mk None) loads)
+    (Sim.Scenarios.by_name scenario)
+
+let replay spec ~loads =
+  Result.bind (create ~id:"replay" spec) (fun s -> feed s ~seq:0 loads)
 
 let loads t = Online.Streaming.loads t.streaming
 let loads_from t ~from_ = Online.Streaming.loads_from t.streaming ~from_

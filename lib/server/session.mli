@@ -52,13 +52,27 @@ val feed :
     remain processed, and the error carries {!fed} via the daemon's
     reply. *)
 
+val instance :
+  ?avail:bool -> scenario:string -> float array -> Model.Instance.t option
+(** [instance ~scenario loads] is the instance a session of [scenario]
+    fed [loads] solves: the scenario at its default horizon over those
+    loads ({!Model.Instance.with_loads}, [?avail] passed through).  This
+    is what the shadow audit, [rightsizer replay] and the scenario
+    runner price decisions and solve OPT on.  [None] when no registry
+    entry has that name. *)
+
+val replay :
+  spec -> loads:float array -> (Model.Config.t array, Protocol.error_code * string) result
+(** The decisions a fresh session of [spec] makes when fed [loads] from
+    slot 0: the sequential re-run a served session is judged against. *)
+
 val decisions_from : t -> from_:int -> Model.Config.t array
 (** The stored decisions for slots [from_, fed) (fresh arrays). *)
 
 val loads : t -> float array
 (** A copy of the volumes fed so far (length {!fed}) — together with
     {!decisions_from} and {!spec}, everything the shadow oracle needs to
-    re-cost this session offline. *)
+    re-cost this session offline ({!instance}). *)
 
 val loads_from : t -> from_:int -> float array
 (** The volumes for slots [from_, fed) only — what the daemon logs for

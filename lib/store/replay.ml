@@ -103,99 +103,3 @@ let traces ~dir =
   match Cemented.read_all ~dir with
   | Error _ as e -> e
   | Ok records -> traces_of_records records
-
-(* --- re-running -------------------------------------------------------- *)
-
-(* The instance a recorded session implicitly solved: the scenario's
-   types and costs over the {e observed} loads, cost clamped into the
-   scenario horizon — the same reconstruction the scenario runner and
-   the daemon's shadow oracle perform. *)
-let instance ~scenario ~loads =
-  match Sim.Scenarios.by_name scenario with
-  | None -> Error (Printf.sprintf "unknown base scenario %s" scenario)
-  | Some mk ->
-      let base = mk None in
-      let horizon = Model.Instance.horizon base in
-      let clamp time = min time (horizon - 1) in
-      let cost ~time ~typ = base.Model.Instance.cost ~time:(clamp time) ~typ in
-      Ok (Model.Instance.make ~types:base.Model.Instance.types ~load:loads ~cost ())
-
-type row = {
-  r_id : string;
-  r_scenario : string;
-  slots : int;
-  old_alg : string;
-  new_alg : string;
-  old_cost : float;
-  new_cost : float;
-  opt_cost : float;
-  old_ratio : float;
-  new_ratio : float;
-}
-
-type report = { rows : row list; failures : (string * string) list }
-
-let ratio ~cost ~opt = if opt > 0. then Float.max 1. (cost /. opt) else 1.
-
-(* Re-run every recorded session (or just [session]) through [run] —
-   once under the alg the daemon actually served, once under [alg] when
-   given — and race both against the exact offline optimum.  [run] is
-   supplied by the caller (the CLI passes a [Server.Session]-backed
-   runner, so "old" decisions are reproduced by the very code path that
-   produced them); this library stays below the server in the
-   dependency order. *)
-let replay ~run ?alg ?session ~dir () =
-  match traces ~dir with
-  | Error _ as e -> e
-  | Ok all ->
-      let selected =
-        match session with
-        | None -> all
-        | Some id -> List.filter (fun t -> t.id = id) all
-      in
-      if selected = [] then
-        Error
-          (match session with
-          | Some id -> Printf.sprintf "no recorded session %s" id
-          | None -> "the store holds no sessions")
-      else begin
-        let rows = ref [] and failures = ref [] in
-        List.iter
-          (fun t ->
-            let fail msg = failures := (t.id, msg) :: !failures in
-            if Array.length t.loads = 0 then fail "no slots fed"
-            else
-              match instance ~scenario:t.scenario ~loads:t.loads with
-              | Error m -> fail m
-              | Ok inst -> (
-                  let opt = (Offline.Dp.solve_optimal inst).Offline.Dp.cost in
-                  match run ~scenario:t.scenario ~alg:t.alg_used ~loads:t.loads with
-                  | Error m -> fail (Printf.sprintf "old alg %s: %s" t.alg_used m)
-                  | Ok old_decisions -> (
-                      let old_cost = Model.Cost.schedule inst old_decisions in
-                      let new_alg = Option.value alg ~default:t.alg_used in
-                      let new_result =
-                        if new_alg = t.alg_used then Ok old_decisions
-                        else run ~scenario:t.scenario ~alg:new_alg ~loads:t.loads
-                      in
-                      match new_result with
-                      | Error m -> fail (Printf.sprintf "new alg %s: %s" new_alg m)
-                      | Ok new_decisions ->
-                          let new_cost = Model.Cost.schedule inst new_decisions in
-                          rows :=
-                            {
-                              r_id = t.id;
-                              r_scenario = t.scenario;
-                              slots = Array.length t.loads;
-                              old_alg = t.alg_used;
-                              new_alg;
-                              old_cost;
-                              new_cost;
-                              opt_cost = opt;
-                              old_ratio = ratio ~cost:old_cost ~opt;
-                              new_ratio = ratio ~cost:new_cost ~opt;
-                            }
-                            :: !rows)))
-          selected;
-        Ok { rows = List.rev !rows; failures = List.rev !failures }
-      end

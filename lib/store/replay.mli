@@ -1,5 +1,5 @@
-(** Historical replay — reconstruct recorded sessions from the store
-    and race them under a different algorithm.
+(** Historical replay's first half: reconstruct recorded sessions from
+    the store.
 
     {!traces} folds the cemented chunks plus the live tail back into
     per-session load histories.  The fold is idempotent under the
@@ -7,16 +7,8 @@
     cement): duplicate [Create]s are ignored and an overlapping [Feed]
     contributes only its fresh suffix, mirroring [Session.feed].
 
-    {!replay} re-runs each trace through a caller-supplied [run]
-    callback — once under the algorithm the daemon actually served
-    ([alg_used]) and once under the challenger [alg] — and compares
-    both against [Offline.Dp.solve_optimal] on the instance the session
-    implicitly solved (scenario types and costs over the observed
-    loads, clamped into the scenario horizon).  The callback lives with
-    the caller so this library stays below the server in the dependency
-    order; the CLI passes a [Server.Session]-backed runner, making the
-    "old" decisions a product of the very code path that produced
-    them. *)
+    Re-running and judging the traces is [Server.Audit.replay_store]'s
+    job: it needs the serving session, which sits above this library. *)
 
 type trace = {
   id : string;
@@ -33,40 +25,3 @@ val traces_of_records : Log.record list -> (trace list, string) result
     first appearance.  A feed leaving a gap is a hard error. *)
 
 val traces : dir:string -> (trace list, string) result
-
-type row = {
-  r_id : string;
-  r_scenario : string;
-  slots : int;
-  old_alg : string;
-  new_alg : string;
-  old_cost : float;
-  new_cost : float;
-  opt_cost : float;
-  old_ratio : float;  (** max 1, old_cost / opt *)
-  new_ratio : float;
-}
-
-type report = { rows : row list; failures : (string * string) list }
-(** [failures] carries sessions that could not be replayed (unknown
-    scenario, challenger alg inapplicable, nothing fed) as [(id, why)]. *)
-
-val instance :
-  scenario:string -> loads:float array -> (Model.Instance.t, string) result
-(** The instance a recorded session implicitly solved. *)
-
-val replay :
-  run:
-    (scenario:string ->
-    alg:string ->
-    loads:float array ->
-    (Model.Config.t array, string) result) ->
-  ?alg:string ->
-  ?session:string ->
-  dir:string ->
-  unit ->
-  (report, string) result
-(** Replay all sessions (or just [session]) in the store at [dir],
-    challenging with [alg] when given (default: re-run [alg_used]
-    only).  [Error] means the store itself could not be read or
-    selected nothing. *)

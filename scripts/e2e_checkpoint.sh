@@ -11,7 +11,9 @@
 # and fails unless the resumed result line is byte-identical to the
 # uninterrupted one.  Two refusal legs follow: `online` must refuse an
 # instance with time-varying fleet sizes (offline only), and `serve`
-# an out-of-range --domains.  See docs/robustness.md.  (Daemon-level
+# an out-of-range --domains.  The daemon's log store then survives a
+# crash (crash_resume_log), and `replay` of that store must agree with
+# the scenario runner's costs.  See docs/robustness.md.  (Daemon-level
 # serving, metrics, and crash/resume e2e live in the scenario fleet now:
 # `rightsizer scenario run test/scenarios/*.sexp`, docs/scenarios.md.)
 #
@@ -153,5 +155,51 @@ log_store_case() {
   cp "$out"/*.json "${ARTIFACT_DIR:-$WORK}/" 2>/dev/null || true
 }
 log_store_case
+
+# `replay` must judge a recorded session as the scenario runner judged
+# it live.  A crash_resume_log run keeps its workdir (store/ included);
+# replaying that store must print one row per session (4), each with
+# the artifact's online cost, ratio and OPT at the table's precision.
+replay_case() {
+  local wd="$WORK/replay-wd"
+  local out="$WORK/replay-art"
+  mkdir -p "$wd" "$out"
+  if ! "$BIN" scenario run test/scenarios/crash_resume_log.sexp \
+      --workdir "$wd" --out "$out" > "$WORK/replay-run.txt" 2>&1; then
+    echo "FAIL replay: crash_resume_log scenario failed" >&2
+    cat "$WORK/replay-run.txt" >&2
+    FAILED=1; return 0
+  fi
+  local status=0
+  "$BIN" replay --store "$wd/store" > "$WORK/replay.txt" 2>&1 || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL replay: exit $status" >&2
+    cat "$WORK/replay.txt" >&2
+    FAILED=1; return 0
+  fi
+  if python3 - "$out/crash-resume-log.json" "$WORK/replay.txt" <<'PY'
+import json, sys
+sessions = {s["id"]: s for s in json.load(open(sys.argv[1]))["sessions"]}
+# columns: session scenario slots old old-cost old-ratio new new-cost new-ratio OPT delta%
+rows = [r for r in map(str.split, open(sys.argv[2])) if r and r[0] in sessions]
+bad = [] if len(rows) == 4 else ["%d rows, want 4" % len(rows)]
+for r in rows:
+    s = sessions[r[0]]
+    want = ["%.3f" % s["online_cost"], "%.4f" % s["ratio"], "%.3f" % s["opt_cost"]]
+    if [r[4], r[5], r[9]] != want:
+        bad.append("%s: replay %s, runner %s" % (r[0], [r[4], r[5], r[9]], want))
+for b in bad:
+    print(b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+  then
+    echo "OK   replay: 4 rows match the runner's online cost, ratio and OPT"
+  else
+    echo "FAIL replay: rows disagree with the runner's artifact:" >&2
+    cat "$WORK/replay.txt" >&2
+    FAILED=1
+  fi
+}
+replay_case
 
 exit $FAILED

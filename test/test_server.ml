@@ -710,8 +710,8 @@ let test_async_audit_leaves_decisions_alone () =
           { cfg with Daemon.audit_every = Some 1; audit_sample = 3; audit_sync = false }
         in
         let d = mk "race.sock" cfg in
+        Fun.protect ~finally:(fun () -> Daemon.close d) @@ fun () ->
         let audit = match Daemon.audit d with Some a -> a | None -> Alcotest.fail "no audit" in
-        Fun.protect ~finally:(fun () -> Server.Audit.stop audit) @@ fun () ->
         List.iter
           (fun (id, _, _) ->
             match
@@ -777,6 +777,81 @@ let test_audit_matches_direct_computation () =
       checkb "audit ratio equals direct ratio" true
         (Float.abs (ratio -. expected) <= 1e-9 *. expected))
 
+(* [rightsizer replay] judges a recorded session exactly as the served
+   decisions are judged: each row's old cost is the served replies
+   priced on [Session.instance], bit for bit, and its OPT is
+   [Harness.opt_cost] of that instance.  Three sessions are fed over
+   several rounds through a log-mode daemon that cements mid-run: cpu-gpu
+   under A, the same loads under B, and time-varying under B past its
+   36-slot horizon, so the cost clamp is in play.  A [b] challenger on
+   the A session must cost what the served B session did. *)
+let test_replay_store_matches_served () =
+  with_daemon (fun dir mk cfg ->
+      let store = Filename.concat dir "store" in
+      let d = mk "replay.sock" { cfg with Daemon.log_dir = Some store; cement_every = 5 } in
+      let sessions =
+        [ ("gpu-a", "cpu-gpu", None, 24, "a");
+          ("gpu-b", "cpu-gpu", Some "b", 24, "b");
+          ("tv-b", "time-varying", None, 40, "b") ]
+      in
+      let loads_of scenario slots =
+        let rng = Util.Prng.create (Hashtbl.hash scenario) in
+        Array.init slots (fun _ -> Util.Prng.float rng 1.5)
+      in
+      let served =
+        Fun.protect ~finally:(fun () -> Daemon.close d) @@ fun () ->
+        List.map
+          (fun (id, scenario, alg, slots, want_alg) ->
+            (match
+               Daemon.handle d (P.Create_session { id; scenario; max_horizon = None; alg })
+             with
+            | P.Session { alg; _ } -> checks (id ^ " served alg") want_alg alg
+            | _ -> Alcotest.fail ("create " ^ id));
+            let loads = loads_of scenario slots in
+            let replies =
+              List.concat_map
+                (fun seq ->
+                  let n = min 7 (slots - seq) in
+                  Array.to_list
+                    (expect_decisions
+                       (Daemon.handle d (P.Feed { id; seq; loads = Array.sub loads seq n }))))
+                (List.init ((slots + 6) / 7) (fun k -> 7 * k))
+            in
+            let inst =
+              match Session.instance ~scenario loads with
+              | Some inst -> inst
+              | None -> Alcotest.fail ("no instance for " ^ scenario)
+            in
+            (id, (inst, Model.Cost.schedule inst (Array.of_list replies))))
+          sessions
+      in
+      let bits = Int64.bits_of_float in
+      let replay ?alg ?session () =
+        match Server.Audit.replay_store ?alg ?session ~dir:store () with
+        | Ok r -> r
+        | Error m -> Alcotest.fail m
+      in
+      let report = replay () in
+      checki "no replay failures" 0 (List.length report.Server.Audit.failures);
+      checki "one row per session" (List.length sessions)
+        (List.length report.Server.Audit.rows);
+      List.iter
+        (fun (r : Server.Audit.row) ->
+          let inst, cost = List.assoc r.r_id served in
+          let opt = Online.Harness.opt_cost inst in
+          checkb (r.r_id ^ " old cost = served cost") true (bits r.old_cost = bits cost);
+          checkb (r.r_id ^ " new cost repeats old") true (bits r.new_cost = bits cost);
+          checkb (r.r_id ^ " OPT = Harness.opt_cost") true (bits r.opt_cost = bits opt);
+          checkb (r.r_id ^ " ratio = Harness.ratio") true
+            (bits r.old_ratio = bits (Online.Harness.ratio ~cost ~opt)))
+        report.Server.Audit.rows;
+      match (replay ~alg:"b" ~session:"gpu-a" ()).Server.Audit.rows with
+      | [ r ] ->
+          checks "challenger alg" "b" r.Server.Audit.new_alg;
+          checkb "b challenger costs what the served b session did" true
+            (bits r.Server.Audit.new_cost = bits (snd (List.assoc "gpu-b" served)))
+      | rows -> Alcotest.failf "expected one challenger row, got %d" (List.length rows))
+
 let () =
   Alcotest.run "server"
     [ ( "codec",
@@ -810,6 +885,8 @@ let () =
             test_audit_matches_direct_computation;
           Alcotest.test_case "async audit leaves served decisions alone" `Quick
             test_async_audit_leaves_decisions_alone;
+          Alcotest.test_case "replay judges the served decisions" `Quick
+            test_replay_store_matches_served;
           Alcotest.test_case "two connections, unix + tcp" `Quick
             (test_daemon_two_connections ~domains:1);
           Alcotest.test_case "two connections on a 2-domain pool" `Quick

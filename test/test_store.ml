@@ -229,6 +229,55 @@ let test_cement_recover_roundtrip () =
       | Ok rs -> checks "full replay feed" (frames (old_records @ tail_records)) (frames rs)
       | Error m -> Alcotest.fail m)
 
+(* --- trace reconstruction ------------------------------------------ *)
+
+(* The fold under the overlaps a crash can leave: a duplicate [Create]
+   changes nothing, an overlapping [Feed] adds only its fresh suffix,
+   [Close] marks the trace, and a [Feed] past the history is an error
+   that names the gap. *)
+let test_traces_of_records () =
+  let create id scenario alg_used =
+    Log.Create { id; scenario; max_horizon = None; alg = None; alg_used }
+  in
+  let bits xs = Array.to_list (Array.map Int64.bits_of_float xs) in
+  let records =
+    [ create "s" "cpu-gpu" "a";
+      Log.Feed { id = "s"; seq = 0; loads = [| 1.; 2. |] };
+      create "t" "time-varying" "b";
+      create "s" "three-tier" "b";
+      Log.Feed { id = "s"; seq = 1; loads = [| 2.; 3.; 4. |] };
+      Log.Feed { id = "t"; seq = 0; loads = [| 0.5 |] };
+      Log.Feed { id = "s"; seq = 0; loads = [| 1. |] };
+      Log.Close { id = "s" } ]
+  in
+  (match Store.Replay.traces_of_records records with
+  | Error m -> Alcotest.fail m
+  | Ok [ s; t ] ->
+      checks "duplicate create ignored" "cpu-gpu" s.Store.Replay.scenario;
+      checks "first alg_used kept" "a" s.Store.Replay.alg_used;
+      checkb "overlap adds only the fresh suffix" true
+        (bits s.Store.Replay.loads = bits [| 1.; 2.; 3.; 4. |]);
+      checkb "close marks the trace" true s.Store.Replay.closed;
+      checks "second trace in order" "t" t.Store.Replay.id;
+      checkb "second trace's loads" true (bits t.Store.Replay.loads = bits [| 0.5 |]);
+      checkb "second trace open" false t.Store.Replay.closed
+  | Ok ts -> Alcotest.failf "expected 2 traces, got %d" (List.length ts));
+  match
+    Store.Replay.traces_of_records
+      (records @ [ Log.Feed { id = "t"; seq = 3; loads = [| 1. |] } ])
+  with
+  | Ok _ -> Alcotest.fail "a feed past the history was accepted"
+  | Error m ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      checkb ("error names the gap: " ^ m) true
+        (mentions "session t" && mentions "seq 3" && mentions "after 1 slots")
+
 (* --- daemon recovery ---------------------------------------------- *)
 
 let expect_decisions = function
@@ -392,6 +441,9 @@ let () =
         [ Alcotest.test_case "corrupt chunk rejected" `Quick test_chunk_crc_rejected;
           Alcotest.test_case "cement/recover round-trip" `Quick
             test_cement_recover_roundtrip ] );
+      ( "replay",
+        [ Alcotest.test_case "trace fold: duplicates, overlaps, close, gaps" `Quick
+            test_traces_of_records ] );
       ( "daemon",
         [ Alcotest.test_case "log recovery == snapshot recovery, 4 sessions" `Quick
             test_log_matches_snapshot_recovery;
