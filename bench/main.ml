@@ -390,8 +390,8 @@ let benches =
          Core.Snapshot.parse ~kind:"dp-frontier"
            (Core.Snapshot.render ~kind:"dp-frontier" payload));
     (* Serving: the wire codec alone, then a full in-process request
-       round-trip (decode -> daemon dispatch -> history replay ->
-       encode) — the protocol overhead a served decision pays on top of
+       round-trip (decode -> daemon dispatch -> a re-fed slot rebuilt
+       from the power events -> encode) — the protocol overhead a served decision pays on top of
        the stepping kernel. *)
     bench "server: codec encode+decode (feed, 8 loads)"
       (let req =

@@ -272,7 +272,7 @@ let run_online_checkpointed ~checkpoint ~every ~resume ~crash_after inst =
   in
   Result.map
     (fun () ->
-      let schedule = Core.Streaming.decisions session in
+      let schedule = Core.Streaming.decisions session ~from_:0 in
       (schedule, Core.Cost.schedule inst schedule))
     (Result.bind restored (fun () -> feed (Core.Streaming.fed session)))
 

@@ -1,12 +1,20 @@
-(* The accumulated-idle bookkeeping of algorithm B and det2d. *)
-type budget = {
-  prefix : float array array;  (* prefix.(j).(t) = sum of l_{v,j}, v < t *)
-  groups : (int * int) list array;  (* per type: (power-up slot, count) *)
-}
+(* One open group of B, det2d or homog: [count] servers powered up at
+   slot [up].  [base] is the running idle sum just after slot [up], so
+   the group's idle cost since its power-up is the running sum minus
+   [base]. *)
+type group = { up : int; count : int; base : float }
+
+let sum_counts = List.fold_left (fun acc g -> acc + g.count) 0
+
+(* The accumulated-idle bookkeeping of B, det2d and homog, per type
+   (homog: one pooled entry): the running sum of the idle costs of the
+   slots stepped so far, and the open groups, oldest first. *)
+type budget = { idle : float array; groups : group list array }
 
 type rule =
-  | A of { runtimes : int option array; w : (int, int array) Hashtbl.t }
-      (* w: power-up slot -> counts per type (sparse, unbounded horizon) *)
+  | A of { runtimes : int option array; timers : (int * int) Queue.t array }
+      (* per type with a timer: the (power-up slot, count) of each group
+         still on, oldest first; a group leaves when its timer fires *)
   | B of budget
   | Det2d of budget
       (* Same accumulated-idle bookkeeping as B, but a group leaves at
@@ -15,24 +23,24 @@ type rule =
          earlier power-down matches algorithm A's ceil(beta/l) timer on
          time-independent instances and generalises it to time-varying
          prices. *)
-  | Homog of homog_state
+  | Homog of budget
       (* Pooled single-type rule for coinciding server types: one
-         accumulated-idle budget over the summed active count, with the
-         configuration kept in canonical (fill type 0 first) form. *)
-
-and homog_state = {
-  prefix : float array;  (* pooled idle-cost prefix sums *)
-  mutable groups : (int * int) list;  (* (power-up slot, count) over the pool *)
-}
+         accumulated-idle budget over the summed active count (a
+         one-entry budget), with the configuration kept in canonical
+         (fill type 0 first) form. *)
 
 type t = {
   mutable inst : Model.Instance.t;  (* swapped by [rebind] on horizon growth *)
-  mutable rule : rule;
+  rule : rule;
   x : int array;
   mutable clock : int;
-  mutable ups : (int * int * int) list;
-  mutable downs : (int * int * int) list;
+  mutable ups : (int * int * int) list;  (* newest first *)
+  mutable downs : (int * int * int) list;  (* newest first *)
 }
+
+let make inst rule =
+  let x = Array.make (Model.Instance.num_types inst) 0 in
+  { inst; rule; x; clock = 0; ups = []; downs = [] }
 
 let alg_a inst =
   if not inst.Model.Instance.time_independent then
@@ -45,12 +53,9 @@ let alg_a inst =
         if idle <= 0. then None
         else Some (max 1 (int_of_float (Float.ceil (beta /. idle)))))
   in
-  { inst;
-    rule = A { runtimes; w = Hashtbl.create 64 };
-    x = Array.make d 0;
-    clock = 0;
-    ups = [];
-    downs = [] }
+  make inst (A { runtimes; timers = Array.init d (fun _ -> Queue.create ()) })
+
+let budget n = { idle = Array.make n 0.; groups = Array.make n [] }
 
 let budget_stepper ~name (rule : budget -> rule) inst =
   Array.iter
@@ -58,20 +63,12 @@ let budget_stepper ~name (rule : budget -> rule) inst =
       if st.Model.Server_type.switching_cost <= 0. then
         invalid_arg ("Stepper." ^ name ^ ": every switching cost must be positive"))
     inst.Model.Instance.types;
-  let d = Model.Instance.num_types inst in
-  let horizon = Model.Instance.horizon inst in
-  { inst;
-    rule = rule { prefix = Array.make_matrix d (horizon + 1) 0.; groups = Array.make d [] };
-    x = Array.make d 0;
-    clock = 0;
-    ups = [];
-    downs = [] }
+  make inst (rule (budget (Model.Instance.num_types inst)))
 
 let alg_b inst = budget_stepper ~name:"alg_b" (fun b -> B b) inst
 let alg_det2d inst = budget_stepper ~name:"alg_det2d" (fun b -> Det2d b) inst
 
 let alg_homog inst =
-  let d = Model.Instance.num_types inst in
   let t0 = inst.Model.Instance.types.(0) in
   if t0.Model.Server_type.switching_cost <= 0. then
     invalid_arg "Stepper.alg_homog: every switching cost must be positive";
@@ -84,13 +81,7 @@ let alg_homog inst =
     inst.Model.Instance.types;
   if inst.Model.Instance.size_varying then
     invalid_arg "Stepper.alg_homog: time-varying fleet sizes are not supported";
-  let horizon = Model.Instance.horizon inst in
-  { inst;
-    rule = Homog { prefix = Array.make (horizon + 1) 0.; groups = [] };
-    x = Array.make d 0;
-    clock = 0;
-    ups = [];
-    downs = [] }
+  make inst (Homog (budget 1))
 
 let c_steps = Obs.Counter.make "stepper.steps"
 let c_ups = Obs.Counter.make "stepper.power_ups"
@@ -112,46 +103,60 @@ let power_down t ~time ~typ count =
   event "stepper.power_down" ~time ~typ ~count;
   t.downs <- (time, typ, count) :: t.downs
 
-(* Whether the group powered up at slot [u] leaves at [time]: its idle
-   cost accumulated since [u + 1] crosses [beta] during this slot.  B
-   waits until the cost strictly exceeds beta; the break-even rules
-   (det2d, homog) leave as soon as it reaches beta. *)
-let crosses ~break_even prefix ~time ~beta (u, _) =
-  let upto_prev = prefix.(time) -. prefix.(u + 1) in
-  let upto_now = prefix.(time + 1) -. prefix.(u + 1) in
+(* Whether group [g] leaves during the slot that took the running idle
+   sum from [before] to [after]: its idle cost since power-up crosses
+   [beta] during this slot.  B waits until the cost strictly exceeds
+   beta; the break-even rules (det2d, homog) leave as soon as it
+   reaches beta. *)
+let crosses ~break_even ~before ~after ~beta g =
+  let upto_prev = before -. g.base in
+  let upto_now = after -. g.base in
   if break_even then upto_prev < beta && beta <= upto_now
   else upto_prev <= beta && beta < upto_now
 
-(* B's and det2d's power-down of type [typ]: add the slot's idle cost to
-   the type's budget and power down every group whose budget runs out. *)
-let budget_down t (b : budget) ~time ~typ ~break_even =
-  let prefix = b.prefix.(typ) in
-  prefix.(time + 1) <- prefix.(time) +. Model.Instance.idle_cost t.inst ~time ~typ;
-  let beta = t.inst.Model.Instance.types.(typ).Model.Server_type.switching_cost in
+(* Add the slot's idle cost [l] to entry [i] of [b] and take out the
+   groups whose budget runs out, returning them oldest first. *)
+let budget_leaving (b : budget) i ~l ~beta ~break_even =
+  let before = b.idle.(i) in
+  let after = before +. l in
+  b.idle.(i) <- after;
   let leaving, staying =
-    List.partition (crosses ~break_even prefix ~time ~beta) b.groups.(typ)
+    List.partition (crosses ~break_even ~before ~after ~beta) b.groups.(i)
   in
-  b.groups.(typ) <- staying;
-  List.iter (fun (_, count) -> power_down t ~time ~typ count) leaving
+  b.groups.(i) <- staying;
+  leaving
+
+(* Open a group of [count] at slot [time] in entry [i] of [b], after the
+   slot's idle cost was added. *)
+let budget_open (b : budget) i ~time count =
+  b.groups.(i) <- b.groups.(i) @ [ { up = time; count; base = b.idle.(i) } ]
+
+let beta t typ = t.inst.Model.Instance.types.(typ).Model.Server_type.switching_cost
+
+(* B's and det2d's power-down of type [typ]: power down every group
+   whose budget runs out. *)
+let budget_down t (b : budget) ~time ~typ ~break_even =
+  let l = Model.Instance.idle_cost t.inst ~time ~typ in
+  List.iter
+    (fun g -> power_down t ~time ~typ g.count)
+    (budget_leaving b typ ~l ~beta:(beta t typ) ~break_even)
 
 (* Pooled step for coinciding types: one budget over the summed count,
    the per-type split kept canonical (fill type 0 first).  The canonical
    fill is monotone in the pooled total, so the down and up phases each
    touch a single-signed set of per-type deltas. *)
-let step_homog t (h : homog_state) ~time ~hat =
+let step_homog t (h : budget) ~time ~hat =
   let d = Array.length t.x in
   let fn0 = t.inst.Model.Instance.cost ~time ~typ:0 in
   for typ = 1 to d - 1 do
     if t.inst.Model.Instance.cost ~time ~typ <> fn0 then
       invalid_arg "Stepper.step: algorithm homog needs coinciding cost functions"
   done;
-  let l = Model.Instance.idle_cost t.inst ~time ~typ:0 in
-  let beta = t.inst.Model.Instance.types.(0).Model.Server_type.switching_cost in
-  h.prefix.(time + 1) <- h.prefix.(time) +. l;
-  let leaving, staying =
-    List.partition (crosses ~break_even:true h.prefix ~time ~beta) h.groups
+  let leaving =
+    budget_leaving h 0
+      ~l:(Model.Instance.idle_cost t.inst ~time ~typ:0)
+      ~beta:(beta t 0) ~break_even:true
   in
-  h.groups <- staying;
   let fill n =
     (* Re-split the pooled total canonically, recording per-type events. *)
     let rest = ref n in
@@ -173,12 +178,12 @@ let step_homog t (h : homog_state) ~time ~hat =
     done
   in
   let total = Array.fold_left ( + ) 0 t.x in
-  let down = List.fold_left (fun acc (_, c) -> acc + c) 0 leaving in
+  let down = sum_counts leaving in
   if down > 0 then fill (total - down);
   let target = Array.fold_left ( + ) 0 hat in
   let total = total - down in
   if total < target then begin
-    h.groups <- h.groups @ [ (time, target - total) ];
+    budget_open h 0 ~time (target - total);
     fill target
   end
 
@@ -195,13 +200,14 @@ let step t ~time ~hat =
     (* Power down. *)
     (match t.rule with
     | Homog _ -> assert false
-    | A { runtimes; w } -> (
+    | A { runtimes; timers } -> (
         match runtimes.(typ) with
-        | Some tbar when time - tbar >= 0 -> (
-            match Hashtbl.find_opt w (time - tbar) with
-            | Some counts when counts.(typ) > 0 -> power_down t ~time ~typ counts.(typ)
-            | Some _ | None -> ())
-        | Some _ | None -> ())
+        | Some tbar ->
+            let q = timers.(typ) in
+            while (not (Queue.is_empty q)) && fst (Queue.peek q) + tbar = time do
+              power_down t ~time ~typ (snd (Queue.pop q))
+            done
+        | None -> ())
     | B b -> budget_down t b ~time ~typ ~break_even:false
     | Det2d b ->
         if not (Convex.Fn.is_constant (t.inst.Model.Instance.cost ~time ~typ)) then
@@ -212,17 +218,9 @@ let step t ~time ~hat =
       let up = hat.(typ) - t.x.(typ) in
       (match t.rule with
       | Homog _ -> assert false
-      | A { w; _ } ->
-          let counts =
-            match Hashtbl.find_opt w time with
-            | Some c -> c
-            | None ->
-                let c = Array.make d 0 in
-                Hashtbl.add w time c;
-                c
-          in
-          counts.(typ) <- counts.(typ) + up
-      | B b | Det2d b -> b.groups.(typ) <- b.groups.(typ) @ [ (time, up) ]);
+      | A { runtimes; timers } ->
+          if runtimes.(typ) <> None then Queue.push (time, up) timers.(typ)
+      | B b | Det2d b -> budget_open b typ ~time up);
       t.x.(typ) <- hat.(typ);
       Obs.Counter.add c_ups up;
       event "stepper.power_up" ~time ~typ ~count:up;
@@ -234,6 +232,32 @@ let step t ~time ~hat =
 let time t = t.clock
 let power_ups t = List.rev t.ups
 let power_downs t = List.rev t.downs
+
+(* Walk back from the current configuration: slot [s]'s configuration is
+   the one after its events, and undoing them gives slot [s - 1]'s.  The
+   event lists are newest first, so the walk reads only the events of
+   the slots from [from_] on. *)
+let decisions ?until t ~from_ =
+  let until = match until with Some u -> max 0 (min u t.clock) | None -> t.clock in
+  let from_ = max 0 (min from_ until) in
+  if from_ = until then [||]
+  else begin
+    let x = Array.copy t.x in
+    let rec undo sign time = function
+      | (u, typ, count) :: rest when u = time ->
+          x.(typ) <- x.(typ) - (sign * count);
+          undo sign time rest
+      | events -> events
+    in
+    let out = Array.make (until - from_) [||] in
+    let ups = ref t.ups and downs = ref t.downs in
+    for time = t.clock - 1 downto from_ do
+      if time < until then out.(time - from_) <- Array.copy x;
+      ups := undo 1 time !ups;
+      downs := undo (-1) time !downs
+    done;
+    out
+  end
 
 let runtimes t =
   match t.rule with
@@ -269,48 +293,27 @@ let rebind t inst =
     invalid_arg "Stepper.rebind: type-count mismatch";
   if Model.Instance.horizon inst < t.clock then
     invalid_arg "Stepper.rebind: horizon shorter than slots already processed";
-  (* The idle-cost prefix sums of B/det2d/homog are pre-sized to
-     horizon + 1; grow them and keep the already-accumulated entries
-     (indices up to [clock] are filled, the rest are written before
-     being read). *)
-  let grow_row len row =
-    if Array.length row >= len then row
-    else begin
-      let row' = Array.make len 0. in
-      Array.blit row 0 row' 0 (Array.length row);
-      row'
-    end
-  in
-  let len = Model.Instance.horizon inst + 1 in
-  (match t.rule with
-  | A _ ->
-      if not inst.Model.Instance.time_independent then
-        invalid_arg "Stepper.rebind: algorithm A needs time-independent costs"
-  | B b -> t.rule <- B { b with prefix = Array.map (grow_row len) b.prefix }
-  | Det2d b -> t.rule <- Det2d { b with prefix = Array.map (grow_row len) b.prefix }
-  | Homog h -> t.rule <- Homog { h with prefix = grow_row len h.prefix });
   t.inst <- inst
 
 (* --- snapshot codec ---
 
-   The serialised state is exactly the mutable bookkeeping: the clock,
-   the active configuration, the chronological power events, and the
-   rule state (A's pending power-down table, B's idle prefix sums and
-   open groups).  The instance itself is reconstructed by the caller —
-   it contains closures — so [restore] targets a stepper freshly built
-   over the same instance. *)
+   The serialised state is the clock, the active configuration, the
+   chronological power events and, for B, det2d and homog, the budget:
+   the running idle sums (bit-exact floats) and the open groups.  A's
+   open timers are the power-ups that have not fired yet, so [restore]
+   rebuilds them from the events.  The instance itself is reconstructed
+   by the caller — it contains closures — so [restore] targets a stepper
+   freshly built over the same instance. *)
 
 module S = Util.Sexp
+
+let int_atom i = S.Atom (string_of_int i)
 
 let events_field name events =
   S.List
     (S.Atom name
     :: List.map
-         (fun (time, typ, count) ->
-           S.List
-             [ S.Atom (string_of_int time);
-               S.Atom (string_of_int typ);
-               S.Atom (string_of_int count) ])
+         (fun (time, typ, count) -> S.List [ int_atom time; int_atom typ; int_atom count ])
          events)
 
 let events_of_field fields name =
@@ -327,113 +330,117 @@ let events_of_field fields name =
       in
       go [] args
 
-(* B, det2d and homog all serialise idle prefix sums plus open groups;
-   homog stores its single pooled row/list as a one-element array. *)
-let save_budget_rule t ~tag ~common ~prefix ~groups =
+let save t =
+  let tag, rule_fields =
+    match t.rule with
+    | A _ -> ("a", [])
+    | B b -> ("b", [ b ])
+    | Det2d b -> ("det2d", [ b ])
+    | Homog b -> ("homog", [ b ])
+  in
   S.List
     (S.Atom "stepper"
     :: S.List [ S.Atom "rule"; S.Atom tag ]
-    :: common
-    @ [ S.List
-          (S.Atom "prefix"
-          :: Array.to_list
-               (Array.map
-                  (fun row ->
-                    Util.Snapshot.float_array_field "row"
-                      (Array.sub row 0 (t.clock + 1)))
-                  prefix));
-        S.List
-          (S.Atom "groups"
-          :: Array.to_list
-               (Array.map
-                  (fun g ->
-                    S.List
-                      (List.map
-                         (fun (u, c) ->
-                           S.List
-                             [ S.Atom (string_of_int u); S.Atom (string_of_int c) ])
-                         g))
-                  groups)) ])
+    :: S.List [ S.Atom "clock"; int_atom t.clock ]
+    :: Util.Snapshot.int_array_field "x" t.x
+    :: events_field "ups" (List.rev t.ups)
+    :: events_field "downs" (List.rev t.downs)
+    :: List.concat_map
+         (fun b ->
+           [ Util.Snapshot.float_array_field "idle" b.idle;
+             S.List
+               (S.Atom "open-groups"
+               :: Array.to_list
+                    (Array.map
+                       (fun gs ->
+                         S.List
+                           (List.map
+                              (fun g ->
+                                S.List
+                                  [ int_atom g.up;
+                                    int_atom g.count;
+                                    Util.Snapshot.float_atom g.base ])
+                              gs))
+                       b.groups)) ])
+         rule_fields)
 
-let save t =
-  let common =
-    [ S.List [ S.Atom "clock"; S.Atom (string_of_int t.clock) ];
-      Util.Snapshot.int_array_field "x" t.x;
-      events_field "ups" (List.rev t.ups);
-      events_field "downs" (List.rev t.downs) ]
+(* Field [name] as one list of items per budget entry, each item decoded
+   by [item]. *)
+let entries_of_field fields name ~item =
+  let malformed = Error ("stepper: malformed field " ^ name) in
+  let rec items acc = function
+    | [] -> Some (List.rev acc)
+    | S.List parts :: rest -> Option.bind (item parts) (fun g -> items (g :: acc) rest)
+    | S.Atom _ :: _ -> None
   in
-  match t.rule with
-  | A { w; _ } ->
-      let slots =
-        Hashtbl.fold (fun slot counts acc -> (slot, counts) :: acc) w []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | S.List l :: rest -> (
+        match items [] l with Some gs -> go (gs :: acc) rest | None -> malformed)
+    | S.Atom _ :: _ -> malformed
+  in
+  match S.assoc name fields with
+  | None -> Error ("stepper: missing field " ^ name)
+  | Some lists -> go [] lists
+
+(* The running idle sums and open groups of a budget payload.  A payload
+   written before the budget kept running sums carries [prefix] rows of
+   [clock + 1] prefix sums and [groups] of (slot, count) pairs instead:
+   its running sum is [row.(clock)] and a group powered up at [u] gets
+   [row.(u + 1)] as its base. *)
+let budget_of_fields ~n ~clock fields =
+  let ( let* ) = Result.bind in
+  let dims a = if Array.length a = n then Ok a else Error "stepper: dimension mismatch" in
+  let slot_ok (u, c) = 0 <= u && u < clock && c > 0 in
+  let check_slots pairs =
+    if Array.for_all (List.for_all slot_ok) pairs then Ok ()
+    else Error "stepper: open groups out of range"
+  in
+  match S.assoc "prefix" fields with
+  | None ->
+      let* idle = Result.bind (Util.Snapshot.floats_of_field fields "idle") dims in
+      let* groups =
+        Result.bind
+          (entries_of_field fields "open-groups" ~item:(function
+            | [ u; c; base ] -> (
+                match (S.int_atom u, S.int_atom c, Util.Snapshot.float_of_atom base) with
+                | Some up, Some count, Some base -> Some { up; count; base }
+                | _ -> None)
+            | _ -> None))
+          dims
       in
-      S.List
-        (S.Atom "stepper"
-        :: S.List [ S.Atom "rule"; S.Atom "a" ]
-        :: common
-        @ [ S.List
-              (S.Atom "w"
-              :: List.map
-                   (fun (slot, counts) ->
-                     S.List
-                       (S.Atom (string_of_int slot)
-                       :: Array.to_list
-                            (Array.map (fun c -> S.Atom (string_of_int c)) counts)))
-                   slots) ])
-  | B { prefix; groups } -> save_budget_rule t ~tag:"b" ~common ~prefix ~groups
-  | Det2d { prefix; groups } -> save_budget_rule t ~tag:"det2d" ~common ~prefix ~groups
-  | Homog { prefix; groups } ->
-      save_budget_rule t ~tag:"homog" ~common ~prefix:[| prefix |] ~groups:[| groups |]
-
-(* Decode the prefix/groups payload shared by the budget rules and hand
-   the validated arrays ([n] rows, rows truncated at the clock) to the
-   rule-specific writer. *)
-let restore_budget ~n ~clock ~fields ~commit =
-  let rows =
-    match S.assoc "prefix" fields with
-    | None -> Error "stepper: missing field prefix"
-    | Some rows ->
-        let rec go acc = function
-          | [] -> Ok (Array.of_list (List.rev acc))
-          | (S.List (S.Atom "row" :: _) as row) :: rest -> (
-              match Util.Snapshot.floats_of_field [ row ] "row" with
-              | Ok r -> go (r :: acc) rest
-              | Error m -> Error m)
-          | _ -> Error "stepper: malformed field prefix"
-        in
-        go [] rows
-  in
-  let groups =
-    match S.assoc "groups" fields with
-    | None -> Error "stepper: missing field groups"
-    | Some gs ->
-        let pair = function
-          | S.List [ u; c ] -> (
-              match (S.int_atom u, S.int_atom c) with
-              | Some u, Some c -> Some (u, c)
-              | _ -> None)
-          | S.Atom _ | S.List _ -> None
-        in
-        let rec go acc = function
-          | [] -> Ok (Array.of_list (List.rev acc))
-          | S.List pairs :: rest -> (
-              let decoded = List.map pair pairs in
-              if List.for_all Option.is_some decoded then
-                go (List.map Option.get decoded :: acc) rest
-              else Error "stepper: malformed field groups")
-          | _ -> Error "stepper: malformed field groups"
-        in
-        go [] gs
-  in
-  match (rows, groups) with
-  | Error m, _ | _, Error m -> Error m
-  | Ok rows, Ok groups ->
-      if Array.length rows <> n || Array.length groups <> n then
-        Error "stepper: dimension mismatch"
-      else if Array.exists (fun r -> Array.length r <> clock + 1) rows then
-        Error "stepper: prefix rows do not match the clock"
-      else commit rows groups
+      let* () = check_slots (Array.map (List.map (fun g -> (g.up, g.count))) groups) in
+      Ok (idle, groups)
+  | Some rows ->
+      let* rows =
+        List.fold_left
+          (fun acc row ->
+            let* acc = acc in
+            match row with
+            | S.List (S.Atom "row" :: _) ->
+                let* r = Util.Snapshot.floats_of_field [ row ] "row" in
+                if Array.length r = clock + 1 then Ok (r :: acc)
+                else Error "stepper: prefix rows do not match the clock"
+            | _ -> Error "stepper: malformed field prefix")
+          (Ok []) rows
+      in
+      let* rows = dims (Array.of_list (List.rev rows)) in
+      let* pairs =
+        Result.bind
+          (entries_of_field fields "groups" ~item:(function
+            | [ u; c ] -> (
+                match (S.int_atom u, S.int_atom c) with
+                | Some u, Some c -> Some (u, c)
+                | _ -> None)
+            | _ -> None))
+          dims
+      in
+      let* () = check_slots pairs in
+      Ok
+        ( Array.map (fun row -> row.(clock)) rows,
+          Array.mapi
+            (fun i -> List.map (fun (up, count) -> { up; count; base = rows.(i).(up + 1) }))
+            pairs )
 
 (* Events [restore] accepts: chronological, each a positive count of an
    existing type at an already-processed slot. *)
@@ -489,45 +496,36 @@ let restore t sexp =
               t.downs <- List.rev downs;
               Ok ()
             in
+            let budget (b : budget) ~n ~sums =
+              match budget_of_fields ~n ~clock fields with
+              | Error _ as e -> e
+              | Ok (_, groups) when Array.map sum_counts groups <> sums ->
+                  Error "stepper: open groups do not sum to x"
+              | Ok (idle, groups) ->
+                  Array.blit idle 0 b.idle 0 n;
+                  Array.blit groups 0 b.groups 0 n;
+                  commit ()
+            in
             match (t.rule, tag) with
-            | A { w; _ }, "a" -> (
-                match S.assoc "w" fields with
-                | None -> Error "stepper: missing field w"
-                | Some slots ->
-                    let rec fill = function
-                      | [] -> commit ()
-                      | S.List (slot :: counts) :: rest
-                        when List.length counts = d -> (
-                          match
-                            ( S.int_atom slot,
-                              List.map S.int_atom counts |> fun l ->
-                              if List.for_all Option.is_some l then
-                                Some (Array.of_list (List.map Option.get l))
-                              else None )
-                          with
-                          | Some slot, Some counts ->
-                              Hashtbl.replace w slot counts;
-                              fill rest
-                          | _ -> Error "stepper: malformed field w")
-                      | _ -> Error "stepper: malformed field w"
-                    in
-                    Hashtbl.reset w;
-                    fill slots)
-            | B b, "b" | Det2d b, "det2d" ->
-                restore_budget ~n:d ~clock ~fields ~commit:(fun rows groups ->
-                    Array.iteri
-                      (fun typ row ->
-                        Array.fill b.prefix.(typ) 0 (Array.length b.prefix.(typ)) 0.;
-                        Array.blit row 0 b.prefix.(typ) 0 (Array.length row))
-                      rows;
-                    Array.blit groups 0 b.groups 0 d;
-                    commit ())
-            | Homog h, "homog" ->
-                restore_budget ~n:1 ~clock ~fields ~commit:(fun rows groups ->
-                    Array.fill h.prefix 0 (Array.length h.prefix) 0.;
-                    Array.blit rows.(0) 0 h.prefix 0 (Array.length rows.(0));
-                    h.groups <- groups.(0);
-                    commit ())
+            | A { runtimes; timers }, "a" ->
+                (* A timer fires [tbar] slots after its power-up; the
+                   groups still on sum to the active count.  A [w]
+                   table, written before the timers were rebuilt from
+                   the events, is ignored. *)
+                let sums = Array.make d 0 in
+                Array.iter Queue.clear timers;
+                List.iter
+                  (fun (u, typ, c) ->
+                    match runtimes.(typ) with
+                    | Some tbar when u + tbar < clock -> ()
+                    | Some _ ->
+                        sums.(typ) <- sums.(typ) + c;
+                        Queue.push (u, c) timers.(typ)
+                    | None -> sums.(typ) <- sums.(typ) + c)
+                  ups;
+                if sums <> x then Error "stepper: open timers do not sum to x" else commit ()
+            | B b, "b" | Det2d b, "det2d" -> budget b ~n:d ~sums:x
+            | Homog b, "homog" -> budget b ~n:1 ~sums:[| Array.fold_left ( + ) 0 x |]
             | (A _ | B _ | Det2d _ | Homog _), _ ->
                 Error "stepper: rule tag does not match this stepper"))
   | S.Atom _ | S.List _ -> Error "stepper: unexpected payload shape"

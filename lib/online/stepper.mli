@@ -3,10 +3,11 @@
     ({!Alg_a.run}/{!Alg_b.run}), simulator controllers and the streaming
     API — one implementation, no drift.
 
-    A stepper holds the power-down bookkeeping (A's fixed timers, B's
-    accumulated idle budgets); each [step] applies the slot's power-downs
-    and then powers up to the supplied optimal-prefix configuration
-    [hat]. *)
+    A stepper holds the power-down bookkeeping of the groups still on
+    (A's open timers; B's running idle sums and the sum at each open
+    group's power-up) and the power events, which are its one record of
+    the decisions; each [step] applies the slot's power-downs and then
+    powers up to the supplied optimal-prefix configuration [hat]. *)
 
 type t
 
@@ -52,6 +53,13 @@ val power_downs : t -> (int * int * int) list
 (** Chronological power-down events so far (empty for a type of
     algorithm A that never powers down). *)
 
+val decisions : ?until:int -> t -> from_:int -> Model.Config.t array
+(** The configurations of slots [from_, until) ([until] defaults to
+    {!time}; both are clamped into [0, time]), rebuilt from the power
+    events by walking back from the current configuration: the cost is
+    O((time - from_) * d) plus the events from [from_] on, so the last
+    few slots cost only their own. *)
+
 val runtimes : t -> int option array
 (** Algorithm A's timers per type ([None] = never powers down); raises
     [Invalid_argument] on any other stepper. *)
@@ -72,17 +80,17 @@ val run :
 
 val rebind : t -> Model.Instance.t -> unit
 (** Swap in a new instance agreeing with the slots already processed —
-    the streaming layer's buffer growth.  Same types; the horizon must
-    cover the slots stepped so far.  Algorithm B's pre-sized prefix-sum
-    rows are grown to the new horizon with their accumulated entries
-    kept, so subsequent steps are bit-identical to a stepper built over
-    the new instance from scratch.  Raises [Invalid_argument] on a
-    mismatch. *)
+    the streaming layer's buffer growth.  Same number of types; the
+    horizon must cover the slots stepped so far.  No state depends on
+    the horizon, so subsequent steps are bit-identical to a stepper
+    built over the new instance from scratch.  Raises
+    [Invalid_argument] on a mismatch. *)
 
 val save : t -> Util.Sexp.t
 (** The stepper's resumable state: clock, active configuration, power
-    events, and the rule bookkeeping (A's pending power-down table, B's
-    idle prefix sums — bit-exact floats — and open groups). *)
+    events, and for B, det2d and homog the running idle sums
+    (bit-exact floats) and open groups.  A's open timers are not
+    stored: {!restore} rebuilds them from the power-ups. *)
 
 val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into a stepper freshly built over the same
@@ -91,5 +99,12 @@ val restore : t -> Util.Sexp.t -> (unit, string) result
     Validates the rule tag, dimensions and clock, and the power events:
     each at a processed slot, of an existing type, with a positive
     count, in time order, and together leading from all-off to the
-    saved configuration.  On [Error] the stepper may be partially
-    overwritten — discard it. *)
+    saved configuration.  The open groups (B, det2d, homog) and the
+    rebuilt timers (A) must name processed slots and sum to the saved
+    configuration per type (homog: in total).
+
+    Payloads written before the budget kept running sums still
+    restore: their idle prefix rows convert exactly (the running sum is
+    [row.(clock)], a group's base [row.(u + 1)]), and A's old [w] table
+    is ignored.  On [Error] the stepper may be partially overwritten —
+    discard it. *)

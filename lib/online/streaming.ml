@@ -12,8 +12,7 @@ type t = {
 
 let c_grows = Obs.Counter.make "streaming.buffer_grows"
 
-(* Small enough that short sessions stay cheap (algorithm B pre-sizes
-   per-type prefix rows to the buffer length); doubling reaches any
+(* Small enough that short sessions stay cheap; doubling reaches any
    horizon in logarithmically many regrows. *)
 let initial_capacity = 64
 
@@ -137,23 +136,7 @@ let loads_from t ~from_ =
 
 let loads t = loads_from t ~from_:0
 
-(* Replay the stepper's power events over the all-off configuration:
-   slot t's downs and ups are per-type deltas, so their sum is the
-   decision whatever order the rule applied them in. *)
-let decisions t =
-  let x = Model.Config.zero (Array.length t.current) in
-  let rec apply sign time = function
-    | (u, typ, count) :: rest when u = time ->
-        x.(typ) <- x.(typ) + (sign * count);
-        apply sign time rest
-    | events -> events
-  in
-  let ups = ref (Stepper.power_ups t.stepper)
-  and downs = ref (Stepper.power_downs t.stepper) in
-  Array.init t.clock (fun time ->
-      downs := apply (-1) time !downs;
-      ups := apply 1 time !ups;
-      Array.copy x)
+let decisions ?until t ~from_ = Stepper.decisions ?until t.stepper ~from_
 
 module S = Util.Sexp
 

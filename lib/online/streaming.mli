@@ -107,11 +107,13 @@ val loads_from : t -> from_:int -> float array
 (** A copy of the volumes for slots [from_, fed) only — O(slots copied),
     not O(history). *)
 
-val decisions : t -> Model.Schedule.t
-(** The decisions for slots [0, fed), rebuilt from the stepper's
-    power-up and power-down events, which {!save} persists: after
-    {!restore} this is the restored run's schedule prefix, with no
-    schedule kept or stored beside the session.  O(fed * d + events). *)
+val decisions : ?until:int -> t -> from_:int -> Model.Schedule.t
+(** The decisions for slots [from_, until) ([until] defaults to
+    {!fed}), rebuilt from the stepper's power events, which {!save}
+    persists ({!Stepper.decisions}): after {!restore} they are the
+    restored run's, with no schedule kept or stored beside the session.
+    The events are walked back from the current configuration, so the
+    last few slots cost only their own. *)
 
 val save : t -> Util.Sexp.t
 (** The session's complete resumable state: fed loads, clock, current

@@ -21,7 +21,7 @@
 type session_result = {
   id : string;
   slots_fed : int;
-  replayed : int;   (** decisions answered from history (resume/overlap) *)
+  replayed : int;   (** re-fed slots answered without stepping (resume/overlap) *)
   online_cost : float;
   operating : float;
   switching : float;

@@ -113,6 +113,7 @@ let metrics_body t =
     Obs.Counter.snapshot ()
     @ (match t.audit with Some a -> Audit.counters a | None -> [])
   in
+  let gc = Gc.quick_stat () in
   let gauges =
     Obs.Gauge.snapshot ()
     @ [ ("server.sessions", [], float_of_int (Hashtbl.length t.sessions));
@@ -122,7 +123,10 @@ let metrics_body t =
           match t.cfg.pool with
           | Some p -> float_of_int (Util.Pool.size p)
           | None -> 0. );
-        ("server.uptime_s", [], Unix.gettimeofday () -. t.start_time) ]
+        ("server.uptime_s", [], Unix.gettimeofday () -. t.start_time);
+        (* the major heap, now and at its largest, in words *)
+        ("gc.heap_words", [], float_of_int gc.Gc.heap_words);
+        ("gc.top_heap_words", [], float_of_int gc.Gc.top_heap_words) ]
     @ (match t.store with
       | None -> []
       | Some st ->
@@ -229,8 +233,9 @@ let store_round_end t =
 (* Rebuild the session table from the store: the base snapshot (the
    table at the last cement) plus the tail replayed on top.  Replay is
    idempotent — a tail that overlaps the base (crash between cement and
-   tail truncate) re-answers old slots from each session's history — so
-   every crash point lands on the same state. *)
+   tail truncate) re-answers old slots from each session's power events
+   instead of stepping them again — so every crash point lands on the
+   same state. *)
 let restore_from_store sessions (r : Store.Cemented.recovery) =
   let* () =
     match r.Store.Cemented.base with

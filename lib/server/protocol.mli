@@ -36,8 +36,9 @@ type request =
   | Feed of { id : string; seq : int; loads : float array }
       (** Deliver the loads for slots [seq, seq + n); [seq] must not
           exceed the session's processed-slot count, and any overlap
-          with already-processed slots is answered from the session's
-          decision history (feeding is idempotent). *)
+          with already-processed slots is answered with the decisions
+          rebuilt from the session's power events (feeding is
+          idempotent). *)
   | Query_snapshot of { id : string }  (** the session's resumable state *)
   | Stats                              (** daemon-wide counters and latency *)
   | Metrics

@@ -12,8 +12,6 @@ type t = {
   spec : spec;
   alg : string;
   streaming : Online.Streaming.t;
-  mutable history : Model.Config.t array;  (* decisions 0 .. hist_len - 1 *)
-  mutable hist_len : int;
 }
 
 (* The scenario supplies types and cost structure only; its canned
@@ -92,22 +90,13 @@ let create ~id spec =
   match build_streaming spec with
   | Error _ as e -> e
   | Ok (alg, streaming) ->
-      Ok { id; spec; alg; streaming; history = Array.make 64 [||]; hist_len = 0 }
+      Ok { id; spec; alg; streaming }
 
 let id t = t.id
 let spec t = t.spec
 let alg t = t.alg
 let num_types t = Array.length (Online.Streaming.config t.streaming)
-let fed t = t.hist_len
-
-let push_history t x =
-  if t.hist_len = Array.length t.history then begin
-    let bigger = Array.make (2 * Array.length t.history) [||] in
-    Array.blit t.history 0 bigger 0 t.hist_len;
-    t.history <- bigger
-  end;
-  t.history.(t.hist_len) <- x;
-  t.hist_len <- t.hist_len + 1
+let fed t = Online.Streaming.fed t.streaming
 
 let feed_error_code :
     Online.Streaming.feed_error -> Protocol.error_code = function
@@ -116,33 +105,27 @@ let feed_error_code :
   | Online.Streaming.Horizon_exhausted _ -> Protocol.Horizon_exhausted
 
 let feed t ~seq loads =
-  let n = Array.length loads in
-  if seq < 0 || seq > t.hist_len then
+  let n = Array.length loads and fed = fed t in
+  if seq < 0 || seq > fed then
     Error
       ( Protocol.Bad_seq,
-        Printf.sprintf "seq %d leaves a gap (%d slots processed)" seq t.hist_len )
+        Printf.sprintf "seq %d leaves a gap (%d slots processed)" seq fed )
   else begin
+    (* Idempotent re-delivery: slots already processed are answered from
+       the stepper's power events. *)
     let out = Array.make n [||] in
+    let again = Online.Streaming.decisions t.streaming ~from_:seq ~until:(seq + n) in
+    Array.blit again 0 out 0 (Array.length again);
     let rec go i =
       if i >= n then Ok out
-      else begin
-        let slot = seq + i in
-        if slot < t.hist_len then begin
-          (* Idempotent re-delivery: answered from the history. *)
-          out.(i) <- Array.copy t.history.(slot);
-          go (i + 1)
-        end
-        else
-          match Online.Streaming.feed_result t.streaming loads.(i) with
-          | Ok x ->
-              push_history t x;
-              out.(i) <- Array.copy x;
-              go (i + 1)
-          | Error e ->
-              Error (feed_error_code e, Online.Streaming.feed_error_to_string e)
-      end
+      else
+        match Online.Streaming.feed_result t.streaming loads.(i) with
+        | Ok x ->
+            out.(i) <- x;
+            go (i + 1)
+        | Error e -> Error (feed_error_code e, Online.Streaming.feed_error_to_string e)
     in
-    go 0
+    go (Array.length again)
   end
 
 let instance ?avail ~scenario loads =
@@ -156,9 +139,7 @@ let replay spec ~loads =
 let loads t = Online.Streaming.loads t.streaming
 let loads_from t ~from_ = Online.Streaming.loads_from t.streaming ~from_
 
-let decisions_from t ~from_ =
-  let from_ = max 0 (min from_ t.hist_len) in
-  Array.init (t.hist_len - from_) (fun i -> Array.copy t.history.(from_ + i))
+let decisions_from t ~from_ = Online.Streaming.decisions t.streaming ~from_
 
 let save t =
   S.List
@@ -171,10 +152,7 @@ let save t =
        @ (match t.spec.alg with
          | None -> []
          | Some a -> [ S.List [ S.Atom "alg"; S.Atom (Protocol.quote a) ] ])
-       @ [ S.List
-             (S.Atom "history"
-             :: List.init t.hist_len (fun i -> Snap.int_array_field "x" t.history.(i)));
-           S.List [ S.Atom "state"; Online.Streaming.save t.streaming ] ]))
+       @ [ S.List [ S.Atom "state"; Online.Streaming.save t.streaming ] ]))
 
 let ( let* ) = Result.bind
 
@@ -198,12 +176,15 @@ let of_sexp sexp =
         | None -> Ok None
         | Some _ -> Result.map Option.some (str "alg")
       in
-      let* rows =
+      (* Payloads written while sessions kept a decision history carry
+         it beside the state; it must agree with the decisions the
+         restored power events give, and is then dropped. *)
+      let* old_rows =
         match S.assoc "history" fields with
-        | None -> Error "session: missing field history"
+        | None -> Ok None
         | Some rows ->
             let rec go acc = function
-              | [] -> Ok (List.rev acc)
+              | [] -> Ok (Some (Array.of_list (List.rev acc)))
               | (S.List (S.Atom "x" :: _) as row) :: rest -> (
                   match Snap.ints_of_field [ row ] "x" with
                   | Ok r -> go (r :: acc) rest
@@ -223,13 +204,8 @@ let of_sexp sexp =
           (create ~id { scenario; max_horizon; alg })
       in
       let* () = Online.Streaming.restore session.streaming state in
-      let fed_now = Online.Streaming.fed session.streaming in
-      if List.length rows <> fed_now then
-        Error
-          (Printf.sprintf "session: history has %d rows but %d slots were fed"
-             (List.length rows) fed_now)
-      else begin
-        List.iter (fun r -> push_history session r) rows;
-        Ok session
-      end)
+      match old_rows with
+      | Some rows when rows <> decisions_from session ~from_:0 ->
+          Error "session: history disagrees with the power events"
+      | Some _ | None -> Ok session)
   | S.Atom _ | S.List _ -> Error "session: unexpected payload shape"

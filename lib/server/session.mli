@@ -1,5 +1,5 @@
 (** One served right-sizing session: a named {!Online.Streaming}
-    instance plus its decision history.
+    instance.
 
     A session is created from a {e scenario spec} — the name of a
     built-in {!Sim.Scenarios} entry (the scenario supplies the server
@@ -9,14 +9,15 @@
     time-independent costs, B otherwise — exactly the choice
     {!Online.Streaming} offers.
 
-    The decision history makes feeding {e idempotent}: every decision
-    ever returned is kept, so a client that re-delivers slots it
-    already fed (after a crash on either side) gets the stored
-    configurations back, bit-identical, without re-stepping.
+    Feeding is {e idempotent}: the stepper's power events are the one
+    record of every decision returned, so a client that re-delivers
+    slots it already fed (after a crash on either side) gets the same
+    configurations back, bit-identical, rebuilt from the events without
+    re-stepping.
 
-    Sessions serialise through {!save}/{!of_sexp} — spec, history and
-    the complete streaming state — which is what the store's
-    [base.store] aggregates at each cement boundary. *)
+    Sessions serialise through {!save}/{!of_sexp} — spec and the
+    complete streaming state — which is what the store's [base.store]
+    aggregates at each cement boundary. *)
 
 type spec = {
   scenario : string;
@@ -43,10 +44,12 @@ val fed : t -> int
 val feed :
   t -> seq:int -> float array -> (Model.Config.t array, Protocol.error_code * string) result
 (** Process the loads for slots [seq, seq + n).  Slots below {!fed} are
-    answered from the history ({e after} checking that the stored
-    volume matches within nothing — the history answers regardless; a
-    client that re-feeds different volumes for old slots gets the
-    original decisions); slots at and past {!fed} are stepped.  [seq]
+    answered with their original decisions, rebuilt from the power
+    events ({!Online.Streaming.decisions}; the volumes re-sent for them
+    are not read, so a client that re-feeds different volumes for old
+    slots gets the original decisions).  The rebuild walks back from
+    the latest slot, so re-sending a recent frame costs only its own
+    slots.  Slots at and past {!fed} are stepped.  [seq]
     beyond {!fed} is a gap and fails with [Bad_seq].  On a typed
     streaming error the session survives, the slots before the error
     remain processed, and the error carries {!fed} via the daemon's
@@ -67,7 +70,8 @@ val replay :
     slot 0: the sequential re-run a served session is judged against. *)
 
 val decisions_from : t -> from_:int -> Model.Config.t array
-(** The stored decisions for slots [from_, fed) (fresh arrays). *)
+(** The decisions for slots [from_, fed) (fresh arrays), rebuilt from
+    the power events. *)
 
 val loads : t -> float array
 (** A copy of the volumes fed so far (length {!fed}) — together with
@@ -79,9 +83,12 @@ val loads_from : t -> from_:int -> float array
     a round's freshly stepped slots without copying the whole history. *)
 
 val save : t -> Util.Sexp.t
-(** [(session (id ..) (scenario ..) (max-horizon ..)? (history ..) (state ..))] *)
+(** [(session (id ..) (scenario ..) (max-horizon ..)? (alg ..)? (state ..))] *)
 
 val of_sexp : Util.Sexp.t -> (t, string) result
-(** Rebuild a {!save}d session: create from the spec, restore the
-    streaming state, reload the history.  The result continues
-    decision-for-decision identically to the saved one. *)
+(** Rebuild a {!save}d session: create from the spec and restore the
+    streaming state.  The result continues decision-for-decision
+    identically to the saved one.  A payload written while sessions
+    kept a decision history carries a [history] field: it is refused
+    unless the history equals the decisions the restored power events
+    give, and is then dropped. *)

@@ -9,9 +9,10 @@
 #      simulated crash (exit 3) to leave a checkpoint behind,
 #   3. resumes from the checkpoint with --resume,
 # and fails unless the resumed result line is byte-identical to the
-# uninterrupted one.  Two refusal legs follow: `online` must refuse an
-# instance with time-varying fleet sizes (offline only), and `serve`
-# an out-of-range --domains.  The daemon's log store then survives a
+# uninterrupted one.  The checked-in online fixtures, written by an
+# older binary, must resume to the same line.  Two refusal legs follow:
+# `online` must refuse an instance with time-varying fleet sizes
+# (offline only), and `serve` an out-of-range --domains.  The daemon's log store then survives a
 # crash (crash_resume_log), and `replay` of that store must agree with
 # the scenario runner's costs.  See docs/robustness.md.  (Daemon-level
 # serving, metrics, and crash/resume e2e live in the scenario fleet now:
@@ -85,6 +86,33 @@ check_case solve-cross-grid 5 solve --scenario maintenance --horizon 30
 check_case solve-approx 5 solve  --scenario large-fleet  --horizon 24 --eps 0.25
 check_case online-alg-a 5 online --scenario cpu-gpu      --horizon 12
 check_case online-alg-b 5 online --scenario time-varying --horizon 12
+
+# Checkpoints written by an older binary must still resume: each
+# checked-in online fixture was written by `online --scenario S
+# --horizon 24 --checkpoint F --checkpoint-every 5 --crash-after 10`.
+# Resuming a copy of it must print the first line of the uninterrupted
+# checkpointed run.
+fixture_case() {
+  local name=$1 fixture=$2 scenario=$3
+  local ck="$WORK/$name.snap"
+  cp "$(dirname "$0")/../test/fixtures/$fixture" "$ck"
+  if ! first_line "$BIN" online --scenario "$scenario" --horizon 24 \
+      --checkpoint "$WORK/$name.base.snap" --checkpoint-every 5 > "$WORK/$name.base"; then
+    echo "FAIL $name: uninterrupted run errored" >&2; FAILED=1; return 0
+  fi
+  if ! first_line "$BIN" online --scenario "$scenario" --horizon 24 \
+      --checkpoint "$ck" --resume "$ck" > "$WORK/$name.resumed"; then
+    echo "FAIL $name: resume from $fixture errored" >&2; FAILED=1; return 0
+  fi
+  if diff -u "$WORK/$name.base" "$WORK/$name.resumed"; then
+    echo "OK   $name: $fixture resumed identical ($(cat "$WORK/$name.base"))"
+  else
+    echo "FAIL $name: resume from $fixture differs from the uninterrupted run" >&2
+    FAILED=1
+  fi
+}
+fixture_case fixture-alg-a online_three_tier_v1.snap three-tier
+fixture_case fixture-alg-b online_time_varying_v1.snap time-varying
 
 # Time-varying fleet sizes (Section 4.3) are offline only: `online`
 # must refuse the maintenance scenario, with the error that says so,

@@ -60,6 +60,36 @@ let test_prefix_memory_flat_in_slots () =
   done;
   checki "words reachable after 16 and after 400 steps" after_16 (words ())
 
+(* A stepper keeps only its open groups: its state, less the instance it
+   reads and its power events, is as large after 16,384 slots as after
+   1,024.  Both runs end at the same phase of a 64-slot triangle wave of
+   targets, so the same groups are open at both ends. *)
+let test_stepper_state_flat_in_slots () =
+  let words make scenario horizon =
+    let inst = scenario horizon in
+    let stepper = make inst in
+    let d = Model.Instance.num_types inst in
+    for time = 0 to horizon - 1 do
+      let level = abs ((time mod 64) - 32) in
+      ignore
+        (Online.Stepper.step stepper ~time
+           ~hat:(Array.init d (fun typ -> Model.Instance.max_count inst ~typ * level / 32)))
+    done;
+    let reach v = Obj.reachable_words (Obj.repr v) in
+    reach stepper - reach inst
+    - reach (Online.Stepper.power_ups stepper, Online.Stepper.power_downs stepper)
+  in
+  let cpu_gpu horizon = Sim.Scenarios.cpu_gpu ~horizon () in
+  let homogeneous horizon = Sim.Scenarios.homogeneous ~horizon () in
+  List.iter
+    (fun (name, make, scenario) ->
+      checki
+        (name ^ ": words after 1,024 and after 16,384 slots")
+        (words make scenario 1024) (words make scenario 16384))
+    [ ("a", Online.Stepper.alg_a, cpu_gpu);
+      ("b", Online.Stepper.alg_b, cpu_gpu);
+      ("homog", Online.Stepper.alg_homog, homogeneous) ]
+
 (* The forward pass refills one reused row, so a solve allocates about
    one layer's worth of floats in the major heap, not one table per
    slot.  The layer arena is a Bigarray outside the OCaml heap.  Words
@@ -1013,7 +1043,9 @@ let prop_checkpoint_resume_bit_identity seed =
       | Error _ -> false
       | Ok () ->
           let rebuilt_prefix_ok =
-            schedule_equal (Online.Streaming.decisions resumed) (Array.sub batch 0 k)
+            schedule_equal
+              (Online.Streaming.decisions resumed ~from_:0)
+              (Array.sub batch 0 k)
           in
           let suffix_ok = ref (Online.Streaming.fed resumed = k) in
           for t = k to Array.length loads - 1 do
@@ -1022,7 +1054,7 @@ let prop_checkpoint_resume_bit_identity seed =
               && Model.Config.equal (Online.Streaming.feed resumed loads.(t)) batch.(t)
           done;
           !prefix_ok && rebuilt_prefix_ok && !suffix_ok
-          && schedule_equal (Online.Streaming.decisions resumed) batch)
+          && schedule_equal (Online.Streaming.decisions resumed ~from_:0) batch)
     solver_families
 
 let () =
@@ -1095,7 +1127,9 @@ let () =
           Alcotest.test_case "matches batch B decision-for-decision" `Quick
             test_streaming_matches_batch_b;
           Alcotest.test_case "validation" `Quick test_streaming_validation;
-          Alcotest.test_case "config tracking" `Quick test_streaming_config_tracking
+          Alcotest.test_case "config tracking" `Quick test_streaming_config_tracking;
+          Alcotest.test_case "stepper state flat in slots" `Quick
+            test_stepper_state_flat_in_slots
         ] );
       ( "baselines",
         [ Alcotest.test_case "always-on constant & feasible" `Quick test_always_on_constant;

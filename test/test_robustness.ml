@@ -416,6 +416,174 @@ let test_tampered_power_events_refused () =
       ("events out of time order", "ups", List.rev);
       ("a dropped power-down", "downs", fun _ -> []) ]
 
+(* [f] applied to the field list of a Streaming payload's stepper. *)
+let tamper_stepper f = function
+  | S.List items ->
+      S.List
+        (List.map
+           (function
+             | S.List [ S.Atom "stepper"; S.List (S.Atom "stepper" :: fields) ] ->
+                 S.List [ S.Atom "stepper"; S.List (S.Atom "stepper" :: f fields) ]
+             | item -> item)
+           items)
+  | S.Atom _ as a -> a
+
+let stepper_fields snap =
+  let found = ref [] in
+  ignore
+    (tamper_stepper
+       (fun fields ->
+         found := fields;
+         fields)
+       snap);
+  !found
+
+let stepper_field name snap = Option.get (S.assoc name (stepper_fields snap))
+
+let int_atoms l = List.map (fun i -> S.Atom (string_of_int i)) l
+
+(* Algorithm A's payloads used to carry a table of every power-up, [w],
+   which restore loaded as the pending power-downs.  The payload below,
+   with every [w] count raised by 3, restored when [w] was read, and 5
+   of its next 40 decisions then differed from the uninterrupted
+   session's.  The open timers are now rebuilt from the power events and
+   [w] is ignored, so it continues exactly like the uninterrupted
+   session. *)
+let test_old_w_table_ignored () =
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:60 () in
+  let loads = inst.Model.Instance.load in
+  let whole = session_a inst and live = session_a inst in
+  for t = 0 to 19 do
+    ignore (Online.Streaming.feed whole loads.(t));
+    ignore (Online.Streaming.feed live loads.(t))
+  done;
+  let snap = Online.Streaming.save live in
+  let d = Model.Instance.num_types inst in
+  let ups =
+    List.map
+      (function
+        | S.List [ u; typ; c ] ->
+            let int a = Option.get (S.int_atom a) in
+            (int u, int typ, int c)
+        | _ -> Alcotest.fail "malformed ups")
+      (stepper_field "ups" snap)
+  in
+  let slots = List.sort_uniq compare (List.map (fun (u, _, _) -> u) ups) in
+  let w =
+    List.map
+      (fun slot ->
+        let counts = Array.make d 3 in
+        List.iter
+          (fun (u, typ, c) -> if u = slot then counts.(typ) <- counts.(typ) + c)
+          ups;
+        S.List (int_atoms (slot :: Array.to_list counts)))
+      slots
+  in
+  checkb "the table names power-ups" true (w <> []);
+  let resumed = session_a inst in
+  (match
+     Online.Streaming.restore resumed
+       (tamper_stepper
+          (fun fields ->
+            List.filter (function S.List (S.Atom "w" :: _) -> false | _ -> true) fields
+            @ [ S.List (S.Atom "w" :: w) ])
+          snap)
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("old-format payload refused: " ^ m));
+  for t = 20 to 59 do
+    Alcotest.(check (array int))
+      (Printf.sprintf "slot %d" t)
+      (Online.Streaming.feed whole loads.(t))
+      (Online.Streaming.feed resumed loads.(t))
+  done
+
+(* The open groups of B (and the timers A rebuilds from its power-ups)
+   must name processed slots and sum to the saved configuration.
+   Before restore checked them, a time-varying B payload with every
+   group count raised by 2 restored.  Each payload below passes every
+   other check and must be refused. *)
+let test_tampered_open_groups_refused () =
+  let inst = Sim.Scenarios.time_varying_costs ~horizon:24 () in
+  let b = session_b inst in
+  for t = 0 to 11 do
+    ignore (Online.Streaming.feed b inst.Model.Instance.load.(t))
+  done;
+  let snap_b = Online.Streaming.save b in
+  let groups = stepper_field "open-groups" snap_b in
+  checkb "the B payload has open groups" true
+    (List.exists (function S.List (_ :: _) -> true | _ -> false) groups);
+  let map_groups f =
+    tamper_stepper
+      (List.map (function
+        | S.List (S.Atom "open-groups" :: per_type) ->
+            S.List
+              (S.Atom "open-groups"
+              :: List.map
+                   (function
+                     | S.List gs ->
+                         S.List
+                           (List.map
+                              (function
+                                | S.List [ u; c; base ] ->
+                                    let int a = Option.get (S.int_atom a) in
+                                    let u, c = f (int u, int c) in
+                                    S.List (int_atoms [ u; c ] @ [ base ])
+                                | g -> g)
+                              gs)
+                     | g -> g)
+                   per_type)
+        | field -> field))
+  in
+  let cpu = Sim.Scenarios.cpu_gpu ~horizon:12 () in
+  let a = session_a cpu in
+  for t = 0 to 7 do
+    ignore (Online.Streaming.feed a cpu.Model.Instance.load.(t))
+  done;
+  let snap_a = Online.Streaming.save a in
+  (* drop A's last power-down and raise x to match the events: the
+     events still lead to x, but the timers they leave open do not *)
+  let drop_last_down fields =
+    let rev = List.rev (Option.get (S.assoc "downs" fields)) in
+    match rev with
+    | S.List [ _; typ; c ] :: rest ->
+        let typ = Option.get (S.int_atom typ) and c = Option.get (S.int_atom c) in
+        List.map
+          (function
+            | S.List (S.Atom "downs" :: _) -> S.List (S.Atom "downs" :: List.rev rest)
+            | S.List (S.Atom "x" :: xs) ->
+                S.List
+                  (S.Atom "x"
+                  :: List.mapi
+                       (fun j v ->
+                         let v = Option.get (S.int_atom v) in
+                         S.Atom (string_of_int (if j = typ then v + c else v)))
+                       xs)
+            | field -> field)
+          fields
+    | _ -> Alcotest.fail "the A payload has no power-down"
+  in
+  checkb "untampered payloads restore" true
+    (Result.is_ok (Online.Streaming.restore (session_b inst) snap_b)
+    && Result.is_ok (Online.Streaming.restore (session_a cpu) snap_a));
+  List.iter
+    (fun (what, restore, payload, expected) ->
+      match restore payload with
+      | Error m -> Alcotest.(check string) what expected m
+      | Ok () -> Alcotest.failf "restored a payload with %s" what)
+    [ ( "every B group count raised by 2",
+        Online.Streaming.restore (session_b inst),
+        map_groups (fun (u, c) -> (u, c + 2)) snap_b,
+        "stepper: open groups do not sum to x" );
+      ( "a B group at the clock",
+        Online.Streaming.restore (session_b inst),
+        map_groups (fun (_, c) -> (12, c)) snap_b,
+        "stepper: open groups out of range" );
+      ( "an A power-down dropped and x raised to match",
+        Online.Streaming.restore (session_a cpu),
+        tamper_stepper drop_last_down snap_a,
+        "stepper: open timers do not sum to x" ) ]
+
 (* Each part of a Streaming payload carries its own clock.  A payload
    whose engine or stepper clock disagrees with the session's passes
    every other check, and the engine's arrival plane then stands for
@@ -500,7 +668,103 @@ let test_online_v1_fixture_resumes () =
           (Online.Streaming.feed resumed loads.(t))
       done;
       checkb "schedules agree" true
-        (Online.Streaming.decisions resumed = Online.Streaming.decisions whole)
+        (Online.Streaming.decisions resumed ~from_:0
+        = Online.Streaming.decisions whole ~from_:0)
+
+(* test/fixtures/online_time_varying_v1.snap was written by the CLI while
+   algorithm B kept idle prefix rows sized to the horizon: [online
+   --scenario time-varying --horizon 24 --checkpoint F --checkpoint-every
+   5 --crash-after 10].  Restored into the session [online] builds, its
+   rows convert to running sums, and the session must decide every
+   remaining slot exactly like an uninterrupted one. *)
+let test_online_b_v1_fixture_resumes () =
+  let horizon = 24 in
+  let inst = Sim.Scenarios.time_varying_costs ~horizon () in
+  let session () =
+    Online.Streaming.alg_b ~max_horizon:horizon ~types:inst.Model.Instance.types
+      ~cost:inst.Model.Instance.cost ()
+  in
+  let loads = inst.Model.Instance.load in
+  let path = fixture "online_time_varying_v1.snap" in
+  match Snapshot.load ~kind:"online-run" ~path () with
+  | Error e -> Alcotest.fail ("online fixture unreadable: " ^ Snapshot.error_to_string e)
+  | Ok payload ->
+      checkb "the fixture carries prefix rows" true
+        (S.assoc "prefix" (stepper_fields payload) <> None);
+      let resumed = session () and whole = session () in
+      (match Online.Streaming.restore resumed payload with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail ("online fixture refused: " ^ m));
+      checki "slots in the fixture" 10 (Online.Streaming.fed resumed);
+      for t = 0 to 9 do
+        ignore (Online.Streaming.feed whole loads.(t))
+      done;
+      for t = 10 to horizon - 1 do
+        Alcotest.(check (array int))
+          (Printf.sprintf "slot %d" t)
+          (Online.Streaming.feed whole loads.(t))
+          (Online.Streaming.feed resumed loads.(t))
+      done;
+      checkb "schedules agree" true
+        (Online.Streaming.decisions resumed ~from_:0
+        = Online.Streaming.decisions whole ~from_:0)
+
+(* test/fixtures/session_time_varying_v1.sexp is a [Server.Session.save]
+   written while sessions kept a decision history beside their state and
+   algorithm B kept idle prefix rows: a time-varying session fed 70
+   slots (past its first 64-slot buffer) of the scenario's loads,
+   repeated.  It must restore and continue bit-identically to a session
+   fed the same loads; with one history row changed, or one dropped, it
+   must be refused. *)
+let test_session_v1_fixture () =
+  let path = fixture "session_time_varying_v1.sexp" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let payload = match S.parse text with Ok p -> p | Error m -> Alcotest.fail m in
+  let inst = Sim.Scenarios.time_varying_costs () in
+  let h = Array.length inst.Model.Instance.load in
+  let loads = Array.init 100 (fun t -> inst.Model.Instance.load.(t mod h)) in
+  let resumed =
+    match Server.Session.of_sexp payload with
+    | Ok s -> s
+    | Error m -> Alcotest.fail ("session fixture refused: " ^ m)
+  in
+  checki "slots in the fixture" 70 (Server.Session.fed resumed);
+  let whole =
+    match
+      Server.Session.create ~id:"whole"
+        { Server.Session.scenario = "time-varying"; max_horizon = None; alg = None }
+    with
+    | Ok s -> s
+    | Error (_, m) -> Alcotest.fail m
+  in
+  let feed s seq n =
+    match Server.Session.feed s ~seq (Array.sub loads seq n) with
+    | Ok xs -> xs
+    | Error (_, m) -> Alcotest.fail m
+  in
+  let first = feed whole 0 70 in
+  checkb "re-fed slots answer the fixture's decisions" true (feed resumed 0 70 = first);
+  checkb "the rest continues bit-identically" true (feed resumed 70 30 = feed whole 70 30);
+  let edit_history f = function
+    | S.List fields ->
+        S.List
+          (List.map
+             (function
+               | S.List (S.Atom "history" :: rows) -> S.List (S.Atom "history" :: f rows)
+               | field -> field)
+             fields)
+    | S.Atom _ as a -> a
+  in
+  List.iter
+    (fun (what, f) ->
+      match Server.Session.of_sexp (edit_history f payload) with
+      | Error m ->
+          Alcotest.(check string) what "session: history disagrees with the power events" m
+      | Ok _ -> Alcotest.failf "restored a session payload with %s" what)
+    [ ( "a history row changed",
+        List.mapi (fun i row ->
+            if i = 40 then Snapshot.int_array_field "x" [| 9; 9 |] else row) );
+      ("a history row dropped", List.tl) ]
 
 let test_fault_streaming_feed_clean_retry () =
   let types = [| st ~count:2 ~switching_cost:3. ~cap:1. () |] in
@@ -656,6 +920,14 @@ let () =
             test_online_v1_fixture_resumes;
           Alcotest.test_case "tampered power events refused" `Quick
             test_tampered_power_events_refused;
+          Alcotest.test_case "tampered open groups and timers refused" `Quick
+            test_tampered_open_groups_refused;
+          Alcotest.test_case "an old A payload's w table is ignored" `Quick
+            test_old_w_table_ignored;
+          Alcotest.test_case "B checkpoint with idle prefix rows resumes" `Quick
+            test_online_b_v1_fixture_resumes;
+          Alcotest.test_case "session payload with a history resumes" `Quick
+            test_session_v1_fixture;
           Alcotest.test_case "corrupted payload fails the checksum" `Quick
             test_corrupted_payload_checksum
         ] );

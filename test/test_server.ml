@@ -601,6 +601,11 @@ let test_daemon_metrics_and_audit () =
           samples
       in
       checkb "live session gauge" true (find "server_sessions" = Some 2.);
+      (match (find "gc_heap_words", find "gc_top_heap_words") with
+      | Some heap, Some top ->
+          checkb "heap gauge positive" true (heap > 0.);
+          checkb "top heap at least the heap" true (top >= heap)
+      | _ -> Alcotest.fail "gc heap gauges missing");
       (match find "audit_regret_ratio" with
       | Some v -> checkb "scraped ratio matches audit" true (v = ratio)
       | None -> Alcotest.fail "audit_regret_ratio missing");
