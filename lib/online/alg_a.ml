@@ -10,11 +10,6 @@ type result = {
   power_ups : (int * int * int) list;
 }
 
-let runtime inst ~typ =
-  let beta = inst.Model.Instance.types.(typ).Model.Server_type.switching_cost in
-  let idle = Model.Instance.idle_cost inst ~time:0 ~typ in
-  if idle <= 0. then None else Some (max 1 (int_of_float (Float.ceil (beta /. idle))))
-
 let run ?grid inst =
   let { Stepper.stepper; schedule; prefix_last; prefix_costs } =
     Stepper.run ?grid ~span:"alg_a.run" Stepper.alg_a inst

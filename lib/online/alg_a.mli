@@ -28,6 +28,3 @@ val run : ?grid:Offline.Grid.t -> Model.Instance.t -> result
     state grid (see {!Prefix_opt.create}) — a scalable mode for large
     fleets whose guarantee degrades gracefully with the grid's
     approximation factor (measured by the ablation experiment). *)
-
-val runtime : Model.Instance.t -> typ:int -> int option
-(** The power-down timer [t_j] ([None] when [f_j(0) = 0]). *)

@@ -29,18 +29,45 @@ type rule =
          one-entry budget), with the configuration kept in canonical
          (fill type 0 first) form. *)
 
+(* The power events of one server type in time order, one word each:
+   the event's slot and the type's active count after it, packed as
+   [slot lsl count_bits lor count].  [words] doubles as it fills; its
+   first [len] words are the events. *)
+type log = { mutable words : int array; mutable len : int }
+
+let count_bits = 31
+let max_count = (1 lsl count_bits) - 1
+let max_slot = max_int lsr count_bits
+let slot_of w = w lsr count_bits
+let count_of w = w land max_count
+
+let append log ~time count =
+  if log.len = Array.length log.words then begin
+    let words = Array.make (max 8 (2 * log.len)) 0 in
+    Array.blit log.words 0 words 0 log.len;
+    log.words <- words
+  end;
+  log.words.(log.len) <- (time lsl count_bits) lor count;
+  log.len <- log.len + 1
+
+let new_logs d = Array.init d (fun _ -> { words = [||]; len = 0 })
+
 type t = {
   mutable inst : Model.Instance.t;  (* swapped by [rebind] on horizon growth *)
   rule : rule;
   x : int array;
   mutable clock : int;
-  mutable ups : (int * int * int) list;  (* newest first *)
-  mutable downs : (int * int * int) list;  (* newest first *)
+  logs : log array;  (* per type *)
 }
 
 let make inst rule =
-  let x = Array.make (Model.Instance.num_types inst) 0 in
-  { inst; rule; x; clock = 0; ups = []; downs = [] }
+  Array.iter
+    (fun st ->
+      if st.Model.Server_type.count > max_count then
+        invalid_arg "Stepper: a server type has more servers than the event log holds")
+    inst.Model.Instance.types;
+  let d = Model.Instance.num_types inst in
+  { inst; rule; x = Array.make d 0; clock = 0; logs = new_logs d }
 
 let alg_a inst =
   if not inst.Model.Instance.time_independent then
@@ -101,7 +128,7 @@ let power_down t ~time ~typ count =
   t.x.(typ) <- t.x.(typ) - count;
   Obs.Counter.add c_downs count;
   event "stepper.power_down" ~time ~typ ~count;
-  t.downs <- (time, typ, count) :: t.downs
+  append t.logs.(typ) ~time t.x.(typ)
 
 (* Whether group [g] leaves during the slot that took the running idle
    sum from [before] to [after]: its idle cost since power-up crosses
@@ -165,14 +192,13 @@ let step_homog t (h : budget) ~time ~hat =
       let delta = take - t.x.(typ) in
       if delta > 0 then begin
         Obs.Counter.add c_ups delta;
-        event "stepper.power_up" ~time ~typ ~count:delta;
-        t.ups <- (time, typ, delta) :: t.ups
+        event "stepper.power_up" ~time ~typ ~count:delta
       end
       else if delta < 0 then begin
         Obs.Counter.add c_downs (-delta);
-        event "stepper.power_down" ~time ~typ ~count:(-delta);
-        t.downs <- (time, typ, -delta) :: t.downs
+        event "stepper.power_down" ~time ~typ ~count:(-delta)
       end;
+      if delta <> 0 then append t.logs.(typ) ~time take;
       t.x.(typ) <- take;
       rest := !rest - take
     done
@@ -189,6 +215,7 @@ let step_homog t (h : budget) ~time ~hat =
 
 let step t ~time ~hat =
   if time <> t.clock then invalid_arg "Stepper.step: slots must be fed in order";
+  if time > max_slot then invalid_arg "Stepper.step: slot past the event log's limit";
   Obs.Counter.incr c_steps;
   t.clock <- time + 1;
   let d = Array.length t.x in
@@ -224,40 +251,62 @@ let step t ~time ~hat =
       t.x.(typ) <- hat.(typ);
       Obs.Counter.add c_ups up;
       event "stepper.power_up" ~time ~typ ~count:up;
-      t.ups <- (time, typ, up) :: t.ups
+      append t.logs.(typ) ~time hat.(typ)
     end
   done);
   Array.copy t.x
 
 let time t = t.clock
-let power_ups t = List.rev t.ups
-let power_downs t = List.rev t.downs
 
-(* Walk back from the current configuration: slot [s]'s configuration is
-   the one after its events, and undoing them gives slot [s - 1]'s.  The
-   event lists are newest first, so the walk reads only the events of
-   the slots from [from_] on. *)
+let by_slot (t, _, _) (t', _, _) = Int.compare t t'
+
+(* The chronological [(time, typ, count)] power-ups and power-downs of
+   [logs].  The logs are listed in type order and the sort is stable, so
+   the events of a slot come by type and then in log order: a type's
+   power-downs (oldest group first) before its power-up. *)
+let events logs =
+  let all =
+    List.concat
+      (List.init (Array.length logs) (fun typ ->
+           let log = logs.(typ) in
+           List.init log.len (fun i ->
+               let before = if i = 0 then 0 else count_of log.words.(i - 1) in
+               (slot_of log.words.(i), typ, count_of log.words.(i) - before))))
+    |> List.stable_sort by_slot
+  in
+  ( List.filter_map (fun (t, j, c) -> if c > 0 then Some (t, j, c) else None) all,
+    List.filter_map (fun (t, j, c) -> if c < 0 then Some (t, j, -c) else None) all )
+
+let power_ups t = fst (events t.logs)
+let power_downs t = snd (events t.logs)
+
+(* The number of [log]'s events at slots up to [time]: a binary search. *)
+let events_upto log time =
+  let lo = ref 0 and hi = ref log.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if slot_of log.words.(mid) <= time then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Each type's count at slot [from_] is that after its last event up to
+   [from_]; later slots read their own events forward. *)
 let decisions ?until t ~from_ =
   let until = match until with Some u -> max 0 (min u t.clock) | None -> t.clock in
   let from_ = max 0 (min from_ until) in
-  if from_ = until then [||]
-  else begin
-    let x = Array.copy t.x in
-    let rec undo sign time = function
-      | (u, typ, count) :: rest when u = time ->
-          x.(typ) <- x.(typ) - (sign * count);
-          undo sign time rest
-      | events -> events
-    in
-    let out = Array.make (until - from_) [||] in
-    let ups = ref t.ups and downs = ref t.downs in
-    for time = t.clock - 1 downto from_ do
-      if time < until then out.(time - from_) <- Array.copy x;
-      ups := undo 1 time !ups;
-      downs := undo (-1) time !downs
-    done;
-    out
-  end
+  let pos = Array.map (fun log -> events_upto log from_) t.logs in
+  let x =
+    Array.mapi (fun j i -> if i = 0 then 0 else count_of t.logs.(j).words.(i - 1)) pos
+  in
+  Array.init (until - from_) (fun k ->
+      Array.iteri
+        (fun j log ->
+          while pos.(j) < log.len && slot_of log.words.(pos.(j)) = from_ + k do
+            x.(j) <- count_of log.words.(pos.(j));
+            pos.(j) <- pos.(j) + 1
+          done)
+        t.logs;
+      Array.copy x)
 
 let runtimes t =
   match t.rule with
@@ -331,6 +380,7 @@ let events_of_field fields name =
       go [] args
 
 let save t =
+  let ups, downs = events t.logs in
   let tag, rule_fields =
     match t.rule with
     | A _ -> ("a", [])
@@ -343,8 +393,8 @@ let save t =
     :: S.List [ S.Atom "rule"; S.Atom tag ]
     :: S.List [ S.Atom "clock"; int_atom t.clock ]
     :: Util.Snapshot.int_array_field "x" t.x
-    :: events_field "ups" (List.rev t.ups)
-    :: events_field "downs" (List.rev t.downs)
+    :: events_field "ups" ups
+    :: events_field "downs" downs
     :: List.concat_map
          (fun b ->
            [ Util.Snapshot.float_array_field "idle" b.idle;
@@ -442,22 +492,38 @@ let budget_of_fields ~n ~clock fields =
             (fun i -> List.map (fun (up, count) -> { up; count; base = rows.(i).(up + 1) }))
             pairs )
 
-(* Events [restore] accepts: chronological, each a positive count of an
-   existing type at an already-processed slot. *)
+(* Events [restore] accepts: in slot and then type order, each a
+   positive count of an existing type at an already-processed slot. *)
 let events_in_range ~d ~clock events =
-  let rec go prev = function
+  let rec go prev_time prev_typ = function
     | [] -> true
     | (time, typ, count) :: rest ->
-        prev <= time && time < clock && 0 <= typ && typ < d && count > 0 && go time rest
+        (prev_time < time || (prev_time = time && prev_typ <= typ))
+        && time < clock && 0 <= typ && typ < d && count > 0 && go time typ rest
   in
-  go 0 events
+  go 0 0 events
 
-(* The configuration the events lead to from all-off. *)
-let replay ~d ups downs =
-  let x = Array.make d 0 in
-  List.iter (fun (_, typ, count) -> x.(typ) <- x.(typ) + count) ups;
-  List.iter (fun (_, typ, count) -> x.(typ) <- x.(typ) - count) downs;
-  x
+(* The logs of [ups] and [downs] from all-off; [Error] once a type's
+   count leaves [0, count_j], or unless they end in [x].  The sort is
+   stable and the power-downs come first, so a type's power-downs in a
+   slot apply before its power-ups, as [step] makes them. *)
+let logs_of_events inst ~x ups downs =
+  let d = Array.length x in
+  let logs = new_logs d and counts = Array.make d 0 in
+  let signed sign = List.map (fun (time, typ, count) -> (time, typ, sign * count)) in
+  let rec go = function
+    | [] -> if counts = x then Ok logs else Error "stepper: power events do not match x"
+    | (time, typ, delta) :: rest ->
+        let after = counts.(typ) + delta in
+        if after < 0 || after > Model.Instance.max_count inst ~typ then
+          Error "stepper: power events take a count outside 0 .. count_j"
+        else begin
+          counts.(typ) <- after;
+          append logs.(typ) ~time after;
+          go rest
+        end
+  in
+  go (List.stable_sort by_slot (signed (-1) downs @ signed 1 ups))
 
 let restore t sexp =
   match sexp with
@@ -482,18 +548,18 @@ let restore t sexp =
       | Ok tag, Ok clock, Ok x, Ok ups, Ok downs -> (
           let d = Array.length t.x in
           if Array.length x <> d then Error "stepper: dimension mismatch"
+          else if clock > max_slot + 1 then
+            Error "stepper: clock past the event log's slot limit"
           else if clock < 0 || clock > Model.Instance.horizon t.inst then
             Error "stepper: clock outside the instance horizon"
           else if not (events_in_range ~d ~clock ups && events_in_range ~d ~clock downs)
           then Error "stepper: power events out of range or out of time order"
-          else if replay ~d ups downs <> x then
-            Error "stepper: power events do not match x"
           else
+            Result.bind (logs_of_events t.inst ~x ups downs) @@ fun logs ->
             let commit () =
               Array.blit x 0 t.x 0 d;
               t.clock <- clock;
-              t.ups <- List.rev ups;
-              t.downs <- List.rev downs;
+              Array.blit logs 0 t.logs 0 d;
               Ok ()
             in
             let budget (b : budget) ~n ~sums =

@@ -7,13 +7,25 @@
     (A's open timers; B's running idle sums and the sum at each open
     group's power-up) and the power events, which are its one record of
     the decisions; each [step] applies the slot's power-downs and then
-    powers up to the supplied optimal-prefix configuration [hat]. *)
+    powers up to the supplied optimal-prefix configuration [hat].
+
+    {b Power-event log.}  Each server type keeps its power events in
+    time order in one append-only [int array] on the OCaml heap, one
+    word per event: the event's slot and the type's active count after
+    it, packed as [slot lsl 31 lor count].  The array doubles from 8
+    words as it fills.  The packing holds counts up to [2^31 - 1] and
+    slots up to [max_int lsr 31] ([2^31 - 1] with 63-bit ints); nothing
+    is truncated: a fleet with more servers of one type is refused when
+    the stepper is built, a slot past the limit by {!step}, and a
+    payload whose clock lies past it by {!restore}. *)
 
 type t
 
 val alg_a : Model.Instance.t -> t
 (** Algorithm A's timers ([t_j = ceil(beta_j / f_j(0))]); raises
-    [Invalid_argument] on time-dependent instances. *)
+    [Invalid_argument] on time-dependent instances.  Every constructor
+    raises [Invalid_argument] on a server type of more than [2^31 - 1]
+    servers, the event log's limit. *)
 
 val alg_b : Model.Instance.t -> t
 (** Algorithm B's idle-budget rule; raises [Invalid_argument] unless
@@ -41,24 +53,27 @@ val alg_homog : Model.Instance.t -> t
 
 val step : t -> time:int -> hat:Model.Config.t -> Model.Config.t
 (** Process one slot (slots must be fed in order, starting at 0) and
-    return the resulting active configuration (a fresh array). *)
+    return the resulting active configuration (a fresh array).  Raises
+    [Invalid_argument] on a slot past the event log's limit. *)
 
 val time : t -> int
 (** Number of slots stepped so far. *)
 
 val power_ups : t -> (int * int * int) list
-(** Chronological [(time, typ, count)] power-up events so far. *)
+(** Chronological [(time, typ, count)] power-up events so far, derived
+    from the logs: by slot, then type. *)
 
 val power_downs : t -> (int * int * int) list
 (** Chronological power-down events so far (empty for a type of
-    algorithm A that never powers down). *)
+    algorithm A that never powers down): by slot, then type, then
+    group, oldest first. *)
 
 val decisions : ?until:int -> t -> from_:int -> Model.Config.t array
 (** The configurations of slots [from_, until) ([until] defaults to
-    {!time}; both are clamped into [0, time]), rebuilt from the power
-    events by walking back from the current configuration: the cost is
-    O((time - from_) * d) plus the events from [from_] on, so the last
-    few slots cost only their own. *)
+    {!time}; both are clamped into [0, time]), read from the power-event
+    logs: each type's count at [from_] by binary search, then forward
+    through the window, so the cost is O(d log E + (until - from_) * d)
+    for E events, however old the window. *)
 
 val runtimes : t -> int option array
 (** Algorithm A's timers per type ([None] = never powers down); raises
@@ -96,12 +111,15 @@ val restore : t -> Util.Sexp.t -> (unit, string) result
 (** Load a {!save}d state into a stepper freshly built over the same
     instance with the same rule; stepping afterwards is
     decision-for-decision identical to the uninterrupted stepper.
-    Validates the rule tag, dimensions and clock, and the power events:
-    each at a processed slot, of an existing type, with a positive
-    count, in time order, and together leading from all-off to the
-    saved configuration.  The open groups (B, det2d, homog) and the
-    rebuilt timers (A) must name processed slots and sum to the saved
-    configuration per type (homog: in total).
+    Validates the rule tag, dimensions and clock (at most the event
+    log's slot limit), and the power events: each at a processed slot,
+    of an existing type, with a positive count, in slot-then-type
+    order, never taking a type's running count below 0 or above its
+    fleet size (a type's power-downs in a slot apply before its
+    power-ups, as {!step} makes them), and together leading from
+    all-off to the saved configuration.  The open groups (B, det2d,
+    homog) and the rebuilt timers (A) must name processed slots and sum
+    to the saved configuration per type (homog: in total).
 
     Payloads written before the budget kept running sums still
     restore: their idle prefix rows convert exactly (the running sum is

@@ -112,8 +112,8 @@ val decisions : ?until:int -> t -> from_:int -> Model.Schedule.t
     {!fed}), rebuilt from the stepper's power events, which {!save}
     persists ({!Stepper.decisions}): after {!restore} they are the
     restored run's, with no schedule kept or stored beside the session.
-    The events are walked back from the current configuration, so the
-    last few slots cost only their own. *)
+    A window costs a binary search per type plus its own slots, however
+    old it is. *)
 
 val save : t -> Util.Sexp.t
 (** The session's complete resumable state: fed loads, clock, current

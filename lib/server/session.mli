@@ -47,9 +47,9 @@ val feed :
     answered with their original decisions, rebuilt from the power
     events ({!Online.Streaming.decisions}; the volumes re-sent for them
     are not read, so a client that re-feeds different volumes for old
-    slots gets the original decisions).  The rebuild walks back from
-    the latest slot, so re-sending a recent frame costs only its own
-    slots.  Slots at and past {!fed} are stepped.  [seq]
+    slots gets the original decisions).  The rebuild costs a binary
+    search per server type plus the frame's own slots, however old the
+    frame.  Slots at and past {!fed} are stepped.  [seq]
     beyond {!fed} is a gap and fails with [Bad_seq].  On a typed
     streaming error the session survives, the slots before the error
     remain processed, and the error carries {!fed} via the daemon's

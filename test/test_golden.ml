@@ -11,7 +11,10 @@
    - the replies of a daemon session ([Daemon.handle], in process) fed
      the scenario's loads in rounds of 7 slots, the last round sent
      twice: one session with the daemon's own pick of algorithm, and
-     one each for b, det2d and homog where the daemon serves them.
+     one each for b, det2d and homog where the daemon serves them;
+   - for the same four picks, a [Server.Session] fed those rounds: its
+     saved payload's bytes, and its replies when every round is re-sent
+     from slot 0.
 
    The digests are pinned in test/fixtures/golden_decisions_v1.txt.  A
    change that moves any decision or cost bit fails here, naming the
@@ -142,10 +145,46 @@ let daemon_surface name inst alg =
                   | _ -> Alcotest.failf "%s: re-attach failed" name) )
       | _ -> Alcotest.failf "%s: create-session failed" name)
 
+(* A [Server.Session] of [alg] fed the same rounds as [daemon_surface]:
+   the digest of its saved payload ([save-<alg>]), and of the replies
+   when every round is re-sent from seq 0 after the full feed
+   ([redeliver-<alg>]); [auto] is the session's own pick.  Empty where
+   the session refuses [alg]. *)
+let session_surfaces name inst alg =
+  match
+    Server.Session.create ~id:"g" { Server.Session.scenario = name; max_horizon = None; alg }
+  with
+  | Error (P.Bad_request, _) when alg <> None -> []
+  | Error (_, msg) -> Alcotest.failf "%s: session: %s" name msg
+  | Ok s ->
+      let loads = inst.Model.Instance.load in
+      let horizon = Array.length loads in
+      let feed b seq =
+        let n = min round (horizon - seq) in
+        match Server.Session.feed s ~seq (Array.sub loads seq n) with
+        | Ok configs ->
+            add_int b seq;
+            add_schedule b configs
+        | Error (_, msg) -> Alcotest.failf "%s: session feed at %d: %s" name seq msg
+      in
+      let rec rounds b seq =
+        if seq < horizon then begin
+          feed b seq;
+          rounds b (seq + round)
+        end
+      in
+      let first = Buffer.create 1024 in
+      rounds first 0;
+      feed first ((horizon - 1) / round * round);
+      let tag = Option.value alg ~default:"auto" in
+      [ ("save-" ^ tag, Util.Snapshot.fnv1a64 (Util.Sexp.to_string (Server.Session.save s)));
+        ("redeliver-" ^ tag, digest (fun b -> rounds b 0)) ]
+
 let surfaces name inst =
+  let algs = [ None; Some "b"; Some "det2d"; Some "homog" ] in
   online_surfaces inst @ dp_surfaces inst
-  @ List.filter_map (daemon_surface name inst)
-      [ None; Some "b"; Some "det2d"; Some "homog" ]
+  @ List.filter_map (daemon_surface name inst) algs
+  @ List.concat_map (session_surfaces name inst) algs
 
 let read_fixture () =
   if not (Sys.file_exists fixture_path) then None

@@ -61,9 +61,12 @@ let test_prefix_memory_flat_in_slots () =
   checki "words reachable after 16 and after 400 steps" after_16 (words ())
 
 (* A stepper keeps only its open groups: its state, less the instance it
-   reads and its power events, is as large after 16,384 slots as after
-   1,024.  Both runs end at the same phase of a 64-slot triangle wave of
-   targets, so the same groups are open at both ends. *)
+   reads and its power-event log, is as large after 16,384 slots as after
+   1,024.  The log is one word per event, in an int array per type that
+   doubles from 8 words as it fills (stepper.mli), so a type with [n]
+   events holds a block of the first such capacity at or above [n], plus
+   its header.  Both runs end at the same phase of a 64-slot triangle
+   wave of targets, so the same groups are open at both ends. *)
 let test_stepper_state_flat_in_slots () =
   let words make scenario horizon =
     let inst = scenario horizon in
@@ -76,8 +79,13 @@ let test_stepper_state_flat_in_slots () =
            ~hat:(Array.init d (fun typ -> Model.Instance.max_count inst ~typ * level / 32)))
     done;
     let reach v = Obj.reachable_words (Obj.repr v) in
-    reach stepper - reach inst
-    - reach (Online.Stepper.power_ups stepper, Online.Stepper.power_downs stepper)
+    let events = Online.Stepper.power_ups stepper @ Online.Stepper.power_downs stepper in
+    let log_words typ =
+      let n = List.length (List.filter (fun (_, j, _) -> j = typ) events) in
+      let rec capacity c = if c >= n then c else capacity (2 * c) in
+      if n = 0 then 0 else 1 + capacity 8
+    in
+    reach stepper - reach inst - List.fold_left ( + ) 0 (List.init d log_words)
   in
   let cpu_gpu horizon = Sim.Scenarios.cpu_gpu ~horizon () in
   let homogeneous horizon = Sim.Scenarios.homogeneous ~horizon () in
@@ -89,6 +97,38 @@ let test_stepper_state_flat_in_slots () =
     [ ("a", Online.Stepper.alg_a, cpu_gpu);
       ("b", Online.Stepper.alg_b, cpu_gpu);
       ("homog", Online.Stepper.alg_homog, homogeneous) ]
+
+(* A served cpu-gpu session (algorithm A) holds at most 10,000 words
+   after 4,096 slots of a diurnal load: the stepper logs each power
+   event in one word.  While every event was a cons cell and a triple,
+   7 words, this session held 30,971 words. *)
+let test_session_words_after_4096_slots () =
+  let session =
+    match
+      Server.Session.create ~id:"m"
+        { Server.Session.scenario = "cpu-gpu"; max_horizon = None; alg = None }
+    with
+    | Ok s -> s
+    | Error (_, m) -> Alcotest.fail m
+  in
+  checkb "the session runs algorithm A" true (Server.Session.alg session = "a");
+  let cap =
+    Array.fold_left
+      (fun acc st -> acc +. (float_of_int st.Model.Server_type.count *. st.Model.Server_type.cap))
+      0. (Sim.Scenarios.cpu_gpu ()).Model.Instance.types
+  in
+  let rng = Util.Prng.create 1 in
+  let loads =
+    Array.init 4096 (fun t ->
+        let day = 0.5 -. (0.5 *. cos (2. *. Float.pi *. float_of_int t /. 96.)) in
+        let noise = 0.92 +. Util.Prng.float rng 0.16 in
+        cap *. Float.min 0.92 (Float.max 0.05 ((0.1 +. (0.7 *. day)) *. noise)))
+  in
+  (match Server.Session.feed session ~seq:0 loads with
+  | Ok _ -> ()
+  | Error (_, m) -> Alcotest.fail m);
+  let words = Obj.reachable_words (Obj.repr session) in
+  checkb (Printf.sprintf "%d words <= 10,000" words) true (words <= 10_000)
 
 (* The forward pass refills one reused row, so a solve allocates about
    one layer's worth of floats in the major heap, not one table per
@@ -213,13 +253,15 @@ let simple_static ?(beta = 5.) ?(idle = 1.) ?(count = 5) ~load () =
   let fns = [| Convex.Fn.shift_idle idle (Convex.Fn.power ~idle:0. ~coef:1. ~expo:2.) |] in
   Model.Instance.make_static ~types ~load ~fns ()
 
+(* The timer of type 0 that the stepper runs. *)
 let test_alg_a_runtime_value () =
+  let timer inst = (Online.Stepper.runtimes (Online.Stepper.alg_a inst)).(0) in
   let inst = simple_static ~beta:5. ~idle:1. ~load:[| 1. |] () in
-  checkb "tbar = 5" true (Online.Alg_a.runtime inst ~typ:0 = Some 5);
+  checkb "tbar = 5" true (timer inst = Some 5);
   let inst2 = simple_static ~beta:4.5 ~idle:1. ~load:[| 1. |] () in
-  checkb "tbar = ceil(4.5)" true (Online.Alg_a.runtime inst2 ~typ:0 = Some 5);
+  checkb "tbar = ceil(4.5)" true (timer inst2 = Some 5);
   let inst3 = simple_static ~beta:5. ~idle:0. ~load:[| 1. |] () in
-  checkb "free idling -> never power down" true (Online.Alg_a.runtime inst3 ~typ:0 = None)
+  checkb "free idling -> never power down" true (timer inst3 = None)
 
 let test_alg_a_dominates_prefix_opt () =
   (* The defining invariant: x^A_{t,j} >= x^t_{t,j}. *)
@@ -1129,7 +1171,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_streaming_validation;
           Alcotest.test_case "config tracking" `Quick test_streaming_config_tracking;
           Alcotest.test_case "stepper state flat in slots" `Quick
-            test_stepper_state_flat_in_slots
+            test_stepper_state_flat_in_slots;
+          Alcotest.test_case "session words after 4,096 slots" `Quick
+            test_session_words_after_4096_slots
         ] );
       ( "baselines",
         [ Alcotest.test_case "always-on constant & feasible" `Quick test_always_on_constant;

@@ -1077,6 +1077,81 @@ let prop_streaming_equals_batch seed =
     inst.Model.Instance.load;
   !ok
 
+(* A stepper's decisions over any window [from_, until) equal a replay
+   of its power-ups and power-downs from all-off, before and after a
+   save/restore round trip; [save] of the restored stepper is [save]'s
+   own bytes, and both steppers then continue identically.  The rule,
+   instance, stream length, targets and windows are random; homog runs
+   on [d] copies of one type. *)
+let prop_stepper_windows_match_replay seed =
+  let rng = Util.Prng.create seed in
+  let d = 1 + Util.Prng.int rng 3 in
+  let horizon = 1 + Util.Prng.int rng 120 in
+  let inst, make =
+    match Util.Prng.int rng 4 with
+    | 0 -> (Sim.Scenarios.random_static ~rng ~d ~horizon ~max_count:5, Online.Stepper.alg_a)
+    | 1 -> (Sim.Scenarios.random_dynamic ~rng ~d ~horizon ~max_count:5, Online.Stepper.alg_b)
+    | 2 ->
+        ( Sim.Scenarios.load_independent ~d ~horizon ~seed:(Util.Prng.int rng 100000),
+          Online.Stepper.alg_det2d )
+    | _ ->
+        let one = Sim.Scenarios.random_static ~rng ~d:1 ~horizon ~max_count:5 in
+        ( Model.Instance.make_static
+            ~types:(Array.make d one.Model.Instance.types.(0))
+            ~load:one.Model.Instance.load
+            ~fns:(Array.make d (one.Model.Instance.cost ~time:0 ~typ:0))
+            (),
+          Online.Stepper.alg_homog )
+  in
+  let d = Model.Instance.num_types inst in
+  let hats =
+    Array.init horizon (fun _ ->
+        Array.init d (fun typ -> Util.Prng.int rng (Model.Instance.max_count inst ~typ + 1)))
+  in
+  let fed = Util.Prng.int rng (horizon + 1) in
+  let stepper = make inst in
+  for time = 0 to fed - 1 do
+    ignore (Online.Stepper.step stepper ~time ~hat:hats.(time))
+  done;
+  let replay s =
+    let ups = Online.Stepper.power_ups s and downs = Online.Stepper.power_downs s in
+    let x = Array.make d 0 in
+    Array.init fed (fun time ->
+        List.iter (fun (u, j, c) -> if u = time then x.(j) <- x.(j) - c) downs;
+        List.iter (fun (u, j, c) -> if u = time then x.(j) <- x.(j) + c) ups;
+        Array.copy x)
+  in
+  let windows =
+    List.init 6 (fun _ ->
+        let a = Util.Prng.int rng (fed + 1) and b = Util.Prng.int rng (fed + 1) in
+        (min a b, max a b))
+  in
+  let windows_match s =
+    let all = replay s in
+    Online.Stepper.decisions s ~from_:0 = all
+    && List.for_all
+         (fun (from_, until) ->
+           Online.Stepper.decisions s ~from_ ~until = Array.sub all from_ (until - from_)
+           && Online.Stepper.decisions s ~from_ = Array.sub all from_ (fed - from_))
+         windows
+  in
+  let payload = Online.Stepper.save stepper in
+  let restored = make inst in
+  Result.is_ok (Online.Stepper.restore restored payload)
+  && windows_match stepper && windows_match restored
+  && replay stepper = replay restored
+  && Util.Sexp.to_string (Online.Stepper.save restored) = Util.Sexp.to_string payload
+  &&
+  let continues = ref true in
+  for time = fed to horizon - 1 do
+    let a = Online.Stepper.step stepper ~time ~hat:hats.(time)
+    and b = Online.Stepper.step restored ~time ~hat:hats.(time) in
+    if a <> b then continues := false
+  done;
+  !continues
+  && Util.Sexp.to_string (Online.Stepper.save stepper)
+     = Util.Sexp.to_string (Online.Stepper.save restored)
+
 let prop_fold_switching_identity seed =
   (* Every schedule costs the same under the folded instance. *)
   let rng = Util.Prng.create seed in
@@ -1201,6 +1276,8 @@ let () =
         ] );
       ( "systems",
         [ mk_test ~count:25 ~name:"streaming session = batch run" prop_streaming_equals_batch;
+          mk_test ~count:200 ~name:"stepper windows = replay of its power events"
+            prop_stepper_windows_match_replay;
           mk_test ~count:40 ~name:"switch-down folding identity" prop_fold_switching_identity;
           mk_test ~count:25 ~name:"OPT monotone in fleet size" prop_opt_monotone_in_fleet;
           mk_test ~count:30 ~name:"simulator volume conservation" prop_sim_conservation

@@ -442,6 +442,132 @@ let stepper_field name snap = Option.get (S.assoc name (stepper_fields snap))
 
 let int_atoms l = List.map (fun i -> S.Atom (string_of_int i)) l
 
+(* A [Stepper.save] payload with its clock, configuration and power
+   events passed through [clock], [x], [ups] and [downs]. *)
+let tamper_events ?(clock = Fun.id) ?(x = Fun.id) ?(ups = Fun.id) ?(downs = Fun.id) =
+  function
+  | S.List (S.Atom "stepper" :: fields) ->
+      let int a = Option.get (S.int_atom a) in
+      let events f items =
+        List.map
+          (fun (t, j, c) -> S.List (int_atoms [ t; j; c ]))
+          (f
+             (List.map
+                (function
+                  | S.List [ t; j; c ] -> (int t, int j, int c)
+                  | _ -> Alcotest.fail "malformed power event")
+                items))
+      in
+      S.List
+        (S.Atom "stepper"
+        :: List.map
+             (function
+               | S.List [ S.Atom "clock"; c ] ->
+                   S.List [ S.Atom "clock"; S.Atom (string_of_int (clock (int c))) ]
+               | S.List (S.Atom "x" :: xs) ->
+                   S.List (S.Atom "x" :: int_atoms (Array.to_list (x (Array.of_list (List.map int xs)))))
+               | S.List (S.Atom "ups" :: items) -> S.List (S.Atom "ups" :: events ups items)
+               | S.List (S.Atom "downs" :: items) ->
+                   S.List (S.Atom "downs" :: events downs items)
+               | field -> field)
+             fields)
+  | S.Atom _ | S.List _ -> Alcotest.fail "not a stepper payload"
+
+(* A B stepper run over the 48 slots of cpu-gpu, and restoring a payload
+   into a fresh B stepper over the same instance. *)
+let b_run () =
+  let inst = Sim.Scenarios.cpu_gpu ~horizon:48 () in
+  let b = Online.Stepper.run ~span:"test" Online.Stepper.alg_b inst in
+  (inst, b.Online.Stepper.stepper, fun payload ->
+    Online.Stepper.restore (Online.Stepper.alg_b inst) payload)
+
+let running_count_refusal = "stepper: power events take a count outside 0 .. count_j"
+
+(* Power events that still lead from all-off to the saved configuration
+   but take a type's running count out of [0, count_j] at some slot must
+   be refused.  Before restore followed the running count, a B payload
+   with a power-down of 3 servers of type 1 put first and a power-up of
+   3 put last restored, and answered slot 0 with (2, -3). *)
+let test_running_count_below_zero_refused () =
+  let _, stepper, restore = b_run () in
+  let payload = Online.Stepper.save stepper in
+  checkb "untampered payload restores" true (Result.is_ok (restore payload));
+  match
+    restore
+      (tamper_events payload
+         ~downs:(fun l -> (0, 1, 3) :: l)
+         ~ups:(fun l -> l @ [ (47, 1, 3) ]))
+  with
+  | Error m -> Alcotest.(check string) "refusal" running_count_refusal m
+  | Ok () -> Alcotest.fail "restored a payload whose type-1 count goes below 0"
+
+(* The other direction: every server of type 1 powered up at slot 0
+   beside the run's own power-ups, and as many powered down at slot 47,
+   so type 1 runs above its fleet size whenever the run has it on. *)
+let test_running_count_above_fleet_refused () =
+  let inst, stepper, restore = b_run () in
+  let fleet = Model.Instance.max_count inst ~typ:1 in
+  checkb "the run powers type 1 up" true
+    (List.exists (fun (_, j, _) -> j = 1) (Online.Stepper.power_ups stepper));
+  let by_slot_and_type =
+    List.stable_sort (fun (t, j, _) (t', j', _) -> compare (t, j) (t', j'))
+  in
+  match
+    restore
+      (tamper_events (Online.Stepper.save stepper)
+         ~ups:(fun l -> by_slot_and_type ((0, 1, fleet) :: l))
+         ~downs:(fun l -> l @ [ (47, 1, fleet) ]))
+  with
+  | Error m -> Alcotest.(check string) "refusal" running_count_refusal m
+  | Ok () -> Alcotest.fail "restored a payload whose type-1 count exceeds the fleet"
+
+(* The event log packs a slot and a count into one word, each at most
+   2^31 - 1.  A fleet with more servers of one type is refused when a
+   stepper is built, under every rule. *)
+let test_log_count_limit_refused () =
+  let inst count =
+    Model.Instance.make_static
+      ~types:[| st ~count ~switching_cost:1. ~cap:1. () |]
+      ~load:[| 1. |] ~fns:[| Convex.Fn.const 1. |] ()
+  in
+  List.iter
+    (fun (name, make) ->
+      checkb (name ^ ": 2^31 - 1 servers accepted") true
+        (try ignore (make (inst ((1 lsl 31) - 1))); true with Invalid_argument _ -> false);
+      checkb (name ^ ": 2^31 servers refused") true
+        (try ignore (make (inst (1 lsl 31))); false with Invalid_argument _ -> true))
+    [ ("a", Online.Stepper.alg_a); ("b", Online.Stepper.alg_b);
+      ("det2d", Online.Stepper.alg_det2d); ("homog", Online.Stepper.alg_homog) ]
+
+(* A payload whose clock lies past the log's slot limit is refused on
+   restore, whatever the instance's horizon. *)
+let test_log_slot_limit_refused () =
+  let _, stepper, restore = b_run () in
+  match restore (tamper_events (Online.Stepper.save stepper) ~clock:(fun _ -> (1 lsl 31) + 1)) with
+  | Error m -> Alcotest.(check string) "refusal" "stepper: clock past the event log's slot limit" m
+  | Ok () -> Alcotest.fail "restored a clock past the event log's slot limit"
+
+(* A power-event count past the log's count limit is refused, never
+   packed: 2^40 servers would spill into the slot bits.  The saved
+   configuration is raised to match, so only the running count gives it
+   away. *)
+let test_log_event_count_limit_refused () =
+  let _, stepper, restore = b_run () in
+  let big = 1 lsl 40 in
+  let typ =
+    match Online.Stepper.power_ups stepper with
+    | (_, j, _) :: _ -> j
+    | [] -> Alcotest.fail "the run has no power-up"
+  in
+  let tampered =
+    tamper_events (Online.Stepper.save stepper)
+      ~ups:(function (t, j, c) :: rest -> (t, j, c + big) :: rest | [] -> [])
+      ~x:(Array.mapi (fun j v -> if j = typ then v + big else v))
+  in
+  match restore tampered with
+  | Error m -> Alcotest.(check string) "refusal" running_count_refusal m
+  | Ok () -> Alcotest.fail "restored a power event of 2^40 servers"
+
 (* Algorithm A's payloads used to carry a table of every power-up, [w],
    which restore loaded as the pending power-downs.  The payload below,
    with every [w] count raised by 3, restored when [w] was read, and 5
@@ -922,6 +1048,16 @@ let () =
             test_tampered_power_events_refused;
           Alcotest.test_case "tampered open groups and timers refused" `Quick
             test_tampered_open_groups_refused;
+          Alcotest.test_case "power events below 0 refused" `Quick
+            test_running_count_below_zero_refused;
+          Alcotest.test_case "power events above the fleet refused" `Quick
+            test_running_count_above_fleet_refused;
+          Alcotest.test_case "fleet past the event log's count limit refused" `Quick
+            test_log_count_limit_refused;
+          Alcotest.test_case "clock past the event log's slot limit refused" `Quick
+            test_log_slot_limit_refused;
+          Alcotest.test_case "event count past the event log's limit refused" `Quick
+            test_log_event_count_limit_refused;
           Alcotest.test_case "an old A payload's w table is ignored" `Quick
             test_old_w_table_ignored;
           Alcotest.test_case "B checkpoint with idle prefix rows resumes" `Quick
