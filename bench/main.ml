@@ -443,6 +443,59 @@ let benches =
                    (Core.Server_protocol.response_to_sexp (Core.Daemon.handle d req))
              | Error m -> failwith m)
          | Ok None | Error _ -> assert false);
+    (* The daemon's own pattern, which the two entries above do not
+       time: one long-lived decoder and output buffer per connection,
+       fresh slots for 32 cpu-gpu sessions in turn (each recreated after
+       4,096 slots, so the run's memory stays bounded).  A call encodes
+       the client's frame, decodes it, steps the session through
+       [Daemon.handle] and renders the reply. *)
+    bench "server: steady-state feed round-trip (reused decoder, cpu-gpu)"
+      (let sock = Filename.temp_file "rs-bench" ".sock" in
+       Sys.remove sock;
+       at_exit (fun () -> try Sys.remove sock with Sys_error _ -> ());
+       let module P = Core.Server_protocol in
+       let module Codec = Core.Server_codec in
+       let d =
+         match
+           Core.Daemon.create { Core.Daemon.default_config with unix_path = Some sock }
+         with
+         | Ok d -> d
+         | Error m -> failwith m
+       in
+       let ids = Array.init 32 (Printf.sprintf "s%02d") in
+       let create id =
+         match
+           Core.Daemon.handle d
+             (P.Create_session { id; scenario = "cpu-gpu"; max_horizon = None; alg = None })
+         with
+         | P.Session _ -> ()
+         | _ -> failwith "bench setup: create"
+       in
+       Array.iter create ids;
+       let seqs = Array.make 32 0 in
+       let dec = Codec.decoder () and out = Codec.out () in
+       let calls = ref 0 in
+       fun () ->
+         let i = !calls mod 32 in
+         incr calls;
+         if seqs.(i) = 4096 then begin
+           ignore (Core.Daemon.handle d (P.Close { id = ids.(i) }));
+           create ids.(i);
+           seqs.(i) <- 0
+         end;
+         let load = 1. +. float_of_int ((!calls * 7) mod 17) in
+         Codec.feed_string dec
+           (Codec.encode
+              (P.request_to_sexp (P.Feed { id = ids.(i); seq = seqs.(i); loads = [| load |] })));
+         seqs.(i) <- seqs.(i) + 1;
+         match Codec.next dec with
+         | Ok (Some sexp) -> (
+             match P.request_of_sexp sexp with
+             | Ok req ->
+                 Codec.out_clear out;
+                 Codec.encode_to out (P.response_to_sexp (Core.Daemon.handle d req))
+             | Error m -> failwith m)
+         | Ok None | Error _ -> assert false);
     (* Telemetry: the histogram increment sits on the daemon's
        per-request and per-batch hot paths (one log, one multiply, a
        handful of stores — must stay well under 50ns), and the
@@ -553,14 +606,18 @@ let benches =
          | Error m -> failwith m)
   ]
 
-(* One instrumented run of the kernel: reset every counter, run once,
-   render the non-zero deltas on a single line.  The deltas are also
-   summed across benches into [counter_totals] (the --counters file). *)
+(* One instrumented run of the kernel, after its timed runs: reset
+   every counter, run once, render the non-zero deltas on a single line
+   and count the minor-heap words the run allocated.  The deltas are
+   also summed across benches into [counter_totals] (the --counters
+   file). *)
 let counter_totals : (string, int) Hashtbl.t = Hashtbl.create 64
 
 let counters_per_run fn =
   Core.Obs.Counter.reset_all ();
+  let before = Gc.minor_words () in
   fn ();
+  let words = Gc.minor_words () -. before in
   let snap = Core.Obs.Counter.snapshot () in
   List.iter
     (fun (name, v) ->
@@ -569,7 +626,7 @@ let counters_per_run fn =
           (v + Option.value ~default:0 (Hashtbl.find_opt counter_totals name)))
     snap;
   let line = Core.Obs.Metrics_export.compact snap in
-  if line = "" then "-" else line
+  (Printf.sprintf "%.0f" words, if line = "" then "-" else line)
 
 (* Benchmarks whose timings the CI regression gate enforces: the DP
    solve paths this repo optimises.  Everything else is recorded in the
@@ -625,7 +682,8 @@ let run_timings () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let tbl =
-    Core.Table.create ~header:[ "benchmark"; "time/run"; "r^2"; "work/run (Obs counters)" ]
+    Core.Table.create
+      ~header:[ "benchmark"; "time/run"; "r^2"; "minor words/run"; "work/run (Obs counters)" ]
   in
   let results = ref [] in
   List.iter
@@ -655,7 +713,8 @@ let run_timings () =
             | Some r -> Printf.sprintf "%.3f" r
             | None -> "-"
           in
-          Core.Table.add_row tbl [ Test.Elt.name elt; pretty; r2; counters_per_run fn ])
+          let words, work = counters_per_run fn in
+          Core.Table.add_row tbl [ Test.Elt.name elt; pretty; r2; words; work ])
         (Test.elements test))
     benches;
   print_endline "== Bechamel micro-benchmarks (one kernel per paper artifact) ==";

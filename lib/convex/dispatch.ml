@@ -194,20 +194,22 @@ let waterfill pieces ~total =
    caches the endpoint derivatives of pieces that are physically reused
    between cells (a line fill mutates only the swept axis's piece). *)
 
-(* Every grid cell of a layer fill runs [sweep_solve].  Past the
-   per-piece cache fills ({!table_set}, once per layer for each piece a
-   layer uses), nothing on a cell's path allocates, calls a closure, calls
-   into another module or touches an atomic.  Without flambda, and with
-   [-opaque] in the dev profile, a call into [Fn] is never inlined and
-   boxes its float argument and result, so the cell path evaluates the
-   kernel families with {!Fn.eval}'s and {!Fn.inv_deriv}'s own
-   expressions from the constants {!Fn.probe_kernel} carries.  Only
-   active [Generic_kernel] pieces (affine, piecewise-linear and summed
-   costs, which no built-in scenario produces) call into [Fn] per
-   cell; a zero-capacity piece reads its value at 0 from the cache.
-   The work counters accumulate in the record and reach [Obs.Counter]
-   only at {!sweep_finish}, which the layer fills call once per layer:
-   a bump costs a [Domain.self] C call plus an atomic add. *)
+(* Every grid cell of a layer fill runs [sweep_solve_seeded].  Nothing on
+   a cell's path allocates, calls a closure, calls into another module or
+   touches an atomic, and neither does building the pieces it reads
+   ({!table_build}) when the layer's costs are power or quadratic
+   curves.  Without flambda, and with [-opaque] in the dev profile, a
+   call into [Fn] is never inlined and boxes its float argument and
+   result, so the solver keeps each piece's kernel constants (those of
+   {!Fn.probe_kernel}) unboxed in per-slot arrays and evaluates the
+   kernel families with {!Fn.eval}'s, {!Fn.deriv}'s and
+   {!Fn.inv_deriv}'s own expressions.  Only active pieces of other
+   families (affine, piecewise-linear and summed costs, which no
+   built-in scenario produces) call into [Fn] per cell; a zero-capacity
+   piece reads its value at 0 from the cache.  The work counters
+   accumulate in the record and reach [Obs.Counter] only at
+   {!sweep_finish}, which the layer fills call once per layer: a bump
+   costs a [Domain.self] C call plus an atomic add. *)
 
 (* A flat float record: its field is stored unboxed, where a float
    field of the mixed [sweep] record would box on every store. *)
@@ -215,57 +217,82 @@ type carried = {
   mutable nu_hi : float; (* upper multiplier bracket carried along a line; nan = cold *)
 }
 
+(* Kernel families, as a slot's [k_kind]. *)
+let other = 0 (* no closed-form kernel: evaluate through [Fn] *)
+let power = 1
+let quad = 2
+
+(* The sweep's pieces with their solver caches, one slot per piece,
+   packed so that the floats stay unboxed and a cold solve makes four
+   arrays: [nf] floats per slot in [sf] (at the offsets below), [ni]
+   ints in [si], the piece's function in [fns], the assignment in [z].
+   The kernel constants are {!Fn.probe_kernel}'s for a power piece
+   (idle, coef, expo, scale, expo_inv, expo_m1, quarters) or a
+   quadratic one (c0, c1, c2, inv_c2x2, c2x2). *)
+let f_up = 0 (* cap *)
+let f_d0 = 1 (* derivative at 0 *)
+let f_dup = 2 (* derivative at the cap *)
+let f_v0 = 3 (* value at 0; nan = not yet evaluated *)
+let f_vup = 4 (* value at the cap; nan = not yet evaluated *)
+let f_ka = 5 (* idle; c0 *)
+let f_kb = 6 (* coef; c1 *)
+let f_kc = 7 (* expo; c2 *)
+let f_ks = 8 (* scale; inv_c2x2 *)
+let f_ki = 9 (* expo_inv; c2x2 *)
+let f_km = 10 (* expo_m1 *)
+let f_zl = 11 (* response at the lower bracket *)
+let f_zh = 12 (* response at the upper bracket *)
+let nf = 13
+
+let i_kind = 0 (* [other], [power] or [quad] *)
+let i_quarters = 1
+let i_inv = 2 (* 1 when the derivative inverts in closed form *)
+let ni = 3
+
 type sweep = {
   carry : carried;
   mutable calls : int; (* dispatch.calls not yet added to the counter *)
   mutable analytic : int; (* dispatch.analytic_solves likewise *)
   mutable newton : int; (* dispatch.newton_evals likewise *)
-  mutable d0 : float array; (* derivative at 0 per piece *)
-  mutable dup : float array; (* derivative at the cap per piece *)
-  mutable v0 : float array; (* value at 0 per piece; nan = not yet evaluated *)
-  mutable vup : float array; (* value at the cap per piece; nan = not yet evaluated *)
-  mutable z : float array; (* final assignment scratch *)
-  mutable zl : float array; (* responses at the lower bracket *)
-  mutable zh : float array; (* responses at the upper bracket *)
-  mutable pker : Fn.probe_kernel array; (* pre-derived probe constants per piece *)
-  mutable pinv : bool array; (* closed-form derivative inverse per piece *)
-  mutable pfn : Fn.t array; (* piece identity for cache reuse *)
-  mutable pup : float array;
+  mutable sf : float array;
+  mutable si : int array;
+  mutable fns : Fn.t array; (* the piece's cost; [scaled] for a table-built kernel piece *)
+  mutable z : float array; (* final assignment *)
 }
 
-let dummy_fn = Fn.const 0.
+let[@inline] fget sw j f = sw.sf.((j * nf) + f)
+let[@inline] fset sw j f v = sw.sf.((j * nf) + f) <- v
+let[@inline] iget sw j i = sw.si.((j * ni) + i)
+let[@inline] iset sw j i v = sw.si.((j * ni) + i) <- v
 
-let sweep () =
-  { carry = { nu_hi = nan };
-    calls = 0;
-    analytic = 0;
-    newton = 0;
-    d0 = [||];
-    dup = [||];
-    v0 = [||];
-    vup = [||];
-    z = [||];
-    zl = [||];
-    zh = [||];
-    pker = [||];
-    pinv = [||];
-    pfn = [||];
-    pup = [||] }
+(* The function of a piece a table built from its kernel constants (the
+   piece's own [Fn.t] is then never made); also the empty slot's. *)
+let scaled = Fn.const 0.
 
+(* Room for [d] slots, keeping the ones already filled. *)
 let ensure_capacity sw d =
-  if Array.length sw.d0 < d then begin
-    sw.d0 <- Array.make d 0.;
-    sw.dup <- Array.make d 0.;
-    sw.v0 <- Array.make d nan;
-    sw.vup <- Array.make d nan;
-    sw.z <- Array.make d 0.;
-    sw.zl <- Array.make d 0.;
-    sw.zh <- Array.make d 0.;
-    sw.pker <- Array.make d Fn.Generic_kernel;
-    sw.pinv <- Array.make d true;
-    sw.pfn <- Array.make d dummy_fn;
-    sw.pup <- Array.make d (-1.)
+  let n = Array.length sw.z in
+  if n < d then begin
+    let sf = Array.make (d * nf) (-1.) and si = Array.make (d * ni) 0 in
+    let fns = Array.make d scaled in
+    if n > 0 then begin
+      Array.blit sw.sf 0 sf 0 (n * nf);
+      Array.blit sw.si 0 si 0 (n * ni);
+      Array.blit sw.fns 0 fns 0 n
+    end;
+    sw.sf <- sf;
+    sw.si <- si;
+    sw.fns <- fns;
+    sw.z <- Array.make d 0.
   end
+
+let sweep ?(slots = 0) () =
+  let sw =
+    { carry = { nu_hi = nan }; calls = 0; analytic = 0; newton = 0; sf = [||]; si = [||];
+      fns = [||]; z = [||] }
+  in
+  ensure_capacity sw slots;
+  sw
 
 let sweep_start sw = sw.carry.nu_hi <- nan
 
@@ -279,87 +306,213 @@ let sweep_finish sw =
   sw.analytic <- 0;
   sw.newton <- 0
 
-(* Bring the per-piece caches up to date with [pieces] and report
-   whether every active piece inverts its derivative in closed form.
-   The entries are invariants of (fn, upper), so a piece physically
-   shared with the previous call (a line's fixed prefix) keeps them,
-   and so does a slot {!sweep_seed} filled from a caller's table. *)
+let set_kernel sw j ker =
+  match ker with
+  | Fn.Power_kernel { idle; coef; expo; scale; expo_inv; expo_m1; quarters } ->
+      iset sw j i_kind power;
+      fset sw j f_ka idle;
+      fset sw j f_kb coef;
+      fset sw j f_kc expo;
+      fset sw j f_ks scale;
+      fset sw j f_ki expo_inv;
+      fset sw j f_km expo_m1;
+      iset sw j i_quarters quarters
+  | Fn.Quad_kernel { c0; c1; c2; inv_c2x2; c2x2 } ->
+      iset sw j i_kind quad;
+      fset sw j f_ka c0;
+      fset sw j f_kb c1;
+      fset sw j f_kc c2;
+      fset sw j f_ks inv_c2x2;
+      fset sw j f_ki c2x2
+  | Fn.Generic_kernel -> iset sw j i_kind other
+
+(* Slot [j] holds piece [p]: the caches a solve derives, with its
+   values at 0 and at the cap left to the first use.  (A cold solve has
+   checked the inverses itself; {!refresh} records them.) *)
+let derive sw j p =
+  fset sw j f_up p.upper;
+  fset sw j f_d0 (Fn.deriv p.fn 0.);
+  fset sw j f_dup (Fn.deriv p.fn p.upper);
+  fset sw j f_v0 nan;
+  fset sw j f_vup nan;
+  sw.fns.(j) <- p.fn;
+  set_kernel sw j (Fn.probe_kernel p.fn)
+
+(* The piece in slot [j], as a [piece] record: for the numeric route,
+   which evaluates through [Fn].  A table-built kernel piece becomes the
+   very function [Fn.compose_scaled] would have made. *)
+let piece_of_slot sw j =
+  let upper = fget sw j f_up in
+  if sw.fns.(j) != scaled then { fn = sw.fns.(j); upper }
+  else
+    let family = if iget sw j i_kind = power then `Power else `Quadratic in
+    { fn = Fn.of_coefficients family (fget sw j f_ka) (fget sw j f_kb) (fget sw j f_kc); upper }
+
+(* Bring the slots up to date with [pieces] and report whether every
+   active piece inverts its derivative in closed form.  A slot's caches
+   are invariants of (fn, upper), so a piece physically shared with the
+   previous call (a line's fixed prefix) keeps them. *)
 let refresh sw pieces =
   let d = Array.length pieces in
   ensure_capacity sw d;
   let invertible = ref true in
   for j = 0 to d - 1 do
     let p = pieces.(j) in
-    if not (sw.pfn.(j) == p.fn && sw.pup.(j) = p.upper) then begin
-      sw.d0.(j) <- Fn.deriv p.fn 0.;
-      sw.dup.(j) <- Fn.deriv p.fn p.upper;
-      sw.v0.(j) <- nan;
-      sw.vup.(j) <- nan;
-      sw.pker.(j) <- Fn.probe_kernel p.fn;
-      sw.pinv.(j) <- Fn.has_inv_deriv p.fn;
-      sw.pfn.(j) <- p.fn;
-      sw.pup.(j) <- p.upper
+    if not (sw.fns.(j) == p.fn && fget sw j f_up = p.upper) then begin
+      derive sw j p;
+      iset sw j i_inv (Bool.to_int (Fn.has_inv_deriv p.fn))
     end;
-    if p.upper > 0. && not sw.pinv.(j) then invertible := false
+    if p.upper > 0. && iget sw j i_inv = 0 then invertible := false
   done;
   !invertible
 
-(* A table of pieces with the caches {!refresh} would derive for each,
-   as parallel arrays so that the floats stay unboxed.  An entry's
-   caches are exactly {!refresh}'s: its values at 0 and at the cap are
-   {!Fn.eval}'s, which a lazy cache fill would compute too. *)
+(* A table of the pieces [h(z) = x f(load z / x)], capped at
+   [min 1 (x cap / load)], of one cost function [f] over server counts
+   [x], built once per layer.  An entry keeps what takes a [**] to
+   derive: the cap, the derivatives and values at 0 and at the cap, and
+   for a power or quadratic [f] the piece's coefficients, which are
+   {!Fn.compose_scaled}'s (computed with its own expressions, as the
+   caches are with {!Fn.deriv}'s and {!Fn.eval}'s), so building it
+   allocates nothing: [tf] holds an entry's first [ne] slot floats
+   (cap, derivatives, values and coefficients, at the slot offsets).
+   {!sweep_seed} derives the rest of the kernel constants with
+   {!Fn.probe_kernel}'s expressions, taking the ones that depend only
+   on the exponent from [f]'s own kernel.  A piece of another family is
+   built through [Fn], into [t_fns]. *)
+let ne = f_kc + 1
+
 type table = {
-  t_pieces : piece array;  (* [unbuilt] where no piece is set *)
-  t_d0 : float array;
-  t_dup : float array;
-  t_v0 : float array;
-  t_vup : float array;
-  t_ker : Fn.probe_kernel array;
-  t_inv : bool array;
+  tf : float array;
+  t_kind : int array; (* [other], [power], [quad] or [zero]; -1 = unbuilt *)
+  mutable t_fns : Fn.t array; (* [other] entries' pieces; empty until the first *)
+  mutable base : Fn.t;
+  mutable base_ker : Fn.probe_kernel;
+  mutable quarters : int; (* [base_ker]'s, for a power [f] *)
+  lc : float array; (* load, cap, and for a power [f] its expo_inv and expo_m1 *)
 }
 
-let unbuilt = { fn = dummy_fn; upper = nan }
+(* The entry of [x = 0]: {!zero_piece}. *)
+let zero = 3
+
+let zero_piece = { fn = Fn.const 0.; upper = 0. }
 
 let table n =
-  { t_pieces = Array.make n unbuilt;
-    t_d0 = Array.make n 0.;
-    t_dup = Array.make n 0.;
-    t_v0 = Array.make n 0.;
-    t_vup = Array.make n 0.;
-    t_ker = Array.make n Fn.Generic_kernel;
-    t_inv = Array.make n true }
+  { tf = Array.make (n * ne) 0.;
+    t_kind = Array.make n (-1);
+    t_fns = [||];
+    base = scaled;
+    base_ker = Fn.Generic_kernel;
+    quarters = 0;
+    lc = [| 0.; 0.; 0.; 0. |] }
 
 let table_clear t =
-  Array.fill t.t_pieces 0 (Array.length t.t_pieces) unbuilt;
-  Array.fill t.t_ker 0 (Array.length t.t_ker) Fn.Generic_kernel
-let table_built t i = t.t_pieces.(i) != unbuilt
+  Array.fill t.t_kind 0 (Array.length t.t_kind) (-1);
+  Array.fill t.t_fns 0 (Array.length t.t_fns) scaled
 
-let table_set t i p =
-  t.t_pieces.(i) <- p;
-  t.t_d0.(i) <- Fn.deriv p.fn 0.;
-  t.t_dup.(i) <- Fn.deriv p.fn p.upper;
-  t.t_v0.(i) <- Fn.eval p.fn 0.;
-  t.t_vup.(i) <- Fn.eval p.fn p.upper;
-  t.t_ker.(i) <- Fn.probe_kernel p.fn;
-  t.t_inv.(i) <- Fn.has_inv_deriv p.fn
+let table_aim t f ~load ~cap =
+  table_clear t;
+  if not (f == t.base) then begin
+    t.base <- f;
+    t.base_ker <- Fn.probe_kernel f;
+    match t.base_ker with
+    | Fn.Power_kernel { expo_inv; expo_m1; quarters; _ } ->
+        t.lc.(2) <- expo_inv;
+        t.lc.(3) <- expo_m1;
+        t.quarters <- quarters
+    | Fn.Quad_kernel _ | Fn.Generic_kernel -> ()
+  end;
+  t.lc.(0) <- load;
+  t.lc.(1) <- cap
 
-(* A slot that already holds the entry's piece, with its caches (by
-   {!refresh}'s own test), is left as it is: consecutive lines often
-   share a prefix piece. *)
-let sweep_seed sw pieces j t i =
-  let p = t.t_pieces.(i) in
-  if p == unbuilt then invalid_arg "Dispatch.sweep_seed: entry not built";
-  ensure_capacity sw (Array.length pieces);
-  if not (pieces.(j) == p && sw.pfn.(j) == p.fn && sw.pup.(j) = p.upper) then begin
-    pieces.(j) <- p;
-    sw.d0.(j) <- t.t_d0.(i);
-    sw.dup.(j) <- t.t_dup.(i);
-    sw.v0.(j) <- t.t_v0.(i);
-    sw.vup.(j) <- t.t_vup.(i);
-    sw.pker.(j) <- t.t_ker.(i);
-    sw.pinv.(j) <- t.t_inv.(i);
-    sw.pfn.(j) <- p.fn;
-    sw.pup.(j) <- p.upper
+let table_built t i = t.t_kind.(i) >= 0
+
+let scaled_piece f ~x ~load ~cap =
+  if x = 0 then zero_piece
+  else begin
+    let xf = float_of_int x in
+    { fn = Fn.compose_scaled ~outer:xf ~inner:(load /. xf) f;
+      upper = Float.min 1. (xf *. cap /. load) }
+  end
+
+(* Entry [i]'s cap, derivatives and values at 0 and at the cap, and
+   coefficients. *)
+let[@inline] set_entry t i ~up ~d0 ~dup ~v0 ~vup ~ka ~kb ~kc =
+  let o = i * ne in
+  t.tf.(o + f_up) <- up;
+  t.tf.(o + f_d0) <- d0;
+  t.tf.(o + f_dup) <- dup;
+  t.tf.(o + f_v0) <- v0;
+  t.tf.(o + f_vup) <- vup;
+  t.tf.(o + f_ka) <- ka;
+  t.tf.(o + f_kb) <- kb;
+  t.tf.(o + f_kc) <- kc
+
+let table_build t i x =
+  let load = t.lc.(0) and cap = t.lc.(1) in
+  let xf = float_of_int x in
+  let inner = load /. xf in
+  if x = 0 then begin
+    (* [zero_piece]: its caches are all [0.]. *)
+    set_entry t i ~up:0. ~d0:0. ~dup:0. ~v0:0. ~vup:0. ~ka:0. ~kb:0. ~kc:0.;
+    t.t_kind.(i) <- zero
+  end
+  else
+    match t.base_ker with
+    | Fn.Power_kernel { idle; coef; expo; _ } when inner > 0. ->
+        let upper = Float.min 1. (xf *. cap /. load) in
+        let idle = xf *. idle and coef = xf *. coef *. (inner ** expo) in
+        set_entry t i ~up:upper
+          ~d0:(coef *. expo *. (0. ** (expo -. 1.)))
+          ~dup:(coef *. expo *. (upper ** (expo -. 1.)))
+          ~v0:(idle +. (coef *. (0. ** expo)))
+          ~vup:(idle +. (coef *. (upper ** expo)))
+          ~ka:idle ~kb:coef ~kc:expo;
+        t.t_kind.(i) <- power
+    | Fn.Quad_kernel { c0; c1; c2; _ } when inner > 0. ->
+        let upper = Float.min 1. (xf *. cap /. load) in
+        let c0 = xf *. c0 and c1 = xf *. c1 *. inner and c2 = xf *. c2 *. inner *. inner in
+        let z = 0. in
+        set_entry t i ~up:upper
+          ~d0:(c1 +. (2. *. c2 *. z))
+          ~dup:(c1 +. (2. *. c2 *. upper))
+          ~v0:(c0 +. (c1 *. z) +. (c2 *. z *. z))
+          ~vup:(c0 +. (c1 *. upper) +. (c2 *. upper *. upper))
+          ~ka:c0 ~kb:c1 ~kc:c2;
+        t.t_kind.(i) <- quad
+    | Fn.Power_kernel _ | Fn.Quad_kernel _ | Fn.Generic_kernel ->
+        let p = scaled_piece t.base ~x ~load ~cap in
+        if Array.length t.t_fns = 0 then t.t_fns <- Array.make (Array.length t.t_kind) scaled;
+        t.t_fns.(i) <- p.fn;
+        set_entry t i ~up:p.upper ~d0:(Fn.deriv p.fn 0.) ~dup:(Fn.deriv p.fn p.upper)
+          ~v0:(Fn.eval p.fn 0.) ~vup:(Fn.eval p.fn p.upper) ~ka:0. ~kb:0. ~kc:0.;
+        t.t_kind.(i) <- other
+
+let sweep_seed sw j t i =
+  if not (table_built t i) then invalid_arg "Dispatch.sweep_seed: entry not built";
+  ensure_capacity sw (j + 1);
+  Array.blit t.tf (i * ne) sw.sf (j * nf) ne;
+  let k = t.t_kind.(i) in
+  if k = power || k = quad then begin
+    let b = fget sw j f_kb and c = fget sw j f_kc in
+    iset sw j i_kind k;
+    iset sw j i_inv 1;
+    sw.fns.(j) <- scaled;
+    if k = quad then begin
+      fset sw j f_ks (1. /. (2. *. c));
+      fset sw j f_ki (2. *. c)
+    end
+    else begin
+      fset sw j f_ks (1. /. (b *. c));
+      fset sw j f_ki t.lc.(2);
+      fset sw j f_km t.lc.(3);
+      iset sw j i_quarters t.quarters
+    end
+  end
+  else begin
+    let f = if k = zero then zero_piece.fn else t.t_fns.(i) in
+    sw.fns.(j) <- f;
+    iset sw j i_inv (Bool.to_int (Fn.has_inv_deriv f));
+    set_kernel sw j (Fn.probe_kernel f)
   end
 
 (* [Float.min x y], bit for bit, for [y > 0.]: then only a NaN [x] or
@@ -374,48 +527,51 @@ let[@inline] clamp_response upper z =
   let z = if z > 0. || Float.is_nan z then z else 0. in
   if z > upper then upper else z
 
-(* {!Fn.eval} of piece [j] at [z], with its own expressions for the
-   kernel families. *)
-let[@inline] value_at sw pieces j z =
-  match Array.unsafe_get sw.pker j with
-  | Fn.Power_kernel { idle; coef; expo; _ } -> idle +. (coef *. (z ** expo))
-  | Fn.Quad_kernel { c0; c1; c2; _ } -> c0 +. (c1 *. z) +. (c2 *. z *. z)
-  | Fn.Generic_kernel -> Fn.eval pieces.(j).fn z
+(* {!Fn.eval} of slot [j]'s piece at [z], with its own expressions for
+   the kernel families. *)
+let[@inline] value_at sw j z =
+  match iget sw j i_kind with
+  | 1 (* power *) -> fget sw j f_ka +. (fget sw j f_kb *. (z ** fget sw j f_kc))
+  | 2 (* quad *) -> fget sw j f_ka +. (fget sw j f_kb *. z) +. (fget sw j f_kc *. z *. z)
+  | _ -> Fn.eval sw.fns.(j) z
 
-(* Value of piece [j] at 0, evaluated at most once per cached piece. *)
-let[@inline] value_at_0 sw pieces j =
-  if Float.is_nan sw.v0.(j) then sw.v0.(j) <- Fn.eval pieces.(j).fn 0.;
-  sw.v0.(j)
+(* Value of slot [j]'s piece at 0, evaluated at most once per cached
+   piece. *)
+let[@inline] value_at_0 sw j =
+  if Float.is_nan (fget sw j f_v0) then fset sw j f_v0 (value_at sw j 0.);
+  fget sw j f_v0
 
-(* Response of piece [j] to multiplier [nu] through {!Fn.inv_deriv}'s
+(* Response of slot [j] to multiplier [nu] through {!Fn.inv_deriv}'s
    own expressions, not the probe kernel's reciprocals: the epilogue
    after a probe loop that stopped without meeting the residual. *)
-let[@inline] response sw pieces j nu =
-  let upper = pieces.(j).upper in
+let[@inline] response sw j nu =
+  let upper = fget sw j f_up in
   if upper <= 0. then 0.
-  else if sw.d0.(j) >= nu then 0.
-  else if sw.dup.(j) <= nu then upper
+  else if fget sw j f_d0 >= nu then 0.
+  else if fget sw j f_dup <= nu then upper
   else
     clamp_response upper
-      (match Array.unsafe_get sw.pker j with
-      | Fn.Power_kernel { coef; expo; _ } ->
+      (match iget sw j i_kind with
+      | 1 (* power *) ->
+          let coef = fget sw j f_kb and expo = fget sw j f_kc in
           if nu <= 0. then 0. else (nu /. (coef *. expo)) ** (1. /. (expo -. 1.))
-      | Fn.Quad_kernel { c1; c2; _ } -> if c1 >= nu then 0. else (nu -. c1) /. (2. *. c2)
-      | Fn.Generic_kernel -> Fn.inv_deriv pieces.(j).fn nu)
+      | 2 (* quad *) ->
+          let c1 = fget sw j f_kb and c2 = fget sw j f_kc in
+          if c1 >= nu then 0. else (nu -. c1) /. (2. *. c2)
+      | _ -> Fn.inv_deriv sw.fns.(j) nu)
 
-(* Core analytic solve, over caches {!refresh} brought up to date.
-   Leaves the optimal assignment in [sw.z] (first [d] entries), writes
-   the objective to [dst.(di)] and updates the carried bracket with a
-   multiplier upper bracket valid for any cell whose responses dominate
-   this one's pointwise. *)
-let waterfill_analytic sw pieces ~total dst di =
-  let d = Array.length pieces in
-  let d0 = sw.d0 and dup = sw.dup and pker = sw.pker and zs = sw.z in
+(* Core analytic solve over the first [d] slots.  Leaves the optimal
+   assignment in [sw.z] (first [d] entries), writes the objective to
+   [dst.(di)] and updates the carried bracket with a multiplier upper
+   bracket valid for any cell whose responses dominate this one's
+   pointwise. *)
+let waterfill_analytic sw d ~total dst di =
+  let zs = sw.z in
   let nu_min = ref infinity and nu_max = ref neg_infinity in
   for j = 0 to d - 1 do
-    if pieces.(j).upper > 0. then begin
-      if d0.(j) < !nu_min then nu_min := d0.(j);
-      if dup.(j) > !nu_max then nu_max := dup.(j)
+    if fget sw j f_up > 0. then begin
+      if fget sw j f_d0 < !nu_min then nu_min := fget sw j f_d0;
+      if fget sw j f_dup > !nu_max then nu_max := fget sw j f_dup
     end
   done;
   let lo = ref (!nu_min -. 1.) and hi = ref (!nu_max +. 1.) in
@@ -445,24 +601,24 @@ let waterfill_analytic sw pieces ~total dst di =
     sum := 0.;
     slope := 0.;
     for j = 0 to d - 1 do
-      let p = pieces.(j) in
+      let upper = fget sw j f_up in
       let zj =
-        if p.upper <= 0. then 0.
-        else if d0.(j) >= nu then 0.
-        else if dup.(j) <= nu then p.upper
+        if upper <= 0. then 0.
+        else if fget sw j f_d0 >= nu then 0.
+        else if fget sw j f_dup <= nu then upper
         else begin
           let curv = ref 0. in
           let zi =
-            match Array.unsafe_get pker j with
-            | Fn.Power_kernel { scale; expo_inv; expo_m1; quarters; _ } ->
+            match iget sw j i_kind with
+            | 1 (* power *) ->
                 if nu <= 0. then 0.
                 else begin
-                  let x = nu *. scale in
+                  let x = nu *. fget sw j f_ks in
                   (* Quarter-power exponents take the sqrt-chain fast
                      path: x^(k/4) from at most two sqrts and two
                      multiplies (see [Fn.probe_kernel]). *)
                   let z =
-                    match quarters with
+                    match iget sw j i_quarters with
                     | 4 -> x
                     | 8 -> x *. x
                     | 2 -> sqrt x
@@ -470,27 +626,28 @@ let waterfill_analytic sw pieces ~total dst di =
                     | 1 -> sqrt (sqrt x)
                     | 5 -> x *. sqrt (sqrt x)
                     | 3 ->
-                        let s = sqrt x in
-                        s *. sqrt s
+                        let r = sqrt x in
+                        r *. sqrt r
                     | 7 ->
-                        let s = sqrt x in
-                        x *. s *. sqrt s
-                    | _ -> x ** expo_inv
+                        let r = sqrt x in
+                        x *. r *. sqrt r
+                    | _ -> x ** fget sw j f_ki
                   in
-                  if z > 0. then curv := expo_m1 *. nu /. z;
+                  if z > 0. then curv := fget sw j f_km *. nu /. z;
                   z
                 end
-            | Fn.Quad_kernel { c1; inv_c2x2; c2x2; _ } ->
-                curv := c2x2;
-                if c1 >= nu then 0. else (nu -. c1) *. inv_c2x2
-            | Fn.Generic_kernel ->
+            | 2 (* quad *) ->
+                curv := fget sw j f_ki;
+                let c1 = fget sw j f_kb in
+                if c1 >= nu then 0. else (nu -. c1) *. fget sw j f_ks
+            | _ ->
                 let c = ref 0. in
-                let z = Fn.inv_deriv_curv p.fn nu ~curv:c in
+                let z = Fn.inv_deriv_curv sw.fns.(j) nu ~curv:c in
                 curv := !c;
                 z
           in
           if !curv > 0. then slope := !slope +. (1. /. !curv);
-          clamp_response p.upper zi
+          clamp_response upper zi
         end
       in
       Array.unsafe_set zs j zj;
@@ -521,15 +678,15 @@ let waterfill_analytic sw pieces ~total dst di =
   else begin
     let s_lo = ref 0. and s_hi = ref 0. in
     for j = 0 to d - 1 do
-      let a = response sw pieces j !lo and b = response sw pieces j !hi in
-      sw.zl.(j) <- a;
-      sw.zh.(j) <- b;
+      let a = response sw j !lo and b = response sw j !hi in
+      fset sw j f_zl a;
+      fset sw j f_zh b;
       s_lo := !s_lo +. a;
       s_hi := !s_hi +. b
     done;
     if Float.abs (!s_hi -. !s_lo) <= tol then
       for j = 0 to d - 1 do
-        z.(j) <- sw.zh.(j)
+        z.(j) <- fget sw j f_zh
       done
     else begin
       (* A derivative plateau straddles the optimal multiplier: cost is
@@ -539,21 +696,22 @@ let waterfill_analytic sw pieces ~total dst di =
       let t = if t > 1. then 1. else t in
       let theta = if t > 0. || Float.is_nan t then t else 0. in
       for j = 0 to d - 1 do
-        z.(j) <- sw.zl.(j) +. (theta *. (sw.zh.(j) -. sw.zl.(j)))
+        let zl = fget sw j f_zl in
+        z.(j) <- zl +. (theta *. (fget sw j f_zh -. zl))
       done
     end;
     sw.carry.nu_hi <- !hi
   end;
   (* Repair any residual drift from the stopping tolerance. *)
-  let s = ref 0. in
+  let sz = ref 0. in
   for j = 0 to d - 1 do
-    s := !s +. z.(j)
+    sz := !sz +. z.(j)
   done;
-  let resid = ref (total -. !s) in
+  let resid = ref (total -. !sz) in
   if Float.abs !resid > 0. then
     for j = 0 to d - 1 do
       if !resid > 0. then begin
-        let room = pieces.(j).upper -. z.(j) in
+        let room = fget sw j f_up -. z.(j) in
         let delta = min_pos room !resid in
         if delta > 0. then begin
           z.(j) <- z.(j) +. delta;
@@ -573,43 +731,24 @@ let waterfill_analytic sw pieces ~total dst di =
      cached piece.  Only genuinely interior assignments evaluate. *)
   let obj = ref 0. in
   for j = 0 to d - 1 do
-    let p = pieces.(j) in
-    let zj = z.(j) in
+    let zj = z.(j) and upper = fget sw j f_up in
     let v =
-      if zj = 0. then value_at_0 sw pieces j
-      else if zj = p.upper then begin
-        if Float.is_nan sw.vup.(j) then sw.vup.(j) <- Fn.eval p.fn p.upper;
-        sw.vup.(j)
+      if zj = 0. then value_at_0 sw j
+      else if zj = upper then begin
+        if Float.is_nan (fget sw j f_vup) then fset sw j f_vup (value_at sw j upper);
+        fget sw j f_vup
       end
-      else value_at sw pieces j zj
+      else value_at sw j zj
     in
     obj := !obj +. v
   done;
   dst.(di) <- !obj
 
-(* A cold solve's own scratch, sized to its pieces: the caches
-   {!refresh} derives for a fresh sweep, and only the arrays
-   {!waterfill_analytic} reads.  No two solves share state, and the
-   assignment it leaves in [z] is the caller's to keep. *)
+(* A cold solve's own scratch, sized to its pieces: no two solves share
+   state, and the assignment it leaves in [z] is the caller's to keep. *)
 let cold_sweep pieces =
-  let d = Array.length pieces in
-  let sw =
-    { (sweep ()) with
-      d0 = Array.make d 0.;
-      dup = Array.make d 0.;
-      v0 = Array.make d nan;
-      vup = Array.make d nan;
-      z = Array.make d 0.;
-      zl = Array.make d 0.;
-      zh = Array.make d 0.;
-      pker = Array.make d Fn.Generic_kernel }
-  in
-  for j = 0 to d - 1 do
-    let p = pieces.(j) in
-    sw.d0.(j) <- Fn.deriv p.fn 0.;
-    sw.dup.(j) <- Fn.deriv p.fn p.upper;
-    sw.pker.(j) <- Fn.probe_kernel p.fn
-  done;
+  let sw = sweep ~slots:(Array.length pieces) () in
+  Array.iteri (derive sw) pieces;
   sw
 
 (* [solve], with [own] the caller's sweep ([None]: a fresh one, sized
@@ -651,10 +790,11 @@ let solve_in ~numeric own pieces ~total =
             sweep_start sw;
             sw
       in
+      let d = Array.length pieces in
       let objective = [| 0. |] in
-      waterfill_analytic sw pieces ~total objective 0;
+      waterfill_analytic sw d ~total objective 0;
       sweep_finish sw;
-      let assignment = if Option.is_none own then sw.z else Array.sub sw.z 0 (Array.length pieces) in
+      let assignment = if Option.is_none own then sw.z else Array.sub sw.z 0 d in
       Some { assignment; objective = objective.(0) }
     end
     else begin
@@ -667,16 +807,21 @@ let solve_in ~numeric own pieces ~total =
 let solve ?(numeric = false) pieces ~total = solve_in ~numeric None pieces ~total
 let solve_with sw pieces ~total = solve_in ~numeric:false (Some sw) pieces ~total
 
-let sweep_solve sw pieces ~total dst di =
+(* A line cell over the first [d] slots, [invertible] when every active
+   one inverts its derivative in closed form. *)
+let solve_slots sw d ~invertible ~total dst di =
   sw.calls <- sw.calls + 1;
   if total < 0. then invalid_arg "Dispatch.sweep_solve: negative total";
-  let invertible = refresh sw pieces in
-  if not (feasible pieces ~total) then dst.(di) <- infinity
+  let cap = ref 0. in
+  for j = 0 to d - 1 do
+    cap := !cap +. fget sw j f_up
+  done;
+  if not (!cap +. (feas_eps *. max1 total) >= total) then dst.(di) <- infinity
   else begin
     let nactive = ref 0 and last_active = ref (-1) in
     if total > 0. then
-      for j = 0 to Array.length pieces - 1 do
-        if pieces.(j).upper > 0. then begin
+      for j = 0 to d - 1 do
+        if fget sw j f_up > 0. then begin
           incr nactive;
           last_active := j
         end
@@ -685,33 +830,44 @@ let sweep_solve sw pieces ~total dst di =
       (* A zero total, or feasible only through the tolerance:
          everything stays at 0. *)
       let acc = ref 0. in
-      for j = 0 to Array.length pieces - 1 do
-        acc := !acc +. value_at_0 sw pieces j
+      for j = 0 to d - 1 do
+        acc := !acc +. value_at_0 sw j
       done;
       dst.(di) <- !acc
     end
     else if !nactive = 1 then begin
       let acc = ref 0. in
-      for j = 0 to Array.length pieces - 1 do
-        let v =
-          if j = !last_active then value_at sw pieces j total else value_at_0 sw pieces j
-        in
+      for j = 0 to d - 1 do
+        let v = if j = !last_active then value_at sw j total else value_at_0 sw j in
         acc := !acc +. v
       done;
       dst.(di) <- !acc
     end
     else if invertible then begin
       sw.analytic <- sw.analytic + 1;
-      waterfill_analytic sw pieces ~total dst di
+      waterfill_analytic sw d ~total dst di
     end
-    else
+    else begin
       (* Non-invertible pieces: [solve]'s golden-section / numeric
          route, which needs no scratch, so the warm chain survives. *)
+      let pieces = Array.init d (piece_of_slot sw) in
       dst.(di) <-
         (match solve_few pieces ~total with
-        | Some s -> s.objective
+        | Some r -> r.objective
         | None -> (waterfill pieces ~total).objective)
+    end
   end
+
+let sweep_solve sw pieces ~total dst di =
+  let invertible = refresh sw pieces in
+  solve_slots sw (Array.length pieces) ~invertible ~total dst di
+
+let sweep_solve_seeded sw ~d ~total dst di =
+  let invertible = ref true in
+  for j = 0 to d - 1 do
+    if fget sw j f_up > 0. && iget sw j i_inv = 0 then invertible := false
+  done;
+  solve_slots sw d ~invertible:!invertible ~total dst di
 
 let greedy ?(steps = 4096) pieces ~total =
   Obs.Counter.incr c_calls;

@@ -63,9 +63,9 @@ type sweep
     sweeps over different records never share state, on any thread or
     domain; one record runs one line, or one solve, at a time. *)
 
-val sweep : unit -> sweep
-(** A fresh sweep, cold.  Its per-piece caches are sized by the first
-    solve or seed that uses them. *)
+val sweep : ?slots:int -> unit -> sweep
+(** A fresh sweep, cold, with room for [slots] pieces (default 0).  Its
+    per-piece caches grow to the first solve or seed that needs more. *)
 
 val sweep_start : sweep -> unit
 (** Clear the warm bracket: call once per grid line, before its first
@@ -79,37 +79,57 @@ val solve_with : sweep -> piece array -> total:float -> solution option
     unrelated problems in turn, such as a memo's misses, which would
     otherwise make a scratch for each. *)
 
+val scaled_piece : Fn.t -> x:int -> load:float -> cap:float -> piece
+(** [scaled_piece f ~x ~load ~cap] is the piece of [x] servers of cost
+    [f] (per-server capacity [cap]) in eq. (1) at volume [load]:
+    [h(z) = x f(load z / x)] with cap [min 1 (x cap / load)], built
+    through {!Fn.compose_scaled}; the zero function, cap 0, at
+    [x = 0]. *)
+
 type table
-(** Pieces with the per-piece invariants the solver caches (derivative
-    and value at [0] and at the cap, the {!Fn.probe_kernel} constants of
-    the Newton loop, whether the derivative inverts in closed form),
-    kept unboxed by entry.  A layer fill builds each piece it uses once
-    ({!table_set}) and seeds every line's sweep from the table
-    ({!sweep_seed}) instead of re-deriving the caches per line or per
-    cell. *)
+(** The dispatch pieces of one cost function [f] at one load: an entry
+    built for [x] servers is {!scaled_piece}'s, kept
+    with the per-piece invariants the solver caches (derivative and
+    value at [0] and at the cap, the {!Fn.probe_kernel} constants of the
+    Newton loop, whether the derivative inverts in closed form).  A
+    layer fill builds each piece it uses once ({!table_build}) and seeds
+    every line's sweep from the table ({!sweep_seed}) instead of
+    re-deriving the caches per line or per cell.  When [f] is a power or
+    quadratic curve, an entry holds its kernel constants unboxed,
+    computed with {!Fn.compose_scaled}'s, {!Fn.probe_kernel}'s,
+    {!Fn.deriv}'s and {!Fn.eval}'s own expressions (so bit for bit what
+    the [Fn] path gives), and no [Fn.t] is made for it. *)
 
 val table : int -> table
-(** [table n] has [n] entries, none built.  Its storage is allocated
-    here, once; building an entry allocates only what the piece
-    itself and its probe constants need. *)
+(** [table n] has entries [0 .. n-1], none built.  Its storage is
+    allocated here, once. *)
+
+val table_aim : table -> Fn.t -> load:float -> cap:float -> unit
+(** Aim the table at cost [f], the layer's [load] and the per-server
+    capacity [cap], with every entry unbuilt.  Re-aiming at the same
+    [f] (physically) allocates nothing. *)
 
 val table_clear : table -> unit
-(** Mark every entry unbuilt (a new layer's pieces differ), and let go
-    of the pieces, so that they can die young. *)
+(** Mark every entry unbuilt, and let go of the pieces built through
+    [Fn], so that they can die young. *)
 
 val table_built : table -> int -> bool
 
-val table_set : table -> int -> piece -> unit
-(** [table_set t i p] makes [p] entry [i] and derives its caches,
-    exactly as the solver would. *)
+val table_build : table -> int -> int -> unit
+(** [table_build t i x] builds entry [i] as the piece of [x] servers
+    and derives its caches.  Allocates nothing for a power or quadratic
+    cost or for [x = 0]; other families build their piece through
+    [Fn]. *)
 
-val sweep_seed : sweep -> piece array -> int -> table -> int -> unit
-(** [sweep_seed sw pieces j t i] puts entry [i] of [t] into slot [j] of
-    [pieces] and its caches into the sweep's slot [j], so the next
-    {!sweep_solve} over [pieces] derives nothing for that slot; a later
-    call keeps them for as long as slot [j] holds the same piece.  The
-    one way to hand the solver precomputed caches.  Raises
+val sweep_seed : sweep -> int -> table -> int -> unit
+(** [sweep_seed sw j t i] puts entry [i] of [t], with its caches, into
+    the sweep's slot [j], so that {!sweep_solve_seeded} derives nothing
+    for it.  The one way to hand the solver precomputed caches.  Raises
     [Invalid_argument] when entry [i] is not built. *)
+
+val sweep_solve_seeded : sweep -> d:int -> total:float -> float array -> int -> unit
+(** {!sweep_solve} over the pieces seeded into slots [0 .. d-1], with
+    the same bits and counts as {!sweep_solve} over the same pieces. *)
 
 val sweep_solve : sweep -> piece array -> total:float -> float array -> int -> unit
 (** [sweep_solve sw pieces ~total row i] stores in [row.(i)] the optimal
@@ -121,8 +141,8 @@ val sweep_solve : sweep -> piece array -> total:float -> float array -> int -> u
     non-decreasing (a grid line swept in order of non-decreasing
     capacity): the optimal multiplier is then non-increasing, so the
     carried upper bracket stays valid — including across skipped cells.
-    Pieces physically shared with the previous call, or seeded by
-    {!sweep_seed}, reuse their cached endpoint derivatives and values.
+    Pieces physically shared with the previous call reuse their cached
+    endpoint derivatives and values.
     Matches per-cell {!solve} to well within its [1e-9] tolerance;
     non-invertible pieces take {!solve}'s golden-section / numeric
     route, with {!solve}'s bits, and such a cell counts once in

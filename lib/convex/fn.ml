@@ -203,6 +203,11 @@ let probe_kernel f =
       Quad_kernel { c0; c1; c2; inv_c2x2 = 1. /. (2. *. c2); c2x2 = 2. *. c2 }
   | Const _ | Affine _ | Piecewise _ | Max_affine _ | Sum _ -> Generic_kernel
 
+let of_coefficients family a b c =
+  match family with
+  | `Power -> Power { idle = a; coef = b; expo = c }
+  | `Quadratic -> Quadratic { c0 = a; c1 = b; c2 = c }
+
 let rec has_inv_deriv = function
   | Const _ | Affine _ | Quadratic _ | Power _ | Piecewise _ -> true
   | Max_affine _ -> false

@@ -92,6 +92,13 @@ val probe_kernel : t -> probe_kernel
     expressions, so a caller that evaluates them itself gets {!eval}'s
     bits without a cross-module call. *)
 
+val of_coefficients : [ `Power | `Quadratic ] -> float -> float -> float -> t
+(** [of_coefficients `Power idle coef expo] (resp. [`Quadratic c0 c1 c2])
+    is the function with exactly these coefficients, unnormalised: the
+    one whose {!probe_kernel} carries them.  For rebuilding a piece from
+    the kernel constants a dispatch table computed in place of
+    {!compose_scaled}. *)
+
 val has_inv_deriv : t -> bool
 (** Whether {!inv_deriv} returns a closed form ([nan]-free) for this
     function. *)

@@ -34,15 +34,8 @@ let pieces inst ~time x ~load =
   let types = inst.Instance.types in
   Array.mapi
     (fun j xj ->
-      if xj = 0 then { Convex.Dispatch.fn = Convex.Fn.const 0.; upper = 0. }
-      else
-        let xf = float_of_int xj in
-        let fn =
-          Convex.Fn.compose_scaled ~outer:xf ~inner:(load /. xf)
-            (inst.Instance.cost ~time ~typ:j)
-        in
-        let upper = Float.min 1. (xf *. types.(j).Server_type.cap /. load) in
-        { Convex.Dispatch.fn; upper })
+      Convex.Dispatch.scaled_piece (inst.Instance.cost ~time ~typ:j) ~x:xj ~load
+        ~cap:types.(j).Server_type.cap)
     x
 
 (* [solve] is the dispatch solver: {!Convex.Dispatch.solve}, or a
@@ -175,18 +168,6 @@ let layer_table cache ~time n =
     t
   end
 
-(* A piece with no capacity; shared so line fills allocate nothing for
-   inactive types. *)
-let zero_piece = { Convex.Dispatch.fn = Convex.Fn.const 0.; upper = 0. }
-
-let[@inline] make_piece fn xj ~load ~cap =
-  if xj = 0 then zero_piece
-  else begin
-    let xf = float_of_int xj in
-    { Convex.Dispatch.fn = Convex.Fn.compose_scaled ~outer:xf ~inner:(load /. xf) fn;
-      upper = Float.min 1. (xf *. cap /. load) }
-  end
-
 (* The floats of a line fill, in an all-float record, where they are
    stored unboxed. *)
 type line_floats = {
@@ -215,9 +196,12 @@ type dual_floats = {
    of the layer it is aimed at, which every line of the layer shares:
    the slot's load, the per-type costs and their constants, and per
    axis a table of dispatch pieces by value index, each built (with its
-   solver caches) the first time a line uses it.  All storage is sized
-   here, once per grid (the cursor's sweep caches at its first line);
-   aiming at a layer overwrites it in place.  A
+   solver caches, unboxed) the first time a line uses it.  All storage
+   is sized here, once per grid; aiming at a layer overwrites it in
+   place, and a type whose
+   cost function and capacity are those of the previous layer keeps its
+   constants, so a time-independent instance's layers allocate nothing
+   to aim.  A
    line is named by its prefix's value indices ([pos]), which the
    caller steps through its grid.
 
@@ -248,8 +232,7 @@ type line_ctx = {
   mutable loaded : bool;
   mutable base_const : bool;  (* every active prefix type load-independent *)
   mutable last_const : bool;
-  ps : Convex.Dispatch.piece array;  (* prefix pieces, then the cell's swept one *)
-  sw : Convex.Dispatch.sweep;
+  sw : Convex.Dispatch.sweep;  (* prefix pieces in its slots, then the cell's swept one *)
   mutable misses : int;
   mutable owner : bound;  (* the bound [dual] was last evaluated into *)
 }
@@ -261,7 +244,7 @@ let line_ctx ~axes =
   if d = 0 then invalid_arg "Cost.line_ctx: no axes";
   { lx_axes = axes;
     lx_f = line_floats ();
-    lx_fns = Array.make d zero_piece.Convex.Dispatch.fn;
+    lx_fns = Array.make d (Convex.Fn.const 0.);
     lx_caps = Array.make d 0.;
     lx_idle = Array.make d 0.;
     lx_const = Array.make d true;
@@ -277,8 +260,7 @@ let line_ctx ~axes =
     loaded = false;
     base_const = true;
     last_const = true;
-    ps = Array.make d zero_piece;
-    sw = Convex.Dispatch.sweep ();
+    sw = Convex.Dispatch.sweep ~slots:d ();
     misses = 0;
     owner = { icept = 0.; slope = 0.; mu = nan } }
 
@@ -289,15 +271,17 @@ let line_layer ctx inst ~time =
   for j = 0 to d - 1 do
     let fn = inst.Instance.cost ~time ~typ:j in
     let cap = inst.Instance.types.(j).Server_type.cap in
-    ctx.lx_fns.(j) <- fn;
-    ctx.lx_caps.(j) <- cap;
-    ctx.lx_idle.(j) <- Convex.Fn.eval fn 0.;
-    ctx.lx_const.(j) <- Convex.Fn.is_constant fn;
-    ctx.lx_kers.(j) <- Convex.Fn.probe_kernel fn;
-    ctx.lx_inv.(j) <- Convex.Fn.has_inv_deriv fn;
-    ctx.lx_fcap.(j) <- Convex.Fn.eval fn cap;
-    ctx.lx_dcap.(j) <- Convex.Fn.deriv fn cap;
-    Convex.Dispatch.table_clear ctx.lx_pieces.(j)
+    if not (fn == ctx.lx_fns.(j) && cap = ctx.lx_caps.(j)) then begin
+      ctx.lx_fns.(j) <- fn;
+      ctx.lx_caps.(j) <- cap;
+      ctx.lx_idle.(j) <- Convex.Fn.eval fn 0.;
+      ctx.lx_const.(j) <- Convex.Fn.is_constant fn;
+      ctx.lx_kers.(j) <- Convex.Fn.probe_kernel fn;
+      ctx.lx_inv.(j) <- Convex.Fn.has_inv_deriv fn;
+      ctx.lx_fcap.(j) <- Convex.Fn.eval fn cap;
+      ctx.lx_dcap.(j) <- Convex.Fn.deriv fn cap
+    end;
+    Convex.Dispatch.table_aim ctx.lx_pieces.(j) fn ~load:ctx.lx_f.load ~cap
   done;
   ctx.lx_f.cap_last <- ctx.lx_caps.(d - 1)
 
@@ -336,8 +320,7 @@ let line_live ctx ~pos =
 let built_table ctx j i =
   let t = ctx.lx_pieces.(j) in
   if not (Convex.Dispatch.table_built t i) then
-    Convex.Dispatch.table_set t i
-      (make_piece ctx.lx_fns.(j) ctx.lx_axes.(j).(i) ~load:ctx.lx_f.load ~cap:ctx.lx_caps.(j));
+    Convex.Dispatch.table_build t i ctx.lx_axes.(j).(i);
   t
 
 let line_start l ~table ~rank0 ~pos =
@@ -375,7 +358,7 @@ let line_start l ~table ~rank0 ~pos =
     f.cap_base <- prefix_capacity l ~pos;
     Convex.Dispatch.sweep_start l.sw;
     for j = 0 to d - 2 do
-      Convex.Dispatch.sweep_seed l.sw l.ps j (built_table l j pos.(j)) pos.(j)
+      Convex.Dispatch.sweep_seed l.sw j (built_table l j pos.(j)) pos.(j)
     done
   end
 
@@ -402,12 +385,13 @@ let[@inline] line_cell l i =
     l.table.(idx) <- xf *. Convex.Fn.eval l.lx_fns.(0) z
   end
   else begin
-    let d = Array.length l.ps in
-    Convex.Dispatch.sweep_seed l.sw l.ps (d - 1) (built_table l (d - 1) i) i;
-    Convex.Dispatch.sweep_solve l.sw l.ps ~total:1. l.table idx
+    let d = Array.length l.x in
+    Convex.Dispatch.sweep_seed l.sw (d - 1) (built_table l (d - 1) i) i;
+    Convex.Dispatch.sweep_solve_seeded l.sw ~d ~total:1. l.table idx
   end
 
-(* The flush lets go of the layer's pieces: a long-lived context that
+(* The flush lets go of the layer's pieces built through [Fn] (costs
+   other than power and quadratic curves): a long-lived context that
    kept them until the next layer would have them promoted to the major
    heap. *)
 let line_flush ctx =

@@ -232,7 +232,11 @@ let sweep e inst ~time (p : Plane.t) ~off =
   e.low.best <- infinity;
   e.lo <- -1;
   e.hi <- -1;
-  Fun.protect ~finally:(fun () -> flush e) (fun () -> sweep_lines e p ~off)
+  match sweep_lines e p ~off with
+  | () -> flush e
+  | exception ex ->
+      flush e;
+      raise ex
 
 let min_cost e = e.low.best
 let argmin e = e.lo

@@ -63,6 +63,7 @@ let power ~gamma m =
 let equal a b = a.dims = b.dims
 
 let axis_values g j = Array.copy g.dims.(j)
+let axis g j = g.dims.(j)
 let dim g = Array.length g.dims
 let axis_length g j = Array.length g.dims.(j)
 let size g = g.size

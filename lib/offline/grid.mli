@@ -27,6 +27,10 @@ val equal : t -> t -> bool
 val axis_values : t -> int -> int array
 (** The sorted allowed counts of one axis (a copy). *)
 
+val axis : t -> int -> int array
+(** The grid's own array of {!axis_values}, for a pass that only reads
+    it: no copy per call.  Never write to it. *)
+
 val dim : t -> int
 (** Number of axes ([d]). *)
 

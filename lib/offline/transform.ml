@@ -117,7 +117,7 @@ let ramp_grid_plane ?ops ~grid ~betas (p : Plane.t) ~off =
   check_ops "Transform.ramp_grid_plane: ops size mismatch" ops ~size;
   let stride = ref size in
   for j = 0 to d - 1 do
-    let values = Grid.axis_values grid j in
+    let values = Grid.axis grid j in
     let n = Array.length values in
     let block = !stride in
     stride := block / n;

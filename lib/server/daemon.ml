@@ -47,7 +47,7 @@ type conn = {
   fd : Unix.file_descr;
   dec : Codec.decoder;
   mutable hello_done : bool;
-  out : Buffer.t;
+  out : Codec.out;  (* this round's replies, written out from here *)
   mutable dead : bool;  (* closed after this round's replies are flushed *)
 }
 
@@ -114,6 +114,10 @@ let metrics_body t =
     @ (match t.audit with Some a -> Audit.counters a | None -> [])
   in
   let gc = Gc.quick_stat () in
+  (* The main domain's words to the call ([quick_stat]'s are as of the
+     last minor collection); collections are process-wide. *)
+  let _, promoted_words, major_words = Gc.counters () in
+  let minor_words = Gc.minor_words () in
   let gauges =
     Obs.Gauge.snapshot ()
     @ [ ("server.sessions", [], float_of_int (Hashtbl.length t.sessions));
@@ -126,7 +130,15 @@ let metrics_body t =
         ("server.uptime_s", [], Unix.gettimeofday () -. t.start_time);
         (* the major heap, now and at its largest, in words *)
         ("gc.heap_words", [], float_of_int gc.Gc.heap_words);
-        ("gc.top_heap_words", [], float_of_int gc.Gc.top_heap_words) ]
+        ("gc.top_heap_words", [], float_of_int gc.Gc.top_heap_words);
+        (* garbage: words allocated since start, minor and major (the
+           major words include the promoted ones), and the collections
+           they cost *)
+        ("gc.minor_words", [], minor_words);
+        ("gc.promoted_words", [], promoted_words);
+        ("gc.major_words", [], major_words);
+        ("gc.minor_collections", [], float_of_int gc.Gc.minor_collections);
+        ("gc.major_collections", [], float_of_int gc.Gc.major_collections) ]
     @ (match t.store with
       | None -> []
       | Some st ->
@@ -400,6 +412,9 @@ type item = {
   t0 : float;
 }
 
+(* A round's feeds to one session, in arrival order. *)
+type group = { sess : Session.t; feeds : item Queue.t }
+
 (* One scheduling round: early control ops in arrival order, then all
    feeds batched per session (fanned out across the pool when there is
    more than one stepping session), then the late control ops. *)
@@ -434,47 +449,40 @@ let process_round t items =
     items;
   (* step: group the round's feeds by session, preserving arrival order
      within each session *)
+  let groups : (string, group) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
-  let groups : (string, (item * int * float array) Queue.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
   List.iter
     (fun it ->
       match (it.reply, it.req) with
-      | None, Ok (P.Feed { id; seq; loads }) -> (
-          match Hashtbl.find_opt t.sessions id with
-          | None -> it.reply <- Some (err P.Unknown_session ("no session " ^ id))
-          | Some _ ->
-              let q =
-                match Hashtbl.find_opt groups id with
-                | Some q -> q
-                | None ->
-                    let q = Queue.create () in
-                    Hashtbl.replace groups id q;
-                    order := id :: !order;
-                    q
-              in
-              Queue.add (it, seq, loads) q)
+      | None, Ok (P.Feed { id; _ }) -> (
+          match Hashtbl.find_opt groups id with
+          | Some g -> Queue.add it g.feeds
+          | None -> (
+              match Hashtbl.find_opt t.sessions id with
+              | None -> it.reply <- Some (err P.Unknown_session ("no session " ^ id))
+              | Some sess ->
+                  let g = { sess; feeds = Queue.create () } in
+                  Queue.add it g.feeds;
+                  Hashtbl.replace groups id g;
+                  order := g :: !order))
       | _ -> ())
     items;
-  let ids = Array.of_list (List.rev !order) in
-  let ntasks = Array.length ids in
+  (* Worker domains touch only their own group: its session's state and
+     its feeds, never the hash tables. *)
+  let gs = Array.of_list (List.rev !order) in
+  let ntasks = Array.length gs in
   if ntasks > 0 then begin
     Obs.Counter.incr c_batches;
     Obs.Counter.add c_batch_size ntasks;
-    (* Capture sessions and queues up front: worker domains must not
-       touch the hash tables, only their own session's state. *)
-    let sess = Array.map (fun id -> Hashtbl.find t.sessions id) ids in
-    let qs = Array.map (fun id -> Hashtbl.find groups id) ids in
-    let before = Array.map Session.fed sess in
+    let before = Array.map (fun g -> Session.fed g.sess) gs in
     let task k =
-      let s = sess.(k) and q = qs.(k) in
+      let s = gs.(k).sess and q = gs.(k).feeds in
       match Util.Faultinj.check "server.step" with
       | Some _ ->
           Obs.Counter.incr c_faults;
           Util.Faultinj.recovered "server.step";
           Queue.iter
-            (fun ((it : item), _, _) ->
+            (fun (it : item) ->
               it.reply <-
                 Some
                   (err ~fed:(Session.fed s) P.Injected
@@ -482,20 +490,22 @@ let process_round t items =
             q
       | None ->
           Queue.iter
-            (fun ((it : item), seq, loads) ->
-              if it.reply = None then
-                match Session.feed s ~seq loads with
-                | Ok configs ->
-                    it.reply <- Some (P.Decisions { id = Session.id s; seq; configs })
-                | Error (code, msg) ->
-                    it.reply <- Some (err ~fed:(Session.fed s) code msg))
+            (fun (it : item) ->
+              match (it.reply, it.req) with
+              | None, Ok (P.Feed { seq; loads; _ }) -> (
+                  match Session.feed s ~seq loads with
+                  | Ok configs ->
+                      it.reply <- Some (P.Decisions { id = Session.id s; seq; configs })
+                  | Error (code, msg) ->
+                      it.reply <- Some (err ~fed:(Session.fed s) code msg))
+              | _ -> ())
             q
     in
     let safe k =
-      let s = sess.(k) and q = qs.(k) in
+      let s = gs.(k).sess and q = gs.(k).feeds in
       let fail code msg =
         Queue.iter
-          (fun ((it : item), _, _) ->
+          (fun (it : item) ->
             if it.reply = None then
               it.reply <- Some (err ~fed:(Session.fed s) code msg))
           q
@@ -508,8 +518,11 @@ let process_round t items =
       | exn -> fail P.Internal (Printexc.to_string exn)
     in
     let batch_t0 = Obs.Span.now_us () in
-    Obs.Span.with_ ~args:[ ("sessions", string_of_int ntasks) ] "server.batch"
-      (fun () ->
+    (* The span's arguments are built only for a trace that records them. *)
+    let args =
+      if Obs.Sink.installed () then Some [ ("sessions", string_of_int ntasks) ] else None
+    in
+    Obs.Span.with_ ?args "server.batch" (fun () ->
         match t.cfg.pool with
         | Some pool when ntasks >= 2 -> Util.Pool.run pool ~n:ntasks safe
         | Some _ | None ->
@@ -518,21 +531,23 @@ let process_round t items =
             done);
     Obs.Histogram.observe t.batch_h (Obs.Span.now_us () -. batch_t0);
     let fresh = ref 0 in
-    Array.iteri (fun k s -> fresh := !fresh + Session.fed s - before.(k)) sess;
+    for k = 0 to ntasks - 1 do
+      fresh := !fresh + Session.fed gs.(k).sess - before.(k)
+    done;
     Obs.Counter.add c_decisions !fresh;
     t.stepped <- t.stepped + !fresh;
     (* One feed record per session per round, carrying only the slots
        freshly stepped this round — the O(delta) append. *)
     if t.store <> None then
-      Array.iteri
-        (fun k s ->
-          if Session.fed s > before.(k) then
-            store_log t
-              (Store.Log.Feed
-                 { id = Session.id s;
-                   seq = before.(k);
-                   loads = Session.loads_from s ~from_:before.(k) }))
-        sess
+      for k = 0 to ntasks - 1 do
+        let s = gs.(k).sess in
+        if Session.fed s > before.(k) then
+          store_log t
+            (Store.Log.Feed
+               { id = Session.id s;
+                 seq = before.(k);
+                 loads = Session.loads_from s ~from_:before.(k) })
+      done
   end;
   (* late: snapshot / close / shutdown *)
   List.iter
@@ -649,7 +664,7 @@ let accept_on t lfd =
             { fd;
               dec = Codec.decoder ~max_frame_bytes:t.cfg.max_frame_bytes ();
               hello_done = false;
-              out = Buffer.create 256;
+              out = Codec.out ();
               dead = false })
 
 (* Drain one readable connection into round items (newest first — the
@@ -692,12 +707,11 @@ let drain_conn conn buf acc =
           pull acc)
 
 let flush_conn conn =
-  let s = Buffer.contents conn.out in
-  Buffer.clear conn.out;
-  let len = String.length s in
+  let b = Codec.out_bytes conn.out and len = Codec.out_length conn.out in
+  Codec.out_clear conn.out;
   let rec go off =
     if off < len then
-      match Unix.write_substring conn.fd s off (len - off) with
+      match Unix.write conn.fd b off (len - off) with
       | exception Unix.Unix_error (EINTR, _, _) -> go off
       | exception Unix.Unix_error _ -> conn.dead <- true
       | n -> go (off + n)
@@ -819,7 +833,7 @@ let run t =
                     | Some r -> r
                     | None -> err P.Internal "no reply"
                   in
-                  Buffer.add_string c.out (Codec.encode (P.response_to_sexp reply));
+                  Codec.encode_to c.out (P.response_to_sexp reply);
                   record_latency t it.t0)
             items;
           let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in

@@ -136,6 +136,7 @@ type row = {
   audit_lag : float option;
   audit_runs : float;
   audit_failures : float;
+  minor_words : float option;
   uptime_s : float;
   at : float;
 }
@@ -155,6 +156,7 @@ let row_of snap =
     audit_lag = value snap "audit_lag_rounds";
     audit_runs = value0 snap "audit_runs";
     audit_failures = value0 snap "audit_failures";
+    minor_words = value snap "gc_minor_words";
     uptime_s = value0 snap "server_uptime_s";
     at = snap.at }
 
@@ -177,6 +179,14 @@ let rate ?prev row =
       Some ((row.decisions -. p.decisions) /. (row.at -. p.at))
   | _ -> None
 
+(* Minor-heap words allocated per decision between [prev] and this row:
+   the daemon's garbage per decision. *)
+let words_per_decision ?prev row =
+  match (prev, row.minor_words) with
+  | Some ({ minor_words = Some w0; _ } as p), Some w1 when row.decisions > p.decisions ->
+      Some ((w1 -. w0) /. (row.decisions -. p.decisions))
+  | _ -> None
+
 let render ?prev row =
   let b = Buffer.create 512 in
   let line k v = Buffer.add_string b (Printf.sprintf "  %-18s %s\n" k v) in
@@ -189,6 +199,7 @@ let render ?prev row =
   (match rate ?prev row with
   | Some r -> line "decisions/s" (Printf.sprintf "%.1f" r)
   | None -> line "decisions/s" "-");
+  line "minor words/dec." (fmt_opt (words_per_decision ?prev row));
   line "batches" (Printf.sprintf "%.0f" row.batches);
   line "req p50/p99 (us)"
     (Printf.sprintf "%s / %s" (fmt_opt row.p50_req_us) (fmt_opt row.p99_req_us));
@@ -219,6 +230,7 @@ let to_json ?prev row =
   json_field b "requests" (Some row.requests);
   json_field b "decisions" (Some row.decisions);
   json_field b "decisions_per_s" (rate ?prev row);
+  json_field b "minor_words_per_decision" (words_per_decision ?prev row);
   json_field b "batches" (Some row.batches);
   json_field b "p50_request_us" row.p50_req_us;
   json_field b "p99_request_us" row.p99_req_us;

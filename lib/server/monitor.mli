@@ -42,6 +42,7 @@ type row = {
   audit_lag : float option;
   audit_runs : float;
   audit_failures : float;  (** audited sessions whose replay raised *)
+  minor_words : float option;  (** the daemon's minor-heap words since start *)
   uptime_s : float;
   at : float;
 }
@@ -51,6 +52,10 @@ val row_of : snap -> row
 val rate : ?prev:row -> row -> float option
 (** Decisions per second between [prev] and this row; [None] without a
     usable previous row. *)
+
+val words_per_decision : ?prev:row -> row -> float option
+(** Minor-heap words the daemon allocated per decision between [prev]
+    and this row; [None] without a usable previous row. *)
 
 val render : ?prev:row -> row -> string
 (** Multi-line human table. *)

@@ -135,7 +135,7 @@ let valid_id s =
 
 (* --- encoding ------------------------------------------------------ *)
 
-let int_field k v = S.List [ S.Atom k; S.Atom (string_of_int v) ]
+let int_field k v = S.List [ S.Atom k; Snap.int_atom v ]
 let str_field k v = S.List [ S.Atom k; S.Atom (quote v) ]
 
 let request_to_sexp = function
@@ -168,7 +168,7 @@ let response_to_sexp = function
   | Decisions { id; seq; configs } ->
       S.List
         [ S.Atom "decisions"; str_field "id" id; int_field "seq" seq;
-          S.List (S.Atom "configs" :: Array.to_list (Array.map config_row configs)) ]
+          S.List (S.Atom "configs" :: Array.fold_right (fun x l -> config_row x :: l) configs []) ]
   | Snapshot_state { id; state } ->
       S.List
         [ S.Atom "snapshot"; str_field "id" id; S.List [ S.Atom "state"; state ] ]
@@ -219,11 +219,17 @@ let request_of_sexp sexp =
         | Some _ -> Result.map Option.some (str_of_field fields "alg")
       in
       Ok (Create_session { id; scenario; max_horizon; alg })
-  | S.List (S.Atom "feed" :: fields) ->
-      let* id = str_of_field fields "id" in
-      let* seq = Snap.int_of_field fields "seq" in
-      let* loads = Snap.floats_of_field fields "loads" in
-      Ok (Feed { id; seq; loads })
+  | S.List (S.Atom "feed" :: fields) -> (
+      (* The hot request, decoded without a closure per field. *)
+      match str_of_field fields "id" with
+      | Error _ as e -> e
+      | Ok id -> (
+          match Snap.int_of_field fields "seq" with
+          | Error m -> Error m
+          | Ok seq -> (
+              match Snap.floats_of_field fields "loads" with
+              | Error m -> Error m
+              | Ok loads -> Ok (Feed { id; seq; loads }))))
   | S.List (S.Atom "snapshot" :: fields) ->
       let* id = str_of_field fields "id" in
       Ok (Query_snapshot { id })

@@ -104,6 +104,16 @@ let feed_error_code :
   | Online.Streaming.Over_capacity _ -> Protocol.Over_capacity
   | Online.Streaming.Horizon_exhausted _ -> Protocol.Horizon_exhausted
 
+(* Step [loads] from [i] on into [out]. *)
+let rec feed_from t loads out i =
+  if i >= Array.length loads then Ok out
+  else
+    match Online.Streaming.feed_result t.streaming loads.(i) with
+    | Ok x ->
+        out.(i) <- x;
+        feed_from t loads out (i + 1)
+    | Error e -> Error (feed_error_code e, Online.Streaming.feed_error_to_string e)
+
 let feed t ~seq loads =
   let n = Array.length loads and fed = fed t in
   if seq < 0 || seq > fed then
@@ -114,18 +124,12 @@ let feed t ~seq loads =
     (* Idempotent re-delivery: slots already processed are answered from
        the stepper's power events. *)
     let out = Array.make n [||] in
-    let again = Online.Streaming.decisions t.streaming ~from_:seq ~until:(seq + n) in
-    Array.blit again 0 out 0 (Array.length again);
-    let rec go i =
-      if i >= n then Ok out
-      else
-        match Online.Streaming.feed_result t.streaming loads.(i) with
-        | Ok x ->
-            out.(i) <- x;
-            go (i + 1)
-        | Error e -> Error (feed_error_code e, Online.Streaming.feed_error_to_string e)
+    let again =
+      if seq = fed then [||]
+      else Online.Streaming.decisions t.streaming ~from_:seq ~until:(seq + n)
     in
-    go (Array.length again)
+    Array.blit again 0 out 0 (Array.length again);
+    feed_from t loads out (Array.length again)
   end
 
 let instance ?avail ~scenario loads =

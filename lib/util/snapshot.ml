@@ -57,32 +57,52 @@ let float_of_atom = function
   | Sexp.Atom "nan" -> Some Float.nan
   | s -> Sexp.float_atom s
 
+(* The atoms of small counts, shared: a decision's counts then render
+   with no allocation. *)
+let small_ints = Array.init 256 (fun i -> Sexp.Atom (string_of_int i))
+
+let int_atom i = if i >= 0 && i < 256 then small_ints.(i) else Sexp.Atom (string_of_int i)
+
 let float_array_field name a =
-  Sexp.List (Sexp.Atom name :: Array.to_list (Array.map float_atom a))
+  Sexp.List (Sexp.Atom name :: Array.fold_right (fun f l -> float_atom f :: l) a [])
 
 let int_array_field name a =
-  Sexp.List
-    (Sexp.Atom name :: Array.to_list (Array.map (fun i -> Sexp.Atom (string_of_int i)) a))
+  Sexp.List (Sexp.Atom name :: Array.fold_right (fun i l -> int_atom i :: l) a [])
 
 let field items name =
   match Sexp.assoc name items with
   | Some args -> Ok args
   | None -> Error (Printf.sprintf "missing field %s" name)
 
+let malformed name = Error (Printf.sprintf "malformed field %s" name)
+
+(* Decode [args] into [a] from index [i], with no intermediate list. *)
+let rec decode_into decode name a i = function
+  | [] -> Ok a
+  | s :: rest -> (
+      match decode s with
+      | Some v ->
+          a.(i) <- v;
+          decode_into decode name a (i + 1) rest
+      | None -> malformed name)
+
 let decode_all decode name args =
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | s :: rest -> (
-        match decode s with
-        | Some v -> go (v :: acc) rest
-        | None -> Error (Printf.sprintf "malformed field %s" name))
-  in
-  go [] args
+  match args with
+  | [] -> Ok [||]
+  | first :: rest -> (
+      match decode first with
+      | Some v -> decode_into decode name (Array.make (List.length args) v) 1 rest
+      | None -> malformed name)
 
 let floats_of_field items name =
-  Result.bind (field items name) (decode_all float_of_atom name)
+  match field items name with
+  | Ok args -> decode_all float_of_atom name args
+  | Error _ as e -> e
 
-let ints_of_field items name = Result.bind (field items name) (decode_all Sexp.int_atom name)
+let ints_of_field items name =
+  match field items name with
+  | Ok args -> decode_all Sexp.int_atom name args
+  | Error _ as e -> e
 
 let int_of_field items name =
   match field items name with

@@ -58,6 +58,9 @@ val float_atom : float -> Sexp.t
 
 val float_of_atom : Sexp.t -> float option
 
+val int_atom : int -> Sexp.t
+(** The decimal atom of an integer; those of 0 .. 255 are shared. *)
+
 val float_array_field : string -> float array -> Sexp.t
 (** [(name f0 f1 ...)] with bit-exact atoms. *)
 

@@ -151,23 +151,24 @@ let test_dp_solve_major_heap_is_one_layer () =
     true
     (words < 4. *. float_of_int layer)
 
-(* A dispatch cell of the operating-cost fill allocates nothing: a
-   large-fleet layer (2,501 states) allocates only the dispatch pieces
-   it builds, each (type, count) piece at most once, and the tables of
-   its fill context.  A [Dp.fill_row] layer, which makes a context
-   sized for the grid (about 1,000 words, its line cursor and dispatch
-   sweep included) and builds every piece, allocates at most
-   [fill_ceiling] words (4,639, 4,736 and 4,107 at slots 0, 6 and 12),
+(* A dispatch cell of the operating-cost fill allocates nothing, and
+   neither does building the power-curve dispatch pieces of a
+   large-fleet layer (2,501 states): their kernel constants are stored
+   unboxed in the fill context's tables.  A [Dp.fill_row] layer, which
+   makes a context sized for the grid (its piece tables, line cursor
+   and dispatch sweep) and builds every piece, allocates at most
+   [fill_ceiling] words (1,265 at slots 0, 6 and 12, of which 818 are
+   the two packed piece tables, allocated directly in the major heap),
    and a warm [Prefix_opt.step], whose context lives with its sweep,
-   [step_ceiling] (3,523); with a piece table per line and one per
-   layer they allocated 4,171, 4,307, 4,341 and 4,545, under a ceiling
-   of 5,002 (two words per state).  One boxed float per dispatch cell
-   would push every measurement over its ceiling.  Minor words are
-   exact on OCaml 5: the same count in every run.  A fill keeps no
-   scratch from an earlier one, so the first fill of the process is
-   measured like the rest. *)
-let fill_ceiling = 4_761.
-let step_ceiling = 3_523.
+   [step_ceiling] (262).  When each piece was a [Fn.t] with its probe
+   constants and boxed caches, about 50 words apiece, they allocated
+   4,639, 4,736, 4,107 and 3,523 words, all in the minor heap, under
+   ceilings of 4,761 and 3,523.  One boxed float per dispatch cell would push every
+   measurement over its ceiling.  Minor words are exact on OCaml 5: the
+   same count in every run.  A fill keeps no scratch from an earlier
+   one, so the first fill of the process is measured like the rest. *)
+let fill_ceiling = 1_500.
+let step_ceiling = 400.
 
 let test_fill_allocation_ceiling () =
   let inst = Sim.Scenarios.large_fleet () in
@@ -175,10 +176,20 @@ let test_fill_allocation_ceiling () =
   let n = Offline.Grid.size grid in
   let ceiling = fill_ceiling in
   let row = Array.make n 0. in
+  (* Words allocated in the minor heap plus those allocated directly in
+     the major heap (blocks over 256 words, such as a piece table's
+     packed entries), which [Gc.minor_words] does not see; the major
+     heap's come from [Gc.counters], outside the minor count's window. *)
   let minor_words f =
-    let before = Gc.minor_words () in
+    let direct () =
+      let _, promoted, major = Gc.counters () in
+      major -. promoted
+    in
+    let d0 = direct () in
+    let m0 = Gc.minor_words () in
     f ();
-    Gc.minor_words () -. before
+    let m1 = Gc.minor_words () in
+    m1 -. m0 +. (direct () -. d0)
   in
   List.iter
     (fun time ->
@@ -195,6 +206,68 @@ let test_fill_allocation_ceiling () =
   checkb
     (Printf.sprintf "Prefix_opt.step at slot 6: %.0f words <= %.0f" words step_ceiling)
     true (words <= step_ceiling)
+
+(* Building a large-fleet layer's dispatch pieces allocates nothing:
+   both types' costs are power curves, so every entry of both axes'
+   tables, the zero-count ones included, is built from unboxed kernel
+   constants.  A whole layer fill through a warm context then allocates
+   nothing either, pieces and cells together; re-aiming the context at
+   the next slot's layer boxes only the load and capacity it hands each
+   axis's table. *)
+let test_layer_pieces_allocate_nothing () =
+  let inst = Sim.Scenarios.large_fleet () in
+  let grid = Offline.Dp.dense_grids inst 0 in
+  let d = Offline.Grid.dim grid in
+  let axes = Array.init d (Offline.Grid.axis_values grid) in
+  let tables = Array.map (fun a -> Convex.Dispatch.table (Array.length a)) axes in
+  let load = inst.Model.Instance.load.(6) in
+  let aim () =
+    Array.iteri
+      (fun j t ->
+        Convex.Dispatch.table_aim t
+          (inst.Model.Instance.cost ~time:6 ~typ:j)
+          ~load ~cap:inst.Model.Instance.types.(j).Model.Server_type.cap)
+      tables
+  in
+  let build () =
+    for j = 0 to d - 1 do
+      for i = 0 to Array.length axes.(j) - 1 do
+        Convex.Dispatch.table_build tables.(j) i axes.(j).(i)
+      done
+    done
+  in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  aim ();
+  build ();
+  aim ();
+  checkf 0. "words to build both axes' pieces" 0. (minor_words build);
+  let ctx = Model.Cost.line_ctx ~axes in
+  let table = Array.make (Offline.Grid.size grid) nan in
+  let len = Array.length axes.(d - 1) in
+  let fill time =
+    Model.Cost.line_layer ctx inst ~time;
+    Array.fill table 0 (Array.length table) nan;
+    let pos = Array.make (d - 1) 0 in
+    let words =
+      minor_words (fun () ->
+          for k = 0 to (Offline.Grid.size grid / len) - 1 do
+            Model.Cost.fill_line ~ctx ~table ~rank0:(k * len) ~pos;
+            Offline.Grid.next_line grid pos
+          done)
+    in
+    Model.Cost.line_flush ctx;
+    words
+  in
+  ignore (fill 5);
+  checkf 0. "words of a warm layer fill, its pieces built" 0. (fill 6);
+  let row = Array.make (Offline.Grid.size grid) 0. in
+  Offline.Dp.fill_row inst grid ~time:6 row;
+  checkb "the warm fill has fill_row's bits" true
+    (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) table row)
 
 (* The online fill's exact work.  A large-fleet session fed 192 slots
    adds at most [max_solves] to [dispatch.calls]: [Prefix_opt.step]
@@ -1112,6 +1185,8 @@ let () =
           Alcotest.test_case "Dp.solve major heap is one layer" `Quick
             test_dp_solve_major_heap_is_one_layer;
           Alcotest.test_case "fill allocation ceiling" `Quick test_fill_allocation_ceiling;
+          Alcotest.test_case "layer pieces allocate nothing" `Quick
+            test_layer_pieces_allocate_nothing;
           Alcotest.test_case "online fill work (large-fleet, T=192)" `Quick
             test_online_fill_work
         ] );

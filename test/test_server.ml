@@ -115,6 +115,274 @@ let feed_chunked rng dec s =
     i := !i + k
   done
 
+(* --- reference wire codec ----------------------------------------------
+
+   The parser, printer, framer and Buffer-backed decoder the serving
+   path used before its codec stopped allocating per character and per
+   frame, kept verbatim as oracles: the codec must produce their bytes,
+   trees, frames and error messages exactly. *)
+
+module Reference = struct
+  module S = Util.Sexp
+
+  type state = { input : string; mutable pos : int }
+
+  let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
+
+  let advance st = st.pos <- st.pos + 1
+
+  let rec skip_blank st =
+    match peek st with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+        advance st;
+        skip_blank st
+    | Some ';' ->
+        let rec eat () =
+          match peek st with
+          | Some '\n' | None -> ()
+          | Some _ ->
+              advance st;
+              eat ()
+        in
+        eat ();
+        skip_blank st
+    | Some _ | None -> ()
+
+  let error st msg = Error (Printf.sprintf "%s at offset %d" msg st.pos)
+
+  let rec parse_one st =
+    skip_blank st;
+    match peek st with
+    | None -> error st "unexpected end of input"
+    | Some '(' ->
+        advance st;
+        let rec items acc =
+          skip_blank st;
+          match peek st with
+          | Some ')' ->
+              advance st;
+              Ok (S.List (List.rev acc))
+          | None -> error st "unclosed parenthesis"
+          | Some _ -> (
+              match parse_one st with
+              | Ok item -> items (item :: acc)
+              | Error _ as e -> e)
+        in
+        items []
+    | Some ')' -> error st "unexpected ')'"
+    | Some _ ->
+        let start = st.pos in
+        let rec eat () =
+          match peek st with
+          | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | ';') | None -> ()
+          | Some _ ->
+              advance st;
+              eat ()
+        in
+        eat ();
+        Ok (S.Atom (String.sub st.input start (st.pos - start)))
+
+  let parse input =
+    let st = { input; pos = 0 } in
+    match parse_one st with
+    | Error _ as e -> e
+    | Ok v ->
+        skip_blank st;
+        if st.pos = String.length input then Ok v
+        else error st "trailing content after expression"
+
+  let parse_many input =
+    let st = { input; pos = 0 } in
+    let rec go acc =
+      skip_blank st;
+      if st.pos = String.length input then Ok (List.rev acc)
+      else
+        match parse_one st with
+        | Ok v -> go (v :: acc)
+        | Error m -> Error m
+    in
+    go []
+
+  let rec to_string = function
+    | S.Atom a -> a
+    | S.List items -> "(" ^ String.concat " " (List.map to_string items) ^ ")"
+
+  let encode payload =
+    let body = to_string payload in
+    Printf.sprintf "%d %s\n" (String.length body) body
+
+  type decoder = {
+    mutable buf : Buffer.t;
+    mutable start : int;
+    mutable poisoned : string option;
+    max_frame_bytes : int;
+  }
+
+  let decoder ?(max_frame_bytes = Codec.default_max_frame_bytes) () =
+    { buf = Buffer.create 4096; start = 0; poisoned = None; max_frame_bytes }
+
+  let feed_string d s = Buffer.add_string d.buf s
+
+  let compact d =
+    if d.start > 65536 && d.start * 2 > Buffer.length d.buf then begin
+      let rest = Buffer.sub d.buf d.start (Buffer.length d.buf - d.start) in
+      let fresh = Buffer.create (max 4096 (String.length rest)) in
+      Buffer.add_string fresh rest;
+      d.buf <- fresh;
+      d.start <- 0
+    end
+
+  let poison d msg =
+    d.poisoned <- Some msg;
+    Error msg
+
+  let max_prefix_digits = 12
+
+  let next d =
+    match d.poisoned with
+    | Some msg -> Error msg
+    | None -> (
+        let len = Buffer.length d.buf in
+        let rec scan_sp i =
+          if i >= len then None
+          else if Buffer.nth d.buf i = ' ' then Some i
+          else if i - d.start >= max_prefix_digits then Some (-1)
+          else scan_sp (i + 1)
+        in
+        match scan_sp d.start with
+        | None -> Ok None
+        | Some (-1) -> poison d "frame length prefix too long (corrupt stream)"
+        | Some sp -> (
+            let digits = Buffer.sub d.buf d.start (sp - d.start) in
+            let plausible =
+              digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+            in
+            match (if plausible then int_of_string_opt digits else None) with
+            | None -> poison d (Printf.sprintf "bad frame length prefix %S" digits)
+            | Some n when n > d.max_frame_bytes ->
+                poison d
+                  (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
+                     d.max_frame_bytes)
+            | Some n ->
+                let frame_end = sp + 1 + n in
+                if len < frame_end + 1 then Ok None
+                else if Buffer.nth d.buf frame_end <> '\n' then
+                  poison d "missing frame terminator (corrupt stream)"
+                else begin
+                  let body = Buffer.sub d.buf (sp + 1) n in
+                  d.start <- frame_end + 1;
+                  compact d;
+                  match parse body with
+                  | Ok payload -> Ok (Some payload)
+                  | Error m -> poison d (Printf.sprintf "unparseable frame payload: %s" m)
+                end))
+end
+
+(* Random trees: atoms of any bytes (the printer emits them verbatim),
+   empty lists, and nesting up to depth 4. *)
+let rec gen_tree rng depth =
+  if depth = 0 || Util.Prng.int rng 3 = 0 then Util.Sexp.Atom (gen_string rng)
+  else
+    Util.Sexp.List (List.init (Util.Prng.int rng 5) (fun _ -> gen_tree rng (depth - 1)))
+
+(* Random parser input, weighted towards the lexer's delimiters:
+   blanks, comments, balanced and unbalanced parens. *)
+let gen_sexp_text rng =
+  let pieces =
+    [| "("; ")"; " "; "\t"; "\n"; "\r"; ";"; "; note\n"; "a"; "bc"; "12"; "0x1p-3"; "%20";
+       "(x 1)"; "()"; "\x00"; "\xff" |]
+  in
+  String.concat "" (List.init (Util.Prng.int rng 24) (fun _ -> Util.Prng.pick rng pieces))
+
+(* Every request and response kind, one of each, plus random draws. *)
+let all_kinds rng =
+  let reqs =
+    [ P.Hello { version = 1 };
+      P.Create_session { id = "a"; scenario = "cpu gpu;(x)"; max_horizon = Some 9; alg = Some "b" };
+      P.Feed { id = "s1"; seq = 3; loads = [| 1.5; -0.; infinity; nan |] };
+      P.Query_snapshot { id = "s1" }; P.Stats; P.Metrics; P.Close { id = "s1" }; P.Shutdown ]
+  in
+  let resps =
+    [ P.Welcome { version = 1 };
+      P.Session { id = "s"; alg = "a"; types = 2; fed = 7 };
+      P.Decisions { id = "s"; seq = 4; configs = [| [| 1; 2 |]; [||] |] };
+      P.Snapshot_state { id = "s"; state = gen_tree rng 4 };
+      P.Stats_reply
+        { accepts = 1; sessions = 2; requests = 3; decisions = 4; batches = 5;
+          p50_us = 0.25; p99_us = nan };
+      P.Metrics_reply { body = "x 1\n% (y)" }; P.Closed { id = "s" }; P.Bye;
+      P.Error { code = P.Bad_seq; msg = "gap"; fed = Some 3 } ]
+  in
+  List.map P.request_to_sexp (reqs @ [ gen_request rng ])
+  @ List.map P.response_to_sexp (resps @ [ gen_response rng ])
+
+let prop_printer_matches_reference seed =
+  let rng = Util.Prng.create seed in
+  List.for_all
+    (fun t ->
+      Util.Sexp.to_string t = Reference.to_string t
+      && Codec.encode t = Reference.encode t)
+    (gen_tree rng 4 :: all_kinds rng)
+
+let prop_parser_matches_reference seed =
+  let rng = Util.Prng.create seed in
+  let text = gen_sexp_text rng in
+  Util.Sexp.parse text = Reference.parse text
+  && Util.Sexp.parse_many text = Reference.parse_many text
+
+(* One wire stream of at least 2 MiB, cut into random reads from 1 byte
+   up: mostly protocol frames, some frames larger than the decoder's
+   initial 4 KiB, and, on some seeds, a corrupt tail.  The decoder must
+   hand out the reference decoder's frames and poison results, and its
+   buffer must stay within twice the largest frame plus read. *)
+let prop_decoder_matches_reference seed =
+  let rng = Util.Prng.create seed in
+  let frames = ref [] and bytes = ref 0 in
+  while !bytes < 2 * 1024 * 1024 do
+    let t =
+      match Util.Prng.int rng 10 with
+      | 0 ->
+          P.response_to_sexp
+            (P.Metrics_reply { body = String.make (4096 + Util.Prng.int rng 30_000) 'm' })
+      | 1 | 2 | 3 -> P.response_to_sexp (gen_response rng)
+      | _ -> P.request_to_sexp (gen_request rng)
+    in
+    let f = Reference.encode t in
+    frames := f :: !frames;
+    bytes := !bytes + String.length f
+  done;
+  let largest = List.fold_left (fun m f -> max m (String.length f)) 0 !frames in
+  let tail =
+    match Util.Prng.int rng 6 with
+    | 0 -> "12x (hi)\n"
+    | 1 -> "5 (hi)X5 (hi)\n"
+    | 2 -> "3 (()\n"
+    | 3 -> "1234567890123 (hi)\n"
+    | 4 -> "99999999999 (hi)\n"
+    | _ -> ""
+  in
+  let wire = String.concat "" (List.rev !frames) ^ tail in
+  let dec = Codec.decoder () and ref_dec = Reference.decoder () in
+  let rec drain () =
+    let a = Codec.next dec and b = Reference.next ref_dec in
+    if a <> b then false
+    else match a with Ok (Some _) -> drain () | Ok None -> true | Error _ -> Codec.next dec = b
+  in
+  let n = String.length wire in
+  let ok = ref true and off = ref 0 and widest_read = ref 0 in
+  while !ok && !off < n do
+    let most = match Util.Prng.int rng 3 with 0 -> 8 | 1 -> 4096 | _ -> 65536 in
+    let k = min (n - !off) (1 + Util.Prng.int rng most) in
+    widest_read := max !widest_read k;
+    let chunk = String.sub wire !off k in
+    Codec.feed_string dec chunk;
+    Reference.feed_string ref_dec chunk;
+    off := !off + k;
+    ok := drain ()
+          && Codec.buffer_bytes dec <= max 4096 (2 * (largest + !widest_read))
+  done;
+  !ok
+
 (* --- properties ----------------------------------------------------- *)
 
 let prop_quote_roundtrip seed =
@@ -606,6 +874,16 @@ let test_daemon_metrics_and_audit () =
           checkb "heap gauge positive" true (heap > 0.);
           checkb "top heap at least the heap" true (top >= heap)
       | _ -> Alcotest.fail "gc heap gauges missing");
+      (* garbage since start: words and the collections they cost *)
+      List.iter
+        (fun name ->
+          match find name with
+          | Some v -> checkb (name ^ " non-negative") true (v >= 0.)
+          | None -> Alcotest.fail (name ^ " missing"))
+        [ "gc_minor_words"; "gc_promoted_words"; "gc_major_words"; "gc_minor_collections";
+          "gc_major_collections" ];
+      checkb "minor words counted" true
+        (match find "gc_minor_words" with Some v -> v > 0. | None -> false);
       (match find "audit_regret_ratio" with
       | Some v -> checkb "scraped ratio matches audit" true (v = ratio)
       | None -> Alcotest.fail "audit_regret_ratio missing");
@@ -637,6 +915,9 @@ let test_daemon_metrics_and_audit () =
       (match (requests_1, find2 "server_requests") with
       | Some a, Some b -> checkb "requests monotone" true (b > a)
       | _ -> Alcotest.fail "server_requests missing");
+      (match (find "gc_minor_words", find2 "gc_minor_words") with
+      | Some a, Some b -> checkb "minor words grow between scrapes" true (b > a)
+      | _ -> Alcotest.fail "gc_minor_words missing");
       (* the monitor digests the same body into the same numbers *)
       match Server.Monitor.parse body2 with
       | Error m -> Alcotest.fail m
@@ -857,6 +1138,122 @@ let test_replay_store_matches_served () =
             (bits r.Server.Audit.new_cost = bits (snd (List.assoc "gpu-b" served)))
       | rows -> Alcotest.failf "expected one challenger row, got %d" (List.length rows))
 
+(* --- garbage per decision --------------------------------------------- *)
+
+(* The daemon's side of one served cpu-gpu decision allocates at most
+   [decision_budget] minor words on average: decoding the request frame
+   with a long-lived decoder, the round in [Daemon.handle] (the session
+   step, its dispatch pieces and cells included) and rendering the reply
+   into a long-lived output buffer, over 32 sessions fed one slot a
+   frame in turn.  The client's encoding of the request is done outside
+   the count.  It read about 1,364 words when the decoder copied and
+   parsed through a [Buffer] and per-character options, the reply went
+   through intermediate strings, and every dispatch piece was a [Fn.t]
+   with boxed constants; it reads about 350 now.  Minor words are exact
+   on OCaml 5, so the mean is the same in every run. *)
+let decision_budget = 400.
+
+let test_decision_allocation_budget () =
+  with_daemon (fun _dir mk cfg ->
+      let d = mk "g.sock" cfg in
+      let ids = Array.init 32 (Printf.sprintf "s%d") in
+      Array.iter
+        (fun id ->
+          match
+            Daemon.handle d
+              (P.Create_session { id; scenario = "cpu-gpu"; max_horizon = None; alg = None })
+          with
+          | P.Session _ -> ()
+          | _ -> Alcotest.fail ("create " ^ id))
+        ids;
+      let seqs = Array.make 32 0 and rng = Util.Prng.create 3 in
+      let dec = Codec.decoder () and out = Codec.out () in
+      let serve k =
+        let i = k mod 32 in
+        let frame =
+          Codec.encode
+            (P.request_to_sexp
+               (P.Feed
+                  { id = ids.(i); seq = seqs.(i); loads = [| 1. +. Util.Prng.float rng 17. |] }))
+        in
+        seqs.(i) <- seqs.(i) + 1;
+        let before = Gc.minor_words () in
+        Codec.feed_string dec frame;
+        let reply =
+          match Codec.next dec with
+          | Ok (Some sexp) -> (
+              match P.request_of_sexp sexp with
+              | Ok req -> Daemon.handle d req
+              | Error m -> Alcotest.fail m)
+          | Ok None | Error _ -> Alcotest.fail "no frame"
+        in
+        Codec.out_clear out;
+        Codec.encode_to out (P.response_to_sexp reply);
+        let words = Gc.minor_words () -. before in
+        ignore (expect_decisions reply : Model.Config.t array);
+        words
+      in
+      for k = 0 to (32 * 8) - 1 do
+        ignore (serve k : float)
+      done;
+      let m = 32 * 64 in
+      let total = ref 0. in
+      for k = 0 to m - 1 do
+        total := !total +. serve k
+      done;
+      let mean = !total /. float_of_int m in
+      checkb
+        (Printf.sprintf "%.1f minor words per decision <= %.0f" mean decision_budget)
+        true (mean <= decision_budget))
+
+(* Once its buffer has reached its size, a decoder makes no garbage in
+   the major heap: over 10,000 frames, cut into reads of up to 4 KiB
+   and some larger than its initial buffer, it allocates no word
+   directly in the major heap (words promoted from the minor heap are
+   left out: they are whatever a minor collection finds live). *)
+let test_decoder_no_major_garbage () =
+  let rng = Util.Prng.create 11 in
+  let frames =
+    Array.init 64 (fun i ->
+        Codec.encode
+          (if i mod 16 = 0 then
+             P.response_to_sexp (P.Metrics_reply { body = String.make 1500 'm' })
+           else P.request_to_sexp (gen_request rng)))
+  in
+  let wire = String.concat "" (Array.to_list frames) in
+  let dec = Codec.decoder () in
+  let buf = Bytes.create 4096 in
+  let off = ref 0 in
+  let run frames_wanted =
+    let got = ref 0 in
+    while !got < frames_wanted do
+      let k = min (String.length wire - !off) (1 + Util.Prng.int rng 4096) in
+      Bytes.blit_string wire !off buf 0 k;
+      off := (!off + k) mod String.length wire;
+      Codec.feed dec buf k;
+      let rec pull () =
+        match Codec.next dec with
+        | Ok (Some _) ->
+            incr got;
+            pull ()
+        | Ok None -> ()
+        | Error m -> Alcotest.fail m
+      in
+      pull ()
+    done
+  in
+  (* [Gc.counters] is exact for this domain at the call, where
+     [Gc.quick_stat]'s major words are as of the last collection. *)
+  let direct_major_words () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  run 2_000;
+  let before = direct_major_words () in
+  run 10_000;
+  Alcotest.(check (float 0.)) "direct major words over 10,000 frames" 0.
+    (direct_major_words () -. before)
+
 let () =
   Alcotest.run "server"
     [ ( "codec",
@@ -866,7 +1263,15 @@ let () =
           mk_prop ~name:"request round-trip (chunked)" prop_request_roundtrip;
           mk_prop ~name:"response round-trip (chunked)" prop_response_roundtrip;
           mk_prop ~name:"pipelined frames decode in order" prop_pipelined_frames;
-          mk_prop ~name:"quote/unquote round-trip" prop_quote_roundtrip ] );
+          mk_prop ~name:"quote/unquote round-trip" prop_quote_roundtrip;
+          mk_prop ~count:300 ~name:"printer and framer = reference bytes"
+            prop_printer_matches_reference;
+          mk_prop ~count:2000 ~name:"parser = reference trees and errors"
+            prop_parser_matches_reference;
+          mk_prop ~count:4 ~name:"decoder = reference on a 2 MiB stream"
+            prop_decoder_matches_reference;
+          Alcotest.test_case "decoder makes no major-heap garbage" `Quick
+            test_decoder_no_major_garbage ] );
       ( "streaming-errors",
         [ Alcotest.test_case "typed feed errors" `Quick test_streaming_feed_result_errors ] );
       ( "snapshot-guard",
@@ -884,6 +1289,8 @@ let () =
             test_daemon_checkpoint_resume_multisession;
           Alcotest.test_case "metrics scrape + shadow audit" `Quick
             test_daemon_metrics_and_audit;
+          Alcotest.test_case "garbage per served decision" `Quick
+            test_decision_allocation_budget;
           Alcotest.test_case "audit failures reach the scrape" `Quick
             test_audit_failures_scraped;
           Alcotest.test_case "audit matches direct offline replay" `Quick
